@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench predict-bench bench-throughput check-throughput experiments quick-experiments faults a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
+.PHONY: all check build vet test race bench experiments quick-experiments faults fences a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
 
 all: build vet test
 
-# Full gate: compile, static analysis, tests, the race detector, and the
-# decision-throughput regression fence.
-check: build vet test race check-throughput
+# Full gate: compile, static analysis, tests, and the race detector.
+# Performance is measured by the benchmark in bench/ (see bench/README.md),
+# not by a fence in this gate.
+check: build vet test race
 
 build:
 	$(GO) build ./...
@@ -25,23 +26,6 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Before/after δ measurement for the prediction fast path (BENCH_predict.json).
-predict-bench:
-	$(GO) run ./cmd/aqua-exp -exp predict
-
-# Decision-path throughput benchmark: reference vs optimized vs concurrent
-# callers; regenerates BENCH_throughput.json.
-bench-throughput:
-	$(GO) run ./cmd/aqua-exp -exp throughput
-
-# Throughput regression fence: re-measure and compare against the committed
-# BENCH_throughput.json (fails if the optimized-vs-reference speedup drops
-# below 85% of baseline, the cached path allocates, or the p999 tail
-# detaches — see experiment.ThroughputFence). Does not overwrite the
-# baseline; use bench-throughput for that.
-check-throughput:
-	$(GO) run ./cmd/aqua-exp -exp throughput -throughput-against BENCH_throughput.json -throughput-out ""
-
 # Regenerate every paper figure and ablation (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/aqua-exp -exp all | tee results_all.txt
@@ -53,6 +37,9 @@ quick-experiments:
 # delay spikes, headless with the fixed default seed (see README).
 faults:
 	$(GO) run ./cmd/aqua-exp -exp faults
+
+# Every self-checking experiment (each exits non-zero on a fence miss).
+fences: a13 a14 a15 a16 a17 a18
 
 # Overload sweep: paper-exact (A12 select-all collapse) vs budgeted
 # redundancy + admission control (see EXPERIMENTS.md, a13).
@@ -111,7 +98,7 @@ metrics-smoke:
 	$(GO) test . -run TestMetricsEndToEnd -count=1 -v
 
 # Short fuzzing pass over the wire codec, including the ordered-mode
-# state-transfer frames (StateRequest/StateChunk) on both codecs.
+# state-transfer frames (StateRequest/StateChunk).
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 20s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 20s

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	aqua-exp -exp all            # every experiment
-//	aqua-exp -exp fig4           # one experiment: e0 fig3 fig4 fig5 a1..a18
+//	aqua-exp -exp fig4           # one experiment: e0 fig3 fig4 fig5 faults v1 a1..a18
 //	aqua-exp -exp fig5 -csv      # machine-readable output
 //	aqua-exp -exp fig3 -quick    # reduced iteration counts
 package main
@@ -22,13 +22,10 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment id: e0, fig3, fig4, fig5, faults, v1, a1..a18, predict, throughput, or all")
+		exp          = flag.String("exp", "all", "experiment id: e0, fig3, fig4, fig5, faults, v1, a1..a18, or all")
 		csv          = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plot         = flag.Bool("plot", false, "also render ASCII charts for fig4/fig5")
 		quick        = flag.Bool("quick", false, "reduced iterations/runs for a fast pass")
-		predictOut   = flag.String("predict-out", "BENCH_predict.json", "output file for the predict benchmark (-exp predict)")
-		tputOut      = flag.String("throughput-out", "BENCH_throughput.json", "output file for the throughput benchmark (-exp throughput)")
-		tputAgainst  = flag.String("throughput-against", "", "baseline BENCH_throughput.json to fence against; non-zero exit on regression (-exp throughput)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (\":0\" picks a free port): Prometheus text at /metrics, JSON at /metrics.json, pprof under /debug/pprof/")
 		metricsEvery = flag.Duration("metrics-every", 0, "periodically dump a metrics snapshot as JSON to stderr (0 = off)")
 	)
@@ -48,7 +45,7 @@ func main() {
 		defer stop()
 	}
 
-	if err := run(strings.ToLower(*exp), *csv, *quick, *plot, *predictOut, *tputOut, *tputAgainst); err != nil {
+	if err := run(strings.ToLower(*exp), *csv, *quick, *plot); err != nil {
 		fmt.Fprintln(os.Stderr, "aqua-exp:", err)
 		os.Exit(1)
 	}
@@ -84,7 +81,7 @@ func startMetricsDumper(every time.Duration) (stop func()) {
 	}
 }
 
-func run(exp string, csv, quick, plot bool, predictOut, tputOut, tputAgainst string) error {
+func run(exp string, csv, quick, plot bool) error {
 	emit := func(t *experiment.Table) error {
 		if csv {
 			return t.WriteCSV(os.Stdout)
@@ -157,69 +154,6 @@ func run(exp string, csv, quick, plot bool, predictOut, tputOut, tputAgainst str
 			}
 			return emit(experiment.FaultsTable(res))
 		},
-		"predict": func() error {
-			cfg := experiment.DefaultPredictBenchConfig()
-			if quick {
-				cfg.WindowSize = 20
-			}
-			res, err := experiment.RunPredictBench(cfg)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.PredictBenchTable(res)); err != nil {
-				return err
-			}
-			if predictOut != "" {
-				blob, err := experiment.MarshalPredictBench(res)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(predictOut, blob, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", predictOut)
-			}
-			return nil
-		},
-		"throughput": func() error {
-			cfg := experiment.DefaultThroughputConfig()
-			if quick {
-				cfg.Requests = 3000
-				cfg.WindowSize = 30
-			}
-			res, err := experiment.RunThroughput(cfg)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.ThroughputTable(res)); err != nil {
-				return err
-			}
-			if tputAgainst != "" {
-				blob, err := os.ReadFile(tputAgainst)
-				if err != nil {
-					return fmt.Errorf("reading throughput baseline: %w", err)
-				}
-				base, err := experiment.UnmarshalThroughput(blob)
-				if err != nil {
-					return err
-				}
-				if err := experiment.ThroughputFence(res, base); err != nil {
-					return err
-				}
-				fmt.Printf("throughput fence passed against %s\n", tputAgainst)
-			}
-			if tputOut != "" {
-				blob, err := experiment.MarshalThroughput(res)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(tputOut, blob, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", tputOut)
-			}
-			return nil
-		},
 		"a1":  tableRunner(experiment.RunA1, emit),
 		"a2":  tableRunner(experiment.RunA2, emit),
 		"a3":  tableRunner(experiment.RunA3, emit),
@@ -270,7 +204,7 @@ func run(exp string, csv, quick, plot bool, predictOut, tputOut, tputAgainst str
 	}
 	r, ok := runners[exp]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q (want e0, fig3, fig4, fig5, faults, v1, a1..a18, predict, throughput, all)", exp)
+		return fmt.Errorf("unknown experiment %q (want e0, fig3, fig4, fig5, faults, v1, a1..a18, all)", exp)
 	}
 	return r()
 }

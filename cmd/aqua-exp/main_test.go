@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"aqua/internal/experiment"
@@ -15,12 +13,12 @@ func TestRunnersQuick(t *testing.T) {
 	for _, exp := range []string{"fig3", "a1", "a8", "a10", "a11"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, false, true, false, "", "", ""); err != nil {
+			if err := run(exp, false, true, false); err != nil {
 				t.Fatalf("run(%q): %v", exp, err)
 			}
 		})
 	}
-	if err := run("fig3", true, true, false, "", "", ""); err != nil {
+	if err := run("fig3", true, true, false); err != nil {
 		t.Fatalf("csv mode: %v", err)
 	}
 }
@@ -59,64 +57,8 @@ func TestRunFaultsSmoke(t *testing.T) {
 	}
 }
 
-// TestRunPredictWritesJSON runs the δ benchmark harness in quick mode and
-// checks the emitted BENCH_predict.json parses and records an improvement.
-func TestRunPredictWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark harness is slow")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_predict.json")
-	if err := run("predict", false, true, false, out, "", ""); err != nil {
-		t.Fatalf("run(predict): %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("reading %s: %v", out, err)
-	}
-	var res experiment.PredictBenchResult
-	if err := json.Unmarshal(blob, &res); err != nil {
-		t.Fatalf("parsing %s: %v", out, err)
-	}
-	if res.Reference.NsPerOp <= 0 || res.FastCached.NsPerOp <= 0 {
-		t.Fatalf("missing measurements: %+v", res)
-	}
-	if res.AllocRatioCached < 5 {
-		t.Errorf("cached fast path saves %.1fx allocations, want >= 5x", res.AllocRatioCached)
-	}
-}
-
-// TestRunThroughputWritesJSONAndFences runs the throughput harness in quick
-// mode, checks the emitted BENCH_throughput.json, then re-runs fencing
-// against the file it just wrote (same config ⇒ must pass).
-func TestRunThroughputWritesJSONAndFences(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark harness is slow")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_throughput.json")
-	if err := run("throughput", false, true, false, "", out, ""); err != nil {
-		t.Fatalf("run(throughput): %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("reading %s: %v", out, err)
-	}
-	res, err := experiment.UnmarshalThroughput(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SpeedupVsRef <= 1 {
-		t.Errorf("speedup_vs_reference = %.2f, want > 1", res.SpeedupVsRef)
-	}
-	if res.CachedAllocsOp != 0 {
-		t.Errorf("cached_allocs_per_op = %.1f, want 0", res.CachedAllocsOp)
-	}
-	if err := run("throughput", false, true, false, "", "", out); err != nil {
-		t.Fatalf("fence against own baseline: %v", err)
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", false, false, false, "", "", ""); err == nil {
+	if err := run("nope", false, false, false); err == nil {
 		t.Error("want error for unknown experiment")
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // Fences for the zero-allocation decision path: the cached path must not
-// allocate, must agree exactly with the reference (seed) decision path, and
+// allocate, must agree exactly with a from-scratch oracle built in the test, and
 // the pooled Decision buffers must be race-free under concurrent
 // schedule/release/reply traffic.
 
@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"aqua/internal/model"
 	"aqua/internal/repository"
+	"aqua/internal/selection"
 	"aqua/internal/wire"
 )
 
@@ -65,9 +67,11 @@ func TestScheduleCachedPathZeroAllocs(t *testing.T) {
 }
 
 // TestReferencePathMatchesCachedPath checks decision-for-decision equivalence
-// between the zero-alloc cached path and the reference path (private
-// snapshots, fresh tables, per-request sort): same targets, bit-identical
-// P_K(t), across membership-stable and perturbed rounds.
+// between the scheduler's zero-alloc cached path and an oracle assembled here
+// from exported parts (private snapshot, fresh table, the strategy's own
+// per-request sort): same targets, bit-identical P_K(t), across
+// membership-stable and perturbed rounds. The oracle shares no scheduler code
+// with the path it checks.
 func TestReferencePathMatchesCachedPath(t *testing.T) {
 	repo := variedRepo(t, 6)
 	q := wire.QoS{Deadline: 60 * ms, MinProbability: 0.95}
@@ -75,10 +79,8 @@ func TestReferencePathMatchesCachedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewScheduler(Config{Service: "svc", QoS: q, Repository: repo, ReferenceDecisionPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	predictor := model.NewPredictor()
+	strategy := selection.NewDynamic()
 	now := time.Now()
 	for round := 0; round < 100; round++ {
 		if round%3 == 1 {
@@ -87,27 +89,26 @@ func TestReferencePathMatchesCachedPath(t *testing.T) {
 			svc := time.Duration(4+round%20) * ms
 			repo.RecordPerf(id, "", wire.PerfReport{ServiceTime: svc, QueueDelay: ms}, now)
 		}
-		df, errF := fast.Schedule(now, "")
-		dr, errR := ref.Schedule(now, "")
-		if (errF == nil) != (errR == nil) {
-			t.Fatalf("round %d: error mismatch: fast=%v ref=%v", round, errF, errR)
+		table, cold, err := predictor.ProbabilityTable(repo.Snapshot(""), q.Deadline)
+		if err != nil {
+			t.Fatalf("round %d: oracle table: %v", round, err)
 		}
-		if errF != nil {
-			continue
+		want := strategy.Select(selection.Input{Table: table, Cold: cold, QoS: q})
+		got, err := fast.Schedule(now, "")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		if fmt.Sprint(df.Targets) != fmt.Sprint(dr.Targets) {
-			t.Fatalf("round %d: targets diverged: fast=%v ref=%v", round, df.Targets, dr.Targets)
+		if fmt.Sprint(got.Targets) != fmt.Sprint(want.Selected) {
+			t.Fatalf("round %d: targets diverged: fast=%v ref=%v", round, got.Targets, want.Selected)
 		}
-		if df.Predicted != dr.Predicted {
-			t.Fatalf("round %d: predicted diverged: fast=%v ref=%v", round, df.Predicted, dr.Predicted)
+		if got.Predicted != want.Predicted {
+			t.Fatalf("round %d: predicted diverged: fast=%v ref=%v", round, got.Predicted, want.Predicted)
 		}
-		if df.UsedAll != dr.UsedAll || df.ColdStart != dr.ColdStart {
-			t.Fatalf("round %d: flags diverged: fast=%+v ref=%+v", round, df, dr)
+		if got.UsedAll != want.UsedAll || got.ColdStart != want.ColdStart {
+			t.Fatalf("round %d: flags diverged: fast=%+v ref=%+v", round, got, want)
 		}
-		fast.Forget(df.Seq)
-		ref.Forget(dr.Seq)
-		df.Release()
-		dr.Release()
+		fast.Forget(got.Seq)
+		got.Release()
 	}
 }
 
@@ -164,40 +165,13 @@ func TestDecisionReleaseRace(t *testing.T) {
 }
 
 // BenchmarkScheduleCachedPath measures the per-decision cost of the cached
-// path (the throughput experiment drives the same cycle).
+// path (bench/ probe core.schedule_cached_us drives the same cycle).
 func BenchmarkScheduleCachedPath(b *testing.B) {
 	repo := variedRepo(b, 5)
 	s, err := NewScheduler(Config{
 		Service:    "svc",
 		QoS:        wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
 		Repository: repo,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	t0 := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := s.Schedule(t0, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		seq := d.Seq
-		d.Release()
-		s.Forget(seq)
-	}
-}
-
-// BenchmarkScheduleReferencePath is the same cycle through the seed-style
-// decision path, for the speedup comparison in BENCH_throughput.json.
-func BenchmarkScheduleReferencePath(b *testing.B) {
-	repo := variedRepo(b, 5)
-	s, err := NewScheduler(Config{
-		Service:               "svc",
-		QoS:                   wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
-		Repository:            repo,
-		ReferenceDecisionPath: true,
 	})
 	if err != nil {
 		b.Fatal(err)

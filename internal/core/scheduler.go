@@ -100,12 +100,6 @@ type Config struct {
 	// predicted P_K(t), δ, failures, per-replica response times); nil means
 	// the process-wide default registry.
 	Metrics *metrics.Registry
-	// ReferenceDecisionPath disables the zero-allocation fast path: each
-	// decision takes a private repository snapshot, builds a fresh
-	// probability table, and re-sorts from scratch — the seed
-	// implementation's behavior. Benchmarks use it to measure what the
-	// caching, pooling, and incremental ordering buy.
-	ReferenceDecisionPath bool
 }
 
 // Decision is the outcome of scheduling one request.
@@ -639,15 +633,8 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		s.repo.Parole(time.Now().Add(-exp))
 	}
 
-	reference := s.cfg.ReferenceDecisionPath
-	var sc *schedScratch
-	var snaps []repository.ReplicaSnapshot
-	if reference {
-		snaps = s.repo.Snapshot(method) // private copy, freely mutable
-	} else {
-		sc = s.getScratch()
-		snaps = s.repo.SnapshotShared(method) // shared: read-only
-	}
+	sc := s.getScratch()
+	snaps := s.repo.SnapshotShared(method) // shared: read-only
 	if s.cfg.Lifecycle.Enabled {
 		// Quarantined and probation replicas are not candidates: not for the
 		// probability table, not for the select-all fallback, and not for the
@@ -663,11 +650,9 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 			}
 		}
 		if stale {
-			if !reference {
-				// The shared snapshot is immutable; copy before flipping bits.
-				sc.snaps = append(sc.snaps[:0], snaps...)
-				snaps = sc.snaps
-			}
+			// The shared snapshot is immutable; copy before flipping bits.
+			sc.snaps = append(sc.snaps[:0], snaps...)
+			snaps = sc.snaps
 			for i := range snaps {
 				if snaps[i].HasHistory && t0.Sub(snaps[i].LastUpdate) > staleness {
 					// Force a probe of the stale replica by treating it as cold.
@@ -682,8 +667,6 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	var err error
 	if len(snaps) == 0 {
 		err = fmt.Errorf("core: no replicas available for service %q", s.cfg.Service)
-	} else if reference {
-		table, cold, err = s.predictor.ProbabilityTable(snaps, deadline)
 	} else {
 		table, cold, err = s.predictor.ProbabilityTableInto(snaps, deadline, sc.table[:0], sc.cold[:0])
 		sc.table, sc.cold = table, cold // keep grown buffers for reuse
@@ -694,9 +677,7 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		// request's deadline.
 		s.lastOverheadNs.Store(int64(time.Since(start)))
 		s.met.errors.Inc()
-		if sc != nil {
-			s.putScratch(sc)
-		}
+		s.putScratch(sc)
 		if len(snaps) != 0 {
 			err = fmt.Errorf("core: predicting response times: %w", err)
 		}
@@ -710,19 +691,17 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	if s.cfg.Controller != nil {
 		in.Controller = s.cfg.Controller
 	}
-	if !reference {
-		ord := s.orders[method]
-		if ord == nil {
-			ord = selection.NewOrder()
-			s.orders[method] = ord
-		}
-		in.Sorted = ord.Sort(table)
-		// The shared snapshot's InFlight fields lag the live counters (they
-		// refresh per performance report, not per dispatch); hand
-		// load-conditioned strategies the current total instead.
-		in.LiveInFlight = s.repo.InFlightSum(snaps)
-		in.HasLiveInFlight = true
+	ord := s.orders[method]
+	if ord == nil {
+		ord = selection.NewOrder()
+		s.orders[method] = ord
 	}
+	in.Sorted = ord.Sort(table)
+	// The shared snapshot's InFlight fields lag the live counters (they
+	// refresh per performance report, not per dispatch); hand
+	// load-conditioned strategies the current total instead.
+	in.LiveInFlight = s.repo.InFlightSum(snaps)
+	in.HasLiveInFlight = true
 	res := s.strategy.Select(in)
 	s.stratMu.Unlock()
 
@@ -731,9 +710,7 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	if len(res.Selected) == 0 {
 		s.met.errors.Inc()
 		s.putIDBuf(res.Selected)
-		if sc != nil {
-			s.putScratch(sc)
-		}
+		s.putScratch(sc)
 		return Decision{}, fmt.Errorf("core: strategy %q selected no replicas", s.strategy.Name())
 	}
 
@@ -785,9 +762,7 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	s.met.predicted.Observe(res.Predicted)
 	s.met.overhead.ObserveDuration(ovh)
 	reps = s.evalMode("schedule", reps)
-	if sc != nil {
-		s.putScratch(sc)
-	}
+	s.putScratch(sc)
 	s.deliverDegradations(reps)
 	return Decision{
 		Seq:          seq,

@@ -247,35 +247,6 @@ func (p *PMF) ConvolveDense(q *PMF) (*PMF, error) {
 	return &PMF{res: p.res, bins: bins, prob: prob}, nil
 }
 
-// ConvolvedCDFAt evaluates F_{X+Y}(t) for independent X ~ p, Y ~ q without
-// materializing the product pmf: F(t) = Σ_i P(X=x_i)·F_Y(t − x_i). The
-// selection algorithm only needs F_Ri(t) at one point, so this replaces an
-// O(k²)-support convolution with an O(k_p·log k_q) evaluation and two small
-// allocations.
-func (p *PMF) ConvolvedCDFAt(q *PMF, t time.Duration) (float64, error) {
-	if p.res != q.res {
-		return 0, fmt.Errorf("dist: resolution mismatch %v vs %v", p.res, q.res)
-	}
-	if t < 0 {
-		return 0, nil
-	}
-	tb := quantize(t, p.res)
-	qBins, qCDF := q.CDFTable()
-	var f float64
-	for i, bi := range p.bins {
-		rem := tb - bi
-		if rem < qBins[0] {
-			// p.bins ascend, so rem only shrinks from here on.
-			break
-		}
-		f += p.prob[i] * CDFLookup(qBins, qCDF, rem)
-	}
-	if f > 1 {
-		f = 1
-	}
-	return f, nil
-}
-
 // CDFTable returns the support bins and the running CDF (prefix sums of
 // probability) in ascending order. The prefix is accumulated left to right,
 // exactly the order CDF sums, so a CDFLookup on the table bit-matches a CDF

@@ -167,34 +167,6 @@ func TestConvolveDenseResolutionMismatch(t *testing.T) {
 	if _, err := p.ConvolveDense(q); err == nil {
 		t.Error("want resolution-mismatch error")
 	}
-	if _, err := p.ConvolvedCDFAt(q, ms); err == nil {
-		t.Error("want resolution-mismatch error")
-	}
-}
-
-func TestConvolvedCDFAtMatchesReference(t *testing.T) {
-	rng := stats.NewRand(13)
-	for trial := 0; trial < 200; trial++ {
-		p := randomPMF(t, rng, 60)
-		q := randomPMF(t, rng, 60)
-		full, err := p.Convolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, at := range []time.Duration{
-			-ms, 0, 5 * ms, time.Duration(rng.Intn(80)) * ms,
-			full.Mean(), full.Max(), full.Max() + 10*ms,
-		} {
-			want := full.CDF(at)
-			got, err := p.ConvolvedCDFAt(q, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(want-got) > 1e-12 {
-				t.Fatalf("trial %d: ConvolvedCDFAt(%v) = %v, want %v", trial, at, got, want)
-			}
-		}
-	}
 }
 
 func TestCDFTableLookupMatchesCDF(t *testing.T) {

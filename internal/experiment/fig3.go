@@ -94,7 +94,7 @@ func RunFig3(cfg Fig3Config) ([]Fig3Row, error) {
 	// Figure 3 reproduces the PAPER's overhead: pmfs rebuilt from raw
 	// samples on every invocation. The reference path pins that formulation;
 	// the optimized fast path (histograms + memoization) is measured
-	// separately by RunPredictBench, which reports the before/after δ.
+	// separately by the bench/ probes model.table_{cached,fresh}_us.
 	pred := model.NewPredictor(model.WithReferencePath())
 	strat := selection.NewDynamic()
 	qos := wire.QoS{Deadline: 150 * time.Millisecond, MinProbability: 0.9}

@@ -462,6 +462,11 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	}
 	t1 := time.Now()
 	req.SentAt = t1
+	// Record t1 before the send: once a frame is out, a reply can settle the
+	// request and drop its pending entry before this goroutine runs again.
+	if err := h.sched.Dispatched(d.Seq, t1); err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
+	}
 	if h.ordered != nil {
 		// Stamp at the last moment before the multicast, so stamps are issued
 		// in send order and the logged frame matches the one on the wire.
@@ -480,9 +485,6 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 			h.sched.Forget(d.Seq)
 			return nil, fmt.Errorf("gateway: sending request: %w", err)
 		}
-	}
-	if err := h.sched.Dispatched(d.Seq, t1); err != nil {
-		return nil, fmt.Errorf("gateway: %w", err)
 	}
 
 	// Arm the deadline: if no reply arrived in time, the timing failure is

@@ -253,6 +253,9 @@ func TestUpdateMembershipPrunesCrashed(t *testing.T) {
 	m := f.static()
 	delete(m, "r0")
 	h.UpdateMembership(m)
+	// The cold-start call above went to every replica and returned on the
+	// first reply; let r0 finish its copy before taking the baseline.
+	waitFor(t, 2*time.Second, func() bool { return f.replicas["r0"].Served() >= 1 }, "r0 to serve the cold-start request")
 	served0 := f.replicas["r0"].Served()
 	for i := 0; i < 5; i++ {
 		if _, err := h.Call(ctx, "", nil); err != nil {
@@ -759,5 +762,23 @@ func TestCallRetriesOnceAfterShed(t *testing.T) {
 	}
 	if st.Completed < 2 {
 		t.Errorf("Completed = %d, want >= 2", st.Completed)
+	}
+}
+
+// TestReplyCannotBeatDispatched is the regression test for the dispatch
+// race: with a single zero-service replica, the reply settles the request and
+// drops its pending entry almost as soon as the frame is sent, so t1 must be
+// recorded before the send. Recorded after it, a few of these calls fail with
+// "core: dispatched unknown request" (most readily under -race).
+func TestReplyCannotBeatDispatched(t *testing.T) {
+	f := newFixture(t, 1, nil)
+	h := f.handler(Config{
+		Client: "c1", Service: "svc",
+		QoS: wire.QoS{Deadline: 500 * ms, MinProbability: 0.9},
+	})
+	for i := 0; i < 3000; i++ {
+		if _, err := h.Call(context.Background(), "m", nil); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package model
 // Equivalence fences for the prediction fast path: the histogram-fed,
 // dense-convolved, memoized F_Ri(t) must match the paper's reference
 // formulation to 1e-12 on randomized windows, across every configuration
-// (cached, uncached, and through a real repository).
+// (memoized and through a real repository).
 
 import (
 	"fmt"
@@ -39,13 +39,12 @@ func randomRepo(rng *stats.Rand, n, windowSize int, res time.Duration) *reposito
 }
 
 // TestFastPathEquivalence is the ISSUE 1 acceptance fence: across ≥1000
-// randomized windows, the fast path (memoized and unmemoized) equals the
-// reference map-based path within 1e-12.
+// randomized windows, the memoized fast path equals the reference map-based
+// path within 1e-12.
 func TestFastPathEquivalence(t *testing.T) {
 	rng := stats.NewRand(42)
 	ref := NewPredictor(WithReferencePath())
 	fast := NewPredictor()
-	uncached := NewPredictor(WithoutCache())
 
 	const trials = 260
 	const replicas = 4 // 260 trials × 4 replica windows > 1000 randomized windows
@@ -59,24 +58,22 @@ func TestFastPathEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, p := range map[string]*Predictor{"cached": fast, "uncached": uncached} {
-				got, err := p.Probability(s, deadline)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if math.Abs(want-got) > 1e-12 {
-					t.Fatalf("trial %d (%s, l=%d, t=%v): fast %v vs reference %v (Δ=%g)",
-						trial, name, l, deadline, got, want, math.Abs(want-got))
-				}
-				// Re-evaluating with an unchanged window must hit the memo
-				// and still agree bit-for-bit with itself.
-				again, err := p.Probability(s, deadline)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again != got {
-					t.Fatalf("trial %d (%s): unstable across repeat: %v then %v", trial, name, got, again)
-				}
+			got, err := fast.Probability(s, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(want-got) > 1e-12 {
+				t.Fatalf("trial %d (l=%d, t=%v): fast %v vs reference %v (Δ=%g)",
+					trial, l, deadline, got, want, math.Abs(want-got))
+			}
+			// Re-evaluating with an unchanged window must hit the memo
+			// and still agree bit-for-bit with itself.
+			again, err := fast.Probability(s, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != got {
+				t.Fatalf("trial %d: unstable across repeat: %v then %v", trial, got, again)
 			}
 			windows++
 		}
@@ -127,7 +124,6 @@ func TestThreeFactorEquivalence(t *testing.T) {
 	rng := stats.NewRand(23)
 	ref := NewPredictor(WithReferencePath())
 	fast := NewPredictor()
-	uncached := NewPredictor(WithoutCache())
 
 	const trials = 120
 	const replicas = 3
@@ -145,15 +141,13 @@ func TestThreeFactorEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, p := range map[string]*Predictor{"cached": fast, "uncached": uncached} {
-				got, err := p.Probability(s, deadline)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if math.Abs(want-got) > 1e-12 {
-					t.Fatalf("trial %d (%s, l=%d, tWin=%d, t=%v): fast %v vs reference %v (Δ=%g)",
-						trial, name, l, tWin, deadline, got, want, math.Abs(want-got))
-				}
+			got, err := fast.Probability(s, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(want-got) > 1e-12 {
+				t.Fatalf("trial %d (l=%d, tWin=%d, t=%v): fast %v vs reference %v (Δ=%g)",
+					trial, l, tWin, deadline, got, want, math.Abs(want-got))
 			}
 			// Each replica's three S, W, T windows are independently randomized.
 			windows += 3

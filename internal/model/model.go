@@ -92,7 +92,6 @@ type Predictor struct {
 	maxSupport    int
 	queueAware    bool
 	referenceOnly bool
-	cacheOff      bool
 
 	shards [cacheShardCount]cacheShard
 }
@@ -127,17 +126,13 @@ func WithQueueAwareWait() PredictorOption {
 }
 
 // WithReferencePath forces the original map-based formulation: pmfs rebuilt
-// from raw samples, map convolution, no memoization. Equivalence tests and
-// the δ benchmark harness use it as the ground truth.
+// from raw samples, map convolution, no memoization. It stays a production
+// option for two callers: experiment.RunFig3 reproduces the paper's
+// per-request pmf rebuild with it, and the model equivalence fences
+// (fastpath_test.go, digest_equivalence_test.go) use it as the 1e-12
+// reference.
 func WithReferencePath() PredictorOption {
 	return func(p *Predictor) { p.referenceOnly = true }
-}
-
-// WithoutCache keeps the fast arithmetic (histogram pmfs, dense convolution,
-// single-point ConvolvedCDFAt evaluation) but disables memoization. Useful
-// when snapshots are one-shot and cache residency would be wasted.
-func WithoutCache() PredictorOption {
-	return func(p *Predictor) { p.cacheOff = true }
 }
 
 // NewPredictor returns a configured predictor.
@@ -258,6 +253,24 @@ func (p *Predictor) ResponsePMF(snap repository.ReplicaSnapshot) (*dist.PMF, err
 	if !snap.HasHistory {
 		return nil, fmt.Errorf("model: replica %q has no performance history", snap.ID)
 	}
+	pmf, err := p.convolvedPMF(snap)
+	if err != nil {
+		return nil, err
+	}
+	if distributionalT(snap) {
+		return pmf, nil
+	}
+	// T is a point mass at the most recent gateway delay, so the final
+	// convolution is a shift.
+	return pmf.Shift(snap.GatewayDelay), nil
+}
+
+// convolvedPMF runs the S→W→(T) pipeline for one snapshot: the
+// support-bounded pmf of S+W, with the empirical per-link T pmf convolved in
+// as a third factor when T is distributional (the WAN extension). A
+// point-mass T is left to the caller: ResponsePMF shifts by it, the memoized
+// table applies it at lookup.
+func (p *Predictor) convolvedPMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
 	s, w, err := p.inputPMFs(snap)
 	if err != nil {
 		return nil, err
@@ -272,26 +285,22 @@ func (p *Predictor) ResponsePMF(snap repository.ReplicaSnapshot) (*dist.PMF, err
 		return nil, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
 	}
 	sw = p.bound(sw)
-	if distributionalT(snap) {
-		// WAN extension: T carries more than one sample, so convolve the
-		// empirical per-link pmf as the third factor.
-		tp, err := p.gatewayPMF(snap)
-		if err != nil {
-			return nil, err
-		}
-		sw, tp, err = align(sw, p.bound(tp))
-		if err != nil {
-			return nil, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
-		}
-		swt, err := p.convolve(sw, tp)
-		if err != nil {
-			return nil, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
-		}
-		return p.bound(swt), nil
+	if !distributionalT(snap) {
+		return sw, nil
 	}
-	// T is a point mass at the most recent gateway delay, so the final
-	// convolution is a shift.
-	return sw.Shift(snap.GatewayDelay), nil
+	tp, err := p.gatewayPMF(snap)
+	if err != nil {
+		return nil, err
+	}
+	sw, tp, err = align(sw, p.bound(tp))
+	if err != nil {
+		return nil, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
+	}
+	swt, err := p.convolve(sw, tp)
+	if err != nil {
+		return nil, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
+	}
+	return p.bound(swt), nil
 }
 
 // convolve dispatches between the dense fast convolution and the map-based
@@ -366,34 +375,9 @@ func (p *Predictor) bound(pmf *dist.PMF) *dist.PMF {
 // buildSW computes the support-bounded S+W distribution for a fast-eligible
 // snapshot — S+W+T when T is distributional — and returns it as a CDF table.
 func (p *Predictor) buildSW(snap repository.ReplicaSnapshot) (*cachedCDF, error) {
-	s, w, err := p.inputPMFs(snap)
+	sw, err := p.convolvedPMF(snap)
 	if err != nil {
 		return nil, err
-	}
-	s, w = p.bound(s), p.bound(w)
-	s, w, err = align(s, w)
-	if err != nil {
-		return nil, fmt.Errorf("model: aligning S and W for %q: %w", snap.ID, err)
-	}
-	sw, err := s.ConvolveDense(w)
-	if err != nil {
-		return nil, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
-	}
-	sw = p.bound(sw)
-	if distributionalT(snap) {
-		tp, err := p.gatewayPMF(snap)
-		if err != nil {
-			return nil, err
-		}
-		sw, tp, err = align(sw, p.bound(tp))
-		if err != nil {
-			return nil, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
-		}
-		sw, err = sw.ConvolveDense(tp)
-		if err != nil {
-			return nil, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
-		}
-		sw = p.bound(sw)
 	}
 	bins, cdf := sw.CDFTable()
 	return &cachedCDF{res: sw.Resolution(), bins: bins, cdf: cdf}, nil
@@ -405,9 +389,6 @@ func (p *Predictor) buildSW(snap repository.ReplicaSnapshot) (*cachedCDF, error)
 func (p *Predictor) fastProbability(snap repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
 	if !p.fastEligible(snap) {
 		return 0, false, nil
-	}
-	if p.cacheOff {
-		return p.uncachedFastProbability(snap, t)
 	}
 	key := cacheKey{replica: snap.ID, method: snap.Method, sVer: snap.ServiceHist.Version, wVer: snap.QueueHist.Version}
 	dT := distributionalT(snap)
@@ -442,45 +423,6 @@ func (p *Predictor) fastProbability(snap repository.ReplicaSnapshot, t time.Dura
 		target -= dist.Quantize(snap.GatewayDelay, entry.res)
 	}
 	return dist.CDFLookup(entry.bins, entry.cdf, target), true, nil
-}
-
-// uncachedFastProbability evaluates F_Ri(t) with ConvolvedCDFAt, never
-// materializing the S+W product. Only safe when the product's support could
-// not have exceeded maxSupport (otherwise the reference path would rebin,
-// and results would diverge); wider products fall back.
-func (p *Predictor) uncachedFastProbability(snap repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
-	if distributionalT(snap) {
-		// Three factors need a materialized intermediate anyway; take the
-		// ResponsePMF route (still histogram pmfs + dense convolution).
-		return 0, false, nil
-	}
-	s, w, err := p.inputPMFs(snap)
-	if err != nil {
-		return 0, false, err
-	}
-	s, w = p.bound(s), p.bound(w)
-	s, w, err = align(s, w)
-	if err != nil {
-		return 0, false, nil
-	}
-	productRange := (s.Max()+w.Max()-s.Min()-w.Min())/s.Resolution() + 1
-	if s.Support()*w.Support() > p.maxSupport && int(productRange) > p.maxSupport {
-		return 0, false, nil
-	}
-	if t < 0 {
-		return 0, true, nil
-	}
-	target := dist.Quantize(t, s.Resolution()) - dist.Quantize(snap.GatewayDelay, s.Resolution())
-	if target < 0 {
-		return 0, true, nil
-	}
-	// target*res is exactly the center of bin `target`, so ConvolvedCDFAt
-	// re-quantizes it to the same bin the reference CDF would use.
-	f, err := s.ConvolvedCDFAt(w, time.Duration(target)*s.Resolution())
-	if err != nil {
-		return 0, false, err
-	}
-	return f, true, nil
 }
 
 // Probability computes F_Ri(t): the probability that replica i responds

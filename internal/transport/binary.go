@@ -2,11 +2,11 @@ package transport
 
 // Hand-rolled binary codec for the internal/wire message shapes.
 //
-// gob is self-describing: every frame re-transmits type definitions, field
-// names cost bytes, and both directions allocate (reflection, buffer copies,
-// interface boxing). On the decision path the codec is the last per-request
-// allocator, so the wire messages — eleven fixed shapes — get a fixed binary
-// layout instead:
+// A self-describing encoding re-transmits type definitions with every frame,
+// spends bytes on field names, and allocates in both directions (reflection,
+// buffer copies, interface boxing). On the decision path the codec is the
+// last per-request allocator, so the wire messages — eleven fixed shapes —
+// get a fixed binary layout instead:
 //
 //	frame  := len(4, big-endian) body
 //	body   := magic(0xAB) version(0x02) msgType(1) from(str) fields…
@@ -22,20 +22,18 @@ package transport
 // encoding is deterministic — no maps, no optional fields — so a decoded
 // message re-encodes byte-exactly (fenced by FuzzBinaryRoundTrip).
 //
-// Version negotiation: the magic byte 0xAB cannot begin a gob stream (gob
-// frames start with a uvarint byte count: one byte in 0x01–0x7F, or a
-// negative-length marker 0xF8–0xFF), so a receiver sniffs byte 0 of the body
-// and routes to this codec or the gob fallback — a mixed-version rollout
-// keeps working in both directions. An unknown version or message type is a
-// versioned error, never a panic; every length is bounds-checked against the
-// remaining body before use.
+// Versioning: this is the only codec. A body that does not start with the
+// magic byte, or carries an unknown version or message type, is rejected with
+// an error that names what was seen, never a panic; every length is
+// bounds-checked against the remaining body before use. The version byte is
+// what a future layout change bumps.
 //
 // Payload []byte fields decode zero-copy: they alias the received frame
 // buffer, which the read loop allocates per frame and never reuses.
 //
 // Times travel as UnixNano, so the monotonic reading and location are
-// dropped (gob does the same for monotonic) and representable times are
-// limited to years 1678–2262 — far beyond any transport timestamp.
+// dropped and representable times are limited to years 1678–2262 — far
+// beyond any transport timestamp.
 
 import (
 	"encoding/binary"
@@ -48,11 +46,11 @@ import (
 )
 
 const (
-	binMagic = 0xAB // body[0]: unreachable as a gob first byte, see package comment
+	binMagic = 0xAB // body[0]: marks a frame of this codec
 	// binVersion 0x02: Request grew Stamp, PerfReport grew OrderedTail and
 	// CaughtUp, and the ordered-mode StateRequest/StateChunk frames joined
-	// the codec. A 0x01 peer's frames are rejected with a versioned error
-	// and both sides fall back to gob, which tolerates missing fields.
+	// the codec. A frame of any other version is rejected with an error that
+	// names both versions.
 	binVersion = 0x02 // body[1]: bumped on any layout change
 )
 
@@ -147,7 +145,7 @@ func appendDigest(b []byte, d wire.WindowDigest) []byte {
 
 // appendBinaryBody appends the binary body for one known wire message,
 // reporting false (buf unchanged) for payload types the codec does not
-// cover — those take the gob fallback.
+// cover.
 func appendBinaryBody(buf []byte, from Addr, payload any) ([]byte, bool) {
 	var typ byte
 	switch payload.(type) {
@@ -406,6 +404,9 @@ func (r *binReader) digest() wire.WindowDigest {
 func decodeBinaryBody(body []byte) (envelope, error) {
 	if len(body) < 3 {
 		return envelope{}, fmt.Errorf("transport: binary frame truncated at %d bytes", len(body))
+	}
+	if body[0] != binMagic {
+		return envelope{}, fmt.Errorf("transport: frame starts 0x%02X, want codec magic 0x%02X", body[0], binMagic)
 	}
 	if body[1] != binVersion {
 		return envelope{}, fmt.Errorf("transport: unsupported binary codec version %d (this build speaks %d)", body[1], binVersion)

@@ -1,14 +1,16 @@
 package transport
 
 // Fences for the binary codec: byte-exact round trips for every wire message
-// type, cross-compatibility with gob frames in both directions, versioned
-// rejection of foreign frames, and no panics on truncated or corrupt input.
+// type, refusal of payload types outside internal/wire, rejection of
+// non-magic and foreign-version frames, and no panics on truncated or corrupt
+// input.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,30 +92,6 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestBinaryDecodesGobFrames is the backward leg of cross-compatibility: a
-// frame produced by an old, gob-only peer must decode to the same message
-// through the sniffing decoder.
-func TestBinaryDecodesGobFrames(t *testing.T) {
-	for _, tc := range binaryCodecCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			frame, err := encodeGobFrame("old-peer", tc.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if frame[4] == binMagic {
-				t.Fatal("gob frame unexpectedly starts with the binary magic")
-			}
-			env, err := decodeFrame(bytes.NewReader(frame))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if env.From != "old-peer" || !reflect.DeepEqual(env.Payload, tc.payload) {
-				t.Errorf("gob frame decoded to %q %#v", env.From, env.Payload)
-			}
-		})
-	}
-}
-
 // TestBinaryTimeFidelity checks wall-clock times (with monotonic readings,
 // as time.Now produces) survive the codec under time.Time.Equal.
 func TestBinaryTimeFidelity(t *testing.T) {
@@ -166,6 +144,24 @@ func TestBinaryRejectsForeignVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonMagicBody: a body whose first byte is not the codec
+// magic — whatever a foreign or corrupted sender put there — is an error that
+// says so, never a panic or a mis-parse of the remaining bytes.
+func TestDecodeRejectsNonMagicBody(t *testing.T) {
+	frame, err := encodeFrame("a", wire.Subscribe{Client: "c", Service: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []byte{0x00, 0x2A, 0x7F, binMagic - 1, binMagic + 1, 0xFF} {
+		body := append([]byte(nil), frame[4:]...)
+		body[0] = first
+		_, err := decodeFrame(bytes.NewReader(reframe(body)))
+		if err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("body starting 0x%02X: err = %v, want magic rejection", first, err)
+		}
+	}
+}
+
 // TestBinaryRejectsUnknownType: an unknown message type code is an error.
 func TestBinaryRejectsUnknownType(t *testing.T) {
 	body := []byte{binMagic, binVersion, 0x7F, 0}
@@ -196,28 +192,30 @@ func TestBinaryTruncationNeverPanics(t *testing.T) {
 	}
 }
 
-// codecTestExtra is a payload type outside internal/wire, for the gob
-// fallback test.
+// codecTestExtra is a payload type outside internal/wire.
 type codecTestExtra struct{ N int }
 
-func init() { gob.Register(codecTestExtra{}) }
-
-// TestGobFallbackForUnknownPayload: payload types the binary codec does not
-// cover still travel via gob.
-func TestGobFallbackForUnknownPayload(t *testing.T) {
-	frame, err := encodeFrame("a", codecTestExtra{N: 7})
+// TestEncodeRefusesNonWirePayload: a payload type the codec does not cover —
+// including a pointer to one it does — is refused at encode time with
+// errUnsupportedPayload, and a TCP Send surfaces that error to the caller
+// instead of putting anything on the wire.
+func TestEncodeRefusesNonWirePayload(t *testing.T) {
+	for _, payload := range []any{codecTestExtra{N: 7}, &wire.Request{Seq: 1}, "text", nil} {
+		frame, err := encodeFrame("a", payload)
+		if !errors.Is(err, errUnsupportedPayload) {
+			t.Errorf("encodeFrame(%T) = %d bytes, err %v; want errUnsupportedPayload", payload, len(frame), err)
+		}
+	}
+	ep, err := NewTCP().Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[4] == binMagic {
-		t.Fatal("unknown payload type took the binary codec")
+	defer func() { _ = ep.Close() }()
+	if err := ep.Send(ep.Addr(), codecTestExtra{N: 7}); !errors.Is(err, errUnsupportedPayload) {
+		t.Errorf("tcp Send of a non-wire payload: err = %v, want errUnsupportedPayload", err)
 	}
-	env, err := decodeFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := env.Payload.(codecTestExtra); !ok || got.N != 7 {
-		t.Errorf("payload = %#v", env.Payload)
+	if err := Multicast(ep, []Addr{ep.Addr()}, codecTestExtra{N: 7}); !errors.Is(err, errUnsupportedPayload) {
+		t.Errorf("tcp Multicast of a non-wire payload: err = %v, want errUnsupportedPayload", err)
 	}
 }
 
@@ -261,8 +259,8 @@ func TestMulticastEncodesOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkBinaryEncode / BenchmarkGobEncode (and the decode pair) record
-// the codec comparison quoted in README: same Request, both codec legs.
+// BenchmarkBinaryEncode and BenchmarkBinaryDecode record the codec cost on
+// one representative Request.
 func benchRequest() wire.Request {
 	return wire.Request{Client: "c", Seq: 1, Service: "svc", Method: "get", Payload: make([]byte, 128), SentAt: time.Unix(0, 1754700000123456789)}
 }
@@ -280,36 +278,8 @@ func BenchmarkBinaryEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncode(b *testing.B) {
-	req := benchRequest()
-	frame, _ := encodeGobFrame("from", req)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeGobFrame("from", req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBinaryDecode(b *testing.B) {
 	frame, err := encodeFrame("from", benchRequest())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeFrame(bytes.NewReader(frame)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobDecode(b *testing.B) {
-	frame, err := encodeGobFrame("from", benchRequest())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-
-	"aqua/internal/wire"
 )
 
 // maxFrameSize bounds a decoded frame to keep a malformed or hostile peer
@@ -20,53 +17,28 @@ type envelope struct {
 	Payload any
 }
 
-// The gob payload is an interface; every concrete wire message crossing the
-// TCP transport must be registered. Registration in init is the canonical
-// gob idiom: it is deterministic and has no observable side effects beyond
-// the codec's type table.
-func init() {
-	gob.Register(wire.Request{})
-	gob.Register(wire.Response{})
-	gob.Register(wire.Subscribe{})
-	gob.Register(wire.Unsubscribe{})
-	gob.Register(wire.PerfUpdate{})
-	gob.Register(wire.Heartbeat{})
-	gob.Register(wire.Cancel{})
-	gob.Register(wire.DigestSync{})
-	gob.Register(wire.DigestRequest{})
-	gob.Register(wire.StateRequest{})
-	gob.Register(wire.StateChunk{})
-}
+// errUnsupportedPayload reports a payload outside the eleven internal/wire
+// message shapes the codec covers.
+var errUnsupportedPayload = errors.New("transport: payload type has no wire encoding")
 
 // encodeFrame serializes an envelope with a 4-byte big-endian length prefix.
-// The eleven internal/wire message shapes take the binary codec (binary.go);
-// anything else falls back to gob, which stays registered so mixed-version
-// peers and out-of-tree payloads keep working.
+// Only the eleven internal/wire message shapes have an encoding (binary.go);
+// any other payload type is refused with errUnsupportedPayload.
 func encodeFrame(from Addr, payload any) ([]byte, error) {
-	if body, ok := appendBinaryBody(make([]byte, 4, 64), from, payload); ok {
-		if len(body)-4 > maxFrameSize {
-			return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(body)-4)
-		}
-		binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
-		return body, nil
+	body, ok := appendBinaryBody(make([]byte, 4, 64), from, payload)
+	if !ok {
+		return nil, fmt.Errorf("transport: encoding %T: %w", payload, errUnsupportedPayload)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(envelope{From: from, Payload: payload}); err != nil {
-		return nil, fmt.Errorf("transport: encoding %T: %w", payload, err)
+	if len(body)-4 > maxFrameSize {
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(body)-4)
 	}
-	if body.Len() > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", body.Len())
-	}
-	frame := make([]byte, 4+body.Len())
-	binary.BigEndian.PutUint32(frame, uint32(body.Len()))
-	copy(frame[4:], body.Bytes())
-	return frame, nil
+	binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
+	return body, nil
 }
 
-// decodeFrame reads one length-prefixed envelope from r, sniffing the body's
-// first byte to pick the codec: binMagic routes to the binary decoder, any
-// other value is a gob stream (binMagic cannot begin one — see binary.go).
-// Both legs reject malformed input with an error; neither panics.
+// decodeFrame reads one length-prefixed envelope from r. A body that does not
+// start with binMagic, or carries another codec version, is rejected with an
+// error like any other malformed input; nothing here panics.
 func decodeFrame(r io.Reader) (envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -80,26 +52,5 @@ func decodeFrame(r io.Reader) (envelope, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return envelope{}, fmt.Errorf("transport: reading frame body: %w", err)
 	}
-	if len(body) > 0 && body[0] == binMagic {
-		return decodeBinaryBody(body)
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return envelope{}, fmt.Errorf("transport: decoding frame: %w", err)
-	}
-	return env, nil
-}
-
-// encodeGobFrame forces the gob leg of the codec. Production traffic never
-// uses it for wire types; it exists so cross-compatibility tests can produce
-// the frames an old (pre-binary-codec) peer would send.
-func encodeGobFrame(from Addr, payload any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(envelope{From: from, Payload: payload}); err != nil {
-		return nil, fmt.Errorf("transport: encoding %T: %w", payload, err)
-	}
-	frame := make([]byte, 4+body.Len())
-	binary.BigEndian.PutUint32(frame, uint32(body.Len()))
-	copy(frame[4:], body.Bytes())
-	return frame, nil
+	return decodeBinaryBody(body)
 }

@@ -5,9 +5,9 @@
 // Two implementations are provided. The in-memory network wires endpoints
 // through channels with optional injected latency and loss — the substrate
 // for unit and integration tests. The TCP network carries length-prefixed
-// binary frames (with a gob fallback for mixed-version peers) over real
-// sockets — the substrate for the runnable
-// examples and the standalone binaries. (The original AQuA used the
+// binary frames over real sockets — the substrate for the runnable examples
+// and the standalone binaries — and refuses, at Send, any payload that is not
+// one of the internal/wire message types. (The original AQuA used the
 // Maestro/Ensemble stack over a LAN; see DESIGN.md for the substitution
 // argument.)
 package transport

@@ -400,7 +400,7 @@ func TestTCPSendQueueBounded(t *testing.T) {
 	}()
 
 	// Concurrent fillers so enqueueing outpaces the writer even when the
-	// race detector slows per-send gob encoding: the queue must overflow
+	// race detector slows per-send encoding: the queue must overflow
 	// within one of the writer's blocked-write windows.
 	big := wire.Request{Payload: make([]byte, 64 << 10)}
 	to := Addr(blackhole.Addr().String())

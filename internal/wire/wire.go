@@ -3,8 +3,8 @@
 // reports, performance updates pushed to subscribers, and QoS specifications.
 //
 // In the original system these flow as Maestro messages over Ensemble; here
-// they are Go structs encoded with encoding/gob and length-prefix framing
-// (see internal/transport).
+// they are Go structs carried in length-prefixed frames of a fixed binary
+// layout (see internal/transport/binary.go).
 package wire
 
 import (
@@ -164,7 +164,7 @@ type Cancel struct {
 // Heartbeat is exchanged by the group-communication failure detector.
 type Heartbeat struct {
 	From    ReplicaID
-	Service string // group name; string keeps gob encoding stable
+	Service string // group name
 	View    uint64
 	At      time.Time
 }

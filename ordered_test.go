@@ -226,7 +226,7 @@ func TestOrderedRestartStateTransferAndRejoin(t *testing.T) {
 	// selection, discovers its stamp gap, and is refilled to the live tail.
 	total := uint64(10)
 	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && replacement.OrderedTail() < total+1 {
+	for time.Now().Before(deadline) && replacement.OrderedTail() <= 10 {
 		if _, err := client.Call(ctx, "set", []byte(fmt.Sprintf("v%d", total))); err != nil {
 			t.Fatal(err)
 		}
