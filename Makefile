@@ -38,52 +38,27 @@ quick-experiments:
 faults:
 	$(GO) run ./cmd/aqua-exp -exp faults
 
-# Every self-checking experiment (each exits non-zero on a fence miss).
-fences: a13 a14 a15 a16 a17 a18
+# Every self-checking experiment, in one process (one compile); exits
+# non-zero on the first fence miss. See EXPERIMENTS.md for each:
+#   a13  overload sweep: paper-exact (A12 select-all collapse) vs budgeted
+#        redundancy + admission control
+#   a14  §5.4 chaos soak: slow/crash/link churn through suspicion →
+#        quarantine → rejuvenation → probation, held to recovery bounds
+#   a15  digest fabric: K=4 gossiping gateways must reach 95% of a single warm
+#        gateway's timely fraction on at most 1/K of the no-gossip probe traffic
+#   a16  WAN deployment ranking: the windowed per-link T's best placement must
+#        match or beat the T window of 1's best (quick mode: 1 seed)
+#   a17  heavy-tail cancellation + adaptive budget vs static budgets under
+#        Pareto service times
+#   a18  ordered-mode 27-cell model check + recovery soak; one-line repro per
+#        violated cell
+fences:
+	$(GO) run ./cmd/aqua-exp -exp fences
 
-# Overload sweep: paper-exact (A12 select-all collapse) vs budgeted
-# redundancy + admission control (see EXPERIMENTS.md, a13).
-a13:
-	$(GO) run ./cmd/aqua-exp -exp a13
-
-# §5.4 chaos soak: deterministic slow/crash/link churn through the full
-# lifecycle loop (suspicion → quarantine → rejuvenation → probation).
-# Exits non-zero when any recovery bound is missed (see EXPERIMENTS.md, a14).
-a14:
-	$(GO) run ./cmd/aqua-exp -exp a14
-
-# Shared-intelligence digest fabric: K=4 gossiping gateways vs a single warm
-# gateway vs the same fleet without gossip, aggregated over fixed seeds.
-# Exits non-zero when the gossiping fleet misses 95% of the single gateway's
-# timely fraction, exceeds 1/K of the no-gossip fleet's probe traffic, or the
-# per-gateway digest accounting breaks (see EXPERIMENTS.md, a15).
-a15:
-	$(GO) run ./cmd/aqua-exp -exp a15
-
-# WAN deployment ranking: place a replica budget over regions with bimodal
-# (epoch-congested) links and rank placements by timely fraction under the
-# point-mass T vs the windowed per-link T distribution. Exits non-zero when
-# the windowed T's best placement stops matching or beating the point-mass
-# T's best (see EXPERIMENTS.md, a16). Quick mode (1 seed) for CI.
-a16:
-	$(GO) run ./cmd/aqua-exp -exp a16 -quick
-
-# Heavy-tail cancellation sweep: first-response-wins cancellation and the
-# online redundancy controller vs static budgets under Pareto service times.
-# Exits non-zero when cancellation stops lifting saturated goodput, the
-# controller falls behind the best static budget, or cancelled copies stop
-# being reclaimed (see EXPERIMENTS.md, a17).
-a17:
-	$(GO) run ./cmd/aqua-exp -exp a17
-
-# Ordered-mode lifecycle model check + recovery soak: an exhaustive sweep of
-# small real-stack configurations (pool size x crash schedule x injector
-# policy) held to prefix agreement, no lost acked writes, and the
-# re-admission-implies-caught-up gate, then a virtual-time soak of the
-# quarantine -> rejuvenate -> state transfer -> rejoin loop above Pc. Exits
-# non-zero on any violation with a one-line repro (see EXPERIMENTS.md, a18).
-a18:
-	$(GO) run ./cmd/aqua-exp -exp a18
+# One fence at a time: `make a13` ... `make a18`.
+a16: EXPFLAGS = -quick
+a13 a14 a15 a16 a17 a18:
+	$(GO) run ./cmd/aqua-exp -exp $@ $(EXPFLAGS)
 
 # Race detector focused on the lifecycle-bearing packages (CI runs this in
 # addition to the full `make race` inside `make check`). The server and root

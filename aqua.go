@@ -862,7 +862,6 @@ func (c *Cluster) lifecycleForOrdered(cfg ClientConfig) LifecycleConfig {
 	return lc
 }
 
-// NewClient mints a client of this cluster's service.
 // strategyFor resolves the effective selection strategy: an explicit
 // Strategy wins; with an adaptive budget configured the default is
 // BudgetedSelection (the controller only acts through a budget-aware
@@ -899,20 +898,13 @@ func gossipFor(cfg ClientConfig) *gateway.GossipConfig {
 	}
 }
 
-func (c *Cluster) NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Name == "" {
-		cfg.Name = fmt.Sprintf("client-%d", time.Now().UnixNano())
-	}
-	c.mu.Lock()
-	static := c.membershipLocked()
-	c.mu.Unlock()
-
-	ep, err := c.listen("client:" + cfg.Name)
-	if err != nil {
-		return nil, fmt.Errorf("aqua: client endpoint: %w", err)
-	}
-	h, err := gateway.NewTimingFaultHandler(ep, gateway.Config{
-		Client:             wire.ClientID(cfg.Name),
+// handlerConfig is the one translation of a public ClientConfig into the
+// timing fault handler's configuration, for a client of this cluster's
+// service that starts from the static membership view. NewClient and
+// NewGateway both build their handlers from it; the caller supplies Client
+// (a multi-service gateway stamps its own ID on every handler it loads).
+func (c *Cluster) handlerConfig(cfg ClientConfig, static map[wire.ReplicaID]transport.Addr) gateway.Config {
+	return gateway.Config{
 		Service:            c.service,
 		QoS:                cfg.QoS,
 		Strategy:           strategyFor(cfg),
@@ -932,7 +924,25 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*Client, error) {
 		NoPerfSubscription: cfg.DisablePerfSubscription,
 		StaticReplicas:     static,
 		Metrics:            c.reg,
-	})
+	}
+}
+
+// NewClient mints a client of this cluster's service.
+func (c *Cluster) NewClient(cfg ClientConfig) (*Client, error) {
+	if cfg.Name == "" {
+		cfg.Name = fmt.Sprintf("client-%d", time.Now().UnixNano())
+	}
+	c.mu.Lock()
+	static := c.membershipLocked()
+	c.mu.Unlock()
+
+	ep, err := c.listen("client:" + cfg.Name)
+	if err != nil {
+		return nil, fmt.Errorf("aqua: client endpoint: %w", err)
+	}
+	hc := c.handlerConfig(cfg, static)
+	hc.Client = wire.ClientID(cfg.Name)
+	h, err := gateway.NewTimingFaultHandler(ep, hc)
 	if err != nil {
 		_ = ep.Close()
 		return nil, fmt.Errorf("aqua: client handler: %w", err)
@@ -1018,25 +1028,7 @@ func NewGateway(name string, configs map[*Cluster]ClientConfig) (*Gateway, error
 		c.mu.Lock()
 		static := c.membershipLocked()
 		c.mu.Unlock()
-		h, err := mg.LoadHandler(gateway.Config{
-			Service:            c.service,
-			QoS:                cfg.QoS,
-			Strategy:           strategyFor(cfg),
-			WindowSize:         cfg.WindowSize,
-			CompensateOverhead: cfg.CompensateOverhead,
-			OnViolation:        cfg.OnViolation,
-			StalenessBound:     cfg.StalenessBound,
-			Overload:           cfg.Overload,
-			ShedRetryDelay:     cfg.ShedRetryDelay,
-			Lifecycle:          c.lifecycleForOrdered(cfg),
-			Ordered:            cfg.Ordered,
-			CancelOnFirstReply: cfg.CancelOnFirstReply,
-			Controller:         controllerFor(cfg, len(static)),
-			Gossip:             gossipFor(cfg),
-			NoPerfSubscription: cfg.DisablePerfSubscription,
-			StaticReplicas:     static,
-			Metrics:            c.reg,
-		})
+		h, err := mg.LoadHandler(c.handlerConfig(cfg, static))
 		if err != nil {
 			g.unregister()
 			mg.Close()

@@ -514,6 +514,52 @@ func TestLifecycleQuarantineTriggersReplacement(t *testing.T) {
 	}
 }
 
+// TestGatewayHandlerHonoursProbeIntervalAndMaxWait is the regression fence
+// for NewGateway's drifted copy of the ClientConfig translation, which dropped
+// ProbeInterval and MaxWait: a handler loaded through NewGateway must probe
+// idle replicas and give up on a silent one at MaxWait, exactly as a
+// NewClient handler given the same ClientConfig does.
+func TestGatewayHandlerHonoursProbeIntervalAndMaxWait(t *testing.T) {
+	reg := aqua.NewMetricsRegistry()
+	stall := make(chan struct{})
+	c, err := aqua.NewCluster("stalled", 2, func(string, []byte) ([]byte, error) {
+		<-stall
+		return nil, nil
+	}, aqua.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	t.Cleanup(func() { close(stall) })
+
+	g, err := aqua.NewGateway("prober", map[*aqua.Cluster]aqua.ClientConfig{c: {
+		QoS:           aqua.QoS{Deadline: 2 * time.Second, MinProbability: 0.9},
+		ProbeInterval: 5 * ms,
+		MaxWait:       100 * ms,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for c.Metrics().Counter("aqua_probe_sent_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("gateway handler sent no probe in 2s with ProbeInterval = 5ms")
+		}
+		time.Sleep(5 * ms)
+	}
+
+	// The default give-up is 10 deadlines (20s); MaxWait must cut it to 100ms.
+	start := time.Now()
+	if _, err := g.Call(context.Background(), "stalled", "m", nil); err == nil {
+		t.Fatal("call to a stalled service returned no error")
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("call gave up after %v, want about MaxWait = 100ms", waited)
+	}
+}
+
 func TestGatewayMultiService(t *testing.T) {
 	// Two services on one shared in-memory network; one Gateway carries a
 	// handler (and QoS contract) for each.

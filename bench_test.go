@@ -211,15 +211,8 @@ func benchmarkPredict(b *testing.B, p *model.Predictor, flush bool) {
 	}
 }
 
-// BenchmarkPredictReference is the before side of the PR 1 δ optimization:
-// the paper's map-based formulation (sort + map convolution per replica).
-func BenchmarkPredictReference(b *testing.B) {
-	benchmarkPredict(b, model.NewPredictor(model.WithReferencePath()), false)
-}
-
-// BenchmarkPredictFastCold measures the optimized path when every window
-// changed since the last request: histogram-fed dense convolution, no memo
-// hits.
+// BenchmarkPredictFastCold measures the predictor when every window changed
+// since the last request: histogram-fed dense convolution, no memo hits.
 func BenchmarkPredictFastCold(b *testing.B) {
 	benchmarkPredict(b, model.NewPredictor(), true)
 }

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	aqua-exp -exp all            # every experiment
-//	aqua-exp -exp fig4           # one experiment: e0 fig3 fig4 fig5 faults v1 a1..a18
+//	aqua-exp -exp fig4           # one experiment (aqua-exp -h lists the ids)
+//	aqua-exp -exp fences         # every self-checking experiment; non-zero exit on a miss
 //	aqua-exp -exp fig5 -csv      # machine-readable output
 //	aqua-exp -exp fig3 -quick    # reduced iteration counts
 package main
@@ -22,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment id: e0, fig3, fig4, fig5, faults, v1, a1..a18, or all")
+		exp          = flag.String("exp", "all", "experiment id: "+expValues())
 		csv          = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plot         = flag.Bool("plot", false, "also render ASCII charts for fig4/fig5")
 		quick        = flag.Bool("quick", false, "reduced iterations/runs for a fast pass")
@@ -81,149 +82,187 @@ func startMetricsDumper(every time.Duration) (stop func()) {
 	}
 }
 
-func run(exp string, csv, quick, plot bool) error {
-	emit := func(t *experiment.Table) error {
-		if csv {
-			return t.WriteCSV(os.Stdout)
-		}
-		if err := t.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		_, err := fmt.Println()
+// entry is one row of the experiment registry, the single list every -exp
+// value, the usage text and the unknown-id error are derived from. Order is
+// the order -exp all runs in.
+type entry struct {
+	id  string
+	run func(*session) error
+	// fence marks a self-checking experiment: run returns an error on a fence
+	// miss, and -exp fences (make fences, CI) includes it.
+	fence bool
+	// quickInFences makes -exp fences run it in quick mode whatever -quick says.
+	quickInFences bool
+}
+
+var registry = []entry{
+	{id: "fig4", run: runFig4},
+	{id: "fig5", run: runFig5},
+	{id: "e0", run: runE0},
+	{id: "fig3", run: runFig3},
+	{id: "faults", run: runFaults},
+	{id: "v1", run: table(experiment.RunV1)},
+	{id: "a1", run: table(experiment.RunA1)},
+	{id: "a2", run: table(experiment.RunA2)},
+	{id: "a3", run: table(experiment.RunA3)},
+	{id: "a4", run: table(experiment.RunA4)},
+	{id: "a5", run: table(experiment.RunA5)},
+	{id: "a6", run: table(experiment.RunA6)},
+	{id: "a7", run: table(experiment.RunA7)},
+	{id: "a8", run: table(experiment.RunA8)},
+	{id: "a9", run: table(experiment.RunA9)},
+	{id: "a10", run: table(experiment.RunA10)},
+	{id: "a11", run: table(experiment.RunA11)},
+	{id: "a12", run: table(experiment.RunA12)},
+	{id: "a13", run: table(experiment.RunA13), fence: true},
+	{id: "a14", run: table(experiment.RunA14), fence: true},
+	{id: "a15", run: quickTable(experiment.RunA15), fence: true},
+	// One seed instead of three: the ranking fence is the same, in under 1 s.
+	{id: "a16", run: quickTable(experiment.RunA16), fence: true, quickInFences: true},
+	{id: "a17", run: table(experiment.RunA17), fence: true},
+	{id: "a18", run: table(experiment.RunA18), fence: true},
+}
+
+// expValues lists what -exp accepts, for the usage text and the unknown-id
+// error.
+func expValues() string {
+	ids := make([]string, 0, len(registry)+2)
+	for _, e := range registry {
+		ids = append(ids, e.id)
+	}
+	return strings.Join(append(ids, "all", "fences"), ", ")
+}
+
+// session is one invocation's output options plus the Figure 4/5 rows, which
+// the two figures share so -exp all sweeps them once.
+type session struct {
+	csv, quick, plot bool
+	fig45Rows        []experiment.Fig45Row
+}
+
+func (s *session) emit(t *experiment.Table) error {
+	if s.csv {
+		return t.WriteCSV(os.Stdout)
+	}
+	if err := t.WriteText(os.Stdout); err != nil {
 		return err
 	}
+	_, err := fmt.Println()
+	return err
+}
 
-	runners := map[string]func() error{
-		"e0": func() error {
-			cfg := experiment.DefaultE0Config()
-			if quick {
-				cfg.Requests = 50
-			}
-			res, err := experiment.RunE0(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(experiment.E0Table(res))
-		},
-		"fig3": func() error {
-			cfg := experiment.DefaultFig3Config()
-			if quick {
-				cfg.Iterations = 30
-			}
-			rows, err := experiment.RunFig3(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(experiment.Fig3Table(rows))
-		},
-		"fig4": func() error {
-			rows, err := runFig45(quick)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.Fig4Table(rows)); err != nil {
-				return err
-			}
-			if plot {
-				return experiment.Fig4Plot(rows).Render(os.Stdout)
-			}
-			return nil
-		},
-		"fig5": func() error {
-			rows, err := runFig45(quick)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.Fig5Table(rows)); err != nil {
-				return err
-			}
-			if plot {
-				return experiment.Fig5Plot(rows).Render(os.Stdout)
-			}
-			return nil
-		},
-		"faults": func() error {
-			cfg := experiment.DefaultFaultsConfig()
-			if quick {
-				cfg.Warmup = 15
-				cfg.Requests = 40
-			}
-			res, err := experiment.RunFaults(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(experiment.FaultsTable(res))
-		},
-		"a1":  tableRunner(experiment.RunA1, emit),
-		"a2":  tableRunner(experiment.RunA2, emit),
-		"a3":  tableRunner(experiment.RunA3, emit),
-		"a4":  tableRunner(experiment.RunA4, emit),
-		"a5":  tableRunner(experiment.RunA5, emit),
-		"a6":  tableRunner(experiment.RunA6, emit),
-		"a7":  tableRunner(experiment.RunA7, emit),
-		"a8":  tableRunner(experiment.RunA8, emit),
-		"a9":  tableRunner(experiment.RunA9, emit),
-		"a10": tableRunner(experiment.RunA10, emit),
-		"a11": tableRunner(experiment.RunA11, emit),
-		"a12": tableRunner(experiment.RunA12, emit),
-		"a13": tableRunner(experiment.RunA13, emit),
-		"a14": tableRunner(experiment.RunA14, emit),
-		"a15": tableRunner(func() (*experiment.Table, error) { return experiment.RunA15(quick) }, emit),
-		"a16": tableRunner(func() (*experiment.Table, error) { return experiment.RunA16(quick) }, emit),
-		"a17": tableRunner(experiment.RunA17, emit),
-		"a18": tableRunner(experiment.RunA18, emit),
-		"v1":  tableRunner(experiment.RunV1, emit),
-	}
-
-	if exp == "all" {
-		// fig4 and fig5 share runs; do them together to avoid re-running.
-		rows, err := runFig45(quick)
+func (s *session) fig45() ([]experiment.Fig45Row, error) {
+	if s.fig45Rows == nil {
+		cfg := experiment.DefaultFig45Config()
+		if s.quick {
+			cfg.Runs = 1
+		}
+		rows, err := experiment.RunFig45(cfg)
 		if err != nil {
-			return fmt.Errorf("fig4/fig5: %w", err)
+			return nil, err
 		}
-		if err := emit(experiment.Fig4Table(rows)); err != nil {
-			return err
-		}
-		if err := emit(experiment.Fig5Table(rows)); err != nil {
-			return err
-		}
-		if plot {
-			if err := experiment.Fig4Plot(rows).Render(os.Stdout); err != nil {
-				return err
-			}
-			if err := experiment.Fig5Plot(rows).Render(os.Stdout); err != nil {
-				return err
-			}
-		}
-		for _, id := range []string{"e0", "fig3", "faults", "v1", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13", "a14", "a15", "a16", "a17", "a18"} {
-			if err := runners[id](); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-		}
-		return nil
+		s.fig45Rows = rows
 	}
-	r, ok := runners[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want e0, fig3, fig4, fig5, faults, v1, a1..a18, all)", exp)
-	}
-	return r()
+	return s.fig45Rows, nil
 }
 
-func runFig45(quick bool) ([]experiment.Fig45Row, error) {
-	cfg := experiment.DefaultFig45Config()
-	if quick {
-		cfg.Runs = 1
-		cfg.Deadlines = cfg.Deadlines[:len(cfg.Deadlines):len(cfg.Deadlines)]
+// run resolves one -exp value against the registry: an id, "all" (every
+// entry, in order) or "fences" (every self-checking entry).
+func run(exp string, csv, quick, plot bool) error {
+	s := &session{csv: csv, quick: quick, plot: plot}
+	for _, e := range registry {
+		if exp == e.id {
+			return e.run(s)
+		}
 	}
-	return experiment.RunFig45(cfg)
+	if exp != "all" && exp != "fences" {
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, expValues())
+	}
+	for _, e := range registry {
+		if exp == "fences" {
+			if !e.fence {
+				continue
+			}
+			s.quick = quick || e.quickInFences
+		}
+		if err := e.run(s); err != nil {
+			return fmt.Errorf("%s: %w", e.id, err)
+		}
+	}
+	return nil
 }
 
-func tableRunner(f func() (*experiment.Table, error), emit func(*experiment.Table) error) func() error {
-	return func() error {
-		t, err := f()
+func runFig4(s *session) error {
+	rows, err := s.fig45()
+	if err != nil {
+		return err
+	}
+	if err := s.emit(experiment.Fig4Table(rows)); err != nil || !s.plot {
+		return err
+	}
+	return experiment.Fig4Plot(rows).Render(os.Stdout)
+}
+
+func runFig5(s *session) error {
+	rows, err := s.fig45()
+	if err != nil {
+		return err
+	}
+	if err := s.emit(experiment.Fig5Table(rows)); err != nil || !s.plot {
+		return err
+	}
+	return experiment.Fig5Plot(rows).Render(os.Stdout)
+}
+
+func runE0(s *session) error {
+	cfg := experiment.DefaultE0Config()
+	if s.quick {
+		cfg.Requests = 50
+	}
+	res, err := experiment.RunE0(cfg)
+	if err != nil {
+		return err
+	}
+	return s.emit(experiment.E0Table(res))
+}
+
+func runFig3(s *session) error {
+	cfg := experiment.DefaultFig3Config()
+	if s.quick {
+		cfg.Iterations = 30
+	}
+	rows, err := experiment.RunFig3(cfg)
+	if err != nil {
+		return err
+	}
+	return s.emit(experiment.Fig3Table(rows))
+}
+
+func runFaults(s *session) error {
+	cfg := experiment.DefaultFaultsConfig()
+	if s.quick {
+		cfg.Warmup = 15
+		cfg.Requests = 40
+	}
+	res, err := experiment.RunFaults(cfg)
+	if err != nil {
+		return err
+	}
+	return s.emit(experiment.FaultsTable(res))
+}
+
+// table adapts an experiment that takes no options and returns one table.
+func table(f func() (*experiment.Table, error)) func(*session) error {
+	return quickTable(func(bool) (*experiment.Table, error) { return f() })
+}
+
+// quickTable adapts an experiment whose only option is quick mode.
+func quickTable(f func(quick bool) (*experiment.Table, error)) func(*session) error {
+	return func(s *session) error {
+		t, err := f(s.quick)
 		if err != nil {
 			return err
 		}
-		return emit(t)
+		return s.emit(t)
 	}
 }

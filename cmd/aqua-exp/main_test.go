@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"aqua/internal/experiment"
@@ -60,5 +61,30 @@ func TestRunFaultsSmoke(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("nope", false, false, false); err == nil {
 		t.Error("want error for unknown experiment")
+	}
+}
+
+// TestRegistryFences pins what `make fences` (CI) covers: exactly a13..a18,
+// a16 in quick mode, every id distinct.
+func TestRegistryFences(t *testing.T) {
+	seen := map[string]bool{}
+	var fences, quick []string
+	for _, e := range registry {
+		if seen[e.id] || e.id == "all" || e.id == "fences" {
+			t.Errorf("experiment id %q is duplicated or reserved", e.id)
+		}
+		seen[e.id] = true
+		if e.fence {
+			fences = append(fences, e.id)
+		}
+		if e.quickInFences {
+			quick = append(quick, e.id)
+		}
+	}
+	if got, want := strings.Join(fences, " "), "a13 a14 a15 a16 a17 a18"; got != want {
+		t.Errorf("-exp fences runs %q, want %q", got, want)
+	}
+	if got := strings.Join(quick, " "); got != "a16" {
+		t.Errorf("quick in fences: %q, want a16", got)
 	}
 }

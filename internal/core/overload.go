@@ -60,19 +60,18 @@ func (m Mode) String() string {
 	}
 }
 
-// Degradation-ladder defaults. The enter/exit pairs are deliberately spread
-// apart (hysteresis): a mode entered at fraction f of the ceiling is left
-// only when the in-flight count falls to a strictly lower fraction, so small
-// oscillations around a threshold don't flap the mode.
+// Degradation-ladder thresholds and defaults. The enter/exit pairs are
+// deliberately spread apart (hysteresis): a mode entered at fraction f of the
+// ceiling is left only when the in-flight count falls to a strictly lower
+// fraction, so small oscillations around a threshold don't flap the mode.
 const (
-	// DefaultBudgetEnterFraction of MaxInFlight enters Budgeted.
-	DefaultBudgetEnterFraction = 0.5
-	// DefaultBudgetExitFraction of MaxInFlight returns to Normal.
-	DefaultBudgetExitFraction = 0.25
-	// DefaultShedExitFraction of MaxInFlight drops Shedding back to
-	// Budgeted (never straight to Normal: the ladder is descended rung by
-	// rung).
-	DefaultShedExitFraction = 0.75
+	// budgetEnterFraction of MaxInFlight enters Budgeted.
+	budgetEnterFraction = 0.5
+	// budgetExitFraction of MaxInFlight returns to Normal.
+	budgetExitFraction = 0.25
+	// shedExitFraction of MaxInFlight drops Shedding back to Budgeted (never
+	// straight to Normal: the ladder is descended rung by rung).
+	shedExitFraction = 0.75
 	// DefaultBestEffortK replaces the select-all fallback while degraded:
 	// the m0 crash reserve plus the best remaining replica.
 	DefaultBestEffortK = 2
@@ -89,12 +88,6 @@ type OverloadConfig struct {
 	// while this many requests are in flight. Zero disables shedding and
 	// the in-flight-driven ladder rungs.
 	MaxInFlight int
-	// BudgetEnterFraction / BudgetExitFraction / ShedExitFraction override
-	// the hysteresis thresholds, as fractions of MaxInFlight. Zero values
-	// mean the defaults.
-	BudgetEnterFraction float64
-	BudgetExitFraction  float64
-	ShedExitFraction    float64
 	// BestEffortK caps select-all fallbacks while degraded; zero means
 	// DefaultBestEffortK, negative disables the cap.
 	BestEffortK int
@@ -108,15 +101,6 @@ type OverloadConfig struct {
 
 // withDefaults resolves zero fields.
 func (o OverloadConfig) withDefaults() OverloadConfig {
-	if o.BudgetEnterFraction <= 0 {
-		o.BudgetEnterFraction = DefaultBudgetEnterFraction
-	}
-	if o.BudgetExitFraction <= 0 {
-		o.BudgetExitFraction = DefaultBudgetExitFraction
-	}
-	if o.ShedExitFraction <= 0 {
-		o.ShedExitFraction = DefaultShedExitFraction
-	}
 	if o.BestEffortK == 0 {
 		o.BestEffortK = DefaultBestEffortK
 	}
@@ -184,9 +168,9 @@ func (s *Scheduler) evalMode(reason string, reps []DegradationReport) []Degradat
 	target := mode
 	if o.MaxInFlight > 0 {
 		ceil := o.MaxInFlight
-		enter := threshold(ceil, o.BudgetEnterFraction)
-		exit := threshold(ceil, o.BudgetExitFraction)
-		shedExit := threshold(ceil, o.ShedExitFraction)
+		enter := threshold(ceil, budgetEnterFraction)
+		exit := threshold(ceil, budgetExitFraction)
+		shedExit := threshold(ceil, shedExitFraction)
 		switch mode {
 		case ModeNormal:
 			if n >= ceil {

@@ -157,8 +157,8 @@ func TestGatewayDelayDerivedFromReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.GatewayDelay != 6*ms {
-		t.Errorf("GatewayDelay = %v, want 6ms", snap.GatewayDelay)
+	if got := snap.GatewayHist; len(got.Bins) != 1 || got.Bins[0] != 6 || got.Counts[0] != 1 {
+		t.Errorf("T window = %+v, want one sample in the 6ms bin", got)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestRunFig3ShapeMatchesPaper(t *testing.T) {
 	rows, err := RunFig3(Fig3Config{
 		ReplicaCounts: []int{2, 8},
 		WindowSizes:   []int{5, 20},
-		Iterations:    20,
+		Iterations:    100,
 		Seed:          1,
 	})
 	if err != nil {

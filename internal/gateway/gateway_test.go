@@ -534,13 +534,13 @@ func TestPerMethodHistoriesDriveSelection(t *testing.T) {
 		if !fast.HasHistory || !slow.HasHistory {
 			continue // this replica may not have been selected for both yet
 		}
-		for _, s := range fast.ServiceTimes {
-			if s > 30*ms {
+		for _, b := range fast.ServiceHist.Bins {
+			if s := time.Duration(b) * ms; s > 30*ms {
 				t.Errorf("fast history of %s contains %v", id, s)
 			}
 		}
-		for _, s := range slow.ServiceTimes {
-			if s < 40*ms {
+		for _, b := range slow.ServiceHist.Bins {
+			if s := time.Duration(b) * ms; s < 40*ms {
 				t.Errorf("slow history of %s contains %v", id, s)
 			}
 		}

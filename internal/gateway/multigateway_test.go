@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"aqua/internal/server"
 	"aqua/internal/stats"
@@ -131,8 +132,8 @@ func TestMultiGatewayTwoServices(t *testing.T) {
 	// Billing (40ms servers) must show slower history than search.
 	bSnap := hBilling.Scheduler().Repository().Snapshot("charge")
 	for _, s := range bSnap {
-		for _, st := range s.ServiceTimes {
-			if st < 30*ms {
+		for _, b := range s.ServiceHist.Bins {
+			if st := time.Duration(b) * ms; st < 30*ms {
 				t.Errorf("billing service time %v implausibly fast", st)
 			}
 		}

@@ -316,8 +316,8 @@ func TestProbeGatewayDelayReachesMethodSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.GatewayDelay < 10*ms {
-		t.Fatalf("Snapshot(someMethod).GatewayDelay = %v, want the probe-measured ≈20ms link delay", snap.GatewayDelay)
+	if got := snap.GatewayHist; len(got.Bins) != 1 || time.Duration(got.Bins[0])*ms < 10*ms {
+		t.Fatalf("Snapshot(someMethod) T window = %+v, want the probe-measured ≈20ms link delay", got)
 	}
 
 	// The probe-measured T must shift the method's F_Ri(t): give the method
@@ -333,8 +333,6 @@ func TestProbeGatewayDelayReachesMethodSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	noT := snap
-	noT.GatewayDelay = 0
-	noT.GatewayDelays = nil
 	noT.GatewayHist = repository.HistView{}
 	withoutT, err := pred.Probability(noT, 15*ms)
 	if err != nil {

@@ -95,9 +95,9 @@ var (
 		0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 		0.075, 0.1, 0.15, 0.25, 0.5, 1, 2.5,
 	}
-	// OverheadBuckets covers the selection overhead δ, in seconds: the
-	// optimized path sits in single-digit microseconds, the reference path
-	// in milliseconds.
+	// OverheadBuckets covers the selection overhead δ, in seconds: a
+	// decision over memoized tables sits in single-digit microseconds, one
+	// that rebuilds long windows' distributions in milliseconds.
 	OverheadBuckets = []float64{
 		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4,
 		2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2,

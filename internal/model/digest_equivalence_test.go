@@ -19,6 +19,11 @@ import (
 	"aqua/internal/wire"
 )
 
+// evaluator is what the predictor and the oracle have in common.
+type evaluator interface {
+	Probability(repository.ReplicaSnapshot, time.Duration) (float64, error)
+}
+
 // rawHistory is the ground truth behind one replica's digest.
 type rawHistory struct {
 	id      wire.ReplicaID
@@ -29,11 +34,13 @@ type rawHistory struct {
 // TestDigestAbsorptionEquivalence: for randomized windows, build a source
 // repository, export its digests, absorb them into an empty repository, and
 // separately replay the raw samples into another empty repository. Both the
-// fast and reference predictors must agree on every replica and deadline
-// within 1e-12 between the two.
+// predictor and the oracle must agree on every replica and deadline within
+// 1e-12 between the two, and with each other — on the purely borrowed windows
+// and again after local reports have displaced part of the borrowed tier, so
+// the merged borrowed+local view is under the oracle too.
 func TestDigestAbsorptionEquivalence(t *testing.T) {
 	rng := stats.NewRand(91)
-	ref := NewPredictor(WithReferencePath())
+	ref := newReference()
 	fast := NewPredictor()
 	service := stats.Normal{Mu: 40 * ms, Sigma: 25 * ms}
 	queue := stats.Exponential{MeanDelay: 15 * ms}
@@ -44,7 +51,7 @@ func TestDigestAbsorptionEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		l := 1 + rng.Intn(40)
 		newRepo := func() *repository.Repository {
-			return repository.New(repository.WithWindowSize(l), repository.WithResolution(ms))
+			return repository.New(repository.WithWindowSize(l))
 		}
 		source := newRepo()
 		histories := make([]rawHistory, 0, replicas)
@@ -114,7 +121,7 @@ func TestDigestAbsorptionEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: absorbed snapshot for %s has no history", trial, a.ID)
 			}
 			for _, deadline := range []time.Duration{10 * ms, 50 * ms, 90 * ms, 150 * ms} {
-				for name, p := range map[string]*Predictor{"fast": fast, "reference": ref} {
+				for name, p := range map[string]evaluator{"fast": fast, "reference": ref} {
 					got, err := p.Probability(a, deadline)
 					if err != nil {
 						t.Fatal(err)
@@ -130,6 +137,33 @@ func TestDigestAbsorptionEquivalence(t *testing.T) {
 				}
 			}
 			windows++
+		}
+
+		// Merged tier: a few local reports per replica displace as many
+		// borrowed samples, leaving borrowed+local views (for l > 1).
+		for _, h := range histories {
+			for j := 0; j < l/2; j++ {
+				absorbRepo.RecordPerf(h.id, "", h.reports[j], now)
+			}
+		}
+		for _, a := range append(absorbSnaps, absorbRepo.Snapshot("")...) {
+			for _, deadline := range []time.Duration{10 * ms, 50 * ms, 90 * ms, 150 * ms} {
+				want, err := ref.Probability(a, deadline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fast.Probability(a, deadline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(want-got) > 1e-12 {
+					t.Fatalf("trial %d (l=%d, t=%v, %s): fast %v vs reference %v (Δ=%g)",
+						trial, l, deadline, a.ID, got, want, math.Abs(want-got))
+				}
+			}
+		}
+		if l > 1 && absorbRepo.BorrowedLen(histories[0].id, "") == 0 {
+			t.Fatalf("trial %d (l=%d): no borrowed sample left beside %d local ones", trial, l, l/2)
 		}
 	}
 	if windows < 300 {

@@ -1,9 +1,9 @@
 package model
 
-// Equivalence fences for the prediction fast path: the histogram-fed,
-// dense-convolved, memoized F_Ri(t) must match the paper's reference
-// formulation to 1e-12 on randomized windows, across every configuration
-// (memoized and through a real repository).
+// Equivalence fences for the prediction pipeline: the histogram-fed,
+// dense-convolved, memoized F_Ri(t) must match the paper's formulation (the
+// oracle in reference_test.go) to 1e-12 on randomized windows, across every
+// configuration (memoized and through a real repository).
 
 import (
 	"fmt"
@@ -19,8 +19,8 @@ import (
 // randomRepo fills a repository with windowSize samples for n replicas drawn
 // from mixed distributions, including sub-resolution jitter so quantization
 // rounding is exercised.
-func randomRepo(rng *stats.Rand, n, windowSize int, res time.Duration) *repository.Repository {
-	repo := repository.New(repository.WithWindowSize(windowSize), repository.WithResolution(res))
+func randomRepo(rng *stats.Rand, n, windowSize int) *repository.Repository {
+	repo := repository.New(repository.WithWindowSize(windowSize))
 	service := stats.Normal{Mu: 40 * ms, Sigma: 25 * ms}
 	queue := stats.Exponential{MeanDelay: 15 * ms}
 	for i := 0; i < n; i++ {
@@ -39,11 +39,11 @@ func randomRepo(rng *stats.Rand, n, windowSize int, res time.Duration) *reposito
 }
 
 // TestFastPathEquivalence is the ISSUE 1 acceptance fence: across ≥1000
-// randomized windows, the memoized fast path equals the reference map-based
-// path within 1e-12.
+// randomized windows with the paper's T window of 1, the memoized pipeline
+// equals the paper's map-based formulation within 1e-12.
 func TestFastPathEquivalence(t *testing.T) {
 	rng := stats.NewRand(42)
-	ref := NewPredictor(WithReferencePath())
+	ref := newReference()
 	fast := NewPredictor()
 
 	const trials = 260
@@ -51,7 +51,7 @@ func TestFastPathEquivalence(t *testing.T) {
 	windows := 0
 	for trial := 0; trial < trials; trial++ {
 		l := 1 + rng.Intn(120)
-		repo := randomRepo(rng, replicas, l, ms)
+		repo := randomRepo(rng, replicas, l)
 		deadline := time.Duration(rng.Intn(200)) * ms
 		for _, s := range repo.Snapshot("") {
 			want, err := ref.Probability(s, deadline)
@@ -84,12 +84,11 @@ func TestFastPathEquivalence(t *testing.T) {
 }
 
 // randomWANRepo is randomRepo plus a gateway-delay history window of size
-// tWin filled from a bimodal link (calm ~2ms, congested ~60ms), so T is a
-// genuine empirical distribution rather than a point mass.
-func randomWANRepo(rng *stats.Rand, n, windowSize, tWin int, res time.Duration) *repository.Repository {
+// tWin filled from a bimodal link (calm ~2ms, congested ~60ms): a genuine
+// empirical T distribution for tWin > 1, the paper's point mass for tWin = 1.
+func randomWANRepo(rng *stats.Rand, n, windowSize, tWin int) *repository.Repository {
 	repo := repository.New(
 		repository.WithWindowSize(windowSize),
-		repository.WithResolution(res),
 		repository.WithGatewayHistory(tWin),
 	)
 	service := stats.Normal{Mu: 40 * ms, Sigma: 25 * ms}
@@ -116,26 +115,35 @@ func randomWANRepo(rng *stats.Rand, n, windowSize, tWin int, res time.Duration) 
 	return repo
 }
 
-// TestThreeFactorEquivalence pins the distributional-T fast path to the
-// reference path within 1e-12 over randomized S/W/T windows — the ISSUE 8
-// extension of the PR 1 equivalence fence to the full three-factor
-// convolution.
+// TestThreeFactorEquivalence pins both ends of the single T path to the
+// oracle within 1e-12 over randomized S/W/T windows: T windows of 2..20
+// samples (the full three-factor convolution; a few land in one bin and take
+// the offset) and, every fourth trial, the paper's window of 1, where the
+// oracle shifts by a point mass and the pipeline offsets the table.
 func TestThreeFactorEquivalence(t *testing.T) {
 	rng := stats.NewRand(23)
-	ref := NewPredictor(WithReferencePath())
+	ref := newReference()
 	fast := NewPredictor()
 
-	const trials = 120
+	const trials = 160
 	const replicas = 3
-	windows := 0
+	windows, pointMass, multiBin := 0, 0, 0
 	for trial := 0; trial < trials; trial++ {
 		l := 1 + rng.Intn(80)
 		tWin := 2 + rng.Intn(19)
-		repo := randomWANRepo(rng, replicas, l, tWin, ms)
+		if trial%4 == 0 {
+			tWin = 1
+		}
+		repo := randomWANRepo(rng, replicas, l, tWin)
 		deadline := time.Duration(rng.Intn(250)) * ms
 		for _, s := range repo.Snapshot("") {
-			if !distributionalT(s) {
-				t.Fatalf("trial %d: T window not distributional (%d samples)", trial, len(s.GatewayDelays))
+			if got := len(expand(s.GatewayHist)); got != tWin {
+				t.Fatalf("trial %d: T window holds %d samples, want %d", trial, got, tWin)
+			}
+			if tWin == 1 {
+				pointMass++
+			} else if len(s.GatewayHist.Bins) > 1 {
+				multiBin++
 			}
 			want, err := ref.Probability(s, deadline)
 			if err != nil {
@@ -156,66 +164,74 @@ func TestThreeFactorEquivalence(t *testing.T) {
 	if windows < 1000 {
 		t.Fatalf("only %d randomized windows exercised, want >= 1000", windows)
 	}
+	if pointMass < 100 || multiBin < 200 {
+		t.Fatalf("T coverage too thin: %d point-mass and %d multi-bin snapshots", pointMass, multiBin)
+	}
 }
 
 // TestThreeFactorTOnlyMutation mutates ONLY the T window between
-// evaluations: the extended memo key (tVer) must invalidate the cached
-// three-factor table without FlushCache, and the re-built fast result must
-// track the reference.
+// evaluations: the memo key's tVer must invalidate the cached table without
+// FlushCache, and the re-built result must track the oracle — for a
+// distributional T window and for the paper's window of 1 alike.
 func TestThreeFactorTOnlyMutation(t *testing.T) {
-	rng := stats.NewRand(31)
-	ref := NewPredictor(WithReferencePath())
-	fast := NewPredictor()
-	repo := randomWANRepo(rng, 1, 30, 8, ms)
-	const deadline = 90 * ms
+	for _, tWin := range []int{8, 1} {
+		rng := stats.NewRand(31)
+		ref := newReference()
+		fast := NewPredictor()
+		repo := randomWANRepo(rng, 1, 30, tWin)
+		const deadline = 90 * ms
 
-	check := func(step string) float64 {
-		t.Helper()
-		s, err := repo.SnapshotOne("replica-00", "")
-		if err != nil {
-			t.Fatal(err)
+		check := func(step string) float64 {
+			t.Helper()
+			s, err := repo.SnapshotOne("replica-00", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Probability(s, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fast.Probability(s, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(want-got) > 1e-12 {
+				t.Fatalf("tWin=%d %s: fast %v vs reference %v (Δ=%g)", tWin, step, got, want, math.Abs(want-got))
+			}
+			return got
 		}
-		want, err := ref.Probability(s, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fast.Probability(s, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(want-got) > 1e-12 {
-			t.Fatalf("%s: fast %v vs reference %v (Δ=%g)", step, got, want, math.Abs(want-got))
-		}
-		return got
-	}
 
-	before := check("initial")
-	if got := fast.CacheSize(); got != 1 {
-		t.Fatalf("CacheSize() = %d after first evaluation, want 1", got)
-	}
-	// Only T mutates: push the whole window to the congested mode. S and W
-	// (and therefore sVer/wVer) are untouched, so only tVer can save us
-	// from serving the stale memoized table.
-	for i := 0; i < 8; i++ {
-		repo.RecordGatewayDelay("replica-00", 120*ms)
-	}
-	after := check("after T-only mutation")
-	if got := fast.CacheSize(); got != 2 {
-		t.Fatalf("CacheSize() = %d after T mutation, want 2 (new tVer entry, no flush)", got)
-	}
-	if !(after < before) {
-		t.Fatalf("F(%v) did not drop after T shifted to 120ms: before %v, after %v", deadline, before, after)
+		before := check("initial")
+		if got := fast.CacheSize(); got != 1 {
+			t.Fatalf("tWin=%d: CacheSize() = %d after first evaluation, want 1", tWin, got)
+		}
+		// Only T mutates: push the whole window to the congested mode. S and W
+		// (and therefore sVer/wVer) are untouched, so only tVer can save us
+		// from serving the stale memoized table.
+		for i := 0; i < tWin; i++ {
+			repo.RecordGatewayDelay("replica-00", 120*ms)
+		}
+		after := check("after T-only mutation")
+		if got := fast.CacheSize(); got != 2 {
+			t.Fatalf("tWin=%d: CacheSize() = %d after T mutation, want 2 (new tVer entry, no flush)", tWin, got)
+		}
+		if !(after < before) {
+			t.Fatalf("tWin=%d: F(%v) did not drop after T shifted to 120ms: before %v, after %v", tWin, deadline, before, after)
+		}
 	}
 }
 
 // TestFastPathEquivalenceCoarseRebin forces support bounding (tiny
-// maxSupport) so the Rebin-coarsened branch is compared too.
+// maxSupport) so the Rebin-coarsened branch is compared too: the paper's T
+// window of 1 (a coarsened bin offset) on even trials, a T window of 12 (a
+// coarsened third factor) on odd ones.
 func TestFastPathEquivalenceCoarseRebin(t *testing.T) {
 	rng := stats.NewRand(7)
-	ref := NewPredictor(WithReferencePath(), WithMaxSupport(16))
-	fast := NewPredictor(WithMaxSupport(16))
+	ref := reference{maxSupport: 16}
+	fast := NewPredictor()
+	fast.maxSupport = 16
 	for trial := 0; trial < 50; trial++ {
-		repo := randomRepo(rng, 3, 100, ms)
+		repo := randomWANRepo(rng, 3, 100, 1+11*(trial%2))
 		deadline := time.Duration(rng.Intn(250)) * ms
 		for _, s := range repo.Snapshot("") {
 			want, err := ref.Probability(s, deadline)
@@ -235,7 +251,7 @@ func TestFastPathEquivalenceCoarseRebin(t *testing.T) {
 
 func TestCacheHitAndInvalidation(t *testing.T) {
 	rng := stats.NewRand(3)
-	repo := randomRepo(rng, 2, 20, ms)
+	repo := randomRepo(rng, 2, 20)
 	p := NewPredictor()
 	snaps := repo.Snapshot("")
 	if _, _, err := p.ProbabilityTable(snaps, 100*ms); err != nil {
@@ -265,13 +281,14 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestFastPathGatewayDelayShift checks the lookup-time shift agrees with the
-// reference across gateway-delay values, including sub-resolution ones.
+// TestFastPathGatewayDelayShift checks the one-bin T offset agrees with the
+// oracle's point-mass shift across gateway-delay values, including
+// sub-resolution ones.
 func TestFastPathGatewayDelayShift(t *testing.T) {
-	ref := NewPredictor(WithReferencePath())
+	ref := newReference()
 	fast := NewPredictor()
 	rng := stats.NewRand(9)
-	repo := randomRepo(rng, 1, 50, ms)
+	repo := randomRepo(rng, 1, 50)
 	base, err := repo.SnapshotOne("replica-00", "")
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +296,7 @@ func TestFastPathGatewayDelayShift(t *testing.T) {
 	for _, gw := range []time.Duration{0, 100 * time.Microsecond, 499 * time.Microsecond,
 		500 * time.Microsecond, ms, 7*ms + 300*time.Microsecond} {
 		s := base
-		s.GatewayDelay = gw
+		s.GatewayHist = histOf(gw)
 		for _, at := range []time.Duration{0, 20 * ms, 55 * ms, 200 * ms} {
 			want, err := ref.Probability(s, at)
 			if err != nil {
@@ -296,67 +313,12 @@ func TestFastPathGatewayDelayShift(t *testing.T) {
 	}
 }
 
-// TestFallbackWithoutHistograms: snapshots lacking histogram views (e.g.
-// from a repository configured with WithResolution(0)) silently use the
-// reference route and still produce results.
-func TestFallbackWithoutHistograms(t *testing.T) {
-	repo := repository.New(repository.WithWindowSize(5), repository.WithResolution(0))
-	repo.AddReplica("a")
-	for i := 0; i < 5; i++ {
-		repo.RecordPerf("a", "", wire.PerfReport{ServiceTime: 10 * ms, QueueDelay: 5 * ms}, time.Now())
-	}
-	p := NewPredictor()
-	s, err := repo.SnapshotOne("a", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Probability(s, 20*ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("Probability = %v, want 1 (S+W = 15ms <= 20ms)", got)
-	}
-	if p.CacheSize() != 0 {
-		t.Error("reference fallback should not populate the cache")
-	}
-}
-
-// TestResolutionMismatchFallsBack: a repository quantizing at a different
-// resolution than the predictor must not feed the fast path.
-func TestResolutionMismatchFallsBack(t *testing.T) {
-	repo := repository.New(repository.WithWindowSize(5), repository.WithResolution(2*ms))
-	repo.AddReplica("a")
-	for i := 0; i < 5; i++ {
-		repo.RecordPerf("a", "", wire.PerfReport{ServiceTime: 11 * ms, QueueDelay: 4 * ms}, time.Now())
-	}
-	p := NewPredictor() // 1ms resolution
-	s, err := repo.SnapshotOne("a", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewPredictor(WithReferencePath()).Probability(s, 20*ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Probability(s, 20*ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("mismatched-resolution probability %v, want reference %v", got, want)
-	}
-	if p.CacheSize() != 0 {
-		t.Error("mismatched resolution must not populate the cache")
-	}
-}
-
-// TestQueueAwareStillWorks: the A6 ablation bypasses the fast path but must
-// agree with its own reference formulation.
+// TestQueueAwareFastBypass: the A6 ablation bypasses the memo but must agree
+// with its own reference formulation.
 func TestQueueAwareFastBypass(t *testing.T) {
 	rng := stats.NewRand(5)
-	repo := randomRepo(rng, 2, 30, ms)
-	ref := NewPredictor(WithReferencePath(), WithQueueAwareWait())
+	repo := randomRepo(rng, 2, 30)
+	ref := reference{maxSupport: defaultMaxSupport, queueAware: true}
 	qa := NewPredictor(WithQueueAwareWait())
 	for _, s := range repo.Snapshot("") {
 		want, err := ref.Probability(s, 120*ms)

@@ -1,32 +1,26 @@
 // Package model implements the paper's online response-time model (§5.3.1).
 //
-// For a replica i, the response time is R_i = S_i + W_i + T_i. S_i and W_i
-// are empirical pmfs over the sliding-window measurements in the gateway
-// information repository; T_i is the per-link gateway-to-gateway delay. With
-// the paper's configuration T_i is a point mass at the most recent
-// measurement; with a gateway-delay history window (the WAN extension) it is
-// an empirical pmf convolved as a third factor, so a bimodal link's
-// congested mode keeps its probability mass instead of being forgotten the
-// moment one calm sample arrives. F_Ri(t), the probability that replica i
-// responds within t, is the CDF of the discrete convolution of the three.
-// Equation 1 combines per-replica probabilities into the probability that a
-// subset produces at least one timely response.
+// For a replica i, the response time is R_i = S_i + W_i + T_i. S_i, W_i and
+// T_i are the empirical pmfs of the sliding windows in the gateway
+// information repository: service time, queuing delay, and the per-link
+// gateway-to-gateway delay. With the paper's configuration the T window holds
+// one sample, so T_i is a point mass at the most recent measurement; with a
+// longer gateway-delay history (the WAN extension) the same pmf keeps a
+// bimodal link's congested mode instead of forgetting it the moment one calm
+// sample arrives. F_Ri(t), the probability that replica i responds within t,
+// is the CDF of the discrete convolution of the three. Equation 1 combines
+// per-replica probabilities into the probability that a subset produces at
+// least one timely response.
 //
-// The model's cost is the paper's own overhead term δ (§5.3.3), so the
-// package keeps two arithmetically equivalent implementations:
-//
-//   - a reference path that rebuilds map-backed pmfs from the raw window
-//     samples on every call (the original formulation, kept under test);
-//   - a fast path that consumes the repository's incrementally maintained
-//     bin-count histograms (dist.FromCounts), convolves over dense arrays
-//     (dist.ConvolveDense), and memoizes each replica's convolved S+W CDF
-//     table keyed by the window versions, so back-to-back requests with an
-//     unchanged window reuse the cached F_Ri(t) at the cost of two bin
-//     lookups.
-//
-// The fast path engages automatically when a snapshot carries histograms at
-// the predictor's resolution; equivalence tests pin it to the reference path
-// within 1e-12.
+// The model's cost is the paper's own overhead term δ (§5.3.3). There is one
+// pipeline: pmfs come straight from the repository's incrementally
+// maintained bin-count histograms (dist.FromCounts), are convolved over dense
+// arrays (dist.ConvolveDense), and each replica's convolved CDF table is
+// memoized under the three window versions, so back-to-back requests with
+// unchanged windows reuse the cached F_Ri(t) at the cost of one bin lookup.
+// The paper's formulation — pmfs rebuilt from samples, map convolution,
+// point-mass shift — is the oracle in reference_test.go, pinned to this
+// pipeline within 1e-12.
 package model
 
 import (
@@ -62,11 +56,9 @@ type cacheShard struct {
 
 // cacheKey identifies one memoized convolved distribution. Window versions
 // are globally unique and bumped on every mutation, so equal keys guarantee
-// identical window contents even across replica removal/re-addition. tVer is
-// 0 when T is a point mass (the shift-at-lookup special case: the entry
-// ignores T, so it survives T fluctuations); for a distributional T it is
-// the gateway window's version, so a T mutation invalidates the memoized
-// table without any explicit flush.
+// identical window contents even across replica removal/re-addition, and a
+// mutation of any of the three windows invalidates the memoized table
+// without an explicit flush.
 type cacheKey struct {
 	replica wire.ReplicaID
 	method  string
@@ -75,12 +67,10 @@ type cacheKey struct {
 	tVer    uint64
 }
 
-// cachedCDF is a convolved, support-bounded distribution as a CDF table:
-// S+W when T is a point mass (the gateway-delay shift is applied at lookup
-// time — a point mass only offsets bins — so the entry stays valid while T
-// fluctuates), S+W+T when T is distributional (keyed by tVer).
+// cachedCDF is the convolved, support-bounded distribution of S+W+T as a CDF
+// table.
 type cachedCDF struct {
-	res  time.Duration // resolution after support bounding (≥ predictor resolution)
+	res  time.Duration // resolution after support bounding (≥ dist.DefaultResolution)
 	bins []int64
 	cdf  []float64
 }
@@ -88,10 +78,8 @@ type cachedCDF struct {
 // Predictor computes F_Ri(t) from repository snapshots. It is safe for
 // concurrent use. The zero value is not usable; construct with NewPredictor.
 type Predictor struct {
-	resolution    time.Duration
-	maxSupport    int
-	queueAware    bool
-	referenceOnly bool
+	maxSupport int
+	queueAware bool
 
 	shards [cacheShardCount]cacheShard
 }
@@ -106,58 +94,26 @@ func (p *Predictor) shardFor(key cacheKey) *cacheShard {
 // PredictorOption configures a Predictor.
 type PredictorOption func(*Predictor)
 
-// WithResolution sets the pmf bin width (default dist.DefaultResolution).
-func WithResolution(res time.Duration) PredictorOption {
-	return func(p *Predictor) { p.resolution = res }
-}
-
-// WithMaxSupport caps pmf support size during convolution.
-func WithMaxSupport(n int) PredictorOption {
-	return func(p *Predictor) { p.maxSupport = n }
-}
-
 // WithQueueAwareWait replaces the paper's windowed W pmf with a model-based
 // one: the wait for a request arriving at a queue of length q is the q-fold
 // convolution of the service-time pmf (FIFO, one server). This is the A6
-// ablation from DESIGN.md, not the paper's formulation. The fast path does
-// not apply (W depends on the live queue length, not just the windows).
+// ablation from DESIGN.md, not the paper's formulation. Its tables are not
+// memoized (W depends on the live queue length, not just the windows).
 func WithQueueAwareWait() PredictorOption {
 	return func(p *Predictor) { p.queueAware = true }
 }
 
-// WithReferencePath forces the original map-based formulation: pmfs rebuilt
-// from raw samples, map convolution, no memoization. It stays a production
-// option for two callers: experiment.RunFig3 reproduces the paper's
-// per-request pmf rebuild with it, and the model equivalence fences
-// (fastpath_test.go, digest_equivalence_test.go) use it as the 1e-12
-// reference.
-func WithReferencePath() PredictorOption {
-	return func(p *Predictor) { p.referenceOnly = true }
-}
-
 // NewPredictor returns a configured predictor.
 func NewPredictor(opts ...PredictorOption) *Predictor {
-	p := &Predictor{
-		resolution: dist.DefaultResolution,
-		maxSupport: defaultMaxSupport,
-	}
+	p := &Predictor{maxSupport: defaultMaxSupport}
 	for i := range p.shards {
 		p.shards[i].m = make(map[cacheKey]*cachedCDF)
 	}
 	for _, o := range opts {
 		o(p)
 	}
-	if p.resolution <= 0 {
-		p.resolution = dist.DefaultResolution
-	}
-	if p.maxSupport < 16 {
-		p.maxSupport = 16
-	}
 	return p
 }
-
-// Resolution returns the pmf bin width used by the predictor.
-func (p *Predictor) Resolution() time.Duration { return p.resolution }
 
 // FlushCache drops every memoized distribution. The scheduler calls it on
 // membership changes; it is also the safety valve for any event that could
@@ -185,157 +141,90 @@ func (p *Predictor) CacheSize() int {
 	return n
 }
 
-// fastEligible reports whether the snapshot can take the histogram fast
-// path: matching resolution, both histograms present, plain windowed W, and
-// a non-negative gateway delay (Shift's clamp-at-zero merging only occurs
-// for negative shifts, which the fast lookup does not model). A
-// distributional T additionally needs its own histogram — without one the
-// memo key has no T version to invalidate on.
-func (p *Predictor) fastEligible(snap repository.ReplicaSnapshot) bool {
-	return !p.referenceOnly && !p.queueAware &&
-		snap.HasHistory &&
-		snap.Resolution == p.resolution &&
-		snap.ServiceHist.OK() && snap.QueueHist.OK() &&
-		snap.GatewayDelay >= 0 &&
-		(!distributionalT(snap) || snap.GatewayHist.OK())
-}
-
-// distributionalT reports whether the snapshot's T window holds more than
-// one sample. If so, T enters the model as an empirical pmf (convolved third
-// factor); otherwise it is the paper's point mass at GatewayDelay. Both the
-// fast and reference paths branch on this same predicate, so they cannot
-// disagree about which model a snapshot gets.
-func distributionalT(snap repository.ReplicaSnapshot) bool {
-	return len(snap.GatewayDelays) > 1
-}
-
-// gatewayPMF builds the empirical T pmf, from the incremental histogram when
-// it is usable at the predictor's resolution and from the raw samples
-// otherwise.
-func (p *Predictor) gatewayPMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
-	if !p.referenceOnly && snap.Resolution == p.resolution && snap.GatewayHist.OK() {
-		tp, err := dist.FromCounts(p.resolution, snap.GatewayHist.Bins, snap.GatewayHist.Counts)
-		if err != nil {
-			return nil, fmt.Errorf("model: gateway-delay pmf for %q: %w", snap.ID, err)
-		}
-		return tp, nil
-	}
-	tp, err := dist.FromSamples(snap.GatewayDelays, p.resolution)
+// histPMF builds one window's pmf from its histogram: O(k), no map, no sort.
+func histPMF(h repository.HistView, what string, id wire.ReplicaID) (*dist.PMF, error) {
+	pmf, err := dist.FromCounts(dist.DefaultResolution, h.Bins, h.Counts)
 	if err != nil {
-		return nil, fmt.Errorf("model: gateway-delay pmf for %q: %w", snap.ID, err)
+		return nil, fmt.Errorf("model: %s pmf for %q: %w", what, id, err)
 	}
-	return tp, nil
-}
-
-// inputPMFs builds the S and W pmfs for a snapshot, from the incremental
-// histograms when available (O(k), no map, no sort) and from the raw samples
-// otherwise.
-func (p *Predictor) inputPMFs(snap repository.ReplicaSnapshot) (s, w *dist.PMF, err error) {
-	if !p.referenceOnly && snap.Resolution == p.resolution && snap.ServiceHist.OK() {
-		s, err = dist.FromCounts(p.resolution, snap.ServiceHist.Bins, snap.ServiceHist.Counts)
-	} else {
-		s, err = dist.FromSamples(snap.ServiceTimes, p.resolution)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("model: service-time pmf for %q: %w", snap.ID, err)
-	}
-	w, err = p.waitPMF(snap, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, w, nil
+	return pmf, nil
 }
 
 // ResponsePMF computes the pmf of R_i for one replica snapshot. It fails if
 // the snapshot has no history (the scheduler's cold-start rule selects all
 // replicas instead of predicting).
 func (p *Predictor) ResponsePMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
-	if !snap.HasHistory {
-		return nil, fmt.Errorf("model: replica %q has no performance history", snap.ID)
-	}
-	pmf, err := p.convolvedPMF(snap)
+	pmf, off, err := p.convolved(snap)
 	if err != nil {
 		return nil, err
 	}
-	if distributionalT(snap) {
-		return pmf, nil
-	}
-	// T is a point mass at the most recent gateway delay, so the final
-	// convolution is a shift.
-	return pmf.Shift(snap.GatewayDelay), nil
+	return pmf.Shift(time.Duration(off) * pmf.Resolution()), nil
 }
 
-// convolvedPMF runs the S→W→(T) pipeline for one snapshot: the
-// support-bounded pmf of S+W, with the empirical per-link T pmf convolved in
-// as a third factor when T is distributional (the WAN extension). A
-// point-mass T is left to the caller: ResponsePMF shifts by it, the memoized
-// table applies it at lookup.
-func (p *Predictor) convolvedPMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
-	s, w, err := p.inputPMFs(snap)
-	if err != nil {
-		return nil, err
+// convolved runs the S→W→T pipeline for one snapshot and returns the
+// support-bounded pmf of R_i up to a bin offset. T is the pmf of the T
+// window. When that pmf has one bin — the paper's window of 1 always, a
+// longer window on a steady link — convolving it only moves the support, so
+// it comes back as off, in bins of the returned pmf's resolution, and the
+// caller adds it; the result is the three-factor convolution bit for bit
+// without the third pass. A T window with no sample yet is offset 0.
+func (p *Predictor) convolved(snap repository.ReplicaSnapshot) (pmf *dist.PMF, off int64, err error) {
+	if !snap.HasHistory {
+		return nil, 0, fmt.Errorf("model: replica %q has no performance history", snap.ID)
 	}
-	s, w = p.bound(s), p.bound(w)
-	s, w, err = align(s, w)
+	s, err := histPMF(snap.ServiceHist, "service-time", snap.ID)
 	if err != nil {
-		return nil, fmt.Errorf("model: aligning S and W for %q: %w", snap.ID, err)
+		return nil, 0, err
 	}
-	sw, err := p.convolve(s, w)
+	w, err := p.waitPMF(snap, s)
 	if err != nil {
-		return nil, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
+		return nil, 0, err
+	}
+	s, w, err = align(p.bound(s), p.bound(w))
+	if err != nil {
+		return nil, 0, fmt.Errorf("model: aligning S and W for %q: %w", snap.ID, err)
+	}
+	sw, err := s.ConvolveDense(w)
+	if err != nil {
+		return nil, 0, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
 	}
 	sw = p.bound(sw)
-	if !distributionalT(snap) {
-		return sw, nil
+	switch t := snap.GatewayHist; len(t.Bins) {
+	case 0:
+		return sw, 0, nil
+	case 1:
+		// The bin, re-quantized to sw's (possibly coarsened) resolution
+		// exactly as align would rebin a one-bin pmf.
+		return sw, dist.Quantize(time.Duration(t.Bins[0])*dist.DefaultResolution, sw.Resolution()), nil
 	}
-	tp, err := p.gatewayPMF(snap)
+	tp, err := histPMF(snap.GatewayHist, "gateway-delay", snap.ID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sw, tp, err = align(sw, p.bound(tp))
 	if err != nil {
-		return nil, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
+		return nil, 0, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
 	}
-	swt, err := p.convolve(sw, tp)
+	swt, err := sw.ConvolveDense(tp)
 	if err != nil {
-		return nil, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
+		return nil, 0, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
 	}
-	return p.bound(swt), nil
-}
-
-// convolve dispatches between the dense fast convolution and the map-based
-// reference implementation.
-func (p *Predictor) convolve(s, w *dist.PMF) (*dist.PMF, error) {
-	if p.referenceOnly {
-		return s.Convolve(w)
-	}
-	return s.ConvolveDense(w)
+	return p.bound(swt), 0, nil
 }
 
 // waitPMF returns the queuing-delay pmf: the paper's empirical window pmf,
 // or the queue-length-aware variant when configured.
 func (p *Predictor) waitPMF(snap repository.ReplicaSnapshot, service *dist.PMF) (*dist.PMF, error) {
 	if !p.queueAware {
-		if !p.referenceOnly && snap.Resolution == p.resolution && snap.QueueHist.OK() {
-			w, err := dist.FromCounts(p.resolution, snap.QueueHist.Bins, snap.QueueHist.Counts)
-			if err != nil {
-				return nil, fmt.Errorf("model: queuing-delay pmf for %q: %w", snap.ID, err)
-			}
-			return w, nil
-		}
-		w, err := dist.FromSamples(snap.QueueDelays, p.resolution)
-		if err != nil {
-			return nil, fmt.Errorf("model: queuing-delay pmf for %q: %w", snap.ID, err)
-		}
-		return w, nil
+		return histPMF(snap.QueueHist, "queuing-delay", snap.ID)
 	}
 	// Wait ≈ sum of the service times of the QueueLength requests ahead.
-	w, err := dist.PointMass(0, p.resolution)
+	w, err := dist.PointMass(0, dist.DefaultResolution)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < snap.QueueLength; i++ {
-		w, err = p.convolve(p.bound(w), service)
+		w, err = p.bound(w).ConvolveDense(service)
 		if err != nil {
 			return nil, fmt.Errorf("model: queue-aware wait for %q: %w", snap.ID, err)
 		}
@@ -372,37 +261,44 @@ func (p *Predictor) bound(pmf *dist.PMF) *dist.PMF {
 	return pmf
 }
 
-// buildSW computes the support-bounded S+W distribution for a fast-eligible
-// snapshot — S+W+T when T is distributional — and returns it as a CDF table.
-func (p *Predictor) buildSW(snap repository.ReplicaSnapshot) (*cachedCDF, error) {
-	sw, err := p.convolvedPMF(snap)
+// buildTable computes a snapshot's convolved distribution as a CDF table.
+func (p *Predictor) buildTable(snap repository.ReplicaSnapshot) (*cachedCDF, error) {
+	pmf, off, err := p.convolved(snap)
 	if err != nil {
 		return nil, err
 	}
-	bins, cdf := sw.CDFTable()
-	return &cachedCDF{res: sw.Resolution(), bins: bins, cdf: cdf}, nil
+	bins, cdf := pmf.CDFTable()
+	for i := range bins {
+		bins[i] += off
+	}
+	return &cachedCDF{res: pmf.Resolution(), bins: bins, cdf: cdf}, nil
 }
 
-// fastProbability evaluates F_Ri(t) via the memoized CDF table. ok is false
-// when the snapshot is not fast-eligible; the caller then takes the
-// reference route.
-func (p *Predictor) fastProbability(snap repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
-	if !p.fastEligible(snap) {
-		return 0, false, nil
+// Probability computes F_Ri(t): the probability that replica i responds
+// within t. Callers compensating for scheduler overhead pass t − δ (§5.3.3).
+func (p *Predictor) Probability(snap repository.ReplicaSnapshot, t time.Duration) (float64, error) {
+	if p.queueAware {
+		pmf, err := p.ResponsePMF(snap)
+		if err != nil {
+			return 0, err
+		}
+		return pmf.CDF(t), nil
 	}
-	key := cacheKey{replica: snap.ID, method: snap.Method, sVer: snap.ServiceHist.Version, wVer: snap.QueueHist.Version}
-	dT := distributionalT(snap)
-	if dT {
-		key.tVer = snap.GatewayHist.Version
+	key := cacheKey{
+		replica: snap.ID,
+		method:  snap.Method,
+		sVer:    snap.ServiceHist.Version,
+		wVer:    snap.QueueHist.Version,
+		tVer:    snap.GatewayHist.Version,
 	}
 	sh := p.shardFor(key)
 	sh.mu.RLock()
 	entry := sh.m[key]
 	sh.mu.RUnlock()
 	if entry == nil {
-		entry, err = p.buildSW(snap)
-		if err != nil {
-			return 0, false, err
+		var err error
+		if entry, err = p.buildTable(snap); err != nil {
+			return 0, err
 		}
 		sh.mu.Lock()
 		if len(sh.m) >= maxCacheEntries/cacheShardCount {
@@ -412,32 +308,9 @@ func (p *Predictor) fastProbability(snap repository.ReplicaSnapshot, t time.Dura
 		sh.mu.Unlock()
 	}
 	if t < 0 {
-		return 0, true, nil
+		return 0, nil
 	}
-	target := dist.Quantize(t, entry.res)
-	if !dT {
-		// Shifting by the point mass T offsets every support bin by
-		// Quantize(T); evaluating the shifted CDF at t is a lookup at
-		// Quantize(t) − Quantize(T) on the unshifted table. (A distributional
-		// T is already convolved into the cached table.)
-		target -= dist.Quantize(snap.GatewayDelay, entry.res)
-	}
-	return dist.CDFLookup(entry.bins, entry.cdf, target), true, nil
-}
-
-// Probability computes F_Ri(t): the probability that replica i responds
-// within t. Callers compensating for scheduler overhead pass t − δ (§5.3.3).
-func (p *Predictor) Probability(snap repository.ReplicaSnapshot, t time.Duration) (float64, error) {
-	if v, ok, err := p.fastProbability(snap, t); err != nil {
-		return 0, err
-	} else if ok {
-		return v, nil
-	}
-	pmf, err := p.ResponsePMF(snap)
-	if err != nil {
-		return 0, err
-	}
-	return pmf.CDF(t), nil
+	return dist.CDFLookup(entry.bins, entry.cdf, dist.Quantize(t, entry.res)), nil
 }
 
 // ReplicaProbability pairs a replica with its predicted F_Ri(t). It is the

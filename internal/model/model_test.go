@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"aqua/internal/dist"
 	"aqua/internal/repository"
 	"aqua/internal/stats"
 	"aqua/internal/wire"
@@ -14,14 +13,16 @@ import (
 
 const ms = time.Millisecond
 
+// snap hand-builds the snapshot a repository with a T window of 1 would
+// publish for these samples.
 func snap(id string, service, queue []time.Duration, gw time.Duration, qlen int) repository.ReplicaSnapshot {
 	return repository.ReplicaSnapshot{
-		ID:           wire.ReplicaID("replica-" + id),
-		ServiceTimes: service,
-		QueueDelays:  queue,
-		GatewayDelay: gw,
-		QueueLength:  qlen,
-		HasHistory:   len(service) > 0 && len(queue) > 0,
+		ID:          wire.ReplicaID("replica-" + id),
+		ServiceHist: histOf(service...),
+		QueueHist:   histOf(queue...),
+		GatewayHist: histOf(gw),
+		QueueLength: qlen,
+		HasHistory:  len(service) > 0 && len(queue) > 0,
 	}
 }
 
@@ -137,7 +138,8 @@ func TestQueueAwareWaitScalesWithQueueLength(t *testing.T) {
 }
 
 func TestMaxSupportRebinsKeepsMass(t *testing.T) {
-	p := NewPredictor(WithMaxSupport(16))
+	p := NewPredictor()
+	p.maxSupport = 16
 	service := make([]time.Duration, 64)
 	queue := make([]time.Duration, 64)
 	for i := range service {
@@ -231,13 +233,6 @@ func TestResponseCDFNondecreasingInT(t *testing.T) {
 	}
 }
 
-func TestPredictorDefaults(t *testing.T) {
-	p := NewPredictor(WithResolution(0), WithMaxSupport(1))
-	if p.Resolution() != dist.DefaultResolution {
-		t.Errorf("Resolution = %v, want default", p.Resolution())
-	}
-}
-
 // TestAnalyticCrossCheckNormal validates the empirical pipeline against
 // closed-form probability: with service times drawn from Normal(mu, sigma),
 // zero queueing, and gateway delay g, the model's F_R(t) built from many
@@ -254,13 +249,8 @@ func TestAnalyticCrossCheckNormal(t *testing.T) {
 	for i := range samples {
 		samples[i] = dist.Sample(rng)
 	}
-	s := repository.ReplicaSnapshot{
-		ID:           "analytic",
-		ServiceTimes: samples,
-		QueueDelays:  make([]time.Duration, len(samples)), // all zero
-		GatewayDelay: g,
-		HasHistory:   true,
-	}
+	noQueueing := make([]time.Duration, len(samples))
+	s := snap("analytic", samples, noQueueing, g, 0)
 	p := NewPredictor()
 	for _, probe := range []time.Duration{60 * ms, 90 * ms, 102 * ms, 120 * ms, 160 * ms} {
 		got, err := p.Probability(s, probe)

@@ -51,9 +51,7 @@ type DigestStats struct {
 // measured samples as a mergeable digest. Borrowed windows are never
 // exported. now anchors each digest's AgeNanos (now − last local update), so
 // absorbers can order digests by absolute freshness without synchronized
-// clocks. The bins are quantized at the repository's resolution; when
-// histograms are disabled the raw samples are exported at 1 ns resolution
-// (reported by the caller in DigestSync.ResolutionNanos as 1).
+// clocks. The bins are quantized at ExportResolutionNanos.
 func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -85,65 +83,21 @@ func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 	return out
 }
 
-// ExportResolutionNanos returns the bin resolution ExportDigests uses: the
-// repository's histogram resolution, or 1 ns when histograms are disabled.
-func (r *Repository) ExportResolutionNanos() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.resolution > 0 {
-		return r.resolution.Nanoseconds()
-	}
-	return 1
-}
+// ExportResolutionNanos returns the bin resolution ExportDigests uses, for the
+// caller to report in DigestSync.ResolutionNanos.
+func (r *Repository) ExportResolutionNanos() int64 { return resolution.Nanoseconds() }
 
-// exportHist returns a window's bin/count histogram. With histograms enabled
-// it is the incremental O(1) copy; without, the raw samples become 1 ns bins.
+// exportHist returns a window's bin/count histogram in wire form.
 func exportHist(w *window.Window) ([]int64, []int64) {
-	if w.HistResolution() > 0 {
-		bins, counts, ok := w.HistCounts()
-		if !ok {
-			return nil, nil
-		}
-		out := make([]int64, len(counts))
-		for i, c := range counts {
-			out[i] = int64(c)
-		}
-		return bins, out
-	}
-	vals := w.Values()
-	if len(vals) == 0 {
+	bins, counts, ok := w.HistCounts()
+	if !ok {
 		return nil, nil
 	}
-	var bins []int64
-	var counts []int64
-	for _, v := range vals {
-		b := int64(v)
-		i := searchInt64(bins, b)
-		if i < len(bins) && bins[i] == b {
-			counts[i]++
-			continue
-		}
-		bins = append(bins, 0)
-		copy(bins[i+1:], bins[i:])
-		bins[i] = b
-		counts = append(counts, 0)
-		copy(counts[i+1:], counts[i:])
-		counts[i] = 1
+	out := make([]int64, len(counts))
+	for i, c := range counts {
+		out[i] = int64(c)
 	}
-	return bins, counts
-}
-
-func searchInt64(s []int64, v int64) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return bins, out
 }
 
 // AbsorbDigests merges a peer's digest batch into the borrowed tier. now is
@@ -197,8 +151,8 @@ func (r *Repository) absorbDigestLocked(d wire.WindowDigest, res time.Duration, 
 		r.noteBorrowedFreshnessLocked(st, fresh)
 		return false
 	}
-	e.borrowedService = rebuildBorrowed(e.borrowedService, subsample(serviceVals, room), r.windowSize, r.resolution)
-	e.borrowedQueue = rebuildBorrowed(e.borrowedQueue, subsample(queueVals, room), r.windowSize, r.resolution)
+	e.borrowedService = rebuildBorrowed(subsample(serviceVals, room), r.windowSize)
+	e.borrowedQueue = rebuildBorrowed(subsample(queueVals, room), r.windowSize)
 	e.borrowedAt = fresh
 	if !st.hasUpdate {
 		st.queueLength = d.QueueLength
@@ -207,7 +161,7 @@ func (r *Repository) absorbDigestLocked(d wire.WindowDigest, res time.Duration, 
 	// point estimate (the median), and only while no local delay exists.
 	if st.gateway.Len() == 0 {
 		if gVals := reconstruct(d.GatewayBins, d.GatewayCounts, res); len(gVals) > 0 {
-			st.borrowedGateway = rebuildBorrowed(st.borrowedGateway, gVals[len(gVals)/2:len(gVals)/2+1], r.gatewayHist, r.resolution)
+			st.borrowedGateway = rebuildBorrowed(gVals[len(gVals)/2:len(gVals)/2+1], r.gatewayHist)
 		}
 	}
 	r.noteBorrowedFreshnessLocked(st, fresh)
@@ -275,15 +229,10 @@ func subsample(vals []time.Duration, k int) []time.Duration {
 	return out
 }
 
-// rebuildBorrowed replaces a borrowed window's contents with vals. The old
-// window (if any) is discarded wholesale: a fresher digest supersedes it.
-func rebuildBorrowed(_ *window.Window, vals []time.Duration, capacity int, res time.Duration) *window.Window {
-	var w *window.Window
-	if res > 0 {
-		w = window.NewHistogrammed(capacity, res)
-	} else {
-		w = window.New(capacity)
-	}
+// rebuildBorrowed returns a fresh borrowed window holding vals: a fresher
+// digest supersedes the old window wholesale.
+func rebuildBorrowed(vals []time.Duration, capacity int) *window.Window {
+	w := window.NewHistogrammed(capacity, resolution)
 	for _, v := range vals {
 		w.Add(v)
 	}

@@ -5,10 +5,13 @@ package repository
 // are dropped, and only locally measured windows are ever exported.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"aqua/internal/dist"
+	"aqua/internal/stats"
+	"aqua/internal/window"
 	"aqua/internal/wire"
 )
 
@@ -62,11 +65,11 @@ func TestBorrowedDisplacement(t *testing.T) {
 	if !snap.HasHistory {
 		t.Fatal("borrowed digest did not establish history (cold-start select-all would fire)")
 	}
-	if len(snap.ServiceTimes) != DefaultWindowSize || snap.ServiceTimes[0] != 10*dms {
-		t.Fatalf("ServiceTimes = %v", snap.ServiceTimes)
+	if got := samples(snap.ServiceHist); len(got) != DefaultWindowSize || got[0] != 10*dms {
+		t.Fatalf("service window = %v", got)
 	}
-	if snap.GatewayDelay != 3*dms {
-		t.Fatalf("GatewayDelay seed = %v, want 3ms", snap.GatewayDelay)
+	if got := only(snap.GatewayHist); got != 3*dms {
+		t.Fatalf("T seed = %v, want 3ms", got)
 	}
 	if snap.QueueLength != 2 {
 		t.Fatalf("QueueLength = %d, want borrowed 2", snap.QueueLength)
@@ -77,9 +80,6 @@ func TestBorrowedDisplacement(t *testing.T) {
 		snap, err = repo.SnapshotOne("r1", "")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(snap.ServiceTimes) != DefaultWindowSize {
-			t.Fatalf("after %d local reports: merged window holds %d samples, want %d", i, len(snap.ServiceTimes), DefaultWindowSize)
 		}
 		if got, want := repo.BorrowedLen("r1", ""), DefaultWindowSize-i; got != want {
 			t.Fatalf("after %d local reports: BorrowedLen = %d, want %d", i, got, want)
@@ -96,9 +96,9 @@ func TestBorrowedDisplacement(t *testing.T) {
 		}
 	}
 	// Fully displaced: pure local evidence, borrowed tier gone.
-	for _, v := range snap.ServiceTimes {
+	for _, v := range samples(snap.ServiceHist) {
 		if v != 20*dms {
-			t.Fatalf("borrowed sample survived full displacement: %v", snap.ServiceTimes)
+			t.Fatalf("borrowed sample survived full displacement: %v", samples(snap.ServiceHist))
 		}
 	}
 	if ds := repo.DigestStats(); ds.Borrowed != 0 {
@@ -160,7 +160,7 @@ func TestAbsorbStaleDigestDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range snap.ServiceTimes {
+	for _, v := range samples(snap.ServiceHist) {
 		if v == 99*dms {
 			t.Fatal("stale digest contents leaked into the window")
 		}
@@ -295,7 +295,82 @@ func TestLocalGatewayDelayDropsBorrowedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.GatewayDelay != 8*dms || len(snap.GatewayDelays) != 1 {
-		t.Fatalf("T after local measurement = %v %v, want pure local 8ms", snap.GatewayDelay, snap.GatewayDelays)
+	if got := samples(snap.GatewayHist); len(got) != 1 || got[0] != 8*dms {
+		t.Fatalf("T after local measurement = %v, want pure local [8ms]", got)
+	}
+}
+
+// TestMergedHistViewMatchesSamples pins the merged borrowed+local view a
+// snapshot publishes to the pmf of the underlying samples:
+// dist.FromSamples(borrowed.Values() ++ local.Values()). Randomized over
+// window size, digest contents (overlapping and disjoint bins, sub-resolution
+// jitter on the local side) and how far local reports have displaced the
+// borrowed tier, from untouched to gone.
+func TestMergedHistViewMatchesSamples(t *testing.T) {
+	rng := stats.NewRand(17)
+	now := time.Now()
+	merged := 0
+	for trial := 0; trial < 400; trial++ {
+		l := 1 + rng.Intn(30)
+		repo := New(WithWindowSize(l))
+		repo.AddReplica("r")
+		d := wire.WindowDigest{Replica: "r"}
+		bins := 1 + rng.Intn(8)
+		for b := int64(rng.Intn(5)); len(d.ServiceBins) < bins; b += 1 + int64(rng.Intn(6)) {
+			d.ServiceBins = append(d.ServiceBins, b)
+			d.ServiceCounts = append(d.ServiceCounts, 1+int64(rng.Intn(4)))
+			d.QueueBins = append(d.QueueBins, b/2+int64(len(d.QueueBins)))
+			d.QueueCounts = append(d.QueueCounts, 1+int64(rng.Intn(4)))
+		}
+		sync := digestSyncFor(1, d)
+		sync.WindowSize = l
+		if absorbed, _ := repo.AbsorbDigests(sync, now); absorbed != 1 {
+			t.Fatalf("trial %d: digest not absorbed", trial)
+		}
+		for k := rng.Intn(l + 2); k > 0; k-- {
+			jitter := time.Duration(rng.Intn(1000)) * time.Microsecond
+			repo.RecordPerf("r", "", perf(time.Duration(rng.Intn(40))*dms+jitter, time.Duration(rng.Intn(20))*dms+jitter, 0), now)
+		}
+		snap, err := repo.SnapshotOne("r", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := repo.entries[methodKey{replica: "r"}]
+		if e.borrowedService != nil && e.service.Len() > 0 {
+			merged++
+		}
+		for _, c := range []struct {
+			name            string
+			view            HistView
+			borrowed, local *window.Window
+		}{
+			{"service", snap.ServiceHist, e.borrowedService, e.service},
+			{"queue", snap.QueueHist, e.borrowedQueue, e.queue},
+		} {
+			var vals []time.Duration
+			if c.borrowed != nil {
+				vals = c.borrowed.Values()
+			}
+			vals = append(vals, c.local.Values()...)
+			if len(vals) > l {
+				t.Fatalf("trial %d %s: merged window holds %d samples, l=%d", trial, c.name, len(vals), l)
+			}
+			want, err := dist.FromSamples(vals, dist.DefaultResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dist.FromCounts(dist.DefaultResolution, c.view.Bins, c.view.Counts)
+			if err != nil {
+				t.Fatalf("trial %d %s: view %+v: %v", trial, c.name, c.view, err)
+			}
+			wv, wp := want.Points()
+			gv, gp := got.Points()
+			if !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(wp, gp) {
+				t.Fatalf("trial %d %s: view pmf %v %v, want %v %v", trial, c.name, gv, gp, wv, wp)
+			}
+		}
+	}
+	if merged < 100 {
+		t.Fatalf("only %d trials held borrowed and local samples together", merged)
 	}
 }

@@ -231,7 +231,7 @@ func (r *Repository) Parole(cutoff time.Time) []wire.ReplicaID {
 			// per-link T window) so probation re-admits on fresh
 			// measurements only.
 			r.dropEntriesLocked(id)
-			st.gateway = r.newGatewayWindowLocked()
+			st.gateway = window.NewHistogrammed(r.gatewayHist, resolution)
 			r.lifeStats.Paroled++
 			out = append(out, id)
 		}
@@ -280,20 +280,12 @@ func (r *Repository) QuarantinedCount() int {
 // protect — the paper's §5.4.1 cold-start rule applies); after it, lifecycle
 // mode admits newcomers on Probation. Caller holds r.mu.
 func (r *Repository) newReplicaStateLocked() *replicaState {
-	st := &replicaState{gateway: r.newGatewayWindowLocked()}
+	st := &replicaState{gateway: window.NewHistogrammed(r.gatewayHist, resolution)}
 	if r.lifecycle && r.bootstrapped {
 		st.health = Probation
 		r.lifeStats.Joined++
 	}
 	return st
-}
-
-// newGatewayWindowLocked builds the per-link T window. Caller holds r.mu.
-func (r *Repository) newGatewayWindowLocked() *window.Window {
-	if r.resolution > 0 {
-		return window.NewHistogrammed(r.gatewayHist, r.resolution)
-	}
-	return window.New(r.gatewayHist)
 }
 
 // dropEntriesLocked deletes every measurement window for a replica. Caller

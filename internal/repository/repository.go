@@ -8,7 +8,8 @@
 // For each replica the repository stores the current number of outstanding
 // requests in the replica's queue, the most recently measured two-way
 // gateway-to-gateway delay, and sliding windows (size l) of the service
-// times and queuing delays of the most recent requests.
+// times and queuing delays of the most recent requests. Every window keeps
+// an incremental histogram of its samples, and snapshots carry only those.
 package repository
 
 import (
@@ -26,6 +27,10 @@ import (
 // DefaultWindowSize is the paper's default sliding-window size l; its
 // experiments use 5 and study 10 and 20.
 const DefaultWindowSize = 5
+
+// resolution is the bin width of every window histogram: the response-time
+// model's, so snapshots feed it without re-quantizing.
+const resolution = dist.DefaultResolution
 
 // methodKey identifies a performance history. The paper assumes a single
 // method per service; keying by method implements its multi-interface
@@ -89,8 +94,7 @@ type replicaState struct {
 type Repository struct {
 	mu           sync.RWMutex
 	windowSize   int
-	gatewayHist  int           // gateway-delay window size; 1 = paper behaviour (most recent value only)
-	resolution   time.Duration // histogram quantization; 0 disables incremental histograms
+	gatewayHist  int // gateway-delay window size; 1 = paper behaviour (most recent value only)
 	entries      map[methodKey]*entry
 	replicas     map[wire.ReplicaID]*replicaState
 	updatesByRep map[wire.ReplicaID]uint64 // count of perf reports absorbed, per replica
@@ -140,22 +144,11 @@ func WithGatewayHistory(n int) Option {
 	return func(r *Repository) { r.gatewayHist = n }
 }
 
-// WithResolution sets the quantization resolution of the incremental
-// per-window histograms handed to the response-time model's fast path. It
-// must match the predictor's resolution for the fast path to engage; a
-// non-positive value disables histograms (predictions then rebuild pmfs from
-// raw samples). The default is dist.DefaultResolution, matching the default
-// predictor.
-func WithResolution(res time.Duration) Option {
-	return func(r *Repository) { r.resolution = res }
-}
-
 // New returns an empty repository.
 func New(opts ...Option) *Repository {
 	r := &Repository{
 		windowSize:   DefaultWindowSize,
 		gatewayHist:  1,
-		resolution:   dist.DefaultResolution,
 		entries:      make(map[methodKey]*entry),
 		replicas:     make(map[wire.ReplicaID]*replicaState),
 		updatesByRep: make(map[wire.ReplicaID]uint64),
@@ -170,17 +163,7 @@ func New(opts ...Option) *Repository {
 	if r.gatewayHist <= 0 {
 		r.gatewayHist = 1
 	}
-	if r.resolution < 0 {
-		r.resolution = 0
-	}
 	return r
-}
-
-// Resolution returns the histogram quantization resolution (0 = disabled).
-func (r *Repository) Resolution() time.Duration {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resolution
 }
 
 // WindowSize returns the configured sliding-window size l.
@@ -267,15 +250,9 @@ func (r *Repository) entryLocked(id wire.ReplicaID, method string) *entry {
 	k := methodKey{replica: id, method: method}
 	e, ok := r.entries[k]
 	if !ok {
-		newWindow := func() *window.Window {
-			if r.resolution > 0 {
-				return window.NewHistogrammed(r.windowSize, r.resolution)
-			}
-			return window.New(r.windowSize)
-		}
 		e = &entry{
-			service: newWindow(),
-			queue:   newWindow(),
+			service: window.NewHistogrammed(r.windowSize, resolution),
+			queue:   window.NewHistogrammed(r.windowSize, resolution),
 		}
 		r.entries[k] = e
 	}
@@ -439,36 +416,25 @@ func (r *Repository) UpdateCount(id wire.ReplicaID) uint64 {
 }
 
 // HistView is an immutable copy of a window's incremental histogram: distinct
-// quantized bins in ascending order, their positive counts, and the window
-// version the copy was taken at. The zero value (empty Bins) means "no
-// histogram available".
+// bins in ascending order (quantized at dist.DefaultResolution), their
+// positive counts, and the window version the copy was taken at. The zero
+// value (empty Bins) means the window holds no sample.
 type HistView struct {
 	Bins    []int64
 	Counts  []int
 	Version uint64
 }
 
-// OK reports whether the view carries a usable histogram.
+// OK reports whether the view carries at least one sample.
 func (h HistView) OK() bool { return len(h.Bins) > 0 }
 
 // ReplicaSnapshot is an immutable copy of one replica's history handed to
 // the response-time predictor, so prediction runs without repository locks.
+// Each measurement window is carried once, as its histogram.
 type ReplicaSnapshot struct {
-	ID           wire.ReplicaID
-	Method       string
-	ServiceTimes []time.Duration // oldest → newest
-	QueueDelays  []time.Duration // oldest → newest
-	// GatewayDelay is the most recently measured two-way gateway delay T.
-	// With the paper-default window (size 1) it is the whole T model: a point
-	// mass. With WithGatewayHistory(n>1) it remains the last value for
-	// compatibility, while GatewayDelays/GatewayHist carry the full empirical
-	// per-link distribution the predictor convolves as the third factor.
-	GatewayDelay time.Duration
-	// GatewayDelays is the raw T window, oldest → newest. Per-link state: the
-	// same window backs every method's snapshot, so probe-measured delays are
-	// visible to methods that have never carried traffic.
-	GatewayDelays []time.Duration
-	QueueLength   int
+	ID          wire.ReplicaID
+	Method      string
+	QueueLength int
 	// InFlight is the number of copies this gateway has dispatched to the
 	// replica that have not yet settled — the gateway's own, instantly
 	// current contribution to the replica's load, complementing the
@@ -487,17 +453,18 @@ type ReplicaSnapshot struct {
 	// and OrderedTail=0 on every reply.
 	CaughtUp    bool
 	OrderedTail uint64
-	// Resolution, ServiceHist, and QueueHist feed the predictor's fast path:
-	// pre-quantized bin counts maintained incrementally by the windows, so
-	// prediction needs neither the raw samples nor a per-call sort. They are
-	// unset when the repository was configured without histograms.
-	Resolution  time.Duration
+	// ServiceHist and QueueHist are the service-time and queuing-delay
+	// windows (borrowed and local samples merged), pre-quantized and
+	// maintained incrementally, so prediction needs neither raw samples nor a
+	// per-call sort.
 	ServiceHist HistView
 	QueueHist   HistView
-	// GatewayHist is the incremental histogram of the T window. Its Version
-	// extends the predictor's memo key so a T mutation invalidates cached CDF
-	// tables without a flush; a single-bin view keeps the fast path on the
-	// paper's shift-by-point-mass special case.
+	// GatewayHist is the T window: the two-way gateway delay of the link to
+	// this replica. Per-link state — the same window backs every method's
+	// snapshot, so probe-measured delays are visible to methods that have
+	// never carried traffic. With the paper-default window of 1 it holds one
+	// sample, the most recent delay; empty until a delay is measured. The
+	// three views' Versions form the predictor's memo key.
 	GatewayHist HistView
 	// HasHistory is false until at least one service-time and one queuing
 	// delay sample exist; the scheduler must fall back to selecting all
@@ -581,43 +548,26 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		// across the fleet rather than duplicated per gateway.
 		snap.LastUpdate = st.borrowedUpdate
 	}
-	if r.resolution > 0 {
-		snap.Resolution = r.resolution
-	}
 	gw := st.gateway
-	if gw.Len() == 0 && st.borrowedGateway != nil && st.borrowedGateway.Len() > 0 {
+	if gw.Len() == 0 && st.borrowedGateway != nil {
 		gw = st.borrowedGateway // cold-start T seed, displaced by the first local delay
 	}
-	if td, ok := gw.Last(); ok {
-		snap.GatewayDelay = td
-		snap.GatewayDelays = gw.Values()
-		if r.resolution > 0 {
-			if bins, counts, ok := gw.HistCounts(); ok {
-				snap.GatewayHist = HistView{Bins: bins, Counts: counts, Version: gw.Version()}
-			}
-		}
-	}
+	snap.GatewayHist = histView(gw)
 	if e, ok := r.entries[methodKey{replica: id, method: method}]; ok {
-		snap.ServiceTimes = mergedValues(e.borrowedService, e.service)
-		snap.QueueDelays = mergedValues(e.borrowedQueue, e.queue)
-		if r.resolution > 0 {
-			snap.ServiceHist = mergedHistView(e.borrowedService, e.service)
-			snap.QueueHist = mergedHistView(e.borrowedQueue, e.queue)
-		}
-		snap.HasHistory = len(snap.ServiceTimes) > 0 && len(snap.QueueDelays) > 0
+		snap.ServiceHist = mergedHistView(e.borrowedService, e.service)
+		snap.QueueHist = mergedHistView(e.borrowedQueue, e.queue)
+		snap.HasHistory = snap.ServiceHist.OK() && snap.QueueHist.OK()
 	}
 	return snap
 }
 
-// mergedValues concatenates borrowed (older, possibly nil) and local samples,
-// oldest → newest.
-func mergedValues(borrowed, local *window.Window) []time.Duration {
-	if borrowed == nil || borrowed.Len() == 0 {
-		return local.Values()
+// histView copies one window's histogram; the zero view for an empty window.
+func histView(w *window.Window) HistView {
+	bins, counts, ok := w.HistCounts()
+	if !ok {
+		return HistView{}
 	}
-	out := make([]time.Duration, 0, borrowed.Len()+local.Len())
-	out = append(out, borrowed.Values()...)
-	return append(out, local.Values()...)
+	return HistView{Bins: bins, Counts: counts, Version: w.Version()}
 }
 
 // mergedHistView returns the union histogram of a borrowed (possibly nil) and
@@ -626,27 +576,19 @@ func mergedValues(borrowed, local *window.Window) []time.Duration {
 // window issues a version above every previously observed max — merged views
 // stay sound as memoization keys without a dedicated counter.
 func mergedHistView(borrowed, local *window.Window) HistView {
-	lBins, lCounts, lok := local.HistCounts()
+	l := histView(local)
 	if borrowed == nil || borrowed.Len() == 0 {
-		if !lok {
-			return HistView{}
-		}
-		return HistView{Bins: lBins, Counts: lCounts, Version: local.Version()}
+		return l
 	}
-	bBins, bCounts, bok := borrowed.HistCounts()
-	ver := local.Version()
-	if bv := borrowed.Version(); bv > ver {
-		ver = bv
+	b := histView(borrowed)
+	if !l.OK() {
+		return b
 	}
-	if !bok {
-		if !lok {
-			return HistView{}
-		}
-		return HistView{Bins: lBins, Counts: lCounts, Version: ver}
+	ver := l.Version
+	if b.Version > ver {
+		ver = b.Version
 	}
-	if !lok {
-		return HistView{Bins: bBins, Counts: bCounts, Version: ver}
-	}
+	bBins, bCounts, lBins, lCounts := b.Bins, b.Counts, l.Bins, l.Counts
 	bins := make([]int64, 0, len(bBins)+len(lBins))
 	counts := make([]int, 0, len(bCounts)+len(lCounts))
 	i, j := 0, 0

@@ -15,6 +15,26 @@ func perf(s, q time.Duration, qlen int) wire.PerfReport {
 	return wire.PerfReport{ServiceTime: s, QueueDelay: q, QueueLength: qlen}
 }
 
+// samples expands a histogram view back into the window it summarizes, in
+// ascending order: bin × resolution, count times.
+func samples(h HistView) []time.Duration {
+	var out []time.Duration
+	for i, b := range h.Bins {
+		for c := 0; c < h.Counts[i]; c++ {
+			out = append(out, time.Duration(b)*resolution)
+		}
+	}
+	return out
+}
+
+// only returns the single sample of a one-sample view, or -1.
+func only(h HistView) time.Duration {
+	if got := samples(h); len(got) == 1 {
+		return got[0]
+	}
+	return -1
+}
+
 func TestAddRemoveReplicas(t *testing.T) {
 	r := New()
 	r.AddReplica("a")
@@ -47,11 +67,11 @@ func TestRecordPerfPopulatesSnapshot(t *testing.T) {
 	if !s.HasHistory {
 		t.Fatal("HasHistory = false after RecordPerf")
 	}
-	if len(s.ServiceTimes) != 1 || s.ServiceTimes[0] != 10*ms {
-		t.Errorf("ServiceTimes = %v", s.ServiceTimes)
+	if only(s.ServiceHist) != 10*ms {
+		t.Errorf("service window = %v", samples(s.ServiceHist))
 	}
-	if len(s.QueueDelays) != 1 || s.QueueDelays[0] != 5*ms {
-		t.Errorf("QueueDelays = %v", s.QueueDelays)
+	if only(s.QueueHist) != 5*ms {
+		t.Errorf("queue window = %v", samples(s.QueueHist))
 	}
 	if s.QueueLength != 2 {
 		t.Errorf("QueueLength = %d, want 2", s.QueueLength)
@@ -71,8 +91,8 @@ func TestSlidingWindowEviction(t *testing.T) {
 		r.RecordPerf("a", "", perf(time.Duration(i)*ms, time.Duration(i)*ms, 0), time.Now())
 	}
 	s := r.Snapshot("")[0]
-	if len(s.ServiceTimes) != 2 || s.ServiceTimes[0] != 4*ms || s.ServiceTimes[1] != 5*ms {
-		t.Errorf("ServiceTimes = %v, want [4ms 5ms]", s.ServiceTimes)
+	if got := samples(s.ServiceHist); len(got) != 2 || got[0] != 4*ms || got[1] != 5*ms {
+		t.Errorf("service window = %v, want [4ms 5ms]", got)
 	}
 }
 
@@ -95,8 +115,8 @@ func TestGatewayDelayMostRecentWins(t *testing.T) {
 	r.RecordGatewayDelay("a", 3*ms)
 	r.RecordGatewayDelay("a", 9*ms)
 	s := r.Snapshot("")[0]
-	if s.GatewayDelay != 9*ms {
-		t.Errorf("GatewayDelay = %v, want most recent 9ms", s.GatewayDelay)
+	if got := samples(s.GatewayHist); len(got) != 1 || got[0] != 9*ms {
+		t.Errorf("T window = %v, want only the most recent 9ms", got)
 	}
 }
 
@@ -107,8 +127,8 @@ func TestGatewayDelayNegativeClamped(t *testing.T) {
 	r.AddReplica("a")
 	r.RecordPerf("a", "", perf(ms, ms, 0), time.Now())
 	r.RecordGatewayDelay("a", -4*ms)
-	if got := r.Snapshot("")[0].GatewayDelay; got != 0 {
-		t.Errorf("GatewayDelay = %v, want clamped 0", got)
+	if got := only(r.Snapshot("")[0].GatewayHist); got != 0 {
+		t.Errorf("T = %v, want clamped 0", got)
 	}
 }
 
@@ -121,11 +141,8 @@ func TestGatewayDelayNegativeDroppedWithHistory(t *testing.T) {
 	r.RecordGatewayDelay("a", 5*ms)
 	r.RecordGatewayDelay("a", -4*ms)
 	s := r.Snapshot("")[0]
-	if got := s.GatewayDelay; got != 5*ms {
-		t.Errorf("GatewayDelay = %v, want 5ms (negative sample dropped)", got)
-	}
-	if len(s.GatewayDelays) != 1 || s.GatewayDelays[0] != 5*ms {
-		t.Errorf("GatewayDelays = %v, want [5ms]", s.GatewayDelays)
+	if got := samples(s.GatewayHist); len(got) != 1 || got[0] != 5*ms {
+		t.Errorf("T window = %v, want [5ms] (negative sample dropped)", got)
 	}
 }
 
@@ -137,13 +154,8 @@ func TestGatewayHistoryWindowExposed(t *testing.T) {
 	r.RecordGatewayDelay("a", 4*ms)
 	r.RecordGatewayDelay("a", 6*ms)
 	s := r.Snapshot("")[0]
-	// The scalar stays the most recent value (point-mass compatibility); the
-	// full window rides along for the distributional model.
-	if got := s.GatewayDelay; got != 6*ms {
-		t.Errorf("GatewayDelay = %v, want last value 6ms", got)
-	}
-	if len(s.GatewayDelays) != 3 || s.GatewayDelays[0] != 2*ms || s.GatewayDelays[2] != 6*ms {
-		t.Errorf("GatewayDelays = %v, want [2ms 4ms 6ms]", s.GatewayDelays)
+	if got := samples(s.GatewayHist); len(got) != 3 || got[0] != 2*ms || got[2] != 6*ms {
+		t.Errorf("T window = %v, want [2ms 4ms 6ms]", got)
 	}
 	if !s.GatewayHist.OK() || s.GatewayHist.Version == 0 {
 		t.Errorf("GatewayHist missing: %+v", s.GatewayHist)
@@ -155,8 +167,8 @@ func TestGatewayHistoryWindowExposed(t *testing.T) {
 	before := s.GatewayHist.Version
 	r.RecordGatewayDelay("a", 8*ms)
 	s = r.Snapshot("")[0]
-	if len(s.GatewayDelays) != 3 || s.GatewayDelays[0] != 4*ms {
-		t.Errorf("GatewayDelays after eviction = %v, want [4ms 6ms 8ms]", s.GatewayDelays)
+	if got := samples(s.GatewayHist); len(got) != 3 || got[0] != 4*ms {
+		t.Errorf("T window after eviction = %v, want [4ms 6ms 8ms]", got)
 	}
 	if s.GatewayHist.Version == before {
 		t.Error("GatewayHist.Version unchanged after a new sample")
@@ -175,8 +187,8 @@ func TestGatewayDelaySharedAcrossMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.GatewayDelay != 7*ms {
-		t.Errorf("Snapshot(someMethod).GatewayDelay = %v, want probe-measured 7ms", s.GatewayDelay)
+	if got := only(s.GatewayHist); got != 7*ms {
+		t.Errorf("Snapshot(someMethod) T = %v, want probe-measured 7ms", got)
 	}
 	// And once the method has its own S/W history, T still comes from the
 	// shared link state.
@@ -185,8 +197,8 @@ func TestGatewayDelaySharedAcrossMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.HasHistory || s.GatewayDelay != 7*ms {
-		t.Errorf("warm snapshot = {HasHistory:%v GatewayDelay:%v}, want {true 7ms}", s.HasHistory, s.GatewayDelay)
+	if !s.HasHistory || only(s.GatewayHist) != 7*ms {
+		t.Errorf("warm snapshot = {HasHistory:%v T:%v}, want {true [7ms]}", s.HasHistory, samples(s.GatewayHist))
 	}
 }
 
@@ -224,15 +236,15 @@ func TestPerMethodHistories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.ServiceTimes) != 1 || s.ServiceTimes[0] != 10*ms {
-		t.Errorf("search history = %v", s.ServiceTimes)
+	if only(s.ServiceHist) != 10*ms {
+		t.Errorf("search history = %v", samples(s.ServiceHist))
 	}
 	s, err = r.SnapshotOne("a", "index")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.ServiceTimes) != 1 || s.ServiceTimes[0] != 90*ms {
-		t.Errorf("index history = %v", s.ServiceTimes)
+	if only(s.ServiceHist) != 90*ms {
+		t.Errorf("index history = %v", samples(s.ServiceHist))
 	}
 	// Unknown method: replica listed but cold.
 	s, err = r.SnapshotOne("a", "delete")
@@ -256,10 +268,10 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	r.AddReplica("a")
 	r.RecordPerf("a", "", perf(ms, ms, 0), time.Now())
 	s := r.Snapshot("")[0]
-	s.ServiceTimes[0] = 99 * ms
-	s2 := r.Snapshot("")[0]
-	if s2.ServiceTimes[0] != ms {
-		t.Error("snapshot aliases repository state")
+	s.ServiceHist.Bins[0] = 99
+	s.ServiceHist.Counts[0] = 7
+	if got := only(r.Snapshot("")[0].ServiceHist); got != ms {
+		t.Errorf("snapshot aliases repository state: window now %v", got)
 	}
 }
 
@@ -297,7 +309,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestSnapshotCarriesHistograms(t *testing.T) {
-	r := New(WithWindowSize(3)) // default resolution: histograms on
+	r := New(WithWindowSize(3))
 	r.AddReplica("a")
 	now := time.Now()
 	for i, s := range []time.Duration{10 * ms, 10 * ms, 20 * ms, 30 * ms} { // 4 samples: one eviction
@@ -309,9 +321,6 @@ func TestSnapshotCarriesHistograms(t *testing.T) {
 	}
 	if snap.Method != "m" {
 		t.Errorf("snapshot method %q, want m", snap.Method)
-	}
-	if snap.Resolution != dist.DefaultResolution {
-		t.Errorf("snapshot resolution %v, want %v", snap.Resolution, dist.DefaultResolution)
 	}
 	if !snap.ServiceHist.OK() || !snap.QueueHist.OK() {
 		t.Fatal("snapshot missing histograms")
@@ -340,38 +349,26 @@ func TestSnapshotCarriesHistograms(t *testing.T) {
 	}
 }
 
-func TestWithResolutionDisablesHistograms(t *testing.T) {
-	r := New(WithResolution(0))
-	r.AddReplica("a")
-	r.RecordPerf("a", "", perf(10*ms, 5*ms, 0), time.Now())
-	snap, err := r.SnapshotOne("a", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Resolution != 0 || snap.ServiceHist.OK() || snap.QueueHist.OK() {
-		t.Errorf("histograms present despite WithResolution(0): %+v", snap)
-	}
-	if !snap.HasHistory {
-		t.Error("raw history should still be present")
-	}
-	if r.Resolution() != 0 {
-		t.Errorf("Resolution() = %v, want 0", r.Resolution())
-	}
-}
-
+// TestHistogramMatchesRawSamplesAcrossEvictions replays the reports into a
+// plain slice and checks every snapshot's histogram against the last l of
+// them, quantized the way the model would.
 func TestHistogramMatchesRawSamplesAcrossEvictions(t *testing.T) {
-	r := New(WithWindowSize(5), WithResolution(2*ms))
+	const l = 5
+	r := New(WithWindowSize(l))
 	r.AddReplica("a")
 	now := time.Now()
+	var raw []time.Duration
 	for i := 0; i < 40; i++ {
-		r.RecordPerf("a", "", perf(time.Duration(i%13)*ms, time.Duration(i%7)*ms, 0), now)
+		v := time.Duration(i%13)*ms + time.Duration(i%4)*300*time.Microsecond
+		raw = append(raw, v)
+		r.RecordPerf("a", "", perf(v, time.Duration(i%7)*ms, 0), now)
 		snap, err := r.SnapshotOne("a", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := map[int64]int{}
-		for _, v := range snap.ServiceTimes {
-			want[dist.Quantize(v, 2*ms)]++
+		for _, v := range raw[max(0, len(raw)-l):] {
+			want[dist.Quantize(v, dist.DefaultResolution)]++
 		}
 		got := map[int64]int{}
 		for j, b := range snap.ServiceHist.Bins {
@@ -440,5 +437,35 @@ func TestInFlightTracking(t *testing.T) {
 	r.RemoveReplica("b")
 	if got := r.TotalInFlight(); got != 0 {
 		t.Errorf("TotalInFlight() after removal = %d, want 0", got)
+	}
+}
+
+// TestSharedSnapshotRebuildAllocs fixes what a shared-snapshot rebuild copies
+// per replica: each of the three windows once, as bins and counts — six slice
+// allocations. Measured as the difference between two pool sizes, so the
+// per-rebuild constants (result slice, sort, cache entry) cancel.
+func TestSharedSnapshotRebuildAllocs(t *testing.T) {
+	rebuildAllocs := func(n int) float64 {
+		r := New()
+		ids := make([]wire.ReplicaID, n)
+		now := time.Now()
+		for i := range ids {
+			ids[i] = wire.ReplicaID(rune('a' + i))
+			r.AddReplica(ids[i])
+			for j := 0; j < DefaultWindowSize; j++ {
+				r.RecordPerf(ids[i], "", perf(time.Duration(5+j)*ms, time.Duration(j)*ms, 0), now)
+			}
+			r.RecordGatewayDelay(ids[i], ms)
+		}
+		return testing.AllocsPerRun(100, func() {
+			r.gen.Add(1) // invalidate the cached snapshot without touching a window
+			if got := r.SnapshotShared(""); len(got) != n {
+				t.Fatalf("snapshot has %d of %d replicas", len(got), n)
+			}
+		})
+	}
+	small, large := rebuildAllocs(4), rebuildAllocs(12)
+	if perReplica := (large - small) / 8; perReplica > 6 {
+		t.Fatalf("rebuild allocates %.1f times per replica (4 replicas: %.0f, 12: %.0f), want <= 6", perReplica, small, large)
 	}
 }

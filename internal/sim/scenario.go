@@ -442,11 +442,7 @@ func Run(s Scenario) (*Result, error) {
 		if s.QueueAware {
 			predOpts = append(predOpts, model.WithQueueAwareWait())
 		}
-		repoOpts := []repository.Option{repository.WithWindowSize(s.WindowSize)}
-		if s.GatewayHistory > 1 {
-			repoOpts = append(repoOpts, repository.WithGatewayHistory(s.GatewayHistory))
-		}
-		repo := repository.New(repoOpts...)
+		repo := repository.New(repository.WithWindowSize(s.WindowSize), repository.WithGatewayHistory(s.GatewayHistory))
 		lc := s.Lifecycle
 		if lc.Enabled {
 			// Chain the observers: trace + scenario-wide counting, then the
