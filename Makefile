@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench experiments quick-experiments faults fences a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
+.PHONY: all check build vet test allocs race bench experiments quick-experiments faults fences a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
 
 all: build vet test
 
-# Full gate: compile, static analysis, tests, and the race detector.
-# Performance is measured by the benchmark in bench/ (see bench/README.md),
-# not by a fence in this gate.
-check: build vet test race
+# Full gate: compile, static analysis, tests, the allocation fences, and the
+# race detector. Performance is measured by the benchmark in bench/ (see
+# bench/README.md); the only fences in this gate are counts, never times.
+check: build vet test allocs race
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The decision path's allocation fences (cached: 0, fresh: <= 10, a warm
+# one-replica Call: <= 10) and the property test that pins the in-place path
+# to the from-scratch oracle, uncached so a stale pass cannot hide a change.
+allocs:
+	$(GO) test ./internal/core -count=1 -run 'TestScheduleCachedPathZeroAllocs|TestScheduleFreshPathAllocs|TestFreshPathMatchesOracleProperty'
+	$(GO) test ./internal/gateway -count=1 -run TestCallSteadyStateAllocs
 
 race:
 	$(GO) test -race ./...
@@ -62,7 +69,10 @@ a13 a14 a15 a16 a17 a18:
 
 # Race detector focused on the lifecycle-bearing packages (CI runs this in
 # addition to the full `make race` inside `make check`). The server and root
-# packages carry the ordered-mode runtime (stable delivery, state transfer).
+# packages carry the ordered-mode runtime (stable delivery, state transfer);
+# core and gateway carry the forget sweep and the pooled call state
+# (TestSweepExpiredDropsAtDeadlinePlusGrace, TestReplyIsOneRepositoryMutation,
+# TestPooledCallStateUnderConcurrentCallers, TestRecycledCallStateCarriesNoReply).
 race-lifecycle:
 	$(GO) test -race ./internal/core ./internal/repository ./internal/proteus ./internal/gateway ./internal/server .
 

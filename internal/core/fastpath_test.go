@@ -66,6 +66,54 @@ func TestScheduleCachedPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestScheduleFreshPathAllocs fences the path real traffic takes: every
+// selected replica replies — S, W and T windows all move, to different bins
+// each time — before the next decision. What is left to allocate is the
+// repository's re-export of the replicas that replied (the shared slice, and
+// one bins and one counts block per replica).
+func TestScheduleFreshPathAllocs(t *testing.T) {
+	repo := variedRepo(t, 8)
+	s, err := NewScheduler(Config{
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
+		Repository: repo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	turn := 0
+	cycle := func() {
+		d, err := s.Schedule(t0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Targets) != 2 {
+			t.Fatalf("selected %v, the fence is stated for |K| = 2", d.Targets)
+		}
+		if err := s.Dispatched(d.Seq, t0); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range d.Targets {
+			turn++
+			perf := wire.PerfReport{ServiceTime: time.Duration(5+turn%7) * ms, QueueDelay: time.Duration(turn%3) * ms}
+			s.OnReply(d.Seq, id, t0.Add(perf.ServiceTime+perf.QueueDelay+time.Duration(turn%5)*ms), perf)
+		}
+		d.Release()
+	}
+	for i := 0; i < 20; i++ {
+		cycle() // warm pools, slots and map buckets
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 10 {
+		t.Fatalf("fresh schedule/dispatched/2 replies/release cycle allocated %.1f times per run, want <= 10", allocs)
+	} else {
+		t.Logf("fresh cycle: %.1f allocs", allocs)
+	}
+	if got := s.Outstanding(); got != 0 {
+		t.Errorf("Outstanding() = %d after every target replied, want 0", got)
+	}
+}
+
 // TestReferencePathMatchesCachedPath checks decision-for-decision equivalence
 // between the scheduler's zero-alloc cached path and an oracle assembled here
 // from exported parts (private snapshot, fresh table, the strategy's own

@@ -201,3 +201,109 @@ func TestOverheadClampKeepsSelectionDiscriminating(t *testing.T) {
 		t.Errorf("Predicted = %v, want 1 (F(50ms) = 1 for 10ms point mass)", d.Predicted)
 	}
 }
+
+// TestReplyIsOneRepositoryMutation: a reply's S, W and T enter the repository
+// together, so a decision made between two replies never sees S and W from
+// the later one beside T from the earlier. Every reply i reports service time
+// i ms and arrives so that its derived gateway delay is i ms too; with windows
+// of one sample a snapshot must read the same bin in both.
+func TestReplyIsOneRepositoryMutation(t *testing.T) {
+	repo := repository.New(repository.WithWindowSize(1))
+	repo.AddReplica("a")
+	s := newSched(t, repo, wire.QoS{Deadline: time.Hour, MinProbability: 0})
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := repo.SnapshotShared("")[0]
+			if !snap.HasHistory {
+				continue
+			}
+			if sb, tb := snap.ServiceHist.Bins, snap.GatewayHist.Bins; len(tb) != 1 || sb[0] != tb[0] {
+				t.Errorf("snapshot holds S bins %v beside T bins %v: half a reply", sb, tb)
+				return
+			}
+		}
+	}()
+	t0 := time.Now()
+	for i := 1; i <= 20000; i++ {
+		d, err := s.Schedule(t0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Dispatched(d.Seq, t0); err != nil {
+			t.Fatal(err)
+		}
+		ts := time.Duration(i) * ms
+		s.OnReply(d.Seq, "a", t0.Add(3*ts), wire.PerfReport{ServiceTime: ts, QueueDelay: ts})
+		d.Release()
+	}
+	close(stop)
+	<-done
+}
+
+// TestSweepExpiredDropsAtDeadlinePlusGrace: a request whose targets never
+// reply is dropped by the sweep at t0 + deadline + ForgetGrace and not
+// before, its in-flight counts settle, and until then a straggler is still
+// harvested as a duplicate.
+func TestSweepExpiredDropsAtDeadlinePlusGrace(t *testing.T) {
+	repo := warmRepo(t, 3, 10*ms, 2*ms, ms)
+	q := wire.QoS{Deadline: 100 * ms, MinProbability: 0.99}
+	s := newSched(t, repo, q)
+	t0 := time.Now()
+	silent, err := s.Schedule(t0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered, err := s.Schedule(t0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answered.Targets) < 2 {
+		t.Fatalf("selected %v, need a duplicate", answered.Targets)
+	}
+	for _, d := range []Decision{silent, answered} {
+		if err := s.Dispatched(d.Seq, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perf := wire.PerfReport{ServiceTime: 10 * ms, QueueDelay: 2 * ms}
+	if out := s.OnReply(answered.Seq, answered.Targets[0], t0.Add(15*ms), perf); !out.First {
+		t.Fatalf("first reply: %+v", out)
+	}
+	if v := s.OnDeadlineExpired(silent.Seq); v != nil {
+		t.Fatalf("unexpected violation %v", v)
+	}
+
+	drop := t0.Add(q.Deadline + ForgetGrace)
+	s.SweepExpired(drop.Add(-time.Nanosecond))
+	if got := s.Outstanding(); got != 2 {
+		t.Fatalf("Outstanding() = %d one tick before the grace ends, want 2", got)
+	}
+	// Inside the grace a straggler's data is still harvested.
+	if out := s.OnReply(answered.Seq, answered.Targets[1], drop.Add(-time.Second), perf); !out.Duplicate {
+		t.Fatalf("straggler inside the grace: %+v, want Duplicate", out)
+	}
+	if repo.TotalInFlight() == 0 {
+		t.Fatal("the silent request's copies settled before the sweep")
+	}
+	s.SweepExpired(drop)
+	if got := s.Outstanding(); got != 0 {
+		t.Errorf("Outstanding() = %d after the sweep, want 0", got)
+	}
+	if got := repo.TotalInFlight(); got != 0 {
+		t.Errorf("TotalInFlight() = %d after the sweep, want 0", got)
+	}
+	if out := s.OnReply(silent.Seq, silent.Targets[0], drop.Add(time.Second), perf); !out.Unknown {
+		t.Errorf("reply after the sweep: %+v, want Unknown", out)
+	}
+	if got := s.Stats().DeadlineExpiries; got != 1 {
+		t.Errorf("DeadlineExpiries = %d, want 1 (the sweep charges nothing)", got)
+	}
+}

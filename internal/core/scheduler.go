@@ -55,6 +55,10 @@ const DefaultMinSamplesForViolation = 10
 // different requests do not contend. Must be a power of two.
 const pendShardCount = 16
 
+// ForgetGrace is how long after its deadline a request's tracking state is
+// retained so straggler duplicates can still be harvested (SweepExpired).
+const ForgetGrace = 30 * time.Second
+
 // Config configures a Scheduler.
 type Config struct {
 	// Service is the replicated service this scheduler fronts.
@@ -585,11 +589,12 @@ func (s *Scheduler) Renegotiate(q wire.QoS) error {
 // and returns the decision. The caller multicasts the request to
 // Decision.Targets and then calls Dispatched with the transmission time t1.
 //
-// The cached path is allocation-free: the repository snapshot is shared (and
-// generation-cached), the probability table and selected set land in pooled
-// scratch buffers, and the candidate order is repaired incrementally instead
-// of re-sorted. Concurrent callers only serialize on the strategy invocation
-// (which may be stateful) and their own pending-table shard.
+// The decision path allocates only the repository's re-export of the replicas
+// that replied since the last decision: the snapshot is shared, each F_Ri
+// table is rebuilt in place, the probability table and selected set land in
+// pooled scratch buffers, and the candidate order is repaired incrementally
+// instead of re-sorted. Concurrent callers only serialize on the strategy
+// invocation (which may be stateful) and their own pending-table shard.
 func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	start := time.Now() // δ is computational overhead: always wall clock
 	var reps []DegradationReport
@@ -851,11 +856,12 @@ func (s *Scheduler) OnReply(seq wire.SeqNo, replica wire.ReplicaID, t4 time.Time
 	// (§5.4.1): record (ts, tq, queue length) and the derived round-trip
 	// gateway delay td = t4 − t1 − tq − ts. Both endpoints of every
 	// interval are measured on one machine, so no clock synchronization is
-	// needed.
-	s.repo.RecordPerf(replica, p.method, perf, t4)
-	if !p.t1.IsZero() {
-		td := t4.Sub(p.t1) - perf.QueueDelay - perf.ServiceTime
-		s.repo.RecordGatewayDelay(replica, td)
+	// needed. One repository mutation, so no decision sees this reply's S and
+	// W beside the T from before it.
+	if p.t1.IsZero() {
+		s.repo.RecordPerf(replica, p.method, perf, t4)
+	} else {
+		s.repo.RecordReply(replica, p.method, perf, t4.Sub(p.t1)-perf.QueueDelay-perf.ServiceTime, t4)
 	}
 
 	out := ReplyOutcome{}
@@ -1066,6 +1072,26 @@ func (s *Scheduler) Forget(seq wire.SeqNo) {
 	s.deliverDegradations(reps)
 }
 
+// SweepExpired drops the pending state of every request intercepted more
+// than the QoS deadline plus ForgetGrace before now; one with a crashed (or
+// cancelled) target is never dropped otherwise. The table holds only requests
+// still missing a reply, so one periodic tick replaces a timer per request.
+func (s *Scheduler) SweepExpired(now time.Time) {
+	var reps []DegradationReport
+	cutoff := now.Add(-s.qos.Load().Deadline - ForgetGrace)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for seq, p := range sh.m {
+			if !p.t0.After(cutoff) {
+				reps = s.dropLocked(sh, seq, p, reps)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	s.deliverDegradations(reps)
+}
+
 // Outstanding returns the number of in-flight requests being tracked.
 func (s *Scheduler) Outstanding() int { return int(s.nPend.Load()) }
 
@@ -1085,9 +1111,8 @@ func (s *Scheduler) OnMembershipChange(members []wire.ReplicaID) *ViolationRepor
 // against their own notion of now.
 func (s *Scheduler) OnMembershipChangeAt(members []wire.ReplicaID, now time.Time) *ViolationReport {
 	s.repo.SetMembership(members)
-	// Membership churn can recreate a replica's windows; dropping the
-	// memoized distributions keeps the predictor from holding entries that
-	// can never be hit again.
+	// Membership churn removes replicas; dropping the predictor's slots
+	// keeps it from holding tables that can never be used again.
 	s.predictor.FlushCache()
 
 	alive := make(map[wire.ReplicaID]bool, len(members))

@@ -16,6 +16,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -30,12 +31,14 @@ const DefaultResolution = time.Millisecond
 const probEpsilon = 1e-9
 
 // PMF is a discrete probability mass function over non-negative durations
-// quantized to a fixed resolution. The zero value is not usable; construct
-// with FromSamples, PointMass, or FromBins.
+// quantized to a fixed resolution. The zero value holds no distribution:
+// construct with FromSamples, PointMass, or FromBins, or fill a PMF in place
+// with SetCounts or SetConvolution, which reuse its buffers.
 type PMF struct {
 	res  time.Duration
 	bins []int64   // sorted ascending, support point = bins[i] * res
 	prob []float64 // parallel to bins, each > 0, sums to ~1
+	acc  []float64 // SetConvolution's dense scratch, kept between calls
 }
 
 // FromSamples builds an empirical pmf from measurement samples: each sample
@@ -107,37 +110,36 @@ func FromBins(res time.Duration, bins map[int64]float64) (*PMF, error) {
 	return &PMF{res: res, bins: keys, prob: prob}, nil
 }
 
-// FromCounts builds an empirical pmf from an already-quantized histogram:
-// bins must be strictly increasing and counts positive, as maintained
-// incrementally by window.Window. Probabilities are count/total, exactly what
-// FromSamples computes, so the two constructors produce identical pmfs for
-// the same underlying samples — but FromCounts is O(k) with no map and no
-// sort.
-func FromCounts(res time.Duration, bins []int64, counts []int) (*PMF, error) {
+// SetCounts makes p the empirical pmf of an already-quantized histogram,
+// reusing p's buffers: bins must be strictly increasing and counts positive,
+// as maintained incrementally by window.Window. Probabilities are count/total,
+// exactly what FromSamples computes for the same samples, but in O(k) with no
+// map, no sort and, once p's buffers have grown, no allocation.
+func (p *PMF) SetCounts(res time.Duration, bins []int64, counts []int) error {
 	if res <= 0 {
-		return nil, fmt.Errorf("dist: resolution must be positive, got %v", res)
+		return fmt.Errorf("dist: resolution must be positive, got %v", res)
 	}
 	if len(bins) == 0 || len(bins) != len(counts) {
-		return nil, fmt.Errorf("dist: need matching non-empty bins/counts, got %d/%d", len(bins), len(counts))
+		return fmt.Errorf("dist: need matching non-empty bins/counts, got %d/%d", len(bins), len(counts))
 	}
 	var total int
 	for i, c := range counts {
 		if c <= 0 {
-			return nil, fmt.Errorf("dist: non-positive count %d at bin %d", c, bins[i])
+			return fmt.Errorf("dist: non-positive count %d at bin %d", c, bins[i])
 		}
 		if i > 0 && bins[i] <= bins[i-1] {
-			return nil, fmt.Errorf("dist: bins not strictly increasing at index %d", i)
+			return fmt.Errorf("dist: bins not strictly increasing at index %d", i)
 		}
 		total += c
 	}
-	b := make([]int64, len(bins))
-	copy(b, bins)
-	prob := make([]float64, len(counts))
+	p.res = res
+	p.bins = append(p.bins[:0], bins...)
+	p.prob = p.prob[:0]
 	n := float64(total)
-	for i, c := range counts {
-		prob[i] = float64(c) / n
+	for _, c := range counts {
+		p.prob = append(p.prob, float64(c)/n)
 	}
-	return &PMF{res: res, bins: b, prob: prob}, nil
+	return nil
 }
 
 // quantize maps a duration to its bin index, rounding to nearest and
@@ -204,67 +206,64 @@ func (p *PMF) Convolve(q *PMF) (*PMF, error) {
 	return &PMF{res: p.res, bins: bins, prob: prob}, nil
 }
 
-// maxDenseCells bounds the scratch array ConvolveDense may allocate. Support
+// maxDenseCells bounds the scratch array SetConvolution may allocate. Support
 // ranges wider than this (pathological resolution/range combinations) fall
 // back to the map-based path rather than allocating tens of megabytes.
 const maxDenseCells = 1 << 22
 
-// ConvolveDense computes the same convolution as Convolve using a dense
-// scratch array indexed by output bin instead of a map, and no sort: output
-// bins are emitted in ascending order by construction. It is the selection
-// hot path; Convolve remains the reference implementation under test.
-func (p *PMF) ConvolveDense(q *PMF) (*PMF, error) {
-	if p.res != q.res {
-		return nil, fmt.Errorf("dist: resolution mismatch %v vs %v", p.res, q.res)
+// SetConvolution makes p the pmf a.Convolve(b) returns, reusing p's buffers:
+// a dense scratch array indexed by output bin instead of a map, and no sort —
+// output bins come out in ascending order by construction. It is the selection
+// hot path; Convolve remains the reference. p must be neither a nor b.
+func (p *PMF) SetConvolution(a, b *PMF) error {
+	if a.res != b.res {
+		return fmt.Errorf("dist: resolution mismatch %v vs %v", a.res, b.res)
 	}
-	lo := p.bins[0] + q.bins[0]
-	hi := p.bins[len(p.bins)-1] + q.bins[len(q.bins)-1]
+	lo := a.bins[0] + b.bins[0]
+	hi := a.bins[len(a.bins)-1] + b.bins[len(b.bins)-1]
 	if hi-lo+1 > maxDenseCells {
-		return p.Convolve(q)
+		r, err := a.Convolve(b)
+		if err != nil {
+			return err
+		}
+		p.res, p.bins, p.prob = r.res, r.bins, r.prob
+		return nil
 	}
-	acc := make([]float64, hi-lo+1)
-	for i, bi := range p.bins {
-		pi := p.prob[i]
-		row := bi - lo
-		for j, bj := range q.bins {
-			acc[row+bj] += pi * q.prob[j]
+	p.acc = slices.Grow(p.acc[:0], int(hi-lo+1))[:hi-lo+1]
+	clear(p.acc)
+	for i, bi := range a.bins {
+		pi := a.prob[i]
+		row := p.acc[bi-a.bins[0]:]
+		for j, bj := range b.bins {
+			row[bj-b.bins[0]] += pi * b.prob[j]
 		}
 	}
-	support := 0
-	for _, v := range acc {
+	p.res, p.bins, p.prob = a.res, p.bins[:0], p.prob[:0]
+	for k, v := range p.acc {
 		if v > 0 {
-			support++
+			p.bins = append(p.bins, lo+int64(k))
+			p.prob = append(p.prob, v)
 		}
 	}
-	bins := make([]int64, 0, support)
-	prob := make([]float64, 0, support)
-	for k, v := range acc {
-		if v > 0 {
-			bins = append(bins, lo+int64(k))
-			prob = append(prob, v)
-		}
-	}
-	return &PMF{res: p.res, bins: bins, prob: prob}, nil
+	return nil
 }
 
-// CDFTable returns the support bins and the running CDF (prefix sums of
-// probability) in ascending order. The prefix is accumulated left to right,
+// AppendCDFTable appends the support bins and the running CDF (prefix sums
+// of probability) in ascending order to the given buffers (pass them
+// length-zero) and returns them. The prefix is accumulated left to right,
 // exactly the order CDF sums, so a CDFLookup on the table bit-matches a CDF
-// call on the pmf. Both slices are freshly allocated; callers (the model's
-// per-replica cache) may retain them.
-func (p *PMF) CDFTable() (bins []int64, cdf []float64) {
-	bins = make([]int64, len(p.bins))
-	copy(bins, p.bins)
-	cdf = make([]float64, len(p.prob))
+// call on the pmf.
+func (p *PMF) AppendCDFTable(bins []int64, cdf []float64) ([]int64, []float64) {
+	bins = append(bins, p.bins...)
 	var acc float64
-	for i, pr := range p.prob {
+	for _, pr := range p.prob {
 		acc += pr
-		cdf[i] = acc
+		cdf = append(cdf, acc)
 	}
 	return bins, cdf
 }
 
-// CDFLookup evaluates a (bins, cdf) table produced by CDFTable at bin index
+// CDFLookup evaluates a (bins, cdf) table from AppendCDFTable at bin index
 // tb: the CDF value at the largest support bin ≤ tb, clamped to [0, 1].
 func CDFLookup(bins []int64, cdf []float64, tb int64) float64 {
 	idx := sort.Search(len(bins), func(i int) bool { return bins[i] > tb }) - 1
@@ -383,26 +382,33 @@ func (p *PMF) Points() ([]time.Duration, []float64) {
 // a convolution has up to k² points, and rebinning caps k. newRes must be a
 // positive multiple of the current resolution.
 func (p *PMF) Rebin(newRes time.Duration) (*PMF, error) {
+	r := &PMF{res: p.res, bins: slices.Clone(p.bins), prob: slices.Clone(p.prob)}
+	if err := r.Coarsen(newRes); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Coarsen is Rebin in place. Bins are ascending and the coarse bin is
+// monotone in the fine one, so the fine bins that merge are adjacent.
+func (p *PMF) Coarsen(newRes time.Duration) error {
 	if newRes <= 0 || newRes%p.res != 0 {
-		return nil, fmt.Errorf("dist: new resolution %v must be a positive multiple of %v", newRes, p.res)
+		return fmt.Errorf("dist: new resolution %v must be a positive multiple of %v", newRes, p.res)
 	}
 	factor := int64(newRes / p.res)
-	acc := make(map[int64]float64, len(p.bins))
+	n := 0
 	for i, b := range p.bins {
 		// Round bin center to the nearest coarse bin.
 		nb := (b + factor/2) / factor
-		acc[nb] += p.prob[i]
+		if n > 0 && p.bins[n-1] == nb {
+			p.prob[n-1] += p.prob[i]
+			continue
+		}
+		p.bins[n], p.prob[n] = nb, p.prob[i]
+		n++
 	}
-	bins := make([]int64, 0, len(acc))
-	for b := range acc {
-		bins = append(bins, b)
-	}
-	sort.Slice(bins, func(i, j int) bool { return bins[i] < bins[j] })
-	prob := make([]float64, len(bins))
-	for i, b := range bins {
-		prob[i] = acc[b]
-	}
-	return &PMF{res: newRes, bins: bins, prob: prob}, nil
+	p.res, p.bins, p.prob = newRes, p.bins[:n], p.prob[:n]
+	return nil
 }
 
 func (p *PMF) String() string {

@@ -60,6 +60,23 @@ func TestShiftRoundingSymmetry(t *testing.T) {
 	}
 }
 
+// fromCounts and convolveDense run the in-place forms into a fresh PMF.
+func fromCounts(res time.Duration, bins []int64, counts []int) (*PMF, error) {
+	p := &PMF{}
+	if err := p.SetCounts(res, bins, counts); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func convolveDense(a, b *PMF) (*PMF, error) {
+	p := &PMF{}
+	if err := p.SetConvolution(a, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func TestFromCountsMatchesFromSamples(t *testing.T) {
 	rng := stats.NewRand(7)
 	for trial := 0; trial < 100; trial++ {
@@ -81,7 +98,7 @@ func TestFromCountsMatchesFromSamples(t *testing.T) {
 		for i, b := range bins {
 			cs[i] = counts[b]
 		}
-		got, err := FromCounts(ms, bins, cs)
+		got, err := fromCounts(ms, bins, cs)
 		if err != nil {
 			t.Fatalf("FromCounts: %v", err)
 		}
@@ -92,22 +109,22 @@ func TestFromCountsMatchesFromSamples(t *testing.T) {
 }
 
 func TestFromCountsErrors(t *testing.T) {
-	if _, err := FromCounts(0, []int64{1}, []int{1}); err == nil {
+	if _, err := fromCounts(0, []int64{1}, []int{1}); err == nil {
 		t.Error("want error for zero resolution")
 	}
-	if _, err := FromCounts(ms, nil, nil); err == nil {
+	if _, err := fromCounts(ms, nil, nil); err == nil {
 		t.Error("want error for empty histogram")
 	}
-	if _, err := FromCounts(ms, []int64{1, 2}, []int{1}); err == nil {
+	if _, err := fromCounts(ms, []int64{1, 2}, []int{1}); err == nil {
 		t.Error("want error for length mismatch")
 	}
-	if _, err := FromCounts(ms, []int64{2, 1}, []int{1, 1}); err == nil {
+	if _, err := fromCounts(ms, []int64{2, 1}, []int{1, 1}); err == nil {
 		t.Error("want error for unsorted bins")
 	}
-	if _, err := FromCounts(ms, []int64{1, 1}, []int{1, 1}); err == nil {
+	if _, err := fromCounts(ms, []int64{1, 1}, []int{1, 1}); err == nil {
 		t.Error("want error for duplicate bins")
 	}
-	if _, err := FromCounts(ms, []int64{1}, []int{0}); err == nil {
+	if _, err := fromCounts(ms, []int64{1}, []int{0}); err == nil {
 		t.Error("want error for zero count")
 	}
 }
@@ -151,7 +168,7 @@ func TestConvolveDenseMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.ConvolveDense(q)
+		got, err := convolveDense(p, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +181,7 @@ func TestConvolveDenseMatchesReference(t *testing.T) {
 func TestConvolveDenseResolutionMismatch(t *testing.T) {
 	p := mustFromSamples(t, []time.Duration{ms}, ms)
 	q := mustFromSamples(t, []time.Duration{ms}, 2*ms)
-	if _, err := p.ConvolveDense(q); err == nil {
+	if _, err := convolveDense(p, q); err == nil {
 		t.Error("want resolution-mismatch error")
 	}
 }
@@ -173,7 +190,7 @@ func TestCDFTableLookupMatchesCDF(t *testing.T) {
 	rng := stats.NewRand(17)
 	for trial := 0; trial < 50; trial++ {
 		p := randomPMF(t, rng, 40)
-		bins, cdf := p.CDFTable()
+		bins, cdf := p.AppendCDFTable(nil, nil)
 		for at := time.Duration(0); at <= p.Max()+2*ms; at += ms / 2 {
 			want := p.CDF(at)
 			got := CDFLookup(bins, cdf, Quantize(at, ms))
@@ -208,7 +225,7 @@ func TestRandomizedChainInvariants(t *testing.T) {
 			case 0:
 				p, err = p.Convolve(operand())
 			case 1:
-				p, err = p.ConvolveDense(operand())
+				p, err = convolveDense(p, operand())
 			case 2:
 				// Shifts in [-25ms, +25ms], exercising the negative branch
 				// and the clamp at zero.

@@ -100,8 +100,8 @@ func RunFig3(cfg Fig3Config) ([]Fig3Row, error) {
 	rng := stats.NewRand(cfg.Seed)
 	// Figure 3 plots δ, the cost of one selection with every distribution
 	// recomputed, as the paper's gateway does per request. For this system
-	// that is the shipped predictor with its memo flushed before each table;
-	// the memoized cost is the bench/ probe model.table_cached_us.
+	// that is the shipped predictor with its slots flushed before each table;
+	// the cost with tables in place is the bench/ probe model.table_cached_us.
 	pred := model.NewPredictor()
 	strat := selection.NewDynamic()
 	qos := wire.QoS{Deadline: 150 * time.Millisecond, MinProbability: 0.9}

@@ -30,9 +30,23 @@ import (
 	"aqua/internal/wire"
 )
 
-// forgetGrace is how long after its deadline a request's tracking state is
-// retained so straggler duplicate replies can still be harvested.
-const forgetGrace = 30 * time.Second
+// sweepInterval is how often a handler has its scheduler drop tracking state
+// past deadline + core.ForgetGrace: one tick per handler, no timer per call.
+const sweepInterval = core.ForgetGrace / 30
+
+// callState is what one call in flight holds beside the scheduler's pending
+// entry; TimingFaultHandler.free recycles as many as were ever in flight.
+type callState struct {
+	reply chan wire.Response // capacity 1: the first reply, delivered under h.mu
+	timer *time.Timer
+	armed bool // timer was Reset and its tick not yet received
+	addrs []transport.Addr
+}
+
+func (cs *callState) arm(d time.Duration) {
+	cs.timer.Reset(d)
+	cs.armed = true
+}
 
 // Config configures a TimingFaultHandler.
 type Config struct {
@@ -154,8 +168,15 @@ type TimingFaultHandler struct {
 
 	mu         sync.Mutex
 	addrOf     map[wire.ReplicaID]transport.Addr
-	waiters    map[wire.SeqNo]chan wire.Response
+	waiters    map[wire.SeqNo]*callState
+	free       []*callState // idle call states: timer stopped, channels drained
+	callsMade  int          // call states ever allocated
 	subscribed map[wire.ReplicaID]bool
+
+	// fanCancel's fan-out lists, reused from one first reply to the next.
+	cancelMu    sync.Mutex
+	cancelIDs   []wire.ReplicaID
+	cancelAddrs []transport.Addr
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -207,7 +228,7 @@ func newTimingFaultHandlerOn(ep transport.Endpoint, cfg Config, ownRecvLoop bool
 		metCancels:      reg.Counter(metrics.GatewayCancels),
 		metDemuxDropped: reg.Counter(metrics.GatewayDemuxDropped),
 		addrOf:          make(map[wire.ReplicaID]transport.Addr),
-		waiters:         make(map[wire.SeqNo]chan wire.Response),
+		waiters:         make(map[wire.SeqNo]*callState),
 		subscribed:      make(map[wire.ReplicaID]bool),
 		stop:            make(chan struct{}),
 	}
@@ -251,7 +272,25 @@ func newTimingFaultHandlerOn(ep transport.Endpoint, cfg Config, ownRecvLoop bool
 		h.wg.Add(1)
 		go h.recvLoop()
 	}
+	h.wg.Add(1)
+	go h.sweepLoop()
 	return h, nil
+}
+
+// sweepLoop drops the tracking state of requests whose replicas never all
+// replied (crashed, cancelled, frames lost) once their straggler grace is over.
+func (h *TimingFaultHandler) sweepLoop() {
+	defer h.wg.Done()
+	tick := time.NewTicker(sweepInterval)
+	defer tick.Stop()
+	for {
+		select {
+		case now := <-tick.C:
+			h.sched.SweepExpired(now)
+		case <-h.stop:
+			return
+		}
+	}
 }
 
 // Scheduler exposes the underlying scheduler (stats, renegotiation).
@@ -420,6 +459,42 @@ func (h *TimingFaultHandler) Call(ctx context.Context, method string, payload []
 	return h.callOnce(ctx, method, payload)
 }
 
+// beginCall registers a call state as the waiter for seq.
+func (h *TimingFaultHandler) beginCall(seq wire.SeqNo) *callState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var cs *callState
+	if n := len(h.free); n > 0 {
+		cs, h.free = h.free[n-1], h.free[:n-1]
+	} else {
+		cs = &callState{reply: make(chan wire.Response, 1), timer: time.NewTimer(time.Hour)}
+		cs.timer.Stop() // just made: cannot have fired
+		h.callsMade++
+	}
+	h.waiters[seq] = cs
+	return cs
+}
+
+// endCall unregisters seq's waiter and recycles its state. Replies are
+// delivered under h.mu, so once the waiter is gone nothing reaches the channel;
+// one that raced the caller's return is drained here, never left for the next.
+func (h *TimingFaultHandler) endCall(seq wire.SeqNo, cs *callState) {
+	// go.mod predates Go 1.23's timer channels: an armed timer that can no
+	// longer be stopped has sent, or is about to send, a tick to take out.
+	if cs.armed && !cs.timer.Stop() {
+		<-cs.timer.C
+	}
+	cs.armed = false
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.waiters, seq)
+	select {
+	case <-cs.reply:
+	default:
+	}
+	h.free = append(h.free, cs)
+}
+
 // callOnce runs one scheduling + multicast + wait cycle.
 func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	t0 := time.Now()
@@ -427,20 +502,14 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	if err != nil {
 		return nil, fmt.Errorf("gateway: scheduling: %w", err)
 	}
+	defer d.Release()
 	h.cfg.Trace.Record(trace.Event{
 		At: t0.Sub(h.epoch), Kind: trace.KindSchedule, Client: h.cfg.Client,
 		Seq: d.Seq, Targets: d.Targets, Value: d.Predicted, Duration: d.Overhead,
 	})
 
-	waiter := make(chan wire.Response, 1)
-	h.mu.Lock()
-	h.waiters[d.Seq] = waiter
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		delete(h.waiters, d.Seq)
-		h.mu.Unlock()
-	}()
+	cs := h.beginCall(d.Seq)
+	defer h.endCall(d.Seq, cs)
 
 	req := wire.Request{
 		Client:  h.cfg.Client,
@@ -448,15 +517,14 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 		Service: h.cfg.Service,
 		Method:  method,
 		Payload: payload,
-		SentAt:  time.Now(),
 	}
-	var addrs []transport.Addr
+	cs.addrs = cs.addrs[:0]
 	for _, id := range d.Targets {
 		if a, ok := h.resolve(id); ok {
-			addrs = append(addrs, a)
+			cs.addrs = append(cs.addrs, a)
 		}
 	}
-	if len(addrs) == 0 {
+	if len(cs.addrs) == 0 {
 		h.sched.Forget(d.Seq)
 		return nil, fmt.Errorf("gateway: no reachable replicas among %v", d.Targets)
 	}
@@ -472,7 +540,7 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 		// in send order and the logged frame matches the one on the wire.
 		h.ordered.stamp(&req)
 	}
-	if err := transport.Multicast(h.ep, addrs, req); err != nil {
+	if err := transport.Multicast(h.ep, cs.addrs, req); err != nil {
 		// A saturated send queue is an overload signal: feed it into the
 		// scheduler's degradation ladder so selection stops fanning out
 		// before the transport starts dropping frames wholesale.
@@ -481,47 +549,45 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 		}
 		// Partial delivery is fine — that's what redundancy is for — but
 		// total failure with one target means the call cannot proceed.
-		if len(addrs) == 1 {
+		if len(cs.addrs) == 1 {
 			h.sched.Forget(d.Seq)
 			return nil, fmt.Errorf("gateway: sending request: %w", err)
 		}
 	}
 
-	// Arm the deadline: if no reply arrived in time, the timing failure is
-	// charged immediately (crashed-subset case) rather than whenever a
-	// straggler shows up.
+	// The timer first runs to the deadline: with no reply by then the timing
+	// failure is charged at once (crashed-subset case), not whenever a straggler
+	// shows up. It is then re-armed for the rest of MaxWait.
 	qos := h.sched.QoS()
-	deadlineTimer := time.AfterFunc(qos.Deadline-time.Since(t0), func() {
-		if v := h.sched.OnDeadlineExpired(d.Seq); v != nil && h.cfg.OnViolation != nil {
-			h.cfg.OnViolation(*v)
-		}
-	})
-	defer deadlineTimer.Stop()
-
-	// Schedule eventual cleanup of the tracking state so requests whose
-	// replicas crashed don't accumulate. Forget is a no-op if every reply
-	// already arrived.
-	time.AfterFunc(qos.Deadline+forgetGrace, func() { h.sched.Forget(d.Seq) })
-
 	maxWait := h.cfg.MaxWait
 	if maxWait <= 0 {
 		maxWait = 10 * qos.Deadline
 	}
-	overall := time.NewTimer(maxWait)
-	defer overall.Stop()
-
-	select {
-	case resp := <-waiter:
-		if resp.Err != "" {
-			return nil, fmt.Errorf("gateway: replica %s: %s", resp.Replica, resp.Err)
+	wait := qos.Deadline - time.Since(t0)
+	rest := maxWait - wait // negative: the next tick ends the call
+	cs.arm(min(wait, maxWait))
+	for {
+		select {
+		case resp := <-cs.reply:
+			if resp.Err != "" {
+				return nil, fmt.Errorf("gateway: replica %s: %s", resp.Replica, resp.Err)
+			}
+			return resp.Payload, nil
+		case <-ctx.Done():
+			return nil, fmt.Errorf("gateway: call canceled: %w", ctx.Err())
+		case <-cs.timer.C:
+			cs.armed = false
+			if rest < 0 {
+				return nil, fmt.Errorf("gateway: no response from %v within %v", d.Targets, maxWait)
+			}
+			if v := h.sched.OnDeadlineExpired(d.Seq); v != nil && h.cfg.OnViolation != nil {
+				h.cfg.OnViolation(*v)
+			}
+			cs.arm(rest) // fired and received: nothing to drain
+			rest = -1
+		case <-h.stop:
+			return nil, transport.ErrClosed
 		}
-		return resp.Payload, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("gateway: call canceled: %w", ctx.Err())
-	case <-overall.C:
-		return nil, fmt.Errorf("gateway: no response from %v within %v", d.Targets, maxWait)
-	case <-h.stop:
-		return nil, transport.ErrClosed
 	}
 }
 
@@ -570,21 +636,21 @@ func (h *TimingFaultHandler) handleMessage(msg transport.Message, now time.Time)
 			h.cfg.OnViolation(*out.Violation)
 		}
 		// Deliver to the waiting Call on the first reply — or on a reply the
-		// scheduler no longer tracks (pending state dropped by Forget's grace
-		// timer or the membership sweep while the reply was in flight).
+		// scheduler no longer tracks (pending state dropped by the grace
+		// sweep or the membership sweep while the reply was in flight).
 		// Sequence numbers are never reused, so a reply matching a live
 		// waiter is that call's response; without this, an orphaned reply
-		// strands the caller until MaxWait.
+		// strands the caller until MaxWait. The send happens under h.mu
+		// because call states are recycled (endCall).
 		if out.First || out.Unknown {
 			h.mu.Lock()
-			w := h.waiters[m.Seq]
-			h.mu.Unlock()
-			if w != nil {
+			if cs := h.waiters[m.Seq]; cs != nil {
 				select {
-				case w <- m:
+				case cs.reply <- m:
 				default:
 				}
 			}
+			h.mu.Unlock()
 		}
 		if out.First && h.cfg.CancelOnFirstReply {
 			h.fanCancel(m.Seq)
@@ -631,21 +697,20 @@ func (h *TimingFaultHandler) handleMessage(msg transport.Message, now time.Time)
 // Cancel costs one serialization regardless of fan-out. Best-effort: a lost
 // Cancel just means that replica serves a duplicate, as before.
 func (h *TimingFaultHandler) fanCancel(seq wire.SeqNo) {
-	targets := h.sched.CancelTargets(seq, nil)
-	if len(targets) == 0 {
-		return
-	}
-	addrs := make([]transport.Addr, 0, len(targets))
-	for _, id := range targets {
+	h.cancelMu.Lock()
+	defer h.cancelMu.Unlock()
+	h.cancelIDs = h.sched.CancelTargets(seq, h.cancelIDs[:0])
+	h.cancelAddrs = h.cancelAddrs[:0]
+	for _, id := range h.cancelIDs {
 		if a, ok := h.resolve(id); ok {
-			addrs = append(addrs, a)
+			h.cancelAddrs = append(h.cancelAddrs, a)
 		}
 	}
-	if len(addrs) == 0 {
+	if len(h.cancelAddrs) == 0 {
 		return
 	}
-	_ = transport.Multicast(h.ep, addrs, wire.Cancel{Client: h.cfg.Client, Seq: seq, Service: h.cfg.Service})
-	h.metCancels.Add(uint64(len(addrs)))
+	_ = transport.Multicast(h.ep, h.cancelAddrs, wire.Cancel{Client: h.cfg.Client, Seq: seq, Service: h.cfg.Service})
+	h.metCancels.Add(uint64(len(h.cancelAddrs)))
 }
 
 // NewActiveHandler returns AQuA's active-replication handler: every request

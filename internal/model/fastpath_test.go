@@ -1,7 +1,7 @@
 package model
 
 // Equivalence fences for the prediction pipeline: the histogram-fed,
-// dense-convolved, memoized F_Ri(t) must match the paper's formulation (the
+// dense-convolved F_Ri(t), rebuilt in place per (replica, method) slot, must match the paper's formulation (the
 // oracle in reference_test.go) to 1e-12 on randomized windows, across every
 // configuration (memoized and through a real repository).
 
@@ -170,8 +170,8 @@ func TestThreeFactorEquivalence(t *testing.T) {
 }
 
 // TestThreeFactorTOnlyMutation mutates ONLY the T window between
-// evaluations: the memo key's tVer must invalidate the cached table without
-// FlushCache, and the re-built result must track the oracle — for a
+// evaluations: the slot's tVer must invalidate its table without
+// FlushCache, and the result rebuilt in place must track the oracle — for a
 // distributional T window and for the paper's window of 1 alike.
 func TestThreeFactorTOnlyMutation(t *testing.T) {
 	for _, tWin := range []int{8, 1} {
@@ -212,8 +212,8 @@ func TestThreeFactorTOnlyMutation(t *testing.T) {
 			repo.RecordGatewayDelay("replica-00", 120*ms)
 		}
 		after := check("after T-only mutation")
-		if got := fast.CacheSize(); got != 2 {
-			t.Fatalf("tWin=%d: CacheSize() = %d after T mutation, want 2 (new tVer entry, no flush)", tWin, got)
+		if got := fast.CacheSize(); got != 1 {
+			t.Fatalf("tWin=%d: CacheSize() = %d after T mutation, want 1 (the slot is rebuilt in place)", tWin, got)
 		}
 		if !(after < before) {
 			t.Fatalf("tWin=%d: F(%v) did not drop after T shifted to 120ms: before %v, after %v", tWin, deadline, before, after)
@@ -267,13 +267,22 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 	if got := p.CacheSize(); got != 2 {
 		t.Fatalf("CacheSize() = %d after re-evaluation, want 2 (hit)", got)
 	}
-	// A new sample changes the window versions: new entry per touched replica.
+	// A new sample changes the window versions: the touched replica's slot is
+	// rebuilt in place, no growth per window update.
 	repo.RecordPerf("replica-00", "", wire.PerfReport{ServiceTime: 30 * ms, QueueDelay: 5 * ms}, time.Now())
 	if _, _, err := p.ProbabilityTable(repo.Snapshot(""), 100*ms); err != nil {
 		t.Fatal(err)
 	}
+	if got := p.CacheSize(); got != 2 {
+		t.Fatalf("CacheSize() = %d after window update, want 2", got)
+	}
+	// One slot per (replica, method): a second method adds its own.
+	repo.RecordPerf("replica-00", "m2", wire.PerfReport{ServiceTime: 30 * ms, QueueDelay: 5 * ms}, time.Now())
+	if _, _, err := p.ProbabilityTable(repo.Snapshot("m2"), 100*ms); err != nil {
+		t.Fatal(err)
+	}
 	if got := p.CacheSize(); got != 3 {
-		t.Fatalf("CacheSize() = %d after window update, want 3", got)
+		t.Fatalf("CacheSize() = %d after a second method's table, want 3", got)
 	}
 	p.FlushCache()
 	if got := p.CacheSize(); got != 0 {
@@ -313,7 +322,7 @@ func TestFastPathGatewayDelayShift(t *testing.T) {
 	}
 }
 
-// TestQueueAwareFastBypass: the A6 ablation bypasses the memo but must agree
+// TestQueueAwareFastBypass: the A6 ablation keeps no slot but must agree
 // with its own reference formulation.
 func TestQueueAwareFastBypass(t *testing.T) {
 	rng := stats.NewRand(5)

@@ -14,13 +14,14 @@
 //
 // The model's cost is the paper's own overhead term δ (§5.3.3). There is one
 // pipeline: pmfs come straight from the repository's incrementally
-// maintained bin-count histograms (dist.FromCounts), are convolved over dense
-// arrays (dist.ConvolveDense), and each replica's convolved CDF table is
-// memoized under the three window versions, so back-to-back requests with
-// unchanged windows reuse the cached F_Ri(t) at the cost of one bin lookup.
-// The paper's formulation — pmfs rebuilt from samples, map convolution,
-// point-mass shift — is the oracle in reference_test.go, pinned to this
-// pipeline within 1e-12.
+// maintained bin-count histograms and are convolved over dense arrays, all in
+// buffers that belong to the (replica, method) slot holding the resulting CDF
+// table. A slot remembers the three window versions its table was built
+// from: a request that finds them unchanged pays one bin lookup, one that
+// finds a window moved rebuilds the table in place — a few dozen multiply-adds
+// for the paper's windows, no allocation. The paper's formulation — pmfs from
+// samples, map convolution, point-mass shift — is the oracle in
+// reference_test.go, pinned to this pipeline within 1e-12.
 package model
 
 import (
@@ -38,41 +39,24 @@ import (
 // to a coarser resolution first, bounding the (k²) convolution cost.
 const defaultMaxSupport = 4096
 
-// maxCacheEntries bounds the memoization table. Steady state needs one entry
-// per (replica, method); the bound only matters under extreme method or
-// membership churn, where the whole table is dropped and rebuilt.
-const maxCacheEntries = 8192
-
-// cacheShardCount stripes the memoization table so concurrent lookups do not
-// serialize on one mutex: cache hits — the per-request steady state — take
-// only a shard's read lock. Must be a power of two.
-const cacheShardCount = 16
-
-// cacheShard is one stripe of the memoization table.
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheKey]*cachedCDF
-}
-
-// cacheKey identifies one memoized convolved distribution. Window versions
-// are globally unique and bumped on every mutation, so equal keys guarantee
-// identical window contents even across replica removal/re-addition, and a
-// mutation of any of the three windows invalidates the memoized table
-// without an explicit flush.
-type cacheKey struct {
+type slotKey struct {
 	replica wire.ReplicaID
 	method  string
-	sVer    uint64
-	wVer    uint64
-	tVer    uint64
 }
 
-// cachedCDF is the convolved, support-bounded distribution of S+W+T as a CDF
-// table.
-type cachedCDF struct {
-	res  time.Duration // resolution after support bounding (≥ dist.DefaultResolution)
-	bins []int64
-	cdf  []float64
+// slot holds the convolved, support-bounded distribution of S+W+T for one
+// (replica, method) as a CDF table, the window versions it was built from,
+// and the scratch pmfs the pipeline runs through. Window versions are
+// globally unique and bumped on every mutation, so equal versions guarantee
+// identical window contents even across replica removal/re-addition.
+type slot struct {
+	mu               sync.Mutex
+	built            bool
+	sVer, wVer, tVer uint64
+	res              time.Duration // resolution after support bounding (≥ dist.DefaultResolution)
+	bins             []int64
+	cdf              []float64
+	s, w, sw, t, swt dist.PMF // scratch
 }
 
 // Predictor computes F_Ri(t) from repository snapshots. It is safe for
@@ -80,15 +64,8 @@ type cachedCDF struct {
 type Predictor struct {
 	maxSupport int
 	queueAware bool
-
-	shards [cacheShardCount]cacheShard
-}
-
-// shardFor stripes by the service-window version: versions are globally
-// unique and monotonic, so they spread entries evenly and a struct-keyed map
-// lookup stays allocation-free (unlike sync.Map, which boxes the key).
-func (p *Predictor) shardFor(key cacheKey) *cacheShard {
-	return &p.shards[key.sVer&(cacheShardCount-1)]
+	mu         sync.RWMutex // guards the map; each slot has its own lock
+	slots      map[slotKey]*slot
 }
 
 // PredictorOption configures a Predictor.
@@ -98,219 +75,200 @@ type PredictorOption func(*Predictor)
 // one: the wait for a request arriving at a queue of length q is the q-fold
 // convolution of the service-time pmf (FIFO, one server). This is the A6
 // ablation from DESIGN.md, not the paper's formulation. Its tables are not
-// memoized (W depends on the live queue length, not just the windows).
+// kept (W depends on the live queue length, not just the windows).
 func WithQueueAwareWait() PredictorOption {
 	return func(p *Predictor) { p.queueAware = true }
 }
 
 // NewPredictor returns a configured predictor.
 func NewPredictor(opts ...PredictorOption) *Predictor {
-	p := &Predictor{maxSupport: defaultMaxSupport}
-	for i := range p.shards {
-		p.shards[i].m = make(map[cacheKey]*cachedCDF)
-	}
+	p := &Predictor{maxSupport: defaultMaxSupport, slots: make(map[slotKey]*slot)}
 	for _, o := range opts {
 		o(p)
 	}
 	return p
 }
 
-// FlushCache drops every memoized distribution. The scheduler calls it on
-// membership changes; it is also the safety valve for any event that could
-// otherwise leave stale entries resident (they would never be hit again, but
-// would hold memory).
+// FlushCache drops every slot. The scheduler calls it on membership changes,
+// so a departed replica's table and scratch do not stay resident.
 func (p *Predictor) FlushCache() {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[cacheKey]*cachedCDF)
-		sh.mu.Unlock()
-	}
+	p.mu.Lock()
+	p.slots = make(map[slotKey]*slot)
+	p.mu.Unlock()
 }
 
-// CacheSize returns the number of memoized distributions (for tests and
-// introspection).
+// CacheSize returns the number of slots: one per (replica, method) predicted
+// since the last flush (for tests and introspection).
 func (p *Predictor) CacheSize() int {
-	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.slots)
 }
 
-// histPMF builds one window's pmf from its histogram: O(k), no map, no sort.
-func histPMF(h repository.HistView, what string, id wire.ReplicaID) (*dist.PMF, error) {
-	pmf, err := dist.FromCounts(dist.DefaultResolution, h.Bins, h.Counts)
-	if err != nil {
-		return nil, fmt.Errorf("model: %s pmf for %q: %w", what, id, err)
+// slotFor returns the slot of snap's (replica, method), created on first use.
+func (p *Predictor) slotFor(snap *repository.ReplicaSnapshot) *slot {
+	if p.queueAware {
+		return &slot{} // W follows the live queue length: nothing to keep
 	}
-	return pmf, nil
+	key := slotKey{replica: snap.ID, method: snap.Method}
+	p.mu.RLock()
+	sl := p.slots[key]
+	p.mu.RUnlock()
+	if sl == nil {
+		p.mu.Lock()
+		if sl = p.slots[key]; sl == nil {
+			sl = &slot{}
+			p.slots[key] = sl
+		}
+		p.mu.Unlock()
+	}
+	return sl
 }
 
 // ResponsePMF computes the pmf of R_i for one replica snapshot. It fails if
 // the snapshot has no history (the scheduler's cold-start rule selects all
 // replicas instead of predicting).
 func (p *Predictor) ResponsePMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
-	pmf, off, err := p.convolved(snap)
+	pmf, off, err := p.convolved(&slot{}, &snap)
 	if err != nil {
 		return nil, err
 	}
 	return pmf.Shift(time.Duration(off) * pmf.Resolution()), nil
 }
 
-// convolved runs the S→W→T pipeline for one snapshot and returns the
-// support-bounded pmf of R_i up to a bin offset. T is the pmf of the T
-// window. When that pmf has one bin — the paper's window of 1 always, a
-// longer window on a steady link — convolving it only moves the support, so
-// it comes back as off, in bins of the returned pmf's resolution, and the
-// caller adds it; the result is the three-factor convolution bit for bit
-// without the third pass. A T window with no sample yet is offset 0.
-func (p *Predictor) convolved(snap repository.ReplicaSnapshot) (pmf *dist.PMF, off int64, err error) {
+// convolved runs the S→W→T pipeline for one snapshot through sl's scratch
+// pmfs and returns the support-bounded pmf of R_i (one of them) up to a bin
+// offset. T is the pmf of the T window. When that pmf has one bin — the
+// paper's window of 1 always, a longer window on a steady link — convolving
+// it only moves the support, so it comes back as off, in bins of the returned
+// pmf's resolution, and the caller adds it: the three-factor convolution bit
+// for bit without the third pass. A T window with no sample yet is offset 0.
+func (p *Predictor) convolved(sl *slot, snap *repository.ReplicaSnapshot) (pmf *dist.PMF, off int64, err error) {
 	if !snap.HasHistory {
 		return nil, 0, fmt.Errorf("model: replica %q has no performance history", snap.ID)
 	}
-	s, err := histPMF(snap.ServiceHist, "service-time", snap.ID)
-	if err != nil {
+	if err := setHist(&sl.s, snap.ServiceHist, "service-time", snap.ID); err != nil {
 		return nil, 0, err
 	}
-	w, err := p.waitPMF(snap, s)
-	if err != nil {
+	if err := p.setWait(sl, snap); err != nil {
 		return nil, 0, err
 	}
-	s, w, err = align(p.bound(s), p.bound(w))
-	if err != nil {
-		return nil, 0, fmt.Errorf("model: aligning S and W for %q: %w", snap.ID, err)
-	}
-	sw, err := s.ConvolveDense(w)
-	if err != nil {
+	if err := p.sum(&sl.sw, &sl.s, &sl.w); err != nil {
 		return nil, 0, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
 	}
-	sw = p.bound(sw)
 	switch t := snap.GatewayHist; len(t.Bins) {
 	case 0:
-		return sw, 0, nil
+		return &sl.sw, 0, nil
 	case 1:
 		// The bin, re-quantized to sw's (possibly coarsened) resolution
-		// exactly as align would rebin a one-bin pmf.
-		return sw, dist.Quantize(time.Duration(t.Bins[0])*dist.DefaultResolution, sw.Resolution()), nil
+		// exactly as aligning a one-bin pmf to it would.
+		return &sl.sw, dist.Quantize(time.Duration(t.Bins[0])*dist.DefaultResolution, sl.sw.Resolution()), nil
 	}
-	tp, err := histPMF(snap.GatewayHist, "gateway-delay", snap.ID)
-	if err != nil {
+	if err := setHist(&sl.t, snap.GatewayHist, "gateway-delay", snap.ID); err != nil {
 		return nil, 0, err
 	}
-	sw, tp, err = align(sw, p.bound(tp))
-	if err != nil {
-		return nil, 0, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
-	}
-	swt, err := sw.ConvolveDense(tp)
-	if err != nil {
+	if err := p.sum(&sl.swt, &sl.sw, &sl.t); err != nil {
 		return nil, 0, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
 	}
-	return p.bound(swt), 0, nil
+	return &sl.swt, 0, nil
 }
 
-// waitPMF returns the queuing-delay pmf: the paper's empirical window pmf,
-// or the queue-length-aware variant when configured.
-func (p *Predictor) waitPMF(snap repository.ReplicaSnapshot, service *dist.PMF) (*dist.PMF, error) {
+// setHist loads one window's pmf from its histogram: O(k), no map, no sort.
+func setHist(dst *dist.PMF, h repository.HistView, what string, id wire.ReplicaID) error {
+	if err := dst.SetCounts(dist.DefaultResolution, h.Bins, h.Counts); err != nil {
+		return fmt.Errorf("model: %s pmf for %q: %w", what, id, err)
+	}
+	return nil
+}
+
+// setWait loads sl.w with the queuing-delay pmf: the paper's empirical window
+// pmf, or the queue-length-aware variant when configured (from sl.s, not yet
+// bounded).
+func (p *Predictor) setWait(sl *slot, snap *repository.ReplicaSnapshot) error {
 	if !p.queueAware {
-		return histPMF(snap.QueueHist, "queuing-delay", snap.ID)
+		return setHist(&sl.w, snap.QueueHist, "queuing-delay", snap.ID)
 	}
 	// Wait ≈ sum of the service times of the QueueLength requests ahead.
-	w, err := dist.PointMass(0, dist.DefaultResolution)
-	if err != nil {
-		return nil, err
+	w, next := &sl.w, &sl.t
+	if err := w.SetCounts(dist.DefaultResolution, []int64{0}, []int{1}); err != nil {
+		return err
 	}
 	for i := 0; i < snap.QueueLength; i++ {
-		w, err = p.bound(w).ConvolveDense(service)
-		if err != nil {
-			return nil, fmt.Errorf("model: queue-aware wait for %q: %w", snap.ID, err)
+		p.bound(w)
+		if err := next.SetConvolution(w, &sl.s); err != nil {
+			return fmt.Errorf("model: queue-aware wait for %q: %w", snap.ID, err)
 		}
+		w, next = next, w
 	}
-	return w, nil
+	if w != &sl.w {
+		sl.w, sl.t = sl.t, sl.w
+	}
+	return nil
 }
 
-// align rebins the finer-resolution pmf up to the coarser one so the pair
-// can be convolved. Bounding may have coarsened the two inputs by different
-// power-of-two factors, so one resolution always divides the other.
-func align(a, b *dist.PMF) (*dist.PMF, *dist.PMF, error) {
-	switch {
-	case a.Resolution() == b.Resolution():
-		return a, b, nil
-	case a.Resolution() < b.Resolution():
-		ra, err := a.Rebin(b.Resolution())
-		return ra, b, err
-	default:
-		rb, err := b.Rebin(a.Resolution())
-		return a, rb, err
+// sum sets dst to the support-bounded pmf of a+b. It bounds a and b in place
+// first; bounding may coarsen the two by different power-of-two factors, so
+// the finer is then rebinned up to the coarser.
+func (p *Predictor) sum(dst, a, b *dist.PMF) error {
+	p.bound(a)
+	p.bound(b)
+	var err error
+	if a.Resolution() < b.Resolution() {
+		err = a.Coarsen(b.Resolution())
+	} else if b.Resolution() < a.Resolution() {
+		err = b.Coarsen(a.Resolution())
 	}
+	if err == nil {
+		err = dst.SetConvolution(a, b)
+	}
+	p.bound(dst)
+	return err
 }
 
-// bound rebins a pmf to keep its support below maxSupport.
-func (p *Predictor) bound(pmf *dist.PMF) *dist.PMF {
+// bound coarsens a pmf in place until its support is below maxSupport.
+// Doubling a positive resolution cannot fail.
+func (p *Predictor) bound(pmf *dist.PMF) {
 	for pmf.Support() > p.maxSupport {
-		rb, err := pmf.Rebin(pmf.Resolution() * 2)
-		if err != nil {
-			// Doubling a positive resolution cannot fail; guard anyway.
-			return pmf
-		}
-		pmf = rb
+		_ = pmf.Coarsen(pmf.Resolution() * 2)
 	}
-	return pmf
 }
 
-// buildTable computes a snapshot's convolved distribution as a CDF table.
-func (p *Predictor) buildTable(snap repository.ReplicaSnapshot) (*cachedCDF, error) {
-	pmf, off, err := p.convolved(snap)
+// rebuild recomputes sl's CDF table from snap. Caller holds sl.mu.
+func (p *Predictor) rebuild(sl *slot, snap *repository.ReplicaSnapshot) error {
+	sl.built = false
+	pmf, off, err := p.convolved(sl, snap)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bins, cdf := pmf.CDFTable()
-	for i := range bins {
-		bins[i] += off
+	sl.res = pmf.Resolution()
+	sl.bins, sl.cdf = pmf.AppendCDFTable(sl.bins[:0], sl.cdf[:0])
+	for i := range sl.bins {
+		sl.bins[i] += off
 	}
-	return &cachedCDF{res: pmf.Resolution(), bins: bins, cdf: cdf}, nil
+	sl.sVer, sl.wVer, sl.tVer = snap.ServiceHist.Version, snap.QueueHist.Version, snap.GatewayHist.Version
+	sl.built = true
+	return nil
 }
 
 // Probability computes F_Ri(t): the probability that replica i responds
 // within t. Callers compensating for scheduler overhead pass t − δ (§5.3.3).
 func (p *Predictor) Probability(snap repository.ReplicaSnapshot, t time.Duration) (float64, error) {
-	if p.queueAware {
-		pmf, err := p.ResponsePMF(snap)
-		if err != nil {
+	return p.probability(&snap, t)
+}
+
+func (p *Predictor) probability(snap *repository.ReplicaSnapshot, t time.Duration) (float64, error) {
+	sl := p.slotFor(snap)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if !sl.built || sl.sVer != snap.ServiceHist.Version || sl.wVer != snap.QueueHist.Version || sl.tVer != snap.GatewayHist.Version {
+		if err := p.rebuild(sl, snap); err != nil {
 			return 0, err
 		}
-		return pmf.CDF(t), nil
-	}
-	key := cacheKey{
-		replica: snap.ID,
-		method:  snap.Method,
-		sVer:    snap.ServiceHist.Version,
-		wVer:    snap.QueueHist.Version,
-		tVer:    snap.GatewayHist.Version,
-	}
-	sh := p.shardFor(key)
-	sh.mu.RLock()
-	entry := sh.m[key]
-	sh.mu.RUnlock()
-	if entry == nil {
-		var err error
-		if entry, err = p.buildTable(snap); err != nil {
-			return 0, err
-		}
-		sh.mu.Lock()
-		if len(sh.m) >= maxCacheEntries/cacheShardCount {
-			sh.m = make(map[cacheKey]*cachedCDF)
-		}
-		sh.m[key] = entry
-		sh.mu.Unlock()
 	}
 	if t < 0 {
 		return 0, nil
 	}
-	return dist.CDFLookup(entry.bins, entry.cdf, dist.Quantize(t, entry.res)), nil
+	return dist.CDFLookup(sl.bins, sl.cdf, dist.Quantize(t, sl.res)), nil
 }
 
 // ReplicaProbability pairs a replica with its predicted F_Ri(t). It is the
@@ -333,16 +291,17 @@ func (p *Predictor) ProbabilityTable(snaps []repository.ReplicaSnapshot, t time.
 // recycles its buffers pays no allocation once they have grown to capacity —
 // the scheduler's per-decision fast path.
 func (p *Predictor) ProbabilityTableInto(snaps []repository.ReplicaSnapshot, t time.Duration, table []ReplicaProbability, cold []repository.ReplicaSnapshot) ([]ReplicaProbability, []repository.ReplicaSnapshot, error) {
-	for _, s := range snaps {
+	for i := range snaps {
+		s := &snaps[i]
 		if !s.HasHistory {
-			cold = append(cold, s)
+			cold = append(cold, *s)
 			continue
 		}
-		prob, perr := p.Probability(s, t)
+		prob, perr := p.probability(s, t)
 		if perr != nil {
 			return nil, nil, perr
 		}
-		table = append(table, ReplicaProbability{Snapshot: s, Probability: prob})
+		table = append(table, ReplicaProbability{Snapshot: *s, Probability: prob})
 	}
 	return table, cold, nil
 }

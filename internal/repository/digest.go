@@ -23,7 +23,7 @@ package repository
 //   - Only local windows are exported, so gossip cannot echo or amplify
 //     borrowed data through the fleet.
 //
-// Version metadata stays sound for the response-time model's memo keys: all
+// Version metadata stays sound for the response-time model's slots: all
 // window versions come from one global monotonic counter, so a merged view
 // stamped max(localVersion, borrowedVersion) strictly increases whenever
 // either window mutates.
@@ -121,9 +121,6 @@ func (r *Repository) AbsorbDigests(sync wire.DigestSync, now time.Time) (absorbe
 	}
 	r.digestAbsorbed += uint64(absorbed)
 	r.digestStale += uint64(stale)
-	if absorbed > 0 {
-		r.gen.Add(1)
-	}
 	return absorbed, stale
 }
 
@@ -165,6 +162,7 @@ func (r *Repository) absorbDigestLocked(d wire.WindowDigest, res time.Duration, 
 		}
 	}
 	r.noteBorrowedFreshnessLocked(st, fresh)
+	r.touchLocked(st)
 	return true
 }
 
@@ -185,7 +183,7 @@ func (r *Repository) noteBorrowedFreshnessLocked(st *replicaState, fresh time.Ti
 	}
 	if fresh.After(st.borrowedUpdate) {
 		st.borrowedUpdate = fresh
-		r.gen.Add(1)
+		r.touchLocked(st)
 	}
 }
 

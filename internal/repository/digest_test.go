@@ -359,8 +359,8 @@ func TestMergedHistViewMatchesSamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dist.FromCounts(dist.DefaultResolution, c.view.Bins, c.view.Counts)
-			if err != nil {
+			got := &dist.PMF{}
+			if err := got.SetCounts(dist.DefaultResolution, c.view.Bins, c.view.Counts); err != nil {
 				t.Fatalf("trial %d %s: view %+v: %v", trial, c.name, c.view, err)
 			}
 			wv, wp := want.Points()

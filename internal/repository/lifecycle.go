@@ -101,7 +101,7 @@ func (r *Repository) EnableLifecycle(minSamples int) {
 	defer r.mu.Unlock()
 	r.lifecycle = true
 	r.probationSamples = minSamples
-	r.gen.Add(1)
+	r.touchAllLocked()
 }
 
 // RequireStateTransfer toggles the ordered-mode re-admission gate: when
@@ -115,7 +115,7 @@ func (r *Repository) RequireStateTransfer(enabled bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.requireCaughtUp = enabled
-	r.gen.Add(1)
+	r.touchAllLocked()
 }
 
 // StateTransferRequired reports whether the ordered-mode re-admission gate
@@ -169,7 +169,7 @@ func (r *Repository) Suspect(id wire.ReplicaID) bool {
 	}
 	st.health = Suspected
 	r.lifeStats.Suspected++
-	r.gen.Add(1)
+	r.touchLocked(st)
 	return true
 }
 
@@ -184,7 +184,7 @@ func (r *Repository) ClearSuspicion(id wire.ReplicaID) bool {
 	}
 	st.health = Active
 	r.lifeStats.Cleared++
-	r.gen.Add(1)
+	r.touchLocked(st)
 	return true
 }
 
@@ -210,7 +210,7 @@ func (r *Repository) Quarantine(id wire.ReplicaID, now time.Time) bool {
 	st.caughtUp = false
 	st.orderedTail = 0
 	r.lifeStats.Quarantined++
-	r.gen.Add(1)
+	r.touchLocked(st)
 	return true
 }
 
@@ -233,11 +233,9 @@ func (r *Repository) Parole(cutoff time.Time) []wire.ReplicaID {
 			r.dropEntriesLocked(id)
 			st.gateway = window.NewHistogrammed(r.gatewayHist, resolution)
 			r.lifeStats.Paroled++
+			r.touchLocked(st)
 			out = append(out, id)
 		}
-	}
-	if len(out) > 0 {
-		r.gen.Add(1)
 	}
 	return out
 }
@@ -304,7 +302,7 @@ func (r *Repository) dropEntriesLocked(id wire.ReplicaID) {
 // when the state-transfer gate is on, once its reports claim a caught-up
 // state machine. Sample accrual continues while the gate blocks, so the
 // promotion fires on the first caught-up report after warm-up rather than
-// restarting the count. Caller holds r.mu.
+// restarting the count. Caller holds r.mu and touches st afterwards.
 func (r *Repository) notePerfLocked(st *replicaState) {
 	if !r.lifecycle || st.health != Probation {
 		return
@@ -313,6 +311,5 @@ func (r *Repository) notePerfLocked(st *replicaState) {
 	if st.probationGot >= r.probationSamples && (!r.requireCaughtUp || st.caughtUp) {
 		st.health = Active
 		r.lifeStats.Admitted++
-		r.gen.Add(1)
 	}
 }

@@ -14,7 +14,7 @@ package repository
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,6 +87,9 @@ type replicaState struct {
 	// staleness probes are shared across the fleet instead of duplicated.
 	borrowedGateway *window.Window
 	borrowedUpdate  time.Time
+	// gen is the repository generation of the last mutation that changed what
+	// this replica's snapshots carry (touchLocked).
+	gen uint64
 }
 
 // Repository is the thread-safe information store for one service. The zero
@@ -112,19 +115,22 @@ type Repository struct {
 	// gen is bumped (under mu) by every mutation that changes snapshot
 	// content — performance reports, gateway delays, membership, health
 	// transitions — but NOT by NoteDispatched/NoteSettled, which only move
-	// the atomic inFlight counters. SnapshotShared keys its cache on gen.
-	gen atomic.Uint64
-	// snapCache memoizes one shared snapshot slice per method, valid while
-	// gen is unchanged. Guarded by snapMu (never held together with mu on
-	// the write side; snapshotLocked reads gen under mu's read lock).
-	snapMu    sync.Mutex
-	snapCache map[string]*snapCacheEntry
+	// the atomic inFlight counters. A mutation of one replica stamps that
+	// replica with the new value (touchLocked), any other allGen.
+	gen    atomic.Uint64
+	allGen uint64
+	// shared holds the last shared snapshot per method. Guarded by snapMu,
+	// which is taken before mu's read lock and never by a writer.
+	snapMu sync.Mutex
+	shared map[string]*sharedSnapshot
 }
 
-// snapCacheEntry is one memoized shared snapshot.
-type snapCacheEntry struct {
-	gen   uint64
-	snaps []ReplicaSnapshot
+// sharedSnapshot is the last slice SnapshotShared published for one method, in
+// ID order and consistent with generation gen, beside each entry's live state.
+type sharedSnapshot struct {
+	gen    uint64
+	snaps  []ReplicaSnapshot
+	states []*replicaState
 }
 
 // Option configures a Repository.
@@ -152,7 +158,7 @@ func New(opts ...Option) *Repository {
 		entries:      make(map[methodKey]*entry),
 		replicas:     make(map[wire.ReplicaID]*replicaState),
 		updatesByRep: make(map[wire.ReplicaID]uint64),
-		snapCache:    make(map[string]*snapCacheEntry),
+		shared:       make(map[string]*sharedSnapshot),
 	}
 	for _, o := range opts {
 		o(r)
@@ -180,9 +186,14 @@ func (r *Repository) AddReplica(id wire.ReplicaID) {
 	defer r.mu.Unlock()
 	if _, ok := r.replicas[id]; !ok {
 		r.replicas[id] = r.newReplicaStateLocked()
-		r.gen.Add(1)
+		r.touchAllLocked()
 	}
 }
+
+// touchLocked records a mutation of what st's snapshots carry, touchAllLocked
+// one of the member set or of every member. Caller holds r.mu for writing.
+func (r *Repository) touchLocked(st *replicaState) { st.gen = r.gen.Add(1) }
+func (r *Repository) touchAllLocked()              { r.allGen = r.gen.Add(1) }
 
 // RemoveReplica forgets a replica and all its histories. The timing fault
 // handler calls this when Maestro/Ensemble reports the member crashed, so
@@ -193,7 +204,7 @@ func (r *Repository) RemoveReplica(id wire.ReplicaID) {
 	defer r.mu.Unlock()
 	delete(r.replicas, id)
 	r.dropEntriesLocked(id)
-	r.gen.Add(1)
+	r.touchAllLocked()
 }
 
 // SetMembership reconciles the replica set against a full membership view:
@@ -223,7 +234,7 @@ func (r *Repository) SetMembership(ids []wire.ReplicaID) {
 		// probation when the lifecycle is enabled.
 		r.bootstrapped = true
 	}
-	r.gen.Add(1)
+	r.touchAllLocked()
 }
 
 // Replicas returns the registered replica IDs in deterministic (sorted)
@@ -231,11 +242,15 @@ func (r *Repository) SetMembership(ids []wire.ReplicaID) {
 func (r *Repository) Replicas() []wire.ReplicaID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.sortedIDsLocked()
+}
+
+func (r *Repository) sortedIDsLocked() []wire.ReplicaID {
 	ids := make([]wire.ReplicaID, 0, len(r.replicas))
 	for id := range r.replicas {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -266,12 +281,44 @@ func (r *Repository) entryLocked(id wire.ReplicaID, method string) *entry {
 func (r *Repository) RecordPerf(id wire.ReplicaID, method string, p wire.PerfReport, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.replicas[id]
-	if !ok {
-		// Reports can race a membership removal; a removed replica stays
-		// removed.
-		return
+	// Reports can race a membership removal; a removed replica stays removed.
+	if st, ok := r.replicas[id]; ok {
+		r.recordPerfLocked(id, st, method, p, now)
+		r.touchLocked(st)
 	}
+}
+
+// RecordGatewayDelay stores a newly measured two-way gateway-to-gateway
+// delay td for a replica (§5.4.1: computed from every reply, including
+// discarded duplicates). The delay is per-link state shared by every method
+// — probe replies (which carry no method) warm real methods' predictions.
+//
+// Negative samples are clock-adjustment artifacts. With the paper's
+// point-mass window (size 1) they are clamped to 0, so the estimate stays
+// fresh; with a history window (WithGatewayHistory > 1) they are dropped
+// instead — a fabricated 0 would poison the empirical distribution with
+// probability mass at a delay that was never observed.
+func (r *Repository) RecordGatewayDelay(id wire.ReplicaID, td time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if st, ok := r.replicas[id]; ok && r.recordDelayLocked(st, td) {
+		r.touchLocked(st)
+	}
+}
+
+// RecordReply is RecordPerf and RecordGatewayDelay for one reply as one
+// mutation: a snapshot sees the reply's S, W and T together or not at all.
+func (r *Repository) RecordReply(id wire.ReplicaID, method string, p wire.PerfReport, td time.Duration, now time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if st, ok := r.replicas[id]; ok {
+		r.recordPerfLocked(id, st, method, p, now)
+		r.recordDelayLocked(st, td)
+		r.touchLocked(st)
+	}
+}
+
+func (r *Repository) recordPerfLocked(id wire.ReplicaID, st *replicaState, method string, p wire.PerfReport, now time.Time) {
 	e := r.entryLocked(id, method)
 	e.service.Add(p.ServiceTime)
 	e.queue.Add(p.QueueDelay)
@@ -288,37 +335,21 @@ func (r *Repository) RecordPerf(id wire.ReplicaID, method string, p wire.PerfRep
 	st.orderedTail = p.OrderedTail
 	r.updatesByRep[id]++
 	r.notePerfLocked(st)
-	r.gen.Add(1)
 }
 
-// RecordGatewayDelay stores a newly measured two-way gateway-to-gateway
-// delay td for a replica (§5.4.1: computed from every reply, including
-// discarded duplicates). The delay is per-link state shared by every method
-// — probe replies (which carry no method) warm real methods' predictions.
-//
-// Negative samples are clock-adjustment artifacts. With the paper's
-// point-mass window (size 1) they are clamped to 0, so the estimate stays
-// fresh; with a history window (WithGatewayHistory > 1) they are dropped
-// instead — a fabricated 0 would poison the empirical distribution with
-// probability mass at a delay that was never observed.
-func (r *Repository) RecordGatewayDelay(id wire.ReplicaID, td time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// recordDelayLocked adds td to st's T window and reports whether it did.
+func (r *Repository) recordDelayLocked(st *replicaState, td time.Duration) bool {
 	if td < 0 {
 		if r.gatewayHist > 1 {
-			return
+			return false
 		}
 		td = 0
-	}
-	st, ok := r.replicas[id]
-	if !ok {
-		return
 	}
 	st.gateway.Add(td)
 	// A locally measured link delay supersedes any borrowed T seed: T is
 	// per-link state, and the peer's link is not ours.
 	st.borrowedGateway = nil
-	r.gen.Add(1)
+	return true
 }
 
 // NoteDispatched records that one request copy was sent to the replica and
@@ -327,8 +358,8 @@ func (r *Repository) RecordGatewayDelay(id wire.ReplicaID, td time.Duration) {
 // addition to the replica-reported queue length (which lags by one reply).
 // Dispatch/settle accounting deliberately does NOT bump the snapshot
 // generation: it fires on every request, so it would defeat the shared
-// snapshot cache. SnapshotShared consumers therefore see InFlight as of the
-// last performance report (real traffic refreshes it on every reply);
+// snapshot. SnapshotShared consumers therefore see a replica's InFlight as of
+// its last performance report (real traffic refreshes it on every reply);
 // Snapshot reads the live counters.
 func (r *Repository) NoteDispatched(id wire.ReplicaID) {
 	r.mu.RLock()
@@ -382,7 +413,7 @@ func (r *Repository) InFlight(id wire.ReplicaID) int {
 // InFlightSum returns the total live in-flight dispatch count across the
 // listed snapshots' replicas, under one read lock. The scheduler pairs it
 // with SnapshotShared so load-conditioned strategies see current dispatch
-// pressure even when the snapshot's InFlight fields are generation-cached.
+// pressure even though the shared snapshot's InFlight fields lag.
 // Unknown IDs contribute zero.
 func (r *Repository) InFlightSum(snaps []ReplicaSnapshot) int {
 	r.mu.RLock()
@@ -464,7 +495,7 @@ type ReplicaSnapshot struct {
 	// snapshot, so probe-measured delays are visible to methods that have
 	// never carried traffic. With the paper-default window of 1 it holds one
 	// sample, the most recent delay; empty until a delay is measured. The
-	// three views' Versions form the predictor's memo key.
+	// three views' Versions tell the predictor whether its table is current.
 	GatewayHist HistView
 	// HasHistory is false until at least one service-time and one queuing
 	// delay sample exist; the scheduler must fall back to selecting all
@@ -477,61 +508,64 @@ type ReplicaSnapshot struct {
 // fresh slices the caller may retain and mutate; the scheduler's hot path
 // uses SnapshotShared instead.
 func (r *Repository) Snapshot(method string) []ReplicaSnapshot {
-	snaps, _ := r.snapshot(method)
-	return snaps
-}
-
-// SnapshotShared returns the same prediction-ready view as Snapshot but
-// memoized per method: while no snapshot-content mutation has occurred
-// (generation unchanged), repeat calls return the identical shared slice with
-// zero allocation. The returned slice and everything it references are shared
-// and MUST be treated as immutable; a caller that needs to mutate (e.g. the
-// scheduler's staleness re-probe) must copy first. InFlight values in a
-// shared snapshot are as of the last generation bump — dispatch/settle
-// accounting alone does not invalidate the cache (see NoteDispatched).
-func (r *Repository) SnapshotShared(method string) []ReplicaSnapshot {
-	g := r.gen.Load()
-	r.snapMu.Lock()
-	if e, ok := r.snapCache[method]; ok && e.gen == g {
-		snaps := e.snaps
-		r.snapMu.Unlock()
-		return snaps
-	}
-	r.snapMu.Unlock()
-
-	// Build outside snapMu so concurrent readers of other methods (or cache
-	// hits) are not blocked behind the copy. gen is re-read under the
-	// repository read lock, so the cached entry is stamped with a generation
-	// consistent with its content.
-	snaps, built := r.snapshot(method)
-	r.snapMu.Lock()
-	if e, ok := r.snapCache[method]; !ok || e.gen < built {
-		r.snapCache[method] = &snapCacheEntry{gen: built, snaps: snaps}
-	}
-	r.snapMu.Unlock()
-	return snaps
-}
-
-// snapshot builds a fresh snapshot slice and reports the generation it is
-// consistent with (gen is only bumped under the write lock).
-func (r *Repository) snapshot(method string) ([]ReplicaSnapshot, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	g := r.gen.Load()
-	out := make([]ReplicaSnapshot, 0, len(r.replicas))
-	for id, st := range r.replicas {
-		out = append(out, r.snapshotReplicaLocked(id, st, method))
+	return r.snapshotAllLocked(method).snaps
+}
+
+// SnapshotShared returns the same view as Snapshot, kept per method and
+// brought up to date rather than rebuilt: with the generation unchanged,
+// repeat calls return the identical slice with zero allocation; after a
+// mutation the new slice re-exports only the replicas touched since and
+// carries every other entry over, in the ID order of the last membership
+// change. The slice and everything it references are shared and MUST be
+// treated as immutable; a caller that needs to mutate (e.g. the scheduler's
+// staleness re-probe) must copy first. InFlight is as of a replica's last
+// re-export (see NoteDispatched).
+func (r *Repository) SnapshotShared(method string) []ReplicaSnapshot {
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	last := r.shared[method]
+	if last != nil && last.gen == r.gen.Load() {
+		return last.snaps
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, g
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if last == nil || last.gen < r.allGen {
+		last = r.snapshotAllLocked(method)
+		r.shared[method] = last
+	} else {
+		snaps := slices.Clone(last.snaps)
+		for i, st := range last.states {
+			if st.gen > last.gen {
+				snaps[i] = r.snapshotReplicaLocked(snaps[i].ID, st, method, &last.snaps[i])
+			}
+		}
+		last.snaps = snaps
+	}
+	last.gen = r.gen.Load() // stable: only bumped under the write lock
+	return last.snaps
+}
+
+// snapshotAllLocked builds a fresh snapshot of every replica in ID order.
+// Caller holds r.mu (read or write).
+func (r *Repository) snapshotAllLocked(method string) *sharedSnapshot {
+	ids := r.sortedIDsLocked()
+	out := &sharedSnapshot{snaps: make([]ReplicaSnapshot, len(ids)), states: make([]*replicaState, len(ids))}
+	for i, id := range ids {
+		out.states[i] = r.replicas[id]
+		out.snaps[i] = r.snapshotReplicaLocked(id, out.states[i], method, &ReplicaSnapshot{})
+	}
+	return out
 }
 
 // snapshotReplicaLocked builds one replica's prediction-ready copy. The T
 // fields come from the per-replica (per-link) window, independently of
 // whether the method has an entry yet: a probe- or cross-method-measured
-// gateway delay is visible to every method's prediction. Caller holds r.mu
-// (read or write).
-func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, method string) ReplicaSnapshot {
+// gateway delay is visible to every method's prediction. prev is the copy last
+// published for the same (replica, method), or empty (publishHists). Caller
+// holds r.mu (read or write).
+func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, method string, prev *ReplicaSnapshot) ReplicaSnapshot {
 	snap := ReplicaSnapshot{
 		ID:          id,
 		Method:      method,
@@ -548,23 +582,54 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		// across the fleet rather than duplicated per gateway.
 		snap.LastUpdate = st.borrowedUpdate
 	}
-	gw := st.gateway
-	if gw.Len() == 0 && st.borrowedGateway != nil {
-		gw = st.borrowedGateway // cold-start T seed, displaced by the first local delay
-	}
-	snap.GatewayHist = histView(gw)
+	var live [3]HistView // S, W, T as they stand in the windows
 	if e, ok := r.entries[methodKey{replica: id, method: method}]; ok {
-		snap.ServiceHist = mergedHistView(e.borrowedService, e.service)
-		snap.QueueHist = mergedHistView(e.borrowedQueue, e.queue)
-		snap.HasHistory = snap.ServiceHist.OK() && snap.QueueHist.OK()
+		live[0] = mergedHistView(e.borrowedService, e.service)
+		live[1] = mergedHistView(e.borrowedQueue, e.queue)
 	}
+	if live[2] = histView(st.gateway); !live[2].OK() && st.borrowedGateway != nil {
+		live[2] = histView(st.borrowedGateway) // cold-start T seed, displaced by the first local delay
+	}
+	hists := publishHists(live, [3]HistView{prev.ServiceHist, prev.QueueHist, prev.GatewayHist})
+	snap.ServiceHist, snap.QueueHist, snap.GatewayHist = hists[0], hists[1], hists[2]
+	snap.HasHistory = snap.ServiceHist.OK() && snap.QueueHist.OK()
 	return snap
 }
 
-// histView copies one window's histogram; the zero view for an empty window.
+// publishHists makes views that may alias live windows immutable. A view
+// whose contents equal the one last published for its window (was) takes over
+// that view's slices — a steady service time, a T window of 1 re-measuring the
+// same bin; the others share one bins and one counts allocation.
+func publishHists(live, was [3]HistView) [3]HistView {
+	var fresh [3]bool
+	n := 0
+	for i, v := range live {
+		if slices.Equal(v.Bins, was[i].Bins) && slices.Equal(v.Counts, was[i].Counts) {
+			live[i].Bins, live[i].Counts = was[i].Bins, was[i].Counts
+		} else if v.OK() {
+			fresh[i] = true
+			n += len(v.Bins)
+		}
+	}
+	if n == 0 {
+		return live
+	}
+	b, c := make([]int64, 0, n), make([]int, 0, n)
+	for i, v := range live {
+		if fresh[i] {
+			at := len(b)
+			b, c = append(b, v.Bins...), append(c, v.Counts...)
+			live[i].Bins, live[i].Counts = b[at:len(b):len(b)], c[at:len(c):len(c)]
+		}
+	}
+	return live
+}
+
+// histView is one window's histogram under its version, the zero view for an
+// empty window. It aliases the window: valid under r.mu, until publishHists.
 func histView(w *window.Window) HistView {
-	bins, counts, ok := w.HistCounts()
-	if !ok {
+	bins, counts := w.Hist()
+	if len(bins) == 0 {
 		return HistView{}
 	}
 	return HistView{Bins: bins, Counts: counts, Version: w.Version()}
@@ -574,7 +639,7 @@ func histView(w *window.Window) HistView {
 // a local window. Its version is the max of the two windows' versions: window
 // versions come from one global monotonic counter, so any mutation of either
 // window issues a version above every previously observed max — merged views
-// stay sound as memoization keys without a dedicated counter.
+// stay sound as the predictor's staleness check without a dedicated counter.
 func mergedHistView(borrowed, local *window.Window) HistView {
 	l := histView(local)
 	if borrowed == nil || borrowed.Len() == 0 {
@@ -622,5 +687,5 @@ func (r *Repository) SnapshotOne(id wire.ReplicaID, method string) (ReplicaSnaps
 	if !ok {
 		return ReplicaSnapshot{}, fmt.Errorf("repository: unknown replica %q", id)
 	}
-	return r.snapshotReplicaLocked(id, st, method), nil
+	return r.snapshotReplicaLocked(id, st, method, &ReplicaSnapshot{}), nil
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,8 +89,9 @@ func WithJSONLSink(w io.Writer) Option {
 // with New for an enabled recorder.
 type Recorder struct {
 	mu       sync.Mutex
-	buf      []Event // ring storage, grown up to capacity then reused
-	start    int     // index of the oldest event once the ring wrapped
+	chunks   [][]Event // ring storage in chunkLen pieces: growing never copies (a 100 MB copy stalls every caller)
+	n        int       // events held, up to capacity
+	start    int       // index of the oldest event once the ring wrapped
 	capacity int
 	dropped  uint64
 	enabled  bool
@@ -118,7 +120,8 @@ func (r *Recorder) Enabled() bool {
 
 // Record appends an event. Nil or disabled recorders drop it, so call
 // sites never need guards. When the ring is full the oldest event is
-// overwritten (see Dropped).
+// overwritten (see Dropped). A recorded event keeps its own copy of Targets:
+// callers hand in pooled buffers they reuse after the call.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
@@ -128,6 +131,7 @@ func (r *Recorder) Record(e Event) {
 	if !r.enabled {
 		return
 	}
+	e.Targets = slices.Clone(e.Targets)
 	if r.sink != nil && r.sinkErr == nil {
 		if err := r.sink.Encode(e); err != nil {
 			r.sinkErr = fmt.Errorf("trace: sink write: %w", err)
@@ -136,14 +140,22 @@ func (r *Recorder) Record(e Event) {
 	if r.capacity <= 0 {
 		r.capacity = DefaultCapacity // zero value enabled via struct literal
 	}
-	if len(r.buf) < r.capacity {
-		r.buf = append(r.buf, e)
+	if r.n < r.capacity {
+		if r.n == len(r.chunks)*chunkLen {
+			r.chunks = append(r.chunks, make([]Event, chunkLen))
+		}
+		*r.at(r.n) = e
+		r.n++
 		return
 	}
-	r.buf[r.start] = e
-	r.start = (r.start + 1) % len(r.buf)
+	*r.at(r.start) = e
+	r.start = (r.start + 1) % r.n
 	r.dropped++
 }
+
+const chunkLen = 1024
+
+func (r *Recorder) at(i int) *Event { return &r.chunks[i/chunkLen][i%chunkLen] }
 
 // Len returns the number of events currently held (at most the capacity).
 func (r *Recorder) Len() int {
@@ -152,7 +164,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.n
 }
 
 // Dropped returns how many events were overwritten because the ring was
@@ -186,12 +198,13 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
+	if r.n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.start:]...)
-	out = append(out, r.buf[:r.start]...)
+	out := make([]Event, r.n)
+	for i := range out {
+		out[i] = *r.at((r.start + i) % r.n)
+	}
 	return out
 }
 

@@ -4,9 +4,9 @@
 // measurements and evicts the oldest, so "obsolete measurements" age out as
 // the paper prescribes.
 //
-// A window can additionally maintain an incremental bin-count histogram of
-// its contents at a fixed quantization resolution: each Add increments the
-// new sample's bin and decrements the evicted sample's bin. The histogram is
+// Every window maintains an incremental bin-count histogram of its contents
+// at a fixed quantization resolution: each Add increments the new sample's
+// bin and decrements the evicted sample's bin. The histogram is
 // exactly the bin/count multiset dist.FromSamples would compute from
 // Values(), but costs O(log k) per update instead of O(l log l) per
 // prediction, which is what makes the response-time model's fast path cheap.
@@ -14,6 +14,7 @@ package window
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -35,33 +36,26 @@ type Window struct {
 	count   int
 	version uint64
 
-	// Incremental histogram state; res == 0 disables it.
+	// Incremental histogram state.
 	res       time.Duration
 	bins      []int64 // sorted ascending, distinct
 	binCounts []int   // parallel to bins, each > 0
 }
 
-// New returns a window retaining the most recent capacity samples.
-// It panics if capacity is not positive, because a zero-length history makes
-// the response-time model undefined; the capacity is a static configuration
-// value, so this is a programmer error rather than a runtime condition.
-func New(capacity int) *Window {
+// NewHistogrammed returns a window retaining the most recent capacity
+// samples, with an incremental histogram of its contents quantized at res
+// (see HistCounts). It panics on non-positive capacity or resolution: a
+// zero-length history makes the response-time model undefined, and both are
+// static configuration values, so this is a programmer error rather than a
+// runtime condition.
+func NewHistogrammed(capacity int, res time.Duration) *Window {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("window: capacity must be positive, got %d", capacity))
 	}
-	return &Window{buf: make([]time.Duration, 0, capacity), version: versionCounter.Add(1)}
-}
-
-// NewHistogrammed returns a window that additionally maintains an incremental
-// histogram of its contents quantized at res (see HistCounts). It panics on
-// non-positive capacity or resolution, both static configuration values.
-func NewHistogrammed(capacity int, res time.Duration) *Window {
 	if res <= 0 {
 		panic(fmt.Sprintf("window: histogram resolution must be positive, got %v", res))
 	}
-	w := New(capacity)
-	w.res = res
-	return w
+	return &Window{buf: make([]time.Duration, 0, capacity), version: versionCounter.Add(1), res: res}
 }
 
 // Add appends a sample, evicting the oldest if the window is full.
@@ -83,9 +77,6 @@ func (w *Window) Add(d time.Duration) {
 
 // histAdd increments the bin holding d, inserting the bin if new.
 func (w *Window) histAdd(d time.Duration) {
-	if w.res == 0 {
-		return
-	}
 	b := dist.Quantize(d, w.res)
 	i := w.searchBin(b)
 	if i < len(w.bins) && w.bins[i] == b {
@@ -102,9 +93,6 @@ func (w *Window) histAdd(d time.Duration) {
 
 // histRemove decrements the bin holding d, removing the bin at count zero.
 func (w *Window) histRemove(d time.Duration) {
-	if w.res == 0 {
-		return
-	}
 	b := dist.Quantize(d, w.res)
 	i := w.searchBin(b)
 	if i >= len(w.bins) || w.bins[i] != b {
@@ -143,28 +131,23 @@ func (w *Window) Total() int { return w.count }
 
 // Version returns a value that changes on every mutation and is never reused
 // by any other window instance in the process. Equal versions therefore
-// guarantee identical window contents, which is what the response-time
-// model's memoization keys on.
+// guarantee identical window contents, which is what tells the response-time
+// model that a replica's table is still current.
 func (w *Window) Version() uint64 { return w.version }
 
-// HistResolution returns the histogram quantization resolution, or 0 when
-// the window does not maintain a histogram.
-func (w *Window) HistResolution() time.Duration { return w.res }
+// Hist returns the incremental histogram without copying: distinct bins
+// (dist.Quantize(v, res) for the retained values v) in ascending order with
+// their positive counts. The slices are the window's own: read-only, and
+// valid only until the next mutation.
+func (w *Window) Hist() (bins []int64, counts []int) { return w.bins, w.binCounts }
 
-// HistCounts returns a copy of the incremental histogram: distinct bins in
-// ascending order with their positive counts. ok is false when the window
-// keeps no histogram or is empty. The bins are dist.Quantize(v, res) for the
-// retained values v, so dist.FromCounts over the result equals
-// dist.FromSamples over Values().
+// HistCounts returns a copy of Hist the caller may keep. ok is false when the
+// window is empty.
 func (w *Window) HistCounts() (bins []int64, counts []int, ok bool) {
-	if w.res == 0 || len(w.bins) == 0 {
+	if len(w.bins) == 0 {
 		return nil, nil, false
 	}
-	bins = make([]int64, len(w.bins))
-	copy(bins, w.bins)
-	counts = make([]int, len(w.binCounts))
-	copy(counts, w.binCounts)
-	return bins, counts, true
+	return slices.Clone(w.bins), slices.Clone(w.binCounts), true
 }
 
 // Values returns the retained samples ordered oldest to newest. The returned
@@ -195,11 +178,14 @@ func (w *Window) TrimOldest() bool {
 		return false
 	}
 	w.version = versionCounter.Add(1)
-	vals := w.Values()
-	w.histRemove(vals[0])
-	w.buf = w.buf[:0]
+	w.histRemove(w.buf[w.head])
+	// Add appends while the ring is not full, so what is left must lie oldest
+	// first from index 0: rotate the oldest to the front, then drop it.
+	slices.Reverse(w.buf[:w.head])
+	slices.Reverse(w.buf[w.head:])
+	slices.Reverse(w.buf)
+	w.buf = append(w.buf[:0], w.buf[1:]...)
 	w.head = 0
-	w.buf = append(w.buf, vals[1:]...)
 	return true
 }
 
@@ -211,18 +197,4 @@ func (w *Window) Reset() {
 	w.version = versionCounter.Add(1)
 	w.bins = w.bins[:0]
 	w.binCounts = w.binCounts[:0]
-}
-
-// Clone returns a deep copy of the window. Snapshots handed to the
-// response-time predictor are clones so the predictor can run without
-// holding repository locks. The clone gets its own version (its histories
-// diverge from here on).
-func (w *Window) Clone() *Window {
-	c := New(cap(w.buf))
-	c.res = w.res
-	for _, v := range w.Values() {
-		c.Add(v)
-	}
-	c.count = w.count
-	return c
 }

@@ -13,16 +13,16 @@ func TestNewPanicsOnNonPositiveCapacity(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d) did not panic", c)
+					t.Errorf("NewHistogrammed(%d, 1ms) did not panic", c)
 				}
 			}()
-			New(c)
+			NewHistogrammed(c, time.Millisecond)
 		}()
 	}
 }
 
 func TestAddAndValuesOrder(t *testing.T) {
-	w := New(3)
+	w := NewHistogrammed(3, time.Millisecond)
 	w.Add(1)
 	w.Add(2)
 	if got := w.Values(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -43,7 +43,7 @@ func TestAddAndValuesOrder(t *testing.T) {
 }
 
 func TestEvictionKeepsMostRecent(t *testing.T) {
-	w := New(5)
+	w := NewHistogrammed(5, time.Millisecond)
 	for i := 1; i <= 100; i++ {
 		w.Add(time.Duration(i))
 	}
@@ -62,7 +62,7 @@ func TestEvictionKeepsMostRecent(t *testing.T) {
 }
 
 func TestLast(t *testing.T) {
-	w := New(2)
+	w := NewHistogrammed(2, time.Millisecond)
 	if _, ok := w.Last(); ok {
 		t.Error("Last() on empty window reported ok")
 	}
@@ -78,7 +78,7 @@ func TestLast(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	w := New(3)
+	w := NewHistogrammed(3, time.Millisecond)
 	w.Add(1)
 	w.Add(2)
 	w.Reset()
@@ -94,29 +94,13 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	w := New(3)
-	w.Add(1)
-	w.Add(2)
-	c := w.Clone()
-	w.Add(3)
-	w.Add(4)
-	got := c.Values()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("clone values changed with original: %v", got)
-	}
-	if c.Total() != 2 {
-		t.Errorf("clone Total() = %d, want 2", c.Total())
-	}
-}
-
 // TestWindowSemanticsProperty checks the defining property against a naive
 // reference: after any sequence of adds, Values() equals the last min(n, cap)
 // items of the sequence in order.
 func TestWindowSemanticsProperty(t *testing.T) {
 	f := func(raw []int16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		w := New(capacity)
+		w := NewHistogrammed(capacity, time.Millisecond)
 		var ref []time.Duration
 		for _, v := range raw {
 			d := time.Duration(v)
@@ -148,7 +132,7 @@ func histEqualsNaive(w *Window) bool {
 	bins, counts, ok := w.HistCounts()
 	want := map[int64]int{}
 	for _, v := range w.Values() {
-		want[dist.Quantize(v, w.HistResolution())]++
+		want[dist.Quantize(v, time.Millisecond)]++
 	}
 	if !ok {
 		return len(want) == 0
@@ -216,7 +200,7 @@ func TestHistogramProperty(t *testing.T) {
 }
 
 func TestVersionChangesOnEveryMutationAndIsGloballyUnique(t *testing.T) {
-	w := New(2)
+	w := NewHistogrammed(2, time.Millisecond)
 	v0 := w.Version()
 	w.Add(1)
 	v1 := w.Version()
@@ -229,27 +213,10 @@ func TestVersionChangesOnEveryMutationAndIsGloballyUnique(t *testing.T) {
 	}
 	// A fresh window (e.g. a removed-and-re-added replica) must never reuse
 	// an earlier version, or memoized predictions could alias stale state.
-	w2 := New(2)
+	w2 := NewHistogrammed(2, time.Millisecond)
 	w2.Add(1)
 	if w2.Version() == v1 || w2.Version() == v0 {
 		t.Error("new window reused a version")
-	}
-}
-
-func TestCloneKeepsHistogram(t *testing.T) {
-	w := NewHistogrammed(3, time.Millisecond)
-	w.Add(4 * time.Millisecond)
-	w.Add(6 * time.Millisecond)
-	c := w.Clone()
-	if c.HistResolution() != time.Millisecond {
-		t.Fatalf("clone resolution %v", c.HistResolution())
-	}
-	w.Add(9 * time.Millisecond)
-	if !histEqualsNaive(c) || !histEqualsNaive(w) {
-		t.Error("histograms diverged from values after clone")
-	}
-	if c.Version() == w.Version() {
-		t.Error("clone shares the original's version")
 	}
 }
 
