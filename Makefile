@@ -2,14 +2,19 @@
 
 GO ?= go
 
-.PHONY: all check build vet test allocs race bench experiments quick-experiments faults fences a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
+.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
 
 all: build vet test
 
-# Full gate: compile, static analysis, tests, the allocation fences, and the
-# race detector. Performance is measured by the benchmark in bench/ (see
-# bench/README.md); the only fences in this gate are counts, never times.
-check: build vet test allocs race
+# Full gate: formatting, compile, static analysis, tests, the allocation
+# fences, and the race detector. Performance is measured by the benchmark in
+# bench/ (see bench/README.md); the only fences in this gate are counts, never
+# times.
+check: fmt build vet test allocs race
+
+# Fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...

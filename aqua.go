@@ -133,12 +133,11 @@ func BudgetedSelection() Strategy { return selection.NewBudgeted() }
 
 // OverloadConfig enables admission control and the degradation ladder
 // (Normal → Budgeted → Shedding, with hysteresis) on a client's scheduler.
-// The zero value disables admission control entirely.
+// While degraded, the select-all fallback is capped at the m0 reserve plus
+// the best remaining replica. The zero value disables admission control
+// entirely. Transitions are counted in Stats.Degradations and exported as
+// the aqua_sched_mode gauge and aqua_sched_degradations_total counter.
 type OverloadConfig = core.OverloadConfig
-
-// DegradationReport announces a scheduler degradation-mode transition; see
-// OverloadConfig.OnDegradation.
-type DegradationReport = core.DegradationReport
 
 // Mode is a scheduler degradation state (Normal, Budgeted, or Shedding).
 type Mode = core.Mode
@@ -155,9 +154,8 @@ const (
 var ErrOverloaded = core.ErrOverloaded
 
 // AdaptiveBudgetConfig tunes the online redundancy controller (see
-// ClientConfig.AdaptiveBudget). MinK is floored at the crash reserve;
-// MaxK defaults to the pool size at client creation; the remaining zero
-// values take the controller defaults.
+// ClientConfig.AdaptiveBudget). The budget's floor is the crash reserve plus
+// one replica; MaxK defaults to the pool size at client creation.
 type AdaptiveBudgetConfig = core.AdaptiveBudgetConfig
 
 // ControllerStats is a snapshot of the adaptive budget controller's

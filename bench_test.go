@@ -20,7 +20,6 @@ import (
 	"aqua"
 	"aqua/internal/experiment"
 	"aqua/internal/model"
-	"aqua/internal/repository"
 	"aqua/internal/selection"
 	"aqua/internal/sim"
 	"aqua/internal/stats"
@@ -162,65 +161,6 @@ func BenchmarkAblationStrategies(b *testing.B) {
 			}
 		})
 	}
-}
-
-// predictBenchRepo builds the PR 1 benchmark point — 8 replicas, window
-// l=100 — with mixed service/queue distributions and gateway delays.
-func predictBenchRepo() *repository.Repository {
-	rng := stats.NewRand(1)
-	repo := repository.New(repository.WithWindowSize(100))
-	service := stats.Normal{Mu: 40 * time.Millisecond, Sigma: 25 * time.Millisecond}
-	queue := stats.Exponential{MeanDelay: 15 * time.Millisecond}
-	for i := 0; i < 8; i++ {
-		id := wire.ReplicaID(fmt.Sprintf("replica-%02d", i))
-		repo.AddReplica(id)
-		for j := 0; j < 100; j++ {
-			repo.RecordPerf(id, "", wire.PerfReport{
-				ServiceTime: service.Sample(rng),
-				QueueDelay:  queue.Sample(rng),
-			}, time.Now())
-		}
-		repo.RecordGatewayDelay(id, time.Duration(rng.Intn(5000))*time.Microsecond)
-	}
-	return repo
-}
-
-// benchmarkPredict times one full probability table (F_Ri(t) for all 8
-// replicas at the 150ms deadline) — the distribution-computation share of the
-// paper's δ.
-func benchmarkPredict(b *testing.B, p *model.Predictor, flush bool) {
-	b.Helper()
-	snaps := predictBenchRepo().Snapshot("")
-	deadline := 150 * time.Millisecond
-	if _, _, err := p.ProbabilityTable(snaps, deadline); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if flush {
-			p.FlushCache()
-		}
-		table, _, err := p.ProbabilityTable(snaps, deadline)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(table) != 8 {
-			b.Fatalf("predicted %d of 8 replicas", len(table))
-		}
-	}
-}
-
-// BenchmarkPredictFastCold measures the predictor when every window changed
-// since the last request: histogram-fed dense convolution, no memo hits.
-func BenchmarkPredictFastCold(b *testing.B) {
-	benchmarkPredict(b, model.NewPredictor(), true)
-}
-
-// BenchmarkPredictFastCached measures back-to-back requests against
-// unchanged windows: pure memoized CDF-table lookups.
-func BenchmarkPredictFastCached(b *testing.B) {
-	benchmarkPredict(b, model.NewPredictor(), false)
 }
 
 // syntheticTable builds a prediction table without repository plumbing.

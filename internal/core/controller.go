@@ -28,20 +28,21 @@ import (
 	"aqua/internal/selection"
 )
 
-// Defaults for AdaptiveBudgetConfig zero values.
+// Controller constants.
 const (
 	// DefaultControllerEpoch is the number of completed requests per
 	// measurement epoch: long enough that a goodput rate is meaningful,
 	// short enough to track load swings within a few hundred requests.
 	DefaultControllerEpoch = 48
-	// DefaultControllerHysteresis is the relative goodput change required
-	// to count as an improvement or a regression; smaller differences hold
-	// the current budget, keeping measurement noise from walking it.
-	DefaultControllerHysteresis = 0.08
-	// DefaultOverloadPerReplica is the per-replica outstanding level at
-	// which the controller stops searching and clamps to the floor: the
-	// pool is saturated and any extra duplicate is pure queueing.
-	DefaultOverloadPerReplica = 6.0
+	// controllerHysteresis is the relative goodput change required to count
+	// as an improvement or a regression; smaller differences hold the
+	// current budget, keeping measurement noise from walking it.
+	controllerHysteresis = 0.08
+	// controllerOverloadPerReplica is the per-replica outstanding level at
+	// which the controller stops searching and clamps to the floor
+	// (selection.MinBudget): the pool is saturated and any extra duplicate
+	// is pure queueing.
+	controllerOverloadPerReplica = 6.0
 	// controllerProbeAfterHolds is how many consecutive held epochs pass
 	// before the controller probes a step anyway — the optimum may have
 	// moved while goodput sat inside the hysteresis band.
@@ -51,24 +52,14 @@ const (
 	controllerCancelCheapRate = 0.5
 )
 
-// AdaptiveBudgetConfig configures the controller.
+// AdaptiveBudgetConfig configures the controller. The budget's floor is
+// selection.MinBudget (the m0 reserve plus one worker), so the Equation 3
+// crash guarantee survives the harshest setting.
 type AdaptiveBudgetConfig struct {
-	// MinK floors the budget; values below selection.MinBudget (the m0
-	// reserve plus one worker) are raised to it, so the Equation 3 crash
-	// guarantee survives the harshest setting.
-	MinK int
 	// MaxK caps the budget; required (there is no pool-size default because
-	// the controller never sees the membership).
+	// the controller never sees the membership). Values below
+	// selection.MinBudget are raised to it.
 	MaxK int
-	// Epoch is the completions per measurement window; 0 means
-	// DefaultControllerEpoch.
-	Epoch int
-	// Hysteresis is the relative goodput dead band; 0 means
-	// DefaultControllerHysteresis.
-	Hysteresis float64
-	// OverloadPerReplica is the emergency-clamp threshold; 0 means
-	// DefaultOverloadPerReplica.
-	OverloadPerReplica float64
 	// Clock supplies the time base for goodput rates; nil means time.Now.
 	// The simulator passes its virtual clock so epochs measure simulated
 	// seconds.
@@ -110,20 +101,8 @@ var _ selection.BudgetController = (*AdaptiveBudget)(nil)
 // NewAdaptiveBudget returns a controller starting at the budget ceiling
 // (low load wants full redundancy; the climb walks it down if that hurts).
 func NewAdaptiveBudget(cfg AdaptiveBudgetConfig) *AdaptiveBudget {
-	if cfg.MinK < selection.MinBudget {
-		cfg.MinK = selection.MinBudget
-	}
-	if cfg.MaxK < cfg.MinK {
-		cfg.MaxK = cfg.MinK
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = DefaultControllerEpoch
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = DefaultControllerHysteresis
-	}
-	if cfg.OverloadPerReplica <= 0 {
-		cfg.OverloadPerReplica = DefaultOverloadPerReplica
+	if cfg.MaxK < selection.MinBudget {
+		cfg.MaxK = selection.MinBudget
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -138,11 +117,11 @@ func NewAdaptiveBudget(cfg AdaptiveBudgetConfig) *AdaptiveBudget {
 // doubt. The clamp taints the running epoch so a rate measured half in and
 // half out of clamp never steers the climb.
 func (c *AdaptiveBudget) BudgetFor(perReplicaOutstanding float64, n int) int {
-	if perReplicaOutstanding >= c.cfg.OverloadPerReplica {
+	if perReplicaOutstanding >= controllerOverloadPerReplica {
 		if !c.clamped.Swap(true) {
 			c.clamps.Add(1)
 		}
-		return c.cfg.MinK
+		return selection.MinBudget
 	}
 	return int(c.budget.Load())
 }
@@ -176,7 +155,7 @@ func (c *AdaptiveBudget) cancelSavingsRate() float64 {
 }
 
 // OnOutcome feeds one request completion (timely or not) into the climb.
-// Every Epoch completions the goodput rate for the window is compared
+// Every DefaultControllerEpoch completions the goodput rate for the window is compared
 // against the previous settled epoch:
 //
 //	improved beyond the dead band → keep stepping in the same direction;
@@ -185,8 +164,8 @@ func (c *AdaptiveBudget) cancelSavingsRate() float64 {
 //	                                a step (upward when cancellation makes
 //	                                redundancy cheap) to re-test the slope.
 //
-// Steps are ±1 and the budget never leaves [MinK, MaxK], so a wrong probe
-// costs one epoch at an adjacent set point.
+// Steps are ±1 and the budget never leaves [selection.MinBudget, MaxK], so a
+// wrong probe costs one epoch at an adjacent set point.
 func (c *AdaptiveBudget) OnOutcome(timely bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -197,7 +176,7 @@ func (c *AdaptiveBudget) OnOutcome(timely bool) {
 	if timely {
 		c.timely++
 	}
-	if c.completed < c.cfg.Epoch {
+	if c.completed < DefaultControllerEpoch {
 		return
 	}
 	now := c.cfg.Clock()
@@ -223,11 +202,11 @@ func (c *AdaptiveBudget) OnOutcome(timely bool) {
 		return
 	}
 	switch {
-	case rate > c.prevRate*(1+c.cfg.Hysteresis):
+	case rate > c.prevRate*(1+controllerHysteresis):
 		c.step(c.dir)
 		c.holds = 0
 		c.prevRate = rate
-	case rate < c.prevRate*(1-c.cfg.Hysteresis):
+	case rate < c.prevRate*(1-controllerHysteresis):
 		c.dir = -c.dir
 		c.step(c.dir)
 		c.holds = 0
@@ -244,7 +223,7 @@ func (c *AdaptiveBudget) OnOutcome(timely bool) {
 			}
 			// A probe exists to move: at a wall, the only testable
 			// direction is the other one.
-			if cur := int(c.budget.Load()); cur+c.dir > c.cfg.MaxK || cur+c.dir < c.cfg.MinK {
+			if cur := int(c.budget.Load()); cur+c.dir > c.cfg.MaxK || cur+c.dir < selection.MinBudget {
 				c.dir = -c.dir
 			}
 			c.step(c.dir)
@@ -252,13 +231,13 @@ func (c *AdaptiveBudget) OnOutcome(timely bool) {
 	}
 }
 
-// step moves the set point by ±1 inside [MinK, MaxK]; a step off either end
-// bounces the direction so the next step leaves the wall.
+// step moves the set point by ±1 inside [selection.MinBudget, MaxK]; a step
+// off either end bounces the direction so the next step leaves the wall.
 func (c *AdaptiveBudget) step(dir int) {
 	cur := int(c.budget.Load())
 	next := cur + dir
-	if next < c.cfg.MinK {
-		next = c.cfg.MinK
+	if next < selection.MinBudget {
+		next = selection.MinBudget
 		c.dir = +1
 	}
 	if next > c.cfg.MaxK {

@@ -19,8 +19,8 @@ func (f *fakeClock) Now() time.Time { return f.now }
 
 // feedEpoch pushes one full epoch of completions at the given per-second
 // goodput (timely completions spaced evenly over virtual time).
-func feedEpoch(c *AdaptiveBudget, clk *fakeClock, epoch int, rate float64) {
-	for i := 0; i < epoch; i++ {
+func feedEpoch(c *AdaptiveBudget, clk *fakeClock, rate float64) {
+	for i := 0; i < DefaultControllerEpoch; i++ {
 		clk.now = clk.now.Add(time.Duration(float64(time.Second) / rate))
 		c.OnOutcome(true)
 	}
@@ -28,14 +28,14 @@ func feedEpoch(c *AdaptiveBudget, clk *fakeClock, epoch int, rate float64) {
 
 func TestControllerDefaultsAndClamp(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MinK: 1, MaxK: 5, Clock: clk.Now})
+	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MaxK: 5, Clock: clk.Now})
 	if got := c.Budget(); got != 5 {
 		t.Errorf("initial budget = %d, want MaxK", got)
 	}
 	if got := c.BudgetFor(0.5, 5); got != 5 {
 		t.Errorf("BudgetFor under light load = %d, want 5", got)
 	}
-	// Saturation clamps to the floor (which was raised to MinBudget).
+	// Saturation clamps to the floor, MinBudget.
 	if got := c.BudgetFor(100, 5); got != selection.MinBudget {
 		t.Errorf("BudgetFor under saturation = %d, want %d", got, selection.MinBudget)
 	}
@@ -45,26 +45,25 @@ func TestControllerDefaultsAndClamp(t *testing.T) {
 }
 
 func TestControllerClimbsTowardBetterGoodput(t *testing.T) {
-	const epoch = 10
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MinK: 2, MaxK: 6, Epoch: epoch, Clock: clk.Now})
+	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MaxK: 6, Clock: clk.Now})
 	c.budget.Store(6)
 	c.dir = -1 // pretend the last step was downward
 
 	// Each downward step "improves" goodput: the climb must keep walking
 	// down, one bounded step per epoch.
-	feedEpoch(c, clk, epoch, 10) // priming epoch (discarded)
-	feedEpoch(c, clk, epoch, 10) // baseline epoch (no prev to compare)
+	feedEpoch(c, clk, 10) // priming epoch (discarded)
+	feedEpoch(c, clk, 10) // baseline epoch (no prev to compare)
 	rate := 10.0
 	for i := 0; i < 3; i++ {
 		rate *= 1.5
-		feedEpoch(c, clk, epoch, rate)
+		feedEpoch(c, clk, rate)
 	}
 	if got := c.Budget(); got != 3 {
 		t.Errorf("budget after 3 improving epochs = %d, want 3 (one step each)", got)
 	}
 	// A regression reverses the direction.
-	feedEpoch(c, clk, epoch, rate*0.5)
+	feedEpoch(c, clk, rate*0.5)
 	if got := c.Budget(); got != 4 {
 		t.Errorf("budget after regression = %d, want 4 (reversed)", got)
 	}
@@ -75,14 +74,13 @@ func TestControllerClimbsTowardBetterGoodput(t *testing.T) {
 }
 
 func TestControllerHoldsInsideDeadBand(t *testing.T) {
-	const epoch = 10
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MinK: 2, MaxK: 6, Epoch: epoch, Clock: clk.Now})
-	feedEpoch(c, clk, epoch, 10) // priming epoch (discarded)
-	feedEpoch(c, clk, epoch, 10) // baseline
+	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MaxK: 6, Clock: clk.Now})
+	feedEpoch(c, clk, 10) // priming epoch (discarded)
+	feedEpoch(c, clk, 10) // baseline
 	// Two statistically flat epochs: hold, don't walk.
-	feedEpoch(c, clk, epoch, 10.2)
-	feedEpoch(c, clk, epoch, 9.9)
+	feedEpoch(c, clk, 10.2)
+	feedEpoch(c, clk, 9.9)
 	if got := c.Budget(); got != 6 {
 		t.Errorf("budget moved to %d inside the dead band", got)
 	}
@@ -90,20 +88,19 @@ func TestControllerHoldsInsideDeadBand(t *testing.T) {
 		t.Errorf("held = %d, want 2", held)
 	}
 	// After enough flat epochs the controller probes a step anyway.
-	feedEpoch(c, clk, epoch, 10.05)
+	feedEpoch(c, clk, 10.05)
 	if got := c.Budget(); got == 6 {
 		t.Error("controller never probed after a full hold cycle")
 	}
 }
 
 func TestControllerNeverLeavesBounds(t *testing.T) {
-	const epoch = 4
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MinK: 2, MaxK: 4, Epoch: epoch, Clock: clk.Now})
+	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MaxK: 4, Clock: clk.Now})
 	rate := 10.0
 	for i := 0; i < 40; i++ {
 		rate *= 1.3 // perpetual "improvement": the climb pushes one way forever
-		feedEpoch(c, clk, epoch, rate)
+		feedEpoch(c, clk, rate)
 		if b := c.Budget(); b < 2 || b > 4 {
 			t.Fatalf("budget %d escaped [2,4]", b)
 		}
@@ -114,7 +111,7 @@ func TestControllerBudgetedIntegration(t *testing.T) {
 	// Through selection.Budgeted, the controller's pick is clamped to the
 	// strategy's own [MinK, MaxK].
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MinK: 2, MaxK: 8, Clock: clk.Now})
+	c := NewAdaptiveBudget(AdaptiveBudgetConfig{MaxK: 8, Clock: clk.Now})
 	b := &selection.Budgeted{MinK: 2, MaxK: 4}
 	in := selection.Input{Controller: c}
 	for i := 0; i < 5; i++ {
@@ -127,7 +124,7 @@ func TestControllerBudgetedIntegration(t *testing.T) {
 
 func TestCancelTargetsSettlesAndDiscounts(t *testing.T) {
 	repo := warmRepo(t, 3, 10*ms, 2*ms, ms)
-	ctrl := NewAdaptiveBudget(AdaptiveBudgetConfig{MinK: 2, MaxK: 3})
+	ctrl := NewAdaptiveBudget(AdaptiveBudgetConfig{MaxK: 3})
 	s, err := NewScheduler(Config{
 		Service:    "svc",
 		QoS:        wire.QoS{Deadline: 100 * ms, MinProbability: 0.9},

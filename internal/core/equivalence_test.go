@@ -96,10 +96,7 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 				s.OnMembershipChange(members)
 			case op < 18:
 				what = "Quarantine"
-				repo.Quarantine(id, now)
-			case op < 19:
-				what = "Parole"
-				repo.Parole(now)
+				repo.Quarantine(id)
 			default:
 				what = "FlushCache"
 				hot.FlushCache()

@@ -17,19 +17,17 @@ package core
 //     was charged, so the straggler reply that arrives later does not charge
 //     the same request twice (failures are charged once per
 //     (request, replica) pair);
-//   - when a replica's windowed fault rate crosses SuspectRate it becomes
-//     Suspected; past QuarantineRate it is Quarantined (and its outcome
+//   - when a replica's windowed fault rate crosses suspectRate it becomes
+//     Suspected; past quarantineRate it is Quarantined (and its outcome
 //     window resets so a restarted instance is judged on fresh evidence);
-//     back below ClearRate a Suspected replica returns to Active.
+//     back below clearRate a Suspected replica returns to Active.
 //
 // Transitions surface through the SuspectReport callback (invoked outside
-// the scheduler lock, like degradation reports) and metrics, so a
-// dependability manager can rejuvenate quarantined replicas and operators
-// can watch the loop work.
+// the scheduler lock) and metrics, so a dependability manager can rejuvenate
+// quarantined replicas and operators can watch the loop work.
 
 import (
 	"fmt"
-	"time"
 
 	"aqua/internal/repository"
 	"aqua/internal/wire"
@@ -43,20 +41,21 @@ const (
 	// replica's window holds this many outcomes, so one early straggle
 	// cannot suspect a healthy replica.
 	DefaultMinObservations = 8
-	// DefaultSuspectRate is the windowed fault rate at which an Active
-	// replica becomes Suspected.
-	DefaultSuspectRate = 0.5
-	// DefaultQuarantineRate is the windowed fault rate at which a Suspected
-	// replica is Quarantined.
-	DefaultQuarantineRate = 0.75
-	// DefaultClearRate is the windowed fault rate at or below which a
-	// Suspected replica returns to Active.
-	DefaultClearRate = 0.25
+	// suspectRate is the windowed fault rate at which an Active replica
+	// becomes Suspected.
+	suspectRate = 0.5
+	// quarantineRate is the windowed fault rate at which a Suspected replica
+	// is Quarantined.
+	quarantineRate = 0.75
+	// clearRate is the windowed fault rate at or below which a Suspected
+	// replica returns to Active.
+	clearRate = 0.25
 )
 
 // LifecycleConfig enables and tunes the replica lifecycle: suspicion
-// windows, quarantine thresholds, and probation re-admission. The zero
-// value disables the lifecycle entirely (paper-exact behavior).
+// windows and probation re-admission (the fault-rate thresholds are the
+// constants above). The zero value disables the lifecycle entirely
+// (paper-exact behavior).
 type LifecycleConfig struct {
 	// Enabled switches the lifecycle on.
 	Enabled bool
@@ -66,22 +65,10 @@ type LifecycleConfig struct {
 	// MinObservations is the minimum outcomes in a replica's window before
 	// its fault rate is judged; zero means DefaultMinObservations.
 	MinObservations int
-	// SuspectRate, QuarantineRate, and ClearRate are the windowed
-	// fault-rate thresholds; zero values mean the defaults. They must
-	// satisfy ClearRate < SuspectRate <= QuarantineRate.
-	SuspectRate    float64
-	QuarantineRate float64
-	ClearRate      float64
 	// ProbationSamples is how many fresh performance reports a probation
 	// replica must accumulate before re-admission; zero means the
 	// repository default (its window size l).
 	ProbationSamples int
-	// QuarantineExpiry, when positive, paroles a replica that has been
-	// quarantined this long into Probation: the second-chance path for
-	// deployments without a dependability manager to restart it. Zero means
-	// quarantine holds until an external actor (rejuvenation, membership
-	// change) intervenes.
-	QuarantineExpiry time.Duration
 	// RequireStateTransfer arms the ordered-mode re-admission gate: a
 	// Probation replica is promoted only once its performance reports claim
 	// a caught-up state machine (completed state transfer), on top of the
@@ -102,21 +89,6 @@ func (l LifecycleConfig) withDefaults() LifecycleConfig {
 	}
 	if l.MinObservations > l.WindowSize {
 		l.MinObservations = l.WindowSize
-	}
-	if l.SuspectRate <= 0 {
-		l.SuspectRate = DefaultSuspectRate
-	}
-	if l.QuarantineRate <= 0 {
-		l.QuarantineRate = DefaultQuarantineRate
-	}
-	if l.QuarantineRate < l.SuspectRate {
-		l.QuarantineRate = l.SuspectRate
-	}
-	if l.ClearRate <= 0 {
-		l.ClearRate = DefaultClearRate
-	}
-	if l.ClearRate >= l.SuspectRate {
-		l.ClearRate = l.SuspectRate / 2
 	}
 	return l
 }
@@ -202,21 +174,21 @@ func (s *Scheduler) recordOutcome(id wire.ReplicaID, fault bool, reps []SuspectR
 	}
 	switch h {
 	case repository.Active:
-		if rate >= lc.QuarantineRate && s.repo.Quarantine(id, time.Now()) {
+		if rate >= quarantineRate && s.repo.Quarantine(id) {
 			// The rate blew straight past both thresholds (e.g. a full
 			// window of expiries): do not wait a lap through Suspected.
 			reps = s.noteTransition(id, h, repository.Quarantined, rate, w.filled, reps)
 			delete(s.suspicion, id)
-		} else if rate >= lc.SuspectRate && s.repo.Suspect(id) {
+		} else if rate >= suspectRate && s.repo.Suspect(id) {
 			reps = s.noteTransition(id, h, repository.Suspected, rate, w.filled, reps)
 		}
 	case repository.Suspected:
-		if rate >= lc.QuarantineRate && s.repo.Quarantine(id, time.Now()) {
+		if rate >= quarantineRate && s.repo.Quarantine(id) {
 			reps = s.noteTransition(id, h, repository.Quarantined, rate, w.filled, reps)
 			// Fresh evidence for the next incarnation: the window that
 			// convicted this one must not pre-convict its replacement.
 			delete(s.suspicion, id)
-		} else if rate <= lc.ClearRate && s.repo.ClearSuspicion(id) {
+		} else if rate <= clearRate && s.repo.ClearSuspicion(id) {
 			reps = s.noteTransition(id, h, repository.Active, rate, w.filled, reps)
 		}
 	}

@@ -123,7 +123,7 @@ func TestSuspectedReplicaClearsOnRecovery(t *testing.T) {
 		t.Errorf("suspected replica dropped from selection: %v", d.Targets)
 	}
 	// That timely round pushed the window to [late, timely, timely(?) ...]:
-	// keep answering timely until the rate falls to ClearRate.
+	// keep answering timely until the rate falls to clearRate.
 	roundtrip(t, s, nil)
 	if h, _ := s.Repository().Health("a"); h != repository.Active {
 		t.Fatalf("Health(a) = %v, want Active after recovery", h)
@@ -277,7 +277,7 @@ func TestMembershipChangePrunesSuspicionAndStartsProbation(t *testing.T) {
 func TestAllQuarantinedFallsBackToFullSet(t *testing.T) {
 	s := lifecycleSched(t, LifecycleConfig{WindowSize: 4, MinObservations: 4})
 	for _, id := range []wire.ReplicaID{"a", "b", "c"} {
-		s.Repository().Quarantine(id, time.Now())
+		s.Repository().Quarantine(id)
 	}
 	// Availability beats quarantine: with every member sick, selection uses
 	// the full set rather than failing.

@@ -23,8 +23,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"aqua/internal/wire"
 )
 
 // ErrOverloaded is returned by Schedule when admission control sheds the
@@ -75,62 +73,20 @@ const (
 	// DefaultBestEffortK replaces the select-all fallback while degraded:
 	// the m0 crash reserve plus the best remaining replica.
 	DefaultBestEffortK = 2
-	// DefaultBackpressureHold is how many request completions a transport
+	// backpressureHold is how many request completions a transport
 	// backpressure signal keeps the scheduler in Budgeted mode for.
-	DefaultBackpressureHold = 16
+	backpressureHold = 16
 )
 
 // OverloadConfig configures admission control and the degradation ladder.
 // The zero value disables the in-flight ceiling; backpressure signals then
-// still drive Normal ↔ Budgeted.
+// still drive Normal ↔ Budgeted. While degraded, select-all fallbacks are
+// capped to DefaultBestEffortK replicas.
 type OverloadConfig struct {
 	// MaxInFlight is the admission ceiling: Schedule sheds (ErrOverloaded)
 	// while this many requests are in flight. Zero disables shedding and
 	// the in-flight-driven ladder rungs.
 	MaxInFlight int
-	// BestEffortK caps select-all fallbacks while degraded; zero means
-	// DefaultBestEffortK, negative disables the cap.
-	BestEffortK int
-	// BackpressureHold is how many completions a backpressure signal keeps
-	// the ladder at Budgeted or above; zero means the default.
-	BackpressureHold int
-	// OnDegradation is invoked (outside the scheduler's lock) for every
-	// ladder transition, in both directions. Must not block.
-	OnDegradation func(DegradationReport)
-}
-
-// withDefaults resolves zero fields.
-func (o OverloadConfig) withDefaults() OverloadConfig {
-	if o.BestEffortK == 0 {
-		o.BestEffortK = DefaultBestEffortK
-	}
-	if o.BackpressureHold <= 0 {
-		o.BackpressureHold = DefaultBackpressureHold
-	}
-	return o
-}
-
-// enabled reports whether any overload machinery is configured.
-func (o OverloadConfig) enabled() bool {
-	return o.MaxInFlight > 0 || o.OnDegradation != nil
-}
-
-// DegradationReport describes one transition on the degradation ladder.
-type DegradationReport struct {
-	Service  wire.Service
-	From, To Mode
-	// InFlight and Ceiling are the in-flight count and MaxInFlight at the
-	// moment of the transition (Ceiling 0 = no admission ceiling).
-	InFlight int
-	Ceiling  int
-	// Reason names the signal that caused the evaluation: "schedule",
-	// "shed", "complete", or "backpressure".
-	Reason string
-}
-
-func (d DegradationReport) String() string {
-	return fmt.Sprintf("degradation on %q: %s -> %s (in-flight %d/%d, %s)",
-		d.Service, d.From, d.To, d.InFlight, d.Ceiling, d.Reason)
 }
 
 // Mode returns the scheduler's current position on the degradation ladder.
@@ -140,26 +96,26 @@ func (s *Scheduler) Mode() Mode { return Mode(s.modeA.Load()) }
 // transport.ErrBackpressure from a saturated send queue) into the
 // degradation ladder: the scheduler enters Budgeted mode — the network being
 // unable to absorb the multicast fan-out is the same overload the in-flight
-// ceiling watches for — and holds it there until BackpressureHold requests
-// complete cleanly.
+// ceiling watches for — and holds it there until backpressureHold requests
+// complete.
 func (s *Scheduler) NoteBackpressure() {
 	s.stats.backpressure.Add(1)
 	s.met.backpressure.Inc()
 	s.stateMu.Lock()
-	s.bpHoldA.Store(int64(s.cfg.Overload.BackpressureHold))
+	s.bpHoldA.Store(backpressureHold)
 	s.stateMu.Unlock()
-	s.deliverDegradations(s.evalMode("backpressure", nil))
+	s.evalMode()
 }
 
 // evalMode recomputes the ladder position from the in-flight count and any
-// backpressure hold, appending a report for each transition taken. It takes
-// stateMu internally for the transition itself; the no-overload fast path is
-// lock-free so the paper-exact configuration pays nothing. Callers may hold
-// a shard mutex (shard.mu → stateMu is the ordering), never stateMu itself.
-func (s *Scheduler) evalMode(reason string, reps []DegradationReport) []DegradationReport {
+// backpressure hold. It takes stateMu internally for the transition itself;
+// the no-overload fast path is lock-free so the paper-exact configuration
+// pays nothing. Callers may hold a shard mutex (shard.mu → stateMu is the
+// ordering), never stateMu itself.
+func (s *Scheduler) evalMode() {
 	o := s.cfg.Overload
-	if !o.enabled() && s.bpHoldA.Load() == 0 && Mode(s.modeA.Load()) == ModeNormal {
-		return reps
+	if o.MaxInFlight <= 0 && s.bpHoldA.Load() == 0 && Mode(s.modeA.Load()) == ModeNormal {
+		return
 	}
 	n := int(s.nPend.Load())
 	s.stateMu.Lock()
@@ -199,23 +155,13 @@ func (s *Scheduler) evalMode(reason string, reps []DegradationReport) []Degradat
 			target = ModeNormal
 		}
 	}
-	if target == mode {
-		s.stateMu.Unlock()
-		return reps
+	if target != mode {
+		s.modeA.Store(int32(target))
+		s.stats.degradations.Add(1)
+		s.met.degradations.Inc()
+		s.met.mode.Set(int64(target))
 	}
-	s.modeA.Store(int32(target))
-	s.stats.degradations.Add(1)
-	s.met.degradations.Inc()
-	s.met.mode.Set(int64(target))
 	s.stateMu.Unlock()
-	return append(reps, DegradationReport{
-		Service:  s.cfg.Service,
-		From:     mode,
-		To:       target,
-		InFlight: n,
-		Ceiling:  o.MaxInFlight,
-		Reason:   reason,
-	})
 }
 
 // threshold converts a fraction of the ceiling to a count, floored at 1 so a
@@ -226,15 +172,4 @@ func threshold(ceil int, frac float64) int {
 		t = 1
 	}
 	return t
-}
-
-// deliverDegradations invokes the OnDegradation callback outside the lock.
-func (s *Scheduler) deliverDegradations(reps []DegradationReport) {
-	cb := s.cfg.Overload.OnDegradation
-	if cb == nil {
-		return
-	}
-	for _, r := range reps {
-		cb(r)
-	}
 }

@@ -117,24 +117,25 @@ func TestMembershipSweepSparesLiveTargets(t *testing.T) {
 func TestMembershipSweepReportsViolation(t *testing.T) {
 	repo := warmRepo(t, 2, 10*ms, 2*ms, ms)
 	s, err := NewScheduler(Config{
-		Service:                "svc",
-		QoS:                    wire.QoS{Deadline: 30 * ms, MinProbability: 0.9},
-		Repository:             repo,
-		MinSamplesForViolation: 1,
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 30 * ms, MinProbability: 0.9},
+		Repository: repo,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	if _, err := s.Schedule(t0, ""); err != nil {
-		t.Fatal(err)
+	for i := 0; i < DefaultMinSamplesForViolation; i++ {
+		if _, err := s.Schedule(t0, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep := s.OnMembershipChangeAt(nil, t0.Add(40*ms))
 	if rep == nil {
-		t.Fatal("sweep past deadline with MinSamples=1 should report a QoS violation")
+		t.Fatalf("sweep expiring %d requests past deadline should report a QoS violation", DefaultMinSamplesForViolation)
 	}
-	if rep.TimingFailures != 1 {
-		t.Errorf("violation reports %d failures, want 1", rep.TimingFailures)
+	if rep.TimingFailures != DefaultMinSamplesForViolation {
+		t.Errorf("violation reports %d failures, want %d", rep.TimingFailures, DefaultMinSamplesForViolation)
 	}
 }
 

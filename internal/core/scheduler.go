@@ -85,9 +85,6 @@ type Config struct {
 	// inclusion so it gets re-probed (the paper's "active probes"
 	// suggestion, §8).
 	StalenessBound time.Duration
-	// MinSamplesForViolation gates the QoS-violation check; zero means
-	// DefaultMinSamplesForViolation.
-	MinSamplesForViolation int
 	// Overload configures admission control and the degradation ladder
 	// (overload.go). The zero value keeps the paper-exact behavior.
 	Overload OverloadConfig
@@ -388,11 +385,11 @@ type Scheduler struct {
 
 	// Hot-path state: all lock-free.
 	nextSeq        atomic.Uint64
-	nPend          atomic.Int64                // pending requests across all shards
-	qos            atomic.Pointer[wire.QoS]    // current contract (Renegotiate swaps it)
-	lastOverheadNs atomic.Int64                // most recent δ, nanoseconds
-	modeA          atomic.Int32                // degradation-ladder position (Mode)
-	bpHoldA        atomic.Int64                // completions a backpressure signal still pins the ladder for; mutated under stateMu
+	nPend          atomic.Int64             // pending requests across all shards
+	qos            atomic.Pointer[wire.QoS] // current contract (Renegotiate swaps it)
+	lastOverheadNs atomic.Int64             // most recent δ, nanoseconds
+	modeA          atomic.Int32             // degradation-ladder position (Mode)
+	bpHoldA        atomic.Int64             // completions a backpressure signal still pins the ladder for; mutated under stateMu
 	stats          schedStats
 
 	shards [pendShardCount]pendShard
@@ -408,7 +405,7 @@ type Scheduler struct {
 	// suspicion windows, and degradation-ladder transitions. Acquired after a
 	// shard mutex, never before.
 	stateMu   sync.Mutex
-	notified  bool // violation callback already fired since last renegotiation
+	notified  bool                            // violation callback already fired since last renegotiation
 	suspicion map[wire.ReplicaID]*faultWindow // per-replica timing-fault outcomes (lifecycle.go)
 	// winCompleted/winFailures are the QoS accounting window: they track
 	// Completed/TimingFailures but reset on Renegotiate, so the observed
@@ -445,10 +442,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.Repository == nil {
 		cfg.Repository = repository.New()
 	}
-	if cfg.MinSamplesForViolation <= 0 {
-		cfg.MinSamplesForViolation = DefaultMinSamplesForViolation
-	}
-	cfg.Overload = cfg.Overload.withDefaults()
 	if cfg.Lifecycle.Enabled {
 		cfg.Lifecycle = cfg.Lifecycle.withDefaults()
 		cfg.Repository.EnableLifecycle(cfg.Lifecycle.ProbationSamples)
@@ -597,7 +590,6 @@ func (s *Scheduler) Renegotiate(q wire.QoS) error {
 // invocation (which may be stateful) and their own pending-table shard.
 func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	start := time.Now() // δ is computational overhead: always wall clock
-	var reps []DegradationReport
 
 	qos := *s.qos.Load()
 	// Admission control: shed before paying for the probability table. The
@@ -607,10 +599,8 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		n := int(s.nPend.Load())
 		s.stats.shed.Add(1)
 		s.met.shed.Inc()
-		reps = s.evalMode("shed", reps)
-		mode := s.Mode()
-		s.deliverDegradations(reps)
-		return Decision{Mode: mode}, fmt.Errorf("core: %d requests in flight (ceiling %d) for service %q: %w",
+		s.evalMode()
+		return Decision{Mode: s.Mode()}, fmt.Errorf("core: %d requests in flight (ceiling %d) for service %q: %w",
 			n, max, s.cfg.Service, ErrOverloaded)
 	}
 	deadline := qos.Deadline
@@ -629,13 +619,6 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 			delta = deadline / 2
 		}
 		deadline -= delta
-	}
-
-	if exp := s.cfg.Lifecycle.QuarantineExpiry; exp > 0 {
-		// Second-chance path for deployments without a dependability manager:
-		// quarantine older than the expiry converts to probation. Wall clock,
-		// like the quarantine stamp itself.
-		s.repo.Parole(time.Now().Add(-exp))
 	}
 
 	sc := s.getScratch()
@@ -726,8 +709,8 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	// F_Ri(t), so truncating keeps the m0 reserve's shape (Eq. 3) with the
 	// best remaining replica.
 	capped := res.Capped
-	if k := s.cfg.Overload.BestEffortK; Mode(s.modeA.Load()) != ModeNormal && res.UsedAll && k > 0 && len(res.Selected) > k {
-		res.Selected = res.Selected[:k]
+	if Mode(s.modeA.Load()) != ModeNormal && res.UsedAll && len(res.Selected) > DefaultBestEffortK {
+		res.Selected = res.Selected[:DefaultBestEffortK]
 		res.Predicted = predictedFor(table, res.Selected)
 		capped = true
 	}
@@ -766,9 +749,8 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	s.met.targets.Observe(float64(len(res.Selected)))
 	s.met.predicted.Observe(res.Predicted)
 	s.met.overhead.ObserveDuration(ovh)
-	reps = s.evalMode("schedule", reps)
+	s.evalMode()
 	s.putScratch(sc)
-	s.deliverDegradations(reps)
 	return Decision{
 		Seq:          seq,
 		Targets:      res.Selected,
@@ -817,7 +799,6 @@ func (s *Scheduler) Dispatched(seq wire.SeqNo, t1 time.Time) error {
 // computes the new gateway delay, and — for the first reply — evaluates the
 // timing-failure predicate.
 func (s *Scheduler) OnReply(seq wire.SeqNo, replica wire.ReplicaID, t4 time.Time, perf wire.PerfReport) ReplyOutcome {
-	var reps []DegradationReport
 	var sreps []SuspectReport
 	qos := *s.qos.Load()
 
@@ -870,10 +851,9 @@ func (s *Scheduler) OnReply(seq wire.SeqNo, replica wire.ReplicaID, t4 time.Time
 		s.stats.duplicates.Add(1)
 		s.met.duplicates.Inc()
 		if p.replies >= len(p.targets) {
-			reps = s.dropLocked(sh, seq, p, reps)
+			s.dropLocked(sh, seq, p)
 		}
 		sh.mu.Unlock()
-		s.deliverDegradations(reps)
 		s.deliverSuspects(sreps)
 		return out
 	}
@@ -890,10 +870,9 @@ func (s *Scheduler) OnReply(seq wire.SeqNo, replica wire.ReplicaID, t4 time.Time
 		s.complete(failed, &out)
 	}
 	if p.replies >= len(p.targets) {
-		reps = s.dropLocked(sh, seq, p, reps)
+		s.dropLocked(sh, seq, p)
 	}
 	sh.mu.Unlock()
-	s.deliverDegradations(reps)
 	s.deliverSuspects(sreps)
 	return out
 }
@@ -916,7 +895,7 @@ func (s *Scheduler) replicaResponse(id wire.ReplicaID) *metrics.Histogram {
 // still-unsettled in-flight contributions (targets that never replied),
 // keeps the pending gauge in step, re-evaluates the degradation ladder, and
 // recycles the entry. Caller holds sh.mu and must not touch p afterwards.
-func (s *Scheduler) dropLocked(sh *pendShard, seq wire.SeqNo, p *pending, reps []DegradationReport) []DegradationReport {
+func (s *Scheduler) dropLocked(sh *pendShard, seq wire.SeqNo, p *pending) {
 	for i := range p.targets {
 		if !p.settled[i] {
 			s.repo.NoteSettled(p.targets[i])
@@ -929,10 +908,9 @@ func (s *Scheduler) dropLocked(sh *pendShard, seq wire.SeqNo, p *pending, reps [
 		// ceiling drift.
 		s.nPend.Add(-1)
 		s.met.pending.Add(-1)
-		reps = s.evalMode("complete", reps)
+		s.evalMode()
 	}
 	s.putPending(p)
-	return reps
 }
 
 // CancelTargets settles every selected replica that has not yet replied for
@@ -948,7 +926,6 @@ func (s *Scheduler) dropLocked(sh *pendShard, seq wire.SeqNo, p *pending, reps [
 // discounted from the admission count — a cancelled request holds no
 // capacity.
 func (s *Scheduler) CancelTargets(seq wire.SeqNo, buf []wire.ReplicaID) []wire.ReplicaID {
-	var reps []DegradationReport
 	sh := s.shard(seq)
 	sh.mu.Lock()
 	p, ok := sh.m[seq]
@@ -970,13 +947,12 @@ func (s *Scheduler) CancelTargets(seq wire.SeqNo, buf []wire.ReplicaID) []wire.R
 		p.discounted = true
 		s.nPend.Add(-1)
 		s.met.pending.Add(-1)
-		reps = s.evalMode("complete", reps)
+		s.evalMode()
 	}
 	sh.mu.Unlock()
 	if s.cfg.Controller != nil && len(buf) > start {
 		s.cfg.Controller.NoteCancelled(len(buf) - start)
 	}
-	s.deliverDegradations(reps)
 	return buf
 }
 
@@ -1038,7 +1014,7 @@ func (s *Scheduler) complete(failed bool, out *ReplyOutcome) {
 	} else {
 		s.stats.consecutiveFails.Store(0)
 	}
-	if s.notified || s.winCompleted < uint64(s.cfg.MinSamplesForViolation) {
+	if s.notified || s.winCompleted < DefaultMinSamplesForViolation {
 		s.stateMu.Unlock()
 		return
 	}
@@ -1062,14 +1038,12 @@ func (s *Scheduler) complete(failed bool, out *ReplyOutcome) {
 // Forget drops the pending state for a request (e.g. after a grace period
 // for straggler duplicates). Safe to call for unknown sequence numbers.
 func (s *Scheduler) Forget(seq wire.SeqNo) {
-	var reps []DegradationReport
 	sh := s.shard(seq)
 	sh.mu.Lock()
 	if p, ok := sh.m[seq]; ok {
-		reps = s.dropLocked(sh, seq, p, reps)
+		s.dropLocked(sh, seq, p)
 	}
 	sh.mu.Unlock()
-	s.deliverDegradations(reps)
 }
 
 // SweepExpired drops the pending state of every request intercepted more
@@ -1077,19 +1051,17 @@ func (s *Scheduler) Forget(seq wire.SeqNo) {
 // cancelled) target is never dropped otherwise. The table holds only requests
 // still missing a reply, so one periodic tick replaces a timer per request.
 func (s *Scheduler) SweepExpired(now time.Time) {
-	var reps []DegradationReport
 	cutoff := now.Add(-s.qos.Load().Deadline - ForgetGrace)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for seq, p := range sh.m {
 			if !p.t0.After(cutoff) {
-				reps = s.dropLocked(sh, seq, p, reps)
+				s.dropLocked(sh, seq, p)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	s.deliverDegradations(reps)
 }
 
 // Outstanding returns the number of in-flight requests being tracked.
@@ -1120,7 +1092,6 @@ func (s *Scheduler) OnMembershipChangeAt(members []wire.ReplicaID, now time.Time
 		alive[id] = true
 	}
 	qos := *s.qos.Load()
-	var degs []DegradationReport
 	// Suspicion windows of departed replicas go with them; a replica that
 	// later rejoins under the same ID is judged on fresh evidence.
 	s.stateMu.Lock()
@@ -1155,11 +1126,10 @@ func (s *Scheduler) OnMembershipChangeAt(members []wire.ReplicaID, now time.Time
 					report = out.Violation
 				}
 			}
-			degs = s.dropLocked(sh, seq, p, degs)
+			s.dropLocked(sh, seq, p)
 		}
 		sh.mu.Unlock()
 	}
-	s.deliverDegradations(degs)
 	return report
 }
 

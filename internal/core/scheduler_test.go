@@ -228,17 +228,16 @@ func TestUnknownAndForeignReplies(t *testing.T) {
 func TestViolationCallbackFiresOnceBelowThreshold(t *testing.T) {
 	repo := warmRepo(t, 2, 10*ms, 2*ms, ms)
 	s, err := NewScheduler(Config{
-		Service:                "svc",
-		QoS:                    wire.QoS{Deadline: 50 * ms, MinProbability: 0.9},
-		Repository:             repo,
-		MinSamplesForViolation: 3,
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 50 * ms, MinProbability: 0.9},
+		Repository: repo,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var violations []*ViolationReport
 	base := time.Now()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*DefaultMinSamplesForViolation; i++ {
 		t0 := base.Add(time.Duration(i) * time.Second)
 		d, err := s.Schedule(t0, "")
 		if err != nil {
@@ -260,18 +259,18 @@ func TestViolationCallbackFiresOnceBelowThreshold(t *testing.T) {
 	if v.ObservedTimely != 0 || v.RequiredTimely != 0.9 {
 		t.Errorf("report = %+v", v)
 	}
-	if v.Completed < 3 {
-		t.Errorf("violation fired before MinSamples: %+v", v)
+	if v.Completed != DefaultMinSamplesForViolation {
+		t.Errorf("violation fired at completion %d, want the first judged one (%d): %+v",
+			v.Completed, DefaultMinSamplesForViolation, v)
 	}
 }
 
 func TestRenegotiateRearmsViolation(t *testing.T) {
 	repo := warmRepo(t, 2, 10*ms, 2*ms, ms)
 	s, err := NewScheduler(Config{
-		Service:                "svc",
-		QoS:                    wire.QoS{Deadline: 50 * ms, MinProbability: 0.9},
-		Repository:             repo,
-		MinSamplesForViolation: 1,
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 50 * ms, MinProbability: 0.9},
+		Repository: repo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +284,17 @@ func TestRenegotiateRearmsViolation(t *testing.T) {
 		out := s.OnReply(d.Seq, d.Targets[0], t0.Add(80*ms), wire.PerfReport{ServiceTime: 70 * ms})
 		return out.Violation
 	}
-	if fail() == nil {
+	// failWindow fails one accounting window's worth of requests and returns
+	// the violation reported by its last completion, the first one judged.
+	failWindow := func() *ViolationReport {
+		for i := 1; i < DefaultMinSamplesForViolation; i++ {
+			if v := fail(); v != nil {
+				t.Fatalf("violation at completion %d, before the window is judged: %v", i, v)
+			}
+		}
+		return fail()
+	}
+	if failWindow() == nil {
 		t.Fatal("first violation not reported")
 	}
 	if fail() != nil {
@@ -297,7 +306,7 @@ func TestRenegotiateRearmsViolation(t *testing.T) {
 	if s.QoS().MinProbability != 0.95 {
 		t.Error("renegotiated QoS not stored")
 	}
-	if fail() == nil {
+	if failWindow() == nil {
 		t.Error("violation not re-armed after renegotiation")
 	}
 	if err := s.Renegotiate(wire.QoS{Deadline: 0}); err == nil {

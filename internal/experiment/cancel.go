@@ -58,7 +58,7 @@ func a17Variants() []a17Variant {
 			name:       "adaptive+cancel",
 			strategy:   func() selection.Strategy { return selection.NewBudgeted() },
 			cancel:     true,
-			controller: &core.AdaptiveBudgetConfig{MinK: 2, MaxK: a17Replicas},
+			controller: &core.AdaptiveBudgetConfig{MaxK: a17Replicas},
 		},
 	}
 }

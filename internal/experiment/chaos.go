@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aqua/internal/core"
+	"aqua/internal/proteus"
 	"aqua/internal/sim"
 	"aqua/internal/stats"
 	"aqua/internal/wire"
@@ -103,7 +104,7 @@ func a14Scenario(seed int64) sim.Scenario {
 			MinObservations: 6,
 		},
 		ProbeInterval: a14ProbeEvery,
-		Rejuvenation:  sim.RejuvenationSpec{Enabled: true, RestartDelay: 250 * time.Millisecond},
+		Rejuvenation:  sim.RejuvenationSpec{Enabled: true},
 		Seed:          seed,
 		MaxTime:       10 * time.Minute,
 	}
@@ -185,8 +186,8 @@ func RunA14() (*Table, error) {
 	if res.Restarts < 1 {
 		fail("no rejuvenation restart recorded")
 	}
-	if res.Restarts > sim.DefaultSimMaxRestarts {
-		fail("restarts %d exceed the storm cap %d", res.Restarts, sim.DefaultSimMaxRestarts)
+	if res.Restarts > proteus.DefaultMaxRestartsPerWindow {
+		fail("restarts %d exceed the storm cap %d", res.Restarts, proteus.DefaultMaxRestartsPerWindow)
 	}
 	if res.ProbationViolations != 0 {
 		fail("%d probation/quarantine replicas appeared in selections", res.ProbationViolations)

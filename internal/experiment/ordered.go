@@ -40,6 +40,8 @@ import (
 
 	"aqua"
 	"aqua/internal/core"
+	"aqua/internal/proteus"
+	"aqua/internal/server"
 	"aqua/internal/sim"
 	"aqua/internal/stats"
 	"aqua/internal/trace"
@@ -47,10 +49,13 @@ import (
 )
 
 // a18SM is the checking state machine: its state IS the applied operation
-// sequence, so divergence cannot hide behind snapshot compaction.
+// sequence, so divergence cannot hide behind snapshot compaction. It counts
+// the restores that carried a snapshot, so a sweep whose transfers never
+// exercise one is caught.
 type a18SM struct {
-	mu  sync.Mutex
-	ops []string
+	mu           sync.Mutex
+	ops          []string
+	snapRestores int
 }
 
 func (m *a18SM) Apply(method string, payload []byte) ([]byte, error) {
@@ -73,6 +78,7 @@ func (m *a18SM) Restore(snapshot []byte) error {
 		m.ops = nil
 		return nil
 	}
+	m.snapRestores++
 	m.ops = strings.Split(string(snapshot), "\n")
 	return nil
 }
@@ -81,6 +87,12 @@ func (m *a18SM) history() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.ops...)
+}
+
+func (m *a18SM) snapshotRestores() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.snapRestores
 }
 
 // a18Tracker mints one a18SM per replica incarnation and remembers them
@@ -139,12 +151,13 @@ const (
 	a18Lossy = "lossy"
 )
 
-// a18CheckOps is per-config operation count: small enough that the full
-// sweep stays fast, large enough to cross snapshot boundaries (the replicas
-// snapshot every a18SnapshotEvery ops, so transfers carry snapshot + log).
+// Per-config operation counts. a18CheckOps keeps the full sweep fast. A
+// restart cell crashes its victim after Ops/2 operations, so a18RestartOps
+// puts that point past one server.SnapshotEvery: the survivors have taken a
+// periodic snapshot, and the replacement's transfer carries snapshot + log.
 const (
 	a18CheckOps      = 24
-	a18SnapshotEvery = 8
+	a18RestartOps    = 2*server.SnapshotEvery + 12
 	a18CheckSeedBase = 1800
 )
 
@@ -154,13 +167,17 @@ func OrderedCheckConfigs() []OrderedCheckConfig {
 	var out []OrderedCheckConfig
 	for _, n := range []int{2, 3, 4} {
 		for _, schedule := range []string{a18Steady, a18Restart, a18Ceiling} {
+			ops := a18CheckOps
+			if schedule == a18Restart {
+				ops = a18RestartOps
+			}
 			for _, faults := range []string{a18Clean, a18Chaos, a18Lossy} {
 				out = append(out, OrderedCheckConfig{
 					Name:     fmt.Sprintf("n%d-%s-%s", n, schedule, faults),
 					Replicas: n,
 					Schedule: schedule,
 					Faults:   faults,
-					Ops:      a18CheckOps,
+					Ops:      ops,
 					Seed:     a18CheckSeedBase + int64(len(out)),
 				})
 			}
@@ -199,6 +216,9 @@ type OrderedCheckResult struct {
 	Full int
 	// Transfers is the completed inbound state transfers across the pool.
 	Transfers uint64
+	// SnapshotRestores counts state-machine restores, across every
+	// incarnation, that carried a non-empty snapshot.
+	SnapshotRestores int
 	// Violations lists every safety breach; empty means the cell passed.
 	Violations []string
 }
@@ -445,6 +465,12 @@ func RunOrderedCheck(cfg OrderedCheckConfig) (*OrderedCheckResult, error) {
 	if cfg.Schedule == a18Restart && res.Transfers == 0 {
 		violate("restart schedule completed without any state transfer")
 	}
+	for _, sm := range tr.all() {
+		res.SnapshotRestores += sm.snapshotRestores()
+	}
+	if cfg.Schedule == a18Restart && res.SnapshotRestores == 0 {
+		violate("restart schedule completed without restoring a snapshot")
+	}
 	return res, nil
 }
 
@@ -513,7 +539,7 @@ func a18Scenario(seed int64, rec *trace.Recorder) sim.Scenario {
 			RequireStateTransfer: true,
 		},
 		ProbeInterval: a18ProbeEvery,
-		Rejuvenation:  sim.RejuvenationSpec{Enabled: true, RestartDelay: 250 * time.Millisecond},
+		Rejuvenation:  sim.RejuvenationSpec{Enabled: true},
 		StateTransfer: a18Transfer,
 		Trace:         rec,
 		Seed:          seed,
@@ -553,7 +579,7 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 		}
 		t.Rows = append(t.Rows, []string{
 			"soak/" + w.name, fmt.Sprintf("%d", issued), fmt.Sprintf("%d", timely),
-			f3(frac), "-", fmt.Sprintf("%v", ok),
+			f3(frac), "-", "-", fmt.Sprintf("%v", ok),
 		})
 	}
 
@@ -563,8 +589,8 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 	if res.Restarts < 1 {
 		fail("soak: no rejuvenation restart recorded")
 	}
-	if res.Restarts > sim.DefaultSimMaxRestarts {
-		fail("soak: restarts %d exceed the storm cap %d", res.Restarts, sim.DefaultSimMaxRestarts)
+	if res.Restarts > proteus.DefaultMaxRestartsPerWindow {
+		fail("soak: restarts %d exceed the storm cap %d", res.Restarts, proteus.DefaultMaxRestartsPerWindow)
 	}
 	if res.StateTransfers < 1 {
 		fail("soak: no rejuvenated incarnation completed its state transfer")
@@ -602,6 +628,7 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 		fmt.Sprintf("restarts=%d", res.Restarts),
 		fmt.Sprintf("transfers=%d", res.StateTransfers),
 		fmt.Sprintf("early_selects=%d", early),
+		"-",
 		fmt.Sprintf("%v", res.ProbationViolations == 0 && early == 0),
 	})
 	return nil
@@ -618,9 +645,10 @@ func RunA18() (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("A18: ordered-mode lifecycle model check (pools of 2-4 × crash schedules × injector policies) + recovery soak (%d hosts, transfer=%v)",
 			a18Hosts, a18Transfer),
-		Columns: []string{"config", "acked", "longest", "full", "transfers", "ok"},
+		Columns: []string{"config", "acked", "longest", "full", "transfers", "snap_restores", "ok"},
 		Notes: []string{
 			"safety per cell: prefix agreement across every incarnation, no lost acked writes, caught-up implies completed transfer",
+			fmt.Sprintf("restart cells run %d ops, crash past one %d-op snapshot, and must restore at least one snapshot", a18RestartOps, server.SnapshotEvery),
 			"ceiling schedule kills ceil(n/2) members — past the crash ceiling — and is held to safety only",
 			fmt.Sprintf("soak: slow host in [%v,%v), crash at %v; RequireStateTransfer gates every rejuvenated incarnation for %v", a18SlowFrom, a18SlowUntil, a18CrashAt, a18Transfer),
 		},
@@ -637,7 +665,7 @@ func RunA18() (*Table, error) {
 		res, err := RunOrderedCheck(cfg)
 		if err != nil {
 			fail("config %s (seed %d): %v — repro: %s", cfg.Name, cfg.Seed, err, cfg.Repro())
-			t.Rows = append(t.Rows, []string{cfg.Name, "-", "-", "-", "-", "error"})
+			t.Rows = append(t.Rows, []string{cfg.Name, "-", "-", "-", "-", "-", "error"})
 			continue
 		}
 		ok := len(res.Violations) == 0
@@ -650,6 +678,7 @@ func RunA18() (*Table, error) {
 			fmt.Sprintf("%d", res.Longest),
 			fmt.Sprintf("%d", res.Full),
 			fmt.Sprintf("%d", res.Transfers),
+			fmt.Sprintf("%d", res.SnapshotRestores),
 			fmt.Sprintf("%v", ok),
 		})
 	}

@@ -99,7 +99,7 @@ func TestCancelOnFirstReplyStopsLosers(t *testing.T) {
 // budgeted selection obeys it.
 func TestControllerWiredThroughGateway(t *testing.T) {
 	f := newFixture(t, 5, stats.Constant{Delay: ms})
-	ctrl := core.NewAdaptiveBudget(core.AdaptiveBudgetConfig{MinK: 2, MaxK: 2})
+	ctrl := core.NewAdaptiveBudget(core.AdaptiveBudgetConfig{MaxK: 2})
 	h := f.handler(Config{
 		Client: "c1", Service: "svc",
 		QoS:        wire.QoS{Deadline: time.Second, MinProbability: 0.99},

@@ -600,8 +600,11 @@ func TestTraceRecordsRealGateway(t *testing.T) {
 func TestGatewayOverLossyNetwork(t *testing.T) {
 	// 20% message loss: redundancy must still deliver most requests, and
 	// lost requests must resolve via deadline expiry rather than wedging.
-	net := transport.NewInMem(transport.WithLinkPolicy(transport.LinkPolicy{LossProb: 0.2}, 5))
-	t.Cleanup(func() { _ = net.Close() })
+	inmem := transport.NewInMem()
+	t.Cleanup(func() { _ = inmem.Close() })
+	inj := transport.NewInjector(5)
+	inj.SetDefault(transport.FaultPolicy{DropProb: 0.2})
+	net := transport.NewFaulty(inmem, inj)
 	replicas := make(map[wire.ReplicaID]transport.Addr)
 	for i := 0; i < 5; i++ {
 		id := wire.ReplicaID(fmt.Sprintf("lossy%d", i))

@@ -130,7 +130,7 @@ func (p *prober) sweep(now time.Time) {
 		stale := !snap.HasHistory || now.Sub(snap.LastUpdate) > p.bound
 		switch snap.Health {
 		case repository.Quarantined:
-			// Rejuvenation or parole brings it back, not probing.
+			// Rejuvenation brings it back, not probing.
 			continue
 		case repository.Probation:
 			stale = true

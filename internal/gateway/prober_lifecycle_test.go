@@ -33,7 +33,7 @@ func TestProberSkipsQuarantinedReplica(t *testing.T) {
 	waitFor(t, time.Second, func() bool {
 		return h.Scheduler().Outstanding() == 0 && repo.UpdateCount("r0") > 0
 	}, "bootstrap call settled")
-	if !repo.Quarantine("r0", time.Now()) {
+	if !repo.Quarantine("r0") {
 		t.Fatal("Quarantine(r0) failed")
 	}
 	base := repo.UpdateCount("r0")

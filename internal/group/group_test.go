@@ -395,8 +395,11 @@ func TestFailureDetectorStableUnderMessageLoss(t *testing.T) {
 	// 30% heartbeat loss: with a 5ms interval and 30ms timeout, a member
 	// is only suspected after ~6 consecutive losses (p ~ 0.1%), so the
 	// view must stay stable while the member lives.
-	net := transport.NewInMem(transport.WithLinkPolicy(transport.LinkPolicy{LossProb: 0.3}, 17))
-	defer func() { _ = net.Close() }()
+	inmem := transport.NewInMem()
+	defer func() { _ = inmem.Close() }()
+	inj := transport.NewInjector(17)
+	inj.SetDefault(transport.FaultPolicy{DropProb: 0.3})
+	net := transport.NewFaulty(inmem, inj)
 	var wg sync.WaitGroup
 
 	epM, _ := net.Listen("addr-m")

@@ -62,12 +62,12 @@ const (
 	// Shared-intelligence digest fabric (internal/gateway/gossip.go +
 	// internal/repository/digest.go): window digests gossiped between
 	// gateways and absorbed into the borrowed tier.
-	DigestSyncsSent     = "aqua_digest_syncs_sent_total"        // DigestSync batches pushed to peers
-	DigestSyncsReceived = "aqua_digest_syncs_received_total"    // DigestSync batches accepted (after dedup)
-	DigestAbsorbed      = "aqua_digest_entries_absorbed_total"  // digest entries merged into the borrowed tier
-	DigestStale         = "aqua_digest_entries_stale_total"     // digest entries dropped (stale, unknown, no room)
-	DigestBootstraps    = "aqua_digest_bootstraps_total"        // peer-snapshot bootstrap requests issued
-	DigestRequests      = "aqua_digest_requests_total"          // DigestRequest messages served for peers
+	DigestSyncsSent     = "aqua_digest_syncs_sent_total"       // DigestSync batches pushed to peers
+	DigestSyncsReceived = "aqua_digest_syncs_received_total"   // DigestSync batches accepted (after dedup)
+	DigestAbsorbed      = "aqua_digest_entries_absorbed_total" // digest entries merged into the borrowed tier
+	DigestStale         = "aqua_digest_entries_stale_total"    // digest entries dropped (stale, unknown, no room)
+	DigestBootstraps    = "aqua_digest_bootstraps_total"       // peer-snapshot bootstrap requests issued
+	DigestRequests      = "aqua_digest_requests_total"         // DigestRequest messages served for peers
 
 	// MultiGateway demultiplexer: payloads no loaded handler understands
 	// (mixed-version fleets, unknown gossip types).
@@ -80,11 +80,10 @@ const (
 	TransportFramesReceived    = "aqua_transport_frames_received_total"
 	TransportBackpressureDrops = "aqua_transport_backpressure_drops_total"
 	TransportRecvDrops         = "aqua_transport_recv_drops_total" // receiver queue overflow
-	TransportLinkDrops         = "aqua_transport_link_drops_total" // in-memory link-policy loss
 	TransportDials             = "aqua_transport_dials_total"
 	TransportDialFailures      = "aqua_transport_dial_failures_total"
 	TransportEncodes           = "aqua_transport_encodes_total" // frame serializations (multicast encodes once)
-	TransportQueueDepth        = "aqua_transport_queue_depth" // per-destination gauge
+	TransportQueueDepth        = "aqua_transport_queue_depth"   // per-destination gauge
 )
 
 // Standard bucket sets.

@@ -31,50 +31,39 @@ type Policy struct {
 	// CheckInterval is how often the pool is reconciled; zero means
 	// DefaultCheckInterval.
 	CheckInterval time.Duration
-	// JoinTimeout is how long a factory-started replica may stay absent
-	// from the group view before the manager gives up on it: its stop
-	// handle is invoked, its slot is freed, and the next reconcile starts a
-	// replacement. Zero means DefaultJoinTimeoutChecks × CheckInterval.
-	JoinTimeout time.Duration
 	// Retire removes a quarantined replica from the pool (stop the process,
 	// drop it from the group). Quarantine calls it for replicas the manager
 	// did not start itself; manager-started replicas are retired through
 	// their own stop handles. Nil means only manager-started replicas can be
 	// rejuvenated.
 	Retire func(wire.ReplicaID)
-	// MaxRestartsPerWindow caps factory start attempts (and therefore
-	// quarantine retirements, which each imply a replacement start) within
-	// any RestartWindow. It is the restart-storm fuse: a crash-looping
-	// factory or a mass false-positive quarantine cannot churn the pool
-	// faster than the cap. Zero means DefaultMaxRestartsPerWindow.
-	MaxRestartsPerWindow int
-	// RestartWindow is the sliding window the cap is measured over; zero
-	// means DefaultRestartWindow.
-	RestartWindow time.Duration
-	// MaxBackoff caps the exponential factory-failure backoff; zero means
-	// DefaultMaxBackoffChecks × CheckInterval.
-	MaxBackoff time.Duration
 }
 
 // DefaultCheckInterval is the default reconciliation cadence.
 const DefaultCheckInterval = 50 * time.Millisecond
 
-// DefaultJoinTimeoutChecks is the default JoinTimeout expressed in check
-// intervals: long enough for any healthy join (which normally completes
+// joinTimeoutChecks is how many check intervals a factory-started replica may
+// stay absent from the group view before the manager gives up on it: its stop
+// handle is invoked, its slot is freed, and the next reconcile starts a
+// replacement. Long enough for any healthy join (which normally completes
 // within one interval), short enough that a wedged replica doesn't hold its
 // pool slot for long.
-const DefaultJoinTimeoutChecks = 20
+const joinTimeoutChecks = 20
 
-// DefaultMaxRestartsPerWindow is the default restart-storm cap.
+// DefaultMaxRestartsPerWindow caps factory start attempts (and therefore
+// quarantine retirements, which each imply a replacement start) within any
+// DefaultRestartWindow. It is the restart-storm fuse: a crash-looping factory
+// or a mass false-positive quarantine cannot churn the pool faster than the
+// cap.
 const DefaultMaxRestartsPerWindow = 8
 
-// DefaultRestartWindow is the default sliding window for the restart cap.
+// DefaultRestartWindow is the sliding window the restart cap is measured
+// over.
 const DefaultRestartWindow = 10 * time.Second
 
-// DefaultMaxBackoffChecks is the default MaxBackoff expressed in check
-// intervals: the factory-failure backoff doubles per consecutive failure and
-// saturates here.
-const DefaultMaxBackoffChecks = 64
+// maxBackoffChecks caps the exponential factory-failure backoff, in check
+// intervals: the backoff doubles per consecutive failure and saturates here.
+const maxBackoffChecks = 64
 
 // Manager reconciles one service's replica pool against its policy. It
 // observes membership through a group view feed (ObserveView) — typically
@@ -89,12 +78,12 @@ type Manager struct {
 	stopped bool
 
 	// Factory-failure damping: consecutive failures double the wait before
-	// the next attempt (capped at MaxBackoff) instead of retrying every
-	// CheckInterval.
+	// the next attempt (capped at maxBackoffChecks intervals) instead of
+	// retrying every CheckInterval.
 	failStreak   int
 	backoffUntil time.Time
 	// startTimes holds recent factory start attempts, pruned to
-	// RestartWindow: the restart-storm cap's evidence.
+	// DefaultRestartWindow: the restart-storm cap's evidence.
 	startTimes []time.Time
 	stats      ManagerStats
 
@@ -139,18 +128,6 @@ func NewManager(p Policy) (*Manager, error) {
 	}
 	if p.CheckInterval <= 0 {
 		p.CheckInterval = DefaultCheckInterval
-	}
-	if p.JoinTimeout <= 0 {
-		p.JoinTimeout = DefaultJoinTimeoutChecks * p.CheckInterval
-	}
-	if p.MaxRestartsPerWindow <= 0 {
-		p.MaxRestartsPerWindow = DefaultMaxRestartsPerWindow
-	}
-	if p.RestartWindow <= 0 {
-		p.RestartWindow = DefaultRestartWindow
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoffChecks * p.CheckInterval
 	}
 	return &Manager{
 		policy:  p,
@@ -213,7 +190,7 @@ func (m *Manager) reconcile() {
 			// aged out (and stopped) while alive.
 			e.joined = true
 		}
-		if !e.joined && now.Sub(e.at) >= m.policy.JoinTimeout {
+		if !e.joined && now.Sub(e.at) >= joinTimeoutChecks*m.policy.CheckInterval {
 			// Started but never joined: the replica wedged during startup.
 			// Without this age-out the entry counts as live forever, so the
 			// pool silently runs below target and the stop handle leaks.
@@ -269,7 +246,7 @@ func (m *Manager) reconcile() {
 			m.mu.Lock()
 			m.stats.FactoryFailures++
 			m.failStreak++
-			d := m.policy.MaxBackoff
+			d := maxBackoffChecks * m.policy.CheckInterval
 			if m.failStreak < 30 {
 				if b := m.policy.CheckInterval << uint(m.failStreak); b < d {
 					d = b
@@ -295,7 +272,7 @@ func (m *Manager) reconcile() {
 // allowRestartLocked prunes the start history to the sliding window and
 // reports whether another restart fits under the cap. Caller holds m.mu.
 func (m *Manager) allowRestartLocked(now time.Time) bool {
-	cutoff := now.Add(-m.policy.RestartWindow)
+	cutoff := now.Add(-DefaultRestartWindow)
 	keep := m.startTimes[:0]
 	for _, t := range m.startTimes {
 		if t.After(cutoff) {
@@ -303,7 +280,7 @@ func (m *Manager) allowRestartLocked(now time.Time) bool {
 		}
 	}
 	m.startTimes = keep
-	return len(m.startTimes) < m.policy.MaxRestartsPerWindow
+	return len(m.startTimes) < DefaultMaxRestartsPerWindow
 }
 
 // Quarantine retires a sick-but-alive replica so the pool rejuvenates it:

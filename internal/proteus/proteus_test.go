@@ -227,8 +227,8 @@ func TestReconcileAgesOutNeverJoinedReplica(t *testing.T) {
 		Service:          "svc",
 		ReplicationLevel: 2,
 		Factory:          wedged,
-		CheckInterval:    5 * time.Millisecond,
-		JoinTimeout:      10 * time.Millisecond,
+		// A join timeout of joinTimeoutChecks intervals: 10ms.
+		CheckInterval: 10 * time.Millisecond / joinTimeoutChecks,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -97,19 +97,18 @@ func TestBackoffClearsOnSuccess(t *testing.T) {
 	}
 }
 
-// TestRestartStormCap: factory starts within RestartWindow are bounded by
-// MaxRestartsPerWindow even when the deficit says otherwise.
+// TestRestartStormCap: factory starts within DefaultRestartWindow are
+// bounded by DefaultMaxRestartsPerWindow even when the deficit says
+// otherwise.
 func TestRestartStormCap(t *testing.T) {
 	factory := func(id wire.ReplicaID) (wire.ReplicaID, func(), error) {
 		return id, func() {}, nil
 	}
 	mgr, err := NewManager(Policy{
-		Service:              "svc",
-		ReplicationLevel:     5,
-		Factory:              factory,
-		CheckInterval:        5 * time.Millisecond,
-		MaxRestartsPerWindow: 3,
-		RestartWindow:        time.Minute,
+		Service:          "svc",
+		ReplicationLevel: DefaultMaxRestartsPerWindow + 4,
+		Factory:          factory,
+		CheckInterval:    5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +117,8 @@ func TestRestartStormCap(t *testing.T) {
 
 	mgr.reconcile()
 	mgr.reconcile()
-	if got := mgr.StartedCount(); got != 3 {
-		t.Errorf("StartedCount = %d, want 3 (capped)", got)
+	if got := mgr.StartedCount(); got != DefaultMaxRestartsPerWindow {
+		t.Errorf("StartedCount = %d, want %d (capped)", got, DefaultMaxRestartsPerWindow)
 	}
 	if st := mgr.Stats(); st.Suppressed == 0 {
 		t.Error("Suppressed = 0, want refused starts counted")
@@ -209,20 +208,22 @@ func TestQuarantineSuppressedByStormCap(t *testing.T) {
 		return id, func() {}, nil
 	}
 	mgr, err := NewManager(Policy{
-		Service:              "svc",
-		ReplicationLevel:     1,
-		Factory:              factory,
-		CheckInterval:        5 * time.Millisecond,
-		MaxRestartsPerWindow: 1,
-		RestartWindow:        time.Minute,
+		Service:          "svc",
+		ReplicationLevel: DefaultMaxRestartsPerWindow,
+		Factory:          factory,
+		CheckInterval:    5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(mgr.Stop)
 
-	mgr.reconcile() // consumes the single restart slot
-	mgr.ObserveView(group.View{Number: 1, Members: []wire.ReplicaID{"svc-p1"}})
+	mgr.reconcile() // consumes every restart slot
+	var members []wire.ReplicaID
+	for i := 1; i <= DefaultMaxRestartsPerWindow; i++ {
+		members = append(members, wire.ReplicaID(fmt.Sprintf("svc-p%d", i)))
+	}
+	mgr.ObserveView(group.View{Number: 1, Members: members})
 	if mgr.Quarantine("svc-p1") {
 		t.Error("Quarantine succeeded with the restart budget exhausted")
 	}

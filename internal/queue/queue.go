@@ -47,10 +47,10 @@ type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []slot
-	head   int    // index of the oldest slot in buf
-	n      int    // occupied slots, including cancelled ones awaiting skip
-	live   int    // occupied, non-cancelled slots (== Len())
-	base   uint64 // absolute index of buf[head]; monotone over the queue's life
+	head   int            // index of the oldest slot in buf
+	n      int            // occupied slots, including cancelled ones awaiting skip
+	live   int            // occupied, non-cancelled slots (== Len())
+	base   uint64         // absolute index of buf[head]; monotone over the queue's life
 	index  map[Key]uint64 // key → absolute index of its slot
 	purged uint64
 	closed bool

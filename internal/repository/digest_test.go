@@ -233,7 +233,7 @@ func TestBorrowedVouchSuppressedForNonActive(t *testing.T) {
 		}, Probation},
 		{"quarantined", func(r *Repository) {
 			r.SetMembership([]wire.ReplicaID{"rx"})
-			r.Quarantine("rx", time.Now())
+			r.Quarantine("rx")
 		}, Quarantined},
 		{"suspected", func(r *Repository) {
 			r.SetMembership([]wire.ReplicaID{"rx"})

@@ -9,7 +9,7 @@ package repository
 //
 //	Active ──suspect──▶ Suspected ──quarantine──▶ Quarantined
 //	  ▲                     │                          │
-//	  │◀──────clear─────────┘                   parole / restart
+//	  │◀──────clear─────────┘                       restart
 //	  │                                                ▼
 //	  └──────────── MinSamples measurements ──── Probation
 //
@@ -27,8 +27,6 @@ package repository
 // scheduler, prober, dependability manager — sees one consistent view.
 
 import (
-	"time"
-
 	"aqua/internal/window"
 	"aqua/internal/wire"
 )
@@ -44,7 +42,7 @@ const (
 	// more threshold crossing quarantines them.
 	Suspected
 	// Quarantined replicas are excluded from selection entirely and wait
-	// for rejuvenation (restart) or parole into probation.
+	// for rejuvenation (restart).
 	Quarantined
 	// Probation replicas are newly joined or restarted: excluded from
 	// selection, warmed up through probes until their window holds
@@ -81,7 +79,6 @@ type LifecycleStats struct {
 	Suspected   uint64 // Active → Suspected transitions
 	Cleared     uint64 // Suspected → Active recoveries
 	Quarantined uint64 // → Quarantined transitions
-	Paroled     uint64 // Quarantined → Probation (expiry, no restart)
 	Joined      uint64 // replicas admitted on probation (post-bootstrap joins)
 	Admitted    uint64 // Probation → Active promotions
 	// Census by current state.
@@ -190,10 +187,9 @@ func (r *Repository) ClearSuspicion(id wire.ReplicaID) bool {
 
 // Quarantine removes a replica from the selectable pool without removing it
 // from membership: pending requests to it still settle, late replies are
-// still harvested, but no new work is routed to it. now stamps the
-// quarantine for parole bookkeeping. Returns true when the transition
-// happened (any state but Quarantined).
-func (r *Repository) Quarantine(id wire.ReplicaID, now time.Time) bool {
+// still harvested, but no new work is routed to it. Returns true when the
+// transition happened (any state but Quarantined).
+func (r *Repository) Quarantine(id wire.ReplicaID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.replicas[id]
@@ -201,7 +197,6 @@ func (r *Repository) Quarantine(id wire.ReplicaID, now time.Time) bool {
 		return false
 	}
 	st.health = Quarantined
-	st.quarantinedAt = now
 	st.probationGot = 0
 	// Whatever the replica claimed before it was ejected no longer counts:
 	// re-admission evidence (including CaughtUp) must postdate the
@@ -212,32 +207,6 @@ func (r *Repository) Quarantine(id wire.ReplicaID, now time.Time) bool {
 	r.lifeStats.Quarantined++
 	r.touchLocked(st)
 	return true
-}
-
-// Parole moves every replica quarantined at or before cutoff into Probation:
-// the second-chance path for deployments without a dependability manager.
-// The paroled replica must then re-earn admission through probes exactly
-// like a restarted one. Returns the paroled IDs.
-func (r *Repository) Parole(cutoff time.Time) []wire.ReplicaID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []wire.ReplicaID
-	for id, st := range r.replicas {
-		if st.health == Quarantined && !st.quarantinedAt.After(cutoff) {
-			st.health = Probation
-			st.probationGot = 0
-			// A paroled replica's windows are stale by construction — it
-			// was quarantined for being slow. Drop them (including the
-			// per-link T window) so probation re-admits on fresh
-			// measurements only.
-			r.dropEntriesLocked(id)
-			st.gateway = window.NewHistogrammed(r.gatewayHist, resolution)
-			r.lifeStats.Paroled++
-			r.touchLocked(st)
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // LifecycleStats snapshots transition counters and the current census.

@@ -19,7 +19,7 @@ func TestLifecycleDisabledByDefault(t *testing.T) {
 	if r.Suspect("a") {
 		t.Error("Suspect succeeded with lifecycle disabled")
 	}
-	if r.Quarantine("a", time.Now()) {
+	if r.Quarantine("a") {
 		t.Error("Quarantine succeeded with lifecycle disabled")
 	}
 }
@@ -45,11 +45,10 @@ func TestLifecycleStateMachine(t *testing.T) {
 		t.Fatalf("Health(a) = %v, want Active", h)
 	}
 
-	now := time.Now()
-	if !r.Quarantine("a", now) {
+	if !r.Quarantine("a") {
 		t.Fatal("Quarantine(a) failed from Active")
 	}
-	if r.Quarantine("a", now) {
+	if r.Quarantine("a") {
 		t.Error("Quarantine(a) succeeded twice")
 	}
 	if n := r.QuarantinedCount(); n != 1 {
@@ -71,34 +70,6 @@ func TestSelectable(t *testing.T) {
 	} {
 		if h.Selectable() != want {
 			t.Errorf("%v.Selectable() = %v, want %v", h, !want, want)
-		}
-	}
-}
-
-func TestParoleMovesExpiredQuarantineToProbation(t *testing.T) {
-	r := New()
-	r.EnableLifecycle(2)
-	r.AddReplica("a")
-	r.AddReplica("b")
-	t0 := time.Now()
-	r.Quarantine("a", t0)
-	r.Quarantine("b", t0.Add(time.Minute))
-	// Stale windows must not survive parole.
-	r.RecordPerf("a", "", wire.PerfReport{ServiceTime: time.Second, QueueDelay: time.Second}, t0)
-
-	paroled := r.Parole(t0) // cutoff: only "a" is old enough
-	if len(paroled) != 1 || paroled[0] != "a" {
-		t.Fatalf("Parole = %v, want [a]", paroled)
-	}
-	if h, _ := r.Health("a"); h != Probation {
-		t.Errorf("Health(a) = %v, want Probation", h)
-	}
-	if h, _ := r.Health("b"); h != Quarantined {
-		t.Errorf("Health(b) = %v, want Quarantined", h)
-	}
-	for _, snap := range r.Snapshot("") {
-		if snap.ID == "a" && snap.HasHistory {
-			t.Error("paroled replica kept its stale measurement windows")
 		}
 	}
 }
@@ -164,11 +135,13 @@ func TestQuarantineResetsProbationCredit(t *testing.T) {
 	r.SetMembership([]wire.ReplicaID{"a"})
 	r.SetMembership([]wire.ReplicaID{"a", "b"})
 	r.RecordPerf("b", "", wire.PerfReport{ServiceTime: time.Millisecond, QueueDelay: time.Millisecond}, time.Now())
-	// One report shy of admission, b is convicted (e.g. by probe outcomes).
-	r.Quarantine("b", time.Now())
-	r.Parole(time.Now())
+	// One report shy of admission, b is convicted (e.g. by probe outcomes),
+	// and comes back only as a restarted member.
+	r.Quarantine("b")
+	r.SetMembership([]wire.ReplicaID{"a"})
+	r.SetMembership([]wire.ReplicaID{"a", "b"})
 	if h, _ := r.Health("b"); h != Probation {
-		t.Fatalf("Health(b) = %v, want Probation after parole", h)
+		t.Fatalf("Health(b) = %v, want Probation after rejoining", h)
 	}
 	r.RecordPerf("b", "", wire.PerfReport{ServiceTime: time.Millisecond, QueueDelay: time.Millisecond}, time.Now())
 	if h, _ := r.Health("b"); h != Probation {
@@ -240,13 +213,8 @@ func TestQuarantineResetsCaughtUp(t *testing.T) {
 	if h, _ := r.Health("b"); h != Active {
 		t.Fatalf("Health(b) = %v, want Active", h)
 	}
-	r.Quarantine("b", time.Now())
+	r.Quarantine("b")
 	if cu, tail, _ := r.CaughtUp("b"); cu || tail != 0 {
 		t.Fatalf("CaughtUp survived quarantine: %v/%d", cu, tail)
-	}
-	r.Parole(time.Now())
-	r.RecordPerf("b", "", wire.PerfReport{ServiceTime: time.Millisecond, CaughtUp: false}, time.Now())
-	if h, _ := r.Health("b"); h != Probation {
-		t.Error("paroled replica re-admitted without fresh caught-up evidence")
 	}
 }

@@ -70,9 +70,8 @@ type replicaState struct {
 	hasUpdate  bool
 	// Lifecycle state (lifecycle.go). The zero value, Active, keeps the
 	// pre-lifecycle behavior: every member is a selection candidate.
-	health        Health
-	quarantinedAt time.Time // when health last became Quarantined
-	probationGot  int       // fresh perf reports accumulated on probation
+	health       Health
+	probationGot int // fresh perf reports accumulated on probation
 	// Ordered-mode evidence from the replica's performance reports: whether
 	// its state machine is current (completed state transfer or fresh boot)
 	// and its applied-log length. With the state-transfer gate enabled

@@ -27,8 +27,9 @@ func TestBudgetForRamp(t *testing.T) {
 			loadedRow("d", 0.6, 0, load),
 		}}
 	}
-	// At or below LowLoad (1.0 outstanding per replica) the budget is the
-	// full pool; at or above HighLoad (4.0) it is the MinBudget floor.
+	// At or below budgetLowLoad (1.0 outstanding per replica) the budget is
+	// the full pool; at or above budgetHighLoad (4.0) it is the MinBudget
+	// floor.
 	if got := b.BudgetFor(mk(0)); got != 4 {
 		t.Errorf("idle budget = %d, want 4 (full pool)", got)
 	}
@@ -57,13 +58,13 @@ func TestBudgetForFloorsAndCeilings(t *testing.T) {
 	}}
 	// MinK below MinBudget is raised to MinBudget so the Eq. 3 reserve (m0
 	// plus one working member) survives the harshest budget.
-	b := &Budgeted{Inner: NewDynamic(), MinK: 1}
+	b := &Budgeted{MinK: 1}
 	if got := b.BudgetFor(in); got != MinBudget {
 		t.Errorf("MinK=1 budget = %d, want floor %d", got, MinBudget)
 	}
 	// MaxK above the pool size clamps to the pool.
 	idle := Input{Table: []model.ReplicaProbability{row("a", 0.9), row("b", 0.8)}}
-	b = &Budgeted{Inner: NewDynamic(), MaxK: 10}
+	b = &Budgeted{MaxK: 10}
 	if got := b.BudgetFor(idle); got != 2 {
 		t.Errorf("MaxK>pool budget = %d, want 2", got)
 	}

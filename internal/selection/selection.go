@@ -311,15 +311,15 @@ func (d *Dynamic) Select(in Input) Result {
 	}
 }
 
-// Budget-derivation defaults: the per-replica outstanding-work level (the
-// mean of replica-reported queue length plus this gateway's own unsettled
-// dispatches) at or below which the budget stays at its ceiling, and at or
-// above which it drops to its floor. Between the two the budget interpolates
-// linearly, so the redundancy ramps down smoothly as the pool saturates
-// instead of flipping at a single threshold.
+// The per-replica outstanding-work levels (the mean of replica-reported queue
+// length plus this gateway's own unsettled dispatches) at or below which the
+// budget stays at its ceiling, and at or above which it drops to its floor.
+// Between the two the budget interpolates linearly, so the redundancy ramps
+// down smoothly as the pool saturates instead of flipping at a single
+// threshold.
 const (
-	DefaultBudgetLowLoad  = 1.0
-	DefaultBudgetHighLoad = 4.0
+	budgetLowLoad  = 1.0
+	budgetHighLoad = 4.0
 )
 
 // MinBudget is the smallest redundancy budget Budgeted will apply: the m0
@@ -329,45 +329,35 @@ const MinBudget = 2
 
 // Budgeted wraps Algorithm 1 with a load-conditioned redundancy budget: the
 // cap on |K| shrinks from MaxK (default |M|) toward MinK (default 2) as the
-// replicas' outstanding work grows. Below the LowLoad threshold it is exactly
-// the paper's algorithm; past HighLoad it degrades to the m0 reserve plus the
-// best remaining replica instead of amplifying an already-overloaded pool
-// with the select-all fallback (the A12 cliff). The budget is derived purely
+// replicas' outstanding work grows. At or below budgetLowLoad outstanding
+// requests per replica it is exactly the paper's algorithm; at or past
+// budgetHighLoad it degrades to the m0 reserve plus the best remaining
+// replica instead of amplifying an already-overloaded pool with the
+// select-all fallback (the A12 cliff). The budget is derived purely
 // from the repository snapshot the strategy already receives — per-replica
 // queue lengths and the gateway's own in-flight counts — so no extra
 // coordination or clock is needed and decisions stay deterministic.
 type Budgeted struct {
-	// Inner is the capped algorithm; nil means NewDynamic().
-	Inner *Dynamic
 	// MinK is the budget floor; values below MinBudget (or 0) mean MinBudget
 	// so the Eq. 3 reserve survives the harshest budget.
 	MinK int
 	// MaxK is the budget ceiling; 0 means the full replica set.
 	MaxK int
-	// LowLoad and HighLoad bound the per-replica outstanding-work ramp;
-	// zero values mean the package defaults.
-	LowLoad, HighLoad float64
 }
 
 var _ Strategy = (*Budgeted)(nil)
 
 // NewBudgeted returns Algorithm 1 under the default load-conditioned budget.
-func NewBudgeted() *Budgeted { return &Budgeted{Inner: NewDynamic()} }
+func NewBudgeted() *Budgeted { return &Budgeted{} }
 
 // Name implements Strategy.
-func (b *Budgeted) Name() string {
-	inner := b.Inner
-	if inner == nil {
-		inner = NewDynamic()
-	}
-	return "budgeted-" + inner.Name()
-}
+func (b *Budgeted) Name() string { return "budgeted-dynamic" }
 
 // BudgetFor computes the redundancy budget for one input: the per-replica
 // mean of (reported queue length + local in-flight) interpolated between the
-// ceiling at LowLoad and the floor at HighLoad — or, when in.Controller is
-// set, whatever the online controller picks for that load level, clamped to
-// [MinK, MaxK].
+// ceiling at budgetLowLoad and the floor at budgetHighLoad — or, when
+// in.Controller is set, whatever the online controller picks for that load
+// level, clamped to [MinK, MaxK].
 func (b *Budgeted) BudgetFor(in Input) int {
 	n := len(in.Table) + len(in.Cold)
 	maxK := b.MaxK
@@ -383,13 +373,6 @@ func (b *Budgeted) BudgetFor(in Input) int {
 	}
 	if n == 0 {
 		return MinBudget
-	}
-	low, high := b.LowLoad, b.HighLoad
-	if low <= 0 {
-		low = DefaultBudgetLowLoad
-	}
-	if high <= low {
-		high = low + (DefaultBudgetHighLoad - DefaultBudgetLowLoad)
 	}
 	var outstanding float64
 	for _, rp := range in.Table {
@@ -420,12 +403,12 @@ func (b *Budgeted) BudgetFor(in Input) int {
 		return budget
 	}
 	switch {
-	case load <= low:
+	case load <= budgetLowLoad:
 		return maxK
-	case load >= high:
+	case load >= budgetHighLoad:
 		return minK
 	default:
-		frac := (load - low) / (high - low)
+		frac := (load - budgetLowLoad) / (budgetHighLoad - budgetLowLoad)
 		budget := maxK - int(frac*float64(maxK-minK))
 		if budget < minK {
 			budget = minK
@@ -442,14 +425,7 @@ func (b *Budgeted) BudgetFor(in Input) int {
 // the budget", not necessarily unreachable outright.
 func (b *Budgeted) Select(in Input) Result {
 	budget := b.BudgetFor(in)
-	inner := b.Inner
-	if inner == nil {
-		inner = NewDynamic()
-	}
-	capped := *inner
-	if capped.Cap <= 0 || capped.Cap > budget {
-		capped.Cap = budget
-	}
+	capped := Dynamic{Failures: 1, Reserve: true, Cap: budget}
 	res := capped.Select(in)
 	if len(res.Selected) > capped.Cap {
 		// Only the forced-cold tail can exceed the inner cap; trimming it

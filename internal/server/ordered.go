@@ -54,10 +54,13 @@ type StateMachine interface {
 	Restore(snapshot []byte) error
 }
 
+// SnapshotEvery is the apply cadence at which the runtime takes a
+// state-machine snapshot and truncates the replay log to the suffix: a state
+// transfer carries a snapshot only once the responder has applied this many
+// operations.
+const SnapshotEvery = 64
+
 const (
-	// defaultSnapshotEvery is the apply cadence at which the runtime takes a
-	// state-machine snapshot and truncates the replay log to the suffix.
-	defaultSnapshotEvery = 64
 	// resultCacheSize bounds the per-client re-reply cache.
 	resultCacheSize = 128
 	// maxChunkEntries bounds the log-suffix slice carried by one StateChunk.
@@ -125,8 +128,6 @@ type ordered struct {
 	xferFrom    wire.ReplicaID
 	xferStarted bool
 
-	snapshotEvery int
-
 	transfers   atomic.Uint64 // completed inbound state transfers
 	refillsSent atomic.Uint64
 	refillHits  atomic.Uint64 // refill requests served (responder side: gateway counts its own)
@@ -134,20 +135,16 @@ type ordered struct {
 	replayed    atomic.Uint64 // re-replies served from the result cache
 }
 
-func newOrdered(r *Replica, sm StateMachine, recovering bool, snapshotEvery int) *ordered {
-	if snapshotEvery <= 0 {
-		snapshotEvery = defaultSnapshotEvery
-	}
+func newOrdered(r *Replica, sm StateMachine, recovering bool) *ordered {
 	o := &ordered{
-		r:             r,
-		sm:            sm,
-		next:          make(map[wire.ClientID]uint64),
-		applied:       make(map[wire.ClientID]uint64),
-		held:          make(map[wire.ClientID]map[uint64]heldReq),
-		results:       make(map[wire.ClientID][]cachedResult),
-		refillFrom:    make(map[wire.ClientID]transport.Addr),
-		peers:         make(map[wire.ReplicaID]transport.Addr),
-		snapshotEvery: snapshotEvery,
+		r:          r,
+		sm:         sm,
+		next:       make(map[wire.ClientID]uint64),
+		applied:    make(map[wire.ClientID]uint64),
+		held:       make(map[wire.ClientID]map[uint64]heldReq),
+		results:    make(map[wire.ClientID][]cachedResult),
+		refillFrom: make(map[wire.ClientID]transport.Addr),
+		peers:      make(map[wire.ReplicaID]transport.Addr),
 	}
 	o.recovering = recovering
 	o.recovered.Store(!recovering)
@@ -304,7 +301,7 @@ func (o *ordered) apply(req wire.Request) (payload []byte, err error) {
 	}
 	o.results[req.Client] = cache
 
-	if len(o.log) >= o.snapshotEvery {
+	if len(o.log) >= SnapshotEvery {
 		o.snapshotLocked()
 	}
 	return payload, err

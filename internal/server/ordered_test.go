@@ -141,14 +141,11 @@ func TestOrderedGapRefill(t *testing.T) {
 func TestOrderedDuplicateRepliedFromCache(t *testing.T) {
 	net := testNetwork(t)
 	sm := &memSM{}
-	// A tiny dedup window (satellite: configurable) so the duplicate's key
-	// has been evicted by the time it is re-sent, exercising the ordered
-	// layer's result cache instead of the frame dedup.
 	r := startReplica(t, net, Config{
-		ID: "r1", Service: "svc", Handler: echoHandler,
-		StateMachine: sm, DedupWindow: 2,
+		ID: "r1", Service: "svc", Handler: echoHandler, StateMachine: sm,
 	})
 	cli, _ := net.Listen("cli")
+	other, _ := net.Listen("other")
 
 	var firstReply wire.Response
 	for s := uint64(1); s <= 5; s++ {
@@ -160,8 +157,16 @@ func TestOrderedDuplicateRepliedFromCache(t *testing.T) {
 			firstReply = resp
 		}
 	}
-	// Stamp 1's (client, seq) has left the 2-entry window; re-sending it must
-	// answer from the result cache without re-executing.
+	// A second client's dedupWindow probes evict stamp 1's (client, seq)
+	// from the frame window, so re-sending it exercises the ordered layer's
+	// result cache instead of the frame dedup, and must answer from that
+	// cache without re-executing.
+	for s := 1; s <= dedupWindow; s++ {
+		probe := wire.Request{Client: "other", Seq: wire.SeqNo(s), Service: "svc", Probe: true}
+		if err := other.Send(r.Addr(), probe); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := cli.Send(r.Addr(), stamped("c", 1, 1, "op1")); err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +185,13 @@ func TestOrderedDuplicateRepliedFromCache(t *testing.T) {
 func TestOrderedStateTransfer(t *testing.T) {
 	net := testNetwork(t)
 	smA := &memSM{}
-	// SnapshotEvery=4 so the transfer carries a snapshot AND a log suffix.
 	a := startReplica(t, net, Config{
-		ID: "rA", Service: "svc", Handler: echoHandler,
-		StateMachine: smA, SnapshotEvery: 4,
+		ID: "rA", Service: "svc", Handler: echoHandler, StateMachine: smA,
 	})
 	cli, _ := net.Listen("cli")
-	const ops = 10
+	// Past one SnapshotEvery so the transfer carries a snapshot AND a log
+	// suffix.
+	const ops = SnapshotEvery + 6
 	for s := uint64(1); s <= ops; s++ {
 		if err := cli.Send(a.Addr(), stamped("c", wire.SeqNo(s), s, fmt.Sprintf("op%d", s))); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@
 // The replica also speaks the first-response-wins cancel protocol: a
 // wire.Cancel purges the matching queued request in O(1), or aborts the
 // request currently being served (the injected load delay stops early and
-// the optional Config.OnAbort hook lets application work stop too).
+// its reply is dropped).
 package server
 
 import (
@@ -52,12 +52,6 @@ type Config struct {
 	// layer (heartbeats + views). Leave nil for driver-managed membership
 	// in tests.
 	Group *group.Config
-	// OnAbort, when set, is invoked (off the worker goroutine's critical
-	// section, at most once per request) when a Cancel lands while the
-	// request is being served, so mid-service application work can stop
-	// early. The handler itself still runs to completion if it has already
-	// started; its reply is simply discarded.
-	OnAbort func(req wire.Request)
 	// Metrics receives the replica's counters; nil uses the Default
 	// registry.
 	Metrics *metrics.Registry
@@ -71,15 +65,9 @@ type Config struct {
 	// supplies candidates) before it reports CaughtUp. Ignored without a
 	// StateMachine.
 	Recovering bool
-	// SnapshotEvery is the apply cadence for state-machine snapshots (and
-	// replay-log truncation); 0 means the default of 64.
-	SnapshotEvery int
-	// DedupWindow overrides the size of the recent-(client, seq) duplicate
-	// frame window; 0 means the default of 512.
-	DedupWindow int
 }
 
-// defaultDedupWindow is the default size of the recent-(Client, Seq) window
+// dedupWindow is the size of the recent-(Client, Seq) window
 // recvLoop keeps to drop duplicate request frames re-delivered by the
 // network (e.g. transport.Faulty's duplicate policy). A client gateway never
 // reuses a key for *new* work, so a key seen inside the window is a true
@@ -89,7 +77,7 @@ type Config struct {
 // layer's generation; a hit recorded under an older generation is not a
 // duplicate. A duplicate older than the window is harvested client-side
 // like any stray reply.
-const defaultDedupWindow = 512
+const dedupWindow = 512
 
 // Replica is a running server replica. Create with Start; stop with Stop.
 type Replica struct {
@@ -109,7 +97,6 @@ type Replica struct {
 	serveMu      sync.Mutex
 	servingOn    bool
 	servingKey   queue.Key
-	servingReq   wire.Request
 	servingAbort chan struct{}
 
 	served          atomic.Uint64
@@ -153,7 +140,7 @@ func Start(ep transport.Endpoint, cfg Config) (*Replica, error) {
 	r.metUnmatched = met.Counter(metrics.ServerCancelUnmatched)
 	r.metDupFrames = met.Counter(metrics.ServerDupFrames)
 	if cfg.StateMachine != nil {
-		r.ord = newOrdered(r, cfg.StateMachine, cfg.Recovering, cfg.SnapshotEvery)
+		r.ord = newOrdered(r, cfg.StateMachine, cfg.Recovering)
 	}
 	if cfg.Group != nil {
 		gcfg := *cfg.Group
@@ -225,13 +212,9 @@ func (r *Replica) recvLoop() {
 	// the ordered-layer generation it was seen under: a recovery reset
 	// bumps the generation, so a request the discarded state had seen can
 	// be legitimately re-sent (gap refill) without being swallowed here.
-	window := r.cfg.DedupWindow
-	if window <= 0 {
-		window = defaultDedupWindow
-	}
 	var (
-		dedupRing = make([]queue.Key, window)
-		dedupSet  = make(map[queue.Key]uint64, window)
+		dedupRing = make([]queue.Key, dedupWindow)
+		dedupSet  = make(map[queue.Key]uint64, dedupWindow)
 		dedupPos  int
 	)
 	for msg := range r.ep.Recv() {
@@ -250,11 +233,11 @@ func (r *Replica) recvLoop() {
 				r.metDupFrames.Inc()
 				continue
 			} else if !dup {
-				if len(dedupSet) == window {
+				if len(dedupSet) == dedupWindow {
 					delete(dedupSet, dedupRing[dedupPos])
 				}
 				dedupRing[dedupPos] = key
-				dedupPos = (dedupPos + 1) % window
+				dedupPos = (dedupPos + 1) % dedupWindow
 			}
 			dedupSet[key] = gen
 			if r.ord != nil && m.Stamp > 0 {
@@ -313,23 +296,17 @@ func (r *Replica) recvLoop() {
 }
 
 // abortServing aborts the in-service request if it matches (client, seq):
-// the worker's injected delay wakes immediately, no reply is sent, and the
-// OnAbort hook (if any) runs outside serveMu. Reports whether a serve was
-// aborted.
+// the worker's injected delay wakes immediately and no reply is sent.
+// Reports whether a serve was aborted.
 func (r *Replica) abortServing(client wire.ClientID, seq wire.SeqNo) bool {
 	key := queue.Key{Client: client, Seq: seq}
 	r.serveMu.Lock()
 	match := r.servingOn && r.servingKey == key
-	var req wire.Request
 	if match {
 		r.servingOn = false
 		close(r.servingAbort)
-		req = r.servingReq
 	}
 	r.serveMu.Unlock()
-	if match && r.cfg.OnAbort != nil {
-		r.cfg.OnAbort(req)
-	}
 	return match
 }
 
@@ -340,7 +317,6 @@ func (r *Replica) beginServe(req wire.Request) chan struct{} {
 	r.serveMu.Lock()
 	r.servingOn = true
 	r.servingKey = queue.Key{Client: req.Client, Seq: req.Seq}
-	r.servingReq = req
 	r.servingAbort = abort
 	r.serveMu.Unlock()
 	return abort

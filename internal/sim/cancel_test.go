@@ -106,7 +106,7 @@ func TestCancellationModeDeterministic(t *testing.T) {
 func TestControllerRunsInSim(t *testing.T) {
 	s := cancelScenario(9)
 	s.Clients[0].Strategy = &selection.Budgeted{MinK: 2, MaxK: 4}
-	s.Controller = &core.AdaptiveBudgetConfig{MinK: 2, MaxK: 4, Epoch: 10}
+	s.Controller = &core.AdaptiveBudgetConfig{MaxK: 4}
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)

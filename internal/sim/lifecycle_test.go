@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aqua/internal/core"
+	"aqua/internal/proteus"
 	"aqua/internal/stats"
 	"aqua/internal/trace"
 	"aqua/internal/wire"
@@ -38,7 +39,7 @@ func TestSimSlowReplicaQuarantinedAndRejuvenated(t *testing.T) {
 			MinObservations: 4,
 		},
 		ProbeInterval: 50 * ms,
-		Rejuvenation:  RejuvenationSpec{Enabled: true, RestartDelay: 100 * ms},
+		Rejuvenation:  RejuvenationSpec{Enabled: true},
 		Seed:          7,
 	})
 	if err != nil {
@@ -50,10 +51,10 @@ func TestSimSlowReplicaQuarantinedAndRejuvenated(t *testing.T) {
 	if res.Restarts < 1 {
 		t.Errorf("Restarts = %d, want >= 1", res.Restarts)
 	}
-	if res.Restarts > DefaultSimMaxRestarts {
+	if res.Restarts > proteus.DefaultMaxRestartsPerWindow {
 		// One storm-cap window is longer than the slow window, so every
 		// restart the run performs must fit inside a single cap.
-		t.Errorf("Restarts = %d, want <= storm cap %d", res.Restarts, DefaultSimMaxRestarts)
+		t.Errorf("Restarts = %d, want <= storm cap %d", res.Restarts, proteus.DefaultMaxRestartsPerWindow)
 	}
 	if res.ProbationViolations != 0 {
 		t.Errorf("ProbationViolations = %d, want 0", res.ProbationViolations)
@@ -145,7 +146,7 @@ func TestSimStateTransferGatesReadmission(t *testing.T) {
 			RequireStateTransfer: true,
 		},
 		ProbeInterval: 50 * ms,
-		Rejuvenation:  RejuvenationSpec{Enabled: true, RestartDelay: 100 * ms},
+		Rejuvenation:  RejuvenationSpec{Enabled: true},
 		StateTransfer: transfer,
 		Trace:         rec,
 		Seed:          7,

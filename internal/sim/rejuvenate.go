@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aqua/internal/core"
+	"aqua/internal/proteus"
 	"aqua/internal/repository"
 	"aqua/internal/stats"
 	"aqua/internal/trace"
@@ -14,45 +15,22 @@ import (
 // RejuvenationSpec configures the simulated Proteus-style rejuvenator: when
 // any client quarantines a replica, the rejuvenator retires that incarnation
 // and boots a fresh one at the same host index (AQuA's Proteus restarts the
-// object; the host — and any host-level fault window — stays).
+// object; the host — and any host-level fault window — stays). Restarts are
+// capped at proteus.DefaultMaxRestartsPerWindow inside any
+// proteus.DefaultRestartWindow, like the real manager, so a fault the restart
+// cannot cure (a sick host) does not become a restart storm.
 type RejuvenationSpec struct {
 	// Enabled turns rejuvenation on. Requires Scenario.Lifecycle.Enabled.
 	Enabled bool
-	// RestartDelay is the base boot time of a replacement; consecutive
-	// restarts of the same host back off exponentially from it. Zero means
-	// DefaultRestartDelay.
-	RestartDelay time.Duration
-	// MaxRestartsPerWindow caps restarts inside RestartWindow, so a fault
-	// the restart cannot cure (a sick host) does not become a restart
-	// storm. Zero means DefaultSimMaxRestarts.
-	MaxRestartsPerWindow int
-	// RestartWindow is the sliding window of the storm cap. Zero means
-	// DefaultSimRestartWindow.
-	RestartWindow time.Duration
 }
 
-// Rejuvenation defaults, mirroring proteus.Manager's policy knobs.
 const (
-	DefaultRestartDelay     = 250 * time.Millisecond
-	DefaultSimMaxRestarts   = 8
-	DefaultSimRestartWindow = 10 * time.Second
+	// restartDelay is the base boot time of a replacement; consecutive
+	// restarts of the same host back off exponentially from it.
+	restartDelay = 250 * time.Millisecond
 	// maxBootDelay caps the per-host exponential boot backoff.
 	maxBootDelay = 30 * time.Second
 )
-
-// withDefaults fills zero fields.
-func (s RejuvenationSpec) withDefaults() RejuvenationSpec {
-	if s.RestartDelay <= 0 {
-		s.RestartDelay = DefaultRestartDelay
-	}
-	if s.MaxRestartsPerWindow <= 0 {
-		s.MaxRestartsPerWindow = DefaultSimMaxRestarts
-	}
-	if s.RestartWindow <= 0 {
-		s.RestartWindow = DefaultSimRestartWindow
-	}
-	return s
-}
 
 // rejuvenator closes the §5.4 loop inside the kernel: quarantine reports
 // from any client's scheduler trigger a kill → detect → boot → rejoin
@@ -62,7 +40,6 @@ func (s RejuvenationSpec) withDefaults() RejuvenationSpec {
 // survive the restart.
 type rejuvenator struct {
 	kernel         *Kernel
-	spec           RejuvenationSpec
 	specs          []ReplicaSpec
 	replicas       []*Replica // shared with Run: index = host slot
 	byID           map[wire.ReplicaID]*Replica
@@ -86,12 +63,11 @@ type rejuvenator struct {
 	transfers     int
 }
 
-func newRejuvenator(k *Kernel, spec RejuvenationSpec, specs []ReplicaSpec, replicas []*Replica,
+func newRejuvenator(k *Kernel, specs []ReplicaSpec, replicas []*Replica,
 	byID map[wire.ReplicaID]*Replica, clients []*Client, detect time.Duration,
 	rng *stats.Rand, rec *trace.Recorder) *rejuvenator {
 	return &rejuvenator{
 		kernel:         k,
-		spec:           spec.withDefaults(),
 		specs:          specs,
 		replicas:       replicas,
 		byID:           byID,
@@ -129,7 +105,7 @@ func (rj *rejuvenator) restart(idx int) {
 	now := rj.kernel.Now()
 	if !rj.allowRestart(now) {
 		rj.suppressed++
-		retry := rj.restartTimes[0] + rj.spec.RestartWindow - now
+		retry := rj.restartTimes[0] + proteus.DefaultRestartWindow - now
 		if retry < time.Millisecond {
 			retry = time.Millisecond
 		}
@@ -198,19 +174,19 @@ func (rj *rejuvenator) restart(idx int) {
 func (rj *rejuvenator) allowRestart(now time.Duration) bool {
 	kept := rj.restartTimes[:0]
 	for _, t := range rj.restartTimes {
-		if now-t < rj.spec.RestartWindow {
+		if now-t < proteus.DefaultRestartWindow {
 			kept = append(kept, t)
 		}
 	}
 	rj.restartTimes = kept
-	return len(kept) < rj.spec.MaxRestartsPerWindow
+	return len(kept) < proteus.DefaultMaxRestartsPerWindow
 }
 
-// bootDelay returns RestartDelay doubled per prior restart of this host,
+// bootDelay returns restartDelay doubled per prior restart of this host,
 // capped at maxBootDelay. perHost was already incremented for the restart
 // being planned, so the first restart boots at the base delay.
 func (rj *rejuvenator) bootDelay(idx int) time.Duration {
-	d := rj.spec.RestartDelay
+	d := restartDelay
 	for i := 1; i < rj.perHost[idx]; i++ {
 		d *= 2
 		if d >= maxBootDelay {

@@ -151,8 +151,8 @@ type Scenario struct {
 	// ProbeInterval, when positive with Lifecycle enabled, has each client
 	// probe its probation replicas at this virtual-time cadence — the
 	// gateway prober's warm-up role inside the kernel. Without it a
-	// probation replica re-admits only via parole, which the sim never
-	// exercises (QuarantineExpiry is wall-clock).
+	// probation replica sees traffic only when no replica is selectable and
+	// the scheduler falls back to the full set.
 	ProbeInterval time.Duration
 	// Rejuvenation configures the simulated Proteus manager: quarantined
 	// replicas are killed and fresh incarnations boot at the same host
@@ -429,7 +429,7 @@ func Run(s Scenario) (*Result, error) {
 	var rj *rejuvenator
 	quarantines := 0
 	if s.Rejuvenation.Enabled {
-		rj = newRejuvenator(k, s.Rejuvenation, s.Replicas, replicas, byID, clients,
+		rj = newRejuvenator(k, s.Replicas, replicas, byID, clients,
 			s.DetectionDelay, root.Split(), s.Trace)
 		rj.stateTransfer = s.StateTransfer
 	}

@@ -30,9 +30,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// AddDuration incorporates a duration observation, in seconds.
-func (w *Welford) AddDuration(d time.Duration) { w.Add(d.Seconds()) }
-
 // N returns the number of observations.
 func (w *Welford) N() int { return w.n }
 
@@ -47,9 +44,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {

@@ -8,8 +8,7 @@
 //
 // The recorder keeps a bounded ring of the most recent events (long runs no
 // longer grow memory without bound; Dropped reports how many old events
-// were overwritten) and can stream every event to a JSONL sink as it is
-// recorded, for full-fidelity capture of arbitrarily long runs.
+// were overwritten).
 package trace
 
 import (
@@ -74,16 +73,6 @@ func WithCapacity(n int) Option {
 	}
 }
 
-// WithJSONLSink streams every recorded event to w as one JSON object per
-// line, before it enters the ring. The ring still serves Events/Summarize;
-// the sink preserves the full history of runs longer than the ring. Writes
-// happen under the recorder's lock in Record's caller context — hand in a
-// buffered or async writer if the sink is slow. The first write error stops
-// further sink writes and is reported by SinkErr.
-func WithJSONLSink(w io.Writer) Option {
-	return func(r *Recorder) { r.sink = json.NewEncoder(w) }
-}
-
 // Recorder collects events into a bounded ring. It is safe for concurrent
 // use. The zero value is ready and records nothing until enabled; construct
 // with New for an enabled recorder.
@@ -95,8 +84,6 @@ type Recorder struct {
 	capacity int
 	dropped  uint64
 	enabled  bool
-	sink     *json.Encoder
-	sinkErr  error
 }
 
 // New returns an enabled recorder.
@@ -132,11 +119,6 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	e.Targets = slices.Clone(e.Targets)
-	if r.sink != nil && r.sinkErr == nil {
-		if err := r.sink.Encode(e); err != nil {
-			r.sinkErr = fmt.Errorf("trace: sink write: %w", err)
-		}
-	}
 	if r.capacity <= 0 {
 		r.capacity = DefaultCapacity // zero value enabled via struct literal
 	}
@@ -169,7 +151,7 @@ func (r *Recorder) Len() int {
 
 // Dropped returns how many events were overwritten because the ring was
 // full. A non-zero value means Events/Summarize see a truncated suffix of
-// the run (the sink, if any, still saw everything).
+// the run.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -177,17 +159,6 @@ func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// SinkErr returns the first error encountered writing to the JSONL sink,
-// or nil.
-func (r *Recorder) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
 }
 
 // Events returns a copy of the retained events in recording order (oldest

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/csv"
 	"encoding/json"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -226,49 +225,6 @@ func TestCSVQuotingRoundTrip(t *testing.T) {
 	}
 	if extra["note"] != `has,comma and "quote"`+"\nand newline" {
 		t.Errorf("extra = %q", extra["note"])
-	}
-}
-
-func TestJSONLSinkStreamsEverything(t *testing.T) {
-	var sink strings.Builder
-	r := New(WithCapacity(2), WithJSONLSink(&sink))
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Kind: KindReply, Seq: wire.SeqNo(i)})
-	}
-	if r.Len() != 2 || r.Dropped() != 3 {
-		t.Fatalf("ring Len=%d Dropped=%d", r.Len(), r.Dropped())
-	}
-	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("sink lines = %d, want 5 (full history)", len(lines))
-	}
-	for i, line := range lines {
-		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("sink line %d invalid: %v", i, err)
-		}
-		if e.Seq != wire.SeqNo(i) {
-			t.Errorf("sink line %d seq = %d", i, e.Seq)
-		}
-	}
-	if r.SinkErr() != nil {
-		t.Errorf("SinkErr = %v", r.SinkErr())
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
-
-func TestJSONLSinkErrorSurfaces(t *testing.T) {
-	r := New(WithJSONLSink(failWriter{}))
-	r.Record(Event{Kind: KindReply})
-	r.Record(Event{Kind: KindReply}) // second write skipped, no panic
-	if r.SinkErr() == nil {
-		t.Error("SinkErr not set after failed write")
-	}
-	if r.Len() != 2 {
-		t.Errorf("ring stopped recording on sink error: Len = %d", r.Len())
 	}
 }
 

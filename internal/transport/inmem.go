@@ -3,10 +3,8 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"aqua/internal/metrics"
-	"aqua/internal/stats"
 )
 
 // recvBuffer sizes each endpoint's incoming queue. Large enough that a burst
@@ -14,27 +12,14 @@ import (
 // (datagram semantics).
 const recvBuffer = 1024
 
-// LinkPolicy shapes delivery on the in-memory network.
-type LinkPolicy struct {
-	// Delay draws a one-way latency per message; nil means immediate.
-	Delay stats.DelayDist
-	// LossProb drops messages with this probability (0 = reliable).
-	LossProb float64
-}
-
-// InMem is an in-process Network connecting endpoints through channels. It
-// optionally injects per-message latency and loss, which the integration
-// tests use to model LAN behaviour. The zero value is not usable; construct
-// with NewInMem.
+// InMem is an in-process Network connecting endpoints through channels.
+// Delivery is immediate and lossless; wrap it in NewFaulty to inject latency
+// and loss. The zero value is not usable; construct with NewInMem.
 type InMem struct {
-	met       transportInstruments
-	linkDrops *metrics.Counter
+	met transportInstruments
 
 	mu        sync.Mutex
 	endpoints map[Addr]*inmemEndpoint
-	policy    LinkPolicy
-	rng       *stats.Rand
-	wg        sync.WaitGroup
 	closed    bool
 }
 
@@ -43,20 +28,11 @@ var _ Network = (*InMem)(nil)
 // InMemOption configures the in-memory network.
 type InMemOption func(*InMem)
 
-// WithLinkPolicy applies latency/loss shaping to every link.
-func WithLinkPolicy(p LinkPolicy, seed int64) InMemOption {
-	return func(n *InMem) {
-		n.policy = p
-		n.rng = stats.NewRand(seed)
-	}
-}
-
 // WithMetrics directs the network's frame and drop counters to reg instead
 // of the process-wide default registry.
 func WithMetrics(reg *metrics.Registry) InMemOption {
 	return func(n *InMem) {
 		n.met = resolveTransportInstruments(reg)
-		n.linkDrops = reg.Counter(metrics.TransportLinkDrops)
 	}
 }
 
@@ -65,7 +41,6 @@ func NewInMem(opts ...InMemOption) *InMem {
 	n := &InMem{
 		endpoints: make(map[Addr]*inmemEndpoint),
 		met:       resolveTransportInstruments(metrics.Default()),
-		linkDrops: metrics.Default().Counter(metrics.TransportLinkDrops),
 	}
 	for _, o := range opts {
 		o(n)
@@ -92,8 +67,7 @@ func (n *InMem) Listen(addr Addr) (Endpoint, error) {
 	return ep, nil
 }
 
-// Close shuts down the network and all endpoints, waiting for in-flight
-// delayed deliveries to finish or be dropped.
+// Close shuts down the network and all endpoints.
 func (n *InMem) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -109,12 +83,11 @@ func (n *InMem) Close() error {
 	for _, ep := range eps {
 		_ = ep.Close()
 	}
-	n.wg.Wait()
 	return nil
 }
 
-// deliver routes a message to the destination endpoint, applying the link
-// policy. Called with the network lock NOT held.
+// deliver routes a message to the destination endpoint. Called with the
+// network lock NOT held.
 func (n *InMem) deliver(from, to Addr, payload any) {
 	n.mu.Lock()
 	if n.closed {
@@ -122,31 +95,12 @@ func (n *InMem) deliver(from, to Addr, payload any) {
 		return
 	}
 	n.met.framesSent.Inc()
-	var delay time.Duration
-	if n.policy.LossProb > 0 && n.rng.Float64() < n.policy.LossProb {
-		n.mu.Unlock()
-		n.linkDrops.Inc()
-		return
-	}
-	if n.policy.Delay != nil {
-		delay = n.policy.Delay.Sample(n.rng)
-	}
 	dst, ok := n.endpoints[to]
 	n.mu.Unlock()
 	if !ok {
 		return // unknown destination: datagram dropped
 	}
-	msg := Message{From: from, Payload: payload}
-	if delay <= 0 {
-		dst.push(msg)
-		return
-	}
-	n.wg.Add(1)
-	timer := time.AfterFunc(delay, func() {
-		defer n.wg.Done()
-		dst.push(msg)
-	})
-	_ = timer
+	dst.push(Message{From: from, Payload: payload})
 }
 
 type inmemEndpoint struct {

@@ -3,13 +3,13 @@
 // message types defined in internal/wire.
 //
 // Two implementations are provided. The in-memory network wires endpoints
-// through channels with optional injected latency and loss — the substrate
-// for unit and integration tests. The TCP network carries length-prefixed
-// binary frames over real sockets — the substrate for the runnable examples
-// and the standalone binaries — and refuses, at Send, any payload that is not
-// one of the internal/wire message types. (The original AQuA used the
-// Maestro/Ensemble stack over a LAN; see DESIGN.md for the substitution
-// argument.)
+// through channels — the substrate for unit and integration tests. The TCP
+// network carries length-prefixed binary frames over real sockets — the
+// substrate for the runnable examples and the standalone binaries — and
+// refuses, at Send, any payload that is not one of the internal/wire message
+// types. Faulty wraps either one to inject loss, delay, duplication,
+// reordering and partitions. (The original AQuA used the Maestro/Ensemble
+// stack over a LAN; see DESIGN.md for the substitution argument.)
 package transport
 
 import (

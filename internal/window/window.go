@@ -28,12 +28,11 @@ import (
 var versionCounter atomic.Uint64
 
 // Window is a fixed-capacity FIFO ring buffer of duration samples. The most
-// recent Cap() samples are retained. Window is not safe for concurrent use;
+// recent capacity samples are retained. Window is not safe for concurrent use;
 // the repository serializes access.
 type Window struct {
 	buf     []time.Duration
 	head    int // index of the oldest sample
-	count   int
 	version uint64
 
 	// Incremental histogram state.
@@ -63,14 +62,12 @@ func (w *Window) Add(d time.Duration) {
 	w.version = versionCounter.Add(1)
 	if len(w.buf) < cap(w.buf) {
 		w.buf = append(w.buf, d)
-		w.count++
 		w.histAdd(d)
 		return
 	}
 	evicted := w.buf[w.head]
 	w.buf[w.head] = d
 	w.head = (w.head + 1) % cap(w.buf)
-	w.count++
 	w.histRemove(evicted)
 	w.histAdd(d)
 }
@@ -122,13 +119,6 @@ func (w *Window) searchBin(b int64) int {
 // Len returns the number of samples currently retained.
 func (w *Window) Len() int { return len(w.buf) }
 
-// Cap returns the window capacity (the paper's l).
-func (w *Window) Cap() int { return cap(w.buf) }
-
-// Total returns the total number of samples ever added, including evicted
-// ones. It serves as a freshness/coverage indicator.
-func (w *Window) Total() int { return w.count }
-
 // Version returns a value that changes on every mutation and is never reused
 // by any other window instance in the process. Equal versions therefore
 // guarantee identical window contents, which is what tells the response-time
@@ -160,15 +150,6 @@ func (w *Window) Values() []time.Duration {
 	return out
 }
 
-// Last returns the most recent sample. ok is false if the window is empty.
-func (w *Window) Last() (d time.Duration, ok bool) {
-	if len(w.buf) == 0 {
-		return 0, false
-	}
-	idx := (w.head + len(w.buf) - 1) % cap(w.buf)
-	return w.buf[idx], true
-}
-
 // TrimOldest evicts the single oldest sample, keeping the histogram in sync.
 // It returns false on an empty window. The borrowed-digest tier uses it to
 // displace one remote sample for each locally measured one, so a cold-started
@@ -187,14 +168,4 @@ func (w *Window) TrimOldest() bool {
 	w.buf = append(w.buf[:0], w.buf[1:]...)
 	w.head = 0
 	return true
-}
-
-// Reset discards all samples but keeps the capacity and resolution.
-func (w *Window) Reset() {
-	w.buf = w.buf[:0]
-	w.head = 0
-	w.count = 0
-	w.version = versionCounter.Add(1)
-	w.bins = w.bins[:0]
-	w.binCounts = w.binCounts[:0]
 }
