@@ -26,11 +26,13 @@ test:
 	$(GO) test ./...
 
 # The decision path's allocation fences (cached: 0, fresh: <= 10, a warm
-# one-replica Call: <= 10) and the property test that pins the in-place path
-# to the from-scratch oracle, uncached so a stale pass cannot hide a change.
+# one-replica Call: <= 10), the TCP frame path's (encode: 1, decode through a
+# warm interner: <= 2), and the property test that pins the in-place path to
+# the from-scratch oracle, uncached so a stale pass cannot hide a change.
 allocs:
 	$(GO) test ./internal/core -count=1 -run 'TestScheduleCachedPathZeroAllocs|TestScheduleFreshPathAllocs|TestFreshPathMatchesOracleProperty'
 	$(GO) test ./internal/gateway -count=1 -run TestCallSteadyStateAllocs
+	$(GO) test ./internal/transport -count=1 -run TestFrameCodecAllocs
 
 race:
 	$(GO) test -race ./...
@@ -77,9 +79,11 @@ a13 a14 a15 a16 a17 a18:
 # packages carry the ordered-mode runtime (stable delivery, state transfer);
 # core and gateway carry the forget sweep and the pooled call state
 # (TestSweepExpiredDropsAtDeadlinePlusGrace, TestReplyIsOneRepositoryMutation,
-# TestPooledCallStateUnderConcurrentCallers, TestRecycledCallStateCarriesNoReply).
+# TestPooledCallStateUnderConcurrentCallers, TestRecycledCallStateCarriesNoReply);
+# transport carries the shared multicast frames and the per-connection read
+# state (TestTCPConcurrentSendersFramesIntact).
 race-lifecycle:
-	$(GO) test -race ./internal/core ./internal/repository ./internal/proteus ./internal/gateway ./internal/server .
+	$(GO) test -race ./internal/core ./internal/repository ./internal/proteus ./internal/gateway ./internal/server ./internal/transport .
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

@@ -29,7 +29,19 @@ package transport
 // what a future layout change bumps.
 //
 // Payload []byte fields decode zero-copy: they alias the received frame
-// buffer, which the read loop allocates per frame and never reuses.
+// buffer, which the read loop allocates per frame and never reuses (a caller
+// may hold a reply's payload for as long as it likes). Strings are the
+// opposite: each is copied out of the body, or, on a TCP connection, taken
+// from that connection's interner — a table of the identifiers (addresses,
+// client, replica, service and method names) it has already decoded, so a
+// repeated name costs a map lookup instead of an allocation. The table is
+// bounded in entries and in the length of a string it accepts, so hostile
+// input costs at most one allocation per string, as without it.
+//
+// A frame of up to largeFrame bytes is encoded into one allocation of its
+// exact size: binaryBodySize mirrors appendBinaryBody field by field
+// (TestBinaryRoundTripAllTypes, FuzzDecodeFrame and FuzzStateTransferRoundTrip
+// check that such a frame fills its allocation exactly).
 //
 // Times travel as UnixNano, so the monotonic reading and location are
 // dropped and representable times are limited to years 1678–2262 — far
@@ -40,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"aqua/internal/wire"
@@ -259,6 +272,136 @@ func appendBinaryBody(buf []byte, from Addr, payload any) ([]byte, bool) {
 	return buf, true
 }
 
+// Encoded sizes, mirroring the append functions above one for one.
+
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintSize is the size of binary.AppendVarint's zigzag encoding of v.
+func varintSize(v int64) int { return uvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
+
+func strSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+func byteSliceSize(p []byte) int { return uvarintSize(uint64(len(p))) + len(p) }
+
+func timeSize(t time.Time) int {
+	if t.IsZero() {
+		return varintSize(zeroTimeSentinel)
+	}
+	return varintSize(t.UnixNano())
+}
+
+func perfSize(p wire.PerfReport) int {
+	return varintSize(int64(p.ServiceTime)) + varintSize(int64(p.QueueDelay)) +
+		varintSize(int64(p.QueueLength)) + uvarintSize(p.OrderedTail) + 1
+}
+
+func logEntrySize(e wire.LogEntry) int {
+	return uvarintSize(e.Stamp) + strSize(string(e.Client)) + uvarintSize(uint64(e.Seq)) +
+		strSize(e.Method) + byteSliceSize(e.Payload)
+}
+
+func int64sSize(vs []int64) int {
+	n := uvarintSize(uint64(len(vs)))
+	for _, v := range vs {
+		n += varintSize(v)
+	}
+	return n
+}
+
+func digestSize(d wire.WindowDigest) int {
+	return strSize(string(d.Replica)) + strSize(d.Method) +
+		int64sSize(d.ServiceBins) + int64sSize(d.ServiceCounts) +
+		int64sSize(d.QueueBins) + int64sSize(d.QueueCounts) +
+		int64sSize(d.GatewayBins) + int64sSize(d.GatewayCounts) +
+		varintSize(int64(d.QueueLength)) + varintSize(d.AgeNanos)
+}
+
+// binaryBodySize is the length appendBinaryBody will append for payload,
+// or false for a payload type the codec does not cover.
+func binaryBodySize(from Addr, payload any) (int, bool) {
+	n := 3 + strSize(string(from)) // magic, version, type, sender
+	switch m := payload.(type) {
+	case wire.Request:
+		n += strSize(string(m.Client)) + uvarintSize(uint64(m.Seq)) + strSize(string(m.Service)) +
+			strSize(m.Method) + byteSliceSize(m.Payload) + timeSize(m.SentAt) + 1 + uvarintSize(m.Stamp)
+	case wire.Response:
+		n += strSize(string(m.Client)) + uvarintSize(uint64(m.Seq)) + strSize(string(m.Replica)) +
+			strSize(string(m.Service)) + byteSliceSize(m.Payload) + strSize(m.Err) + perfSize(m.Perf) +
+			timeSize(m.SentAt) + 1
+	case wire.Subscribe:
+		n += strSize(string(m.Client)) + strSize(string(m.Service))
+	case wire.Unsubscribe:
+		n += strSize(string(m.Client)) + strSize(string(m.Service))
+	case wire.PerfUpdate:
+		n += strSize(string(m.Replica)) + strSize(string(m.Service)) + strSize(m.Method) + perfSize(m.Perf)
+	case wire.Heartbeat:
+		n += strSize(string(m.From)) + strSize(m.Service) + uvarintSize(m.View) + timeSize(m.At)
+	case wire.Cancel:
+		n += strSize(string(m.Client)) + uvarintSize(uint64(m.Seq)) + strSize(string(m.Service))
+	case wire.DigestSync:
+		n += strSize(string(m.Client)) + strSize(string(m.Service)) + uvarintSize(m.Seq) +
+			varintSize(m.ResolutionNanos) + varintSize(int64(m.WindowSize)) + uvarintSize(uint64(len(m.Digests)))
+		for _, d := range m.Digests {
+			n += digestSize(d)
+		}
+	case wire.DigestRequest:
+		n += strSize(string(m.Client)) + strSize(string(m.Service))
+	case wire.StateRequest:
+		n += strSize(string(m.Replica)) + strSize(string(m.Service)) + 1 + uvarintSize(m.SinceIndex) +
+			strSize(string(m.Gap)) + uvarintSize(m.FromStamp) + uvarintSize(m.ToStamp)
+	case wire.StateChunk:
+		n += strSize(string(m.Replica)) + strSize(string(m.Service)) + byteSliceSize(m.Snapshot) +
+			uvarintSize(m.SnapshotIndex) + uvarintSize(uint64(len(m.Entries)))
+		for _, e := range m.Entries {
+			n += logEntrySize(e)
+		}
+		n += uvarintSize(uint64(len(m.Cursors)))
+		for _, c := range m.Cursors {
+			n += strSize(string(c.Client)) + uvarintSize(c.Next)
+		}
+		n += uvarintSize(m.Tail) + 1 + 1 + strSize(m.Err)
+	default:
+		return 0, false
+	}
+	return n, true
+}
+
+// Interner bounds: a connection keeps at most internMaxEntries identifiers
+// and starts over when the table is full, and a string longer than
+// internMaxLen is copied without entering the table. Identifiers in this
+// system (host:port addresses, client, replica, service and method names)
+// are short and few per connection; a full table means something else is
+// flowing, and starting over bounds its memory.
+const (
+	internMaxEntries = 256
+	internMaxLen     = 64
+)
+
+// interner resolves identifier bytes to one shared string per distinct
+// value. It belongs to one connection's read goroutine and is not safe for
+// concurrent use. A nil interner copies every string.
+type interner map[string]string
+
+// newInterner sizes the table for its cap up front, so inserts never grow it.
+func newInterner() interner { return make(interner, internMaxEntries) }
+
+// str returns b as a string without allocating when the same bytes were seen
+// before. The returned string never aliases b.
+func (in interner) str(b []byte) string {
+	if in == nil || len(b) == 0 || len(b) > internMaxLen {
+		return string(b)
+	}
+	if s, ok := in[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	if len(in) >= internMaxEntries {
+		clear(in)
+	}
+	s := string(b)
+	in[s] = s
+	return s
+}
+
 // binReader is a bounds-checked cursor over one frame body with a sticky
 // error: a malformed length poisons every subsequent read, and the caller
 // checks err once at the end. No read can panic.
@@ -266,6 +409,7 @@ type binReader struct {
 	b   []byte
 	off int
 	err error
+	in  interner
 }
 
 func (r *binReader) uvarint() uint64 {
@@ -308,7 +452,7 @@ func (r *binReader) take(n uint64) []byte {
 	return p
 }
 
-func (r *binReader) str() string { return string(r.take(r.uvarint())) }
+func (r *binReader) str() string { return r.in.str(r.take(r.uvarint())) }
 
 // byteSlice returns the next length-prefixed byte field aliasing the frame
 // buffer (zero-copy); a zero length decodes as nil.
@@ -398,10 +542,11 @@ func (r *binReader) digest() wire.WindowDigest {
 	}
 }
 
-// decodeBinaryBody decodes one binary-codec body (body[0] is known to be
-// binMagic). Unknown versions and message types return versioned errors so a
-// newer peer's frames are rejected loudly, not mis-parsed.
-func decodeBinaryBody(body []byte) (envelope, error) {
+// decodeBinaryBody decodes one binary-codec body, taking strings from in
+// (nil: copy each). A body without the magic byte, and unknown versions and
+// message types, return errors that name what was seen, so a newer peer's
+// frames are rejected loudly, not mis-parsed.
+func decodeBinaryBody(body []byte, in interner) (envelope, error) {
 	if len(body) < 3 {
 		return envelope{}, fmt.Errorf("transport: binary frame truncated at %d bytes", len(body))
 	}
@@ -412,7 +557,7 @@ func decodeBinaryBody(body []byte) (envelope, error) {
 		return envelope{}, fmt.Errorf("transport: unsupported binary codec version %d (this build speaks %d)", body[1], binVersion)
 	}
 	typ := body[2]
-	r := &binReader{b: body, off: 3}
+	r := &binReader{b: body, off: 3, in: in}
 	from := Addr(r.str())
 	var payload any
 	switch typ {

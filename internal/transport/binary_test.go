@@ -1,14 +1,18 @@
 package transport
 
-// Fences for the binary codec: byte-exact round trips for every wire message
-// type, refusal of payload types outside internal/wire, rejection of
-// non-magic and foreign-version frames, and no panics on truncated or corrupt
-// input.
+// Fences for the binary codec: byte-exact round trips and exact-size encodes
+// for every wire message type, refusal of payload types outside
+// internal/wire, rejection of non-magic and foreign-version frames, no panics
+// on truncated or corrupt input, the interner's bounds, and the frame path's
+// allocation counts.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +22,7 @@ import (
 	"aqua/internal/wire"
 )
 
-// binaryCodecCases covers all seven wire message types, each with fully
+// binaryCodecCases covers all eleven wire message types, most with fully
 // populated and zero-value variants. Times are built with time.Unix so the
 // decoded value (wall clock only, no monotonic reading) compares equal under
 // reflect.DeepEqual.
@@ -55,6 +59,15 @@ func binaryCodecCases() []struct {
 		{"digest-sync-zero", wire.DigestSync{}},
 		{"digest-request", wire.DigestRequest{Client: "g2", Service: "svc"}},
 		{"digest-request-zero", wire.DigestRequest{}},
+		{"ordered-request", wire.Request{Client: "c1", Seq: 1 << 40, Service: "svc", Method: "put", Payload: make([]byte, 200), SentAt: at, Stamp: 1 << 63}},
+		{"ordered-response", wire.Response{Client: "c1", Seq: 7, Replica: "r2", Service: "svc",
+			Perf: wire.PerfReport{ServiceTime: -1 << 62, QueueDelay: 1, QueueLength: 1 << 20, OrderedTail: 300, CaughtUp: true}, SentAt: time.Unix(0, -1)}},
+		{"state-request", wire.StateRequest{Replica: "r1", Service: "svc", WantSnapshot: true, SinceIndex: 9, Gap: "c1", FromStamp: 127, ToStamp: 128}},
+		{"state-request-zero", wire.StateRequest{}},
+		{"state-chunk", wire.StateChunk{Replica: "r1", Service: "svc", Snapshot: make([]byte, 300), SnapshotIndex: 16384,
+			Entries: []wire.LogEntry{{Stamp: 5, Client: "c1", Seq: 12, Method: "put", Payload: []byte("v")}, {Stamp: 6, Client: "c2", Seq: 1, Method: "del"}},
+			Cursors: []wire.ClientCursor{{Client: "c1", Next: 6}, {Client: "c2", Next: 2}}, Tail: 6, Done: true, Pruned: true, Err: "late"}},
+		{"state-chunk-zero", wire.StateChunk{}},
 	}
 }
 
@@ -71,7 +84,10 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 			if frame[4] != binMagic {
 				t.Fatalf("wire type %T did not take the binary codec: body starts 0x%02X", tc.payload, frame[4])
 			}
-			env, err := decodeFrame(bytes.NewReader(frame))
+			if cap(frame) != len(frame) {
+				t.Errorf("frame is %d bytes in a %d-byte allocation: binaryBodySize disagrees with appendBinaryBody", len(frame), cap(frame))
+			}
+			env, err := decodeFrame(uninterned(frame))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,6 +108,23 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 	}
 }
 
+// TestVarintSizes pins the size pass's integer widths to what the append
+// pass writes, at every 7-bit boundary and at the extremes, signed and not.
+func TestVarintSizes(t *testing.T) {
+	for k := 0; k < 64; k++ {
+		for _, u := range []uint64{1<<k - 1, 1 << k, 1<<k + 1, ^uint64(0) >> k} {
+			if got, want := uvarintSize(u), len(binary.AppendUvarint(nil, u)); got != want {
+				t.Errorf("uvarintSize(%d) = %d, want %d", u, got, want)
+			}
+			for _, v := range []int64{int64(u), -int64(u), int64(u) - 1, -int64(u) - 1} {
+				if got, want := varintSize(v), len(binary.AppendVarint(nil, v)); got != want {
+					t.Errorf("varintSize(%d) = %d, want %d", v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBinaryTimeFidelity checks wall-clock times (with monotonic readings,
 // as time.Now produces) survive the codec under time.Time.Equal.
 func TestBinaryTimeFidelity(t *testing.T) {
@@ -100,7 +133,7 @@ func TestBinaryTimeFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := decodeFrame(bytes.NewReader(frame))
+	env, err := decodeFrame(uninterned(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +145,7 @@ func TestBinaryTimeFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err = decodeFrame(bytes.NewReader(zero))
+	env, err = decodeFrame(uninterned(zero))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +171,7 @@ func TestBinaryRejectsForeignVersion(t *testing.T) {
 	}
 	body := append([]byte(nil), frame[4:]...)
 	body[1] = binVersion + 1
-	_, err = decodeFrame(bytes.NewReader(reframe(body)))
+	_, err = decodeFrame(uninterned(reframe(body)))
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("version")) {
 		t.Errorf("foreign version: err = %v, want versioned rejection", err)
 	}
@@ -155,7 +188,7 @@ func TestDecodeRejectsNonMagicBody(t *testing.T) {
 	for _, first := range []byte{0x00, 0x2A, 0x7F, binMagic - 1, binMagic + 1, 0xFF} {
 		body := append([]byte(nil), frame[4:]...)
 		body[0] = first
-		_, err := decodeFrame(bytes.NewReader(reframe(body)))
+		_, err := decodeFrame(uninterned(reframe(body)))
 		if err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Errorf("body starting 0x%02X: err = %v, want magic rejection", first, err)
 		}
@@ -165,7 +198,7 @@ func TestDecodeRejectsNonMagicBody(t *testing.T) {
 // TestBinaryRejectsUnknownType: an unknown message type code is an error.
 func TestBinaryRejectsUnknownType(t *testing.T) {
 	body := []byte{binMagic, binVersion, 0x7F, 0}
-	if _, err := decodeFrame(bytes.NewReader(reframe(body))); err == nil {
+	if _, err := decodeFrame(uninterned(reframe(body))); err == nil {
 		t.Error("unknown message type accepted")
 	}
 }
@@ -181,12 +214,12 @@ func TestBinaryTruncationNeverPanics(t *testing.T) {
 		}
 		body := frame[4:]
 		for cut := 0; cut < len(body); cut++ {
-			if _, err := decodeFrame(bytes.NewReader(reframe(body[:cut]))); err == nil {
+			if _, err := decodeFrame(uninterned(reframe(body[:cut]))); err == nil {
 				t.Errorf("%s: decoding %d/%d body bytes succeeded", tc.name, cut, len(body))
 			}
 		}
 		extended := append(append([]byte(nil), body...), 0x00)
-		if _, err := decodeFrame(bytes.NewReader(reframe(extended))); err == nil {
+		if _, err := decodeFrame(uninterned(reframe(extended))); err == nil {
 			t.Errorf("%s: trailing byte accepted", tc.name)
 		}
 	}
@@ -259,36 +292,138 @@ func TestMulticastEncodesOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkBinaryEncode and BenchmarkBinaryDecode record the codec cost on
-// one representative Request.
-func benchRequest() wire.Request {
-	return wire.Request{Client: "c", Seq: 1, Service: "svc", Method: "get", Payload: make([]byte, 128), SentAt: time.Unix(0, 1754700000123456789)}
+// frameLoop returns a function that decodes frame again on every call
+// through one buffered reader and in, as a connection's read loop does; the
+// rewind between calls allocates nothing.
+func frameLoop(frame []byte, in interner) func() (envelope, error) {
+	src := bytes.NewReader(frame)
+	r := bufio.NewReaderSize(src, readBufferSize)
+	return func() (envelope, error) {
+		src.Reset(frame)
+		r.Reset(src)
+		return decodeFrame(r, in)
+	}
 }
 
-func BenchmarkBinaryEncode(b *testing.B) {
-	req := benchRequest()
-	frame, _ := encodeFrame("from", req)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeFrame("from", req); err != nil {
-			b.Fatal(err)
+// TestFrameCodecAllocs is the TCP frame path's allocation fence: a Request
+// with a 64-byte payload encodes in one allocation (the frame, at its exact
+// size) and decodes through a warm interner and a buffered reader in two
+// (the body, which the decoded payload aliases, and the message's interface
+// box); a large frame grows once past its seed buffer.
+func TestFrameCodecAllocs(t *testing.T) {
+	const from = Addr("127.0.0.1:40001")
+	var payload any = wire.Request{Client: "client-7", Seq: 42, Service: "bench-svc", Method: "echo",
+		Payload: make([]byte, 64), SentAt: time.Unix(0, 1754700000123456789)}
+	encode := func() {
+		if _, err := encodeFrame(from, payload); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if allocs := testing.AllocsPerRun(500, encode); allocs > 1 {
+		t.Errorf("encoding a 64 B request: %.1f allocations, want <= 1", allocs)
+	}
+	var bulk any = wire.Request{Client: "client-7", Seq: 42, Service: "bench-svc", Method: "echo", Payload: make([]byte, 32<<10)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := encodeFrame(from, bulk); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("encoding a 32 KiB request: %.1f allocations, want <= 2 (a seed buffer and one growth)", allocs)
+	}
+
+	frame, err := encodeFrame(from, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := frameLoop(frame, newInterner())
+	decode := func() {
+		env, err := next()
+		if err != nil || env.From != from || !reflect.DeepEqual(env.Payload, payload) {
+			t.Fatalf("decoded %#v, %v; want %#v from %s", env.Payload, err, payload, from)
+		}
+	}
+	if allocs := testing.AllocsPerRun(500, decode); allocs > 2 {
+		t.Errorf("decoding a 64 B request through a warm interner: %.1f allocations, want <= 2", allocs)
+	}
 }
 
-func BenchmarkBinaryDecode(b *testing.B) {
-	frame, err := encodeFrame("from", benchRequest())
-	if err != nil {
-		b.Fatal(err)
+// TestInternerBounded holds the per-connection interner to its bounds and to
+// copy semantics: a connection that sees ever-new identifiers keeps the table
+// at its cap, an over-long string never enters it, and no decoded string
+// shares memory with the frame body (only byte payloads alias it).
+func TestInternerBounded(t *testing.T) {
+	// 10 000 distinct client IDs streamed over one connection's reader.
+	const clients = 10_000
+	var stream []byte
+	for i := range clients {
+		f, err := encodeFrame("127.0.0.1:40001", wire.Request{Client: wire.ClientID(fmt.Sprintf("client-%05d", i)), Seq: wire.SeqNo(i), Service: "svc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, f...)
 	}
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeFrame(bytes.NewReader(frame)); err != nil {
-			b.Fatal(err)
+	in := newInterner()
+	r := bufio.NewReaderSize(bytes.NewReader(stream), readBufferSize)
+	for i := range clients {
+		env, err := decodeFrame(r, in)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got, want := env.Payload.(wire.Request).Client, wire.ClientID(fmt.Sprintf("client-%05d", i)); got != want {
+			t.Fatalf("frame %d: Client %q, want %q", i, got, want)
+		}
+		if len(in) > internMaxEntries {
+			t.Fatalf("after %d distinct clients the table holds %d entries, cap %d", i+1, len(in), internMaxEntries)
+		}
+	}
+	if _, err := decodeFrame(r, in); !errors.Is(err, io.EOF) {
+		t.Errorf("after the last frame: err = %v, want io.EOF", err)
+	}
+
+	// A string over the length cap is decoded but bypasses the table; one at
+	// the cap enters it.
+	in = newInterner()
+	for _, n := range []int{internMaxLen + 1, 4 << 10, internMaxLen} {
+		client := strings.Repeat("x", n)
+		frame, err := encodeFrame("a", wire.Cancel{Client: wire.ClientID(client), Service: "svc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := decodeFrame(bufio.NewReader(bytes.NewReader(frame)), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Payload.(wire.Cancel).Client; string(got) != client {
+			t.Errorf("%d-byte client decoded as %d bytes", n, len(got))
+		}
+		if _, held := in[client]; held != (n <= internMaxLen) {
+			t.Errorf("%d-byte string in the table: %v, want %v (cap %d)", n, held, n <= internMaxLen, internMaxLen)
+		}
+	}
+
+	// Overwriting the body after decode: on the plain path, on first sight
+	// (the string enters the table) and on a hit, every string keeps its
+	// value; the payload is the one field that aliases the body.
+	in = newInterner()
+	frame, err := encodeFrame("sender:1", wire.Response{Client: "client-1", Replica: "replica-1", Service: "svc", Payload: []byte("reply"), Err: "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, table := range []interner{nil, in, in} {
+		body := append([]byte(nil), frame[4:]...)
+		env, err := decodeBinaryBody(body, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range body {
+			body[i] = 0xFF
+		}
+		got := env.Payload.(wire.Response)
+		if env.From != "sender:1" || got.Client != "client-1" || got.Replica != "replica-1" || got.Service != "svc" || got.Err != "late" {
+			t.Errorf("pass %d: strings changed with the body: from %q, %+v", pass, env.From, got)
+		}
+		if !bytes.Equal(got.Payload, bytes.Repeat([]byte{0xFF}, len("reply"))) {
+			t.Errorf("pass %d: payload %q does not alias the body", pass, got.Payload)
 		}
 	}
 }

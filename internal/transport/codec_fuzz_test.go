@@ -1,15 +1,34 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"aqua/internal/wire"
 )
 
+// decodeBoth decodes data on the plain path and again through in, an
+// interner the caller shares across inputs, and fails t unless the two
+// agree exactly, error text included: interning changes where a string's
+// bytes live, never what is decoded.
+func decodeBoth(t *testing.T, data []byte, in interner) (envelope, error) {
+	t.Helper()
+	env, err := decodeFrame(uninterned(data))
+	again, ierr := decodeFrame(bufio.NewReader(bytes.NewReader(data)), in)
+	if fmt.Sprint(err) != fmt.Sprint(ierr) || !reflect.DeepEqual(env, again) {
+		t.Fatalf("interned decode differs from plain:\n got %#v, %v\nwant %#v, %v", again, ierr, env, err)
+	}
+	return env, err
+}
+
 // FuzzDecodeFrame throws arbitrary bytes at the frame decoder: it must
-// never panic or over-allocate, only return errors or valid envelopes.
+// never panic or over-allocate, only return errors or valid envelopes, the
+// same with and without an interner; a valid envelope re-encodes, into a
+// buffer of exactly its size unless it is a large frame.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with a valid frame and a few structured mutations.
 	valid, err := encodeFrame("seed", wire.Request{Client: "c", Seq: 3, Payload: []byte("xyz")})
@@ -50,26 +69,32 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0})
 	f.Add([]byte{0, 0, 0, 1, 0xAB})
 
+	shared := newInterner()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := decodeFrame(bytes.NewReader(data))
+		env, err := decodeBoth(t, data, shared)
 		if err != nil {
 			return
 		}
 		// A successful decode must produce a well-typed envelope that
 		// re-encodes: the decoder only ever builds internal/wire values.
-		if _, err := encodeFrame(env.From, env.Payload); err != nil {
+		again, err := encodeFrame(env.From, env.Payload)
+		if err != nil {
 			t.Errorf("decoded envelope does not re-encode: %v", err)
+		} else if len(again) <= largeFrame && len(again) != cap(again) {
+			t.Errorf("%T re-encoded into %d of %d allocated bytes", env.Payload, len(again), cap(again))
 		}
 	})
 }
 
 // FuzzBinaryRoundTrip fences the binary codec's determinism: for arbitrary
 // field values, encode → decode → re-encode must reproduce the frame
-// byte-exactly, and decode must yield back every field.
+// byte-exactly, and decode, with or without an interner, must yield back
+// every field.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add("from", "client", uint64(1), "svc", "m", []byte("p"), int64(1754700000123456789), true)
 	f.Add("", "", uint64(0), "", "", []byte{}, int64(0), false)
 	f.Add("a", "b", ^uint64(0), "c", "d", []byte{0xAB, 0x01}, int64(-1), true)
+	shared := newInterner()
 	f.Fuzz(func(t *testing.T, from, client string, seq uint64, service, method string, payload []byte, sentNs int64, probe bool) {
 		if sentNs == zeroTimeSentinel {
 			return // reserved encoding for the zero time
@@ -90,7 +115,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("encode: %v", err)
 		}
-		env, err := decodeFrame(bytes.NewReader(frame))
+		env, err := decodeBoth(t, frame, shared)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -116,7 +141,8 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 // FuzzStateTransferRoundTrip fences the ordered-mode frames — stamped
 // requests, StateRequest, StateChunk, and the Response that piggybacks the
 // ordered tail — through the codec: the binary layout must round-trip
-// byte-exactly.
+// byte-exactly, from a frame that fills its allocation exactly unless it is
+// a large one.
 func FuzzStateTransferRoundTrip(f *testing.F) {
 	f.Add("r1", "svc", uint64(1), uint64(9), []byte("snap"), "client", uint64(4), "put", []byte("v"), true, false, "")
 	f.Add("", "", uint64(0), uint64(0), []byte{}, "", uint64(0), "", []byte{}, false, true, "pruned")
@@ -145,7 +171,10 @@ func FuzzStateTransferRoundTrip(f *testing.F) {
 				}
 				t.Fatalf("encode %T: %v", in, err)
 			}
-			env, err := decodeFrame(bytes.NewReader(frame))
+			if len(frame) <= largeFrame && len(frame) != cap(frame) {
+				t.Errorf("%T encoded into %d of %d allocated bytes", in, len(frame), cap(frame))
+			}
+			env, err := decodeFrame(uninterned(frame))
 			if err != nil {
 				t.Fatalf("decode %T: %v", in, err)
 			}
@@ -174,7 +203,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("encode: %v", err)
 		}
-		env, err := decodeFrame(bytes.NewReader(frame))
+		env, err := decodeFrame(uninterned(frame))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

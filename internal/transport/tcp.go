@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +28,12 @@ const (
 	// a dial timeout per message.
 	redialBackoffMin = 50 * time.Millisecond
 	redialBackoffMax = 2 * time.Second
+	// readBufferSize is each inbound connection's read buffer: one read
+	// syscall brings in a small frame's length and body together (and often
+	// the frames queued behind it). A body at least this large is read
+	// mostly straight into its own allocation, so a small buffer also keeps
+	// the second copy of a large frame small.
+	readBufferSize = 4 << 10
 )
 
 // ErrBackpressure reports a frame dropped because the destination's send
@@ -41,7 +48,12 @@ var ErrBackpressure = errors.New("transport: send queue full")
 // goroutine, so a slow, partitioned, or dead peer never blocks callers or
 // traffic to other destinations. Connections are cached per destination,
 // written with a deadline, and re-dialed on failure with capped exponential
-// backoff.
+// backoff. A frame is encoded once (into one buffer of its exact size, up to
+// 32 KiB) and shared read-only by every destination of a multicast. Each inbound connection is
+// read by one goroutine through a small buffered reader and a bounded table
+// of the identifier strings it has seen, so a repeated client, replica,
+// service or method name decodes without allocating; every frame body is
+// still a fresh allocation, because decoded payloads alias it.
 type TCP struct {
 	reg *metrics.Registry
 }
@@ -206,8 +218,11 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		delete(e.inbound, c)
 		e.mu.Unlock()
 	}()
+	// Both belong to this goroutine alone, so neither takes a lock.
+	r := bufio.NewReaderSize(c, readBufferSize)
+	in := newInterner()
 	for {
-		env, err := decodeFrame(c)
+		env, err := decodeFrame(r, in)
 		if err != nil {
 			return
 		}
