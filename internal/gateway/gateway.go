@@ -39,13 +39,7 @@ const sweepInterval = core.ForgetGrace / 30
 type callState struct {
 	reply chan wire.Response // capacity 1: the first reply, delivered under h.mu
 	timer *time.Timer
-	armed bool // timer was Reset and its tick not yet received
 	addrs []transport.Addr
-}
-
-func (cs *callState) arm(d time.Duration) {
-	cs.timer.Reset(d)
-	cs.armed = true
 }
 
 // Config configures a TimingFaultHandler.
@@ -479,12 +473,8 @@ func (h *TimingFaultHandler) beginCall(seq wire.SeqNo) *callState {
 // delivered under h.mu, so once the waiter is gone nothing reaches the channel;
 // one that raced the caller's return is drained here, never left for the next.
 func (h *TimingFaultHandler) endCall(seq wire.SeqNo, cs *callState) {
-	// go.mod predates Go 1.23's timer channels: an armed timer that can no
-	// longer be stopped has sent, or is about to send, a tick to take out.
-	if cs.armed && !cs.timer.Stop() {
-		<-cs.timer.C
-	}
-	cs.armed = false
+	// Since Go 1.23 a stopped timer delivers no stale tick to the next call.
+	cs.timer.Stop()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.waiters, seq)
@@ -565,7 +555,7 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	}
 	wait := qos.Deadline - time.Since(t0)
 	rest := maxWait - wait // negative: the next tick ends the call
-	cs.arm(min(wait, maxWait))
+	cs.timer.Reset(min(wait, maxWait))
 	for {
 		select {
 		case resp := <-cs.reply:
@@ -576,14 +566,13 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 		case <-ctx.Done():
 			return nil, fmt.Errorf("gateway: call canceled: %w", ctx.Err())
 		case <-cs.timer.C:
-			cs.armed = false
 			if rest < 0 {
 				return nil, fmt.Errorf("gateway: no response from %v within %v", d.Targets, maxWait)
 			}
 			if v := h.sched.OnDeadlineExpired(d.Seq); v != nil && h.cfg.OnViolation != nil {
 				h.cfg.OnViolation(*v)
 			}
-			cs.arm(rest) // fired and received: nothing to drain
+			cs.timer.Reset(rest)
 			rest = -1
 		case <-h.stop:
 			return nil, transport.ErrClosed
