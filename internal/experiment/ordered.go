@@ -589,8 +589,9 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 	if res.Restarts < 1 {
 		fail("soak: no rejuvenation restart recorded")
 	}
-	if res.Restarts > proteus.DefaultMaxRestartsPerWindow {
-		fail("soak: restarts %d exceed the storm cap %d", res.Restarts, proteus.DefaultMaxRestartsPerWindow)
+	if res.PeakRestartsPerWindow > proteus.DefaultMaxRestartsPerWindow {
+		fail("soak: %d restarts inside one %v window exceed the storm cap %d",
+			res.PeakRestartsPerWindow, proteus.DefaultRestartWindow, proteus.DefaultMaxRestartsPerWindow)
 	}
 	if res.StateTransfers < 1 {
 		fail("soak: no rejuvenated incarnation completed its state transfer")
@@ -625,7 +626,7 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 	t.Rows = append(t.Rows, []string{
 		"soak/lifecycle",
 		fmt.Sprintf("quarantines=%d", res.Quarantines),
-		fmt.Sprintf("restarts=%d", res.Restarts),
+		fmt.Sprintf("restarts=%d peak=%d", res.Restarts, res.PeakRestartsPerWindow),
 		fmt.Sprintf("transfers=%d", res.StateTransfers),
 		fmt.Sprintf("early_selects=%d", early),
 		"-",

@@ -35,239 +35,158 @@ func (n NetworkModel) delay(r *stats.Rand) time.Duration {
 	return n.Base.Sample(r)
 }
 
-// neverCrash marks a replica with no scheduled crash.
-const neverCrash = time.Duration(1<<62 - 1)
-
-// Replica simulates one server replica: a FIFO single-worker queue whose
-// service time is drawn from a delay distribution (the paper simulates load
-// exactly this way, §6). The arithmetic is analytic — arrival, start, and
-// completion times are computed directly — so the virtual run is exact.
+// Replica simulates one server replica as the paper's §6 load model: a FIFO
+// queue in front of ReplicaSpec.Workers workers (one by default), each copy's
+// service time drawn from a delay distribution when it starts. It runs on the
+// kernel, so a Cancel can still purge a queued copy or abort one in service,
+// and a crash loses every copy it holds.
 type Replica struct {
-	ID      wire.ReplicaID
-	index   int // position in Scenario.Replicas, for link-fault matching
-	kernel  *Kernel
-	service stats.DelayDist
-	rng     *stats.Rand
+	ID     wire.ReplicaID
+	index  int // position in Scenario.Replicas, for link-fault matching
+	spec   ReplicaSpec
+	kernel *Kernel
+	rng    *stats.Rand
 
-	workers []time.Duration // per-worker busy-until horizon
-	dones   []time.Duration // completion times of accepted, unfinished work
-	crashAt time.Duration
-	served  int
+	queue   []*job // accepted copies waiting for a worker, in arrival order
+	workers []*job // the copy each worker serves; nil when idle
+	crashed bool
+	served  int // copies completed and answered
+	purged  int // queued copies removed by a Cancel
+	aborted int // copies in service stopped by a Cancel
 
 	// caughtUpAt models ordered-mode state transfer (Scenario.StateTransfer):
 	// performance reports claim CaughtUp only for work completed at or after
 	// this virtual time. Zero — the boot-time state of every first
 	// incarnation — means always caught up, matching a stateless service.
 	caughtUpAt time.Duration
-
-	// Slow window (ReplicaSpec.Slow): service times drawn from slow instead
-	// of service for work started inside [slowFrom, slowUntil).
-	slow      stats.DelayDist
-	slowFrom  time.Duration
-	slowUntil time.Duration
-
-	// Event mode (Scenario.Cancellation): instead of computing each reply
-	// analytically at arrival, the replica runs a live FIFO queue of jobs so
-	// a Cancel arriving later can still purge a queued copy or abort the one
-	// in service. Single worker only — the queue discipline is the paper's.
-	evQueue   []evJob
-	evBusy    bool
-	evCur     jobKey
-	evGen     uint64 // invalidates in-flight completion events on abort
-	evPurged  int
-	evAborted int
 }
 
 // jobKey identifies one dispatched request copy: (client, seq) is globally
-// unique because sequence numbers are never reused.
+// unique because sequence numbers are never reused. Probes carry the zero
+// key, which no Cancel names.
 type jobKey struct {
 	client wire.ClientID
 	seq    wire.SeqNo
 }
 
-// evJob is one queued request copy in event mode.
-type evJob struct {
+// job is one request copy a replica accepted.
+type job struct {
 	key     jobKey
 	arrived time.Duration
-	reply   func(done time.Duration, perf wire.PerfReport)
+	// backlog is PerfReport.QueueLength: the queued copies plus the busy
+	// workers whose copy ends strictly after this one arrived.
+	backlog int
+	end     time.Duration // completion time, set when service starts
+	reply   func(perf wire.PerfReport)
 }
 
-// evSubmit accepts a request copy in event mode; reply fires at the virtual
-// completion time unless the job is cancelled or the replica crashes first.
-func (r *Replica) evSubmit(key jobKey, reply func(done time.Duration, perf wire.PerfReport)) {
-	now := r.kernel.Now()
-	if r.Crashed(now) {
-		return
-	}
-	r.evQueue = append(r.evQueue, evJob{key: key, arrived: now, reply: reply})
-	if !r.evBusy {
-		r.evStartNext()
+// newReplica constructs the incarnation id of host index.
+func newReplica(k *Kernel, id wire.ReplicaID, index int, spec ReplicaSpec, rng *stats.Rand) *Replica {
+	return &Replica{
+		ID:      id,
+		index:   index,
+		spec:    spec,
+		kernel:  k,
+		rng:     rng,
+		workers: make([]*job, max(spec.Workers, 1)),
 	}
 }
 
-// evStartNext pops the queue head into service and schedules its completion.
-func (r *Replica) evStartNext() {
-	now := r.kernel.Now()
-	if r.Crashed(now) || len(r.evQueue) == 0 {
-		r.evBusy = false
+// submit accepts one request copy now. reply runs when its service completes,
+// unless a cancel or a crash takes the copy first.
+func (r *Replica) submit(key jobKey, reply func(perf wire.PerfReport)) {
+	if r.crashed {
 		return
 	}
-	job := r.evQueue[0]
-	r.evQueue = r.evQueue[1:]
-	backlog := len(r.evQueue)
-	dist := r.service
+	now := r.kernel.Now()
+	backlog := len(r.queue)
+	for _, j := range r.workers {
+		if j != nil && j.end > now {
+			backlog++
+		}
+	}
+	r.queue = append(r.queue, &job{key: key, arrived: now, backlog: backlog, reply: reply})
+	r.dispatch()
+}
+
+// dispatch hands queued copies to idle workers in FIFO order.
+func (r *Replica) dispatch() {
+	for w := range r.workers {
+		if len(r.queue) == 0 {
+			return
+		}
+		if r.workers[w] == nil {
+			r.start(w)
+		}
+	}
+}
+
+// start puts the queue head on worker w and schedules its completion. The
+// service time is drawn now, from the slow distribution when the slow window
+// covers this start.
+func (r *Replica) start(w int) {
+	j := r.queue[0]
+	r.queue[0] = nil
+	r.queue = r.queue[1:]
+	now := r.kernel.Now()
+	dist := r.spec.Service
 	if r.slowAt(now) {
-		dist = r.slow
+		dist = r.spec.Slow
 	}
 	ts := dist.Sample(r.rng)
-	r.evBusy = true
-	r.evCur = job.key
-	r.evGen++
-	gen := r.evGen
-	start := now
+	j.end = now + ts
+	r.workers[w] = j
 	r.kernel.After(ts, func() {
-		if r.evGen != gen || !r.evBusy {
-			return // aborted (or the worker was handed newer work)
+		if r.workers[w] != j {
+			return // aborted by a cancel, or lost in a crash
 		}
-		r.evBusy = false
-		done := r.kernel.Now()
-		if done <= r.crashAt {
-			r.served++
-			job.reply(done, wire.PerfReport{
-				ServiceTime: ts,
-				QueueDelay:  start - job.arrived,
-				QueueLength: backlog,
-				CaughtUp:    done >= r.caughtUpAt,
-			})
-		}
-		r.evStartNext()
+		r.workers[w] = nil
+		r.served++
+		j.reply(wire.PerfReport{
+			ServiceTime: ts,
+			QueueDelay:  now - j.arrived,
+			QueueLength: j.backlog,
+			CaughtUp:    j.end >= r.caughtUpAt,
+		})
+		r.dispatch()
 	})
 }
 
-// evCancel drops the request copy identified by key: an in-service job is
-// aborted (the worker frees immediately — the next queued job starts now,
-// not at the phantom completion time), a queued one is purged in place, and
-// a key the replica never saw — or already finished — is a no-op, exactly
-// like the real server's unmatched path.
-func (r *Replica) evCancel(key jobKey) {
-	if r.evBusy && r.evCur == key {
-		r.evGen++ // the scheduled completion event is now stale
-		r.evBusy = false
-		r.evAborted++
-		r.evStartNext()
-		return
+// cancel drops the copy named by key: one in service is aborted and its
+// worker takes the next queued copy now, a queued one is purged, and a key the
+// replica never saw, or already finished, is a no-op, like the real server's
+// unmatched path.
+func (r *Replica) cancel(key jobKey) {
+	for w, j := range r.workers {
+		if j != nil && j.key == key {
+			r.workers[w] = nil
+			r.aborted++
+			r.dispatch()
+			return
+		}
 	}
-	for i := range r.evQueue {
-		if r.evQueue[i].key == key {
-			r.evQueue = append(r.evQueue[:i], r.evQueue[i+1:]...)
-			r.evPurged++
+	for i, j := range r.queue {
+		if j.key == key {
+			r.queue = append(r.queue[:i], r.queue[i+1:]...)
+			r.purged++
 			return
 		}
 	}
 }
 
-// newReplica constructs a replica bound to the kernel.
-func newReplica(k *Kernel, id wire.ReplicaID, service stats.DelayDist, rng *stats.Rand) *Replica {
-	return &Replica{
-		ID:      id,
-		kernel:  k,
-		service: service,
-		rng:     rng,
-		workers: make([]time.Duration, 1),
-		crashAt: neverCrash,
-	}
-}
-
-// setWorkers configures k parallel servers behind the FIFO queue.
-func (r *Replica) setWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	r.workers = make([]time.Duration, k)
-}
-
-// setSlow installs a performance-fault window.
-func (r *Replica) setSlow(dist stats.DelayDist, from, until time.Duration) {
-	r.slow = dist
-	r.slowFrom = from
-	r.slowUntil = until
+// crash stops the replica for good: the copies it queued or was serving are
+// lost without a reply, and it accepts nothing more.
+func (r *Replica) crash() {
+	r.crashed = true
+	r.queue = nil
+	clear(r.workers)
 }
 
 // slowAt reports whether the performance fault is active for work starting
 // at virtual time t.
 func (r *Replica) slowAt(t time.Duration) bool {
-	if r.slow == nil || t < r.slowFrom {
-		return false
-	}
-	return r.slowUntil <= 0 || t < r.slowUntil
-}
-
-// Crashed reports whether the replica is down at virtual time t.
-func (r *Replica) Crashed(t time.Duration) bool { return t >= r.crashAt }
-
-// Served returns the number of requests completed.
-func (r *Replica) Served() int { return r.served }
-
-// process accepts a request arriving at virtual time at and returns the
-// completion time and the performance report the reply will carry. ok is
-// false when the replica crashes before completing the request (no reply is
-// ever sent — the client's deadline machinery and the membership layer
-// handle it).
-func (r *Replica) process(at time.Duration) (done time.Duration, perf wire.PerfReport, ok bool) {
-	if at >= r.crashAt {
-		return 0, wire.PerfReport{}, false
-	}
-	// FIFO dispatch to the earliest-free worker (k = 1 reproduces the
-	// paper's single-server queue exactly).
-	wi := 0
-	for i, busy := range r.workers {
-		if busy < r.workers[wi] {
-			wi = i
-		}
-	}
-	start := at
-	if r.workers[wi] > start {
-		start = r.workers[wi]
-	}
-	dist := r.service
-	if r.slowAt(start) {
-		dist = r.slow
-	}
-	ts := dist.Sample(r.rng)
-	done = start + ts
-	r.workers[wi] = done
-	// QueueLength is the backlog this request found on arrival: requests
-	// accepted earlier and still unfinished at time `at`. (An analytic
-	// simulation computes each reply at arrival, so unlike the real server
-	// it cannot count arrivals that happen between now and completion; the
-	// arrival backlog is the causally well-defined equivalent, and it is
-	// exactly the quantity the queuing-delay model W reflects.)
-	backlog := r.pruneAndCount(at)
-	r.dones = append(r.dones, done)
-	if done > r.crashAt {
-		return 0, wire.PerfReport{}, false
-	}
-	r.served++
-	perf = wire.PerfReport{
-		ServiceTime: ts,
-		QueueDelay:  start - at,
-		QueueLength: backlog,
-		CaughtUp:    done >= r.caughtUpAt,
-	}
-	return done, perf, true
-}
-
-// pruneAndCount drops finished work and returns the number of accepted,
-// unfinished requests at virtual time t.
-func (r *Replica) pruneAndCount(t time.Duration) int {
-	kept := r.dones[:0]
-	for _, d := range r.dones {
-		if d > t {
-			kept = append(kept, d)
-		}
-	}
-	r.dones = kept
-	return len(kept)
+	s := r.spec
+	return s.Slow != nil && t >= s.SlowFrom && (s.SlowUntil <= 0 || t < s.SlowUntil)
 }
 
 // RequestRecord captures one simulated request for experiment analysis.
@@ -339,7 +258,6 @@ func (c *Client) probeLoop() {
 	if c.finished == nil {
 		return
 	}
-	now := c.kernel.Now()
 	for _, snap := range c.sched.Repository().Snapshot("") {
 		if snap.Health != repository.Probation {
 			continue
@@ -348,25 +266,8 @@ func (c *Client) probeLoop() {
 		if !ok {
 			continue // left the view (or was retired) since the snapshot
 		}
-		reqDelay := c.delayTo(rep)
-		drop, extra := c.linkFault(rep, now)
-		if drop {
-			continue // probe lost on the faulty link
-		}
-		id := snap.ID
-		c.kernel.After(reqDelay+extra, func() {
-			done, perf, ok := rep.process(c.kernel.Now())
-			if !ok {
-				return // crashed before completing: no probe reply
-			}
-			respDelay := c.delayFrom(rep)
-			drop, extra := c.linkFault(rep, done)
-			if drop {
-				return
-			}
-			c.kernel.At(done+respDelay+extra, func() {
-				c.sched.OnPerfUpdate(wire.PerfUpdate{Replica: id, Perf: perf}, c.kernel.NowTime())
-			})
+		c.request(rep, jobKey{}, func(perf wire.PerfReport) {
+			c.sched.OnPerfUpdate(wire.PerfUpdate{Replica: rep.ID, Perf: perf}, c.kernel.NowTime())
 		})
 	}
 	c.kernel.After(c.probeEvery, c.probeLoop)
@@ -469,54 +370,13 @@ func (c *Client) issueOne() {
 		// Unreachable by construction; fall through to the deadline path.
 		_ = err
 	}
+	key := jobKey{client: c.ID, seq: d.Seq}
 	for _, id := range d.Targets {
 		rep, ok := c.replicas[id]
 		if !ok {
 			continue
 		}
-		reqDelay := c.delayTo(rep)
-		drop, extra := c.linkFault(rep, t0v)
-		if drop {
-			continue // request lost on the faulty link
-		}
-		reqDelay += extra
-		seq := d.Seq
-		if c.cancellation {
-			// Event mode: the replica queues the copy live, so a later
-			// Cancel can still purge or abort it. The reply callback fires
-			// at the true virtual completion time.
-			key := jobKey{client: c.ID, seq: seq}
-			c.kernel.After(reqDelay, func() {
-				rep.evSubmit(key, func(done time.Duration, perf wire.PerfReport) {
-					respDelay := c.delayFrom(rep)
-					drop, extra := c.linkFault(rep, done)
-					if drop {
-						return // reply lost on the faulty link
-					}
-					replica := rep.ID
-					c.kernel.After(respDelay+extra, func() {
-						c.onReply(seq, replica, perf)
-					})
-				})
-			})
-			continue
-		}
-		c.kernel.After(reqDelay, func() {
-			done, perf, ok := rep.process(c.kernel.Now())
-			if !ok {
-				return // crashed before completing: reply never sent
-			}
-			respDelay := c.delayFrom(rep)
-			drop, extra := c.linkFault(rep, done)
-			if drop {
-				return // reply lost on the faulty link
-			}
-			respDelay += extra
-			replica := rep.ID
-			c.kernel.At(done+respDelay, func() {
-				c.onReply(seq, replica, perf)
-			})
-		})
+		c.request(rep, key, func(perf wire.PerfReport) { c.onReply(key.seq, rep.ID, perf) })
 	}
 
 	// Deadline watchdog: charge the failure the moment the deadline passes
@@ -547,46 +407,47 @@ func (c *Client) issueOne() {
 	})
 }
 
-// delayTo draws the one-way latency for a message from this client to rep:
-// the WAN link when configured, the shared network model otherwise.
-func (c *Client) delayTo(rep *Replica) time.Duration {
-	if c.linkTo != nil {
-		if d := c.linkTo[rep.index]; d != nil {
-			return d.Sample(c.rng)
-		}
-		return 0
-	}
-	return c.network.delay(c.rng)
+// request sends the copy key to rep and hands the performance report of its
+// reply to answer, once that reply is back. A copy or reply lost on the link,
+// or a copy the replica loses, is never answered.
+func (c *Client) request(rep *Replica, key jobKey, answer func(perf wire.PerfReport)) {
+	c.send(rep, c.linkTo, func() {
+		rep.submit(key, func(perf wire.PerfReport) {
+			c.send(rep, c.linkFrom, func() { answer(perf) })
+		})
+	})
 }
 
-// delayFrom draws the one-way latency for a message from rep back to this
-// client (the latency matrix need not be symmetric).
-func (c *Client) delayFrom(rep *Replica) time.Duration {
-	if c.linkFrom != nil {
-		if d := c.linkFrom[rep.index]; d != nil {
-			return d.Sample(c.rng)
-		}
-		return 0
+// send carries one message across rep's link, leaving now: links holds this
+// client's WAN delays in the message's direction (nil on the shared network).
+// It draws the one-way delay, adds the extra delay of every link fault active
+// now, and runs deliver on arrival. It reports false when a fault drops the
+// message, which is then never delivered.
+func (c *Client) send(rep *Replica, links []stats.DelayDist, deliver func()) bool {
+	var d time.Duration
+	if links == nil {
+		d = c.network.delay(c.rng)
+	} else if l := links[rep.index]; l != nil {
+		d = l.Sample(c.rng)
 	}
-	return c.network.delay(c.rng)
-}
-
-// linkFault evaluates the scenario's link faults for one message crossing
-// rep's link at virtual time at: whether the message is lost, and how much
-// extra one-way latency the active faults add. Matching faults stack.
-func (c *Client) linkFault(rep *Replica, at time.Duration) (drop bool, extra time.Duration) {
+	now := c.kernel.Now()
+	drop := false
 	for _, f := range c.faults {
-		if !f.active(rep.index, at) {
+		if !f.active(rep.index, now) {
 			continue
 		}
 		if f.Loss > 0 && c.rng.Float64() < f.Loss {
 			drop = true
 		}
 		if f.ExtraDelay != nil {
-			extra += f.ExtraDelay.Sample(c.rng)
+			d += f.ExtraDelay.Sample(c.rng)
 		}
 	}
-	return drop, extra
+	if drop {
+		return false
+	}
+	c.kernel.After(d, deliver)
+	return true
 }
 
 // onReply delivers one replica reply to the shared scheduler code.
@@ -639,20 +500,12 @@ func (c *Client) fanCancel(seq wire.SeqNo) {
 	if len(c.cancelBuf) == 0 {
 		return
 	}
-	now := c.kernel.Now()
 	key := jobKey{client: c.ID, seq: seq}
 	for _, id := range c.cancelBuf {
-		rep, ok := c.replicas[id]
-		if !ok {
-			continue
+		// A lost Cancel just means that replica serves its duplicate.
+		if rep, ok := c.replicas[id]; ok && c.send(rep, c.linkTo, func() { rep.cancel(key) }) {
+			c.cancelsSent++
 		}
-		d := c.delayTo(rep)
-		drop, extra := c.linkFault(rep, now)
-		if drop {
-			continue // cancel lost: the duplicate is served, as without it
-		}
-		c.cancelsSent++
-		c.kernel.After(d+extra, func() { rep.evCancel(key) })
 	}
 }
 

@@ -1,6 +1,6 @@
 package sim
 
-// Fences for the event-driven cancellation mode and the controller wiring.
+// Fences for first-response-wins cancellation and the controller wiring.
 
 import (
 	"testing"
@@ -33,16 +33,51 @@ func cancelScenario(seed int64) Scenario {
 	}
 }
 
-func TestCancellationModeValidation(t *testing.T) {
-	s := cancelScenario(1)
-	s.Replicas[0].Workers = 2
-	if _, err := Run(s); err == nil {
-		t.Error("want error for Cancellation with multi-worker replicas")
+// TestCancellationComposesWithWorkersProbesAndRejuvenation: cancellation runs
+// on the same replica queue as everything else, so it composes with
+// multi-worker replicas, probation probes and rejuvenation. A persistently
+// slow host is quarantined and restarted while Cancels purge and abort the
+// losers' copies, and no pending entry leaks.
+func TestCancellationComposesWithWorkersProbesAndRejuvenation(t *testing.T) {
+	replicas := make([]ReplicaSpec, 3)
+	for i := range replicas {
+		replicas[i] = ReplicaSpec{Service: stats.Normal{Mu: 25 * ms, Sigma: 5 * ms}, Workers: 2}
 	}
-	s = cancelScenario(1)
-	s.ProbeInterval = time.Second
-	if _, err := Run(s); err == nil {
-		t.Error("want error for Cancellation with probing")
+	replicas[0].Slow = stats.Constant{Delay: 100 * ms}
+	replicas[0].SlowFrom = 500 * ms
+	replicas[0].SlowUntil = 4 * time.Second
+	res, err := Run(Scenario{
+		Replicas: replicas,
+		Clients: []ClientSpec{{
+			QoS:      wire.QoS{Deadline: 30 * ms, MinProbability: 0.99},
+			Requests: 400,
+			Think:    10 * ms,
+		}},
+		Network:       NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
+		Lifecycle:     core.LifecycleConfig{Enabled: true, WindowSize: 8, MinObservations: 4},
+		ProbeInterval: 50 * ms,
+		Rejuvenation:  RejuvenationSpec{Enabled: true},
+		Cancellation:  true,
+		Seed:          7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Clients[0]
+	if got := len(c.Records); got != 400 {
+		t.Fatalf("records = %d, want 400", got)
+	}
+	if res.Restarts < 1 {
+		t.Errorf("Restarts = %d, want >= 1", res.Restarts)
+	}
+	if res.CancelsSent == 0 || res.CancelsPurged+res.CancelsAborted == 0 {
+		t.Errorf("cancels sent=%d purged=%d aborted=%d; want copies reclaimed", res.CancelsSent, res.CancelsPurged, res.CancelsAborted)
+	}
+	if c.Outstanding != 0 {
+		t.Errorf("Outstanding = %d, want 0", c.Outstanding)
+	}
+	if res.ProbationViolations != 0 {
+		t.Errorf("ProbationViolations = %d, want 0", res.ProbationViolations)
 	}
 }
 

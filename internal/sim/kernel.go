@@ -8,7 +8,9 @@
 // internal/core.Scheduler with the paper's repository, model, and selection
 // algorithm — on a virtual clock, so a 50-request-per-point parameter sweep
 // that takes minutes of wall time on a testbed runs in milliseconds and is
-// bit-for-bit reproducible from its seed.
+// bit-for-bit reproducible from its seed. Every replica in every scenario is
+// one Replica: a FIFO queue and its workers, run event by event on the
+// kernel, so a Cancel or a crash acts on the copies it holds.
 package sim
 
 import (

@@ -51,10 +51,8 @@ func TestSimSlowReplicaQuarantinedAndRejuvenated(t *testing.T) {
 	if res.Restarts < 1 {
 		t.Errorf("Restarts = %d, want >= 1", res.Restarts)
 	}
-	if res.Restarts > proteus.DefaultMaxRestartsPerWindow {
-		// One storm-cap window is longer than the slow window, so every
-		// restart the run performs must fit inside a single cap.
-		t.Errorf("Restarts = %d, want <= storm cap %d", res.Restarts, proteus.DefaultMaxRestartsPerWindow)
+	if res.PeakRestartsPerWindow > proteus.DefaultMaxRestartsPerWindow {
+		t.Errorf("%d restarts in one window, want <= storm cap %d", res.PeakRestartsPerWindow, proteus.DefaultMaxRestartsPerWindow)
 	}
 	if res.ProbationViolations != 0 {
 		t.Errorf("ProbationViolations = %d, want 0", res.ProbationViolations)
@@ -82,6 +80,104 @@ func TestSimSlowReplicaQuarantinedAndRejuvenated(t *testing.T) {
 	if res.ReplicaServe[0] == 0 {
 		t.Error("ReplicaServe[0] = 0, want work from the pre-fault and healed incarnations")
 	}
+}
+
+// TestSimRestartStormCapped: every host is slow for the whole run, so each
+// replacement is convicted again as soon as probation re-admits it, and
+// restart requests come faster than the storm cap allows. The rejuvenator
+// must refuse the excess and never fit more than the cap into one window.
+func TestSimRestartStormCapped(t *testing.T) {
+	replicas := make([]ReplicaSpec, 4)
+	for i := range replicas {
+		replicas[i] = ReplicaSpec{Service: stats.Normal{Mu: 25 * ms, Sigma: 5 * ms}, Slow: stats.Constant{Delay: 100 * ms}}
+	}
+	res, err := Run(Scenario{
+		Replicas: replicas,
+		Clients: []ClientSpec{{
+			QoS:      wire.QoS{Deadline: 30 * ms, MinProbability: 0.99},
+			Requests: 600,
+			Think:    10 * ms,
+		}},
+		Lifecycle:     core.LifecycleConfig{Enabled: true, WindowSize: 8, MinObservations: 4},
+		ProbeInterval: 50 * ms,
+		Rejuvenation:  RejuvenationSpec{Enabled: true},
+		Seed:          3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("restarts=%d suppressed=%d peak=%d", res.Restarts, res.RestartsSuppressed, res.PeakRestartsPerWindow)
+	if res.RestartsSuppressed == 0 {
+		t.Error("RestartsSuppressed = 0: the scenario never asked for more restarts than the cap")
+	}
+	if res.PeakRestartsPerWindow > proteus.DefaultMaxRestartsPerWindow {
+		t.Errorf("%d restarts in one window, want <= storm cap %d", res.PeakRestartsPerWindow, proteus.DefaultMaxRestartsPerWindow)
+	}
+}
+
+// TestCrashedReplicaLosesAcceptedWork: a crash and a rejuvenation kill both
+// lose the copies the replica had queued or in service. No reply comes back
+// for them, and they are not counted as served.
+func TestCrashedReplicaLosesAcceptedWork(t *testing.T) {
+	t.Run("crash plan", func(t *testing.T) {
+		res, err := Run(Scenario{
+			Replicas: []ReplicaSpec{{Service: stats.Constant{Delay: 100 * ms}, CrashAt: 50 * ms}},
+			Clients:  []ClientSpec{{QoS: wire.QoS{Deadline: 200 * ms}, Requests: 1}},
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res.Clients[0].Records[0]; r.GotReply {
+			t.Errorf("the copy in service at the crash was answered after %v", r.ResponseTime)
+		}
+		if res.ReplicaServe[0] != 0 {
+			t.Errorf("ReplicaServe = %v, want [0]", res.ReplicaServe)
+		}
+	})
+	t.Run("rejuvenation kill", func(t *testing.T) {
+		// The slow host backs up with copies (Pc 0.99 selects every
+		// replica); its kill must silence all of them. On the ideal LAN a
+		// reply arrives the instant it is sent, so any reply from a killed
+		// incarnation after its kill was sent by a dead replica.
+		rec := trace.New()
+		res, err := Run(Scenario{
+			Replicas: []ReplicaSpec{
+				{Service: stats.Normal{Mu: 25 * ms, Sigma: 5 * ms},
+					Slow: stats.Constant{Delay: 100 * ms}, SlowFrom: 500 * ms, SlowUntil: 4 * time.Second},
+				{Service: stats.Normal{Mu: 25 * ms, Sigma: 5 * ms}},
+				{Service: stats.Normal{Mu: 25 * ms, Sigma: 5 * ms}},
+			},
+			Clients: []ClientSpec{{
+				QoS:      wire.QoS{Deadline: 30 * ms, MinProbability: 0.99},
+				Requests: 400,
+				Think:    10 * ms,
+			}},
+			Lifecycle:     core.LifecycleConfig{Enabled: true, WindowSize: 8, MinObservations: 4},
+			ProbeInterval: 50 * ms,
+			Rejuvenation:  RejuvenationSpec{Enabled: true},
+			Trace:         rec,
+			Seed:          7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		killed := make(map[wire.ReplicaID]time.Duration)
+		for _, ev := range rec.Filter(trace.KindRestart) {
+			killed[ev.Replica] = ev.At
+		}
+		if len(killed) == 0 {
+			t.Fatal("no restart: nothing was killed")
+		}
+		for _, ev := range rec.Filter(trace.KindReply) {
+			if at, ok := killed[ev.Replica]; ok && ev.At > at {
+				t.Errorf("%s replied at %v, after its kill at %v", ev.Replica, ev.At, at)
+			}
+		}
+		if res.Clients[0].Outstanding != 0 {
+			t.Errorf("Outstanding = %d, want 0", res.Clients[0].Outstanding)
+		}
+	})
 }
 
 // TestSimGiveUpForgetsPending is the regression for the give-up leak: a

@@ -48,12 +48,13 @@ type rejuvenator struct {
 	rng            *stats.Rand
 	rec            *trace.Recorder // nil-safe
 
-	restartTimes  []time.Duration // storm-cap sliding window (global)
-	perHost       []int           // restarts per host index, drives boot backoff
-	retiredServed []int           // served counts of retired incarnations
-	restarting    []bool          // a replacement is mid-boot for this index
-	restarts      int
-	suppressed    int
+	restartTimes []time.Duration // storm-cap sliding window (global)
+	perHost      []int           // restarts per host index, drives boot backoff
+	retired      []*Replica      // killed incarnations, for the run's totals
+	restarting   []bool          // a replacement is mid-boot for this index
+	restarts     int
+	suppressed   int
+	peak         int // most restarts inside one storm-cap window
 
 	// stateTransfer (Scenario.StateTransfer) is how long a replacement's
 	// simulated recovery state transfer takes; zero models a stateless
@@ -76,7 +77,6 @@ func newRejuvenator(k *Kernel, specs []ReplicaSpec, replicas []*Replica,
 		rng:            rng,
 		rec:            rec,
 		perHost:        make([]int, len(specs)),
-		retiredServed:  make([]int, len(specs)),
 		restarting:     make([]bool, len(specs)),
 	}
 }
@@ -118,7 +118,6 @@ func (rj *rejuvenator) restart(idx int) {
 		return
 	}
 	rj.restarting[idx] = true
-	rj.restartTimes = append(rj.restartTimes, now)
 	rj.perHost[idx]++
 	rj.restarts++
 
@@ -126,8 +125,8 @@ func (rj *rejuvenator) restart(idx int) {
 	// lost; clients' deadline/give-up machinery absorbs that, exactly as
 	// for a crash.
 	old := rj.replicas[idx]
-	old.crashAt = now
-	rj.retiredServed[idx] += old.Served()
+	old.crash()
+	rj.retired = append(rj.retired, old)
 	delete(rj.byID, old.ID)
 
 	boot := rj.bootDelay(idx)
@@ -138,26 +137,19 @@ func (rj *rejuvenator) restart(idx int) {
 	})
 
 	// The membership layer notices the kill after the detection delay …
-	rj.kernel.After(rj.detectionDelay, rj.notifyMembership)
+	notify := func() { notifyMembership(rj.kernel, rj.replicas, rj.clients, rj.rec) }
+	rj.kernel.After(rj.detectionDelay, notify)
 	// … and the replacement boots after the (backed-off) restart delay,
 	// with a fresh identity so every client re-admits it via probation.
 	rj.kernel.After(boot, func() {
-		spec := rj.specs[idx]
-		nr := newReplica(rj.kernel, next, spec.Service, rj.rng.Split())
-		nr.index = idx
-		if spec.Workers > 1 {
-			nr.setWorkers(spec.Workers)
-		}
-		if spec.Slow != nil {
-			nr.setSlow(spec.Slow, spec.SlowFrom, spec.SlowUntil)
-		}
+		nr := newReplica(rj.kernel, next, idx, rj.specs[idx], rj.rng.Split())
 		if rj.stateTransfer > 0 {
 			// The replacement boots empty: its reports must not claim a
 			// caught-up state machine until the transfer window elapses, so
 			// a RequireStateTransfer lifecycle keeps it in probation.
 			nr.caughtUpAt = rj.kernel.Now() + rj.stateTransfer
 			rj.kernel.After(rj.stateTransfer, func() {
-				if rj.replicas[idx] == nr && !nr.Crashed(rj.kernel.Now()) {
+				if rj.replicas[idx] == nr && !nr.crashed {
 					rj.transfers++
 				}
 			})
@@ -165,12 +157,13 @@ func (rj *rejuvenator) restart(idx int) {
 		rj.replicas[idx] = nr
 		rj.byID[next] = nr
 		rj.restarting[idx] = false
-		rj.notifyMembership()
+		notify()
 	})
 }
 
 // allowRestart prunes the storm-cap window and reports whether another
-// restart fits in it.
+// restart fits in it; one that fits is counted in the window, and in the
+// peak.
 func (rj *rejuvenator) allowRestart(now time.Duration) bool {
 	kept := rj.restartTimes[:0]
 	for _, t := range rj.restartTimes {
@@ -179,7 +172,12 @@ func (rj *rejuvenator) allowRestart(now time.Duration) bool {
 		}
 	}
 	rj.restartTimes = kept
-	return len(kept) < proteus.DefaultMaxRestartsPerWindow
+	if len(kept) >= proteus.DefaultMaxRestartsPerWindow {
+		return false
+	}
+	rj.restartTimes = append(kept, now)
+	rj.peak = max(rj.peak, len(rj.restartTimes))
+	return true
 }
 
 // bootDelay returns restartDelay doubled per prior restart of this host,
@@ -196,20 +194,17 @@ func (rj *rejuvenator) bootDelay(idx int) time.Duration {
 	return d
 }
 
-// notifyMembership pushes the current live view to every client, exactly
-// like the crash plan's detection events.
-func (rj *rejuvenator) notifyMembership() {
-	now := rj.kernel.Now()
+// notifyMembership is the membership service's detection event: it pushes
+// the incarnations still up to every client and traces the view.
+func notifyMembership(k *Kernel, replicas []*Replica, clients []*Client, rec *trace.Recorder) {
 	var live []wire.ReplicaID
-	for _, r := range rj.replicas {
-		if !r.Crashed(now) {
+	for _, r := range replicas {
+		if !r.crashed {
 			live = append(live, r.ID)
 		}
 	}
-	for _, c := range rj.clients {
-		if c != nil {
-			c.sched.OnMembershipChangeAt(live, rj.kernel.NowTime())
-		}
+	for _, c := range clients {
+		c.sched.OnMembershipChangeAt(live, k.NowTime())
 	}
-	rj.rec.Record(trace.Event{At: now, Kind: trace.KindMembership, Targets: live})
+	rec.Record(trace.Event{At: k.Now(), Kind: trace.KindMembership, Targets: live})
 }

@@ -171,10 +171,7 @@ type Scenario struct {
 	// Cancellation enables first-response-wins cancellation: when a client's
 	// earliest reply arrives, a Cancel is sent to each losing replica (one
 	// network delay later, subject to link faults), purging its queued copy
-	// or aborting the one in service. This switches every replica from the
-	// analytic arrival-time arithmetic to a live event-driven queue — the
-	// only mode in which "un-serving" a request is expressible — so it is
-	// incompatible with Workers > 1, ProbeInterval, and Rejuvenation.
+	// or aborting the one in service.
 	Cancellation bool
 	// Controller, when non-nil, gives every client an online redundancy
 	// controller (core.AdaptiveBudget) built from this config in place of
@@ -305,20 +302,24 @@ func (r ClientResult) MeanResponseTime() time.Duration {
 // Result is a completed scenario run.
 type Result struct {
 	Clients      []ClientResult
-	ReplicaServe []int // requests served per host index (all incarnations)
+	ReplicaServe []int // requests completed per host index (all incarnations)
 	Events       int   // kernel events executed (sanity/diagnostics)
 
 	// Lifecycle aggregates (zero unless Scenario.Lifecycle is enabled).
-	Quarantines         int // quarantine transitions across all clients
-	Restarts            int // rejuvenation restarts performed
-	RestartsSuppressed  int // restarts refused by the storm cap
-	ProbationViolations int // sum over clients; zero is the guardrail
+	Quarantines        int // quarantine transitions across all clients
+	Restarts           int // rejuvenation restarts performed
+	RestartsSuppressed int // restarts refused by the storm cap
+	// PeakRestartsPerWindow is the most restarts inside any one
+	// proteus.DefaultRestartWindow: what the storm cap bounds.
+	PeakRestartsPerWindow int
+	ProbationViolations   int // sum over clients; zero is the guardrail
 	// StateTransfers counts rejuvenated incarnations that completed their
 	// simulated state transfer (survived StateTransfer of virtual time past
 	// boot without being retired). Zero unless Scenario.StateTransfer.
 	StateTransfers int
 
-	// Cancellation aggregates (zero unless Scenario.Cancellation).
+	// Cancellation aggregates (zero unless Scenario.Cancellation), over
+	// every incarnation.
 	CancelsSent    int // Cancel messages put on the network by all clients
 	CancelsPurged  int // cancelled copies removed from replica queues
 	CancelsAborted int // cancelled copies aborted mid-service
@@ -370,16 +371,6 @@ func Run(s Scenario) (*Result, error) {
 	if s.StateTransfer > 0 && !s.Rejuvenation.Enabled {
 		return nil, fmt.Errorf("sim: StateTransfer requires Rejuvenation.Enabled (only rejuvenated incarnations recover state)")
 	}
-	if s.Cancellation {
-		if s.Rejuvenation.Enabled || s.ProbeInterval > 0 {
-			return nil, fmt.Errorf("sim: Cancellation's event-driven replicas do not mix with rejuvenation or probing (both use the analytic path)")
-		}
-		for i, spec := range s.Replicas {
-			if spec.Workers > 1 {
-				return nil, fmt.Errorf("sim: replica %d has %d workers; Cancellation supports the single-worker queue only", i, spec.Workers)
-			}
-		}
-	}
 
 	k := NewKernel()
 	root := stats.NewRand(s.Seed)
@@ -405,14 +396,7 @@ func Run(s Scenario) (*Result, error) {
 			return nil, fmt.Errorf("sim: replica %d has no service distribution", i)
 		}
 		id := wire.ReplicaID(fmt.Sprintf("replica-%02d", i))
-		replicas[i] = newReplica(k, id, spec.Service, root.Split())
-		replicas[i].index = i
-		if spec.Workers > 1 {
-			replicas[i].setWorkers(spec.Workers)
-		}
-		if spec.Slow != nil {
-			replicas[i].setSlow(spec.Slow, spec.SlowFrom, spec.SlowUntil)
-		}
+		replicas[i] = newReplica(k, id, i, spec, root.Split())
 		byID[id] = replicas[i]
 		liveIDs = append(liveIDs, id)
 	}
@@ -541,29 +525,14 @@ func Run(s Scenario) (*Result, error) {
 	}
 
 	// Crash plan + membership notifications: DetectionDelay after a crash,
-	// every client's repository drops the member (§5.4).
+	// every client's repository drops the member (§5.4). The crash takes
+	// whichever incarnation runs on the host at that time.
 	for i, spec := range s.Replicas {
 		if spec.CrashAt <= 0 {
 			continue
 		}
-		rep := replicas[i]
-		crashAt := spec.CrashAt
-		k.At(crashAt, func() { rep.crashAt = k.Now() })
-		k.At(crashAt+s.DetectionDelay, func() {
-			var live []wire.ReplicaID
-			now := k.Now()
-			for _, r := range replicas {
-				if !r.Crashed(now) {
-					live = append(live, r.ID)
-				}
-			}
-			for _, c := range clients {
-				c.sched.OnMembershipChangeAt(live, k.NowTime())
-			}
-			s.Trace.Record(trace.Event{
-				At: k.Now(), Kind: trace.KindMembership, Targets: live,
-			})
-		})
+		k.At(spec.CrashAt, func() { replicas[i].crash() })
+		k.At(spec.CrashAt+s.DetectionDelay, func() { notifyMembership(k, replicas, clients, s.Trace) })
 	}
 
 	events := k.Run(s.MaxTime)
@@ -571,11 +540,19 @@ func Run(s Scenario) (*Result, error) {
 		return nil, fmt.Errorf("sim: %d client(s) did not finish within %v of virtual time", remaining, s.MaxTime)
 	}
 
-	res := &Result{Events: events, Quarantines: quarantines}
+	res := &Result{Events: events, Quarantines: quarantines, ReplicaServe: make([]int, len(replicas))}
+	incarnations := replicas
 	if rj != nil {
 		res.Restarts = rj.restarts
 		res.RestartsSuppressed = rj.suppressed
+		res.PeakRestartsPerWindow = rj.peak
 		res.StateTransfers = rj.transfers
+		incarnations = append(rj.retired, replicas...)
+	}
+	for _, r := range incarnations {
+		res.ReplicaServe[r.index] += r.served
+		res.CancelsPurged += r.purged
+		res.CancelsAborted += r.aborted
 	}
 	for i, c := range clients {
 		// Flush any record still pending (reply arrived after the run's
@@ -597,17 +574,6 @@ func Run(s Scenario) (*Result, error) {
 		res.Clients = append(res.Clients, cr)
 		res.ProbationViolations += c.probationViolations
 		res.CancelsSent += c.cancelsSent
-	}
-	for _, r := range replicas {
-		res.CancelsPurged += r.evPurged
-		res.CancelsAborted += r.evAborted
-	}
-	for i, r := range replicas {
-		n := r.Served()
-		if rj != nil {
-			n += rj.retiredServed[i]
-		}
-		res.ReplicaServe = append(res.ReplicaServe, n)
 	}
 	return res, nil
 }

@@ -302,51 +302,112 @@ func TestMeanResponseTimeReported(t *testing.T) {
 	}
 }
 
+// answer is what one submitted copy got back: at stays -1 unless the copy
+// completed and replied.
+type answer struct {
+	at   time.Duration
+	perf wire.PerfReport
+}
+
+// submitAt submits the copy of request seq to r at virtual time at.
+func submitAt(k *Kernel, r *Replica, at time.Duration, seq wire.SeqNo) *answer {
+	a := &answer{at: -1}
+	k.At(at, func() {
+		r.submit(jobKey{client: "c", seq: seq}, func(p wire.PerfReport) { a.at, a.perf = k.Now(), p })
+	})
+	return a
+}
+
+// replicaWith builds a bare replica on k serving every copy in 10ms.
+func replicaWith(k *Kernel, workers int) *Replica {
+	return newReplica(k, "r", 0, ReplicaSpec{Service: stats.Constant{Delay: 10 * ms}, Workers: workers}, stats.NewRand(1))
+}
+
 func TestReplicaQueueModel(t *testing.T) {
 	k := NewKernel()
-	r := newReplica(k, "r", stats.Constant{Delay: 10 * ms}, stats.NewRand(1))
-	// Three simultaneous arrivals: FIFO waits of 0, 10, 20ms.
-	d0, p0, ok := r.process(0)
-	if !ok || d0 != 10*ms || p0.QueueDelay != 0 {
-		t.Fatalf("first: done=%v perf=%+v ok=%v", d0, p0, ok)
+	r := replicaWith(k, 1)
+	// Three simultaneous arrivals: FIFO waits of 0, 10, 20ms, and a backlog
+	// on arrival of 0, 1, 2. The fourth arrives as the third's service ends:
+	// a worker finishing at the arrival instant is not backlog.
+	got := []*answer{submitAt(k, r, 0, 1), submitAt(k, r, 0, 2), submitAt(k, r, 0, 3), submitAt(k, r, 30*ms, 4)}
+	k.RunAll()
+	for i, want := range []struct {
+		done, wait time.Duration
+		backlog    int
+	}{{10 * ms, 0, 0}, {20 * ms, 10 * ms, 1}, {30 * ms, 20 * ms, 2}, {40 * ms, 0, 0}} {
+		a := got[i]
+		if a.at != want.done || a.perf.QueueDelay != want.wait || a.perf.QueueLength != want.backlog || a.perf.ServiceTime != 10*ms {
+			t.Errorf("copy %d: done=%v perf=%+v; want done=%v wait=%v queue length %d", i+1, a.at, a.perf, want.done, want.wait, want.backlog)
+		}
 	}
-	d1, p1, ok := r.process(0)
-	if !ok || d1 != 20*ms || p1.QueueDelay != 10*ms {
-		t.Fatalf("second: done=%v perf=%+v", d1, p1)
-	}
-	d2, p2, ok := r.process(0)
-	if !ok || d2 != 30*ms || p2.QueueDelay != 20*ms {
-		t.Fatalf("third: done=%v perf=%+v", d2, p2)
-	}
-	// QueueLength is the backlog found on arrival: 0, 1, 2 for the three
-	// simultaneous arrivals.
-	if p0.QueueLength != 0 || p1.QueueLength != 1 || p2.QueueLength != 2 {
-		t.Errorf("queue lengths = %d, %d, %d; want 0, 1, 2",
-			p0.QueueLength, p1.QueueLength, p2.QueueLength)
+	if r.served != 4 {
+		t.Errorf("served = %d, want 4", r.served)
 	}
 }
 
 func TestReplicaCrashSemantics(t *testing.T) {
 	k := NewKernel()
-	r := newReplica(k, "r", stats.Constant{Delay: 10 * ms}, stats.NewRand(1))
-	r.crashAt = 15 * ms
-	// Completes before the crash: ok.
-	if _, _, ok := r.process(0); !ok {
-		t.Error("request completing before crash must succeed")
+	r := replicaWith(k, 1)
+	k.At(15*ms, r.crash)
+	done := submitAt(k, r, 0, 1)         // completes at 10ms, before the crash
+	inService := submitAt(k, r, 5*ms, 2) // in service 10-20ms when the crash comes
+	queued := submitAt(k, r, 6*ms, 3)    // still queued at the crash
+	late := submitAt(k, r, 20*ms, 4)     // arrives after the crash
+	k.RunAll()
+	if done.at != 10*ms {
+		t.Errorf("copy completing before the crash replied at %v, want 10ms", done.at)
 	}
-	// Would complete at 20ms > crashAt: dropped.
-	if _, _, ok := r.process(5 * ms); ok {
-		t.Error("request completing after crash must be dropped")
+	for name, a := range map[string]*answer{"in service": inService, "queued": queued, "after the crash": late} {
+		if a.at >= 0 {
+			t.Errorf("copy %s replied at %v; a crashed replica answers nothing", name, a.at)
+		}
 	}
-	// Arrives after the crash: dropped.
-	if _, _, ok := r.process(20 * ms); ok {
-		t.Error("request arriving after crash must be dropped")
+	if !r.crashed || r.served != 1 {
+		t.Errorf("crashed = %v, served = %d; want true, 1", r.crashed, r.served)
 	}
-	if !r.Crashed(16 * ms) {
-		t.Error("Crashed(16ms) = false")
+}
+
+func TestMultiWorkerReplicaParallelism(t *testing.T) {
+	k := NewKernel()
+	r := replicaWith(k, 2)
+	// Three simultaneous arrivals on two workers: two start immediately,
+	// the third waits for the first free worker.
+	a := []*answer{submitAt(k, r, 0, 1), submitAt(k, r, 0, 2), submitAt(k, r, 0, 3)}
+	k.RunAll()
+	if a[0].at != 10*ms || a[1].at != 10*ms {
+		t.Errorf("first two completions %v, %v; want both 10ms", a[0].at, a[1].at)
 	}
-	if r.Served() != 1 {
-		t.Errorf("Served = %d, want 1", r.Served())
+	if a[0].perf.QueueDelay != 0 || a[1].perf.QueueDelay != 0 {
+		t.Errorf("first two waits %v, %v; want 0", a[0].perf.QueueDelay, a[1].perf.QueueDelay)
+	}
+	if a[2].at != 20*ms || a[2].perf.QueueDelay != 10*ms {
+		t.Errorf("third: done=%v wait=%v; want 20ms, 10ms", a[2].at, a[2].perf.QueueDelay)
+	}
+}
+
+// TestReplicaCancelFreesOneWorker: on two workers, a Cancel for a queued copy
+// purges it, and a Cancel for a copy in service frees that worker alone: the
+// next queued copy starts on it at once, and the other worker's copy runs to
+// completion.
+func TestReplicaCancelFreesOneWorker(t *testing.T) {
+	k := NewKernel()
+	r := replicaWith(k, 2)
+	a := []*answer{submitAt(k, r, 0, 1), submitAt(k, r, 0, 2), submitAt(k, r, 0, 3), submitAt(k, r, 0, 4)}
+	k.At(2*ms, func() { r.cancel(jobKey{client: "c", seq: 4}) })
+	k.At(4*ms, func() { r.cancel(jobKey{client: "c", seq: 2}) })
+	k.At(5*ms, func() { r.cancel(jobKey{client: "c", seq: 99}) }) // never seen: a no-op
+	k.RunAll()
+	if a[0].at != 10*ms {
+		t.Errorf("untouched copy done at %v, want 10ms", a[0].at)
+	}
+	if a[1].at >= 0 || a[3].at >= 0 {
+		t.Errorf("cancelled copies replied at %v and %v", a[1].at, a[3].at)
+	}
+	if a[2].at != 14*ms || a[2].perf.QueueDelay != 4*ms {
+		t.Errorf("queued copy done=%v wait=%v; want 14ms, 4ms (started on the freed worker)", a[2].at, a[2].perf.QueueDelay)
+	}
+	if r.served != 2 || r.purged != 1 || r.aborted != 1 {
+		t.Errorf("served, purged, aborted = %d, %d, %d; want 2, 1, 1", r.served, r.purged, r.aborted)
 	}
 }
 
@@ -467,25 +528,5 @@ func TestOpenLoopDeterministic(t *testing.T) {
 		if a.Clients[0].Records[i] != b.Clients[0].Records[i] {
 			t.Fatalf("open-loop run not deterministic at record %d", i)
 		}
-	}
-}
-
-func TestMultiWorkerReplicaParallelism(t *testing.T) {
-	k := NewKernel()
-	r := newReplica(k, "r", stats.Constant{Delay: 10 * ms}, stats.NewRand(1))
-	r.setWorkers(2)
-	// Three simultaneous arrivals on two workers: two start immediately,
-	// the third waits for the first free worker.
-	d0, p0, _ := r.process(0)
-	d1, p1, _ := r.process(0)
-	d2, p2, _ := r.process(0)
-	if d0 != 10*ms || d1 != 10*ms {
-		t.Errorf("first two completions %v, %v; want both 10ms", d0, d1)
-	}
-	if p0.QueueDelay != 0 || p1.QueueDelay != 0 {
-		t.Errorf("first two waits %v, %v; want 0", p0.QueueDelay, p1.QueueDelay)
-	}
-	if d2 != 20*ms || p2.QueueDelay != 10*ms {
-		t.Errorf("third: done=%v wait=%v; want 20ms, 10ms", d2, p2.QueueDelay)
 	}
 }

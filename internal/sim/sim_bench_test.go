@@ -55,15 +55,19 @@ func BenchmarkScenarioRun(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicaProcess measures the analytic queue model's per-request
-// cost.
-func BenchmarkReplicaProcess(b *testing.B) {
+// BenchmarkReplicaSubmit measures the replica queue's per-copy cost: one
+// submit and the completion event that answers it.
+func BenchmarkReplicaSubmit(b *testing.B) {
 	k := NewKernel()
-	r := newReplica(k, "r", stats.Normal{Mu: 10 * ms, Sigma: 2 * ms}, stats.NewRand(1))
+	r := newReplica(k, "r", 0, ReplicaSpec{Service: stats.Normal{Mu: 10 * ms, Sigma: 2 * ms}}, stats.NewRand(1))
+	answered := 0
+	reply := func(wire.PerfReport) { answered++ }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := r.process(time.Duration(i) * 20 * ms); !ok {
-			b.Fatal("process failed")
-		}
+		r.submit(jobKey{client: "c", seq: wire.SeqNo(i)}, reply)
+		k.RunAll()
+	}
+	if answered != b.N {
+		b.Fatalf("answered %d of %d copies", answered, b.N)
 	}
 }
