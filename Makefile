@@ -25,12 +25,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# The decision path's allocation fences (cached: 0, fresh: <= 10, a warm
-# one-replica Call: <= 10), the TCP frame path's (encode: 1, decode through a
-# warm interner: <= 2), and the property test that pins the in-place path to
-# the from-scratch oracle, uncached so a stale pass cannot hide a change.
+# The decision path's allocation fences (cached: 0, fresh: <= 10, selection
+# on a ranked table: 0, a warm one-replica Call: <= 10), the TCP frame path's
+# (encode: 1, decode through a warm interner: <= 2), and the property test that
+# pins the in-place path to the from-scratch oracle, uncached so a stale pass
+# cannot hide a change.
 allocs:
 	$(GO) test ./internal/core -count=1 -run 'TestScheduleCachedPathZeroAllocs|TestScheduleFreshPathAllocs|TestFreshPathMatchesOracleProperty'
+	$(GO) test ./internal/selection -count=1 -run TestSelectAllocs
 	$(GO) test ./internal/gateway -count=1 -run TestCallSteadyStateAllocs
 	$(GO) test ./internal/transport -count=1 -run TestFrameCodecAllocs
 

@@ -163,15 +163,15 @@ func BenchmarkAblationStrategies(b *testing.B) {
 	}
 }
 
-// syntheticTable builds a prediction table without repository plumbing.
+// syntheticTable builds a ranked prediction table without repository
+// plumbing.
 func syntheticTable(n int) []model.ReplicaProbability {
 	table := make([]model.ReplicaProbability, n)
 	for i := range table {
 		table[i] = model.ReplicaProbability{
-			Probability: 0.3 + 0.6*float64(i)/float64(n),
+			ID:          wire.ReplicaID(fmt.Sprintf("replica-%02d", i)),
+			Probability: 0.3 + 0.6*float64(n-1-i)/float64(n),
 		}
-		table[i].Snapshot.ID = wire.ReplicaID(fmt.Sprintf("replica-%02d", i))
-		table[i].Snapshot.HasHistory = true
 	}
 	return table
 }

@@ -116,9 +116,8 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 					t.Fatalf("%s: %d rows and %d cold, oracle %d and %d", at, len(table), len(cold), len(wantTable), len(wantCold))
 				}
 				for i := range table {
-					if table[i].Snapshot.ID != wantTable[i].Snapshot.ID || table[i].Probability != wantTable[i].Probability {
-						t.Fatalf("%s: row %d is %s %v, oracle %s %v", at, i,
-							table[i].Snapshot.ID, table[i].Probability, wantTable[i].Snapshot.ID, wantTable[i].Probability)
+					if table[i] != wantTable[i] {
+						t.Fatalf("%s: row %d is %+v, oracle %+v", at, i, table[i], wantTable[i])
 					}
 				}
 				for i := range cold {

@@ -116,8 +116,8 @@ func TestScheduleFreshPathAllocs(t *testing.T) {
 
 // TestReferencePathMatchesCachedPath checks decision-for-decision equivalence
 // between the scheduler's zero-alloc cached path and an oracle assembled here
-// from exported parts (private snapshot, fresh table, the strategy's own
-// per-request sort): same targets, bit-identical P_K(t), across
+// from exported parts (private snapshot, a second predictor's ranked table,
+// the strategy): same targets, bit-identical P_K(t), across
 // membership-stable and perturbed rounds. The oracle shares no scheduler code
 // with the path it checks.
 func TestReferencePathMatchesCachedPath(t *testing.T) {

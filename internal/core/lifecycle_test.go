@@ -211,8 +211,8 @@ func TestQuarantineMidFlightSettlesPending(t *testing.T) {
 		t.Fatalf("Outstanding = %d, want 0 (pending leak across quarantine)", n)
 	}
 	for _, snap := range s.Repository().Snapshot("") {
-		if snap.InFlight != 0 {
-			t.Errorf("replica %s InFlight = %d, want 0", snap.ID, snap.InFlight)
+		if n := s.Repository().InFlight(snap.ID); n != 0 {
+			t.Errorf("replica %s InFlight = %d, want 0", snap.ID, n)
 		}
 	}
 }

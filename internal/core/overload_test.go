@@ -6,9 +6,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"aqua/internal/repository"
+	"aqua/internal/selection"
 	"aqua/internal/wire"
 )
 
@@ -242,4 +245,44 @@ func TestDegradedModeCapsSelectAll(t *testing.T) {
 		t.Errorf("post-recovery fallback selected %d replicas, want all 4", len(d.Targets))
 	}
 	finish(d)
+}
+
+// TestDegradedModeBestEffortKeepsBestReplicas: the degraded-mode cap keeps
+// the best replicas by F_Ri(t), not the first targets a strategy happens to
+// list. selection.All — active replication — lists every replica in ID order,
+// so truncating its list would send every degraded call to the two lowest IDs,
+// here the two replicas that can never meet the deadline.
+func TestDegradedModeBestEffortKeepsBestReplicas(t *testing.T) {
+	repo := repository.New()
+	base := time.Now()
+	for _, r := range []struct {
+		id  wire.ReplicaID
+		svc time.Duration
+	}{{"a", 30 * ms}, {"b", 25 * ms}, {"c", 2 * ms}, {"d", 3 * ms}} {
+		repo.AddReplica(r.id)
+		for j := 0; j < repository.DefaultWindowSize; j++ {
+			repo.RecordPerf(r.id, "", wire.PerfReport{ServiceTime: r.svc}, base)
+		}
+		repo.RecordGatewayDelay(r.id, 0)
+	}
+	s, err := NewScheduler(Config{
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 10 * ms, MinProbability: 0.9},
+		Strategy:   selection.All{},
+		Repository: repo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NoteBackpressure()
+	d, err := s.Schedule(base, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(d.Targets) != "[c d]" || d.Predicted != 1 {
+		t.Errorf("degraded targets %v at P_K %v, want the two timely replicas [c d] at 1", d.Targets, d.Predicted)
+	}
+	if !d.BudgetCapped || d.Mode != ModeBudgeted {
+		t.Errorf("Decision = {BudgetCapped:%v Mode:%v}, want capped in budgeted mode", d.BudgetCapped, d.Mode)
+	}
 }

@@ -395,11 +395,9 @@ type Scheduler struct {
 	shards [pendShardCount]pendShard
 
 	// stratMu serializes the selection step: strategies may be stateful
-	// (RoundRobin, Random) and the per-method Order reuses its previous
-	// permutation. Everything before it — snapshot, probability table — runs
-	// concurrently.
+	// (RoundRobin, Random). Everything before it — snapshot, ranked
+	// probability table — runs concurrently.
 	stratMu sync.Mutex
-	orders  map[string]*selection.Order // per-method incremental candidate order
 
 	// stateMu guards the QoS accounting window, the violation latch, the
 	// suspicion windows, and degradation-ladder transitions. Acquired after a
@@ -455,7 +453,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		strategy:    cfg.Strategy,
 		reg:         reg,
 		met:         resolveSchedInstruments(reg),
-		orders:      make(map[string]*selection.Order),
 		suspicion:   make(map[wire.ReplicaID]*faultWindow),
 		replicaHist: make(map[wire.ReplicaID]*metrics.Histogram),
 		scratchFree: make(chan *schedScratch, 8),
@@ -584,10 +581,10 @@ func (s *Scheduler) Renegotiate(q wire.QoS) error {
 //
 // The decision path allocates only the repository's re-export of the replicas
 // that replied since the last decision: the snapshot is shared, each F_Ri
-// table is rebuilt in place, the probability table and selected set land in
-// pooled scratch buffers, and the candidate order is repaired incrementally
-// instead of re-sorted. Concurrent callers only serialize on the strategy
-// invocation (which may be stateful) and their own pending-table shard.
+// table is rebuilt in place, and the probability table — ranked by the
+// predictor as it is built — and the selected set land in pooled scratch
+// buffers. Concurrent callers only serialize on the strategy invocation
+// (which may be stateful) and their own pending-table shard.
 func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	start := time.Now() // δ is computational overhead: always wall clock
 
@@ -672,24 +669,19 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		return Decision{}, err
 	}
 
-	// The strategy invocation is the only serialized step: strategies may be
-	// stateful, and the per-method Order repairs its previous permutation.
-	s.stratMu.Lock()
-	in := selection.Input{Table: table, Cold: cold, QoS: qos, SelectedBuf: s.getIDBuf()}
+	in := selection.Input{
+		Table:        table,
+		Cold:         cold,
+		QoS:          qos,
+		SelectedBuf:  s.getIDBuf(),
+		LiveInFlight: s.repo.InFlightSum(snaps),
+	}
 	if s.cfg.Controller != nil {
 		in.Controller = s.cfg.Controller
 	}
-	ord := s.orders[method]
-	if ord == nil {
-		ord = selection.NewOrder()
-		s.orders[method] = ord
-	}
-	in.Sorted = ord.Sort(table)
-	// The shared snapshot's InFlight fields lag the live counters (they
-	// refresh per performance report, not per dispatch); hand
-	// load-conditioned strategies the current total instead.
-	in.LiveInFlight = s.repo.InFlightSum(snaps)
-	in.HasLiveInFlight = true
+	// The strategy invocation is the only serialized step: strategies may be
+	// stateful.
+	s.stratMu.Lock()
 	res := s.strategy.Select(in)
 	s.stratMu.Unlock()
 
@@ -705,13 +697,21 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	// While degraded, the line-15 "no subset reaches Pc(t) → all of M"
 	// fallback is replaced with a best-effort set: Pc is unreachable either
 	// way, and fanning out to everyone is exactly the |M|× amplification
-	// that deepens the overload. The selected list is ordered by decreasing
-	// F_Ri(t), so truncating keeps the m0 reserve's shape (Eq. 3) with the
-	// best remaining replica.
+	// that deepens the overload. The set is the head of the ranked table —
+	// the m0 reserve's shape (Eq. 3) with the best remaining replica — topped
+	// up from the cold list when fewer replicas are warm, whatever order the
+	// strategy listed its targets in.
 	capped := res.Capped
 	if Mode(s.modeA.Load()) != ModeNormal && res.UsedAll && len(res.Selected) > DefaultBestEffortK {
-		res.Selected = res.Selected[:DefaultBestEffortK]
-		res.Predicted = predictedFor(table, res.Selected)
+		warm := table[:min(DefaultBestEffortK, len(table))]
+		res.Selected = res.Selected[:0]
+		for i := range warm {
+			res.Selected = append(res.Selected, warm[i].ID)
+		}
+		for i := 0; i < len(cold) && len(res.Selected) < DefaultBestEffortK; i++ {
+			res.Selected = append(res.Selected, cold[i].ID)
+		}
+		res.Predicted = model.SubsetProbability(warm)
 		capped = true
 	}
 	if capped {
@@ -763,22 +763,6 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		BudgetCapped: capped,
 		owner:        s,
 	}, nil
-}
-
-// predictedFor recomputes Equation 1 over a truncated selection. Cold
-// replicas (absent from the table) contribute nothing, exactly as in the
-// strategy's own accounting.
-func predictedFor(table []model.ReplicaProbability, selected []wire.ReplicaID) float64 {
-	miss := 1.0
-	for _, id := range selected {
-		for i := range table {
-			if table[i].Snapshot.ID == id {
-				miss *= 1 - table[i].Probability
-				break
-			}
-		}
-	}
-	return 1 - miss
 }
 
 // Dispatched records the transmission time t1 for a scheduled request.

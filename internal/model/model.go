@@ -272,16 +272,30 @@ func (p *Predictor) probability(snap *repository.ReplicaSnapshot, t time.Duratio
 }
 
 // ReplicaProbability pairs a replica with its predicted F_Ri(t). It is the
-// input row of the selection algorithm (the paper's V = <i, F_Ri(t)>).
+// input row of the selection algorithm (the paper's V = <i, F_Ri(t)>), plus
+// the replica-reported queue length that load-conditioned selection reads.
 type ReplicaProbability struct {
-	Snapshot    repository.ReplicaSnapshot
+	ID          wire.ReplicaID
+	QueueLength int
 	Probability float64
 }
 
-// ProbabilityTable computes F_Ri(t) for every snapshot that has history.
-// Snapshots without history are returned separately so the scheduler can
-// apply the cold-start rule. t should already include the overhead
-// compensation if enabled.
+// ranksBefore is the rank order of a probability table: decreasing F_Ri(t),
+// ties broken by ascending replica ID. IDs are unique, so it is a total order
+// and equal scores never reshuffle between requests.
+func ranksBefore(a, b *ReplicaProbability) bool {
+	if a.Probability != b.Probability {
+		return a.Probability > b.Probability
+	}
+	return a.ID < b.ID
+}
+
+// ProbabilityTable computes F_Ri(t) for every snapshot that has history and
+// returns the rows in rank order (decreasing F_Ri(t), ties by ascending ID):
+// the sorted list Algorithm 1 starts from. Snapshots without history are
+// returned separately, in input order, so the scheduler can apply the
+// cold-start rule. t should already include the overhead compensation if
+// enabled.
 func (p *Predictor) ProbabilityTable(snaps []repository.ReplicaSnapshot, t time.Duration) (table []ReplicaProbability, cold []repository.ReplicaSnapshot, err error) {
 	return p.ProbabilityTableInto(snaps, t, make([]ReplicaProbability, 0, len(snaps)), nil)
 }
@@ -289,8 +303,11 @@ func (p *Predictor) ProbabilityTable(snaps []repository.ReplicaSnapshot, t time.
 // ProbabilityTableInto is ProbabilityTable appending into caller-provided
 // buffers (pass them length-zero; they are not reset here), so a caller that
 // recycles its buffers pays no allocation once they have grown to capacity —
-// the scheduler's per-decision fast path.
+// the scheduler's per-decision fast path. The rows this call appends are
+// ranked among themselves: each is inserted into place as it is appended, so
+// ranking costs no allocation and no second pass.
 func (p *Predictor) ProbabilityTableInto(snaps []repository.ReplicaSnapshot, t time.Duration, table []ReplicaProbability, cold []repository.ReplicaSnapshot) ([]ReplicaProbability, []repository.ReplicaSnapshot, error) {
+	base := len(table)
 	for i := range snaps {
 		s := &snaps[i]
 		if !s.HasHistory {
@@ -301,18 +318,25 @@ func (p *Predictor) ProbabilityTableInto(snaps []repository.ReplicaSnapshot, t t
 		if perr != nil {
 			return nil, nil, perr
 		}
-		table = append(table, ReplicaProbability{Snapshot: *s, Probability: prob})
+		row := ReplicaProbability{ID: s.ID, QueueLength: s.QueueLength, Probability: prob}
+		j := len(table)
+		table = append(table, row)
+		for ; j > base && ranksBefore(&row, &table[j-1]); j-- {
+			table[j] = table[j-1]
+		}
+		table[j] = row
 	}
 	return table, cold, nil
 }
 
-// SubsetProbability evaluates Equation 1: the probability that at least one
-// replica in the subset responds by the deadline, assuming independent
-// response times: P_K(t) = 1 − ∏_{i∈K} (1 − F_Ri(t)).
-func SubsetProbability(probs []float64) float64 {
+// SubsetProbability evaluates Equation 1 over table rows: the probability that
+// at least one replica in the subset responds by the deadline, assuming
+// independent response times: P_K(t) = 1 − ∏_{i∈K} (1 − F_Ri(t)). The factors
+// are multiplied in row order.
+func SubsetProbability(rows []ReplicaProbability) float64 {
 	failAll := 1.0
-	for _, f := range probs {
-		g := 1 - f
+	for i := range rows {
+		g := 1 - rows[i].Probability
 		if g < 0 {
 			g = 0
 		}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -104,7 +105,7 @@ func TestProbabilityTableSplitsColdReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table) != 1 || table[0].Snapshot.ID != warm.ID {
+	if len(table) != 1 || table[0].ID != warm.ID {
 		t.Errorf("table = %+v", table)
 	}
 	if len(coldOut) != 1 || coldOut[0].ID != cold.ID {
@@ -174,7 +175,7 @@ func TestSubsetProbability(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := SubsetProbability(tt.probs); math.Abs(got-tt.want) > 1e-12 {
+			if got := SubsetProbability(rowsOf(tt.probs)); math.Abs(got-tt.want) > 1e-12 {
 				t.Errorf("SubsetProbability(%v) = %v, want %v", tt.probs, got, tt.want)
 			}
 		})
@@ -193,7 +194,7 @@ func TestSubsetProbabilityProperties(t *testing.T) {
 				maxP = probs[i]
 			}
 		}
-		pk := SubsetProbability(probs)
+		pk := SubsetProbability(rowsOf(probs))
 		if pk < 0 || pk > 1 {
 			return false
 		}
@@ -201,11 +202,106 @@ func TestSubsetProbabilityProperties(t *testing.T) {
 			return false
 		}
 		// Adding a member can only increase P_K.
-		grown := SubsetProbability(append(probs, 0.5))
+		grown := SubsetProbability(rowsOf(append(probs, 0.5)))
 		return grown >= pk-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// rowsOf wraps bare probabilities as table rows.
+func rowsOf(probs []float64) []ReplicaProbability {
+	rows := make([]ReplicaProbability, len(probs))
+	for i, p := range probs {
+		rows[i].Probability = p
+	}
+	return rows
+}
+
+// TestProbabilityTableRanked pins the one ranking of the decision path:
+// whatever order the snapshots arrive in, the warm rows come back exactly as a
+// stable sort by (F_Ri(t) descending, ID ascending) would order them, cold
+// snapshots come back separately in input order, and appending into a grown
+// buffer allocates nothing.
+func TestProbabilityTableRanked(t *testing.T) {
+	rng := stats.NewRand(29)
+	// Few distinct sample values against a deadline inside their range: many
+	// replicas tie at exactly 0, 1 or an intermediate value.
+	sample := func() time.Duration { return time.Duration(rng.Intn(4)) * 2 * ms }
+	window := func() []time.Duration {
+		w := make([]time.Duration, 1+rng.Intn(3))
+		for i := range w {
+			w[i] = sample()
+		}
+		return w
+	}
+	const deadline = 7 * ms
+	for trial := 0; trial < 200; trial++ {
+		snaps := make([]repository.ReplicaSnapshot, 2+rng.Intn(10))
+		for i := range snaps {
+			id := string(rune('a' + i))
+			if rng.Intn(4) == 0 {
+				snaps[i] = snap(id, nil, nil, 0, 0)
+				continue
+			}
+			snaps[i] = snap(id, window(), window(), sample(), rng.Intn(5))
+		}
+		perm := rng.Perm(len(snaps))
+		shuffled := make([]repository.ReplicaSnapshot, len(snaps))
+		for i, j := range perm {
+			shuffled[i] = snaps[j]
+		}
+
+		p := NewPredictor()
+		var want []ReplicaProbability
+		var wantCold []wire.ReplicaID
+		for _, s := range shuffled {
+			if !s.HasHistory {
+				wantCold = append(wantCold, s.ID)
+				continue
+			}
+			f, err := p.Probability(s, deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, ReplicaProbability{ID: s.ID, QueueLength: s.QueueLength, Probability: f})
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Probability != want[j].Probability {
+				return want[i].Probability > want[j].Probability
+			}
+			return want[i].ID < want[j].ID
+		})
+
+		table, cold, err := p.ProbabilityTable(shuffled, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(table) != len(want) || len(cold) != len(wantCold) {
+			t.Fatalf("trial %d: %d rows and %d cold, want %d and %d", trial, len(table), len(cold), len(want), len(wantCold))
+		}
+		for i := range want {
+			if table[i] != want[i] {
+				t.Fatalf("trial %d: row %d = %+v, want %+v\n got %+v\nwant %+v", trial, i, table[i], want[i], table, want)
+			}
+		}
+		for i := range wantCold {
+			if cold[i].ID != wantCold[i] {
+				t.Fatalf("trial %d: cold %d = %s, want %s", trial, i, cold[i].ID, wantCold[i])
+			}
+		}
+
+		if allocs := testing.AllocsPerRun(10, func() {
+			table, cold, err = p.ProbabilityTableInto(shuffled, deadline, table[:0], cold[:0])
+		}); allocs != 0 || err != nil {
+			t.Fatalf("trial %d: appending into grown buffers made %.1f allocations (err %v), want 0", trial, allocs, err)
+		}
+		for i := range want {
+			if table[i] != want[i] {
+				t.Fatalf("trial %d: reused-buffer row %d = %+v, want %+v", trial, i, table[i], want[i])
+			}
+		}
 	}
 }
 

@@ -352,14 +352,11 @@ func (r *Repository) recordDelayLocked(st *replicaState, td time.Duration) bool 
 }
 
 // NoteDispatched records that one request copy was sent to the replica and
-// has not yet settled. The scheduler calls it per selected target, so the
-// snapshot carries this gateway's own contribution to each replica's load in
-// addition to the replica-reported queue length (which lags by one reply).
-// Dispatch/settle accounting deliberately does NOT bump the snapshot
-// generation: it fires on every request, so it would defeat the shared
-// snapshot. SnapshotShared consumers therefore see a replica's InFlight as of
-// its last performance report (real traffic refreshes it on every reply);
-// Snapshot reads the live counters.
+// has not yet settled: this gateway's own, instantly current contribution to
+// the replica's load, beside the replica-reported queue length (which lags by
+// one reply). Dispatch/settle accounting is read live (InFlight,
+// InFlightSum), never through a snapshot, so it does not bump the snapshot
+// generation: it fires on every request and would defeat the shared snapshot.
 func (r *Repository) NoteDispatched(id wire.ReplicaID) {
 	r.mu.RLock()
 	if st, ok := r.replicas[id]; ok {
@@ -410,9 +407,8 @@ func (r *Repository) InFlight(id wire.ReplicaID) int {
 }
 
 // InFlightSum returns the total live in-flight dispatch count across the
-// listed snapshots' replicas, under one read lock. The scheduler pairs it
-// with SnapshotShared so load-conditioned strategies see current dispatch
-// pressure even though the shared snapshot's InFlight fields lag.
+// listed snapshots' replicas, under one read lock: the load input the
+// scheduler hands load-conditioned strategies (selection.Input.LiveInFlight).
 // Unknown IDs contribute zero.
 func (r *Repository) InFlightSum(snaps []ReplicaSnapshot) int {
 	r.mu.RLock()
@@ -465,14 +461,7 @@ type ReplicaSnapshot struct {
 	ID          wire.ReplicaID
 	Method      string
 	QueueLength int
-	// InFlight is the number of copies this gateway has dispatched to the
-	// replica that have not yet settled — the gateway's own, instantly
-	// current contribution to the replica's load, complementing the
-	// replica-reported QueueLength (which lags by one reply). Load-aware
-	// selection (selection.Budgeted) conditions its redundancy budget on
-	// QueueLength + InFlight.
-	InFlight   int
-	LastUpdate time.Time
+	LastUpdate  time.Time
 	// Health is the replica's lifecycle state (lifecycle.go). Replicas whose
 	// state is not Selectable() must be excluded from the probability table
 	// and from the select-all fallback; the prober keys its cadence off it.
@@ -519,8 +508,7 @@ func (r *Repository) Snapshot(method string) []ReplicaSnapshot {
 // carries every other entry over, in the ID order of the last membership
 // change. The slice and everything it references are shared and MUST be
 // treated as immutable; a caller that needs to mutate (e.g. the scheduler's
-// staleness re-probe) must copy first. InFlight is as of a replica's last
-// re-export (see NoteDispatched).
+// staleness re-probe) must copy first.
 func (r *Repository) SnapshotShared(method string) []ReplicaSnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
@@ -569,7 +557,6 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		ID:          id,
 		Method:      method,
 		QueueLength: st.queueLength,
-		InFlight:    int(st.inFlight.Load()),
 		LastUpdate:  st.lastUpdate,
 		Health:      st.health,
 		CaughtUp:    st.caughtUp,

@@ -389,6 +389,7 @@ func TestInFlightTracking(t *testing.T) {
 	r := New()
 	r.AddReplica("a")
 	r.AddReplica("b")
+	shared := r.SnapshotShared("") // taken before any dispatch
 
 	r.NoteDispatched("a")
 	r.NoteDispatched("a")
@@ -400,19 +401,17 @@ func TestInFlightTracking(t *testing.T) {
 		t.Errorf("TotalInFlight() = %d, want 3", got)
 	}
 
-	// Snapshots carry the gateway's own dispatch contribution so the
-	// budgeted strategy sees load before the first perf report comes back.
-	for _, s := range r.Snapshot("") {
-		switch s.ID {
-		case "a":
-			if s.InFlight != 2 {
-				t.Errorf("snapshot a InFlight = %d, want 2", s.InFlight)
-			}
-		case "b":
-			if s.InFlight != 1 {
-				t.Errorf("snapshot b InFlight = %d, want 1", s.InFlight)
-			}
-		}
+	// InFlightSum reads the live counters for the listed replicas, so the
+	// budgeted strategy sees load before the first perf report comes back,
+	// through a shared snapshot taken before the dispatches.
+	if got := r.InFlightSum(shared); got != 3 {
+		t.Errorf("InFlightSum(shared) = %d, want 3", got)
+	}
+	if got := r.InFlightSum(shared[:1]); got != 2 {
+		t.Errorf("InFlightSum(%s) = %d, want 2", shared[0].ID, got)
+	}
+	if got := r.InFlightSum([]ReplicaSnapshot{{ID: "ghost"}}); got != 0 {
+		t.Errorf("InFlightSum(ghost) = %d, want 0", got)
 	}
 
 	r.NoteSettled("a")

@@ -9,23 +9,24 @@ import (
 	"aqua/internal/repository"
 )
 
-// loadedRow builds a warm table row carrying outstanding-work signals.
-func loadedRow(id string, p float64, queue, inFlight int) model.ReplicaProbability {
+// loadedRow builds a warm table row carrying a replica-reported queue length.
+func loadedRow(id string, p float64, queue int) model.ReplicaProbability {
 	r := row(id, p)
-	r.Snapshot.QueueLength = queue
-	r.Snapshot.InFlight = inFlight
+	r.QueueLength = queue
 	return r
 }
 
 func TestBudgetForRamp(t *testing.T) {
 	b := NewBudgeted()
 	mk := func(load int) Input {
-		return Input{Table: []model.ReplicaProbability{
-			loadedRow("a", 0.9, load, 0),
-			loadedRow("b", 0.8, 0, load),
-			loadedRow("c", 0.7, load, 0),
-			loadedRow("d", 0.6, 0, load),
-		}}
+		// Half the load is reported queueing, half this gateway's own
+		// unsettled dispatches.
+		return Input{Table: ranked(
+			loadedRow("a", 0.9, load),
+			loadedRow("b", 0.8, 0),
+			loadedRow("c", 0.7, load),
+			loadedRow("d", 0.6, 0),
+		), LiveInFlight: 2 * load}
 	}
 	// At or below budgetLowLoad (1.0 outstanding per replica) the budget is
 	// the full pool; at or above budgetHighLoad (4.0) it is the MinBudget
@@ -53,9 +54,9 @@ func TestBudgetForRamp(t *testing.T) {
 }
 
 func TestBudgetForFloorsAndCeilings(t *testing.T) {
-	in := Input{Table: []model.ReplicaProbability{
-		loadedRow("a", 0.9, 50, 0), loadedRow("b", 0.8, 50, 0), loadedRow("c", 0.7, 50, 0),
-	}}
+	in := Input{Table: ranked(
+		loadedRow("a", 0.9, 50), loadedRow("b", 0.8, 50), loadedRow("c", 0.7, 50),
+	)}
 	// MinK below MinBudget is raised to MinBudget so the Eq. 3 reserve (m0
 	// plus one working member) survives the harshest budget.
 	b := &Budgeted{MinK: 1}
@@ -63,7 +64,7 @@ func TestBudgetForFloorsAndCeilings(t *testing.T) {
 		t.Errorf("MinK=1 budget = %d, want floor %d", got, MinBudget)
 	}
 	// MaxK above the pool size clamps to the pool.
-	idle := Input{Table: []model.ReplicaProbability{row("a", 0.9), row("b", 0.8)}}
+	idle := Input{Table: ranked(row("a", 0.9), row("b", 0.8))}
 	b = &Budgeted{MaxK: 10}
 	if got := b.BudgetFor(idle); got != 2 {
 		t.Errorf("MaxK>pool budget = %d, want 2", got)
@@ -74,9 +75,9 @@ func TestBudgetedIdleMatchesPaperAlgorithm(t *testing.T) {
 	// With no outstanding work the budget is the full pool and the wrapper
 	// must be byte-identical to the paper's Algorithm 1.
 	in := Input{
-		Table: []model.ReplicaProbability{
+		Table: ranked(
 			row("a", 0.9), row("b", 0.8), row("c", 0.5), row("d", 0.2),
-		},
+		),
 		Cold: []repository.ReplicaSnapshot{coldSnap("e")},
 		QoS:  qos(100*time.Millisecond, 0.8),
 	}
@@ -99,12 +100,13 @@ func TestBudgetedCapsSelectAllFallback(t *testing.T) {
 	// fallback would select all M and amplify the overload (the A12 cliff).
 	// Under high load the budget must bound |K| at the floor instead.
 	in := Input{
-		Table: []model.ReplicaProbability{
-			loadedRow("a", 0.3, 8, 2), loadedRow("b", 0.2, 8, 2),
-			loadedRow("c", 0.1, 8, 2), loadedRow("d", 0.1, 8, 2),
-			loadedRow("e", 0.05, 8, 2),
-		},
-		QoS: qos(100*time.Millisecond, 0.99),
+		Table: ranked(
+			loadedRow("a", 0.3, 8), loadedRow("b", 0.2, 8),
+			loadedRow("c", 0.1, 8), loadedRow("d", 0.1, 8),
+			loadedRow("e", 0.05, 8),
+		),
+		LiveInFlight: 5 * 2,
+		QoS:          qos(100*time.Millisecond, 0.99),
 	}
 	if got := NewDynamic().Select(in); len(got.Selected) != 5 || !got.UsedAll {
 		t.Fatalf("paper algorithm selected %v (UsedAll=%v), want all 5", got.Selected, got.UsedAll)
@@ -128,11 +130,12 @@ func TestBudgetedKeepsColdProbeSlot(t *testing.T) {
 	// pessimistic window forever and never be rediscovered, so the worst
 	// warm slot must be sacrificed for one cold probe.
 	in := Input{
-		Table: []model.ReplicaProbability{
-			loadedRow("a", 0.3, 8, 2), loadedRow("b", 0.2, 8, 2), loadedRow("c", 0.1, 8, 2),
-		},
-		Cold: []repository.ReplicaSnapshot{coldSnap("x"), coldSnap("y")},
-		QoS:  qos(100*time.Millisecond, 0.99),
+		Table: ranked(
+			loadedRow("a", 0.3, 8), loadedRow("b", 0.2, 8), loadedRow("c", 0.1, 8),
+		),
+		Cold:         []repository.ReplicaSnapshot{coldSnap("x"), coldSnap("y")},
+		LiveInFlight: 3 * 2,
+		QoS:          qos(100*time.Millisecond, 0.99),
 	}
 	res := NewBudgeted().Select(in)
 	if len(res.Selected) != MinBudget {
@@ -161,7 +164,7 @@ func TestBudgetedNeverExceedsBudget(t *testing.T) {
 				in := Input{QoS: qos(100*time.Millisecond, 0.999)}
 				for i := 0; i < warm; i++ {
 					in.Table = append(in.Table,
-						loadedRow(string(rune('a'+i)), 0.1, load, 0))
+						loadedRow(string(rune('a'+i)), 0.1, load))
 				}
 				for i := 0; i < cold; i++ {
 					in.Cold = append(in.Cold, coldSnap(string(rune('p'+i))))

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aqua/internal/model"
-	"aqua/internal/repository"
 	"aqua/internal/selection"
 	"aqua/internal/wire"
 )
@@ -14,11 +13,11 @@ import (
 // table: replicas predicted at 0.9, 0.8, 0.5, and 0.2 for the client's
 // deadline, with Pc = 0.8.
 func ExampleDynamic_Select() {
-	table := []model.ReplicaProbability{
-		{Snapshot: repository.ReplicaSnapshot{ID: "r1", HasHistory: true}, Probability: 0.9},
-		{Snapshot: repository.ReplicaSnapshot{ID: "r2", HasHistory: true}, Probability: 0.8},
-		{Snapshot: repository.ReplicaSnapshot{ID: "r3", HasHistory: true}, Probability: 0.5},
-		{Snapshot: repository.ReplicaSnapshot{ID: "r4", HasHistory: true}, Probability: 0.2},
+	table := []model.ReplicaProbability{ // ranked, as the predictor returns it
+		{ID: "r1", Probability: 0.9},
+		{ID: "r2", Probability: 0.8},
+		{ID: "r3", Probability: 0.5},
+		{ID: "r4", Probability: 0.2},
 	}
 	algo := selection.NewDynamic()
 	res := algo.Select(selection.Input{
@@ -38,7 +37,9 @@ func ExampleDynamic_Select() {
 func ExampleSubsetProbability() {
 	// Three replicas, each 50% likely to answer in time: at least one
 	// timely response arrives with probability 1 - 0.5^3.
-	p := model.SubsetProbability([]float64{0.5, 0.5, 0.5})
+	p := model.SubsetProbability([]model.ReplicaProbability{
+		{ID: "r1", Probability: 0.5}, {ID: "r2", Probability: 0.5}, {ID: "r3", Probability: 0.5},
+	})
 	fmt.Printf("%.3f\n", p)
 	// Output:
 	// 0.875

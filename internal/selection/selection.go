@@ -9,11 +9,15 @@
 // meets the client's probabilistic deadline even if any single member of K
 // crashes (Equation 3). If no such X exists, the full replica set M is
 // returned.
+//
+// The sort is not done here: the predictor returns its table already ranked
+// (model.Predictor.ProbabilityTable), so every set a score-driven strategy
+// selects is a prefix of Input.Table.
 package selection
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"aqua/internal/model"
 	"aqua/internal/repository"
@@ -25,8 +29,10 @@ import (
 // replicas with measurement history, the replicas still lacking history
 // (cold), and the client's QoS specification.
 type Input struct {
-	// Table holds F_Ri(t) per warm replica; t already includes overhead
-	// compensation when enabled.
+	// Table holds F_Ri(t) per warm replica in the predictor's rank order:
+	// decreasing probability, ties by ascending replica ID. Strategies rely on
+	// that order; a hand-built table must be ranked the same way. t already
+	// includes overhead compensation when enabled.
 	Table []model.ReplicaProbability
 	// Cold lists replicas with no usable history. The dynamic strategy
 	// always includes them so they get probed and start publishing
@@ -35,23 +41,16 @@ type Input struct {
 	Cold []repository.ReplicaSnapshot
 	// QoS carries the deadline t and required probability Pc(t).
 	QoS wire.QoS
-	// Sorted, when non-nil, is Table already ordered by decreasing
-	// probability with ties broken by ascending replica ID — e.g. by the
-	// scheduler's incrementally maintained Order — and strategies skip their
-	// own sort. It must hold exactly Table's rows; callers own the invariant.
-	Sorted []model.ReplicaProbability
 	// SelectedBuf, when non-nil, is a caller-owned scratch buffer (used from
 	// length zero) that strategies may return as Result.Selected, avoiding a
 	// per-decision allocation. A caller that reuses the buffer must copy
 	// Result.Selected out before its next Select.
 	SelectedBuf []wire.ReplicaID
-	// LiveInFlight, when HasLiveInFlight is set, is the total local
-	// in-flight dispatch count across the listed replicas measured at
-	// decision time. Load-conditioned strategies prefer it over summing the
-	// snapshots' InFlight fields, which may be generation-cached and lag the
-	// live counters by one performance report.
-	LiveInFlight    int
-	HasLiveInFlight bool
+	// LiveInFlight is the number of copies this gateway has dispatched to the
+	// listed replicas that have not settled yet, read from the live counters
+	// at decision time (repository.Repository.InFlightSum). Budgeted adds it
+	// to the replica-reported queue lengths.
+	LiveInFlight int
 	// Controller, when non-nil, replaces Budgeted's static load→budget
 	// interpolation with an online set-point search (core.AdaptiveBudget):
 	// the strategy hands it the measured per-replica outstanding level and
@@ -66,15 +65,6 @@ type Input struct {
 // on the controller's state machine.
 type BudgetController interface {
 	BudgetFor(perReplicaOutstanding float64, n int) int
-}
-
-// sortedView returns the probability-descending view of the input table,
-// reusing the caller-provided order when present.
-func sortedView(in Input) []model.ReplicaProbability {
-	if in.Sorted != nil {
-		return in.Sorted
-	}
-	return sortTable(in.Table)
 }
 
 // Result is a selection decision.
@@ -109,11 +99,6 @@ type Strategy interface {
 	Select(in Input) Result
 }
 
-// replicaIDs extracts IDs from a probability table.
-func replicaIDs(table []model.ReplicaProbability) []wire.ReplicaID {
-	return appendTableIDs(make([]wire.ReplicaID, 0, len(table)), table)
-}
-
 // coldIDs extracts IDs from cold snapshots.
 func coldIDs(cold []repository.ReplicaSnapshot) []wire.ReplicaID {
 	return appendColdIDs(make([]wire.ReplicaID, 0, len(cold)), cold)
@@ -122,7 +107,7 @@ func coldIDs(cold []repository.ReplicaSnapshot) []wire.ReplicaID {
 // appendTableIDs appends each row's ID to ids.
 func appendTableIDs(ids []wire.ReplicaID, table []model.ReplicaProbability) []wire.ReplicaID {
 	for i := range table {
-		ids = append(ids, table[i].Snapshot.ID)
+		ids = append(ids, table[i].ID)
 	}
 	return ids
 }
@@ -138,64 +123,12 @@ func appendColdIDs(ids []wire.ReplicaID, cold []repository.ReplicaSnapshot) []wi
 // candidateIDs collects every candidate (warm then cold) into buf and sorts
 // ascending by ID. The repository emits snapshots in ascending ID order, so
 // this equals repository order — the deterministic, score-free ordering the
-// baseline strategies (All, Random, RoundRobin) share. It replaces three
-// previously duplicated sort.Slice blocks.
+// baseline strategies (All, Random, RoundRobin) share.
 func candidateIDs(in Input, buf []wire.ReplicaID) []wire.ReplicaID {
 	ids := appendTableIDs(buf, in.Table)
 	ids = appendColdIDs(ids, in.Cold)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
-}
-
-// sortTable orders a copy of the table by decreasing probability, breaking
-// ties by ascending replica ID so runs are deterministic. Because the
-// repository emits snapshots sorted by ID, the ID tiebreak is exactly
-// "repository order" for equal-score replicas — the stable-tiebreak
-// requirement of the paper's ranking (equal F_Ri(t) must not reshuffle
-// between requests).
-func sortTable(table []model.ReplicaProbability) []model.ReplicaProbability {
-	sorted := make([]model.ReplicaProbability, len(table))
-	copy(sorted, table)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return rowLess(&sorted[i], &sorted[j])
-	})
-	return sorted
-}
-
-// subsetProb applies Equation 1 to the listed table rows without
-// materializing a probability slice (see model.SubsetProbability).
-func subsetProb(rows []model.ReplicaProbability) float64 {
-	failAll := 1.0
-	for i := range rows {
-		g := 1 - rows[i].Probability
-		if g < 0 {
-			g = 0
-		}
-		failAll *= g
-	}
-	return 1 - failAll
-}
-
-// headRestProb is subsetProb over the concatenation head ++ rest without
-// materializing it. The multiply order matches subsetProb exactly, so the
-// result is bit-identical to subsetProb(append(head, rest...)).
-func headRestProb(head, rest []model.ReplicaProbability) float64 {
-	failAll := 1.0
-	for i := range head {
-		g := 1 - head[i].Probability
-		if g < 0 {
-			g = 0
-		}
-		failAll *= g
-	}
-	for i := range rest {
-		g := 1 - rest[i].Probability
-		if g < 0 {
-			g = 0
-		}
-		failAll *= g
-	}
-	return 1 - failAll
 }
 
 // Dynamic is the paper's Algorithm 1 generalized to reserve the top
@@ -257,7 +190,7 @@ func (d *Dynamic) Select(in Input) Result {
 	if len(in.Table) == 0 {
 		return Result{Selected: forced, Predicted: 0, UsedAll: true, ColdStart: true}
 	}
-	sorted := sortedView(in)
+	ranked := in.Table
 
 	reserve := 0
 	if d.Reserve {
@@ -265,30 +198,26 @@ func (d *Dynamic) Select(in Input) Result {
 		if reserve < 1 {
 			reserve = 1
 		}
-		if reserve > len(sorted) {
-			reserve = len(sorted)
+		if reserve > len(ranked) {
+			reserve = len(ranked)
 		}
 	}
-	head := sorted[:reserve] // the m0 … m_{f-1} crash reserve
-	rest := sorted[reserve:]
-
-	// Grow X from the remaining replicas, in sorted order, until Equation 1
-	// meets Pc(t) without counting the reserve (Algorithm 1 lines 6-14).
+	// ranked[:reserve] is the m0 … m_{f-1} crash reserve. Grow X from the
+	// remaining replicas, in rank order, until Equation 1 meets Pc(t) without
+	// counting the reserve (Algorithm 1 lines 6-14); K = reserve ∪ X is then
+	// the prefix ranked[:reserve+|X|].
 	prod := 1.0
-	for i := range rest {
-		g := 1 - rest[i].Probability
+	for i, r := range ranked[reserve:] {
+		g := 1 - r.Probability
 		if g < 0 {
 			g = 0
 		}
 		prod *= g
 		if 1-prod >= in.QoS.MinProbability {
-			x := rest[:i+1]
-			selected := appendTableIDs(in.SelectedBuf[:0], head)
-			selected = appendTableIDs(selected, x)
-			selected = append(selected, forced...)
+			k := ranked[:reserve+i+1]
 			return Result{
-				Selected:  selected,
-				Predicted: headRestProb(head, x),
+				Selected:  append(appendTableIDs(in.SelectedBuf[:0], k), forced...),
+				Predicted: model.SubsetProbability(k),
 				ColdStart: len(forced) > 0,
 			}
 		}
@@ -298,14 +227,13 @@ func (d *Dynamic) Select(in Input) Result {
 	}
 	// No acceptable subset: return the complete replica set M (line 15), or
 	// the best Cap replicas when the overload-safe cap is configured.
-	fallback := sorted
-	if d.Cap > 0 && d.Cap < len(sorted) {
-		fallback = sorted[:d.Cap]
+	fallback := ranked
+	if d.Cap > 0 && d.Cap < len(ranked) {
+		fallback = ranked[:d.Cap]
 	}
-	all := append(appendTableIDs(in.SelectedBuf[:0], fallback), forced...)
 	return Result{
-		Selected:  all,
-		Predicted: subsetProb(fallback),
+		Selected:  append(appendTableIDs(in.SelectedBuf[:0], fallback), forced...),
+		Predicted: model.SubsetProbability(fallback),
 		UsedAll:   true,
 		ColdStart: len(forced) > 0,
 	}
@@ -333,9 +261,9 @@ const MinBudget = 2
 // requests per replica it is exactly the paper's algorithm; at or past
 // budgetHighLoad it degrades to the m0 reserve plus the best remaining
 // replica instead of amplifying an already-overloaded pool with the
-// select-all fallback (the A12 cliff). The budget is derived purely
-// from the repository snapshot the strategy already receives — per-replica
-// queue lengths and the gateway's own in-flight counts — so no extra
+// select-all fallback (the A12 cliff). The budget is derived from the input
+// alone — the replica-reported queue lengths in the table and cold list plus
+// the gateway's own live in-flight total (Input.LiveInFlight) — so no extra
 // coordination or clock is needed and decisions stay deterministic.
 type Budgeted struct {
 	// MinK is the budget floor; values below MinBudget (or 0) mean MinBudget
@@ -374,24 +302,14 @@ func (b *Budgeted) BudgetFor(in Input) int {
 	if n == 0 {
 		return MinBudget
 	}
-	var outstanding float64
-	for _, rp := range in.Table {
-		outstanding += float64(rp.Snapshot.QueueLength)
+	outstanding := in.LiveInFlight
+	for i := range in.Table {
+		outstanding += in.Table[i].QueueLength
 	}
-	for _, s := range in.Cold {
-		outstanding += float64(s.QueueLength)
+	for i := range in.Cold {
+		outstanding += in.Cold[i].QueueLength
 	}
-	if in.HasLiveInFlight {
-		outstanding += float64(in.LiveInFlight)
-	} else {
-		for _, rp := range in.Table {
-			outstanding += float64(rp.Snapshot.InFlight)
-		}
-		for _, s := range in.Cold {
-			outstanding += float64(s.InFlight)
-		}
-	}
-	load := outstanding / float64(n)
+	load := float64(outstanding) / float64(n)
 	if in.Controller != nil {
 		budget := in.Controller.BudgetFor(load, n)
 		if budget < minK {
@@ -444,7 +362,7 @@ func (b *Budgeted) Select(in Input) Result {
 			// probe is still a working member — only its timeliness is
 			// unknown, which is exactly why it must be measured.
 			res.Selected[capped.Cap-1] = in.Cold[0].ID
-			res.Predicted = subsetProb(sortedView(in)[:capped.Cap-1])
+			res.Predicted = model.SubsetProbability(in.Table[:capped.Cap-1])
 			res.ColdStart = true
 		}
 	}
@@ -472,10 +390,9 @@ func (SingleBest) Select(in Input) Result {
 		forced := coldIDs(in.Cold)
 		return Result{Selected: forced, UsedAll: true, ColdStart: true}
 	}
-	sorted := sortedView(in)
-	best := sorted[0]
+	best := &in.Table[0]
 	return Result{
-		Selected:  append(in.SelectedBuf[:0], best.Snapshot.ID),
+		Selected:  append(in.SelectedBuf[:0], best.ID),
 		Predicted: best.Probability,
 	}
 }
@@ -503,8 +420,8 @@ func (f FixedK) Select(in Input) Result {
 	if k > len(in.Table) {
 		k = len(in.Table)
 	}
-	sorted := sortedView(in)[:k]
-	return Result{Selected: appendTableIDs(in.SelectedBuf[:0], sorted), Predicted: subsetProb(sorted)}
+	top := in.Table[:k]
+	return Result{Selected: appendTableIDs(in.SelectedBuf[:0], top), Predicted: model.SubsetProbability(top)}
 }
 
 // All multicasts every request to every replica: AQuA's active-replication
@@ -519,7 +436,7 @@ func (All) Name() string { return "all" }
 // Select implements Strategy.
 func (All) Select(in Input) Result {
 	ids := candidateIDs(in, in.SelectedBuf[:0])
-	return Result{Selected: ids, Predicted: subsetProb(in.Table), UsedAll: true}
+	return Result{Selected: ids, Predicted: model.SubsetProbability(in.Table), UsedAll: true}
 }
 
 // Random picks K replicas uniformly at random, the classic load-spreading
@@ -554,18 +471,22 @@ func (r *Random) Select(in Input) Result {
 	}
 	perm := r.rng.Perm(len(ids))
 	chosen := make([]wire.ReplicaID, 0, k)
-	chosenSet := make(map[wire.ReplicaID]bool, k)
 	for _, idx := range perm[:k] {
 		chosen = append(chosen, ids[idx])
-		chosenSet[ids[idx]] = true
 	}
+	return chosenResult(in.Table, chosen)
+}
+
+// chosenResult is a score-free baseline's decision: the chosen IDs, with
+// Equation 1 over the warm rows among them.
+func chosenResult(table []model.ReplicaProbability, chosen []wire.ReplicaID) Result {
 	var rows []model.ReplicaProbability
-	for _, rp := range in.Table {
-		if chosenSet[rp.Snapshot.ID] {
-			rows = append(rows, rp)
+	for i := range table {
+		if slices.Contains(chosen, table[i].ID) {
+			rows = append(rows, table[i])
 		}
 	}
-	return Result{Selected: chosen, Predicted: subsetProb(rows)}
+	return Result{Selected: chosen, Predicted: model.SubsetProbability(rows)}
 }
 
 // RoundRobin rotates through the replica list K at a time, the classic
@@ -598,18 +519,9 @@ func (r *RoundRobin) Select(in Input) Result {
 		k = len(ids)
 	}
 	chosen := make([]wire.ReplicaID, 0, k)
-	chosenSet := make(map[wire.ReplicaID]bool, k)
 	for i := 0; i < k; i++ {
-		id := ids[(r.next+i)%len(ids)]
-		chosen = append(chosen, id)
-		chosenSet[id] = true
+		chosen = append(chosen, ids[(r.next+i)%len(ids)])
 	}
 	r.next = (r.next + k) % len(ids)
-	var rows []model.ReplicaProbability
-	for _, rp := range in.Table {
-		if chosenSet[rp.Snapshot.ID] {
-			rows = append(rows, rp)
-		}
-	}
-	return Result{Selected: chosen, Predicted: subsetProb(rows)}
+	return chosenResult(in.Table, chosen)
 }

@@ -14,7 +14,7 @@ func benchTable(n int) []model.ReplicaProbability {
 	for i := range table {
 		table[i] = row(fmt.Sprintf("replica-%03d", i), 0.2+0.75*float64(i)/float64(n))
 	}
-	return table
+	return ranked(table...)
 }
 
 // BenchmarkAlgorithm1 times the subset-selection phase alone, which the

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,13 +13,28 @@ import (
 )
 
 func row(id string, p float64) model.ReplicaProbability {
-	return model.ReplicaProbability{
-		Snapshot: repository.ReplicaSnapshot{
-			ID:         wire.ReplicaID(id),
-			HasHistory: true,
-		},
-		Probability: p,
+	return model.ReplicaProbability{ID: wire.ReplicaID(id), Probability: p}
+}
+
+// ranked puts hand-built rows in the predictor's rank order (decreasing
+// probability, ties by ascending ID): strategies read Input.Table as ranked.
+func ranked(rows ...model.ReplicaProbability) []model.ReplicaProbability {
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i].Probability != rows[j].Probability {
+			return rows[i].Probability > rows[j].Probability
+		}
+		return rows[i].ID < rows[j].ID
+	})
+	return rows
+}
+
+// rawTable builds a ranked table from quick-check bytes, one replica per byte.
+func rawTable(rawProbs []uint8) []model.ReplicaProbability {
+	table := make([]model.ReplicaProbability, len(rawProbs))
+	for i, v := range rawProbs {
+		table[i] = row(string(rune('a'+i)), float64(v)/255)
 	}
+	return ranked(table...)
 }
 
 func coldSnap(id string) repository.ReplicaSnapshot {
@@ -40,9 +56,9 @@ func idSet(ids []wire.ReplicaID) map[wire.ReplicaID]bool {
 func TestDynamicIncludesBestAndMeetsPc(t *testing.T) {
 	d := NewDynamic()
 	in := Input{
-		Table: []model.ReplicaProbability{
+		Table: ranked(
 			row("a", 0.9), row("b", 0.8), row("c", 0.5), row("d", 0.2),
-		},
+		),
 		QoS: qos(100*time.Millisecond, 0.8),
 	}
 	res := d.Select(in)
@@ -69,7 +85,7 @@ func TestDynamicMinimumRedundancyIsTwo(t *testing.T) {
 	// minimum number of replicas selected by Algorithm 1").
 	d := NewDynamic()
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.01), row("b", 0.01), row("c", 0.01)},
+		Table: ranked(row("a", 0.01), row("b", 0.01), row("c", 0.01)),
 		QoS:   qos(time.Millisecond, 0),
 	}
 	res := d.Select(in)
@@ -81,7 +97,7 @@ func TestDynamicMinimumRedundancyIsTwo(t *testing.T) {
 func TestDynamicFallsBackToAllWhenUnsatisfiable(t *testing.T) {
 	d := NewDynamic()
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.3), row("b", 0.2), row("c", 0.1)},
+		Table: ranked(row("a", 0.3), row("b", 0.2), row("c", 0.1)),
 		QoS:   qos(time.Millisecond, 0.99),
 	}
 	res := d.Select(in)
@@ -96,7 +112,7 @@ func TestDynamicFallsBackToAllWhenUnsatisfiable(t *testing.T) {
 func TestDynamicSingleReplicaReturnsIt(t *testing.T) {
 	d := NewDynamic()
 	in := Input{
-		Table: []model.ReplicaProbability{row("only", 0.99)},
+		Table: ranked(row("only", 0.99)),
 		QoS:   qos(time.Millisecond, 0.5),
 	}
 	res := d.Select(in)
@@ -128,7 +144,7 @@ func TestDynamicColdStartSelectsAll(t *testing.T) {
 func TestDynamicForcesColdReplicasIntoSet(t *testing.T) {
 	d := NewDynamic()
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.99), row("b", 0.99)},
+		Table: ranked(row("a", 0.99), row("b", 0.99)),
 		Cold:  []repository.ReplicaSnapshot{coldSnap("newbie")},
 		QoS:   qos(time.Millisecond, 0.5),
 	}
@@ -144,7 +160,7 @@ func TestDynamicForcesColdReplicasIntoSet(t *testing.T) {
 func TestDynamicDeterministicTieBreak(t *testing.T) {
 	d := NewDynamic()
 	in := Input{
-		Table: []model.ReplicaProbability{row("z", 0.5), row("a", 0.5), row("m", 0.5)},
+		Table: ranked(row("z", 0.5), row("a", 0.5), row("m", 0.5)),
 		QoS:   qos(time.Millisecond, 0.4),
 	}
 	first := d.Select(in)
@@ -174,28 +190,25 @@ func TestDynamicSingleCrashGuarantee(t *testing.T) {
 		if len(rawProbs) < 2 || len(rawProbs) > 12 {
 			return true
 		}
-		table := make([]model.ReplicaProbability, len(rawProbs))
-		for i, v := range rawProbs {
-			table[i] = row(string(rune('a'+i)), float64(v)/255)
-		}
+		table := rawTable(rawProbs)
 		pc := float64(rawPc) / 255
 		res := d.Select(Input{Table: table, QoS: qos(time.Millisecond, pc)})
 		if res.UsedAll {
 			return true // fallback: no guarantee claimed
 		}
-		probByID := make(map[wire.ReplicaID]float64, len(table))
+		rowOf := make(map[wire.ReplicaID]model.ReplicaProbability, len(table))
 		for _, r := range table {
-			probByID[r.Snapshot.ID] = r.Probability
+			rowOf[r.ID] = r
 		}
 		for skip := range res.Selected {
-			var probs []float64
+			var rows []model.ReplicaProbability
 			for i, id := range res.Selected {
 				if i == skip {
 					continue
 				}
-				probs = append(probs, probByID[id])
+				rows = append(rows, rowOf[id])
 			}
-			if model.SubsetProbability(probs) < pc-1e-9 {
+			if model.SubsetProbability(rows) < pc-1e-9 {
 				return false
 			}
 		}
@@ -214,29 +227,26 @@ func TestDynamicMultiCrashGuarantee(t *testing.T) {
 		if len(rawProbs) < 3 || len(rawProbs) > 10 {
 			return true
 		}
-		table := make([]model.ReplicaProbability, len(rawProbs))
-		for i, v := range rawProbs {
-			table[i] = row(string(rune('a'+i)), float64(v)/255)
-		}
+		table := rawTable(rawProbs)
 		pc := float64(rawPc) / 255
 		res := d.Select(Input{Table: table, QoS: qos(time.Millisecond, pc)})
 		if res.UsedAll {
 			return true
 		}
-		probByID := make(map[wire.ReplicaID]float64, len(table))
+		rowOf := make(map[wire.ReplicaID]model.ReplicaProbability, len(table))
 		for _, r := range table {
-			probByID[r.Snapshot.ID] = r.Probability
+			rowOf[r.ID] = r
 		}
 		for s1 := 0; s1 < len(res.Selected); s1++ {
 			for s2 := s1 + 1; s2 < len(res.Selected); s2++ {
-				var probs []float64
+				var rows []model.ReplicaProbability
 				for i, id := range res.Selected {
 					if i == s1 || i == s2 {
 						continue
 					}
-					probs = append(probs, probByID[id])
+					rows = append(rows, rowOf[id])
 				}
-				if model.SubsetProbability(probs) < pc-1e-9 {
+				if model.SubsetProbability(rows) < pc-1e-9 {
 					return false
 				}
 			}
@@ -251,7 +261,7 @@ func TestDynamicMultiCrashGuarantee(t *testing.T) {
 func TestDynamicNoReserveCanReturnOne(t *testing.T) {
 	d := NewDynamicNoReserve()
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.95), row("b", 0.5)},
+		Table: ranked(row("a", 0.95), row("b", 0.5)),
 		QoS:   qos(time.Millisecond, 0.9),
 	}
 	res := d.Select(in)
@@ -275,7 +285,7 @@ func TestDynamicNames(t *testing.T) {
 func TestSingleBest(t *testing.T) {
 	s := SingleBest{}
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.3), row("b", 0.9), row("c", 0.5)},
+		Table: ranked(row("a", 0.3), row("b", 0.9), row("c", 0.5)),
 		QoS:   qos(time.Millisecond, 0.9),
 	}
 	res := s.Select(in)
@@ -298,7 +308,7 @@ func TestSingleBestColdStart(t *testing.T) {
 func TestFixedK(t *testing.T) {
 	f := FixedK{K: 2}
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.3), row("b", 0.9), row("c", 0.5)},
+		Table: ranked(row("a", 0.3), row("b", 0.9), row("c", 0.5)),
 	}
 	res := f.Select(in)
 	got := idSet(res.Selected)
@@ -308,7 +318,7 @@ func TestFixedK(t *testing.T) {
 }
 
 func TestFixedKClamps(t *testing.T) {
-	in := Input{Table: []model.ReplicaProbability{row("a", 0.5)}}
+	in := Input{Table: ranked(row("a", 0.5))}
 	if res := (FixedK{K: 10}).Select(in); len(res.Selected) != 1 {
 		t.Errorf("Selected = %v, want clamp to 1", res.Selected)
 	}
@@ -320,7 +330,7 @@ func TestFixedKClamps(t *testing.T) {
 func TestAll(t *testing.T) {
 	a := All{}
 	in := Input{
-		Table: []model.ReplicaProbability{row("b", 0.3), row("a", 0.9)},
+		Table: ranked(row("b", 0.3), row("a", 0.9)),
 		Cold:  []repository.ReplicaSnapshot{coldSnap("c")},
 	}
 	res := a.Select(in)
@@ -334,7 +344,7 @@ func TestAll(t *testing.T) {
 
 func TestRandomDeterministicWithSeed(t *testing.T) {
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.5), row("b", 0.5), row("c", 0.5), row("d", 0.5)},
+		Table: ranked(row("a", 0.5), row("b", 0.5), row("c", 0.5), row("d", 0.5)),
 	}
 	r1 := NewRandom(2, 7)
 	r2 := NewRandom(2, 7)
@@ -361,7 +371,7 @@ func TestRandomEmptyInput(t *testing.T) {
 func TestRoundRobinRotates(t *testing.T) {
 	rr := NewRoundRobin(1)
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.5), row("b", 0.5), row("c", 0.5)},
+		Table: ranked(row("a", 0.5), row("b", 0.5), row("c", 0.5)),
 	}
 	var order []wire.ReplicaID
 	for i := 0; i < 6; i++ {
@@ -382,7 +392,7 @@ func TestRoundRobinRotates(t *testing.T) {
 func TestRoundRobinPairs(t *testing.T) {
 	rr := NewRoundRobin(2)
 	in := Input{
-		Table: []model.ReplicaProbability{row("a", 0.5), row("b", 0.5), row("c", 0.5)},
+		Table: ranked(row("a", 0.5), row("b", 0.5), row("c", 0.5)),
 	}
 	res := rr.Select(in)
 	if res.Selected[0] != "a" || res.Selected[1] != "b" {
@@ -417,9 +427,9 @@ func TestDynamicCappedFallback(t *testing.T) {
 		t.Errorf("Name() = %q", got)
 	}
 	in := Input{
-		Table: []model.ReplicaProbability{
+		Table: ranked(
 			row("a", 0.3), row("b", 0.2), row("c", 0.1), row("d", 0.1), row("e", 0.1),
-		},
+		),
 		QoS: qos(time.Millisecond, 0.999), // unsatisfiable
 	}
 	res := d.Select(in)
@@ -451,28 +461,25 @@ func TestDynamicCappedStillCrashSafeWhenSatisfiable(t *testing.T) {
 		if len(rawProbs) < 2 || len(rawProbs) > 10 {
 			return true
 		}
-		table := make([]model.ReplicaProbability, len(rawProbs))
-		for i, v := range rawProbs {
-			table[i] = row(string(rune('a'+i)), float64(v)/255)
-		}
+		table := rawTable(rawProbs)
 		pc := float64(rawPc) / 255
 		res := d.Select(Input{Table: table, QoS: qos(time.Millisecond, pc)})
 		if res.UsedAll {
 			return len(res.Selected) <= 4 // the cap itself
 		}
-		probByID := make(map[wire.ReplicaID]float64, len(table))
+		rowOf := make(map[wire.ReplicaID]model.ReplicaProbability, len(table))
 		for _, r := range table {
-			probByID[r.Snapshot.ID] = r.Probability
+			rowOf[r.ID] = r
 		}
 		for skip := range res.Selected {
-			var probs []float64
+			var rows []model.ReplicaProbability
 			for i, id := range res.Selected {
 				if i == skip {
 					continue
 				}
-				probs = append(probs, probByID[id])
+				rows = append(rows, rowOf[id])
 			}
-			if model.SubsetProbability(probs) < pc-1e-9 {
+			if model.SubsetProbability(rows) < pc-1e-9 {
 				return false
 			}
 		}
@@ -480,5 +487,26 @@ func TestDynamicCappedStillCrashSafeWhenSatisfiable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSelectAllocs fences the score-driven strategies on the scheduler's
+// input: a ranked table and a caller-owned SelectedBuf. Selection then reads
+// the table in place and allocates nothing, whether Pc is met early, late or
+// not at all.
+func TestSelectAllocs(t *testing.T) {
+	table := make([]model.ReplicaProbability, 8)
+	for i := range table {
+		table[i] = row(string(rune('a'+i)), 0.95-0.1*float64(i))
+	}
+	table = ranked(table...)
+	buf := make([]wire.ReplicaID, 0, len(table))
+	for _, s := range []Strategy{NewDynamic(), NewDynamicCapped(3), NewBudgeted(), FixedK{K: 3}, SingleBest{}} {
+		for _, pc := range []float64{0.5, 0.99, 0.999999} {
+			in := Input{Table: table, QoS: qos(time.Millisecond, pc), SelectedBuf: buf}
+			if allocs := testing.AllocsPerRun(100, func() { s.Select(in) }); allocs != 0 {
+				t.Errorf("%s at Pc %v: %.1f allocations per Select, want 0", s.Name(), pc, allocs)
+			}
+		}
 	}
 }
