@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,8 +14,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 
 // goldenTables lists every experiment whose output is a pure function of its
 // seeds: each runs on the virtual-time simulator in full mode. fig3, e0,
-// faults, a15 and a18 are left out because they run on wall time or over the
-// real stack.
+// faults, a15 and a18's model check are left out because they run on wall
+// time or over the real stack.
 func goldenTables() []struct {
 	id  string
 	run func() (*Table, error)
@@ -51,7 +52,27 @@ func goldenTables() []struct {
 		{"a14", RunA14},
 		{"a16", func() (*Table, error) { return RunA16(false) }},
 		{"a17", RunA17},
+		{"a18-soak", runA18SoakTable},
 	}
+}
+
+// runA18SoakTable is a18's virtual-time recovery soak alone, in RunA18's
+// columns; the model-check half runs the real stack and has no golden.
+func runA18SoakTable() (*Table, error) {
+	t := &Table{
+		Title:   "A18 soak",
+		Columns: []string{"config", "acked", "longest", "full", "transfers", "snap_restores", "ok"},
+	}
+	var fenceErr error
+	fail := func(format string, args ...any) {
+		if fenceErr == nil {
+			fenceErr = fmt.Errorf("experiment: a18: "+format, args...)
+		}
+	}
+	if err := runA18Soak(t, fail); err != nil {
+		return nil, err
+	}
+	return t, fenceErr
 }
 
 // TestGoldenTables compares each seed-deterministic experiment's text table
