@@ -194,15 +194,17 @@ func (p *prober) sweep(now time.Time) {
 	}
 }
 
-// onProbeReply absorbs a probe response into the repository: perf report
-// plus the derived gateway delay td = t4 − SentAt − tq − ts. Both interval
-// endpoints are on the client's clock (SentAt was stamped here and echoed).
+// onProbeReply absorbs a probe response into the repository as one
+// mutation: perf report plus the derived gateway delay td = t4 − SentAt −
+// tq − ts. Both interval endpoints are on the client's clock (SentAt was
+// stamped here and echoed).
 func (p *prober) onProbeReply(m wire.Response, t4 time.Time) {
 	repo := p.h.sched.Repository()
-	repo.RecordPerf(m.Replica, "", m.Perf, t4)
-	if !m.SentAt.IsZero() {
+	if m.SentAt.IsZero() {
+		repo.RecordPerf(m.Replica, "", m.Perf, t4)
+	} else {
 		td := t4.Sub(m.SentAt) - m.Perf.QueueDelay - m.Perf.ServiceTime
-		repo.RecordGatewayDelay(m.Replica, td)
+		repo.RecordReply(m.Replica, "", m.Perf, td, t4)
 	}
 	p.mu.Lock()
 	if _, ok := p.sentAt[m.Replica]; ok {

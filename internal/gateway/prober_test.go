@@ -343,6 +343,53 @@ func TestProbeGatewayDelayReachesMethodSnapshots(t *testing.T) {
 	}
 }
 
+// TestProbeReplyIsOneRepositoryMutation: a probe reply's S, W and T enter
+// the repository together, so a concurrent snapshot never pairs one probe's
+// service time with the previous probe's gateway delay. Every reply here has
+// td equal to its service time, and the window holds one sample, so the S
+// and T bins of any snapshot must match.
+func TestProbeReplyIsOneRepositoryMutation(t *testing.T) {
+	f := newFixture(t, 1, nil)
+	h := f.handler(Config{
+		Client: "probe-atomic", Service: "svc",
+		QoS:           wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		WindowSize:    1,
+		ProbeInterval: time.Hour, // prober exists but never sweeps
+	})
+	repo := h.Scheduler().Repository()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := repo.SnapshotShared("")[0]
+			if !snap.HasHistory {
+				continue
+			}
+			if sb, tb := snap.ServiceHist.Bins, snap.GatewayHist.Bins; len(tb) != 1 || sb[0] != tb[0] {
+				t.Errorf("snapshot holds S bins %v beside T bins %v: half a probe reply", sb, tb)
+				return
+			}
+		}
+	}()
+	t4 := time.Now()
+	for i := 1; i <= 20000; i++ {
+		ts := time.Duration(i) * ms
+		h.prober.onProbeReply(wire.Response{
+			Client: "probe-atomic", Replica: "r0", Probe: true,
+			Perf:   wire.PerfReport{ServiceTime: ts, QueueDelay: ts},
+			SentAt: t4.Add(-3 * ts),
+		}, t4)
+	}
+	close(stop)
+	<-done
+}
+
 // TestProberSuspectedLostProbeBacksOff is the regression fence for the
 // age-out cadence bug: the in-flight guard used to expire unanswered probes
 // at the full staleness bound even for Suspected replicas, so a dead suspect
