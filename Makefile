@@ -93,12 +93,14 @@ race-lifecycle:
 metrics-smoke:
 	$(GO) test . -run TestMetricsEndToEnd -count=1 -v
 
-# Short fuzzing pass over the wire codec, including the ordered-mode
-# state-transfer frames (StateRequest/StateChunk).
+# Short fuzzing pass over the wire codec: the frame decoder, the encode →
+# decode round trip, the ordered-mode state-transfer frames
+# (StateRequest/StateChunk), and the binary codec's byte-exact re-encode.
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 20s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 20s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzStateTransferRoundTrip -fuzztime 20s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 20s
 
 clean:
 	$(GO) clean -testcache

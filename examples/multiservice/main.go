@@ -14,89 +14,42 @@ import (
 	"log"
 	"time"
 
-	"aqua/internal/gateway"
-	"aqua/internal/server"
-	"aqua/internal/stats"
-	"aqua/internal/transport"
-	"aqua/internal/wire"
+	"aqua"
 )
 
-// startPool launches n replicas of one service and returns their addresses.
-func startPool(net transport.Network, service wire.Service, n int, load stats.DelayDist) (map[wire.ReplicaID]transport.Addr, []*server.Replica, error) {
-	pool := make(map[wire.ReplicaID]transport.Addr, n)
-	var replicas []*server.Replica
-	for i := 0; i < n; i++ {
-		id := wire.ReplicaID(fmt.Sprintf("%s-%d", service, i))
-		ep, err := net.Listen(transport.Addr(id))
-		if err != nil {
-			return nil, nil, err
-		}
-		srv, err := server.Start(ep, server.Config{
-			ID: id, Service: service,
-			Handler: func(method string, payload []byte) ([]byte, error) {
-				return []byte(fmt.Sprintf("%s/%s ok", service, method)), nil
-			},
-			LoadDelay: load,
-			Seed:      int64(i + 1),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		pool[id] = srv.Addr()
-		replicas = append(replicas, srv)
+// handler answers every method of one service.
+func handler(service string) aqua.Handler {
+	return func(method string, payload []byte) ([]byte, error) {
+		return []byte(fmt.Sprintf("%s/%s ok", service, method)), nil
 	}
-	return pool, replicas, nil
 }
 
 func main() {
-	net := transport.NewInMem()
-	defer func() { _ = net.Close() }()
+	// Quotes answer in ~20ms; analytics needs ~150ms. Both pools live on
+	// one network so a single gateway endpoint reaches them.
+	quotes, err := aqua.NewCluster("quotes", 4, handler("quotes"),
+		aqua.WithSimulatedLoad(20*time.Millisecond, 8*time.Millisecond))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer quotes.Close()
+	analytics, err := aqua.NewCluster("analytics", 5, handler("analytics"),
+		aqua.WithSimulatedLoad(150*time.Millisecond, 60*time.Millisecond),
+		aqua.WithSharedNetwork(quotes))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer analytics.Close()
 
-	// Quotes answer in ~20ms; analytics needs ~150ms.
-	quotes, qReplicas, err := startPool(net, "quotes", 4,
-		stats.Normal{Mu: 20 * time.Millisecond, Sigma: 8 * time.Millisecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	analytics, aReplicas, err := startPool(net, "analytics", 5,
-		stats.Normal{Mu: 150 * time.Millisecond, Sigma: 60 * time.Millisecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		for _, r := range qReplicas {
-			r.Stop()
-		}
-		for _, r := range aReplicas {
-			r.Stop()
-		}
-	}()
-
-	ep, err := net.Listen("client:trader")
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := gateway.NewMultiGateway(ep, "trader")
+	// Different QoS contracts per service, as each handler stores its own.
+	g, err := aqua.NewGateway("trader", map[*aqua.Cluster]aqua.ClientConfig{
+		quotes:    {QoS: aqua.QoS{Deadline: 50 * time.Millisecond, MinProbability: 0.95}},
+		analytics: {QoS: aqua.QoS{Deadline: 300 * time.Millisecond, MinProbability: 0.8}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer g.Close()
-
-	// Different QoS contracts per service, as each handler stores its own.
-	if _, err := g.LoadHandler(gateway.Config{
-		Service:        "quotes",
-		QoS:            wire.QoS{Deadline: 50 * time.Millisecond, MinProbability: 0.95},
-		StaticReplicas: quotes,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := g.LoadHandler(gateway.Config{
-		Service:        "analytics",
-		QoS:            wire.QoS{Deadline: 300 * time.Millisecond, MinProbability: 0.8},
-		StaticReplicas: analytics,
-	}); err != nil {
-		log.Fatal(err)
-	}
 
 	ctx := context.Background()
 	for i := 0; i < 12; i++ {
@@ -114,11 +67,17 @@ func main() {
 		fmt.Printf("round %2d  quotes=%-12v analytics=%v\n", i, qTr, aTr)
 	}
 
-	hq, _ := g.Handler("quotes")
-	ha, _ := g.Handler("analytics")
+	qs, err := g.Stats("quotes")
+	if err != nil {
+		log.Fatal(err)
+	}
+	as, err := g.Stats("analytics")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nquotes:    redundancy %.2f, failures %d/%d (deadline 50ms, Pc 0.95)\n",
-		hq.Stats().MeanRedundancy(), hq.Stats().TimingFailures, hq.Stats().Completed)
+		qs.MeanRedundancy(), qs.TimingFailures, qs.Completed)
 	fmt.Printf("analytics: redundancy %.2f, failures %d/%d (deadline 300ms, Pc 0.80)\n",
-		ha.Stats().MeanRedundancy(), ha.Stats().TimingFailures, ha.Stats().Completed)
+		as.MeanRedundancy(), as.TimingFailures, as.Completed)
 	fmt.Println("one gateway, two handlers, two QoS contracts, two private repositories.")
 }

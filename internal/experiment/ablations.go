@@ -40,21 +40,13 @@ func defaultAblationBase() ablationBase {
 	}
 }
 
-func (b ablationBase) replicaSpecs() []sim.ReplicaSpec {
-	specs := make([]sim.ReplicaSpec, b.replicas)
-	for i := range specs {
-		specs[i] = sim.ReplicaSpec{Service: stats.Normal{Mu: b.mean, Sigma: b.sigma}}
-	}
-	return specs
-}
-
 // point aggregates the client-2 metrics across runs of one scenario
 // variant. mutate edits the scenario before each run (e.g. crash plans);
 // strategy may be nil for the paper default.
 func (b ablationBase) point(strategy func() selection.Strategy, mutate func(*sim.Scenario)) (meanSel, failProb, served float64, err error) {
 	for run := 0; run < b.runs; run++ {
 		sc := sim.Scenario{
-			Replicas: b.replicaSpecs(),
+			Replicas: pool(b.replicas, sim.ReplicaSpec{Service: stats.Normal{Mu: b.mean, Sigma: b.sigma}}),
 			Clients: []sim.ClientSpec{
 				{QoS: wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0}, Requests: b.requests, Think: b.think},
 				{QoS: wire.QoS{Deadline: b.deadline, MinProbability: b.pc}, Requests: b.requests, Think: b.think},

@@ -9,30 +9,19 @@ import "testing"
 
 const a17TestSeed = 1700
 
-func a17TestVariant(t *testing.T, name string) a17Variant {
-	t.Helper()
-	for _, v := range a17Variants() {
-		if v.name == name {
-			return v
-		}
-	}
-	t.Fatalf("no %q variant", name)
-	return a17Variant{}
-}
-
 // TestCancellationLiftsSaturatedGoodput: at 2x and 3x past the saturation
 // knee, reclaiming the losers' duplicates must buy a large goodput lift —
 // under pareto(alpha=1.5) the occasional huge duplicate otherwise wedges a
 // single-worker replica for seconds.
 func TestCancellationLiftsSaturatedGoodput(t *testing.T) {
-	base := a17TestVariant(t, "budgeted")
-	withCancel := a17TestVariant(t, "budgeted+cancel")
+	base := variantNamed(t, a17Variants(), "budgeted")
+	withCancel := variantNamed(t, a17Variants(), "budgeted+cancel")
 	for _, rate := range []float64{40, 80} {
-		b, err := runA17Cell(rate, base, a17TestSeed)
+		b, err := a17Sweep.run(rate, base, a17TestSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := runA17Cell(rate, withCancel, a17TestSeed)
+		c, err := a17Sweep.run(rate, withCancel, a17TestSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,21 +45,21 @@ func TestCancellationLiftsSaturatedGoodput(t *testing.T) {
 // a well-chosen static budget at a saturated load point, and its set point
 // must respect its bounds.
 func TestAdaptiveControllerCompetitive(t *testing.T) {
-	adaptive := a17TestVariant(t, "adaptive+cancel")
-	static := a17TestVariant(t, "static-k3+cancel")
+	adaptive := variantNamed(t, a17Variants(), "adaptive+cancel")
+	static := variantNamed(t, a17Variants(), "static-k3+cancel")
 	const rate = 40
-	a, err := runA17Cell(rate, adaptive, a17TestSeed)
+	a, err := a17Sweep.run(rate, adaptive, a17TestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := runA17Cell(rate, static, a17TestSeed)
+	s, err := a17Sweep.run(rate, static, a17TestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Goodput < 0.85*s.Goodput {
 		t.Errorf("adaptive goodput %.2f < 85%% of static-k3 %.2f", a.Goodput, s.Goodput)
 	}
-	if a.Budget < 2 || a.Budget > a17Replicas {
-		t.Errorf("controller budget %d escaped [2, %d]", a.Budget, a17Replicas)
+	if a.Budget < 2 || a.Budget > sweepReplicas {
+		t.Errorf("controller budget %d escaped [2, %d]", a.Budget, sweepReplicas)
 	}
 }

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"aqua/internal/gateway"
-	"aqua/internal/server"
-	"aqua/internal/transport"
-	"aqua/internal/wire"
+	"aqua"
 )
 
 // E0Config parameterizes the minimum-response-time measurement (§6: "For a
@@ -40,51 +37,26 @@ func RunE0(cfg E0Config) (*E0Result, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("experiment: e0 requires at least one request")
 	}
-	var network transport.Network
 	name := "inmem"
+	var opts []aqua.ClusterOption
 	if cfg.UseTCP {
-		network = transport.NewTCP()
 		name = "tcp-loopback"
-	} else {
-		network = transport.NewInMem()
+		opts = append(opts, aqua.WithTCP())
 	}
-	listen := transport.Addr("e0-server")
-	clientAddr := transport.Addr("e0-client")
-	if cfg.UseTCP {
-		listen = "127.0.0.1:0"
-		clientAddr = "127.0.0.1:0"
-	}
-
-	srvEP, err := network.Listen(listen)
+	cluster, err := aqua.NewCluster("e0", 1,
+		func(string, []byte) ([]byte, error) { return []byte{1}, nil }, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: e0 server listen: %w", err)
+		return nil, fmt.Errorf("experiment: e0 cluster: %w", err)
 	}
-	srv, err := server.Start(srvEP, server.Config{
-		ID:      "e0-replica",
-		Service: "e0",
-		Handler: func(string, []byte) ([]byte, error) { return []byte{1}, nil },
+	defer cluster.Close()
+	client, err := cluster.NewClient(aqua.ClientConfig{
+		Name: "e0-client",
+		QoS:  aqua.QoS{Deadline: time.Second, MinProbability: 0},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: e0 server: %w", err)
+		return nil, fmt.Errorf("experiment: e0 client: %w", err)
 	}
-	defer srv.Stop()
-
-	cliEP, err := network.Listen(clientAddr)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: e0 client listen: %w", err)
-	}
-	h, err := gateway.NewTimingFaultHandler(cliEP, gateway.Config{
-		Client:  "e0-client",
-		Service: "e0",
-		QoS:     wire.QoS{Deadline: time.Second, MinProbability: 0},
-		StaticReplicas: map[wire.ReplicaID]transport.Addr{
-			"e0-replica": srv.Addr(),
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: e0 handler: %w", err)
-	}
-	defer h.Close()
+	defer client.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -93,7 +65,7 @@ func RunE0(cfg E0Config) (*E0Result, error) {
 	var total time.Duration
 	for i := 0; i < cfg.Requests; i++ {
 		start := time.Now()
-		if _, err := h.Call(ctx, "", []byte{0}); err != nil {
+		if _, err := client.Call(ctx, "", []byte{0}); err != nil {
 			return nil, fmt.Errorf("experiment: e0 request %d: %w", i, err)
 		}
 		tr := time.Since(start)

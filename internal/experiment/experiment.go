@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"aqua/internal/sim"
 )
 
 // Table is a printable experiment result.
@@ -80,6 +82,16 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// pool returns n simulated replicas built from one spec: every experiment's
+// uniform replica pool.
+func pool(n int, spec sim.ReplicaSpec) []sim.ReplicaSpec {
+	replicas := make([]sim.ReplicaSpec, n)
+	for i := range replicas {
+		replicas[i] = spec
+	}
+	return replicas
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

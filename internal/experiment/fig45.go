@@ -108,14 +108,8 @@ func RunFig45(cfg Fig45Config) ([]Fig45Row, error) {
 }
 
 func runFig45Point(cfg Fig45Config, deadline time.Duration, pc float64, seed int64) (*sim.Result, error) {
-	replicas := make([]sim.ReplicaSpec, cfg.Replicas)
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{
-			Service: stats.Normal{Mu: cfg.ServiceMean, Sigma: cfg.ServiceSigma},
-		}
-	}
 	return sim.Run(sim.Scenario{
-		Replicas: replicas,
+		Replicas: pool(cfg.Replicas, sim.ReplicaSpec{Service: stats.Normal{Mu: cfg.ServiceMean, Sigma: cfg.ServiceSigma}}),
 		Clients: []sim.ClientSpec{
 			// Client 1: fixed 200 ms deadline, Pc >= 0 in every run (§6).
 			{

@@ -39,11 +39,8 @@ import (
 	"time"
 
 	"aqua"
-	"aqua/internal/core"
-	"aqua/internal/proteus"
 	"aqua/internal/server"
 	"aqua/internal/sim"
-	"aqua/internal/stats"
 	"aqua/internal/trace"
 	"aqua/internal/wire"
 )
@@ -477,73 +474,26 @@ func RunOrderedCheck(cfg OrderedCheckConfig) (*OrderedCheckResult, error) {
 // ---------------------------------------------------------------------------
 // Part 2: the virtual-time recovery soak.
 
-// A18 soak configuration: four hosts, one turns persistently slow and is
-// quarantined/rejuvenated until the host heals; a second host crash-stops
-// later. Every rejuvenated incarnation pays a18Transfer of simulated state
-// transfer before it may claim caught-up, and RequireStateTransfer keeps it
-// in probation until then.
+// A18 soak: four hosts run the shared chaos soak, and every rejuvenated
+// incarnation pays a18Transfer of simulated state transfer before it may
+// claim caught-up; RequireStateTransfer keeps it in probation until then.
 const (
-	a18Hosts      = 4
-	a18Deadline   = 60 * time.Millisecond
-	a18Pc         = 0.9
-	a18Recovery   = 5 * time.Second
-	a18SlowFrom   = 5 * time.Second
-	a18SlowUntil  = 15 * time.Second
-	a18CrashAt    = 25 * time.Second
-	a18SoakEnd    = 38 * time.Second
-	a18Transfer   = 400 * time.Millisecond
-	a18ProbeEvery = 100 * time.Millisecond
-	a18Staleness  = 750 * time.Millisecond
-	a18SoakSeed   = 1801
+	a18SlowFrom  = 5 * time.Second
+	a18SlowUntil = 15 * time.Second
+	a18CrashAt   = 25 * time.Second
+	a18SoakEnd   = 38 * time.Second
+	a18Transfer  = 400 * time.Millisecond
+	a18SoakSeed  = 1801
 )
 
+var a18Plan = soakPlan{hosts: 4, requests: 1000, slowFrom: a18SlowFrom, slowUntil: a18SlowUntil, crashAt: a18CrashAt}
+
 // a18Windows are the quiet windows where the Pc floor must hold.
-func a18Windows() []a14Window {
-	return []a14Window{
+func a18Windows() []soakWindow {
+	return []soakWindow{
 		{name: "baseline", from: 2 * time.Second, until: a18SlowFrom},
-		{name: "post-slow", from: a18SlowUntil + a18Recovery, until: a18CrashAt},
-		{name: "post-crash", from: a18CrashAt + a18Recovery, until: a18SoakEnd},
-	}
-}
-
-// a18Scenario builds the soak; deterministic for a fixed seed.
-func a18Scenario(seed int64, rec *trace.Recorder) sim.Scenario {
-	replicas := make([]sim.ReplicaSpec, a18Hosts)
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{
-			Service: stats.Normal{Mu: 25 * time.Millisecond, Sigma: 5 * time.Millisecond},
-		}
-	}
-	replicas[1].Slow = stats.Constant{Delay: 150 * time.Millisecond}
-	replicas[1].SlowFrom = a18SlowFrom
-	replicas[1].SlowUntil = a18SlowUntil
-	replicas[2].CrashAt = a18CrashAt
-
-	clients := make([]sim.ClientSpec, 2)
-	for i := range clients {
-		clients[i] = sim.ClientSpec{
-			QoS:      wire.QoS{Deadline: a18Deadline, MinProbability: a18Pc},
-			Requests: 1000,
-			Think:    20 * time.Millisecond,
-		}
-	}
-	return sim.Scenario{
-		Replicas:       replicas,
-		Clients:        clients,
-		Network:        sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-		StalenessBound: a18Staleness,
-		Lifecycle: core.LifecycleConfig{
-			Enabled:              true,
-			WindowSize:           12,
-			MinObservations:      6,
-			RequireStateTransfer: true,
-		},
-		ProbeInterval: a18ProbeEvery,
-		Rejuvenation:  sim.RejuvenationSpec{Enabled: true},
-		StateTransfer: a18Transfer,
-		Trace:         rec,
-		Seed:          seed,
-		MaxTime:       10 * time.Minute,
+		{name: "post-slow", from: a18SlowUntil + soakRecovery, until: a18CrashAt},
+		{name: "post-crash", from: a18CrashAt + soakRecovery, until: a18SoakEnd},
 	}
 }
 
@@ -551,59 +501,23 @@ func a18Scenario(seed int64, rec *trace.Recorder) sim.Scenario {
 // the first violated bound through fail.
 func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 	rec := trace.New()
-	res, err := sim.Run(a18Scenario(a18SoakSeed, rec))
+	sc := a18Plan.scenario(a18SoakSeed)
+	sc.Lifecycle.RequireStateTransfer = true
+	sc.StateTransfer = a18Transfer
+	sc.Trace = rec
+	res, err := sim.Run(sc)
 	if err != nil {
 		return fmt.Errorf("experiment: a18 soak: %w", err)
 	}
 
-	for _, w := range a18Windows() {
-		issued, timely := 0, 0
-		for _, c := range res.Clients {
-			for _, r := range c.Records {
-				if r.IssuedAt < w.from || r.IssuedAt >= w.until {
-					continue
-				}
-				issued++
-				if r.GotReply && !r.Failure {
-					timely++
-				}
-			}
-		}
-		frac := 0.0
-		if issued > 0 {
-			frac = float64(timely) / float64(issued)
-		}
-		ok := issued > 0 && frac >= a18Pc
-		if !ok {
-			fail("soak window %q: timely %d/%d = %.3f below Pc=%.2f", w.name, timely, issued, frac, a18Pc)
-		}
+	soakFail := func(format string, args ...any) { fail("soak: "+format, args...) }
+	for _, w := range checkWindows(res, a18Windows(), soakFail) {
 		t.Rows = append(t.Rows, []string{
-			"soak/" + w.name, fmt.Sprintf("%d", issued), fmt.Sprintf("%d", timely),
-			f3(frac), "-", "-", fmt.Sprintf("%v", ok),
+			"soak/" + w.name, fmt.Sprintf("%d", w.issued), fmt.Sprintf("%d", w.timely),
+			f3(w.frac), "-", "-", fmt.Sprintf("%v", w.ok),
 		})
 	}
-
-	if res.Quarantines < 1 {
-		fail("soak: no quarantine recorded; the slow host was never ejected")
-	}
-	if res.Restarts < 1 {
-		fail("soak: no rejuvenation restart recorded")
-	}
-	if res.PeakRestartsPerWindow > proteus.DefaultMaxRestartsPerWindow {
-		fail("soak: %d restarts inside one %v window exceed the storm cap %d",
-			res.PeakRestartsPerWindow, proteus.DefaultRestartWindow, proteus.DefaultMaxRestartsPerWindow)
-	}
-	if res.StateTransfers < 1 {
-		fail("soak: no rejuvenated incarnation completed its state transfer")
-	}
-	if res.ProbationViolations != 0 {
-		fail("soak: %d probation/quarantine replicas appeared in selections", res.ProbationViolations)
-	}
-	for i, c := range res.Clients {
-		if c.Outstanding != 0 {
-			fail("soak: client %d leaked %d pending entries", i, c.Outstanding)
-		}
-	}
+	checkLifecycle(sc, res, soakFail)
 
 	// Re-admission gate, checked against the schedule trace: no selection
 	// may target a rejuvenated incarnation before its boot + transfer time.
@@ -617,7 +531,7 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 			bootAt, isReplacement := boots[id]
 			if isReplacement && ev.At < bootAt+a18Transfer {
 				early++
-				fail("soak: replacement %s selected at %v, before its transfer completed at %v",
+				soakFail("replacement %s selected at %v, before its transfer completed at %v",
 					id, ev.At, bootAt+a18Transfer)
 			}
 		}
@@ -645,7 +559,7 @@ func RunA18() (*Table, error) {
 
 	t := &Table{
 		Title: fmt.Sprintf("A18: ordered-mode lifecycle model check (pools of 2-4 × crash schedules × injector policies) + recovery soak (%d hosts, transfer=%v)",
-			a18Hosts, a18Transfer),
+			a18Plan.hosts, a18Transfer),
 		Columns: []string{"config", "acked", "longest", "full", "transfers", "snap_restores", "ok"},
 		Notes: []string{
 			"safety per cell: prefix agreement across every incarnation, no lost acked writes, caught-up implies completed transfer",

@@ -11,94 +11,99 @@ import (
 	"aqua/internal/wire"
 )
 
-// A13 configuration. 5 replicas at ~100 ms mean service time serve ~50
-// copies/s; with the warm algorithm settling at |K| ≈ 2 the pool saturates
-// near 25 offered req/s, so the sweep covers comfortable load, the
-// saturation knee, and a 3×-past-capacity overload.
+// The open-loop Poisson load sweep a13 and a17 share. 5 replicas at ~100 ms
+// mean service time serve ~50 copies/s; with the warm algorithm settling at
+// |K| ≈ 2 the pool saturates near 25 offered req/s, so the sweep covers
+// comfortable load, the saturation knee, and a 3×-past-capacity overload.
 const (
-	a13Replicas  = 5
-	a13Horizon   = 20 * time.Second // virtual issue window per run
-	a13Warmup    = 5 * time.Second  // excluded from steady-state goodput
-	a13Deadline  = 250 * time.Millisecond
-	a13Staleness = 2 * time.Second // re-probe bound, both variants
-	// a13Ceiling is the budgeted variant's admission ceiling. Under
-	// saturation the ceiling self-equilibrates admitted response time at
-	// roughly ceiling / admitted-rate, so it is sized to keep admitted
-	// requests inside the deadline: ~25 admitted/s × 0.25 s ≈ 6 in flight.
-	a13Ceiling = 5
+	sweepReplicas  = 5
+	sweepHorizon   = 20 * time.Second // virtual issue window per run
+	sweepWarmup    = 5 * time.Second  // excluded from steady-state goodput
+	sweepDeadline  = 250 * time.Millisecond
+	sweepStaleness = 2 * time.Second // re-probe bound, every variant
+	// sweepCeiling is the admission ceiling of the admission-controlled
+	// variants. Under saturation the ceiling self-equilibrates admitted
+	// response time at roughly ceiling / admitted-rate, so it is sized to
+	// keep admitted requests inside the deadline: ~25 admitted/s × 0.25 s ≈ 6
+	// in flight.
+	sweepCeiling = 5
+	sweepRuns    = 3 // seeds averaged per cell
 )
 
-// a13Rates sweeps the offered load in requests/second.
-var a13Rates = []float64{5, 10, 20, 40, 80}
+// sweepRates is the offered load in requests/second.
+var sweepRates = []float64{5, 10, 20, 40, 80}
 
-// a13Variant is one scheduler configuration under the load sweep.
-type a13Variant struct {
-	name     string
-	strategy func() selection.Strategy
-	overload core.OverloadConfig
+// sweepVariant is one scheduler configuration under the load sweep.
+type sweepVariant struct {
+	name       string
+	strategy   func() selection.Strategy
+	overload   core.OverloadConfig
+	cancel     bool
+	controller *core.AdaptiveBudgetConfig
 }
 
-// a13Variants contrasts the paper-exact scheduler (select-all fallback, no
-// admission control — the A12 amplification) with the budgeted one
-// (load-conditioned |K| budget + in-flight ceiling + degradation ladder).
-func a13Variants() []a13Variant {
-	return []a13Variant{
-		{
-			name:     "paper-exact",
-			strategy: func() selection.Strategy { return selection.NewDynamic() },
-		},
-		{
-			name:     "budgeted",
-			strategy: func() selection.Strategy { return selection.NewBudgeted() },
-			overload: core.OverloadConfig{MaxInFlight: a13Ceiling},
-		},
-	}
-}
-
-// a13Outcome aggregates one (rate, variant) cell of the sweep. Goodput is
+// sweepOutcome is one (rate, variant) cell of the sweep. Goodput is
 // steady-state: timely completions issued after the warmup, per second of
-// post-warmup makespan, so the unavoidable cold-start transient (both
-// variants pay it) doesn't mask the regime the sweep measures.
-type a13Outcome struct {
+// post-warmup makespan, so the unavoidable cold-start transient (every
+// variant pays it) doesn't mask the regime the sweep measures. Over a cell's
+// seeds the rates are means, the counts sums, MaxK the maximum and Budget
+// the last run's.
+type sweepOutcome struct {
 	Goodput    float64 // steady-state timely completions per second
 	TimelyFrac float64 // timely / issued, whole run
 	MeanK      float64 // mean |K| over admitted requests
 	MaxK       int     // largest |K| over admitted requests
 	Shed       int
 	OverBudget int // admitted requests with |K| above their budget
+	Cancels    int // Cancel messages sent
+	Purged     int // cancelled copies removed from replica queues
+	Aborted    int // cancelled copies aborted mid-service
+	Budget     int // controller's final set point (0 when no controller)
 	Issued     int
 }
 
-// runA13Cell executes one point of the load sweep. Offered load is an
+// loadSweep is one experiment's run of the sweep: its replicas' service law
+// and the first of its sweepRuns consecutive seeds.
+type loadSweep struct {
+	id      string
+	service stats.DelayDist
+	seed    int64
+}
+
+// run executes one point of the sweep on one seed. Offered load is an
 // open-loop Poisson arrival process (the closed loop self-throttles and can
-// never push the pool past saturation, hiding exactly the regime a13
+// never push the pool past saturation, hiding exactly the regime the sweep
 // measures).
-func runA13Cell(rate float64, v a13Variant, seed int64) (a13Outcome, error) {
-	replicas := make([]sim.ReplicaSpec, a13Replicas)
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{
-			Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
-		}
-	}
+func (s loadSweep) run(rate float64, v sweepVariant, seed int64) (sweepOutcome, error) {
 	res, err := sim.Run(sim.Scenario{
-		Replicas: replicas,
+		Replicas: pool(sweepReplicas, sim.ReplicaSpec{Service: s.service}),
 		Clients: []sim.ClientSpec{{
-			QoS:      wire.QoS{Deadline: a13Deadline, MinProbability: 0.9},
-			Requests: int(rate * a13Horizon.Seconds()),
+			QoS:      wire.QoS{Deadline: sweepDeadline, MinProbability: 0.9},
+			Requests: int(rate * sweepHorizon.Seconds()),
 			Strategy: v.strategy(),
 			Arrival:  stats.Exponential{MeanDelay: time.Duration(float64(time.Second) / rate)},
 		}},
 		Network:        sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
 		Overload:       v.overload,
-		StalenessBound: a13Staleness,
+		StalenessBound: sweepStaleness,
 		Seed:           seed,
 		MaxTime:        4 * time.Hour,
+		Cancellation:   v.cancel,
+		Controller:     v.controller,
 	})
 	if err != nil {
-		return a13Outcome{}, err
+		return sweepOutcome{}, err
 	}
 	c := res.Clients[0]
-	out := a13Outcome{Issued: len(c.Records), Shed: c.ShedCount(), MaxK: c.MaxSelected()}
+	out := sweepOutcome{
+		Issued:  len(c.Records),
+		Shed:    c.ShedCount(),
+		MaxK:    c.MaxSelected(),
+		Cancels: res.CancelsSent,
+		Purged:  res.CancelsPurged,
+		Aborted: res.CancelsAborted,
+		Budget:  c.Controller.Budget,
+	}
 	var makespan time.Duration
 	timely, ssTimely, admitted, kSum := 0, 0, 0, 0
 	for _, rec := range c.Records {
@@ -113,17 +118,17 @@ func runA13Cell(rate float64, v a13Variant, seed int64) (a13Outcome, error) {
 		if rec.Budget > 0 && rec.NumSelected > rec.Budget {
 			out.OverBudget++
 		}
-		if rec.GotReply && !rec.Failure {
+		if rec.Timely() {
 			timely++
-			if rec.IssuedAt >= a13Warmup {
+			if rec.IssuedAt >= sweepWarmup {
 				ssTimely++
 			}
 		}
 	}
-	if makespan <= a13Warmup {
-		makespan = a13Horizon
+	if makespan <= sweepWarmup {
+		makespan = sweepHorizon
 	}
-	out.Goodput = float64(ssTimely) / (makespan - a13Warmup).Seconds()
+	out.Goodput = float64(ssTimely) / (makespan - sweepWarmup).Seconds()
 	if out.Issued > 0 {
 		out.TimelyFrac = float64(timely) / float64(out.Issued)
 	}
@@ -131,6 +136,56 @@ func runA13Cell(rate float64, v a13Variant, seed int64) (a13Outcome, error) {
 		out.MeanK = float64(kSum) / float64(admitted)
 	}
 	return out, nil
+}
+
+// cell averages one (rate, variant) point over sweepRuns seeds.
+func (s loadSweep) cell(rate float64, v sweepVariant) (sweepOutcome, error) {
+	var sum sweepOutcome
+	for run := 0; run < sweepRuns; run++ {
+		out, err := s.run(rate, v, s.seed+int64(run))
+		if err != nil {
+			return sweepOutcome{}, fmt.Errorf("experiment: %s rate=%.0f %s: %w", s.id, rate, v.name, err)
+		}
+		sum.Goodput += out.Goodput
+		sum.TimelyFrac += out.TimelyFrac
+		sum.MeanK += out.MeanK
+		sum.MaxK = max(sum.MaxK, out.MaxK)
+		sum.Shed += out.Shed
+		sum.OverBudget += out.OverBudget
+		sum.Cancels += out.Cancels
+		sum.Purged += out.Purged
+		sum.Aborted += out.Aborted
+		sum.Budget = out.Budget // last run's final set point, representative
+		sum.Issued += out.Issued
+	}
+	sum.Goodput /= sweepRuns
+	sum.TimelyFrac /= sweepRuns
+	sum.MeanK /= sweepRuns
+	return sum, nil
+}
+
+// a13Sweep runs the sweep over normal(100 ms, 30 ms) service times.
+var a13Sweep = loadSweep{
+	id:      "a13",
+	service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
+	seed:    1300,
+}
+
+// a13Variants contrasts the paper-exact scheduler (select-all fallback, no
+// admission control — the A12 amplification) with the budgeted one
+// (load-conditioned |K| budget + in-flight ceiling + degradation ladder).
+func a13Variants() []sweepVariant {
+	return []sweepVariant{
+		{
+			name:     "paper-exact",
+			strategy: func() selection.Strategy { return selection.NewDynamic() },
+		},
+		{
+			name:     "budgeted",
+			strategy: func() selection.Strategy { return selection.NewBudgeted() },
+			overload: core.OverloadConfig{MaxInFlight: sweepCeiling},
+		},
+	}
 }
 
 // RunA13 sweeps offered load through saturation and contrasts the
@@ -145,7 +200,7 @@ func runA13Cell(rate float64, v a13Variant, seed int64) (a13Outcome, error) {
 func RunA13() (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("A13: overload sweep (%d replicas @ ~100ms, deadline=%v, Pc=0.9, open-loop Poisson arrivals)",
-			a13Replicas, a13Deadline),
+			sweepReplicas, sweepDeadline),
 		Columns: []string{"offered_rps", "variant", "goodput_rps", "timely_frac", "mean_k", "max_k", "shed", "over_budget"},
 		Notes: []string{
 			"goodput = steady-state timely completions/s (5s warmup excluded); pool capacity ~25 admitted req/s at |K|=2",
@@ -154,33 +209,21 @@ func RunA13() (*Table, error) {
 			"over_budget counts admitted requests whose |K| exceeded the decision's budget (must stay 0)",
 		},
 	}
-	for _, rate := range a13Rates {
+	for _, rate := range sweepRates {
 		for _, v := range a13Variants() {
-			var sum a13Outcome
-			const runs = 3
-			for run := 0; run < runs; run++ {
-				out, err := runA13Cell(rate, v, 1300+int64(run))
-				if err != nil {
-					return nil, fmt.Errorf("experiment: a13 rate=%.0f %s: %w", rate, v.name, err)
-				}
-				sum.Goodput += out.Goodput
-				sum.TimelyFrac += out.TimelyFrac
-				sum.MeanK += out.MeanK
-				if out.MaxK > sum.MaxK {
-					sum.MaxK = out.MaxK
-				}
-				sum.Shed += out.Shed
-				sum.OverBudget += out.OverBudget
+			out, err := a13Sweep.cell(rate, v)
+			if err != nil {
+				return nil, err
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%.0f", rate),
 				v.name,
-				f2(sum.Goodput / runs),
-				f3(sum.TimelyFrac / runs),
-				f2(sum.MeanK / runs),
-				fmt.Sprintf("%d", sum.MaxK),
-				fmt.Sprintf("%d", sum.Shed/runs),
-				fmt.Sprintf("%d", sum.OverBudget),
+				f2(out.Goodput),
+				f3(out.TimelyFrac),
+				f2(out.MeanK),
+				fmt.Sprintf("%d", out.MaxK),
+				fmt.Sprintf("%d", out.Shed/sweepRuns),
+				fmt.Sprintf("%d", out.OverBudget),
 			})
 		}
 	}

@@ -11,15 +11,16 @@ import "testing"
 
 const s4Seed = 1300
 
-func s4Variant(t *testing.T, name string) a13Variant {
+// variantNamed picks one variant of a sweep by name.
+func variantNamed(t *testing.T, variants []sweepVariant, name string) sweepVariant {
 	t.Helper()
-	for _, v := range a13Variants() {
+	for _, v := range variants {
 		if v.name == name {
 			return v
 		}
 	}
 	t.Fatalf("no %q variant", name)
-	return a13Variant{}
+	return sweepVariant{}
 }
 
 // TestOverloadPaperExactCollapses: past saturation (~25 admitted req/s) the
@@ -27,9 +28,9 @@ func s4Variant(t *testing.T, name string) a13Variant {
 // goodput goes to zero — the A12 cliff this PR fixes. If this test starts
 // failing, the paper-exact path is no longer paper-exact.
 func TestOverloadPaperExactCollapses(t *testing.T) {
-	v := s4Variant(t, "paper-exact")
+	v := variantNamed(t, a13Variants(), "paper-exact")
 	for _, rate := range []float64{20, 40} {
-		out, err := runA13Cell(rate, v, s4Seed)
+		out, err := a13Sweep.run(rate, v, s4Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +49,11 @@ func TestOverloadPaperExactCollapses(t *testing.T) {
 // acceptance criterion), never exceed the per-decision redundancy budget,
 // and account for every offered request — shed explicitly, not dropped.
 func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
-	v := s4Variant(t, "budgeted")
+	v := variantNamed(t, a13Variants(), "budgeted")
 	rates := []float64{20, 40, 80}
 	goodput := make([]float64, len(rates))
 	for i, rate := range rates {
-		out, err := runA13Cell(rate, v, s4Seed)
+		out, err := a13Sweep.run(rate, v, s4Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 		if out.OverBudget != 0 {
 			t.Errorf("rate=%.0f: %d decisions exceeded their redundancy budget", rate, out.OverBudget)
 		}
-		if out.MaxK > a13Replicas {
+		if out.MaxK > sweepReplicas {
 			t.Errorf("rate=%.0f: max |K| = %d exceeds the pool", rate, out.MaxK)
 		}
 		// Admission control is active and explicit: past saturation some
@@ -70,7 +71,7 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 		if out.Shed == 0 {
 			t.Errorf("rate=%.0f: no requests shed past saturation", rate)
 		}
-		if want := int(rate * a13Horizon.Seconds()); out.Issued != want {
+		if want := int(rate * sweepHorizon.Seconds()); out.Issued != want {
 			t.Errorf("rate=%.0f: %d records for %d offered requests — shed requests dropped from accounting",
 				rate, out.Issued, want)
 		}

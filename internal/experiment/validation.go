@@ -29,14 +29,8 @@ func RunV1() (*Table, error) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, deadline := range []time.Duration{90, 110, 130, 160} {
 			for _, pc := range []float64{0.95, 0.7, 0.4, 0.1} {
-				replicas := make([]sim.ReplicaSpec, 7)
-				for i := range replicas {
-					replicas[i] = sim.ReplicaSpec{
-						Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond},
-					}
-				}
 				res, err := sim.Run(sim.Scenario{
-					Replicas: replicas,
+					Replicas: pool(7, sim.ReplicaSpec{Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond}}),
 					Clients: []sim.ClientSpec{{
 						QoS:      wire.QoS{Deadline: deadline * time.Millisecond, MinProbability: pc},
 						Requests: 50,
@@ -157,14 +151,8 @@ func RunA9() (*Table, error) {
 			var p95Sum time.Duration
 			const runs = 3
 			for run := 0; run < runs; run++ {
-				replicas := make([]sim.ReplicaSpec, 5)
-				for i := range replicas {
-					replicas[i] = sim.ReplicaSpec{
-						Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
-					}
-				}
 				res, err := sim.Run(sim.Scenario{
-					Replicas: replicas,
+					Replicas: pool(5, sim.ReplicaSpec{Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond}}),
 					Clients: []sim.ClientSpec{{
 						QoS:      wire.QoS{Deadline: 250 * time.Millisecond, MinProbability: 0.9},
 						Requests: 150,
@@ -225,12 +213,8 @@ func RunA10() (*Table, error) {
 		var selSum, failSum float64
 		const runs = 5
 		for run := 0; run < runs; run++ {
-			replicas := make([]sim.ReplicaSpec, 7)
-			for i := range replicas {
-				replicas[i] = sim.ReplicaSpec{Service: fam.dist}
-			}
 			res, err := sim.Run(sim.Scenario{
-				Replicas: replicas,
+				Replicas: pool(7, sim.ReplicaSpec{Service: fam.dist}),
 				Clients: []sim.ClientSpec{
 					{QoS: wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0}, Requests: 50, Think: time.Second},
 					{QoS: wire.QoS{Deadline: 150 * time.Millisecond, MinProbability: 0.9}, Requests: 50, Think: time.Second},
@@ -268,13 +252,10 @@ func RunA11() (*Table, error) {
 		var selSum, failSum float64
 		const runs = 3
 		for run := 0; run < runs; run++ {
-			replicas := make([]sim.ReplicaSpec, 3)
-			for i := range replicas {
-				replicas[i] = sim.ReplicaSpec{
-					Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
-					Workers: k,
-				}
-			}
+			replicas := pool(3, sim.ReplicaSpec{
+				Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
+				Workers: k,
+			})
 			clients := make([]sim.ClientSpec, 6)
 			for i := range clients {
 				clients[i] = sim.ClientSpec{
@@ -334,12 +315,6 @@ func RunA12() (*Table, error) {
 			var trSum time.Duration
 			const runs = 3
 			for run := 0; run < runs; run++ {
-				replicas := make([]sim.ReplicaSpec, 7)
-				for i := range replicas {
-					replicas[i] = sim.ReplicaSpec{
-						Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond},
-					}
-				}
 				clients := make([]sim.ClientSpec, nClients)
 				for i := range clients {
 					clients[i] = sim.ClientSpec{
@@ -352,7 +327,7 @@ func RunA12() (*Table, error) {
 					}
 				}
 				res, err := sim.Run(sim.Scenario{
-					Replicas: replicas,
+					Replicas: pool(7, sim.ReplicaSpec{Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond}}),
 					Clients:  clients,
 					Network:  sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
 					Seed:     500 + int64(run),

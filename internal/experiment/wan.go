@@ -104,12 +104,8 @@ type a16Outcome struct {
 
 // runA16Cell simulates one placement under one gateway-history setting.
 func runA16Cell(placement []int, gatewayHist int, seed int64) (a16Outcome, error) {
-	replicas := make([]sim.ReplicaSpec, len(placement))
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{Service: stats.Normal{Mu: a16ServiceMu, Sigma: a16ServiceSigma}}
-	}
 	res, err := sim.Run(sim.Scenario{
-		Replicas: replicas,
+		Replicas: pool(len(placement), sim.ReplicaSpec{Service: stats.Normal{Mu: a16ServiceMu, Sigma: a16ServiceSigma}}),
 		Clients: []sim.ClientSpec{{
 			QoS:      wire.QoS{Deadline: a16Deadline, MinProbability: a16MinProb},
 			Requests: int(a16Rate * a16Horizon.Seconds()),
@@ -139,7 +135,7 @@ func runA16Cell(placement []int, gatewayHist int, seed int64) (a16Outcome, error
 	timely, kSum := 0, 0
 	for _, rec := range c.Records {
 		kSum += rec.NumSelected
-		if rec.GotReply && !rec.Failure {
+		if rec.Timely() {
 			timely++
 		}
 	}

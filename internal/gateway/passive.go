@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,7 +67,7 @@ func NewPassiveHandler(ep transport.Endpoint, cfg PassiveConfig) (*PassiveHandle
 		h.addrOf[id] = addr
 		h.members = append(h.members, id)
 	}
-	sortReplicaIDs(h.members)
+	slices.Sort(h.members)
 	if cfg.Group != nil {
 		gcfg := *cfg.Group
 		gcfg.Role = group.Observer
@@ -224,14 +225,6 @@ func (h *PassiveHandler) recvLoop() {
 				h.node.HandleHeartbeat(m, msg.From, time.Now())
 			}
 		default:
-		}
-	}
-}
-
-func sortReplicaIDs(ids []wire.ReplicaID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }

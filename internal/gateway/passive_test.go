@@ -132,15 +132,6 @@ func TestPassiveCanceledContext(t *testing.T) {
 	}
 }
 
-func TestSortReplicaIDs(t *testing.T) {
-	ids := []wire.ReplicaID{"c", "a", "b"}
-	sortReplicaIDs(ids)
-	if ids[0] != "a" || ids[1] != "b" || ids[2] != "c" {
-		t.Errorf("sorted = %v", ids)
-	}
-	sortReplicaIDs(nil) // must not panic
-}
-
 // passiveCluster starts replicas with per-replica handlers and delays and
 // returns a PassiveHandler over them.
 func passiveCluster(t *testing.T, attempt time.Duration, specs map[wire.ReplicaID]passiveSpec) *PassiveHandler {

@@ -33,6 +33,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -354,7 +355,7 @@ func (r *Replica) UpdatePeers(peers map[wire.ReplicaID]transport.Addr) {
 		o.peers[id] = addr
 		o.peerOrder = append(o.peerOrder, id)
 	}
-	sortReplicaIDs(o.peerOrder)
+	slices.Sort(o.peerOrder)
 	soleSurvivor := o.recovering && len(o.peerOrder) == 0
 	if soleSurvivor {
 		o.recovering = false
@@ -363,14 +364,6 @@ func (r *Replica) UpdatePeers(peers map[wire.ReplicaID]transport.Addr) {
 	o.mu.Unlock()
 	if !soleSurvivor {
 		o.kickRecovery()
-	}
-}
-
-func sortReplicaIDs(ids []wire.ReplicaID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 }
 

@@ -160,6 +160,8 @@ func TestCancelAbortsInService(t *testing.T) {
 	if resp.Seq != 2 {
 		t.Errorf("response for seq %d, want 2 (aborted request replied)", resp.Seq)
 	}
+	// The worker counts a request served only after sending its reply.
+	waitFor(t, "seq 2 to be counted", func() bool { return r.Served() >= 1 })
 	if served := r.Served(); served != 1 {
 		t.Errorf("served %d, want 1", served)
 	}

@@ -206,6 +206,9 @@ type RequestRecord struct {
 	BudgetCapped bool // budget or best-effort cap truncated the selection
 }
 
+// Timely reports whether the request got a reply within its deadline.
+func (r RequestRecord) Timely() bool { return r.GotReply && !r.Failure }
+
 // Client simulates one client gateway running the timing fault handler: it
 // issues Requests requests with a think-time delay between receiving a
 // response and issuing the next request (the paper uses one second).

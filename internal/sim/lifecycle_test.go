@@ -69,7 +69,7 @@ func TestSimSlowReplicaQuarantinedAndRejuvenated(t *testing.T) {
 	tail := c.Records[len(c.Records)-100:]
 	timely := 0
 	for _, r := range tail {
-		if r.GotReply && !r.Failure {
+		if r.Timely() {
 			timely++
 		}
 	}

@@ -232,7 +232,7 @@ func (r ClientResult) ShedCount() int {
 func (r ClientResult) TimelyCount() int {
 	n := 0
 	for _, rec := range r.Records {
-		if rec.GotReply && !rec.Failure {
+		if rec.Timely() {
 			n++
 		}
 	}
