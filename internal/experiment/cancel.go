@@ -23,22 +23,23 @@ const (
 
 // a17Sweep runs the sweep over the heavy-tailed service law.
 var a17Sweep = loadSweep{
-	id:      "a17",
-	service: stats.Pareto{Scale: a17Scale, Alpha: a17Alpha},
-	seed:    1700,
+	id:        "a17",
+	service:   stats.Pareto{Scale: a17Scale, Alpha: a17Alpha},
+	seed:      1700,
+	staleness: sweepStaleness,
 }
 
 // a17Variants contrasts the PR 6 budgeted baseline with cancellation on top,
 // the cancellation-enabled static budgets the controller must match, and the
 // online controller itself. Every variant runs behind a13's admission
 // ceiling.
-func a17Variants() []sweepVariant {
+func a17Variants() []variant {
 	ceiling := core.OverloadConfig{MaxInFlight: sweepCeiling}
 	budgeted := func() selection.Strategy { return selection.NewBudgeted() }
 	staticK := func(k int) func() selection.Strategy {
 		return func() selection.Strategy { return &selection.Budgeted{MinK: k, MaxK: k} }
 	}
-	return []sweepVariant{
+	return []variant{
 		{name: "budgeted", strategy: budgeted, overload: ceiling},
 		{name: "budgeted+cancel", strategy: budgeted, overload: ceiling, cancel: true},
 		{name: "static-k2+cancel", strategy: staticK(2), overload: ceiling, cancel: true},
@@ -84,7 +85,7 @@ func RunA17() (*Table, error) {
 		rate    float64
 		variant string
 	}
-	cells := make(map[key]sweepOutcome)
+	cells := make(map[key]outcome)
 	for _, rate := range sweepRates {
 		for _, v := range a17Variants() {
 			out, err := a17Sweep.cell(rate, v)

@@ -17,14 +17,8 @@ func TestCancellationLiftsSaturatedGoodput(t *testing.T) {
 	base := variantNamed(t, a17Variants(), "budgeted")
 	withCancel := variantNamed(t, a17Variants(), "budgeted+cancel")
 	for _, rate := range []float64{40, 80} {
-		b, err := a17Sweep.run(rate, base, a17TestSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := a17Sweep.run(rate, withCancel, a17TestSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := sweepOnce(t, a17Sweep, rate, base, a17TestSeed)
+		c := sweepOnce(t, a17Sweep, rate, withCancel, a17TestSeed)
 		if c.Goodput < 1.5*b.Goodput {
 			t.Errorf("rate=%.0f: goodput with cancel %.2f < 1.5x without %.2f — the lift is gone",
 				rate, c.Goodput, b.Goodput)
@@ -48,14 +42,8 @@ func TestAdaptiveControllerCompetitive(t *testing.T) {
 	adaptive := variantNamed(t, a17Variants(), "adaptive+cancel")
 	static := variantNamed(t, a17Variants(), "static-k3+cancel")
 	const rate = 40
-	a, err := a17Sweep.run(rate, adaptive, a17TestSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := a17Sweep.run(rate, static, a17TestSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := sweepOnce(t, a17Sweep, rate, adaptive, a17TestSeed)
+	s := sweepOnce(t, a17Sweep, rate, static, a17TestSeed)
 	if a.Goodput < 0.85*s.Goodput {
 		t.Errorf("adaptive goodput %.2f < 85%% of static-k3 %.2f", a.Goodput, s.Goodput)
 	}

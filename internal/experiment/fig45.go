@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aqua/internal/selection"
 	"aqua/internal/sim"
 	"aqua/internal/stats"
 	"aqua/internal/wire"
@@ -78,55 +79,47 @@ func RunFig45(cfg Fig45Config) ([]Fig45Row, error) {
 	var rows []Fig45Row
 	for _, pc := range cfg.Probabilities {
 		for _, deadline := range cfg.Deadlines {
-			var selSum, failSum, servedSum float64
-			var respSum, p95Sum time.Duration
-			for run := 0; run < cfg.Runs; run++ {
-				res, err := runFig45Point(cfg, deadline, pc, cfg.Seed+int64(run))
-				if err != nil {
-					return nil, err
-				}
-				c2 := res.Clients[1]
-				selSum += c2.MeanSelected()
-				failSum += c2.FailureProbability()
-				respSum += c2.MeanResponseTime()
-				p95Sum += c2.ResponseTimePercentile(95)
-				servedSum += float64(res.TotalServed())
+			out, err := cfg.point(deadline, pc, nil, nil)
+			if err != nil {
+				return nil, err
 			}
-			n := float64(cfg.Runs)
 			rows = append(rows, Fig45Row{
 				Deadline:     deadline,
 				Probability:  pc,
-				MeanSelected: selSum / n,
-				FailureProb:  failSum / n,
-				MeanResponse: respSum / time.Duration(cfg.Runs),
-				P95Response:  p95Sum / time.Duration(cfg.Runs),
-				TotalServed:  servedSum / n,
+				MeanSelected: out.MeanK,
+				FailureProb:  out.FailProb,
+				MeanResponse: out.MeanRT,
+				P95Response:  out.P95,
+				TotalServed:  out.Served,
 			})
 		}
 	}
 	return rows, nil
 }
 
-func runFig45Point(cfg Fig45Config, deadline time.Duration, pc float64, seed int64) (*sim.Result, error) {
-	return sim.Run(sim.Scenario{
-		Replicas: pool(cfg.Replicas, sim.ReplicaSpec{Service: stats.Normal{Mu: cfg.ServiceMean, Sigma: cfg.ServiceSigma}}),
-		Clients: []sim.ClientSpec{
-			// Client 1: fixed 200 ms deadline, Pc >= 0 in every run (§6).
-			{
-				QoS:      wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0},
-				Requests: cfg.RequestsPerClient,
-				Think:    cfg.Think,
+// point averages client 2 of the §6 setup at (deadline, pc) over cfg.Runs
+// seeds from cfg.Seed; client 1 is fixed at (200 ms, Pc 0) in every run.
+// strategy, when set, gives client 2 a fresh strategy each run (some are
+// stateful); mutate, when set, edits each run's scenario.
+func (cfg Fig45Config) point(deadline time.Duration, pc float64, strategy func() selection.Strategy, mutate func(*sim.Scenario)) (outcome, error) {
+	return seeds{first: cfg.Seed, runs: cfg.Runs, client: 1}.average(func(seed int64) sim.Scenario {
+		sc := sim.Scenario{
+			Replicas: pool(cfg.Replicas, sim.ReplicaSpec{Service: stats.Normal{Mu: cfg.ServiceMean, Sigma: cfg.ServiceSigma}}),
+			Clients: []sim.ClientSpec{
+				{QoS: wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0}, Requests: cfg.RequestsPerClient, Think: cfg.Think},
+				{QoS: wire.QoS{Deadline: deadline, MinProbability: pc}, Requests: cfg.RequestsPerClient, Think: cfg.Think},
 			},
-			// Client 2: the swept client whose metrics the figures plot.
-			{
-				QoS:      wire.QoS{Deadline: deadline, MinProbability: pc},
-				Requests: cfg.RequestsPerClient,
-				Think:    cfg.Think,
-			},
-		},
-		Network:    sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-		WindowSize: cfg.WindowSize,
-		Seed:       seed,
+			Network:    sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
+			WindowSize: cfg.WindowSize,
+			Seed:       seed,
+		}
+		if strategy != nil {
+			sc.Clients[1].Strategy = strategy()
+		}
+		if mutate != nil {
+			mutate(&sc)
+		}
+		return sc
 	})
 }
 

@@ -7,12 +7,16 @@ package experiment
 // changed baseline), the budgeted variant degrades gracefully instead, and
 // shedding is explicit accounting, never silent loss.
 
-import "testing"
+import (
+	"testing"
+
+	"aqua/internal/sim"
+)
 
 const s4Seed = 1300
 
 // variantNamed picks one variant of a sweep by name.
-func variantNamed(t *testing.T, variants []sweepVariant, name string) sweepVariant {
+func variantNamed(t *testing.T, variants []variant, name string) variant {
 	t.Helper()
 	for _, v := range variants {
 		if v.name == name {
@@ -20,7 +24,7 @@ func variantNamed(t *testing.T, variants []sweepVariant, name string) sweepVaria
 		}
 	}
 	t.Fatalf("no %q variant", name)
-	return sweepVariant{}
+	return variant{}
 }
 
 // TestOverloadPaperExactCollapses: past saturation (~25 admitted req/s) the
@@ -30,10 +34,7 @@ func variantNamed(t *testing.T, variants []sweepVariant, name string) sweepVaria
 func TestOverloadPaperExactCollapses(t *testing.T) {
 	v := variantNamed(t, a13Variants(), "paper-exact")
 	for _, rate := range []float64{20, 40} {
-		out, err := a13Sweep.run(rate, v, s4Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := sweepOnce(t, a13Sweep, rate, v, s4Seed)
 		if out.Goodput > 1.0 || out.TimelyFrac > 0.05 {
 			t.Errorf("rate=%.0f: paper-exact goodput=%.2f timely=%.3f — collapse not reproduced",
 				rate, out.Goodput, out.TimelyFrac)
@@ -53,10 +54,7 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 	rates := []float64{20, 40, 80}
 	goodput := make([]float64, len(rates))
 	for i, rate := range rates {
-		out, err := a13Sweep.run(rate, v, s4Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := sweepOnce(t, a13Sweep, rate, v, s4Seed)
 		goodput[i] = out.Goodput
 
 		if out.OverBudget != 0 {
@@ -92,4 +90,16 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 				rates[i], g, peak)
 		}
 	}
+}
+
+// sweepOnce measures one seed of a sweep point.
+func sweepOnce(t *testing.T, s loadSweep, rate float64, v variant, seed int64) outcome {
+	t.Helper()
+	out, err := seeds{first: seed, runs: 1, warmup: sweepWarmup}.average(func(seed int64) sim.Scenario {
+		return s.scenario(rate, v, seed)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aqua/internal/selection"
@@ -93,8 +94,6 @@ func RunV1() (*Table, error) {
 // simple to extend our approach to record the value of the gateway-to-
 // gateway delay over a sliding window", §5.3.1) under a spiky network.
 func RunA8() (*Table, error) {
-	b := defaultAblationBase()
-	b.runs = 5
 	spiky := func(history int) func(*sim.Scenario) {
 		return func(sc *sim.Scenario) {
 			sc.Network.SpikeProb = 0.15
@@ -109,21 +108,21 @@ func RunA8() (*Table, error) {
 			"most-recent T (paper default) whipsaws after each spike; a windowed T pmf convolved as a third factor absorbs it",
 		},
 	}
-	for _, v := range []struct {
-		name    string
-		history int
-	}{
-		{"most-recent (paper)", 1},
-		{"window-5 pmf", 5},
-		{"window-20 pmf", 20},
-	} {
-		sel, fail, _, err := b.point(nil, spiky(v.history))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: a8 %s: %w", v.name, err)
-		}
-		t.Rows = append(t.Rows, []string{v.name, f2(sel), f3(fail)})
-	}
-	return t, nil
+	return ablationRows(t, "a8", ablationRuns, []ablationRow{
+		{label: "most-recent (paper)", mutate: spiky(1)},
+		{label: "window-5 pmf", mutate: spiky(5)},
+		{label: "window-20 pmf", mutate: spiky(20)},
+	})
+}
+
+// a9Sweep is the load sweep as the paper's protocol would run it: no
+// staleness bound, 150 requests per run at every rate, and each rate's seeds
+// 100 apart.
+var a9Sweep = loadSweep{
+	id:       "a9",
+	service:  stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
+	rateSeed: 100,
+	requests: 150,
 }
 
 // RunA9 sweeps offered load with an open-loop Poisson workload — the regime
@@ -140,42 +139,17 @@ func RunA9() (*Table, error) {
 		},
 	}
 	for _, rate := range []float64{5, 15, 30, 60} {
-		for _, v := range []struct {
-			name string
-			mk   func() selection.Strategy
-		}{
-			{"dynamic", func() selection.Strategy { return selection.NewDynamic() }},
-			{"single-best", func() selection.Strategy { return selection.SingleBest{} }},
-		} {
-			var selSum, failSum float64
-			var p95Sum time.Duration
-			const runs = 3
-			for run := 0; run < runs; run++ {
-				res, err := sim.Run(sim.Scenario{
-					Replicas: pool(5, sim.ReplicaSpec{Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond}}),
-					Clients: []sim.ClientSpec{{
-						QoS:      wire.QoS{Deadline: 250 * time.Millisecond, MinProbability: 0.9},
-						Requests: 150,
-						Arrival:  stats.Exponential{MeanDelay: time.Duration(float64(time.Second) / rate)},
-						Strategy: v.mk(),
-					}},
-					Network: sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-					Seed:    100*int64(rate) + int64(run),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: a9 rate=%v %s: %w", rate, v.name, err)
-				}
-				c := res.Clients[0]
-				selSum += c.MeanSelected()
-				failSum += c.FailureProbability()
-				p95Sum += c.ResponseTimePercentile(95)
+		for _, v := range []variant{{name: "dynamic", strategy: dynamic}, {name: "single-best", strategy: singleBest}} {
+			out, err := a9Sweep.cell(rate, v)
+			if err != nil {
+				return nil, err
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%.0f", rate),
 				v.name,
-				f2(selSum / runs),
-				f3(failSum / runs),
-				fmt.Sprintf("%.1f", float64(p95Sum/runs)/float64(time.Millisecond)),
+				f2(out.MeanK),
+				f3(out.FailProb),
+				fmt.Sprintf("%.1f", float64(out.P95)/float64(time.Millisecond)),
 			})
 		}
 	}
@@ -209,30 +183,20 @@ func RunA10() (*Table, error) {
 			"the windowed pmf is non-parametric; the Pc bound should hold for every family, at family-dependent redundancy",
 		},
 	}
+	cfg := DefaultFig45Config()
+	cfg.Runs, cfg.Seed = 5, 300
 	for _, fam := range families {
-		var selSum, failSum float64
-		const runs = 5
-		for run := 0; run < runs; run++ {
-			res, err := sim.Run(sim.Scenario{
-				Replicas: pool(7, sim.ReplicaSpec{Service: fam.dist}),
-				Clients: []sim.ClientSpec{
-					{QoS: wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0}, Requests: 50, Think: time.Second},
-					{QoS: wire.QoS{Deadline: 150 * time.Millisecond, MinProbability: 0.9}, Requests: 50, Think: time.Second},
-				},
-				Network: sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-				Seed:    300 + int64(run),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: a10 %s: %w", fam.name, err)
-			}
-			selSum += res.Clients[1].MeanSelected()
-			failSum += res.Clients[1].FailureProbability()
+		out, err := cfg.point(150*time.Millisecond, 0.9, nil, func(sc *sim.Scenario) {
+			sc.Replicas = pool(len(sc.Replicas), sim.ReplicaSpec{Service: fam.dist})
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiment: a10 %s: %w", fam.name, err)
 		}
 		held := "yes"
-		if failSum/runs > 0.1 {
+		if out.FailProb > 0.1 {
 			held = "NO"
 		}
-		t.Rows = append(t.Rows, []string{fam.name, f2(selSum / runs), f3(failSum / runs), held})
+		t.Rows = append(t.Rows, []string{fam.name, f2(out.MeanK), f3(out.FailProb), held})
 	}
 	return t, nil
 }
@@ -249,35 +213,23 @@ func RunA11() (*Table, error) {
 		},
 	}
 	for _, k := range []int{1, 2, 4} {
-		var selSum, failSum float64
-		const runs = 3
-		for run := 0; run < runs; run++ {
-			replicas := pool(3, sim.ReplicaSpec{
-				Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
-				Workers: k,
-			})
-			clients := make([]sim.ClientSpec, 6)
-			for i := range clients {
-				clients[i] = sim.ClientSpec{
-					QoS:      wire.QoS{Deadline: 250 * time.Millisecond, MinProbability: 0.9},
-					Requests: 50,
-					Think:    150 * time.Millisecond,
-				}
+		out, err := seeds{first: 400, runs: 3}.average(func(seed int64) sim.Scenario {
+			client := sim.ClientSpec{
+				QoS:      wire.QoS{Deadline: 250 * time.Millisecond, MinProbability: 0.9},
+				Requests: 50,
+				Think:    150 * time.Millisecond,
 			}
-			res, err := sim.Run(sim.Scenario{
-				Replicas: replicas,
-				Clients:  clients,
+			return sim.Scenario{
+				Replicas: pool(3, sim.ReplicaSpec{Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond}, Workers: k}),
+				Clients:  slices.Repeat([]sim.ClientSpec{client}, 6),
 				Network:  sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-				Seed:     400 + int64(run),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: a11 k=%d: %w", k, err)
+				Seed:     seed,
 			}
-			c := res.Clients[0]
-			selSum += c.MeanSelected()
-			failSum += c.FailureProbability()
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiment: a11 k=%d: %w", k, err)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), f2(selSum / runs), f3(failSum / runs)})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), f2(out.MeanK), f3(out.FailProb)})
 	}
 	return t, nil
 }
@@ -292,7 +244,7 @@ func RunA11() (*Table, error) {
 // overload. The paper's evaluation (1 req/s clients) never enters this
 // regime. The amplification is fixed by the budgeted strategy plus
 // admission control (BudgetedSelection + OverloadConfig) and fenced by the
-// a13 overload sweep.
+// a13 overload sweep. Each run's rates are averaged over every client.
 func RunA12() (*Table, error) {
 	t := &Table{
 		Title:   "A12: client scalability (7 replicas @ ~100ms, deadline=200ms, Pc=0.9, think 400ms)",
@@ -304,56 +256,39 @@ func RunA12() (*Table, error) {
 		},
 	}
 	for _, nClients := range []int{1, 2, 4, 8, 12} {
-		for _, strat := range []struct {
-			name string
-			mk   func() selection.Strategy
-		}{
-			{"dynamic (paper)", func() selection.Strategy { return selection.NewDynamic() }},
-			{"dynamic-cap3", func() selection.Strategy { return selection.NewDynamicCapped(3) }},
+		for _, v := range []variant{
+			{name: "dynamic (paper)", strategy: dynamic},
+			{name: "dynamic-cap3", strategy: func() selection.Strategy { return selection.NewDynamicCapped(3) }},
 		} {
-			var selSum, failSum, servedSum float64
-			var trSum time.Duration
-			const runs = 3
-			for run := 0; run < runs; run++ {
+			out, err := seeds{first: 500, runs: 3, client: everyClient}.average(func(seed int64) sim.Scenario {
 				clients := make([]sim.ClientSpec, nClients)
 				for i := range clients {
 					clients[i] = sim.ClientSpec{
 						QoS:      wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0.9},
 						Requests: 50,
 						Think:    400 * time.Millisecond,
-						Strategy: strat.mk(),
+						Strategy: v.strategy(),
 						// Stagger starts so cold-start floods don't collide.
 						StartAt: time.Duration(i) * 50 * time.Millisecond,
 					}
 				}
-				res, err := sim.Run(sim.Scenario{
+				return sim.Scenario{
 					Replicas: pool(7, sim.ReplicaSpec{Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond}}),
 					Clients:  clients,
 					Network:  sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-					Seed:     500 + int64(run),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: a12 n=%d: %w", nClients, err)
+					Seed:     seed,
 				}
-				var sel, fail float64
-				var tr time.Duration
-				for _, c := range res.Clients {
-					sel += c.MeanSelected()
-					fail += c.FailureProbability()
-					tr += c.MeanResponseTime()
-				}
-				selSum += sel / float64(nClients)
-				failSum += fail / float64(nClients)
-				trSum += tr / time.Duration(nClients)
-				servedSum += float64(res.TotalServed())
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiment: a12 n=%d: %w", nClients, err)
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", nClients),
-				strat.name,
-				f2(selSum / runs),
-				f3(failSum / runs),
-				fmt.Sprintf("%.1f", float64(trSum/runs)/float64(time.Millisecond)),
-				fmt.Sprintf("%.0f", servedSum/runs),
+				v.name,
+				f2(out.MeanK),
+				f3(out.FailProb),
+				fmt.Sprintf("%.1f", float64(out.MeanRT)/float64(time.Millisecond)),
+				fmt.Sprintf("%.0f", out.Served),
 			})
 		}
 	}

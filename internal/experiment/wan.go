@@ -95,16 +95,9 @@ func a16PlacementName(p []int) string {
 	return s
 }
 
-// a16Outcome aggregates one (placement, T-mode) cell across seeds.
-type a16Outcome struct {
-	TimelyFrac float64
-	MeanK      float64
-	P95        time.Duration
-}
-
-// runA16Cell simulates one placement under one gateway-history setting.
-func runA16Cell(placement []int, gatewayHist int, seed int64) (a16Outcome, error) {
-	res, err := sim.Run(sim.Scenario{
+// a16Scenario simulates one placement under one gateway-history setting.
+func a16Scenario(placement []int, gatewayHist int, seed int64) sim.Scenario {
+	return sim.Scenario{
 		Replicas: pool(len(placement), sim.ReplicaSpec{Service: stats.Normal{Mu: a16ServiceMu, Sigma: a16ServiceSigma}}),
 		Clients: []sim.ClientSpec{{
 			QoS:      wire.QoS{Deadline: a16Deadline, MinProbability: a16MinProb},
@@ -126,43 +119,7 @@ func runA16Cell(placement []int, gatewayHist int, seed int64) (a16Outcome, error
 		StalenessBound: a16Staleness,
 		Seed:           seed,
 		MaxTime:        4 * time.Hour,
-	})
-	if err != nil {
-		return a16Outcome{}, err
 	}
-	c := res.Clients[0]
-	out := a16Outcome{P95: c.ResponseTimePercentile(95)}
-	timely, kSum := 0, 0
-	for _, rec := range c.Records {
-		kSum += rec.NumSelected
-		if rec.Timely() {
-			timely++
-		}
-	}
-	if n := len(c.Records); n > 0 {
-		out.TimelyFrac = float64(timely) / float64(n)
-		out.MeanK = float64(kSum) / float64(n)
-	}
-	return out, nil
-}
-
-// a16Cell averages a cell over seeds.
-func a16Cell(placement []int, gatewayHist, runs int) (a16Outcome, error) {
-	var sum a16Outcome
-	for run := 0; run < runs; run++ {
-		out, err := runA16Cell(placement, gatewayHist, 1600+int64(run))
-		if err != nil {
-			return a16Outcome{}, fmt.Errorf("experiment: a16 placement=%s hist=%d: %w",
-				a16PlacementName(placement), gatewayHist, err)
-		}
-		sum.TimelyFrac += out.TimelyFrac
-		sum.MeanK += out.MeanK
-		sum.P95 += out.P95
-	}
-	sum.TimelyFrac /= float64(runs)
-	sum.MeanK /= float64(runs)
-	sum.P95 /= time.Duration(runs)
-	return sum, nil
 }
 
 // RunA16 ranks every placement of a16Budget replicas over a16Regions regions
@@ -195,7 +152,7 @@ func RunA16(quick bool) (*Table, error) {
 
 	type ranked struct {
 		placement []int
-		out       a16Outcome
+		out       outcome
 	}
 	modes := []struct {
 		name string
@@ -208,9 +165,11 @@ func RunA16(quick bool) (*Table, error) {
 	for _, mode := range modes {
 		var rows []ranked
 		for _, p := range a16Placements() {
-			out, err := a16Cell(p, mode.hist, runs)
+			out, err := seeds{first: 1600, runs: runs}.average(func(seed int64) sim.Scenario {
+				return a16Scenario(p, mode.hist, seed)
+			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("experiment: a16 placement=%s hist=%d: %w", a16PlacementName(p), mode.hist, err)
 			}
 			rows = append(rows, ranked{placement: p, out: out})
 		}

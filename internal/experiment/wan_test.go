@@ -8,6 +8,8 @@ package experiment
 import (
 	"testing"
 	"time"
+
+	"aqua/internal/sim"
 )
 
 func TestA16PlacementEnumeration(t *testing.T) {
@@ -44,14 +46,16 @@ func TestA16PlacementEnumeration(t *testing.T) {
 // the only estimate it keeps.
 func TestA16WindowedTBeatsPointMass(t *testing.T) {
 	placement := []int{0, 0, 0}
-	pm, err := runA16Cell(placement, 1, 1600)
-	if err != nil {
-		t.Fatal(err)
+	one := func(hist int) outcome {
+		out, err := seeds{first: 1600, runs: 1}.average(func(seed int64) sim.Scenario {
+			return a16Scenario(placement, hist, seed)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	win, err := runA16Cell(placement, a16TWindow, 1600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm, win := one(1), one(a16TWindow)
 	if win.TimelyFrac < pm.TimelyFrac {
 		t.Errorf("windowed T timely %.3f < point-mass %.3f on the all-local placement",
 			win.TimelyFrac, pm.TimelyFrac)
