@@ -163,47 +163,65 @@ func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
 	}
 
 	res := &FaultsResult{Cfg: cfg}
-	measure := func(name string, c caller, statsOf func() (aqua.Stats, bool)) {
-		before, hasStats := aqua.Stats{}, false
-		if statsOf != nil {
-			before, hasStats = statsOf()
-		}
-		row := FaultsRow{Handler: name, Requests: cfg.Requests}
-		timely, completed := 0, 0
-		var total time.Duration
-		for i := 0; i < cfg.Requests; i++ {
-			start := time.Now()
-			_, err := c.Call(ctx, "", nil)
-			elapsed := time.Since(start)
-			if err != nil {
-				row.Errors++
-				continue
-			}
-			completed++
-			total += elapsed
-			if elapsed <= cfg.Deadline {
-				timely++
-			}
-		}
-		row.Timely = float64(timely) / float64(cfg.Requests)
-		if completed > 0 {
-			row.MeanRT = total / time.Duration(completed)
-		}
-		if hasStats {
-			after, _ := statsOf()
-			if dr := after.Requests - before.Requests; dr > 0 {
-				row.MeanSelected = float64(after.SelectedTotal-before.SelectedTotal) / float64(dr)
-			}
-		}
+	for _, h := range []struct {
+		name    string
+		c       caller
+		statsOf func() aqua.Stats // nil: the passive handler keeps none
+	}{{"dynamic", dynamic, dynamic.Stats}, {"single-best", single, single.Stats}, {"passive", passive, nil}} {
+		row := measureCalls(cfg.Requests, cfg.Deadline, 0, h.statsOf, func(int) error {
+			_, err := h.c.Call(ctx, "", nil)
+			return err
+		})
+		row.Handler = h.name
 		res.Rows = append(res.Rows, row)
 	}
-	measure("dynamic", dynamic, func() (aqua.Stats, bool) { return dynamic.Stats(), true })
-	measure("single-best", single, func() (aqua.Stats, bool) { return single.Stats(), true })
-	measure("passive", passive, nil)
 
 	fs := inj.Stats()
 	res.Dropped, res.Delayed = fs.Dropped, fs.Delayed
 	return res, nil
+}
+
+// measureCalls makes n calls, the i-th through call(i), and tallies them
+// against deadline: the timely share of all n, the errors, the mean elapsed
+// time of the calls that completed and, when statsOf is set, mean |K| from
+// how far its Stats moved. A positive pace holds each call to at least that
+// long, sleeping off the rest.
+func measureCalls(n int, deadline, pace time.Duration, statsOf func() aqua.Stats, call func(i int) error) FaultsRow {
+	var before aqua.Stats
+	if statsOf != nil {
+		before = statsOf()
+	}
+	row := FaultsRow{Requests: n}
+	timely, completed := 0, 0
+	var total time.Duration
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		err := call(i)
+		elapsed := time.Since(start)
+		if gap := pace - elapsed; gap > 0 {
+			time.Sleep(gap)
+		}
+		if err != nil {
+			row.Errors++
+			continue
+		}
+		completed++
+		total += elapsed
+		if elapsed <= deadline {
+			timely++
+		}
+	}
+	row.Timely = float64(timely) / float64(n)
+	if completed > 0 {
+		row.MeanRT = total / time.Duration(completed)
+	}
+	if statsOf != nil {
+		after := statsOf()
+		if dr := after.Requests - before.Requests; dr > 0 {
+			row.MeanSelected = float64(after.SelectedTotal-before.SelectedTotal) / float64(dr)
+		}
+	}
+	return row
 }
 
 // FaultsTable formats the result against the contract.

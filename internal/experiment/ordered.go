@@ -285,23 +285,15 @@ func RunOrderedCheck(cfg OrderedCheckConfig) (*OrderedCheckResult, error) {
 	// sweep's subject is crash and recovery mid-stream, not the join race at
 	// cluster build. (A not-yet-recovered replica correctly holds back all
 	// live stamps, so starting early only measures the join.)
-	warm := time.Now().Add(5 * time.Second)
-	for {
-		ready := true
+	if !waitUntil(5*time.Second, func() bool {
 		for _, r := range cluster.Replicas() {
 			if !r.CaughtUp() {
-				ready = false
-				break
+				return false
 			}
 		}
-		if ready {
-			break
-		}
-		if time.Now().After(warm) {
-			violate("pool never fully caught up at boot")
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+		return true
+	}) {
+		violate("pool never fully caught up at boot")
 	}
 
 	// Continuous re-admission monitor: any incarnation added after the start
@@ -362,23 +354,33 @@ func RunOrderedCheck(cfg OrderedCheckConfig) (*OrderedCheckResult, error) {
 	case a18Steady:
 		// No failures.
 	case a18Restart:
-		victim := cluster.Replicas()[0]
-		if err := cluster.StopReplica(victim.ID()); err != nil {
+		replicas := cluster.Replicas()
+		// Crash on a count, not an op index: a survivor that has applied
+		// server.SnapshotEvery operations holds a snapshot, so whichever one
+		// serves the replacement's transfer ships it.
+		if !waitUntil(5*time.Second, func() bool {
+			for _, r := range replicas[1:] {
+				if r.OrderedTail() < server.SnapshotEvery {
+					return false
+				}
+			}
+			return true
+		}) {
+			violate("a survivor never applied %d ops before the crash", server.SnapshotEvery)
+		}
+		if err := cluster.StopReplica(replicas[0].ID()); err != nil {
 			return nil, fmt.Errorf("experiment: a18 %s: stop: %w", cfg.Name, err)
 		}
 		// Wait for the manager's replacement to finish its state transfer
 		// (recovery is driven by the peer-update, not by traffic).
-		deadline := time.Now().Add(8 * time.Second)
-		recovered := false
-		for !recovered && time.Now().Before(deadline) {
+		if !waitUntil(8*time.Second, func() bool {
 			for _, r := range cluster.Replicas() {
 				if !initial[r.ID()] && r.StateTransfers() > 0 && r.CaughtUp() {
-					recovered = true
+					return true
 				}
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if !recovered {
+			return false
+		}) {
 			violate("no replacement completed state transfer within 8s of the crash")
 		}
 	case a18Ceiling:
@@ -401,19 +403,14 @@ func RunOrderedCheck(cfg OrderedCheckConfig) (*OrderedCheckResult, error) {
 
 	// Let in-flight stamps drain: with the All strategy every live replica
 	// is a target, so the live tails converge on the acked count quickly.
-	settle := time.Now().Add(3 * time.Second)
-	for time.Now().Before(settle) {
-		longest := 0
+	waitUntil(3*time.Second, func() bool {
 		for _, sm := range tr.all() {
-			if n := len(sm.history()); n > longest {
-				longest = n
+			if len(sm.history()) >= len(acked) {
+				return true
 			}
 		}
-		if longest >= len(acked) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return false
+	})
 
 	close(monitorStop)
 	monitorWG.Wait()
@@ -618,4 +615,17 @@ func RunA18() (*Table, error) {
 		return t, firstErr
 	}
 	return t, nil
+}
+
+// waitUntil polls cond every 2 ms until it holds or timeout passes, and
+// reports whether it held.
+func waitUntil(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
 }

@@ -240,49 +240,27 @@ func runSharedPhase(cfg SharedConfig, name string, fleet int, gossip bool) (*Sha
 		time.Sleep(cfg.Settle)
 	}
 
-	before := make([]aqua.Stats, len(clients))
+	total := func() aqua.Stats {
+		var s aqua.Stats
+		for _, c := range clients {
+			st := c.Stats()
+			s.Requests += st.Requests
+			s.SelectedTotal += st.SelectedTotal
+		}
+		return s
+	}
+	row := measureCalls(cfg.Requests, cfg.Deadline, cfg.Pace, total, func(i int) error {
+		_, err := clients[i%len(clients)].Call(ctx, "", nil)
+		return err
+	})
+	phase := &SharedPhase{Name: name, Gateways: fleet, Requests: cfg.Requests,
+		Timely: row.Timely, MeanRT: row.MeanRT, MeanK: row.MeanSelected, Errors: row.Errors}
 	for i, c := range clients {
-		before[i] = c.Stats()
-	}
-
-	phase := &SharedPhase{Name: name, Gateways: fleet, Requests: cfg.Requests}
-	timely, completed := 0, 0
-	var total time.Duration
-	for i := 0; i < cfg.Requests; i++ {
-		c := clients[i%len(clients)]
-		start := time.Now()
-		_, err := c.Call(ctx, "", nil)
-		elapsed := time.Since(start)
-		if gap := cfg.Pace - elapsed; gap > 0 {
-			time.Sleep(gap)
-		}
-		if err != nil {
-			phase.Errors++
-			continue
-		}
-		completed++
-		total += elapsed
-		if elapsed <= cfg.Deadline {
-			timely++
-		}
-	}
-	phase.Timely = float64(timely) / float64(cfg.Requests)
-	if completed > 0 {
-		phase.MeanRT = total / time.Duration(completed)
-	}
-	var dReq, dSel uint64
-	for i, c := range clients {
-		after := c.Stats()
-		dReq += after.Requests - before[i].Requests
-		dSel += after.SelectedTotal - before[i].SelectedTotal
 		phase.Probes += c.ProbesSent() - probeBase[i]
 		if gossip {
 			gs, _ := c.DigestStats()
 			phase.PerGateway = append(phase.PerGateway, gs)
 		}
-	}
-	if dReq > 0 {
-		phase.MeanK = float64(dSel) / float64(dReq)
 	}
 	phase.Registry = cluster.Metrics()
 	return phase, nil
