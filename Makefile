@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
+.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
 
 all: build vet test
 
@@ -70,6 +70,12 @@ faults:
 #        violated cell
 fences:
 	$(GO) run ./cmd/aqua-exp -exp fences
+
+# Non-test Go lines outside bench/, per package and in total: the size the
+# simplicity items of ROADMAP.md are measured in.
+loc:
+	@find . -name "*.go" ! -name "*_test.go" ! -path "./bench/*" ! -path "./.*" -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d  %s\n", n[d], d; printf "%6d  total\n", t }' | LC_ALL=C sort -k2
 
 # One fence at a time: `make a13` ... `make a18`.
 a16: EXPFLAGS = -quick

@@ -36,7 +36,7 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		members := append([]wire.ReplicaID(nil), universe[:4]...)
-		s.OnMembershipChange(members)
+		s.OnMembershipChange(members, time.Now())
 		strategy := selection.NewDynamic()
 		now := time.Now()
 		var table []model.ReplicaProbability
@@ -93,7 +93,7 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 					kept = append(kept, id)
 				}
 				members = kept
-				s.OnMembershipChange(members)
+				s.OnMembershipChange(members, time.Now())
 			case op < 18:
 				what = "Quarantine"
 				repo.Quarantine(id)

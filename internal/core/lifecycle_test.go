@@ -246,13 +246,13 @@ func TestMembershipChangePrunesSuspicionAndStartsProbation(t *testing.T) {
 		t.Fatal("no suspicion windows after a round trip")
 	}
 	// Bootstrap view, then a leaves.
-	s.OnMembershipChangeAt([]wire.ReplicaID{"a", "b", "c"}, time.Now())
-	s.OnMembershipChangeAt([]wire.ReplicaID{"b", "c"}, time.Now())
+	s.OnMembershipChange([]wire.ReplicaID{"a", "b", "c"}, time.Now())
+	s.OnMembershipChange([]wire.ReplicaID{"b", "c"}, time.Now())
 	if _, ok := s.suspicion["a"]; ok {
 		t.Error("departed replica kept its suspicion window")
 	}
 	// A rejoining replica is a newcomer: probation, excluded from selection.
-	s.OnMembershipChangeAt([]wire.ReplicaID{"a", "b", "c"}, time.Now())
+	s.OnMembershipChange([]wire.ReplicaID{"a", "b", "c"}, time.Now())
 	if h, _ := s.Repository().Health("a"); h != repository.Probation {
 		t.Fatalf("Health(a) = %v, want Probation for post-bootstrap rejoin", h)
 	}

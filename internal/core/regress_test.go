@@ -53,7 +53,7 @@ func TestMembershipSweepDrainsDoomedPending(t *testing.T) {
 	}
 
 	// Every selected replica crashes; the sweep time is past the deadline.
-	s.OnMembershipChangeAt(survivorsOf(repo, d), t0.Add(60*ms))
+	s.OnMembershipChange(survivorsOf(repo, d), t0.Add(60*ms))
 
 	if got := s.Outstanding(); got != 0 {
 		t.Errorf("Outstanding() = %d after full-subset crash sweep, want 0 (leak)", got)
@@ -79,7 +79,7 @@ func TestMembershipSweepBeforeDeadlineDropsWithoutCharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnMembershipChangeAt(survivorsOf(repo, d), t0.Add(10*ms))
+	s.OnMembershipChange(survivorsOf(repo, d), t0.Add(10*ms))
 
 	if got := s.Outstanding(); got != 0 {
 		t.Errorf("Outstanding() = %d, want 0", got)
@@ -101,7 +101,7 @@ func TestMembershipSweepSparesLiveTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep exactly one of the targets alive.
-	s.OnMembershipChangeAt([]wire.ReplicaID{d.Targets[0]}, t0.Add(60*ms))
+	s.OnMembershipChange([]wire.ReplicaID{d.Targets[0]}, t0.Add(60*ms))
 
 	if got := s.Outstanding(); got != 1 {
 		t.Errorf("Outstanding() = %d, want 1 (one target still alive)", got)
@@ -130,7 +130,7 @@ func TestMembershipSweepReportsViolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep := s.OnMembershipChangeAt(nil, t0.Add(40*ms))
+	rep := s.OnMembershipChange(nil, t0.Add(40*ms))
 	if rep == nil {
 		t.Fatalf("sweep expiring %d requests past deadline should report a QoS violation", DefaultMinSamplesForViolation)
 	}

@@ -1051,21 +1051,16 @@ func (s *Scheduler) SweepExpired(now time.Time) {
 // Outstanding returns the number of in-flight requests being tracked.
 func (s *Scheduler) Outstanding() int { return int(s.nPend.Load()) }
 
-// OnMembershipChange reconciles the repository against a new group view.
-// Crashed replicas disappear from future selections (§5.4). It also sweeps
-// pending requests whose entire target set left the view: no reply can ever
-// arrive for them, so without the sweep their tracking state would leak
+// OnMembershipChange reconciles the repository against a new group view at
+// now, the caller's clock (a gateway's receive time, the simulator's virtual
+// time). Crashed replicas disappear from future selections (§5.4). It also
+// sweeps pending requests whose entire target set left the view: no reply can
+// ever arrive for them, so without the sweep their tracking state would leak
 // forever in deployments that never fire OnDeadlineExpired or Forget. Swept
-// requests past their deadline are charged as deadline expiries; the first
-// resulting QoS violation (if any) is returned so the caller can surface it.
-func (s *Scheduler) OnMembershipChange(members []wire.ReplicaID) *ViolationReport {
-	return s.OnMembershipChangeAt(members, time.Now())
-}
-
-// OnMembershipChangeAt is OnMembershipChange with an explicit sweep time, so
-// drivers with virtual clocks (the simulator) charge deadline expiries
-// against their own notion of now.
-func (s *Scheduler) OnMembershipChangeAt(members []wire.ReplicaID, now time.Time) *ViolationReport {
+// requests past their deadline at now are charged as deadline expiries; the
+// first resulting QoS violation (if any) is returned so the caller can
+// surface it.
+func (s *Scheduler) OnMembershipChange(members []wire.ReplicaID, now time.Time) *ViolationReport {
 	s.repo.SetMembership(members)
 	// Membership churn removes replicas; dropping the predictor's slots
 	// keeps it from holding tables that can never be used again.

@@ -317,7 +317,7 @@ func TestRenegotiateRearmsViolation(t *testing.T) {
 func TestMembershipChangePrunesCrashedReplica(t *testing.T) {
 	repo := warmRepo(t, 3, 10*ms, 2*ms, ms)
 	s := newSched(t, repo, wire.QoS{Deadline: 100 * ms, MinProbability: 0.5})
-	s.OnMembershipChange([]wire.ReplicaID{"a", "b"}) // c crashed
+	s.OnMembershipChange([]wire.ReplicaID{"a", "b"}, time.Now()) // c crashed
 
 	d, err := s.Schedule(time.Now(), "")
 	if err != nil {
@@ -544,7 +544,7 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 				}
 				if i%25 == 0 {
 					_ = s.Renegotiate(wire.QoS{Deadline: 100 * ms, MinProbability: 0.5})
-					s.OnMembershipChange(repo.Replicas())
+					s.OnMembershipChange(repo.Replicas(), time.Now())
 				}
 			}
 		}(w)

@@ -247,7 +247,7 @@ func newTimingFaultHandlerOn(ep transport.Endpoint, cfg Config, ownRecvLoop bool
 		for id := range cfg.StaticReplicas {
 			ids = append(ids, id)
 		}
-		sched.OnMembershipChange(ids)
+		sched.OnMembershipChange(ids, time.Now())
 		h.subscribeAll(ids)
 	} else {
 		return nil, fmt.Errorf("gateway: either Group or StaticReplicas is required")
@@ -367,14 +367,14 @@ func (h *TimingFaultHandler) UpdateMembership(replicas map[wire.ReplicaID]transp
 		}
 	}
 	h.mu.Unlock()
-	h.sched.OnMembershipChange(ids)
+	h.sched.OnMembershipChange(ids, time.Now())
 	h.prober.onMembershipChange(ids)
 	h.subscribeAll(ids)
 }
 
 // onViewChange reconciles membership and subscribes to newcomers.
 func (h *TimingFaultHandler) onViewChange(v group.View) {
-	h.sched.OnMembershipChange(v.Members)
+	h.sched.OnMembershipChange(v.Members, time.Now())
 	h.prober.onMembershipChange(v.Members)
 	h.subscribeAll(v.Members)
 }

@@ -65,9 +65,9 @@ func TestProberWarmsProbationReplicaToAdmission(t *testing.T) {
 	repo := sched.Repository()
 	// Bootstrap view, then r2 "restarts": it leaves and rejoins, entering
 	// probation with empty windows.
-	sched.OnMembershipChange([]wire.ReplicaID{"r0", "r1", "r2"})
-	sched.OnMembershipChange([]wire.ReplicaID{"r0", "r1"})
-	sched.OnMembershipChange([]wire.ReplicaID{"r0", "r1", "r2"})
+	sched.OnMembershipChange([]wire.ReplicaID{"r0", "r1", "r2"}, time.Now())
+	sched.OnMembershipChange([]wire.ReplicaID{"r0", "r1"}, time.Now())
+	sched.OnMembershipChange([]wire.ReplicaID{"r0", "r1", "r2"}, time.Now())
 	if hl, _ := repo.Health("r2"); hl != repository.Probation {
 		t.Fatalf("Health(r2) = %v, want Probation", hl)
 	}

@@ -1,5 +1,5 @@
 // Package group is the stand-in for the Maestro/Ensemble group-communication
-// layer that AQuA is built on. It provides exactly the services the timing
+// layer that AQuA is built on. It provides the membership services the timing
 // fault handler consumes (§5.4):
 //
 //   - named multicast groups whose server members are tracked by a
@@ -8,9 +8,11 @@
 //     join or are suspected crashed ("Maestro-Ensemble detects the failure
 //     and notifies all the group members about the change in the
 //     membership");
-//   - multicast of a message "to a specified list of members in a group
-//     rather than ... to all group members" — the paper's extension of the
-//     AQuA connection group.
+//
+// The handler's third service, multicast "to a specified list of members in
+// a group rather than ... to all group members" (the paper's extension of
+// the AQuA connection group), is transport.Multicast over the member
+// addresses AddrOf resolves.
 //
 // A participant joins either as a Member (a server replica: it emits
 // heartbeats and appears in views) or as an Observer (a client gateway: it
@@ -190,27 +192,6 @@ func (n *Node) AddrOf(id wire.ReplicaID) (transport.Addr, bool) {
 	defer n.mu.Unlock()
 	a, ok := n.addrOf[id]
 	return a, ok
-}
-
-// MulticastSubset sends payload to the listed members only — the group
-// primitive the timing fault handler is built on.
-func (n *Node) MulticastSubset(targets []wire.ReplicaID, payload any) error {
-	n.mu.Lock()
-	addrs := make([]transport.Addr, 0, len(targets))
-	var missing []wire.ReplicaID
-	for _, id := range targets {
-		if a, ok := n.addrOf[id]; ok {
-			addrs = append(addrs, a)
-		} else {
-			missing = append(missing, id)
-		}
-	}
-	n.mu.Unlock()
-	err := transport.Multicast(n.ep, addrs, payload)
-	if err == nil && len(missing) > 0 {
-		err = fmt.Errorf("group: no address known for members %v", missing)
-	}
-	return err
 }
 
 // HandleHeartbeat ingests a heartbeat routed to this node by the endpoint

@@ -247,80 +247,6 @@ func TestViewNumbersMonotone(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMulticastSubset(t *testing.T) {
-	net := transport.NewInMem()
-	defer func() { _ = net.Close() }()
-	var wg sync.WaitGroup
-
-	epO, _ := net.Listen("addr-o")
-	o, err := Join(epO, fastCfg(Observer, "", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pump(t, epO, o, &wg)
-
-	type member struct {
-		ep transport.Endpoint
-		n  *Node
-		ch chan transport.Message
-	}
-	var members []member
-	for i := 0; i < 3; i++ {
-		ep, _ := net.Listen(transport.Addr(fmt.Sprintf("addr-%d", i)))
-		n, err := Join(ep, fastCfg(Member, wire.ReplicaID(fmt.Sprintf("m%d", i)), []transport.Addr{"addr-o"}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch := make(chan transport.Message, 16)
-		wg.Add(1)
-		go func(ep transport.Endpoint, n *Node) {
-			defer wg.Done()
-			for msg := range ep.Recv() {
-				if hb, ok := msg.Payload.(wire.Heartbeat); ok {
-					n.HandleHeartbeat(hb, msg.From, time.Now())
-					continue
-				}
-				ch <- msg
-			}
-		}(ep, n)
-		members = append(members, member{ep: ep, n: n, ch: ch})
-	}
-	waitView(t, o, time.Second, func(v View) bool { return len(v.Members) == 3 })
-
-	// Send to m0 and m2 only — the paper's subset multicast.
-	if err := o.MulticastSubset([]wire.ReplicaID{"m0", "m2"}, wire.Request{Seq: 5}); err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []int{0, 2} {
-		select {
-		case msg := <-members[idx].ch:
-			if r, ok := msg.Payload.(wire.Request); !ok || r.Seq != 5 {
-				t.Errorf("m%d got %+v", idx, msg.Payload)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("m%d never received the subset multicast", idx)
-		}
-	}
-	select {
-	case msg := <-members[1].ch:
-		t.Fatalf("m1 received %+v despite not being in the subset", msg.Payload)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Unknown members are reported.
-	if err := o.MulticastSubset([]wire.ReplicaID{"ghost"}, wire.Request{}); err == nil {
-		t.Error("want error for unknown member")
-	}
-
-	for _, m := range members {
-		m.n.Leave()
-		_ = m.ep.Close()
-	}
-	o.Leave()
-	_ = epO.Close()
-	wg.Wait()
-}
-
 func TestHeartbeatForWrongGroupIgnored(t *testing.T) {
 	net := transport.NewInMem()
 	defer func() { _ = net.Close() }()

@@ -204,7 +204,7 @@ func notifyMembership(k *Kernel, replicas []*Replica, clients []*Client, rec *tr
 		}
 	}
 	for _, c := range clients {
-		c.sched.OnMembershipChangeAt(live, k.NowTime())
+		c.sched.OnMembershipChange(live, k.NowTime())
 	}
 	rec.Record(trace.Event{At: k.Now(), Kind: trace.KindMembership, Targets: live})
 }

@@ -474,7 +474,7 @@ func Run(s Scenario) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: client %d: %w", i, err)
 		}
-		sched.OnMembershipChangeAt(liveIDs, k.NowTime())
+		sched.OnMembershipChange(liveIDs, k.NowTime())
 
 		giveUp := 10 * spec.QoS.Deadline
 		if giveUp < time.Second {
