@@ -40,7 +40,7 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 		strategy := selection.NewDynamic()
 		now := time.Now()
 		var table []model.ReplicaProbability
-		var cold []repository.ReplicaSnapshot
+		var cold, snaps []repository.ReplicaSnapshot
 
 		perf := func() wire.PerfReport {
 			return wire.PerfReport{
@@ -108,7 +108,8 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", at, err)
 				}
-				table, cold, err = hot.ProbabilityTableInto(selectableSnapshots(repo.SnapshotShared(m)), q.Deadline, table[:0], cold[:0])
+				snaps = repo.SnapshotInto(m, snaps) // selectableSnapshots compacts in place
+				table, cold, err = hot.ProbabilityTableInto(selectableSnapshots(snaps), q.Deadline, table[:0], cold[:0])
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}

@@ -66,24 +66,13 @@ func TestScheduleCachedPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestScheduleFreshPathAllocs fences the path real traffic takes: every
-// selected replica replies — S, W and T windows all move, to different bins
-// each time — before the next decision. What is left to allocate is the
-// repository's re-export of the replicas that replied (the shared slice, and
-// one bins and one counts block per replica).
-func TestScheduleFreshPathAllocs(t *testing.T) {
-	repo := variedRepo(t, 8)
-	s, err := NewScheduler(Config{
-		Service:    "svc",
-		QoS:        wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
-		Repository: repo,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// freshCycle is the decision real traffic takes: every selected replica
+// replies — S, W and T windows all move, to different bins each time — before
+// the next decision, which must select |K| = 2.
+func freshCycle(t *testing.T, s *Scheduler) func() {
 	t0 := time.Now()
 	turn := 0
-	cycle := func() {
+	return func() {
 		d, err := s.Schedule(t0, "")
 		if err != nil {
 			t.Fatal(err)
@@ -101,16 +90,69 @@ func TestScheduleFreshPathAllocs(t *testing.T) {
 		}
 		d.Release()
 	}
+}
+
+// freshCycleAllocs warms freshCycle's pools, slots and map buckets, then
+// returns what one cycle allocates.
+func freshCycleAllocs(t *testing.T, s *Scheduler) float64 {
+	cycle := freshCycle(t, s)
 	for i := 0; i < 20; i++ {
-		cycle() // warm pools, slots and map buckets
+		cycle()
 	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 10 {
-		t.Fatalf("fresh schedule/dispatched/2 replies/release cycle allocated %.1f times per run, want <= 10", allocs)
+	return testing.AllocsPerRun(200, cycle)
+}
+
+// TestScheduleFreshPathAllocs fences the fresh cycle. What is left to
+// allocate is the repository's re-export of the replicas that replied: one
+// bins and one counts block per replica. The view itself is refreshed in
+// place and copied into the scheduler's scratch.
+func TestScheduleFreshPathAllocs(t *testing.T) {
+	repo := variedRepo(t, 8)
+	s, err := NewScheduler(Config{
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
+		Repository: repo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := freshCycleAllocs(t, s); allocs > 4 {
+		t.Fatalf("fresh schedule/dispatched/2 replies/release cycle allocated %.1f times per run, want <= 4", allocs)
 	} else {
 		t.Logf("fresh cycle: %.1f allocs", allocs)
 	}
 	if got := s.Outstanding(); got != 0 {
 		t.Errorf("Outstanding() = %d after every target replied, want 0", got)
+	}
+}
+
+// TestLifecycleFilterFreshPathAllocs: with the lifecycle on and one replica
+// quarantined, the decision drops it from its own copy of the snapshot in
+// place, so the fresh cycle allocates no more than with the lifecycle off.
+func TestLifecycleFilterFreshPathAllocs(t *testing.T) {
+	allocs := func(lifecycle bool) float64 {
+		repo := variedRepo(t, 8)
+		s, err := NewScheduler(Config{
+			Service:    "svc",
+			QoS:        wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
+			Repository: repo,
+			Lifecycle:  LifecycleConfig{Enabled: lifecycle},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lifecycle && !repo.Quarantine("d") {
+			t.Fatal("could not quarantine d")
+		}
+		n := freshCycleAllocs(t, s)
+		if h, _ := repo.Health("d"); lifecycle && h != repository.Quarantined {
+			t.Fatalf("d is %v after the cycles, want quarantined", h)
+		}
+		return n
+	}
+	off, on := allocs(false), allocs(true)
+	if on > off {
+		t.Fatalf("a fresh decision with one replica quarantined allocates %.1f times, %.1f with the lifecycle off", on, off)
 	}
 }
 

@@ -253,22 +253,17 @@ func (s *Scheduler) deliverSuspects(reps []SuspectReport) {
 // newcomers warm up on probes, not on the live-traffic select-all rule). If
 // filtering would leave nothing — every member sick at once — the full set
 // is used: a degraded answer beats none, and the paper's cold-start rule is
-// the precedent for preferring availability.
+// the precedent for preferring availability. It compacts snaps in place, so
+// the caller must own them (repository.SnapshotInto).
 func selectableSnapshots(snaps []repository.ReplicaSnapshot) []repository.ReplicaSnapshot {
-	n := 0
-	for i := range snaps {
-		if snaps[i].Health.Selectable() {
-			n++
-		}
-	}
-	if n == len(snaps) || n == 0 {
-		return snaps
-	}
-	out := make([]repository.ReplicaSnapshot, 0, n)
+	out := snaps[:0]
 	for i := range snaps {
 		if snaps[i].Health.Selectable() {
 			out = append(out, snaps[i])
 		}
+	}
+	if len(out) == 0 {
+		return snaps // nothing was moved
 	}
 	return out
 }

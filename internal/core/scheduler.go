@@ -311,8 +311,8 @@ type pendShard struct {
 	_ [40]byte
 }
 
-// schedScratch is the per-decision working set: snapshot copy (only when
-// staleness forces a mutation), probability table, and cold list. Recycled
+// schedScratch is the per-decision working set: snapshot copy (filtered and
+// re-probed in place), probability table, and cold list. Recycled
 // through a small channel free list — unlike sync.Pool, a channel is not
 // emptied by GC cycles mid-benchmark, so the zero-alloc fence is meaningful.
 type schedScratch struct {
@@ -579,12 +579,14 @@ func (s *Scheduler) Renegotiate(q wire.QoS) error {
 // and returns the decision. The caller multicasts the request to
 // Decision.Targets and then calls Dispatched with the transmission time t1.
 //
-// The decision path allocates only the repository's re-export of the replicas
-// that replied since the last decision: the snapshot is shared, each F_Ri
-// table is rebuilt in place, and the probability table — ranked by the
-// predictor as it is built — and the selected set land in pooled scratch
-// buffers. Concurrent callers only serialize on the strategy invocation
-// (which may be stateful) and their own pending-table shard.
+// The decision path allocates only the histogram views of the replicas that
+// replied since the last decision, which the repository re-exports into its
+// view in place. The view is copied into pooled scratch, where the lifecycle
+// filter and the staleness re-probe rewrite it; each F_Ri table is rebuilt in
+// place; the probability table — ranked by the predictor as it is built — and
+// the selected set land in pooled scratch buffers. Concurrent callers only
+// serialize on the strategy invocation (which may be stateful) and their own
+// pending-table shard.
 func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	start := time.Now() // δ is computational overhead: always wall clock
 
@@ -619,7 +621,8 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	}
 
 	sc := s.getScratch()
-	snaps := s.repo.SnapshotShared(method) // shared: read-only
+	sc.snaps = s.repo.SnapshotInto(method, sc.snaps)
+	snaps := sc.snaps
 	if s.cfg.Lifecycle.Enabled {
 		// Quarantined and probation replicas are not candidates: not for the
 		// probability table, not for the select-all fallback, and not for the
@@ -627,22 +630,10 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		snaps = selectableSnapshots(snaps)
 	}
 	if staleness := s.cfg.StalenessBound; staleness > 0 {
-		stale := false
 		for i := range snaps {
 			if snaps[i].HasHistory && t0.Sub(snaps[i].LastUpdate) > staleness {
-				stale = true
-				break
-			}
-		}
-		if stale {
-			// The shared snapshot is immutable; copy before flipping bits.
-			sc.snaps = append(sc.snaps[:0], snaps...)
-			snaps = sc.snaps
-			for i := range snaps {
-				if snaps[i].HasHistory && t0.Sub(snaps[i].LastUpdate) > staleness {
-					// Force a probe of the stale replica by treating it as cold.
-					snaps[i].HasHistory = false
-				}
+				// Force a probe of the stale replica by treating it as cold.
+				snaps[i].HasHistory = false
 			}
 		}
 	}

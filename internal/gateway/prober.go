@@ -27,6 +27,8 @@ type prober struct {
 	metLost        *metrics.Counter
 	metOutstanding *metrics.Gauge
 
+	snaps []repository.ReplicaSnapshot // the sweep's snapshot buffer, touched only by sweep
+
 	mu      sync.Mutex
 	sentAt  map[wire.ReplicaID]time.Time // outstanding probe guard
 	nextSeq wire.SeqNo
@@ -119,10 +121,11 @@ const nonOwnerProbeBackoff = 2
 // a backed-off cadence, quarantined replicas never.
 func (p *prober) sweep(now time.Time) {
 	repo := p.h.sched.Repository()
-	// The shared snapshot is read-only here (the sweep only reads freshness
-	// and health), so the generation-cached slice avoids rebuilding every
-	// replica's history copies each tick — see BenchmarkProberSweep.
-	for _, snap := range repo.SnapshotShared("") {
+	// The sweep only reads freshness and health, so it copies the
+	// repository's view into its own buffer instead of rebuilding every
+	// replica's history each tick — see BenchmarkProberSweep.
+	p.snaps = repo.SnapshotInto("", p.snaps)
+	for _, snap := range p.snaps {
 		// cadence is the per-health probe period: it gates both the staleness
 		// check and the in-flight age-out below, so a Suspected replica's
 		// lost probe backs off exactly like its staleness probes do.

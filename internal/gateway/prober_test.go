@@ -438,8 +438,8 @@ func TestProberSuspectedLostProbeBacksOff(t *testing.T) {
 }
 
 // BenchmarkProberSweep fences the sweep's read path: freshness and health
-// checks need no private history copies, so the sweep reads the
-// generation-cached shared snapshot and an idle sweep over a fresh
+// checks need no private history copies, so the sweep copies the
+// repository's view into its own buffer and an idle sweep over a fresh
 // repository stays allocation-free.
 func BenchmarkProberSweep(b *testing.B) {
 	net := transport.NewInMem()

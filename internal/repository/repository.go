@@ -118,18 +118,26 @@ type Repository struct {
 	// replica with the new value (touchLocked), any other allGen.
 	gen    atomic.Uint64
 	allGen uint64
-	// shared holds the last shared snapshot per method. Guarded by snapMu,
-	// which is taken before mu's read lock and never by a writer.
+	// views holds the per-method view every snapshot reader copies from.
+	// Guarded by snapMu, which is taken before mu's read lock and never by a
+	// writer.
 	snapMu sync.Mutex
-	shared map[string]*sharedSnapshot
+	views  map[string]*view
 }
 
-// sharedSnapshot is the last slice SnapshotShared published for one method, in
-// ID order and consistent with generation gen, beside each entry's live state.
-type sharedSnapshot struct {
+// view is one method's snapshot rows in ID order, consistent with generation
+// gen, beside each row's live state. refreshLocked rewrites the rows in place,
+// so they never leave the repository: readers get copies (SnapshotInto,
+// SnapshotShared). The HistView slices the rows reference are published and
+// never written again.
+type view struct {
 	gen    uint64
-	snaps  []ReplicaSnapshot
+	rows   []ReplicaSnapshot
 	states []*replicaState
+	// shared is the last copy SnapshotShared handed out, valid while
+	// sharedGen == gen.
+	shared    []ReplicaSnapshot
+	sharedGen uint64
 }
 
 // Option configures a Repository.
@@ -157,7 +165,7 @@ func New(opts ...Option) *Repository {
 		entries:      make(map[methodKey]*entry),
 		replicas:     make(map[wire.ReplicaID]*replicaState),
 		updatesByRep: make(map[wire.ReplicaID]uint64),
-		shared:       make(map[string]*sharedSnapshot),
+		views:        make(map[string]*view),
 	}
 	for _, o := range opts {
 		o(r)
@@ -356,7 +364,7 @@ func (r *Repository) recordDelayLocked(st *replicaState, td time.Duration) bool 
 // the replica's load, beside the replica-reported queue length (which lags by
 // one reply). Dispatch/settle accounting is read live (InFlight,
 // InFlightSum), never through a snapshot, so it does not bump the snapshot
-// generation: it fires on every request and would defeat the shared snapshot.
+// generation: it fires on every request and would defeat the snapshot view.
 func (r *Repository) NoteDispatched(id wire.ReplicaID) {
 	r.mu.RLock()
 	if st, ok := r.replicas[id]; ok {
@@ -493,57 +501,78 @@ type ReplicaSnapshot struct {
 
 // Snapshot returns prediction-ready copies for all registered replicas for
 // the given method, sorted by replica ID for determinism. Every call builds
-// fresh slices the caller may retain and mutate; the scheduler's hot path
-// uses SnapshotShared instead.
+// every row afresh; the scheduler's hot path uses SnapshotInto instead.
 func (r *Repository) Snapshot(method string) []ReplicaSnapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.snapshotAllLocked(method).snaps
+	var v view
+	r.rebuildLocked(&v, method)
+	return v.rows
 }
 
-// SnapshotShared returns the same view as Snapshot, kept per method and
-// brought up to date rather than rebuilt: with the generation unchanged,
-// repeat calls return the identical slice with zero allocation; after a
-// mutation the new slice re-exports only the replicas touched since and
-// carries every other entry over, in the ID order of the last membership
-// change. The slice and everything it references are shared and MUST be
-// treated as immutable; a caller that needs to mutate (e.g. the scheduler's
-// staleness re-probe) must copy first.
+// SnapshotInto copies the same rows as Snapshot into dst, reusing its
+// capacity, and returns the result. The method's view is kept up to date
+// rather than rebuilt: a mutation re-exports only the replicas it touched,
+// and with the generation unchanged the call is a copy. The caller owns the
+// returned rows and may rewrite them; the HistView slices they reference are
+// shared and MUST NOT be written.
+func (r *Repository) SnapshotInto(method string, dst []ReplicaSnapshot) []ReplicaSnapshot {
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	return append(dst[:0], r.refreshLocked(method).rows...)
+}
+
+// SnapshotShared returns a copy of the same view as SnapshotInto, made at most
+// once per generation: repeat calls without a mutation in between return the
+// identical slice with zero allocation. The slice and everything it
+// references are shared and MUST be treated as immutable.
 func (r *Repository) SnapshotShared(method string) []ReplicaSnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	last := r.shared[method]
-	if last != nil && last.gen == r.gen.Load() {
-		return last.snaps
+	v := r.refreshLocked(method)
+	if v.shared == nil || v.sharedGen != v.gen {
+		v.shared, v.sharedGen = slices.Clone(v.rows), v.gen
+	}
+	return v.shared
+}
+
+// refreshLocked brings the method's view up to generation gen: a membership
+// change rebuilds every row, any other mutation re-exports the rows of the
+// replicas it touched, in place. Caller holds r.snapMu.
+func (r *Repository) refreshLocked(method string) *view {
+	v := r.views[method]
+	if v != nil && v.gen == r.gen.Load() {
+		return v
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if last == nil || last.gen < r.allGen {
-		last = r.snapshotAllLocked(method)
-		r.shared[method] = last
+	if v == nil {
+		v = &view{}
+		r.views[method] = v
+	}
+	if v.gen < r.allGen {
+		r.rebuildLocked(v, method)
 	} else {
-		snaps := slices.Clone(last.snaps)
-		for i, st := range last.states {
-			if st.gen > last.gen {
-				snaps[i] = r.snapshotReplicaLocked(snaps[i].ID, st, method, &last.snaps[i])
+		for i, st := range v.states {
+			if st.gen > v.gen {
+				v.rows[i] = r.snapshotReplicaLocked(v.rows[i].ID, st, method, &v.rows[i])
 			}
 		}
-		last.snaps = snaps
 	}
-	last.gen = r.gen.Load() // stable: only bumped under the write lock
-	return last.snaps
+	v.gen = r.gen.Load() // stable: only bumped under the write lock
+	return v
 }
 
-// snapshotAllLocked builds a fresh snapshot of every replica in ID order.
-// Caller holds r.mu (read or write).
-func (r *Repository) snapshotAllLocked(method string) *sharedSnapshot {
+// rebuildLocked re-exports every replica into v in ID order, reusing v's
+// buffers. Caller holds r.mu (read or write).
+func (r *Repository) rebuildLocked(v *view, method string) {
 	ids := r.sortedIDsLocked()
-	out := &sharedSnapshot{snaps: make([]ReplicaSnapshot, len(ids)), states: make([]*replicaState, len(ids))}
-	for i, id := range ids {
-		out.states[i] = r.replicas[id]
-		out.snaps[i] = r.snapshotReplicaLocked(id, out.states[i], method, &ReplicaSnapshot{})
+	v.rows, v.states = slices.Grow(v.rows[:0], len(ids)), slices.Grow(v.states[:0], len(ids))
+	for _, id := range ids {
+		st := r.replicas[id]
+		v.states = append(v.states, st)
+		v.rows = append(v.rows, r.snapshotReplicaLocked(id, st, method, &ReplicaSnapshot{}))
 	}
-	return out
 }
 
 // snapshotReplicaLocked builds one replica's prediction-ready copy. The T

@@ -97,7 +97,7 @@ type Replica struct {
 	serveMu      sync.Mutex
 	servingOn    bool
 	servingKey   queue.Key
-	servingAbort chan struct{}
+	servingAbort chan struct{} // reused across serves; nil once an abort closed it
 
 	served          atomic.Uint64
 	cancelAborted   atomic.Uint64
@@ -305,21 +305,25 @@ func (r *Replica) abortServing(client wire.ClientID, seq wire.SeqNo) bool {
 	if match {
 		r.servingOn = false
 		close(r.servingAbort)
+		r.servingAbort = nil // the next serve makes a fresh one
 	}
 	r.serveMu.Unlock()
 	return match
 }
 
 // beginServe registers the request the worker is about to serve and returns
-// its abort channel.
+// its abort channel. The channel is reused from serve to serve until an abort
+// closes it, so a serve is never handed a closed channel and serves that
+// nobody aborts share one.
 func (r *Replica) beginServe(req wire.Request) chan struct{} {
-	abort := make(chan struct{})
 	r.serveMu.Lock()
+	defer r.serveMu.Unlock()
 	r.servingOn = true
 	r.servingKey = queue.Key{Client: req.Client, Seq: req.Seq}
-	r.servingAbort = abort
-	r.serveMu.Unlock()
-	return abort
+	if r.servingAbort == nil {
+		r.servingAbort = make(chan struct{})
+	}
+	return r.servingAbort
 }
 
 // endServe deregisters the in-service request, reporting whether it was

@@ -140,11 +140,7 @@ func TestCancelAbortsInService(t *testing.T) {
 	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 1, Service: "svc", Method: "block"}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "seq 1 to enter service", func() bool {
-		r.serveMu.Lock()
-		defer r.serveMu.Unlock()
-		return r.servingOn
-	})
+	waitFor(t, "seq 1 to enter service", func() bool { return r.inService("c", 1) })
 	if err := cli.Send(r.Addr(), wire.Cancel{Client: "c", Seq: 1, Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +160,141 @@ func TestCancelAbortsInService(t *testing.T) {
 	waitFor(t, "seq 2 to be counted", func() bool { return r.Served() >= 1 })
 	if served := r.Served(); served != 1 {
 		t.Errorf("served %d, want 1", served)
+	}
+}
+
+// delaySeq is a LoadDelay that serves its delays in order and repeats the
+// last one forever after. Only the replica's worker samples it.
+type delaySeq []time.Duration
+
+func (d *delaySeq) Sample(*stats.Rand) time.Duration {
+	next := (*d)[0]
+	if len(*d) > 1 {
+		*d = (*d)[1:]
+	}
+	return next
+}
+func (d *delaySeq) Mean() time.Duration { return 0 }
+func (d *delaySeq) String() string      { return "sequence" }
+
+// abortChannel returns the worker's abort channel, nil before the first serve
+// and after an abort.
+func (r *Replica) abortChannel() chan struct{} {
+	r.serveMu.Lock()
+	defer r.serveMu.Unlock()
+	return r.servingAbort
+}
+
+// inService reports whether the worker is serving (client, seq).
+func (r *Replica) inService(client wire.ClientID, seq wire.SeqNo) bool {
+	r.serveMu.Lock()
+	defer r.serveMu.Unlock()
+	return r.servingOn && r.servingKey.Client == client && r.servingKey.Seq == seq
+}
+
+// abortFirstServe sends seq 1, which sleeps for the first of the replica's
+// delays, and aborts it mid-service with a Cancel.
+func abortFirstServe(t *testing.T, r *Replica, cli transport.Endpoint) {
+	t.Helper()
+	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 1, Service: "svc", Method: "m"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "seq 1 to enter service", func() bool { return r.inService("c", 1) })
+	if err := cli.Send(r.Addr(), wire.Cancel{Client: "c", Seq: 1, Service: "svc"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "abort to register", func() bool { _, ab, _ := r.CancelStats(); return ab == 1 })
+	if ch := r.abortChannel(); ch != nil {
+		t.Fatal("the aborted serve's closed channel is still registered for the next serve")
+	}
+}
+
+// TestServeReusesAbortChannel: serving requests that nobody cancels makes no
+// abort channel after the first — the worker's channel is the same one before
+// and after N serves.
+func TestServeReusesAbortChannel(t *testing.T) {
+	net := testNetwork(t)
+	r := startReplica(t, net, Config{ID: "r1", Service: "svc", Handler: echoHandler})
+	cli, _ := net.Listen("cli")
+	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 0, Service: "svc"}); err != nil {
+		t.Fatal(err)
+	}
+	recvResponse(t, cli)
+	first := r.abortChannel()
+	if first == nil {
+		t.Fatal("no abort channel registered after a serve")
+	}
+	const n = 50
+	for seq := wire.SeqNo(1); seq <= n; seq++ {
+		if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: seq, Service: "svc"}); err != nil {
+			t.Fatal(err)
+		}
+		recvResponse(t, cli)
+	}
+	if got := r.abortChannel(); got != first {
+		t.Fatalf("the worker made a new abort channel within %d uncancelled serves", n)
+	}
+}
+
+// TestNextServeAfterAbortSleepsAndReplies: the serve after an abort gets an
+// open channel, so it sleeps its full delay and replies instead of reading the
+// closed channel as its own abort.
+func TestNextServeAfterAbortSleepsAndReplies(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	net := testNetwork(t)
+	r := startReplica(t, net, Config{
+		ID: "r1", Service: "svc", Handler: echoHandler,
+		LoadDelay: &delaySeq{time.Hour, delay},
+	})
+	cli, _ := net.Listen("cli")
+	abortFirstServe(t, r, cli)
+	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 2, Service: "svc", Method: "m"}); err != nil {
+		t.Fatal(err)
+	}
+	resp := recvResponse(t, cli)
+	if resp.Seq != 2 {
+		t.Fatalf("response for seq %d, want 2", resp.Seq)
+	}
+	if resp.Perf.ServiceTime < delay {
+		t.Errorf("seq 2 served in %v, want >= %v: it did not sleep on an open channel", resp.Perf.ServiceTime, delay)
+	}
+	if _, ab, _ := r.CancelStats(); ab != 1 {
+		t.Errorf("aborted %d serves, want 1", ab)
+	}
+}
+
+// TestLateDuplicateCancelSparesNextServe: a second Cancel for the aborted
+// (client, seq), arriving while the next request is in service, matches
+// nothing and aborts nothing.
+func TestLateDuplicateCancelSparesNextServe(t *testing.T) {
+	net := testNetwork(t)
+	release := make(chan struct{})
+	handler := func(method string, payload []byte) ([]byte, error) {
+		if method == "block" {
+			<-release
+		}
+		return []byte(method), nil
+	}
+	r := startReplica(t, net, Config{
+		ID: "r1", Service: "svc", Handler: handler,
+		LoadDelay: &delaySeq{time.Hour, 0},
+	})
+	cli, _ := net.Listen("cli")
+	abortFirstServe(t, r, cli)
+	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 2, Service: "svc", Method: "block"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "seq 2 to enter service", func() bool { return r.inService("c", 2) })
+	if err := cli.Send(r.Addr(), wire.Cancel{Client: "c", Seq: 1, Service: "svc"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the duplicate cancel to count unmatched", func() bool { _, _, um := r.CancelStats(); return um == 1 })
+	close(release)
+	if resp := recvResponse(t, cli); resp.Seq != 2 {
+		t.Fatalf("response for seq %d, want 2", resp.Seq)
+	}
+	if _, ab, _ := r.CancelStats(); ab != 1 {
+		t.Errorf("aborted %d serves, want 1", ab)
 	}
 }
 

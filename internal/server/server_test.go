@@ -31,6 +31,13 @@ func startReplica(t *testing.T, net *transport.InMem, cfg Config) *Replica {
 	return r
 }
 
+// subscriberCount returns how many clients are subscribed to perf updates.
+func (r *Replica) subscriberCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.subscribers)
+}
+
 func echoHandler(method string, payload []byte) ([]byte, error) {
 	return append([]byte(method+":"), payload...), nil
 }
@@ -173,7 +180,7 @@ func TestSubscribersReceivePerfUpdates(t *testing.T) {
 	if err := watcher.Send(r.Addr(), wire.Subscribe{Client: "w", Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the subscription land
+	waitFor(t, "the subscription to land", func() bool { return r.subscriberCount() == 1 })
 	if err := requester.Send(r.Addr(), wire.Request{Client: "rq", Seq: 1, Service: "svc", Method: "m"}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +209,7 @@ func TestRequesterNotDoubledUpdated(t *testing.T) {
 	if err := requester.Send(r.Addr(), wire.Subscribe{Client: "rq", Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the subscription to land", func() bool { return r.subscriberCount() == 1 })
 	if err := requester.Send(r.Addr(), wire.Request{Client: "rq", Seq: 1, Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +232,11 @@ func TestUnsubscribeStopsUpdates(t *testing.T) {
 	if err := watcher.Send(r.Addr(), wire.Subscribe{Client: "w", Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the subscription to land", func() bool { return r.subscriberCount() == 1 })
 	if err := watcher.Send(r.Addr(), wire.Unsubscribe{Client: "w", Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the unsubscription to land", func() bool { return r.subscriberCount() == 0 })
 	if err := requester.Send(r.Addr(), wire.Request{Client: "rq", Seq: 1, Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,17 +248,27 @@ func TestUnsubscribeStopsUpdates(t *testing.T) {
 	}
 }
 
+// TestStopIsIdempotentAndHalts: Stop wakes a worker asleep on the abort
+// channel it reuses from an earlier serve, and a second Stop is a no-op.
 func TestStopIsIdempotentAndHalts(t *testing.T) {
 	net := testNetwork(t)
 	r := startReplica(t, net, Config{
 		ID: "r1", Service: "svc", Handler: echoHandler,
-		LoadDelay: stats.Constant{Delay: time.Hour}, // worker sleeps forever
+		LoadDelay: &delaySeq{0, time.Hour}, // seq 2 on: the worker sleeps forever
 	})
 	cli, _ := net.Listen("cli")
 	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 1, Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	recvResponse(t, cli)
+	reused := r.abortChannel()
+	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 2, Service: "svc"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "seq 2 to enter service", func() bool { return r.inService("c", 2) })
+	if r.abortChannel() != reused {
+		t.Fatal("seq 2 does not sleep on the channel seq 1 was served with")
+	}
 	done := make(chan struct{})
 	go func() {
 		r.Stop()
