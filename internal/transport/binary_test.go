@@ -85,7 +85,7 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 				t.Fatalf("wire type %T did not take the binary codec: body starts 0x%02X", tc.payload, frame[4])
 			}
 			if cap(frame) != len(frame) {
-				t.Errorf("frame is %d bytes in a %d-byte allocation: binaryBodySize disagrees with appendBinaryBody", len(frame), cap(frame))
+				t.Errorf("frame is %d bytes in a %d-byte allocation: the sizing pass disagrees with the writing pass", len(frame), cap(frame))
 			}
 			env, err := decodeFrame(uninterned(frame))
 			if err != nil {

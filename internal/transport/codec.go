@@ -30,17 +30,20 @@ var errUnsupportedPayload = errors.New("transport: payload type has no wire enco
 const largeFrame = 32 << 10
 
 // encodeFrame serializes an envelope with a 4-byte big-endian length prefix.
-// binaryBodySize measures the body before appendBinaryBody writes it, so a
-// frame of up to largeFrame bytes — every frame but a bulk payload's — is one
-// allocation of exactly its size; a larger one is appended into a small
-// buffer that grows once it reaches the payload (two allocations for a bulk
-// request). Only the eleven internal/wire message shapes have an encoding
-// (binary.go); any other payload type is refused with errUnsupportedPayload.
+// The message's walk (binary.go) runs twice: a sizing pass measures the body
+// and a writing pass appends it, so a frame of up to largeFrame bytes — every
+// frame but a bulk payload's — is one allocation of exactly its size; a
+// larger one is appended into a small buffer that grows once it reaches the
+// payload (two allocations for a bulk request). Only the eleven internal/wire
+// message shapes have an encoding; any other payload type is refused with
+// errUnsupportedPayload.
 func encodeFrame(from Addr, payload any) ([]byte, error) {
-	size, ok := binaryBodySize(from, payload)
-	if !ok {
+	typ := binTypeOf(payload)
+	if typ == 0 {
 		return nil, fmt.Errorf("transport: encoding %T: %w", payload, errUnsupportedPayload)
 	}
+	sized, _ := walkBody(walker{dir: sizing}, typ, &from, payload)
+	size := 3 + sized.size // magic, version, type, then the walked body
 	if size > maxFrameSize {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
@@ -50,8 +53,8 @@ func encodeFrame(from Addr, payload any) ([]byte, error) {
 	}
 	frame := make([]byte, 4, capacity)
 	binary.BigEndian.PutUint32(frame, uint32(size))
-	frame, _ = appendBinaryBody(frame, from, payload) // covers every type binaryBodySize does
-	return frame, nil
+	written, _ := walkBody(walker{dir: writing, b: append(frame, binMagic, binVersion, typ)}, typ, &from, payload)
+	return written.b, nil
 }
 
 // decodeFrame reads one length-prefixed envelope from r, resolving
