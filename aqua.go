@@ -424,6 +424,7 @@ type Cluster struct {
 	replicas  map[ReplicaID]*Replica
 	clients   map[*Client]bool
 	gateways  map[*Gateway]*gateway.TimingFaultHandler // this cluster's handler in each multi-service gateway
+	passives  map[*PassiveClient]bool
 	nextID    int
 	viewNum   uint64
 	handler   Handler
@@ -448,8 +449,8 @@ func (c *Cluster) membershipLocked() map[wire.ReplicaID]transport.Addr {
 	return m
 }
 
-// notifyClients pushes the current membership to every live client and
-// every registered multi-service gateway handler, as the group-communication
+// notifyClients pushes the current membership to every live client, passive
+// client and registered multi-service gateway handler, as the group-communication
 // layer would after a view change, and feeds the dependability manager when
 // self-healing is on. On stateful clusters the replicas get the same view as
 // a peer table, so a recovering replica can pick a state-transfer source.
@@ -463,6 +464,10 @@ func (c *Cluster) notifyClients() {
 	handlers := make([]*gateway.TimingFaultHandler, 0, len(c.gateways))
 	for _, h := range c.gateways {
 		handlers = append(handlers, h)
+	}
+	passives := make([]*PassiveClient, 0, len(c.passives))
+	for p := range c.passives {
+		passives = append(passives, p)
 	}
 	var servers []*server.Replica
 	if c.smFactory != nil {
@@ -483,6 +488,9 @@ func (c *Cluster) notifyClients() {
 	}
 	for _, h := range handlers {
 		h.UpdateMembership(m)
+	}
+	for _, p := range passives {
+		p.handler.UpdateMembership(m)
 	}
 	for _, srv := range servers {
 		srv.UpdatePeers(m)
@@ -633,6 +641,7 @@ func NewCluster(service Service, n int, handler Handler, opts ...ClusterOption) 
 		replicas: make(map[ReplicaID]*Replica),
 		clients:  make(map[*Client]bool),
 		gateways: make(map[*Gateway]*gateway.TimingFaultHandler),
+		passives: make(map[*PassiveClient]bool),
 		handler:  handler,
 		seed:     1,
 	}
@@ -1088,6 +1097,7 @@ func (g *Gateway) Close() {
 // crash-tolerance baseline the timing fault handler improves on.
 type PassiveClient struct {
 	handler *gateway.PassiveHandler
+	cluster *Cluster
 }
 
 // NewPassiveClient mints a passive-replication client of the cluster's
@@ -1114,7 +1124,16 @@ func (c *Cluster) NewPassiveClient(name string, attemptTimeout time.Duration) (*
 		_ = ep.Close()
 		return nil, fmt.Errorf("aqua: passive handler: %w", err)
 	}
-	return &PassiveClient{handler: h}, nil
+	// Register for view changes, so a crash-stopped primary is dropped from
+	// the failover order, and re-push the membership to cover a change that
+	// raced the snapshot above.
+	pc := &PassiveClient{handler: h, cluster: c}
+	c.mu.Lock()
+	c.passives[pc] = true
+	current := c.membershipLocked()
+	c.mu.Unlock()
+	h.UpdateMembership(current)
+	return pc, nil
 }
 
 // Call invokes the service on the primary, failing over on timeout.
@@ -1126,4 +1145,9 @@ func (p *PassiveClient) Call(ctx context.Context, method string, payload []byte)
 func (p *PassiveClient) Primary() (ReplicaID, bool) { return p.handler.Primary() }
 
 // Close releases the client.
-func (p *PassiveClient) Close() { p.handler.Close() }
+func (p *PassiveClient) Close() {
+	p.cluster.mu.Lock()
+	delete(p.cluster.passives, p)
+	p.cluster.mu.Unlock()
+	p.handler.Close()
+}

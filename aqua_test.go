@@ -834,6 +834,42 @@ func TestPassiveClientFailover(t *testing.T) {
 	}
 }
 
+// TestPassiveClientFollowsViewChanges: a crash-stopped primary leaves a
+// passive client's failover order with the view change, so the next call
+// goes straight to a live replica instead of first waiting out an attempt
+// timeout on the dead one (the in-memory network drops frames to an unknown
+// address silently).
+func TestPassiveClientFollowsViewChanges(t *testing.T) {
+	const attempt = 500 * ms
+	c := newTestCluster(t, 3)
+	pc, err := c.NewPassiveClient("passive", attempt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	ctx := context.Background()
+	if _, err := pc.Call(ctx, "m", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	primary, ok := pc.Primary()
+	if !ok {
+		t.Fatal("no primary")
+	}
+	if err := c.StopReplica(primary); err != nil {
+		t.Fatal(err)
+	}
+	if next, ok := pc.Primary(); !ok || next == primary {
+		t.Fatalf("after stopping %s: Primary() = %q, %v; want another replica", primary, next, ok)
+	}
+	start := time.Now()
+	if _, err := pc.Call(ctx, "m", []byte("y")); err != nil {
+		t.Fatalf("call after the view change: %v", err)
+	}
+	if took := time.Since(start); took >= attempt/2 {
+		t.Errorf("call after the view change took %v, want well under the %v attempt timeout", took, attempt)
+	}
+}
+
 func TestChurnSoak(t *testing.T) {
 	// Soak test: three clients run against a self-healing pool while
 	// replicas are repeatedly crash-stopped. Every call must resolve and

@@ -59,15 +59,10 @@ func NewPassiveHandler(ep transport.Endpoint, cfg PassiveConfig) (*PassiveHandle
 	h := &PassiveHandler{
 		cfg:     cfg,
 		ep:      ep,
-		addrOf:  make(map[wire.ReplicaID]transport.Addr),
 		waiters: make(map[wire.SeqNo]chan wire.Response),
 		stop:    make(chan struct{}),
 	}
-	for id, addr := range cfg.StaticReplicas {
-		h.addrOf[id] = addr
-		h.members = append(h.members, id)
-	}
-	slices.Sort(h.members)
+	h.UpdateMembership(cfg.StaticReplicas)
 	if cfg.Group != nil {
 		gcfg := *cfg.Group
 		gcfg.Role = group.Observer
@@ -100,6 +95,23 @@ func (h *PassiveHandler) Close() {
 		_ = h.ep.Close()
 		h.wg.Wait()
 	})
+}
+
+// UpdateMembership replaces the static replica table and the failover
+// order, so the primary is always a live replica. Deployments without the
+// group layer (e.g. the Cluster facade) call this when replicas start or
+// crash-stop.
+func (h *PassiveHandler) UpdateMembership(replicas map[wire.ReplicaID]transport.Addr) {
+	members := make([]wire.ReplicaID, 0, len(replicas))
+	addrOf := make(map[wire.ReplicaID]transport.Addr, len(replicas))
+	for id, addr := range replicas {
+		addrOf[id] = addr
+		members = append(members, id)
+	}
+	slices.Sort(members)
+	h.mu.Lock()
+	h.members, h.addrOf = members, addrOf
+	h.mu.Unlock()
 }
 
 // Primary returns the current primary replica, if any.
