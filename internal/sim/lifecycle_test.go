@@ -186,16 +186,17 @@ func TestCrashedReplicaLosesAcceptedWork(t *testing.T) {
 // pending entry for the rest of the run.
 func TestSimGiveUpForgetsPending(t *testing.T) {
 	res, err := Run(Scenario{
-		Replicas: []ReplicaSpec{{Service: stats.Constant{Delay: 10 * ms}, CrashAt: 50 * ms}},
+		Replicas: []ReplicaSpec{{Service: stats.Constant{Delay: 10 * ms}}},
 		Clients: []ClientSpec{{
 			QoS:      wire.QoS{Deadline: 30 * ms, MinProbability: 0.9},
 			Requests: 3,
 			Think:    100 * ms,
 		}},
-		// Detection is slower than the whole client run: the dead replica
-		// stays in the view, so requests 2 and 3 go to it and die silently.
-		DetectionDelay: 10 * time.Second,
-		Seed:           1,
+		// From 50 ms on the replica's every message is lost, and no crash
+		// is ever detected: it stays in the view, so requests 2 and 3 go to
+		// it and die silently.
+		Faults: []LinkFault{{Replica: 0, From: 50 * ms, Loss: 1}},
+		Seed:   1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -128,10 +128,6 @@ type Scenario struct {
 	// load burst keeps its pessimistic history forever and is never
 	// rediscovered after it drains.
 	StalenessBound time.Duration
-	// DetectionDelay is how long after a crash the membership layer
-	// notifies clients (heartbeat failure detection latency). Zero means
-	// DefaultDetectionDelay.
-	DetectionDelay time.Duration
 	// Overload configures admission control and the degradation ladder for
 	// every client's scheduler (core.OverloadConfig). The zero value keeps
 	// the paper-exact behavior, including the select-all amplification the
@@ -180,7 +176,8 @@ type Scenario struct {
 	Controller *core.AdaptiveBudgetConfig
 }
 
-// DefaultDetectionDelay models heartbeat-based failure detection latency.
+// DefaultDetectionDelay models heartbeat-based failure detection latency:
+// how long after a crash the membership layer notifies every client.
 const DefaultDetectionDelay = 100 * time.Millisecond
 
 // ClientResult aggregates one client's run.
@@ -345,9 +342,6 @@ func Run(s Scenario) (*Result, error) {
 	if s.WindowSize <= 0 {
 		s.WindowSize = repository.DefaultWindowSize
 	}
-	if s.DetectionDelay <= 0 {
-		s.DetectionDelay = DefaultDetectionDelay
-	}
 	if s.MaxTime <= 0 {
 		s.MaxTime = time.Hour
 	}
@@ -414,7 +408,7 @@ func Run(s Scenario) (*Result, error) {
 	quarantines := 0
 	if s.Rejuvenation.Enabled {
 		rj = newRejuvenator(k, s.Replicas, replicas, byID, clients,
-			s.DetectionDelay, root.Split(), s.Trace)
+			DefaultDetectionDelay, root.Split(), s.Trace)
 		rj.stateTransfer = s.StateTransfer
 	}
 
@@ -524,7 +518,7 @@ func Run(s Scenario) (*Result, error) {
 		}
 	}
 
-	// Crash plan + membership notifications: DetectionDelay after a crash,
+	// Crash plan + membership notifications: DefaultDetectionDelay after a crash,
 	// every client's repository drops the member (§5.4). The crash takes
 	// whichever incarnation runs on the host at that time.
 	for i, spec := range s.Replicas {
@@ -532,7 +526,7 @@ func Run(s Scenario) (*Result, error) {
 			continue
 		}
 		k.At(spec.CrashAt, func() { replicas[i].crash() })
-		k.At(spec.CrashAt+s.DetectionDelay, func() { notifyMembership(k, replicas, clients, s.Trace) })
+		k.At(spec.CrashAt+DefaultDetectionDelay, func() { notifyMembership(k, replicas, clients, s.Trace) })
 	}
 
 	events := k.Run(s.MaxTime)

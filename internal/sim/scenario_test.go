@@ -274,7 +274,6 @@ func TestNetworkSpikesIncreaseFailures(t *testing.T) {
 func TestDetectionDelayPrunesCrashedFromSelection(t *testing.T) {
 	sc := paperScenario(12, 140*ms, 0.9)
 	sc.Replicas[0].CrashAt = 10 * time.Second
-	sc.DetectionDelay = 50 * ms
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
