@@ -106,11 +106,13 @@ metrics-smoke:
 # Short fuzzing pass over the wire codec: the frame decoder, the encode →
 # decode round trip, the ordered-mode state-transfer frames
 # (StateRequest/StateChunk), and the binary codec's byte-exact re-encode.
+# FUZZTIME is each fuzzer's budget (CI runs `make fuzz FUZZTIME=10s`).
+FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 20s
-	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 20s
-	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzStateTransferRoundTrip -fuzztime 20s
-	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 20s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzStateTransferRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean -testcache
