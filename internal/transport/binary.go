@@ -198,8 +198,9 @@ var binMessages = [...]struct {
 		w.uvarint(&m.Seq)
 		w.varint(&m.ResolutionNanos)
 		w.int(&m.WindowSize)
-		for i := range list(&m.Digests, w.count(len(m.Digests))) {
-			d := &m.Digests[i]
+		ds := list(&m.Digests, w.count(len(m.Digests)))
+		for i := 0; i < len(ds) && w.err == nil; i++ {
+			d := &ds[i]
 			w.str((*string)(&d.Replica))
 			w.str(&d.Method)
 			w.int64s(&d.ServiceBins)
@@ -236,16 +237,18 @@ var binMessages = [...]struct {
 		w.str((*string)(&m.Service))
 		w.bytes(&m.Snapshot)
 		w.uvarint(&m.SnapshotIndex)
-		for i := range list(&m.Entries, w.count(len(m.Entries))) {
-			e := &m.Entries[i]
+		es := list(&m.Entries, w.count(len(m.Entries)))
+		for i := 0; i < len(es) && w.err == nil; i++ {
+			e := &es[i]
 			w.uvarint(&e.Stamp)
 			w.str((*string)(&e.Client))
 			w.uvarint((*uint64)(&e.Seq))
 			w.str(&e.Method)
 			w.bytes(&e.Payload)
 		}
-		for i := range list(&m.Cursors, w.count(len(m.Cursors))) {
-			c := &m.Cursors[i]
+		cs := list(&m.Cursors, w.count(len(m.Cursors)))
+		for i := 0; i < len(cs) && w.err == nil; i++ {
+			c := &cs[i]
 			w.str((*string)(&c.Client))
 			w.uvarint(&c.Next)
 		}
@@ -322,7 +325,15 @@ func (w *walker) uvarint(v *uint64) {
 	case writing:
 		w.b = binary.AppendUvarint(w.b, *v)
 	case reading:
-		*v = w.readUvarint()
+		if w.err != nil {
+			return
+		}
+		x, n := binary.Uvarint(w.b[w.off:])
+		if n <= 0 {
+			w.err = errMalformedFrame
+			return
+		}
+		*v, w.off = x, w.off+n
 	}
 }
 
@@ -333,7 +344,8 @@ func (w *walker) varint(v *int64) {
 	case writing:
 		w.b = binary.AppendVarint(w.b, *v)
 	case reading:
-		u := w.readUvarint()
+		var u uint64
+		w.uvarint(&u)
 		*v = int64(u>>1) ^ -int64(u&1) // undo the zigzag, as binary.Varint does
 	}
 }
@@ -347,28 +359,30 @@ func (w *walker) int(v *int) {
 }
 
 func (w *walker) str(s *string) {
+	n := uint64(len(*s))
+	w.uvarint(&n)
 	switch w.dir {
 	case sizing:
-		w.size += uvarintSize(uint64(len(*s))) + len(*s)
+		w.size += len(*s)
 	case writing:
-		w.b = binary.AppendUvarint(w.b, uint64(len(*s)))
 		w.b = append(w.b, *s...)
 	case reading:
-		*s = w.in.str(w.take(w.readUvarint()))
+		*s = w.in.str(w.take(n))
 	}
 }
 
 // bytes walks a byte field; reading, it aliases the body (zero-copy), and a
 // zero length decodes as nil.
 func (w *walker) bytes(p *[]byte) {
+	n := uint64(len(*p))
+	w.uvarint(&n)
 	switch w.dir {
 	case sizing:
-		w.size += uvarintSize(uint64(len(*p))) + len(*p)
+		w.size += len(*p)
 	case writing:
-		w.b = binary.AppendUvarint(w.b, uint64(len(*p)))
 		w.b = append(w.b, *p...)
 	case reading:
-		if n := w.readUvarint(); n > 0 {
+		if n > 0 {
 			*p = w.take(n)
 		}
 	}
@@ -416,18 +430,16 @@ func (w *walker) perf(p *wire.PerfReport) {
 func (w *walker) count(n int) int {
 	v := uint64(n)
 	w.uvarint(&v)
-	if w.dir == reading && w.err == nil && (v > uint64(len(w.b)-w.off) || v > maxDigestEntries) {
+	if w.dir == reading && (w.err != nil || v > uint64(len(w.b)-w.off) || v > maxDigestEntries) {
 		w.err = errMalformedFrame
-	}
-	if w.err != nil {
 		return 0
 	}
 	return int(v)
 }
 
-// list returns *s at length n, making it when reading: a walk's loop over
-// list(&m.Field, w.count(len(m.Field))) then walks each element in place. A
-// zero length leaves *s as it is, so an empty list decodes as nil.
+// list returns *s at length n, making it when reading, for a walk to walk
+// each element in place (until a malformation, when reading). A zero length
+// leaves *s as it is, so an empty list decodes as nil.
 func list[E any](s *[]E, n int) []E {
 	if len(*s) != n {
 		*s = make([]E, n)
@@ -439,19 +451,6 @@ func (w *walker) int64s(s *[]int64) {
 	for i := range list(s, w.count(len(*s))) {
 		w.varint(&(*s)[i])
 	}
-}
-
-func (w *walker) readUvarint() uint64 {
-	if w.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(w.b[w.off:])
-	if n <= 0 {
-		w.err = errMalformedFrame
-		return 0
-	}
-	w.off += n
-	return v
 }
 
 // take returns the next n bytes of the body without copying.
