@@ -373,9 +373,7 @@ func (c *Client) Addr() string { return string(c.addr) }
 // Close releases the client.
 func (c *Client) Close() {
 	if c.cluster != nil {
-		c.cluster.mu.Lock()
-		delete(c.cluster.clients, c)
-		c.cluster.mu.Unlock()
+		c.cluster.unwatchViews(c)
 	}
 	c.handler.Close()
 }
@@ -422,9 +420,7 @@ type Cluster struct {
 
 	mu        sync.Mutex
 	replicas  map[ReplicaID]*Replica
-	clients   map[*Client]bool
-	gateways  map[*Gateway]*gateway.TimingFaultHandler // this cluster's handler in each multi-service gateway
-	passives  map[*PassiveClient]bool
+	viewers   map[any]viewer // keyed by owner: each Client, PassiveClient and multi-service Gateway
 	nextID    int
 	viewNum   uint64
 	handler   Handler
@@ -449,25 +445,42 @@ func (c *Cluster) membershipLocked() map[wire.ReplicaID]transport.Addr {
 	return m
 }
 
-// notifyClients pushes the current membership to every live client, passive
-// client and registered multi-service gateway handler, as the group-communication
-// layer would after a view change, and feeds the dependability manager when
-// self-healing is on. On stateful clusters the replicas get the same view as
-// a peer table, so a recovering replica can pick a state-transfer source.
+// viewer is a handler the cluster pushes its membership to on every view
+// change, as the group-communication layer would.
+type viewer interface {
+	UpdateMembership(map[wire.ReplicaID]transport.Addr)
+}
+
+// watchViews registers v, owned by key, for every later view change and
+// pushes it the current membership, covering a change that raced the
+// snapshot its handler was built from.
+func (c *Cluster) watchViews(key any, v viewer) {
+	c.mu.Lock()
+	c.viewers[key] = v
+	current := c.membershipLocked()
+	c.mu.Unlock()
+	v.UpdateMembership(current)
+}
+
+// unwatchViews stops view-change delivery to key's handler.
+func (c *Cluster) unwatchViews(key any) {
+	c.mu.Lock()
+	delete(c.viewers, key)
+	c.mu.Unlock()
+}
+
+// notifyClients pushes the current membership to every registered viewer
+// (live clients, passive clients and multi-service gateway handlers), as the
+// group-communication layer would after a view change, and feeds the
+// dependability manager when self-healing is on. On stateful clusters the
+// replicas get the same view as a peer table, so a recovering replica can
+// pick a state-transfer source.
 func (c *Cluster) notifyClients() {
 	c.mu.Lock()
 	m := c.membershipLocked()
-	clients := make([]*Client, 0, len(c.clients))
-	for cl := range c.clients {
-		clients = append(clients, cl)
-	}
-	handlers := make([]*gateway.TimingFaultHandler, 0, len(c.gateways))
-	for _, h := range c.gateways {
-		handlers = append(handlers, h)
-	}
-	passives := make([]*PassiveClient, 0, len(c.passives))
-	for p := range c.passives {
-		passives = append(passives, p)
+	viewers := make([]viewer, 0, len(c.viewers))
+	for _, v := range c.viewers {
+		viewers = append(viewers, v)
 	}
 	var servers []*server.Replica
 	if c.smFactory != nil {
@@ -483,14 +496,8 @@ func (c *Cluster) notifyClients() {
 	}
 	mgr := c.manager
 	c.mu.Unlock()
-	for _, cl := range clients {
-		cl.handler.UpdateMembership(m)
-	}
-	for _, h := range handlers {
-		h.UpdateMembership(m)
-	}
-	for _, p := range passives {
-		p.handler.UpdateMembership(m)
+	for _, v := range viewers {
+		v.UpdateMembership(m)
 	}
 	for _, srv := range servers {
 		srv.UpdatePeers(m)
@@ -639,9 +646,7 @@ func NewCluster(service Service, n int, handler Handler, opts ...ClusterOption) 
 		network:  inmem,
 		inmem:    inmem,
 		replicas: make(map[ReplicaID]*Replica),
-		clients:  make(map[*Client]bool),
-		gateways: make(map[*Gateway]*gateway.TimingFaultHandler),
-		passives: make(map[*PassiveClient]bool),
+		viewers:  make(map[any]viewer),
 		handler:  handler,
 		seed:     1,
 	}
@@ -956,7 +961,7 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	client := &Client{handler: h, cluster: c, addr: ep.Addr()}
 	c.mu.Lock()
-	c.clients[client] = true
+	c.viewers[client] = h
 	c.mu.Unlock()
 	return client, nil
 }
@@ -1041,14 +1046,9 @@ func NewGateway(name string, configs map[*Cluster]ClientConfig) (*Gateway, error
 			mg.Close()
 			return nil, fmt.Errorf("aqua: loading handler for %q: %w", c.service, err)
 		}
-		// Register the handler for view changes — AddReplica/StopReplica
-		// must reach it like any single-service client — and re-push the
-		// membership to cover a change that raced the snapshot above.
-		c.mu.Lock()
-		c.gateways[g] = h
-		current := c.membershipLocked()
-		c.mu.Unlock()
-		h.UpdateMembership(current)
+		// AddReplica/StopReplica must reach the handler like any
+		// single-service client.
+		c.watchViews(g, h)
 		g.clusters[c.service] = c
 	}
 	return g, nil
@@ -1057,9 +1057,7 @@ func NewGateway(name string, configs map[*Cluster]ClientConfig) (*Gateway, error
 // unregister detaches the gateway's handlers from view-change delivery.
 func (g *Gateway) unregister() {
 	for _, c := range g.clusters {
-		c.mu.Lock()
-		delete(c.gateways, g)
-		c.mu.Unlock()
+		c.unwatchViews(g)
 	}
 }
 
@@ -1124,15 +1122,9 @@ func (c *Cluster) NewPassiveClient(name string, attemptTimeout time.Duration) (*
 		_ = ep.Close()
 		return nil, fmt.Errorf("aqua: passive handler: %w", err)
 	}
-	// Register for view changes, so a crash-stopped primary is dropped from
-	// the failover order, and re-push the membership to cover a change that
-	// raced the snapshot above.
+	// A crash-stopped primary must leave the failover order.
 	pc := &PassiveClient{handler: h, cluster: c}
-	c.mu.Lock()
-	c.passives[pc] = true
-	current := c.membershipLocked()
-	c.mu.Unlock()
-	h.UpdateMembership(current)
+	c.watchViews(pc, h)
 	return pc, nil
 }
 
@@ -1146,8 +1138,6 @@ func (p *PassiveClient) Primary() (ReplicaID, bool) { return p.handler.Primary()
 
 // Close releases the client.
 func (p *PassiveClient) Close() {
-	p.cluster.mu.Lock()
-	delete(p.cluster.passives, p)
-	p.cluster.mu.Unlock()
+	p.cluster.unwatchViews(p)
 	p.handler.Close()
 }
