@@ -468,7 +468,7 @@ func (w *walker) take(n uint64) []byte {
 }
 
 // decoded is a walk's result: the message it read, or nil on the sizing and
-// writing passes, which so box nothing.
+// writing passes, so that those passes box nothing.
 func decoded[M any](dir walkDir, m *M) any {
 	if dir != reading {
 		return nil
