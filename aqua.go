@@ -74,7 +74,7 @@ type Stats = core.Stats
 // scheduler: per-replica timing-fault suspicion windows, quarantine of
 // persistently late replicas (excluded from selection, select-all fallback
 // included), and probe-only probation for newly joined or restarted
-// replicas until their window holds MinSamples measurements. Set
+// replicas until they have sent ProbationSamples reports. Set
 // Enabled: true and pair with ClientConfig.ProbeInterval so probation
 // replicas are warmed back in; zero value keeps the pre-lifecycle behavior.
 type LifecycleConfig = core.LifecycleConfig
@@ -960,9 +960,7 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("aqua: client handler: %w", err)
 	}
 	client := &Client{handler: h, cluster: c, addr: ep.Addr()}
-	c.mu.Lock()
-	c.viewers[client] = h
-	c.mu.Unlock()
+	c.watchViews(client, h)
 	return client, nil
 }
 

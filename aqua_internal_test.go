@@ -1,0 +1,50 @@
+package aqua
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"aqua/internal/transport"
+)
+
+// listenHook runs hook once, on the first Listen, before delegating: a view
+// change that lands while a client is being built.
+type listenHook struct {
+	transport.Network
+	once sync.Once
+	hook func()
+}
+
+func (n *listenHook) Listen(addr transport.Addr) (transport.Endpoint, error) {
+	n.once.Do(n.hook)
+	return n.Network.Listen(addr)
+}
+
+// TestNewClientSeesViewChangeDuringSetup: a replica stopped between the
+// membership snapshot NewClient builds its handler from and the handler's
+// registration for view changes must still leave the client's view.
+func TestNewClientSeesViewChangeDuringSetup(t *testing.T) {
+	c, err := NewCluster("svc", 3, func(string, []byte) ([]byte, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	victim := c.Replicas()[0].ID()
+	c.network = &listenHook{Network: c.network, hook: func() {
+		if err := c.StopReplica(victim); err != nil {
+			t.Error(err)
+		}
+	}}
+
+	client, err := c.NewClient(ClientConfig{Name: "racer", QoS: QoS{Deadline: 100 * time.Millisecond, MinProbability: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, id := range client.handler.Scheduler().Repository().Replicas() {
+		if id == victim {
+			t.Fatalf("the client still lists %s, stopped while the client was being built", victim)
+		}
+	}
+}

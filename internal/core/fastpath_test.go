@@ -156,6 +156,57 @@ func TestLifecycleFilterFreshPathAllocs(t *testing.T) {
 	}
 }
 
+// TestLifecycleReplyPathAllocs: once a replica's outcome window exists,
+// charging a reply's outcome allocates nothing, so an OnReply with the
+// lifecycle on allocates no more than with it off.
+func TestLifecycleReplyPathAllocs(t *testing.T) {
+	const runs = 100
+	allocs := func(lifecycle bool) float64 {
+		repo := variedRepo(t, 8)
+		s, err := NewScheduler(Config{
+			Service:    "svc",
+			QoS:        wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
+			Repository: repo,
+			Lifecycle:  LifecycleConfig{Enabled: lifecycle},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range repo.Replicas() {
+			repo.RecordOutcome(id, false) // sizes the window
+		}
+		// AllocsPerRun calls the function once more than runs, to warm up.
+		t0 := time.Now()
+		ds := make([]Decision, runs+1)
+		for i := range ds {
+			if ds[i], err = s.Schedule(t0, ""); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Dispatched(ds[i].Seq, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		perf := wire.PerfReport{ServiceTime: 5 * ms, QueueDelay: ms}
+		n := testing.AllocsPerRun(runs, func() {
+			d := ds[next]
+			next++
+			for _, id := range d.Targets {
+				s.OnReply(d.Seq, id, t0.Add(10*ms), perf) // timely: no transition
+			}
+		})
+		if got := s.Outstanding(); got != 0 {
+			t.Fatalf("Outstanding() = %d after every target replied, want 0", got)
+		}
+		return n
+	}
+	off, on := allocs(false), allocs(true)
+	if on > off {
+		t.Fatalf("a reply with the lifecycle on allocates %.2f times, %.2f with it off", on, off)
+	}
+	t.Logf("reply allocs: %.2f with the lifecycle off, %.2f on", off, on)
+}
+
 // TestReferencePathMatchesCachedPath checks decision-for-decision equivalence
 // between the scheduler's zero-alloc cached path and an oracle assembled here
 // from exported parts (private snapshot, a second predictor's ranked table,

@@ -1,13 +1,13 @@
 package core
 
-// Timing-fault suspicion: the detection half of the §5.4 feedback loop.
+// Timing-fault charging: the detection half of the §5.4 feedback loop.
 //
-// The scheduler already owns every signal needed to decide that a replica —
-// as opposed to a request — is timing-faulty: which replicas each pending
-// request targeted, which of them replied, when, and against which deadline.
-// This file folds those signals into a per-replica sliding window of
-// timely/late outcomes and drives the repository's lifecycle state machine
-// from the windowed fault rate:
+// The scheduler owns the signals that say which replica a timing outcome
+// belongs to: which replicas each pending request targeted, which of them
+// replied, when, and against which deadline. This file turns them into one
+// outcome per (request, target) and hands each to the repository, whose
+// replica record holds the outcome window and the health state machine
+// (repository.RecordOutcome):
 //
 //   - every reply from a selected replica records one outcome (late when
 //     t4−t0 exceeded the deadline, duplicates included — a slow duplicate is
@@ -16,15 +16,11 @@ package core
 //     that had not replied by the deadline. The pending entry remembers who
 //     was charged, so the straggler reply that arrives later does not charge
 //     the same request twice (failures are charged once per
-//     (request, replica) pair);
-//   - when a replica's windowed fault rate crosses suspectRate it becomes
-//     Suspected; past quarantineRate it is Quarantined (and its outcome
-//     window resets so a restarted instance is judged on fresh evidence);
-//     back below clearRate a Suspected replica returns to Active.
+//     (request, replica) pair).
 //
 // Transitions surface through the SuspectReport callback (invoked outside
-// the scheduler lock) and metrics, so a dependability manager can rejuvenate
-// quarantined replicas and operators can watch the loop work.
+// the shard lock), the Stats counters and metrics, so a dependability manager
+// can rejuvenate quarantined replicas and operators can watch the loop work.
 
 import (
 	"fmt"
@@ -33,41 +29,22 @@ import (
 	"aqua/internal/wire"
 )
 
-// Lifecycle defaults.
-const (
-	// DefaultSuspicionWindow is the per-replica outcome window size.
-	DefaultSuspicionWindow = 16
-	// DefaultMinObservations gates judgment: no transition is taken until a
-	// replica's window holds this many outcomes, so one early straggle
-	// cannot suspect a healthy replica.
-	DefaultMinObservations = 8
-	// suspectRate is the windowed fault rate at which an Active replica
-	// becomes Suspected.
-	suspectRate = 0.5
-	// quarantineRate is the windowed fault rate at which a Suspected replica
-	// is Quarantined.
-	quarantineRate = 0.75
-	// clearRate is the windowed fault rate at or below which a Suspected
-	// replica returns to Active.
-	clearRate = 0.25
-)
-
 // LifecycleConfig enables and tunes the replica lifecycle: suspicion
-// windows and probation re-admission (the fault-rate thresholds are the
-// constants above). The zero value disables the lifecycle entirely
-// (paper-exact behavior).
+// windows and probation re-admission (the fault-rate thresholds are
+// constants of the repository). The zero value disables the lifecycle
+// entirely (paper-exact behavior).
 type LifecycleConfig struct {
 	// Enabled switches the lifecycle on.
 	Enabled bool
 	// WindowSize is the per-replica outcome window; zero means
-	// DefaultSuspicionWindow.
+	// repository.DefaultSuspicionWindow.
 	WindowSize int
 	// MinObservations is the minimum outcomes in a replica's window before
-	// its fault rate is judged; zero means DefaultMinObservations.
+	// its fault rate is judged; zero means repository.DefaultMinObservations.
 	MinObservations int
 	// ProbationSamples is how many fresh performance reports a probation
-	// replica must accumulate before re-admission; zero means the
-	// repository default (its window size l).
+	// replica must accumulate before re-admission; zero means
+	// repository.DefaultProbationSamples (its window size l).
 	ProbationSamples int
 	// RequireStateTransfer arms the ordered-mode re-admission gate: a
 	// Probation replica is promoted only once its performance reports claim
@@ -77,20 +54,6 @@ type LifecycleConfig struct {
 	// OnSuspect is invoked (outside the scheduler's lock) for every
 	// lifecycle transition the scheduler drives. Must not block.
 	OnSuspect func(SuspectReport)
-}
-
-// withDefaults resolves zero fields.
-func (l LifecycleConfig) withDefaults() LifecycleConfig {
-	if l.WindowSize <= 0 {
-		l.WindowSize = DefaultSuspicionWindow
-	}
-	if l.MinObservations <= 0 {
-		l.MinObservations = DefaultMinObservations
-	}
-	if l.MinObservations > l.WindowSize {
-		l.MinObservations = l.WindowSize
-	}
-	return l
 }
 
 // SuspectReport announces one lifecycle transition taken by the scheduler's
@@ -111,94 +74,14 @@ func (r SuspectReport) String() string {
 		r.Service, r.Replica, r.From, r.To, r.FaultRate, r.Observations)
 }
 
-// faultWindow is a fixed-size ring of per-replica outcomes (true = timing
-// fault) with an incremental fault count.
-type faultWindow struct {
-	ring   []bool
-	next   int
-	filled int
-	faults int
-}
-
-func newFaultWindow(size int) *faultWindow {
-	return &faultWindow{ring: make([]bool, size)}
-}
-
-func (w *faultWindow) add(fault bool) {
-	if w.filled == len(w.ring) {
-		if w.ring[w.next] {
-			w.faults--
-		}
-	} else {
-		w.filled++
-	}
-	w.ring[w.next] = fault
-	if fault {
-		w.faults++
-	}
-	w.next = (w.next + 1) % len(w.ring)
-}
-
-func (w *faultWindow) n() int { return w.filled }
-
-func (w *faultWindow) rate() float64 {
-	if w.filled == 0 {
-		return 0
-	}
-	return float64(w.faults) / float64(w.filled)
-}
-
-// recordOutcome absorbs one per-replica outcome and walks the lifecycle
-// state machine when a threshold is crossed. It takes stateMu (which guards
-// the suspicion windows); callers may hold a shard mutex.
-func (s *Scheduler) recordOutcome(id wire.ReplicaID, fault bool, reps []SuspectReport) []SuspectReport {
-	lc := s.cfg.Lifecycle
-	if !lc.Enabled {
-		return reps
-	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	w, ok := s.suspicion[id]
+// recordOutcome hands one outcome to the repository and, when it took a
+// transition, counts it and queues its report. Callers may hold a shard mutex.
+func (s *Scheduler) recordOutcome(id wire.ReplicaID, late bool, reps []SuspectReport) []SuspectReport {
+	t, ok := s.repo.RecordOutcome(id, late)
 	if !ok {
-		w = newFaultWindow(lc.WindowSize)
-		s.suspicion[id] = w
-	}
-	w.add(fault)
-	if w.n() < lc.MinObservations {
 		return reps
 	}
-	rate := w.rate()
-	h, known := s.repo.Health(id)
-	if !known {
-		return reps
-	}
-	switch h {
-	case repository.Active:
-		if rate >= quarantineRate && s.repo.Quarantine(id) {
-			// The rate blew straight past both thresholds (e.g. a full
-			// window of expiries): do not wait a lap through Suspected.
-			reps = s.noteTransition(id, h, repository.Quarantined, rate, w.filled, reps)
-			delete(s.suspicion, id)
-		} else if rate >= suspectRate && s.repo.Suspect(id) {
-			reps = s.noteTransition(id, h, repository.Suspected, rate, w.filled, reps)
-		}
-	case repository.Suspected:
-		if rate >= quarantineRate && s.repo.Quarantine(id) {
-			reps = s.noteTransition(id, h, repository.Quarantined, rate, w.filled, reps)
-			// Fresh evidence for the next incarnation: the window that
-			// convicted this one must not pre-convict its replacement.
-			delete(s.suspicion, id)
-		} else if rate <= clearRate && s.repo.ClearSuspicion(id) {
-			reps = s.noteTransition(id, h, repository.Active, rate, w.filled, reps)
-		}
-	}
-	return reps
-}
-
-// noteTransition updates counters/metrics for one transition and queues its
-// report. Caller holds stateMu.
-func (s *Scheduler) noteTransition(id wire.ReplicaID, from, to repository.Health, rate float64, n int, reps []SuspectReport) []SuspectReport {
-	switch to {
+	switch t.To {
 	case repository.Suspected:
 		s.stats.suspected.Add(1)
 		s.met.suspected.Inc()
@@ -209,14 +92,18 @@ func (s *Scheduler) noteTransition(id wire.ReplicaID, from, to repository.Health
 		s.stats.reinstated.Add(1)
 		s.met.reinstated.Inc()
 	}
+	// Serialized so the gauge's last write reads a census taken after every
+	// transition before it.
+	s.stateMu.Lock()
 	s.met.quarantinedNow.Set(int64(s.repo.QuarantinedCount()))
+	s.stateMu.Unlock()
 	return append(reps, SuspectReport{
 		Service:      s.cfg.Service,
 		Replica:      id,
-		From:         from,
-		To:           to,
-		FaultRate:    rate,
-		Observations: n,
+		From:         t.From,
+		To:           t.To,
+		FaultRate:    t.FaultRate,
+		Observations: t.Observations,
 	})
 }
 

@@ -137,7 +137,12 @@ func TestSuspectedReplicaClearsOnRecovery(t *testing.T) {
 }
 
 func TestDeadlineExpiryChargesTargetsOnce(t *testing.T) {
-	s := lifecycleSched(t, LifecycleConfig{WindowSize: 8, MinObservations: 8})
+	var reports []SuspectReport
+	s := lifecycleSched(t, LifecycleConfig{
+		WindowSize:      8,
+		MinObservations: 8,
+		OnSuspect:       func(r SuspectReport) { reports = append(reports, r) },
+	})
 
 	t0 := time.Now()
 	d, err := s.Schedule(t0, "")
@@ -155,27 +160,26 @@ func TestDeadlineExpiryChargesTargetsOnce(t *testing.T) {
 	if n := s.Outstanding(); n != 0 {
 		t.Fatalf("Outstanding = %d after all replies, want 0 (pending leak)", n)
 	}
-	for _, w := range s.suspicion {
-		if w.n() != 1 {
-			t.Fatalf("suspicion window holds %d outcomes, want 1 (double charge)", w.n())
-		}
-	}
 	// 7 more expiry-only rounds reach the 8-observation window: quarantine
-	// fires now and not earlier, proving the single charge per request.
+	// fires on the last one and not earlier, proving one charge per request.
 	for i := 0; i < 7; i++ {
+		if len(reports) != 0 {
+			t.Fatalf("round %d: transitions %v before the window filled (double-charged outcomes)", i, reports)
+		}
 		d, err := s.Schedule(time.Now(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := s.Repository().QuarantinedCount()
-		if i < 6 && before != 0 {
-			t.Fatalf("round %d: quarantined early (double-charged outcomes)", i)
-		}
 		s.OnDeadlineExpired(d.Seq)
 		s.Forget(d.Seq)
 	}
-	if n := s.Repository().QuarantinedCount(); n == 0 {
-		t.Error("no replica quarantined after 8 charged expiries")
+	if len(reports) != 3 {
+		t.Fatalf("reports = %v, want every replica quarantined after 8 charged expiries", reports)
+	}
+	for _, r := range reports {
+		if r.To != repository.Quarantined || r.Observations != 8 || r.FaultRate != 1 {
+			t.Errorf("report %v, want Active→Quarantined at rate 1 over 8 outcomes", r)
+		}
 	}
 }
 
@@ -218,7 +222,12 @@ func TestQuarantineMidFlightSettlesPending(t *testing.T) {
 }
 
 func TestRenegotiateResetsSuspicion(t *testing.T) {
-	s := lifecycleSched(t, LifecycleConfig{WindowSize: 4, MinObservations: 4})
+	var reports []SuspectReport
+	s := lifecycleSched(t, LifecycleConfig{
+		WindowSize:      4,
+		MinObservations: 4,
+		OnSuspect:       func(r SuspectReport) { reports = append(reports, r) },
+	})
 
 	for i := 0; i < 4; i++ {
 		roundtrip(t, s, map[wire.ReplicaID]bool{"a": i%2 == 0})
@@ -226,31 +235,47 @@ func TestRenegotiateResetsSuspicion(t *testing.T) {
 	if h, _ := s.Repository().Health("a"); h != repository.Suspected {
 		t.Fatalf("Health(a) = %v, want Suspected", h)
 	}
-	if err := s.Renegotiate(wire.QoS{Deadline: 200 * ms, MinProbability: 0.9}); err != nil {
+	// A new contract whose deadline the warm history still misses, so every
+	// request keeps selecting all of M and charging every replica.
+	if err := s.Renegotiate(wire.QoS{Deadline: 10 * ms, MinProbability: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	// Suspicion earned under the old deadline is lifted, windows are empty.
+	// Suspicion earned under the old deadline is lifted, silently.
 	if h, _ := s.Repository().Health("a"); h != repository.Active {
 		t.Fatalf("Health(a) = %v, want Active after renegotiation", h)
 	}
-	if len(s.suspicion) != 0 {
-		t.Errorf("suspicion windows survived renegotiation: %d", len(s.suspicion))
+	if len(reports) != 1 {
+		t.Fatalf("reports = %v, want only the Suspected transition (renegotiation reports nothing)", reports)
+	}
+	// The windows are empty: three late rounds are below MinObservations,
+	// where the old window's two late outcomes would suspect a again.
+	for i := 0; i < 3; i++ {
+		roundtrip(t, s, map[wire.ReplicaID]bool{"a": true})
+		if len(reports) != 1 {
+			t.Fatalf("round %d after renegotiation: transitions %v, want none before 4 fresh outcomes", i, reports[1:])
+		}
+	}
+	roundtrip(t, s, map[wire.ReplicaID]bool{"a": true})
+	if len(reports) != 2 || reports[1].To != repository.Quarantined || reports[1].Observations != 4 {
+		t.Fatalf("reports = %v, want a quarantined on its 4th fresh outcome", reports)
 	}
 }
 
 func TestMembershipChangePrunesSuspicionAndStartsProbation(t *testing.T) {
-	s := lifecycleSched(t, LifecycleConfig{WindowSize: 8, MinObservations: 8})
+	var reports []SuspectReport
+	s := lifecycleSched(t, LifecycleConfig{
+		WindowSize:      8,
+		MinObservations: 8,
+		OnSuspect:       func(r SuspectReport) { reports = append(reports, r) },
+	})
 
-	roundtrip(t, s, map[wire.ReplicaID]bool{"a": true}) // seed a's window
-	if len(s.suspicion) == 0 {
-		t.Fatal("no suspicion windows after a round trip")
+	// Seven late outcomes: one short of a full window that quarantines a.
+	for i := 0; i < 7; i++ {
+		roundtrip(t, s, map[wire.ReplicaID]bool{"a": true})
 	}
 	// Bootstrap view, then a leaves.
 	s.OnMembershipChange([]wire.ReplicaID{"a", "b", "c"}, time.Now())
 	s.OnMembershipChange([]wire.ReplicaID{"b", "c"}, time.Now())
-	if _, ok := s.suspicion["a"]; ok {
-		t.Error("departed replica kept its suspicion window")
-	}
 	// A rejoining replica is a newcomer: probation, excluded from selection.
 	s.OnMembershipChange([]wire.ReplicaID{"a", "b", "c"}, time.Now())
 	if h, _ := s.Repository().Health("a"); h != repository.Probation {
@@ -271,6 +296,14 @@ func TestMembershipChangePrunesSuspicionAndStartsProbation(t *testing.T) {
 	}
 	if h, _ := s.Repository().Health("a"); h != repository.Active {
 		t.Fatalf("Health(a) = %v, want Active after MinSamples probe reports", h)
+	}
+	// The departed instance's outcomes left with it: one more late outcome
+	// is the new instance's first, not the eighth that would convict it.
+	if d := roundtrip(t, s, map[wire.ReplicaID]bool{"a": true}); !targetsContain(d, "a") {
+		t.Fatalf("re-admitted replica not selected: %v", d.Targets)
+	}
+	if len(reports) != 0 {
+		t.Errorf("reports = %v, want none: the rejoined replica kept its predecessor's window", reports)
 	}
 }
 
@@ -303,10 +336,25 @@ func TestLifecycleDisabledKeepsBehavior(t *testing.T) {
 	for _, id := range d.Targets {
 		s.OnReply(d.Seq, id, t0.Add(50*ms), wire.PerfReport{ServiceTime: 10 * ms, QueueDelay: 2 * ms})
 	}
-	if len(s.suspicion) != 0 {
-		t.Error("suspicion accounting ran with lifecycle disabled")
+	// Enough late outcomes to quarantine every replica, had they been judged.
+	for i := 1; i < repository.DefaultMinObservations; i++ {
+		d, err := s.Schedule(time.Now(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.OnDeadlineExpired(d.Seq)
+		s.Forget(d.Seq)
 	}
-	if repo.LifecycleEnabled() {
-		t.Error("repository lifecycle enabled without config")
+	if st := s.Stats(); st.Suspected+st.Quarantined+st.Reinstated != 0 {
+		t.Errorf("lifecycle transitions with lifecycle disabled: %+v", st)
+	}
+	// Nor does the repository run a lifecycle: a post-bootstrap joiner is
+	// admitted straight to Active, not to probation.
+	s.OnMembershipChange([]wire.ReplicaID{"a", "b", "c"}, time.Now())
+	s.OnMembershipChange([]wire.ReplicaID{"a", "b", "c", "d"}, time.Now())
+	for _, id := range []wire.ReplicaID{"a", "b", "c", "d"} {
+		if h, _ := repo.Health(id); h != repository.Active {
+			t.Errorf("Health(%s) = %v with lifecycle disabled, want Active", id, h)
+		}
 	}
 }

@@ -27,8 +27,8 @@
 // striped across pendShardCount shards keyed by sequence number, counters are
 // atomics, the QoS contract is an atomic pointer, and the decision path reuses
 // pooled scratch buffers so the cached path allocates nothing. Only the
-// strategy invocation (strategies may be stateful) and the QoS/suspicion
-// accounting take short dedicated locks. Lock ordering, where held together:
+// strategy invocation (strategies may be stateful) and the QoS accounting
+// take short dedicated locks. Lock ordering, where held together:
 // shard.mu → stateMu → repository locks; there are no reverse paths.
 package core
 
@@ -399,12 +399,11 @@ type Scheduler struct {
 	// probability table — runs concurrently.
 	stratMu sync.Mutex
 
-	// stateMu guards the QoS accounting window, the violation latch, the
-	// suspicion windows, and degradation-ladder transitions. Acquired after a
-	// shard mutex, never before.
-	stateMu   sync.Mutex
-	notified  bool                            // violation callback already fired since last renegotiation
-	suspicion map[wire.ReplicaID]*faultWindow // per-replica timing-fault outcomes (lifecycle.go)
+	// stateMu guards the QoS accounting window, the violation latch,
+	// degradation-ladder transitions and the quarantined-replicas gauge.
+	// Acquired after a shard mutex, never before.
+	stateMu  sync.Mutex
+	notified bool // violation callback already fired since last renegotiation
 	// winCompleted/winFailures are the QoS accounting window: they track
 	// Completed/TimingFailures but reset on Renegotiate, so the observed
 	// timely fraction is always measured against the QoS it was served
@@ -440,10 +439,13 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.Repository == nil {
 		cfg.Repository = repository.New()
 	}
-	if cfg.Lifecycle.Enabled {
-		cfg.Lifecycle = cfg.Lifecycle.withDefaults()
-		cfg.Repository.EnableLifecycle(cfg.Lifecycle.ProbationSamples)
-		cfg.Repository.RequireStateTransfer(cfg.Lifecycle.RequireStateTransfer)
+	if lc := cfg.Lifecycle; lc.Enabled {
+		cfg.Repository.EnableLifecycle(repository.Lifecycle{
+			WindowSize:           lc.WindowSize,
+			MinObservations:      lc.MinObservations,
+			ProbationSamples:     lc.ProbationSamples,
+			RequireStateTransfer: lc.RequireStateTransfer,
+		})
 	}
 	reg := metrics.OrDefault(cfg.Metrics)
 	s := &Scheduler{
@@ -453,7 +455,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		strategy:    cfg.Strategy,
 		reg:         reg,
 		met:         resolveSchedInstruments(reg),
-		suspicion:   make(map[wire.ReplicaID]*faultWindow),
 		replicaHist: make(map[wire.ReplicaID]*metrics.Histogram),
 		scratchFree: make(chan *schedScratch, 8),
 		pendFree:    make(chan *pending, 256),
@@ -563,14 +564,8 @@ func (s *Scheduler) Renegotiate(q wire.QoS) error {
 		// Suspicion was accumulated against the old deadline: an outcome
 		// that was "late" under a 10ms contract may be timely under 50ms.
 		// Reset the windows like the QoS window, and lift suspicion earned
-		// under the old contract. Quarantine stands — a quarantined replica
-		// was convicted, not merely suspected, and re-enters via probation.
-		s.suspicion = make(map[wire.ReplicaID]*faultWindow)
-		for _, snap := range s.repo.Snapshot("") {
-			if snap.Health == repository.Suspected {
-				s.repo.ClearSuspicion(snap.ID)
-			}
-		}
+		// under the old contract.
+		s.repo.ResetSuspicion()
 	}
 	return nil
 }
@@ -1062,15 +1057,6 @@ func (s *Scheduler) OnMembershipChange(members []wire.ReplicaID, now time.Time) 
 		alive[id] = true
 	}
 	qos := *s.qos.Load()
-	// Suspicion windows of departed replicas go with them; a replica that
-	// later rejoins under the same ID is judged on fresh evidence.
-	s.stateMu.Lock()
-	for id := range s.suspicion {
-		if !alive[id] {
-			delete(s.suspicion, id)
-		}
-	}
-	s.stateMu.Unlock()
 	var report *ViolationReport
 	for i := range s.shards {
 		sh := &s.shards[i]

@@ -133,10 +133,14 @@ func TestDuplicateRepliesHarvestedNotDelivered(t *testing.T) {
 	if st.Duplicates != 1 || st.Replies != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	// The duplicate's perf data must have updated the repository: each of
-	// the two replicas absorbed one new report beyond the warmup.
-	if got := repo.UpdateCount(d.Targets[1]); got != uint64(repository.DefaultWindowSize)+1 {
-		t.Errorf("duplicate perf not harvested: count=%d", got)
+	// The duplicate's perf data must have updated the repository: its
+	// replica's last report is the duplicate's, received at t4.
+	snap, err := repo.SnapshotOne(d.Targets[1], "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.LastUpdate.Equal(t0.Add(18 * ms)) {
+		t.Errorf("duplicate perf not harvested: last update %v, want t0+18ms", snap.LastUpdate.Sub(t0))
 	}
 }
 

@@ -701,11 +701,3 @@ func (h *TimingFaultHandler) fanCancel(seq wire.SeqNo) {
 	_ = transport.Multicast(h.ep, h.cancelAddrs, wire.Cancel{Client: h.cfg.Client, Seq: seq, Service: h.cfg.Service})
 	h.metCancels.Add(uint64(len(h.cancelAddrs)))
 }
-
-// NewActiveHandler returns AQuA's active-replication handler: every request
-// goes to every live replica and the first reply is delivered. It reuses
-// the timing fault machinery with the All strategy.
-func NewActiveHandler(ep transport.Endpoint, cfg Config) (*TimingFaultHandler, error) {
-	cfg.Strategy = selection.All{}
-	return NewTimingFaultHandler(ep, cfg)
-}

@@ -10,6 +10,7 @@ import (
 
 	"aqua/internal/core"
 	"aqua/internal/group"
+	"aqua/internal/selection"
 	"aqua/internal/server"
 	"aqua/internal/stats"
 	"aqua/internal/trace"
@@ -287,7 +288,7 @@ func TestPerfUpdatesFlowToOtherClients(t *testing.T) {
 	}
 	waitFor(t, time.Second, func() bool {
 		for _, id := range []wire.ReplicaID{"r0", "r1"} {
-			if h2.Scheduler().Repository().UpdateCount(id) == 0 {
+			if snap, err := h2.Scheduler().Repository().SnapshotOne(id, ""); err != nil || snap.LastUpdate.IsZero() {
 				return false
 			}
 		}
@@ -365,9 +366,11 @@ func TestRenegotiateChangesBehaviour(t *testing.T) {
 func TestActiveHandlerSendsToAll(t *testing.T) {
 	f := newFixture(t, 3, nil)
 	ep, _ := f.net.Listen("client:active")
-	h, err := NewActiveHandler(ep, Config{
+	// Active replication is the timing fault handler with the All strategy.
+	h, err := NewTimingFaultHandler(ep, Config{
 		Client: "active", Service: "svc",
 		QoS:            wire.QoS{Deadline: 400 * ms, MinProbability: 0},
+		Strategy:       selection.All{},
 		StaticReplicas: f.static(),
 	})
 	if err != nil {

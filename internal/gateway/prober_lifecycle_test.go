@@ -28,22 +28,35 @@ func TestProberSkipsQuarantinedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	repo := h.Scheduler().Repository()
-	// Let the duplicate replies of the bootstrap call land before taking
-	// the baseline, or one can race the quarantine below.
+	// Let the duplicate replies of the bootstrap call land before the
+	// quarantine, or one can race it.
 	waitFor(t, time.Second, func() bool {
-		return h.Scheduler().Outstanding() == 0 && repo.UpdateCount("r0") > 0
+		return h.Scheduler().Outstanding() == 0 && !lastUpdate(t, repo, "r0").IsZero()
 	}, "bootstrap call settled")
 	if !repo.Quarantine("r0") {
 		t.Fatal("Quarantine(r0) failed")
 	}
-	base := repo.UpdateCount("r0")
+	// A sweep that read r0 as Active before the quarantine may still probe
+	// it. Sweeps run one at a time and send at most one probe per replica,
+	// so once three probes went out after the quarantine at least one came
+	// from a sweep that started after it, and every earlier sweep's probe to
+	// r0 is in sentAt. With none of them outstanding, every reply has landed.
+	settledAfter := func(sent uint64) func() bool {
+		return func() bool {
+			h.prober.mu.Lock()
+			defer h.prober.mu.Unlock()
+			_, busy := h.prober.sentAt["r0"]
+			return h.prober.sent >= sent+3 && !busy
+		}
+	}
+	waitFor(t, 2*time.Second, settledAfter(h.ProbesSent()), "a sweep after the quarantine, no probe to r0 outstanding")
+	base := lastUpdate(t, repo, "r0")
 
 	// Idle long enough for several sweeps: the healthy replica keeps
 	// getting refreshed, the quarantined one goes silent.
-	waitFor(t, 2*time.Second, func() bool { return h.ProbesSent() >= 3 }, "probes flowing")
-	time.Sleep(50 * ms) // let any in-flight probe reply land
-	if got := repo.UpdateCount("r0"); got != base {
-		t.Errorf("quarantined replica refreshed by probes: updates %d → %d", base, got)
+	waitFor(t, 2*time.Second, settledAfter(h.ProbesSent()), "probes flowing, no probe to r0 outstanding")
+	if got := lastUpdate(t, repo, "r0"); !got.Equal(base) {
+		t.Errorf("quarantined replica refreshed by probes: last update %v → %v", base, got)
 	}
 }
 

@@ -28,15 +28,15 @@ func TestProberRefreshesStaleReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	repo := h.Scheduler().Repository()
-	baseline := make(map[wire.ReplicaID]uint64)
+	baseline := make(map[wire.ReplicaID]time.Time)
 	for _, id := range repo.Replicas() {
-		baseline[id] = repo.UpdateCount(id)
+		baseline[id] = lastUpdate(t, repo, id)
 	}
 
 	// While idle, probes must keep every replica's history fresh.
 	waitFor(t, 2*time.Second, func() bool {
 		for _, id := range repo.Replicas() {
-			if repo.UpdateCount(id) <= baseline[id] {
+			if !lastUpdate(t, repo, id).After(baseline[id]) {
 				return false
 			}
 		}
@@ -236,7 +236,7 @@ func TestProbeReplyCannotCompleteCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	repo := h.sched.Repository()
-	before := repo.UpdateCount("r0")
+	before := lastUpdate(t, repo, "r0")
 
 	// A probe reply forged with the pending call's sequence number.
 	h.handleMessage(transport.Message{From: "r0", Payload: wire.Response{
@@ -248,7 +248,7 @@ func TestProbeReplyCannotCompleteCall(t *testing.T) {
 	if st := h.Stats(); st.Completed != 0 {
 		t.Errorf("probe reply completed a call: %+v", st)
 	}
-	if repo.UpdateCount("r0") <= before {
+	if !lastUpdate(t, repo, "r0").After(before) {
 		t.Error("probe reply did not refresh the repository")
 	}
 
@@ -309,7 +309,7 @@ func TestProbeGatewayDelayReachesMethodSnapshots(t *testing.T) {
 	// No real traffic at all: only probes feed the repository.
 	repo := h.Scheduler().Repository()
 	waitFor(t, 2*time.Second, func() bool {
-		return repo.UpdateCount("r0") > 0
+		return !lastUpdate(t, repo, "r0").IsZero()
 	}, "probe reply absorbed")
 
 	snap, err := repo.SnapshotOne("r0", "someMethod")
@@ -411,9 +411,11 @@ func TestProberSuspectedLostProbeBacksOff(t *testing.T) {
 		Metrics:        reg,
 	})
 	repo := h.Scheduler().Repository()
-	repo.EnableLifecycle(0)
-	if !repo.Suspect("r0") {
-		t.Fatal("could not move r0 to Suspected")
+	// One late and one timely outcome: a fault rate of 0.5 suspects r0.
+	repo.EnableLifecycle(repository.Lifecycle{WindowSize: 2, MinObservations: 2})
+	repo.RecordOutcome("r0", true)
+	if tr, ok := repo.RecordOutcome("r0", false); !ok || tr.To != repository.Suspected {
+		t.Fatalf("RecordOutcome = %+v, %v; want a move to Suspected", tr, ok)
 	}
 	waitFor(t, 2*time.Second, func() bool { return h.ProbesSent() >= 1 },
 		"first probe to the suspected replica")
@@ -489,4 +491,15 @@ func startCustomReplica(t *testing.T, ep transport.Endpoint, h server.Handler) *
 	}
 	t.Cleanup(srv.Stop)
 	return srv
+}
+
+// lastUpdate is a replica's freshness marker: the receipt time of the last
+// performance report the repository absorbed for it.
+func lastUpdate(t *testing.T, repo *repository.Repository, id wire.ReplicaID) time.Time {
+	t.Helper()
+	snap, err := repo.SnapshotOne(id, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.LastUpdate
 }

@@ -110,7 +110,7 @@ func TestBorrowedDisplacement(t *testing.T) {
 // toward probation promotion — only real performance reports re-admit.
 func TestBorrowedNeverPromotesProbation(t *testing.T) {
 	repo := New()
-	repo.EnableLifecycle(3)
+	repo.EnableLifecycle(Lifecycle{ProbationSamples: 3})
 	repo.SetMembership([]wire.ReplicaID{"r1"}) // bootstrap view
 	repo.SetMembership([]wire.ReplicaID{"r1", "newcomer"})
 	if h, _ := repo.Health("newcomer"); h != Probation {
@@ -237,12 +237,14 @@ func TestBorrowedVouchSuppressedForNonActive(t *testing.T) {
 		}, Quarantined},
 		{"suspected", func(r *Repository) {
 			r.SetMembership([]wire.ReplicaID{"rx"})
-			r.Suspect("rx")
+			for _, late := range []bool{true, false, true, false, true, false, true, false} {
+				r.RecordOutcome("rx", late) // a fault rate of 0.5
+			}
 		}, Suspected},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			repo := New()
-			repo.EnableLifecycle(3)
+			repo.EnableLifecycle(Lifecycle{ProbationSamples: 3})
 			tc.setup(repo)
 			if h, _ := repo.Health("rx"); h != tc.want {
 				t.Fatalf("setup health = %v, want %v", h, tc.want)
@@ -266,7 +268,7 @@ func TestBorrowedVouchSuppressedForNonActive(t *testing.T) {
 
 	// Control: the identical digest does vouch for an Active replica.
 	repo := New()
-	repo.EnableLifecycle(3)
+	repo.EnableLifecycle(Lifecycle{ProbationSamples: 3})
 	repo.SetMembership([]wire.ReplicaID{"rx"}) // bootstrap view: Active
 	old := time.Now().Add(-time.Hour)
 	repo.RecordPerf("rx", "", wire.PerfReport{ServiceTime: dms}, old)

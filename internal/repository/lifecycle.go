@@ -5,26 +5,33 @@ package repository
 // The paper's handler detects timing faults but the detection must feed back
 // into pool management, or a replica that turns persistently slow (GC stall,
 // overloaded host, degraded link) keeps being selected through its stale
-// window forever. The repository therefore tracks a per-replica health state:
+// window forever. The repository therefore keeps, on each replica's record, a
+// sliding window of timing outcomes and the health state that window drives:
 //
 //	Active ──suspect──▶ Suspected ──quarantine──▶ Quarantined
 //	  ▲                     │                          │
 //	  │◀──────clear─────────┘                       restart
 //	  │                                                ▼
-//	  └──────────── MinSamples measurements ──── Probation
+//	  └──────────── ProbationSamples reports ──── Probation
+//
+// RecordOutcome adds one outcome and takes any transition under the same
+// write lock: at a windowed fault rate of suspectRate an Active replica is
+// Suspected, at quarantineRate an Active or Suspected one is Quarantined (and
+// its window resets, so a restarted instance is judged on fresh evidence), and
+// at clearRate or below a Suspected one is Active again. Nothing is judged
+// before the window holds MinObservations outcomes.
 //
 // Quarantined replicas are invisible to selection (the scheduler filters
 // them out of the probability table and the select-all fallback), so one
 // sick replica cannot drag P_K(t) down or eat redundancy budget. Probation
 // is the re-admission airlock: a replica that (re)joins the pool serves only
-// probes until its measurement window holds MinSamples fresh samples, which
-// kills the cold-start select-all flood on live traffic that a Proteus
-// replacement otherwise triggers (§5.4.1 applied to a warm pool).
+// probes until it has sent ProbationSamples fresh reports, which kills the
+// cold-start select-all flood on live traffic that a Proteus replacement
+// otherwise triggers (§5.4.1 applied to a warm pool).
 //
-// The suspicion *accounting* (windowed per-replica timing-fault rates) lives
-// in internal/core, which owns the pending-request bookkeeping; the state
-// machine and its invariants live here so every consumer of the repository —
-// scheduler, prober, dependability manager — sees one consistent view.
+// Which outcome each request charges, and to whom, is internal/core's: only
+// the scheduler's pending table knows a request's targets, its deadline and
+// who already replied.
 
 import (
 	"aqua/internal/window"
@@ -45,8 +52,8 @@ const (
 	// for rejuvenation (restart).
 	Quarantined
 	// Probation replicas are newly joined or restarted: excluded from
-	// selection, warmed up through probes until their window holds
-	// MinSamples measurements, then promoted to Active.
+	// selection, warmed up through probes until they have sent
+	// ProbationSamples reports, then promoted to Active.
 	Probation
 )
 
@@ -68,59 +75,71 @@ func (h Health) String() string {
 // Selectable reports whether a replica in this state may serve live traffic.
 func (h Health) Selectable() bool { return h == Active || h == Suspected }
 
-// DefaultProbationSamples is the number of fresh performance reports a
-// probation replica must accumulate before re-admission when the lifecycle
-// is enabled without an explicit threshold: the paper's default window size,
-// so the replica rejoins selection with a full measurement window.
-const DefaultProbationSamples = DefaultWindowSize
+// Lifecycle defaults and thresholds.
+const (
+	// DefaultSuspicionWindow is the per-replica outcome window size.
+	DefaultSuspicionWindow = 16
+	// DefaultMinObservations gates judgment: no transition is taken until a
+	// replica's window holds this many outcomes, so one early straggle
+	// cannot suspect a healthy replica.
+	DefaultMinObservations = 8
+	// DefaultProbationSamples is the number of fresh performance reports a
+	// probation replica must accumulate before re-admission: the paper's
+	// default window size, so the replica rejoins selection with a full
+	// measurement window.
+	DefaultProbationSamples = DefaultWindowSize
+	// suspectRate is the windowed fault rate at which an Active replica
+	// becomes Suspected.
+	suspectRate = 0.5
+	// quarantineRate is the windowed fault rate at which an Active or
+	// Suspected replica is Quarantined.
+	quarantineRate = 0.75
+	// clearRate is the windowed fault rate at or below which a Suspected
+	// replica returns to Active.
+	clearRate = 0.25
+)
 
-// LifecycleStats counts lifecycle transitions and the current census.
-type LifecycleStats struct {
-	Suspected   uint64 // Active → Suspected transitions
-	Cleared     uint64 // Suspected → Active recoveries
-	Quarantined uint64 // → Quarantined transitions
-	Joined      uint64 // replicas admitted on probation (post-bootstrap joins)
-	Admitted    uint64 // Probation → Active promotions
-	// Census by current state.
-	NumActive, NumSuspected, NumQuarantined, NumProbation int
+// Lifecycle is the repository's share of the lifecycle configuration (see
+// core.LifecycleConfig); a zero field takes its default.
+type Lifecycle struct {
+	WindowSize       int // outcomes per suspicion window: DefaultSuspicionWindow
+	MinObservations  int // outcomes before a rate is judged: DefaultMinObservations, at most WindowSize
+	ProbationSamples int // reports a probation replica needs: DefaultProbationSamples
+	// RequireStateTransfer arms the ordered-mode re-admission gate: a
+	// probation replica is promoted only once its reports also carry
+	// CaughtUp, i.e. its state machine has completed state transfer (or
+	// booted fresh into an empty group). Without it, promotion keys on sample
+	// count alone, which is right for stateless services but would re-admit a
+	// stateful replica whose timing recovered while its state is still behind.
+	RequireStateTransfer bool
+}
+
+// withDefaults resolves zero fields.
+func (l Lifecycle) withDefaults() Lifecycle {
+	if l.WindowSize <= 0 {
+		l.WindowSize = DefaultSuspicionWindow
+	}
+	if l.MinObservations <= 0 {
+		l.MinObservations = DefaultMinObservations
+	}
+	l.MinObservations = min(l.MinObservations, l.WindowSize)
+	if l.ProbationSamples <= 0 {
+		l.ProbationSamples = DefaultProbationSamples
+	}
+	return l
 }
 
 // EnableLifecycle switches the repository into lifecycle mode: health is
-// tracked per replica, replicas joining after the bootstrap view start in
-// Probation, and a probation replica is promoted to Active after minSamples
-// performance reports (<=0 means DefaultProbationSamples). Idempotent; the
-// scheduler calls it when core.Config.Lifecycle is enabled.
-func (r *Repository) EnableLifecycle(minSamples int) {
-	if minSamples <= 0 {
-		minSamples = DefaultProbationSamples
-	}
+// tracked per replica, timing outcomes are judged (RecordOutcome), replicas
+// joining after the bootstrap view start in Probation, and a probation
+// replica is promoted to Active after cfg.ProbationSamples performance
+// reports. The scheduler calls it when core.Config.Lifecycle is enabled.
+func (r *Repository) EnableLifecycle(cfg Lifecycle) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lifecycle = true
-	r.probationSamples = minSamples
+	r.life = cfg.withDefaults()
 	r.touchAllLocked()
-}
-
-// RequireStateTransfer toggles the ordered-mode re-admission gate: when
-// enabled, a Probation replica is promoted to Active only once its
-// performance reports carry CaughtUp — i.e. its state machine has completed
-// state transfer (or booted fresh into an empty group). Without the gate,
-// probation promotion keys on sample count alone, which is correct for
-// stateless services but would re-admit a stateful replica whose timing
-// recovered while its state is still behind the group.
-func (r *Repository) RequireStateTransfer(enabled bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.requireCaughtUp = enabled
-	r.touchAllLocked()
-}
-
-// StateTransferRequired reports whether the ordered-mode re-admission gate
-// is on.
-func (r *Repository) StateTransferRequired() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.requireCaughtUp
 }
 
 // CaughtUp returns the latest ordered-mode evidence for a replica: whether
@@ -136,13 +155,6 @@ func (r *Repository) CaughtUp(id wire.ReplicaID) (caughtUp bool, tail uint64, ok
 	return st.caughtUp, st.orderedTail, true
 }
 
-// LifecycleEnabled reports whether health tracking is on.
-func (r *Repository) LifecycleEnabled() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.lifecycle
-}
-
 // Health returns a replica's lifecycle state. Unknown replicas report
 // (Active, false). With the lifecycle disabled every member is Active.
 func (r *Repository) Health(id wire.ReplicaID) (Health, bool) {
@@ -155,34 +167,67 @@ func (r *Repository) Health(id wire.ReplicaID) (Health, bool) {
 	return st.health, true
 }
 
-// Suspect moves an Active replica to Suspected. Returns true when the
-// transition happened.
-func (r *Repository) Suspect(id wire.ReplicaID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.replicas[id]
-	if !ok || !r.lifecycle || st.health != Active {
-		return false
-	}
-	st.health = Suspected
-	r.lifeStats.Suspected++
-	r.touchLocked(st)
-	return true
+// Transition is one lifecycle edge RecordOutcome took, with the windowed
+// timing-fault rate, over Observations outcomes, that drove it.
+type Transition struct {
+	From, To     Health
+	FaultRate    float64
+	Observations int
 }
 
-// ClearSuspicion returns a Suspected replica to Active (its windowed fault
-// rate recovered). Returns true when the transition happened.
-func (r *Repository) ClearSuspicion(id wire.ReplicaID) bool {
+// RecordOutcome adds one timing outcome (late: a timing fault) to a replica's
+// suspicion window and takes the transition its windowed fault rate calls
+// for, under one write lock. It reports false when nothing moved: the
+// lifecycle is off, the replica is unknown, the window holds fewer than
+// MinObservations outcomes, or the rate crossed no threshold.
+func (r *Repository) RecordOutcome(id wire.ReplicaID, late bool) (Transition, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.replicas[id]
-	if !ok || st.health != Suspected {
-		return false
+	if !ok || !r.lifecycle {
+		return Transition{}, false
 	}
-	st.health = Active
-	r.lifeStats.Cleared++
-	r.touchLocked(st)
-	return true
+	w := &st.outcomes
+	if w.ring == nil {
+		w.ring = make([]bool, r.life.WindowSize)
+	}
+	w.add(late)
+	if w.filled < r.life.MinObservations {
+		return Transition{}, false
+	}
+	t := Transition{From: st.health, FaultRate: w.rate(), Observations: w.filled}
+	switch {
+	case st.health.Selectable() && t.FaultRate >= quarantineRate:
+		// From Active too: a rate that blew straight past both thresholds
+		// (a full window of expiries) does not wait a lap through Suspected.
+		t.To = Quarantined
+		r.quarantineLocked(st)
+	case st.health == Active && t.FaultRate >= suspectRate:
+		t.To = Suspected
+		r.setHealthLocked(st, Suspected)
+	case st.health == Suspected && t.FaultRate <= clearRate:
+		t.To = Active
+		r.setHealthLocked(st, Active)
+	default:
+		return Transition{}, false
+	}
+	return t, true
+}
+
+// ResetSuspicion empties every replica's suspicion window and returns every
+// Suspected replica to Active. Quarantine and probation stand: a quarantined
+// replica was convicted, not merely suspected, and re-enters via probation.
+// The scheduler calls it when the QoS is renegotiated, since the outcomes
+// were judged against the old deadline.
+func (r *Repository) ResetSuspicion() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, st := range r.replicas {
+		st.outcomes.reset()
+		if st.health == Suspected {
+			r.setHealthLocked(st, Active)
+		}
+	}
 }
 
 // Quarantine removes a replica from the selectable pool without removing it
@@ -196,7 +241,15 @@ func (r *Repository) Quarantine(id wire.ReplicaID) bool {
 	if !ok || !r.lifecycle || st.health == Quarantined {
 		return false
 	}
-	st.health = Quarantined
+	r.quarantineLocked(st)
+	return true
+}
+
+// quarantineLocked moves st to Quarantined. Caller holds r.mu for writing.
+func (r *Repository) quarantineLocked(st *replicaState) {
+	// Fresh evidence for the next incarnation: the window that convicted
+	// this one must not pre-convict its replacement.
+	st.outcomes.reset()
 	st.probationGot = 0
 	// Whatever the replica claimed before it was ejected no longer counts:
 	// re-admission evidence (including CaughtUp) must postdate the
@@ -204,29 +257,13 @@ func (r *Repository) Quarantine(id wire.ReplicaID) bool {
 	// state-transfer gate.
 	st.caughtUp = false
 	st.orderedTail = 0
-	r.lifeStats.Quarantined++
-	r.touchLocked(st)
-	return true
+	r.setHealthLocked(st, Quarantined)
 }
 
-// LifecycleStats snapshots transition counters and the current census.
-func (r *Repository) LifecycleStats() LifecycleStats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := r.lifeStats
-	for _, st := range r.replicas {
-		switch st.health {
-		case Active:
-			s.NumActive++
-		case Suspected:
-			s.NumSuspected++
-		case Quarantined:
-			s.NumQuarantined++
-		case Probation:
-			s.NumProbation++
-		}
-	}
-	return s
+// setHealthLocked moves st to h. Caller holds r.mu for writing.
+func (r *Repository) setHealthLocked(st *replicaState, h Health) {
+	st.health = h
+	r.touchLocked(st)
 }
 
 // QuarantinedCount returns how many members are currently quarantined.
@@ -250,7 +287,6 @@ func (r *Repository) newReplicaStateLocked() *replicaState {
 	st := &replicaState{gateway: window.NewHistogrammed(r.gatewayHist, resolution)}
 	if r.lifecycle && r.bootstrapped {
 		st.health = Probation
-		r.lifeStats.Joined++
 	}
 	return st
 }
@@ -258,7 +294,6 @@ func (r *Repository) newReplicaStateLocked() *replicaState {
 // dropEntriesLocked deletes every measurement window for a replica. Caller
 // holds r.mu.
 func (r *Repository) dropEntriesLocked(id wire.ReplicaID) {
-	delete(r.updatesByRep, id)
 	for k := range r.entries {
 		if k.replica == id {
 			delete(r.entries, k)
@@ -277,8 +312,42 @@ func (r *Repository) notePerfLocked(st *replicaState) {
 		return
 	}
 	st.probationGot++
-	if st.probationGot >= r.probationSamples && (!r.requireCaughtUp || st.caughtUp) {
+	if st.probationGot >= r.life.ProbationSamples && (!r.life.RequireStateTransfer || st.caughtUp) {
 		st.health = Active
-		r.lifeStats.Admitted++
 	}
+}
+
+// faultWindow is a fixed-size ring of timing outcomes (true = timing fault)
+// with an incremental fault count. The zero value is unsized; RecordOutcome
+// sizes it on the replica's first outcome.
+type faultWindow struct {
+	ring   []bool
+	next   int
+	filled int
+	faults int
+}
+
+func (w *faultWindow) add(fault bool) {
+	if w.filled == len(w.ring) {
+		if w.ring[w.next] {
+			w.faults--
+		}
+	} else {
+		w.filled++
+	}
+	w.ring[w.next] = fault
+	if fault {
+		w.faults++
+	}
+	w.next = (w.next + 1) % len(w.ring)
+}
+
+// reset empties the window in place; add overwrites the stale ring slots.
+func (w *faultWindow) reset() { w.next, w.filled, w.faults = 0, 0, 0 }
+
+func (w *faultWindow) rate() float64 {
+	if w.filled == 0 {
+		return 0
+	}
+	return float64(w.faults) / float64(w.filled)
 }

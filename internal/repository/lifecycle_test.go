@@ -10,57 +10,65 @@ import (
 func TestLifecycleDisabledByDefault(t *testing.T) {
 	r := New()
 	r.AddReplica("a")
-	if r.LifecycleEnabled() {
-		t.Error("lifecycle enabled without EnableLifecycle")
-	}
 	if h, ok := r.Health("a"); !ok || h != Active {
 		t.Errorf("Health(a) = %v, %v; want Active, true", h, ok)
 	}
-	if r.Suspect("a") {
-		t.Error("Suspect succeeded with lifecycle disabled")
+	for i := 0; i < DefaultSuspicionWindow; i++ {
+		if tr, ok := r.RecordOutcome("a", true); ok {
+			t.Fatalf("RecordOutcome took %+v with lifecycle disabled", tr)
+		}
 	}
 	if r.Quarantine("a") {
 		t.Error("Quarantine succeeded with lifecycle disabled")
 	}
 }
 
+// TestLifecycleStateMachine walks every edge RecordOutcome takes on a window
+// of 4: nothing before 4 outcomes, Active→Suspected at 0.5, back to Active at
+// 0.25, Suspected→Quarantined at 0.75, Active→Quarantined in one step, and
+// nothing once quarantined.
 func TestLifecycleStateMachine(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(0)
-	r.AddReplica("a")
+	r.EnableLifecycle(Lifecycle{WindowSize: 4, MinObservations: 4})
+	r.SetMembership([]wire.ReplicaID{"a", "b"})
 
-	if !r.Suspect("a") {
-		t.Fatal("Suspect(a) failed from Active")
+	step := func(id wire.ReplicaID, late bool, want Transition, moved bool) {
+		t.Helper()
+		got, ok := r.RecordOutcome(id, late)
+		if ok != moved || got != want {
+			t.Fatalf("RecordOutcome(%s, late=%v) = %+v, %v; want %+v, %v", id, late, got, ok, want, moved)
+		}
+		if h, _ := r.Health(id); moved && h != want.To {
+			t.Fatalf("Health(%s) = %v after %+v", id, h, got)
+		}
 	}
-	if r.Suspect("a") {
-		t.Error("Suspect(a) succeeded twice")
+	none := Transition{}
+	step("a", true, none, false)
+	step("a", false, none, false)
+	step("a", true, none, false) // 2 of 3 late, but below MinObservations
+	step("a", false, Transition{Active, Suspected, 0.5, 4}, true)
+	step("a", false, Transition{Suspected, Active, 0.25, 4}, true)
+	step("a", true, Transition{Active, Suspected, 0.5, 4}, true)
+	step("a", true, none, false) // still 0.5: suspected, not convicted
+	step("a", true, Transition{Suspected, Quarantined, 0.75, 4}, true)
+	// The convicting window resets: the next incarnation starts clean.
+	if n := r.replicas["a"].outcomes.filled; n != 0 {
+		t.Fatalf("quarantine left %d outcomes in the window", n)
 	}
-	if h, _ := r.Health("a"); h != Suspected {
-		t.Fatalf("Health(a) = %v, want Suspected", h)
-	}
-	if !r.ClearSuspicion("a") {
-		t.Fatal("ClearSuspicion(a) failed from Suspected")
-	}
-	if h, _ := r.Health("a"); h != Active {
-		t.Fatalf("Health(a) = %v, want Active", h)
-	}
-
-	if !r.Quarantine("a") {
-		t.Fatal("Quarantine(a) failed from Active")
+	for i := 0; i < 4; i++ {
+		step("a", true, none, false) // a quarantined replica is not re-judged
 	}
 	if r.Quarantine("a") {
 		t.Error("Quarantine(a) succeeded twice")
 	}
-	if n := r.QuarantinedCount(); n != 1 {
-		t.Errorf("QuarantinedCount = %d, want 1", n)
-	}
 
-	s := r.LifecycleStats()
-	if s.Suspected != 1 || s.Cleared != 1 || s.Quarantined != 1 {
-		t.Errorf("stats = %+v, want 1 suspected / 1 cleared / 1 quarantined", s)
+	// A full window of faults skips Suspected.
+	for i := 0; i < 3; i++ {
+		step("b", true, none, false)
 	}
-	if s.NumQuarantined != 1 {
-		t.Errorf("census NumQuarantined = %d, want 1", s.NumQuarantined)
+	step("b", true, Transition{Active, Quarantined, 1, 4}, true)
+	if n := r.QuarantinedCount(); n != 2 {
+		t.Errorf("QuarantinedCount = %d, want 2", n)
 	}
 }
 
@@ -76,7 +84,7 @@ func TestSelectable(t *testing.T) {
 
 func TestProbationPromotionAfterMinSamples(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(3)
+	r.EnableLifecycle(Lifecycle{ProbationSamples: 3})
 	// Bootstrap view: members enter Active.
 	r.SetMembership([]wire.ReplicaID{"a", "b"})
 	if h, _ := r.Health("a"); h != Active {
@@ -98,15 +106,11 @@ func TestProbationPromotionAfterMinSamples(t *testing.T) {
 	if h, _ := r.Health("c"); h != Active {
 		t.Fatalf("Health(c) = %v, want Active after 3 reports", h)
 	}
-	s := r.LifecycleStats()
-	if s.Joined != 1 || s.Admitted != 1 {
-		t.Errorf("stats = %+v, want Joined=1 Admitted=1", s)
-	}
 }
 
 func TestProbationReplicaCrashBeforeAdmission(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(5)
+	r.EnableLifecycle(Lifecycle{ProbationSamples: 5})
 	r.SetMembership([]wire.ReplicaID{"a"})
 	r.SetMembership([]wire.ReplicaID{"a", "b"}) // b on probation
 	r.RecordPerf("b", "", wire.PerfReport{ServiceTime: time.Millisecond, QueueDelay: time.Millisecond}, time.Now())
@@ -131,7 +135,7 @@ func TestProbationReplicaCrashBeforeAdmission(t *testing.T) {
 
 func TestQuarantineResetsProbationCredit(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(2)
+	r.EnableLifecycle(Lifecycle{ProbationSamples: 2})
 	r.SetMembership([]wire.ReplicaID{"a"})
 	r.SetMembership([]wire.ReplicaID{"a", "b"})
 	r.RecordPerf("b", "", wire.PerfReport{ServiceTime: time.Millisecond, QueueDelay: time.Millisecond}, time.Now())
@@ -149,17 +153,13 @@ func TestQuarantineResetsProbationCredit(t *testing.T) {
 	}
 }
 
-// TestStateTransferGateBlocksPromotion: with RequireStateTransfer on, timing
+// TestStateTransferGateBlocksPromotion: with the state-transfer gate on, timing
 // samples alone must not re-admit a probation replica — promotion waits for
 // the first report claiming a caught-up state machine, then fires without
 // restarting the sample count.
 func TestStateTransferGateBlocksPromotion(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(3)
-	r.RequireStateTransfer(true)
-	if !r.StateTransferRequired() {
-		t.Fatal("gate not reported enabled")
-	}
+	r.EnableLifecycle(Lifecycle{ProbationSamples: 3, RequireStateTransfer: true})
 	r.SetMembership([]wire.ReplicaID{"a"})
 	r.SetMembership([]wire.ReplicaID{"a", "b"}) // b on probation
 	now := time.Now()
@@ -190,7 +190,7 @@ func TestStateTransferGateBlocksPromotion(t *testing.T) {
 // without it, not-caught-up reports promote exactly as before.
 func TestStateTransferGateOffKeepsStatelessBehavior(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(2)
+	r.EnableLifecycle(Lifecycle{ProbationSamples: 2})
 	r.SetMembership([]wire.ReplicaID{"a"})
 	r.SetMembership([]wire.ReplicaID{"a", "b"})
 	for i := 0; i < 2; i++ {
@@ -205,8 +205,7 @@ func TestStateTransferGateOffKeepsStatelessBehavior(t *testing.T) {
 // claim, so a late report from before the crash cannot satisfy the gate.
 func TestQuarantineResetsCaughtUp(t *testing.T) {
 	r := New()
-	r.EnableLifecycle(1)
-	r.RequireStateTransfer(true)
+	r.EnableLifecycle(Lifecycle{ProbationSamples: 1, RequireStateTransfer: true})
 	r.SetMembership([]wire.ReplicaID{"a"})
 	r.SetMembership([]wire.ReplicaID{"a", "b"})
 	r.RecordPerf("b", "", wire.PerfReport{ServiceTime: time.Millisecond, CaughtUp: true}, time.Now())

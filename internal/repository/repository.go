@@ -71,11 +71,12 @@ type replicaState struct {
 	// Lifecycle state (lifecycle.go). The zero value, Active, keeps the
 	// pre-lifecycle behavior: every member is a selection candidate.
 	health       Health
-	probationGot int // fresh perf reports accumulated on probation
+	outcomes     faultWindow // timing outcomes RecordOutcome judges
+	probationGot int         // fresh perf reports accumulated on probation
 	// Ordered-mode evidence from the replica's performance reports: whether
 	// its state machine is current (completed state transfer or fresh boot)
 	// and its applied-log length. With the state-transfer gate enabled
-	// (RequireStateTransfer), probation promotion additionally requires
+	// (Lifecycle.RequireStateTransfer), probation promotion additionally requires
 	// caughtUp — fresh timing samples alone no longer re-admit a stateful
 	// replica.
 	caughtUp    bool
@@ -94,19 +95,16 @@ type replicaState struct {
 // Repository is the thread-safe information store for one service. The zero
 // value is not usable; construct with New.
 type Repository struct {
-	mu           sync.RWMutex
-	windowSize   int
-	gatewayHist  int // gateway-delay window size; 1 = paper behaviour (most recent value only)
-	entries      map[methodKey]*entry
-	replicas     map[wire.ReplicaID]*replicaState
-	updatesByRep map[wire.ReplicaID]uint64 // count of perf reports absorbed, per replica
-	// Lifecycle mode (lifecycle.go): health tracking, probation-on-join
-	// after the bootstrap view, and probation promotion thresholds.
-	lifecycle        bool
-	probationSamples int
-	requireCaughtUp  bool // ordered mode: Probation→Active needs CaughtUp evidence
-	bootstrapped     bool // first non-empty membership view absorbed
-	lifeStats        LifecycleStats
+	mu          sync.RWMutex
+	windowSize  int
+	gatewayHist int // gateway-delay window size; 1 = paper behaviour (most recent value only)
+	entries     map[methodKey]*entry
+	replicas    map[wire.ReplicaID]*replicaState
+	// Lifecycle mode (lifecycle.go): outcome judging, probation-on-join after
+	// the bootstrap view, and probation promotion, configured by life.
+	lifecycle    bool
+	life         Lifecycle // defaults resolved
+	bootstrapped bool      // first non-empty membership view absorbed
 	// Digest-tier counters (digest.go), guarded by mu.
 	digestAbsorbed uint64
 	digestStale    uint64
@@ -160,12 +158,11 @@ func WithGatewayHistory(n int) Option {
 // New returns an empty repository.
 func New(opts ...Option) *Repository {
 	r := &Repository{
-		windowSize:   DefaultWindowSize,
-		gatewayHist:  1,
-		entries:      make(map[methodKey]*entry),
-		replicas:     make(map[wire.ReplicaID]*replicaState),
-		updatesByRep: make(map[wire.ReplicaID]uint64),
-		views:        make(map[string]*view),
+		windowSize:  DefaultWindowSize,
+		gatewayHist: 1,
+		entries:     make(map[methodKey]*entry),
+		replicas:    make(map[wire.ReplicaID]*replicaState),
+		views:       make(map[string]*view),
 	}
 	for _, o := range opts {
 		o(r)
@@ -340,7 +337,6 @@ func (r *Repository) recordPerfLocked(id wire.ReplicaID, st *replicaState, metho
 	// caughtUp via Quarantine and the next live report overwrites it.
 	st.caughtUp = p.CaughtUp
 	st.orderedTail = p.OrderedTail
-	r.updatesByRep[id]++
 	r.notePerfLocked(st)
 }
 
@@ -439,14 +435,6 @@ func (r *Repository) TotalInFlight() int {
 		total += int(st.inFlight.Load())
 	}
 	return total
-}
-
-// UpdateCount returns how many performance reports have been absorbed for a
-// replica across all methods.
-func (r *Repository) UpdateCount(id wire.ReplicaID) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.updatesByRep[id]
 }
 
 // HistView is an immutable copy of a window's incremental histogram: distinct

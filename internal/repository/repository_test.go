@@ -79,8 +79,8 @@ func TestRecordPerfPopulatesSnapshot(t *testing.T) {
 	if !s.LastUpdate.Equal(now) {
 		t.Errorf("LastUpdate = %v, want %v", s.LastUpdate, now)
 	}
-	if got := r.UpdateCount("a"); got != 1 {
-		t.Errorf("UpdateCount = %d, want 1", got)
+	if got := samples(s.ServiceHist); len(got) != 1 {
+		t.Errorf("service window = %v, want the one report", got)
 	}
 }
 
@@ -221,8 +221,8 @@ func TestSetMembershipPrunes(t *testing.T) {
 	if s.HasHistory {
 		t.Error("rejoined replica kept stale history")
 	}
-	if got := r.UpdateCount("a"); got != 0 {
-		t.Errorf("UpdateCount = %d, want 0 after purge", got)
+	if !s.LastUpdate.IsZero() {
+		t.Errorf("rejoined replica kept its freshness marker %v", s.LastUpdate)
 	}
 }
 
@@ -303,8 +303,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := r.UpdateCount("a"); got == 0 {
-		t.Error("no updates recorded under concurrency")
+	if s, err := r.SnapshotOne("a", ""); err != nil || !s.HasHistory {
+		t.Errorf("no updates recorded under concurrency: %+v, %v", s, err)
 	}
 }
 

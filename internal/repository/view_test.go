@@ -94,7 +94,7 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		repo := repository.New(repository.WithGatewayHistory(1 + 2*int(seed%2)))
-		repo.EnableLifecycle(2)
+		repo.EnableLifecycle(repository.Lifecycle{WindowSize: 4, MinObservations: 2, ProbationSamples: 2})
 		repo.SetMembership(universe[:4])
 		now := time.Now()
 		bufs := make([][]repository.ReplicaSnapshot, len(methods))
@@ -139,12 +139,9 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 			case op < 13:
 				what = "RemoveReplica"
 				repo.RemoveReplica(id)
-			case op < 14:
-				what = "Suspect"
-				repo.Suspect(id)
 			case op < 15:
-				what = "ClearSuspicion"
-				repo.ClearSuspicion(id)
+				what = "RecordOutcome"
+				repo.RecordOutcome(id, rng.Intn(2) == 0)
 			case op < 16:
 				what = "Quarantine"
 				repo.Quarantine(id)

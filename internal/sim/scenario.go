@@ -213,18 +213,6 @@ func (r ClientResult) MeanSelected() float64 {
 	return float64(total) / float64(len(r.Records))
 }
 
-// ShedCount returns how many of the client's requests admission control
-// refused (counted, never silently dropped).
-func (r ClientResult) ShedCount() int {
-	n := 0
-	for _, rec := range r.Records {
-		if rec.Shed {
-			n++
-		}
-	}
-	return n
-}
-
 // TimelyCount returns how many requests completed within the deadline.
 func (r ClientResult) TimelyCount() int {
 	n := 0
@@ -234,17 +222,6 @@ func (r ClientResult) TimelyCount() int {
 		}
 	}
 	return n
-}
-
-// MaxSelected returns the largest |K| over admitted requests.
-func (r ClientResult) MaxSelected() int {
-	max := 0
-	for _, rec := range r.Records {
-		if !rec.Shed && rec.NumSelected > max {
-			max = rec.NumSelected
-		}
-	}
-	return max
 }
 
 // FailureProbability returns the observed fraction of timing failures.
