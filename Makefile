@@ -104,9 +104,11 @@ race-lifecycle:
 metrics-smoke:
 	$(GO) test . -run TestMetricsEndToEnd -count=1 -v
 
-# Short fuzzing pass over the wire codec: the frame decoder, the encode →
-# decode round trip, the ordered-mode state-transfer frames
-# (StateRequest/StateChunk), and the binary codec's byte-exact re-encode.
+# Short fuzzing pass over what peers send: the wire codec's frame decoder,
+# the encode → decode round trip, the ordered-mode state-transfer frames
+# (StateRequest/StateChunk) and the binary codec's byte-exact re-encode, then
+# the repository's absorption of arbitrary digest batches beside local
+# reports (window size, borrowed counts, local-only export, snapshot views).
 # FUZZTIME is each fuzzer's budget (CI runs `make fuzz FUZZTIME=10s`).
 FUZZTIME ?= 20s
 fuzz:
@@ -114,6 +116,7 @@ fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzStateTransferRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/repository -run '^$$' -fuzz FuzzAbsorbDigests -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean -testcache

@@ -899,9 +899,9 @@ func controllerFor(cfg ClientConfig, pool int) *core.AdaptiveBudget {
 }
 
 // gossipFor translates the public gossip configuration for the handler.
-// Peers start empty; ConnectGossip wires the mesh once the fleet exists.
+// ConnectGossip wires the peer mesh once the fleet exists.
 func gossipFor(cfg ClientConfig) *gateway.GossipConfig {
-	if cfg.DigestGossip == nil || cfg.DigestGossip.Interval <= 0 {
+	if cfg.DigestGossip == nil {
 		return nil
 	}
 	return &gateway.GossipConfig{

@@ -116,10 +116,10 @@ type Config struct {
 	Controller *core.AdaptiveBudget
 	// Gossip, when non-nil with a positive Interval, joins this handler to
 	// the shared-intelligence digest fabric (gossip.go): its repository's
-	// local window digests are pushed to Gossip.Peers on a jittered cadence,
-	// peers' digests are absorbed into the borrowed tier, and with
-	// Gossip.Bootstrap the handler seeds itself from one peer's full digest
-	// set at startup.
+	// local window digests are pushed to the peers SetGossipPeers names on a
+	// jittered cadence, peers' digests are absorbed as borrowed samples, and
+	// with Gossip.Bootstrap the handler seeds itself from one peer's full
+	// digest set once its peers are set.
 	Gossip *GossipConfig
 	// ProbeInterval, when positive, enables active probing (the paper's §8
 	// extension): replicas whose performance data is older than

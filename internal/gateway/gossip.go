@@ -7,9 +7,10 @@ package gateway
 // gateway. On a jittered cadence each gateway exports its repository's
 // locally measured window digests (repository.ExportDigests) and pushes them
 // to its peers as one wire.DigestSync; peers absorb the batch into their
-// repositories' borrowed tier. A newly spawned gateway additionally
-// bootstraps by asking one peer for its full digest set (wire.DigestRequest)
-// instead of paying a cold start — and a select-all flood — per replica.
+// repositories' windows as borrowed samples. A newly spawned gateway
+// additionally bootstraps by asking one peer for its full digest set
+// (wire.DigestRequest) instead of paying a cold start — and a select-all
+// flood — per replica.
 
 import (
 	"math/rand"
@@ -27,12 +28,10 @@ type GossipConfig struct {
 	// jitter in [0.5, 1.5) × Interval so a fleet started together does not
 	// synchronize its pushes. Non-positive disables gossip.
 	Interval time.Duration
-	// Peers are the transport addresses of the other gateways in the fabric.
-	// The set can be replaced at runtime with SetPeers.
-	Peers []transport.Addr
-	// Bootstrap requests a full digest snapshot from one peer at startup
-	// (retried across peers until a sync arrives), seeding the repository
-	// before the first jittered round.
+	// Bootstrap requests a full digest snapshot from one peer once the
+	// handler's peers are set (TimingFaultHandler.SetGossipPeers), retried
+	// across peers until a sync arrives, seeding the repository before the
+	// first jittered round.
 	Bootstrap bool
 }
 
@@ -40,7 +39,7 @@ type GossipConfig struct {
 type GossipStats struct {
 	SyncsSent       uint64 // DigestSync batches pushed to peers
 	SyncsReceived   uint64 // DigestSync batches accepted (after source/seq dedup)
-	EntriesAbsorbed uint64 // digest entries merged into the borrowed tier
+	EntriesAbsorbed uint64 // digest entries absorbed as borrowed samples
 	EntriesStale    uint64 // digest entries dropped as stale/unknown/no-room
 	Bootstraps      uint64 // bootstrap DigestRequests issued
 	RequestsServed  uint64 // peers' DigestRequests answered
@@ -63,8 +62,11 @@ type gossiper struct {
 	metBootstraps    *metrics.Counter
 	metRequests      *metrics.Counter
 
-	mu                sync.Mutex
-	peers             []transport.Addr
+	mu    sync.Mutex
+	peers []transport.Addr
+	// nextSeq starts at the creation time in ns, so a gateway re-created
+	// under the same client ID outnumbers its predecessor's syncs at once
+	// instead of being dropped by its peers' replay guard (lastSeq).
 	nextSeq           uint64
 	lastSeq           map[wire.ClientID]uint64 // per-source replay guard
 	bootstrapAttempts int
@@ -89,12 +91,11 @@ func newGossiper(h *TimingFaultHandler, cfg GossipConfig) *gossiper {
 		metStale:         reg.Counter(metrics.DigestStale),
 		metBootstraps:    reg.Counter(metrics.DigestBootstraps),
 		metRequests:      reg.Counter(metrics.DigestRequests),
-		peers:            append([]transport.Addr(nil), cfg.Peers...),
+		nextSeq:          uint64(time.Now().UnixNano()),
 		lastSeq:          make(map[wire.ClientID]uint64),
 		bootstrapDone:    !cfg.Bootstrap,
 		stop:             make(chan struct{}),
 	}
-	g.maybeBootstrap()
 	g.wg.Add(1)
 	go g.loop()
 	return g

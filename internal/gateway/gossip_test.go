@@ -94,13 +94,10 @@ func TestGossipBootstrapSeedsColdGateway(t *testing.T) {
 
 	cold := f.handler(Config{
 		Client: "cold", Service: "svc",
-		QoS: wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-		Gossip: &GossipConfig{
-			Interval:  time.Hour,
-			Peers:     []transport.Addr{"client:warm"},
-			Bootstrap: true,
-		},
+		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		Gossip: &GossipConfig{Interval: time.Hour, Bootstrap: true},
 	})
+	cold.SetGossipPeers([]transport.Addr{"client:warm"})
 	repo := cold.Scheduler().Repository()
 	waitFor(t, 2*time.Second, func() bool {
 		for _, id := range repo.Replicas() {
@@ -119,6 +116,44 @@ func TestGossipBootstrapSeedsColdGateway(t *testing.T) {
 	if ws.RequestsServed == 0 {
 		t.Errorf("warm gateway gossip stats = %+v; want the bootstrap request served", ws)
 	}
+}
+
+// TestGossipRestartedPeerHeard: a gateway re-created under the same client
+// ID is heard by its peers at once, though its predecessor had already sent
+// them more syncs than it has. The peers' replay guard keys on the client
+// ID alone, so a sequence that restarted from zero would be dropped until
+// it overtook the old one.
+func TestGossipRestartedPeerHeard(t *testing.T) {
+	f := newFixture(t, 3, nil)
+	gossiping := func(id wire.ClientID) *TimingFaultHandler {
+		h := f.handler(Config{
+			Client: id, Service: "svc",
+			QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+			Gossip: &GossipConfig{Interval: time.Hour}, // rounds only when pushed below
+		})
+		h.SetGossipPeers([]transport.Addr{"client:b"})
+		seedRepo(h, time.Now())
+		return h
+	}
+	b := f.handler(Config{
+		Client: "b", Service: "svc",
+		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		Gossip: &GossipConfig{Interval: time.Hour},
+	})
+	received := func() uint64 { s, _ := b.GossipStats(); return s.SyncsReceived }
+	pushAndWait := func(h *TimingFaultHandler, n int, what string) {
+		t.Helper()
+		want := received() + uint64(n)
+		for i := 0; i < n; i++ {
+			h.gossip.push()
+		}
+		waitFor(t, 2*time.Second, func() bool { return received() == want }, what)
+	}
+
+	a := gossiping("a")
+	pushAndWait(a, 20, "b accepted 20 syncs from a")
+	a.Close()
+	pushAndWait(gossiping("a"), 10, "b accepted 10 syncs from a re-created a")
 }
 
 // TestMultiGatewayDemuxDropCounted: a payload type messageService has no

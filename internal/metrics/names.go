@@ -61,10 +61,10 @@ const (
 
 	// Shared-intelligence digest fabric (internal/gateway/gossip.go +
 	// internal/repository/digest.go): window digests gossiped between
-	// gateways and absorbed into the borrowed tier.
+	// gateways and absorbed as borrowed samples.
 	DigestSyncsSent     = "aqua_digest_syncs_sent_total"       // DigestSync batches pushed to peers
 	DigestSyncsReceived = "aqua_digest_syncs_received_total"   // DigestSync batches accepted (after dedup)
-	DigestAbsorbed      = "aqua_digest_entries_absorbed_total" // digest entries merged into the borrowed tier
+	DigestAbsorbed      = "aqua_digest_entries_absorbed_total" // digest entries absorbed as borrowed samples
 	DigestStale         = "aqua_digest_entries_stale_total"    // digest entries dropped (stale, unknown, no room)
 	DigestBootstraps    = "aqua_digest_bootstraps_total"       // peer-snapshot bootstrap requests issued
 	DigestRequests      = "aqua_digest_requests_total"         // DigestRequest messages served for peers

@@ -82,10 +82,9 @@ type Manager struct {
 	// retrying every CheckInterval.
 	failStreak   int
 	backoffUntil time.Time
-	// startTimes holds recent factory start attempts, pruned to
-	// DefaultRestartWindow: the restart-storm cap's evidence.
-	startTimes []time.Time
-	stats      ManagerStats
+	// restarts holds recent factory start attempts: the restart-storm cap.
+	restarts RestartCap
+	stats    ManagerStats
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -224,7 +223,7 @@ func (m *Manager) reconcile() {
 			m.mu.Unlock()
 			return
 		}
-		if !m.allowRestartLocked(time.Now()) {
+		if !m.restarts.Allow(time.Now()) {
 			// Restart-storm cap: the pool stays below target until the
 			// window slides rather than churning faster than replicas can
 			// prove themselves.
@@ -232,7 +231,7 @@ func (m *Manager) reconcile() {
 			m.mu.Unlock()
 			return
 		}
-		m.startTimes = append(m.startTimes, time.Now())
+		m.restarts.Record(time.Now())
 		m.stats.Starts++
 		m.next++
 		suggested := wire.ReplicaID(fmt.Sprintf("%s-p%d", m.policy.Service, m.next))
@@ -269,20 +268,6 @@ func (m *Manager) reconcile() {
 	}
 }
 
-// allowRestartLocked prunes the start history to the sliding window and
-// reports whether another restart fits under the cap. Caller holds m.mu.
-func (m *Manager) allowRestartLocked(now time.Time) bool {
-	cutoff := now.Add(-DefaultRestartWindow)
-	keep := m.startTimes[:0]
-	for _, t := range m.startTimes {
-		if t.After(cutoff) {
-			keep = append(keep, t)
-		}
-	}
-	m.startTimes = keep
-	return len(m.startTimes) < DefaultMaxRestartsPerWindow
-}
-
 // Quarantine retires a sick-but-alive replica so the pool rejuvenates it:
 // the replica is stopped (via its stop handle when the manager started it,
 // via Policy.Retire otherwise), the group view drops it, and the next
@@ -304,7 +289,7 @@ func (m *Manager) Quarantine(id wire.ReplicaID) bool {
 		m.mu.Unlock()
 		return false
 	}
-	if !m.allowRestartLocked(time.Now()) {
+	if !m.restarts.Allow(time.Now()) {
 		// Retiring now would shrink the pool with no replacement allowed:
 		// worse than leaving a quarantined (deselected) replica running.
 		m.stats.Suppressed++

@@ -1,63 +1,59 @@
 package repository
 
-// Borrowed-digest tier: the repository side of the shared-intelligence
+// Digest-borrowed samples: the repository side of the shared-intelligence
 // gateway fabric.
 //
 // Every gateway's repository learns a replica's windows only from its own
-// traffic, so K gateways pay K cold starts per replica. The digest tier lets
-// a repository export its *locally measured* window histograms as mergeable
-// wire.WindowDigest values and absorb peers' digests into a separate
-// "borrowed" tier:
+// traffic, so K gateways pay K cold starts per replica. A repository
+// therefore exports its *locally measured* window histograms as mergeable
+// wire.WindowDigest values, and absorbs peers' digests into its own S, W and
+// T windows as their oldest samples, keeping only a count of how many are
+// borrowed:
 //
 //   - Borrowed samples seed predictions for (replica, method) entries with no
 //     or partial local history — HasHistory turns true, so the scheduler
 //     skips the §5.4.1 select-all cold-start flood, and the digest's
 //     freshness suppresses staleness probes.
-//   - Local evidence always wins: each locally recorded sample displaces one
-//     borrowed sample (window.TrimOldest), the merged view never exceeds the
-//     window size l, and a full local window drops the borrowed tier
-//     entirely.
+//   - Local evidence always wins: a digest fills only the room local samples
+//     leave, a fresher digest replaces the borrowed samples and keeps every
+//     local one, and each locally recorded sample first evicts one borrowed
+//     sample (window.TrimOldest), so a window never exceeds l and is purely
+//     local after l reports. T is per-link, so a digest seeds only its median
+//     delay, and only while no local delay exists.
 //   - Borrowed samples never advance probation accounting (notePerfLocked is
 //     only reachable from RecordPerf), so re-admission still requires real
 //     measurements.
-//   - Only local windows are exported, so gossip cannot echo or amplify
-//     borrowed data through the fleet.
-//
-// Version metadata stays sound for the response-time model's slots: all
-// window versions come from one global monotonic counter, so a merged view
-// stamped max(localVersion, borrowedVersion) strictly increases whenever
-// either window mutates.
+//   - Only local samples are exported — never a borrowed prefix or a T seed —
+//     so gossip cannot echo or amplify borrowed data through the fleet.
 
 import (
+	"slices"
 	"time"
 
+	"aqua/internal/dist"
 	"aqua/internal/window"
 	"aqua/internal/wire"
 )
 
-// DigestStats counts digest-tier activity for metrics export.
+// DigestStats is the repository's census of borrowed samples.
 type DigestStats struct {
-	// Absorbed is the number of digest entries merged into the borrowed tier.
-	Absorbed uint64
-	// Stale is the number of digest entries dropped: unknown replica, older
-	// than an already borrowed digest, or no room beside local evidence.
-	Stale uint64
 	// Borrowed is the number of (replica, method) entries currently holding
 	// at least one borrowed sample.
 	Borrowed int
 }
 
 // ExportDigests summarizes every (replica, method) entry that holds locally
-// measured samples as a mergeable digest. Borrowed windows are never
-// exported. now anchors each digest's AgeNanos (now − last local update), so
-// absorbers can order digests by absolute freshness without synchronized
-// clocks. The bins are quantized at ExportResolutionNanos.
+// measured samples as a mergeable digest of those samples alone: borrowed
+// samples and the T seed are never exported. now anchors each digest's
+// AgeNanos (now − last local update), so absorbers can order digests by
+// absolute freshness without synchronized clocks. The bins are quantized at
+// ExportResolutionNanos.
 func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]wire.WindowDigest, 0, len(r.entries))
 	for k, e := range r.entries {
-		if e.service.Len() == 0 && e.queue.Len() == 0 {
+		if e.service.Len() == e.borrowedS && e.queue.Len() == e.borrowedQ {
 			continue
 		}
 		st, ok := r.replicas[k.replica]
@@ -69,9 +65,11 @@ func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 			Method:      k.method,
 			QueueLength: st.queueLength,
 		}
-		d.ServiceBins, d.ServiceCounts = exportHist(e.service)
-		d.QueueBins, d.QueueCounts = exportHist(e.queue)
-		d.GatewayBins, d.GatewayCounts = exportHist(st.gateway)
+		d.ServiceBins, d.ServiceCounts = exportHist(e.service, e.borrowedS)
+		d.QueueBins, d.QueueCounts = exportHist(e.queue, e.borrowedQ)
+		if !st.borrowedT {
+			d.GatewayBins, d.GatewayCounts = exportHist(st.gateway, 0)
+		}
 		if st.hasUpdate {
 			d.AgeNanos = now.Sub(st.lastUpdate).Nanoseconds()
 			if d.AgeNanos < 0 {
@@ -87,24 +85,27 @@ func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 // caller to report in DigestSync.ResolutionNanos.
 func (r *Repository) ExportResolutionNanos() int64 { return resolution.Nanoseconds() }
 
-// exportHist returns a window's bin/count histogram in wire form.
-func exportHist(w *window.Window) ([]int64, []int64) {
-	bins, counts, ok := w.HistCounts()
-	if !ok {
-		return nil, nil
+// exportHist returns the histogram of w's samples after its oldest skip (the
+// borrowed ones) in wire form: distinct ascending bins and their counts.
+func exportHist(w *window.Window, skip int) (bins, counts []int64) {
+	vals := w.Values()[skip:]
+	slices.Sort(vals)
+	for _, v := range vals {
+		b := dist.Quantize(v, resolution)
+		if n := len(bins); n > 0 && bins[n-1] == b {
+			counts[n-1]++
+		} else {
+			bins, counts = append(bins, b), append(counts, 1)
+		}
 	}
-	out := make([]int64, len(counts))
-	for i, c := range counts {
-		out[i] = int64(c)
-	}
-	return bins, out
+	return bins, counts
 }
 
-// AbsorbDigests merges a peer's digest batch into the borrowed tier. now is
-// the local receipt time; each digest's absolute freshness is now − AgeNanos.
-// It returns how many entries were absorbed and how many were dropped as
-// stale. Absorption never touches lifecycle accounting: borrowed samples
-// cannot promote a Probation replica.
+// AbsorbDigests merges a peer's digest batch into the windows as borrowed
+// samples. now is the local receipt time; each digest's absolute freshness is
+// now − AgeNanos. It returns how many entries were absorbed and how many were
+// dropped as stale. Absorption never touches lifecycle accounting: borrowed
+// samples cannot promote a Probation replica.
 func (r *Repository) AbsorbDigests(sync wire.DigestSync, now time.Time) (absorbed, stale int) {
 	res := time.Duration(sync.ResolutionNanos)
 	if res <= 0 {
@@ -119,8 +120,6 @@ func (r *Repository) AbsorbDigests(sync wire.DigestSync, now time.Time) (absorbe
 			stale++
 		}
 	}
-	r.digestAbsorbed += uint64(absorbed)
-	r.digestStale += uint64(stale)
 	return absorbed, stale
 }
 
@@ -137,10 +136,8 @@ func (r *Repository) absorbDigestLocked(d wire.WindowDigest, res time.Duration, 
 	}
 	serviceVals := reconstruct(d.ServiceBins, d.ServiceCounts, res)
 	queueVals := reconstruct(d.QueueBins, d.QueueCounts, res)
-	room := r.windowSize - e.service.Len()
-	if qr := r.windowSize - e.queue.Len(); qr < room {
-		room = qr
-	}
+	// Borrowed samples fill only the room the local ones leave.
+	room := r.windowSize - max(e.service.Len()-e.borrowedS, e.queue.Len()-e.borrowedQ)
 	if room <= 0 || len(serviceVals) == 0 || len(queueVals) == 0 {
 		// Local evidence already fills the window (or the digest is empty on
 		// one axis), but the digest still proves the replica answered the
@@ -148,17 +145,21 @@ func (r *Repository) absorbDigestLocked(d wire.WindowDigest, res time.Duration, 
 		r.noteBorrowedFreshnessLocked(st, fresh)
 		return false
 	}
-	e.borrowedService = rebuildBorrowed(subsample(serviceVals, room), r.windowSize)
-	e.borrowedQueue = rebuildBorrowed(subsample(queueVals, room), r.windowSize)
+	e.service, e.borrowedS = r.refill(e.service, e.borrowedS, subsample(serviceVals, room))
+	e.queue, e.borrowedQ = r.refill(e.queue, e.borrowedQ, subsample(queueVals, room))
 	e.borrowedAt = fresh
 	if !st.hasUpdate {
 		st.queueLength = d.QueueLength
 	}
 	// T is a property of the peer's link to the replica, not ours: seed only a
 	// point estimate (the median), and only while no local delay exists.
-	if st.gateway.Len() == 0 {
+	if st.borrowedT || st.gateway.Len() == 0 {
 		if gVals := reconstruct(d.GatewayBins, d.GatewayCounts, res); len(gVals) > 0 {
-			st.borrowedGateway = rebuildBorrowed(gVals[len(gVals)/2:len(gVals)/2+1], r.gatewayHist)
+			if st.borrowedT {
+				st.gateway.TrimOldest()
+			}
+			st.gateway.Add(gVals[len(gVals)/2])
+			st.borrowedT = true
 		}
 	}
 	r.noteBorrowedFreshnessLocked(st, fresh)
@@ -227,44 +228,27 @@ func subsample(vals []time.Duration, k int) []time.Duration {
 	return out
 }
 
-// rebuildBorrowed returns a fresh borrowed window holding vals: a fresher
-// digest supersedes the old window wholesale.
-func rebuildBorrowed(vals []time.Duration, capacity int) *window.Window {
-	w := window.NewHistogrammed(capacity, resolution)
+// refill returns a window holding vals, the borrowed samples of a fresher
+// digest, followed by w's local samples (those after its oldest borrowed),
+// and the new borrowed count.
+func (r *Repository) refill(w *window.Window, borrowed int, vals []time.Duration) (*window.Window, int) {
+	out := window.NewHistogrammed(r.windowSize, resolution)
 	for _, v := range vals {
-		w.Add(v)
+		out.Add(v)
 	}
-	return w
+	for _, v := range w.Values()[borrowed:] {
+		out.Add(v)
+	}
+	return out, len(vals)
 }
 
-// displaceBorrowedLocked evicts the oldest borrowed sample from each borrowed
-// window after a local sample arrived, and drops the tier once empty or once
-// local evidence fills the window. Caller holds r.mu.
-func (e *entry) displaceBorrowedLocked(windowSize int) {
-	if e.borrowedService != nil {
-		e.borrowedService.TrimOldest()
-		if e.borrowedService.Len() == 0 || e.service.Len()+e.borrowedService.Len() > windowSize {
-			e.borrowedService = nil
-		}
-	}
-	if e.borrowedQueue != nil {
-		e.borrowedQueue.TrimOldest()
-		if e.borrowedQueue.Len() == 0 || e.queue.Len()+e.borrowedQueue.Len() > windowSize {
-			e.borrowedQueue = nil
-		}
-	}
-	if e.borrowedService == nil && e.borrowedQueue == nil {
-		e.borrowedAt = time.Time{}
-	}
-}
-
-// DigestStats snapshots digest-tier counters and the current borrowed census.
+// DigestStats returns the current borrowed census.
 func (r *Repository) DigestStats() DigestStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := DigestStats{Absorbed: r.digestAbsorbed, Stale: r.digestStale}
+	var s DigestStats
 	for _, e := range r.entries {
-		if e.borrowedService != nil || e.borrowedQueue != nil {
+		if e.borrowedS > 0 || e.borrowedQ > 0 {
 			s.Borrowed++
 		}
 	}
@@ -276,9 +260,8 @@ func (r *Repository) DigestStats() DigestStats {
 func (r *Repository) BorrowedLen(id wire.ReplicaID, method string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[methodKey{replica: id, method: method}]
-	if !ok || e.borrowedService == nil {
-		return 0
+	if e, ok := r.entries[methodKey{replica: id, method: method}]; ok {
+		return e.borrowedS
 	}
-	return e.borrowedService.Len()
+	return 0
 }

@@ -6,12 +6,12 @@ package repository
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"aqua/internal/dist"
 	"aqua/internal/stats"
-	"aqua/internal/window"
 	"aqua/internal/wire"
 )
 
@@ -302,12 +302,71 @@ func TestLocalGatewayDelayDropsBorrowedSeed(t *testing.T) {
 	}
 }
 
-// TestMergedHistViewMatchesSamples pins the merged borrowed+local view a
-// snapshot publishes to the pmf of the underlying samples:
-// dist.FromSamples(borrowed.Values() ++ local.Values()). Randomized over
-// window size, digest contents (overlapping and disjoint bins, sub-resolution
-// jitter on the local side) and how far local reports have displaced the
-// borrowed tier, from untouched to gone.
+// TestFresherDigestKeepsLocalSamples: a fresher digest replaces the
+// borrowed samples wholesale and keeps every local one, fills only the room
+// they leave, replaces the T seed, and leaves the export purely local.
+func TestFresherDigestKeepsLocalSamples(t *testing.T) {
+	repo := New()
+	repo.AddReplica("r1")
+	now := time.Now()
+	repo.AbsorbDigests(digestSyncFor(1, fullDigest("r1")), now)
+	for _, s := range []time.Duration{20 * dms, 21 * dms} {
+		repo.RecordPerf("r1", "", perf(s, 4*dms, 1), now)
+	}
+	fresher := wire.WindowDigest{
+		Replica:       "r1",
+		ServiceBins:   []int64{30, 31},
+		ServiceCounts: []int64{3, 2},
+		QueueBins:     []int64{6},
+		QueueCounts:   []int64{5},
+		GatewayBins:   []int64{9},
+		GatewayCounts: []int64{1},
+	}
+	if absorbed, _ := repo.AbsorbDigests(digestSyncFor(2, fresher), now.Add(time.Second)); absorbed != 1 {
+		t.Fatal("fresher digest not absorbed")
+	}
+	snap, err := repo.SnapshotOne("r1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// subsample keeps 3 of [30 30 30 31 31]: indexes 0, 2 and 4.
+	want := []time.Duration{20 * dms, 21 * dms, 30 * dms, 30 * dms, 31 * dms}
+	if got := samples(snap.ServiceHist); !reflect.DeepEqual(got, want) {
+		t.Fatalf("service window = %v, want 3 fresher borrowed and the 2 local %v", got, want)
+	}
+	if got, want := samples(snap.QueueHist), []time.Duration{4 * dms, 4 * dms, 6 * dms, 6 * dms, 6 * dms}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("queue window = %v, want %v", got, want)
+	}
+	if got := repo.BorrowedLen("r1", ""); got != 3 {
+		t.Fatalf("BorrowedLen = %d, want 3", got)
+	}
+	if got := only(snap.GatewayHist); got != 9*dms {
+		t.Fatalf("T seed = %v, want the fresher digest's 9ms", got)
+	}
+	digests := repo.ExportDigests(now)
+	if len(digests) != 1 {
+		t.Fatalf("exported %d digests, want 1", len(digests))
+	}
+	d := digests[0]
+	if !reflect.DeepEqual(d.ServiceBins, []int64{20, 21}) || !reflect.DeepEqual(d.ServiceCounts, []int64{1, 1}) {
+		t.Fatalf("exported service %v×%v, want only the local [20 21]×[1 1]", d.ServiceBins, d.ServiceCounts)
+	}
+	if !reflect.DeepEqual(d.QueueBins, []int64{4}) || !reflect.DeepEqual(d.QueueCounts, []int64{2}) {
+		t.Fatalf("exported queue %v×%v, want only the local [4]×[2]", d.QueueBins, d.QueueCounts)
+	}
+	if len(d.GatewayBins) != 0 || len(d.GatewayCounts) != 0 {
+		t.Fatalf("exported the borrowed T seed: %v×%v", d.GatewayBins, d.GatewayCounts)
+	}
+}
+
+// TestMergedHistViewMatchesSamples pins the view a snapshot publishes of a
+// window holding borrowed and local samples together to the pmf of the
+// samples the test itself fed in: the digest's reconstructed values
+// subsampled to l, minus one for each local report while any are left, then
+// the local reports, of which the window keeps the last l. Randomized over
+// window size, digest contents (overlapping and disjoint bins,
+// sub-resolution jitter on the local side) and how far local reports have
+// displaced the borrowed samples, from untouched to gone.
 func TestMergedHistViewMatchesSamples(t *testing.T) {
 	rng := stats.NewRand(17)
 	now := time.Now()
@@ -329,47 +388,54 @@ func TestMergedHistViewMatchesSamples(t *testing.T) {
 		if absorbed, _ := repo.AbsorbDigests(sync, now); absorbed != 1 {
 			t.Fatalf("trial %d: digest not absorbed", trial)
 		}
+		// Expected contents, per axis: borrowed, then local, oldest first.
+		res := dist.DefaultResolution
+		borrowed := [2][]time.Duration{
+			subsample(reconstruct(d.ServiceBins, d.ServiceCounts, res), l),
+			subsample(reconstruct(d.QueueBins, d.QueueCounts, res), l),
+		}
+		var local [2][]time.Duration
 		for k := rng.Intn(l + 2); k > 0; k-- {
 			jitter := time.Duration(rng.Intn(1000)) * time.Microsecond
-			repo.RecordPerf("r", "", perf(time.Duration(rng.Intn(40))*dms+jitter, time.Duration(rng.Intn(20))*dms+jitter, 0), now)
+			p := perf(time.Duration(rng.Intn(40))*dms+jitter, time.Duration(rng.Intn(20))*dms+jitter, 0)
+			repo.RecordPerf("r", "", p, now)
+			for a, v := range []time.Duration{p.ServiceTime, p.QueueDelay} {
+				if len(borrowed[a]) > 0 {
+					borrowed[a] = borrowed[a][1:]
+				}
+				if local[a] = append(local[a], v); len(local[a]) > l {
+					local[a] = local[a][1:]
+				}
+			}
+		}
+		if len(borrowed[0]) > 0 && len(local[0]) > 0 {
+			merged++
 		}
 		snap, err := repo.SnapshotOne("r", "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := repo.entries[methodKey{replica: "r"}]
-		if e.borrowedService != nil && e.service.Len() > 0 {
-			merged++
-		}
-		for _, c := range []struct {
-			name            string
-			view            HistView
-			borrowed, local *window.Window
-		}{
-			{"service", snap.ServiceHist, e.borrowedService, e.service},
-			{"queue", snap.QueueHist, e.borrowedQueue, e.queue},
-		} {
-			var vals []time.Duration
-			if c.borrowed != nil {
-				vals = c.borrowed.Values()
-			}
-			vals = append(vals, c.local.Values()...)
+		for a, view := range []HistView{snap.ServiceHist, snap.QueueHist} {
+			vals := append(slices.Clone(borrowed[a]), local[a]...)
 			if len(vals) > l {
-				t.Fatalf("trial %d %s: merged window holds %d samples, l=%d", trial, c.name, len(vals), l)
+				t.Fatalf("trial %d axis %d: expected window holds %d samples, l=%d", trial, a, len(vals), l)
 			}
-			want, err := dist.FromSamples(vals, dist.DefaultResolution)
+			want, err := dist.FromSamples(vals, res)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := &dist.PMF{}
-			if err := got.SetCounts(dist.DefaultResolution, c.view.Bins, c.view.Counts); err != nil {
-				t.Fatalf("trial %d %s: view %+v: %v", trial, c.name, c.view, err)
+			if err := got.SetCounts(res, view.Bins, view.Counts); err != nil {
+				t.Fatalf("trial %d axis %d: view %+v: %v", trial, a, view, err)
 			}
 			wv, wp := want.Points()
 			gv, gp := got.Points()
 			if !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(wp, gp) {
-				t.Fatalf("trial %d %s: view pmf %v %v, want %v %v", trial, c.name, gv, gp, wv, wp)
+				t.Fatalf("trial %d axis %d: view pmf %v %v, want %v %v", trial, a, gv, gp, wv, wp)
 			}
+		}
+		if got := repo.BorrowedLen("r", ""); got != len(borrowed[0]) {
+			t.Fatalf("trial %d: BorrowedLen = %d, want %d", trial, got, len(borrowed[0]))
 		}
 	}
 	if merged < 100 {

@@ -44,12 +44,12 @@ type methodKey struct {
 type entry struct {
 	service *window.Window // service time vector S_i
 	queue   *window.Window // queuing delay vector W_i
-	// Borrowed tier (digest.go): samples absorbed from peer gateways' gossip
-	// digests, kept apart from local evidence so they can be displaced sample
-	// by sample and are never re-exported. nil when nothing is borrowed.
-	borrowedService *window.Window
-	borrowedQueue   *window.Window
-	borrowedAt      time.Time // absolute freshness of the absorbed digest
+	// Digest-borrowed samples (digest.go): the oldest borrowedS samples of
+	// service and the oldest borrowedQ of queue came from a peer gateway's
+	// digest, measured borrowedAt (absolute freshness; zero once both counts
+	// reach 0). Each local sample displaces one, and none is re-exported.
+	borrowedS, borrowedQ int
+	borrowedAt           time.Time
 }
 
 // replicaState is per-replica state independent of the invoked method.
@@ -59,8 +59,10 @@ type replicaState struct {
 	// is shared by every method's snapshot. Probe-measured delays (recorded
 	// without a method) therefore warm real methods' predictions. Window
 	// size 1 (the default) reproduces the paper's point mass at the most
-	// recent value.
+	// recent value. While borrowedT is set it holds only a peer digest's
+	// median delay (digest.go), which the first local delay replaces.
 	gateway     *window.Window
+	borrowedT   bool
 	queueLength int // current outstanding requests (replica-reported)
 	// inFlight counts requests this gateway has dispatched and not yet
 	// settled. It is atomic so the dispatch/settle hot path only needs the
@@ -81,12 +83,10 @@ type replicaState struct {
 	// replica.
 	caughtUp    bool
 	orderedTail uint64
-	// Borrowed tier (digest.go): a point-estimate T seed from a peer's digest
-	// (dropped on the first local delay measurement), and the freshest time a
-	// peer vouched for this replica — folded into snapshot LastUpdate so
-	// staleness probes are shared across the fleet instead of duplicated.
-	borrowedGateway *window.Window
-	borrowedUpdate  time.Time
+	// borrowedUpdate is the freshest time a peer's digest vouched for this
+	// replica (digest.go), folded into snapshot LastUpdate so staleness
+	// probes are shared across the fleet instead of duplicated.
+	borrowedUpdate time.Time
 	// gen is the repository generation of the last mutation that changed what
 	// this replica's snapshots carry (touchLocked).
 	gen uint64
@@ -105,9 +105,6 @@ type Repository struct {
 	lifecycle    bool
 	life         Lifecycle // defaults resolved
 	bootstrapped bool      // first non-empty membership view absorbed
-	// Digest-tier counters (digest.go), guarded by mu.
-	digestAbsorbed uint64
-	digestStale    uint64
 
 	// gen is bumped (under mu) by every mutation that changes snapshot
 	// content — performance reports, gateway delays, membership, health
@@ -323,12 +320,14 @@ func (r *Repository) RecordReply(id wire.ReplicaID, method string, p wire.PerfRe
 }
 
 func (r *Repository) recordPerfLocked(id wire.ReplicaID, st *replicaState, method string, p wire.PerfReport, now time.Time) {
-	e := r.entryLocked(id, method)
-	e.service.Add(p.ServiceTime)
-	e.queue.Add(p.QueueDelay)
 	// Local evidence wins: each measured sample displaces one borrowed one,
-	// so the merged view converges to purely local data within l reports.
-	e.displaceBorrowedLocked(r.windowSize)
+	// so a window converges to purely local data within l reports.
+	e := r.entryLocked(id, method)
+	addLocal(e.service, &e.borrowedS, p.ServiceTime)
+	addLocal(e.queue, &e.borrowedQ, p.QueueDelay)
+	if e.borrowedS == 0 && e.borrowedQ == 0 {
+		e.borrowedAt = time.Time{}
+	}
 	st.queueLength = p.QueueLength
 	st.lastUpdate = now
 	st.hasUpdate = true
@@ -348,11 +347,24 @@ func (r *Repository) recordDelayLocked(st *replicaState, td time.Duration) bool 
 		}
 		td = 0
 	}
-	st.gateway.Add(td)
 	// A locally measured link delay supersedes any borrowed T seed: T is
 	// per-link state, and the peer's link is not ours.
-	st.borrowedGateway = nil
+	if st.borrowedT {
+		st.gateway.TrimOldest()
+		st.borrowedT = false
+	}
+	st.gateway.Add(td)
 	return true
+}
+
+// addLocal adds a locally measured sample to w. While any of w's oldest
+// samples are borrowed (*borrowed > 0), it first evicts one of them.
+func addLocal(w *window.Window, borrowed *int, v time.Duration) {
+	if *borrowed > 0 {
+		w.TrimOldest()
+		*borrowed--
+	}
+	w.Add(v)
 }
 
 // NoteDispatched records that one request copy was sent to the replica and
@@ -469,7 +481,7 @@ type ReplicaSnapshot struct {
 	CaughtUp    bool
 	OrderedTail uint64
 	// ServiceHist and QueueHist are the service-time and queuing-delay
-	// windows (borrowed and local samples merged), pre-quantized and
+	// windows (any borrowed samples included), pre-quantized and
 	// maintained incrementally, so prediction needs neither raw samples nor a
 	// per-call sort.
 	ServiceHist HistView
@@ -585,13 +597,9 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		// across the fleet rather than duplicated per gateway.
 		snap.LastUpdate = st.borrowedUpdate
 	}
-	var live [3]HistView // S, W, T as they stand in the windows
+	live := [3]HistView{2: histView(st.gateway)} // S, W, T as they stand in the windows
 	if e, ok := r.entries[methodKey{replica: id, method: method}]; ok {
-		live[0] = mergedHistView(e.borrowedService, e.service)
-		live[1] = mergedHistView(e.borrowedQueue, e.queue)
-	}
-	if live[2] = histView(st.gateway); !live[2].OK() && st.borrowedGateway != nil {
-		live[2] = histView(st.borrowedGateway) // cold-start T seed, displaced by the first local delay
+		live[0], live[1] = histView(e.service), histView(e.queue)
 	}
 	hists := publishHists(live, [3]HistView{prev.ServiceHist, prev.QueueHist, prev.GatewayHist})
 	snap.ServiceHist, snap.QueueHist, snap.GatewayHist = hists[0], hists[1], hists[2]
@@ -636,48 +644,6 @@ func histView(w *window.Window) HistView {
 		return HistView{}
 	}
 	return HistView{Bins: bins, Counts: counts, Version: w.Version()}
-}
-
-// mergedHistView returns the union histogram of a borrowed (possibly nil) and
-// a local window. Its version is the max of the two windows' versions: window
-// versions come from one global monotonic counter, so any mutation of either
-// window issues a version above every previously observed max — merged views
-// stay sound as the predictor's staleness check without a dedicated counter.
-func mergedHistView(borrowed, local *window.Window) HistView {
-	l := histView(local)
-	if borrowed == nil || borrowed.Len() == 0 {
-		return l
-	}
-	b := histView(borrowed)
-	if !l.OK() {
-		return b
-	}
-	ver := l.Version
-	if b.Version > ver {
-		ver = b.Version
-	}
-	bBins, bCounts, lBins, lCounts := b.Bins, b.Counts, l.Bins, l.Counts
-	bins := make([]int64, 0, len(bBins)+len(lBins))
-	counts := make([]int, 0, len(bCounts)+len(lCounts))
-	i, j := 0, 0
-	for i < len(bBins) || j < len(lBins) {
-		switch {
-		case j >= len(lBins) || (i < len(bBins) && bBins[i] < lBins[j]):
-			bins = append(bins, bBins[i])
-			counts = append(counts, bCounts[i])
-			i++
-		case i >= len(bBins) || lBins[j] < bBins[i]:
-			bins = append(bins, lBins[j])
-			counts = append(counts, lCounts[j])
-			j++
-		default:
-			bins = append(bins, bBins[i])
-			counts = append(counts, bCounts[i]+lCounts[j])
-			i++
-			j++
-		}
-	}
-	return HistView{Bins: bins, Counts: counts, Version: ver}
 }
 
 // SnapshotOne returns the snapshot for a single replica. It builds just that

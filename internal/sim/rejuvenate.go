@@ -48,13 +48,13 @@ type rejuvenator struct {
 	rng            *stats.Rand
 	rec            *trace.Recorder // nil-safe
 
-	restartTimes []time.Duration // storm-cap sliding window (global)
-	perHost      []int           // restarts per host index, drives boot backoff
-	retired      []*Replica      // killed incarnations, for the run's totals
-	restarting   []bool          // a replacement is mid-boot for this index
-	restarts     int
-	suppressed   int
-	peak         int // most restarts inside one storm-cap window
+	restartCap proteus.RestartCap // storm cap, on the kernel's NowTime (global)
+	perHost    []int              // restarts per host index, drives boot backoff
+	retired    []*Replica         // killed incarnations, for the run's totals
+	restarting []bool             // a replacement is mid-boot for this index
+	restarts   int
+	suppressed int
+	peak       int // most restarts inside one storm-cap window
 
 	// stateTransfer (Scenario.StateTransfer) is how long a replacement's
 	// simulated recovery state transfer takes; zero models a stateless
@@ -102,10 +102,10 @@ func (rj *rejuvenator) restart(idx int) {
 	if rj.restarting[idx] {
 		return
 	}
-	now := rj.kernel.Now()
-	if !rj.allowRestart(now) {
+	now, at := rj.kernel.Now(), rj.kernel.NowTime()
+	if !rj.restartCap.Allow(at) {
 		rj.suppressed++
-		retry := rj.restartTimes[0] + proteus.DefaultRestartWindow - now
+		retry := rj.restartCap.Oldest().Add(proteus.DefaultRestartWindow).Sub(at)
 		if retry < time.Millisecond {
 			retry = time.Millisecond
 		}
@@ -117,6 +117,8 @@ func (rj *rejuvenator) restart(idx int) {
 		})
 		return
 	}
+	rj.restartCap.Record(at)
+	rj.peak = max(rj.peak, rj.restartCap.Len())
 	rj.restarting[idx] = true
 	rj.perHost[idx]++
 	rj.restarts++
@@ -159,25 +161,6 @@ func (rj *rejuvenator) restart(idx int) {
 		rj.restarting[idx] = false
 		notify()
 	})
-}
-
-// allowRestart prunes the storm-cap window and reports whether another
-// restart fits in it; one that fits is counted in the window, and in the
-// peak.
-func (rj *rejuvenator) allowRestart(now time.Duration) bool {
-	kept := rj.restartTimes[:0]
-	for _, t := range rj.restartTimes {
-		if now-t < proteus.DefaultRestartWindow {
-			kept = append(kept, t)
-		}
-	}
-	rj.restartTimes = kept
-	if len(kept) >= proteus.DefaultMaxRestartsPerWindow {
-		return false
-	}
-	rj.restartTimes = append(kept, now)
-	rj.peak = max(rj.peak, len(rj.restartTimes))
-	return true
 }
 
 // bootDelay returns restartDelay doubled per prior restart of this host,

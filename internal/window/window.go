@@ -151,8 +151,8 @@ func (w *Window) Values() []time.Duration {
 }
 
 // TrimOldest evicts the single oldest sample, keeping the histogram in sync.
-// It returns false on an empty window. The borrowed-digest tier uses it to
-// displace one remote sample for each locally measured one, so a cold-started
+// It returns false on an empty window. The repository uses it to displace
+// one digest-borrowed sample for each locally measured one, so a cold-started
 // window converges to purely local evidence within l measurements.
 func (w *Window) TrimOldest() bool {
 	if len(w.buf) == 0 {

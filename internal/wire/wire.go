@@ -205,9 +205,9 @@ type WindowDigest struct {
 // DigestSync is the gossip payload of the shared-intelligence fabric: a batch
 // of window digests from one gateway's repository, pushed to peer gateways on
 // a jittered cadence (and as the reply to a DigestRequest). Peers absorb the
-// digests into a borrowed tier that seeds predictions for replicas they have
-// no local history on; local measurements displace borrowed data sample by
-// sample, so local evidence always wins.
+// digests into their own windows as borrowed samples that seed predictions
+// for replicas they have no local history on; local measurements displace
+// borrowed data sample by sample, so local evidence always wins.
 type DigestSync struct {
 	// Client identifies the source gateway (version/source metadata: the
 	// absorber tracks the highest Seq per source and drops replays).
