@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle metrics-smoke fuzz clean
+.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views metrics-smoke fuzz clean
 
 all: build vet test
 
@@ -97,6 +97,17 @@ a13 a14 a15 a16 a17 a18:
 # state (TestTCPConcurrentSendersFramesIntact).
 race-lifecycle:
 	$(GO) test -race ./internal/core ./internal/repository ./internal/proteus ./internal/gateway ./internal/server ./internal/transport .
+
+# Membership views under the race detector, 50 times each: concurrent view
+# changes converge on the cluster's view, a view racing client setup or a
+# passive client's failover order still lands, the view fence applies in
+# order, a rejoining replica is re-subscribed, a handler and the Proteus
+# manager drop an older view.
+views:
+	$(GO) test -race -count=50 . -run 'TestConcurrentViewChangesConverge|TestNewClientSeesViewChangeDuringSetup|TestPassiveClientFollowsViewChanges'
+	$(GO) test -race -count=50 ./internal/group -run 'TestFenceAppliesInOrder|TestFencedListenerEndsOnCurrentView'
+	$(GO) test -race -count=50 ./internal/gateway -run 'TestGroupRejoinResubscribes|TestApplyViewDropsOlderView'
+	$(GO) test -race -count=50 ./internal/proteus -run 'TestObserveViewIgnoresStaleView'
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

@@ -420,9 +420,9 @@ type Cluster struct {
 
 	mu        sync.Mutex
 	replicas  map[ReplicaID]*Replica
+	view      group.View     // the current membership view, built by notifyClients
 	viewers   map[any]viewer // keyed by owner: each Client, PassiveClient and multi-service Gateway
 	nextID    int
-	viewNum   uint64
 	handler   Handler
 	smFactory func() StateMachine // non-nil = ordered (stateful) replicas
 	load      stats.DelayDist
@@ -435,31 +435,31 @@ type Cluster struct {
 	closed    bool
 }
 
-// membershipLocked builds the current replica address table. Caller holds
-// c.mu.
-func (c *Cluster) membershipLocked() map[wire.ReplicaID]transport.Addr {
-	m := make(map[wire.ReplicaID]transport.Addr, len(c.replicas))
-	for id, r := range c.replicas {
-		m[id] = transport.Addr(r.Addr())
-	}
-	return m
-}
-
-// viewer is a handler the cluster pushes its membership to on every view
-// change, as the group-communication layer would.
+// viewer is anything the cluster hands its numbered views to, as the
+// group-communication layer would: a client's handler or a replica. ApplyView
+// drops a view numbered at or below the last one applied, so views delivered
+// out of order still leave the viewer on the newest.
 type viewer interface {
-	UpdateMembership(map[wire.ReplicaID]transport.Addr)
+	ApplyView(group.View) bool
 }
 
-// watchViews registers v, owned by key, for every later view change and
-// pushes it the current membership, covering a change that raced the
-// snapshot its handler was built from.
-func (c *Cluster) watchViews(key any, v viewer) {
+// currentView returns the cluster's current membership view.
+func (c *Cluster) currentView() group.View {
 	c.mu.Lock()
-	c.viewers[key] = v
-	current := c.membershipLocked()
+	defer c.mu.Unlock()
+	return c.view
+}
+
+// watchViews registers w, owned by key, and pushes it the current view read
+// in the same critical section, so w misses no view: a handler built from an
+// older snapshot catches up here, and every later view comes from
+// notifyClients.
+func (c *Cluster) watchViews(key any, w viewer) {
+	c.mu.Lock()
+	c.viewers[key] = w
+	v := c.view
 	c.mu.Unlock()
-	v.UpdateMembership(current)
+	w.ApplyView(v)
 }
 
 // unwatchViews stops view-change delivery to key's handler.
@@ -469,41 +469,35 @@ func (c *Cluster) unwatchViews(key any) {
 	c.mu.Unlock()
 }
 
-// notifyClients pushes the current membership to every registered viewer
-// (live clients, passive clients and multi-service gateway handlers), as the
-// group-communication layer would after a view change, and feeds the
-// dependability manager when self-healing is on. On stateful clusters the
-// replicas get the same view as a peer table, so a recovering replica can
-// pick a state-transfer source.
+// notifyClients builds view N+1 once, under c.mu, stores it as the current
+// view and hands that same value to every registered viewer, to the replicas
+// of a stateful cluster (as their peer table) and to the Proteus manager, as
+// the group-communication layer would. Delivery runs after c.mu is released,
+// so two changes can arrive in either order: each viewer drops the older.
 func (c *Cluster) notifyClients() {
 	c.mu.Lock()
-	m := c.membershipLocked()
-	viewers := make([]viewer, 0, len(c.viewers))
-	for _, v := range c.viewers {
-		viewers = append(viewers, v)
+	addrs := make(map[wire.ReplicaID]transport.Addr, len(c.replicas))
+	for id, r := range c.replicas {
+		addrs[id] = transport.Addr(r.Addr())
 	}
-	var servers []*server.Replica
+	v := group.NewView(c.view.Number+1, addrs)
+	c.view = v
+	viewers := make([]viewer, 0, len(c.viewers)+len(c.replicas))
+	for _, w := range c.viewers {
+		viewers = append(viewers, w)
+	}
 	if c.smFactory != nil {
-		servers = make([]*server.Replica, 0, len(c.replicas))
 		for _, r := range c.replicas {
-			servers = append(servers, r.srv)
+			viewers = append(viewers, r.srv)
 		}
-	}
-	c.viewNum++
-	view := group.View{Number: c.viewNum, Members: make([]wire.ReplicaID, 0, len(m))}
-	for id := range m {
-		view.Members = append(view.Members, id)
 	}
 	mgr := c.manager
 	c.mu.Unlock()
-	for _, v := range viewers {
-		v.UpdateMembership(m)
-	}
-	for _, srv := range servers {
-		srv.UpdatePeers(m)
+	for _, w := range viewers {
+		w.ApplyView(v)
 	}
 	if mgr != nil {
-		mgr.ObserveView(view)
+		mgr.ObserveView(v)
 	}
 }
 
@@ -944,10 +938,7 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("client-%d", time.Now().UnixNano())
 	}
-	c.mu.Lock()
-	static := c.membershipLocked()
-	c.mu.Unlock()
-
+	static := c.currentView().Addrs
 	ep, err := c.listen("client:" + cfg.Name)
 	if err != nil {
 		return nil, fmt.Errorf("aqua: client endpoint: %w", err)
@@ -1035,10 +1026,7 @@ func NewGateway(name string, configs map[*Cluster]ClientConfig) (*Gateway, error
 	}
 	g := &Gateway{mg: mg, clusters: make(map[Service]*Cluster, len(configs))}
 	for c, cfg := range configs {
-		c.mu.Lock()
-		static := c.membershipLocked()
-		c.mu.Unlock()
-		h, err := mg.LoadHandler(c.handlerConfig(cfg, static))
+		h, err := mg.LoadHandler(c.handlerConfig(cfg, c.currentView().Addrs))
 		if err != nil {
 			g.unregister()
 			mg.Close()
@@ -1103,9 +1091,7 @@ func (c *Cluster) NewPassiveClient(name string, attemptTimeout time.Duration) (*
 	if name == "" {
 		return nil, fmt.Errorf("aqua: client name is required")
 	}
-	c.mu.Lock()
-	static := c.membershipLocked()
-	c.mu.Unlock()
+	static := c.currentView().Addrs
 	ep, err := c.listen("client:" + name)
 	if err != nil {
 		return nil, fmt.Errorf("aqua: client endpoint: %w", err)

@@ -1,6 +1,7 @@
 package aqua
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +46,49 @@ func TestNewClientSeesViewChangeDuringSetup(t *testing.T) {
 	for _, id := range client.handler.Scheduler().Repository().Replicas() {
 		if id == victim {
 			t.Fatalf("the client still lists %s, stopped while the client was being built", victim)
+		}
+	}
+}
+
+// TestConcurrentViewChangesConverge: view changes made concurrently reach a
+// client in any order, and the client must still end each round on the
+// cluster's membership, never on an older view that lists a stopped replica.
+func TestConcurrentViewChangesConverge(t *testing.T) {
+	c, err := NewCluster("svc", 3, func(string, []byte) ([]byte, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	client, err := c.NewClient(ClientConfig{Name: "watcher", QoS: QoS{Deadline: 100 * time.Millisecond, MinProbability: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const rounds, churners = 1000, 4
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < churners; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, err := c.AddReplica()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.StopReplica(r.ID()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		var want []ReplicaID
+		for _, r := range c.Replicas() {
+			want = append(want, r.ID())
+		}
+		slices.Sort(want)
+		if got := client.handler.Scheduler().Repository().Replicas(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: the client's view is %v, the cluster's is %v", round, got, want)
 		}
 	}
 }

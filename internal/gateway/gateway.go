@@ -67,8 +67,9 @@ type Config struct {
 	// Group, when set, tracks membership via the group-communication layer.
 	Group *group.Config
 	// StaticReplicas maps replica IDs to addresses for deployments without
-	// the group layer (tests, fixed clusters). Ignored when Group is set
-	// except as an address fallback.
+	// the group layer (tests, fixed clusters): the handler starts from it as
+	// view 0. Ignored when Group is set. The handler keeps the map and never
+	// modifies it.
 	StaticReplicas map[wire.ReplicaID]transport.Addr
 	// MaxWait bounds how long Call waits for a first reply after the
 	// deadline has passed; zero means 10× the QoS deadline. Late replies
@@ -160,6 +161,8 @@ type TimingFaultHandler struct {
 
 	ordered *orderedLog // nil unless cfg.Ordered
 
+	views group.Fence // in front of install: views apply once and in order
+
 	mu         sync.Mutex
 	addrOf     map[wire.ReplicaID]transport.Addr
 	waiters    map[wire.SeqNo]*callState
@@ -221,7 +224,6 @@ func newTimingFaultHandlerOn(ep transport.Endpoint, cfg Config, ownRecvLoop bool
 		metShedRetries:  reg.Counter(metrics.GatewayShedRetries),
 		metCancels:      reg.Counter(metrics.GatewayCancels),
 		metDemuxDropped: reg.Counter(metrics.GatewayDemuxDropped),
-		addrOf:          make(map[wire.ReplicaID]transport.Addr),
 		waiters:         make(map[wire.SeqNo]*callState),
 		subscribed:      make(map[wire.ReplicaID]bool),
 		stop:            make(chan struct{}),
@@ -229,27 +231,20 @@ func newTimingFaultHandlerOn(ep transport.Endpoint, cfg Config, ownRecvLoop bool
 	if cfg.Ordered {
 		h.ordered = newOrderedLog()
 	}
-	for id, addr := range cfg.StaticReplicas {
-		h.addrOf[id] = addr
-	}
-	if cfg.Group != nil {
+	switch {
+	case cfg.Group != nil:
 		gcfg := *cfg.Group
 		gcfg.Role = group.Observer
 		gcfg.Group = cfg.Service
-		gcfg.OnViewChange = h.onViewChange
+		gcfg.OnViewChange = func(v group.View) { h.ApplyView(v) }
 		node, err := group.Join(ep, gcfg)
 		if err != nil {
 			return nil, fmt.Errorf("gateway: joining group: %w", err)
 		}
 		h.node = node
-	} else if len(cfg.StaticReplicas) > 0 {
-		ids := make([]wire.ReplicaID, 0, len(cfg.StaticReplicas))
-		for id := range cfg.StaticReplicas {
-			ids = append(ids, id)
-		}
-		sched.OnMembershipChange(ids, time.Now())
-		h.subscribeAll(ids)
-	} else {
+	case len(cfg.StaticReplicas) > 0:
+		h.install(group.NewView(0, cfg.StaticReplicas))
+	default:
 		return nil, fmt.Errorf("gateway: either Group or StaticReplicas is required")
 	}
 	if cfg.ProbeInterval > 0 {
@@ -349,31 +344,26 @@ func (h *TimingFaultHandler) Close() {
 	})
 }
 
-// UpdateMembership replaces the static replica table: the scheduler's
-// repository is reconciled and new replicas are subscribed. Deployments
-// without the group layer (e.g. the Cluster facade) call this when replicas
-// start or crash-stop.
-func (h *TimingFaultHandler) UpdateMembership(replicas map[wire.ReplicaID]transport.Addr) {
-	ids := make([]wire.ReplicaID, 0, len(replicas))
+// ApplyView installs v unless a view numbered at or above it is already in
+// place, and reports whether it did. It is the handler's one membership entry
+// point: the group layer's views and the Cluster facade's both arrive here.
+func (h *TimingFaultHandler) ApplyView(v group.View) bool {
+	return h.views.Apply(v, h.install)
+}
+
+// install makes v the handler's membership in one step: the address table,
+// the scheduler's repository, the prober's guards and the subscriptions. A
+// replica that left loses its subscription, so one that rejoins under the
+// same ID is subscribed again.
+func (h *TimingFaultHandler) install(v group.View) {
 	h.mu.Lock()
-	h.addrOf = make(map[wire.ReplicaID]transport.Addr, len(replicas))
-	for id, addr := range replicas {
-		h.addrOf[id] = addr
-		ids = append(ids, id)
-	}
+	h.addrOf = v.Addrs
 	for id := range h.subscribed {
-		if _, ok := replicas[id]; !ok {
+		if _, ok := v.Addrs[id]; !ok {
 			delete(h.subscribed, id)
 		}
 	}
 	h.mu.Unlock()
-	h.sched.OnMembershipChange(ids, time.Now())
-	h.prober.onMembershipChange(ids)
-	h.subscribeAll(ids)
-}
-
-// onViewChange reconciles membership and subscribes to newcomers.
-func (h *TimingFaultHandler) onViewChange(v group.View) {
 	h.sched.OnMembershipChange(v.Members, time.Now())
 	h.prober.onMembershipChange(v.Members)
 	h.subscribeAll(v.Members)
@@ -403,14 +393,8 @@ func (h *TimingFaultHandler) subscribeAll(ids []wire.ReplicaID) {
 	}
 }
 
-// resolve maps a replica ID to its transport address, preferring the group
-// layer's live knowledge over the static table.
+// resolve maps a replica ID to its address in the installed view.
 func (h *TimingFaultHandler) resolve(id wire.ReplicaID) (transport.Addr, bool) {
-	if h.node != nil {
-		if a, ok := h.node.AddrOf(id); ok {
-			return a, true
-		}
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	a, ok := h.addrOf[id]

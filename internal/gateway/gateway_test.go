@@ -240,7 +240,7 @@ func TestCrashedReplicaAbsorbedByRedundancy(t *testing.T) {
 	}
 }
 
-func TestUpdateMembershipPrunesCrashed(t *testing.T) {
+func TestApplyViewPrunesCrashed(t *testing.T) {
 	f := newFixture(t, 3, nil)
 	h := f.handler(Config{
 		Client: "c1", Service: "svc",
@@ -250,10 +250,10 @@ func TestUpdateMembershipPrunesCrashed(t *testing.T) {
 	if _, err := h.Call(ctx, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	// Remove r0 from membership (as a view change would).
+	// Remove r0 from membership with the view after the static view 0.
 	m := f.static()
 	delete(m, "r0")
-	h.UpdateMembership(m)
+	h.ApplyView(group.NewView(1, m))
 	// The cold-start call above went to every replica and returned on the
 	// first reply; let r0 finish its copy before taking the baseline.
 	waitFor(t, 2*time.Second, func() bool { return f.replicas["r0"].Served() >= 1 }, "r0 to serve the cold-start request")
@@ -455,6 +455,127 @@ func TestGroupDiscoveredMembership(t *testing.T) {
 
 	if _, err := h.Call(context.Background(), "", nil); err != nil {
 		t.Fatalf("call after crash: %v", err)
+	}
+}
+
+// subscribeCounter counts the Subscribe frames a handler sends, per address.
+type subscribeCounter struct {
+	transport.Endpoint
+	mu   sync.Mutex
+	sent map[transport.Addr]int
+}
+
+func (e *subscribeCounter) Send(to transport.Addr, payload any) error {
+	if _, ok := payload.(wire.Subscribe); ok {
+		e.mu.Lock()
+		e.sent[to]++
+		e.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+func (e *subscribeCounter) count(to transport.Addr) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sent[to]
+}
+
+// TestGroupRejoinResubscribes: a replica that leaves the heartbeat view and
+// comes back under the same ID gets a fresh Subscribe, so it pushes this
+// client performance updates again.
+func TestGroupRejoinResubscribes(t *testing.T) {
+	net := transport.NewInMem()
+	t.Cleanup(func() { _ = net.Close() })
+	gcfg := group.Config{
+		HeartbeatInterval: 5 * ms,
+		FailureTimeout:    40 * ms,
+		Seeds:             []transport.Addr{"client:rejoin", "g0", "g1", "g2"},
+	}
+	start := func(id wire.ReplicaID) *server.Replica {
+		t.Helper()
+		ep, err := net.Listen(transport.Addr(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := gcfg
+		srv, err := server.Start(ep, server.Config{
+			ID: id, Service: "svc",
+			Handler: func(string, []byte) ([]byte, error) { return []byte("ok"), nil },
+			Group:   &g,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		return srv
+	}
+	g0 := start("g0")
+	start("g1")
+	start("g2")
+	inner, err := net.Listen("client:rejoin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := &subscribeCounter{Endpoint: inner, sent: make(map[transport.Addr]int)}
+	g := gcfg
+	g.Seeds = nil
+	h, err := NewTimingFaultHandler(ep, Config{
+		Client: "rejoin", Service: "svc",
+		QoS:   wire.QoS{Deadline: 400 * ms, MinProbability: 0.5},
+		Group: &g,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	repoLen := func(n int) func() bool {
+		return func() bool { return h.Scheduler().Repository().Len() == n }
+	}
+
+	waitFor(t, 2*time.Second, repoLen(3), "handler discovered all three replicas")
+	g0.Stop()
+	waitFor(t, 2*time.Second, repoLen(2), "stopped g0 pruned")
+	start("g0")
+	waitFor(t, 2*time.Second, repoLen(3), "restarted g0 rejoined")
+	waitFor(t, 2*time.Second, func() bool { return ep.count("g0") >= 2 }, "g0 subscribed again")
+	if got := ep.count("g0"); got != 2 {
+		t.Errorf("sent g0 %d Subscribe frames, want 2 (one per join)", got)
+	}
+}
+
+// TestApplyViewDropsOlderView: view N arriving after view N+1 changes
+// nothing — the repository, the address table and the prober stay on N+1.
+func TestApplyViewDropsOlderView(t *testing.T) {
+	f := newFixture(t, 3, nil)
+	// r2 never answers a probe, so only a view prune can clear its guard.
+	f.replicas["r2"].Stop()
+	h := f.handler(Config{
+		Client: "order", Service: "svc",
+		QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		ProbeInterval:  5 * ms,
+		StalenessBound: 10 * time.Second, // in-flight probes never age out
+	})
+	older := f.static() // view N: r0, r1 and r2
+	newer := f.static() // view N+1: r2 has left
+	delete(newer, "r2")
+	if !h.ApplyView(group.NewView(2, newer)) {
+		t.Fatal("view 2 not applied over the static view 0")
+	}
+	if h.ApplyView(group.NewView(1, older)) {
+		t.Error("view 1 applied after view 2")
+	}
+	time.Sleep(10 * 5 * ms) // ten probe sweeps
+	if got := h.Scheduler().Repository().Replicas(); fmt.Sprint(got) != "[r0 r1]" {
+		t.Errorf("repository lists %v, want [r0 r1]", got)
+	}
+	if _, ok := h.resolve("r2"); ok {
+		t.Error("r2 still has an address")
+	}
+	h.prober.mu.Lock()
+	_, probing := h.prober.sentAt["r2"]
+	h.prober.mu.Unlock()
+	if probing {
+		t.Error("the prober has a probe out to r2, which left in view 2")
 	}
 }
 

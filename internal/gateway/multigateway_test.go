@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aqua/internal/group"
 	"aqua/internal/server"
 	"aqua/internal/stats"
 	"aqua/internal/transport"
@@ -254,7 +255,7 @@ func TestMultiGatewayCrashIsolation(t *testing.T) {
 			smaller[id] = addr
 		}
 	}
-	h.UpdateMembership(smaller)
+	h.ApplyView(group.NewView(1, smaller))
 	for i := 0; i < 3; i++ {
 		if _, err := g.Call(ctx, "search", "q", nil); err != nil {
 			t.Fatalf("search after prune: %v", err)

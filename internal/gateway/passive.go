@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -23,7 +22,8 @@ type PassiveConfig struct {
 	AttemptTimeout time.Duration
 	// Group tracks membership; nil requires StaticReplicas.
 	Group *group.Config
-	// StaticReplicas maps replica IDs to addresses for group-less use.
+	// StaticReplicas maps replica IDs to addresses for group-less use: the
+	// handler starts from it as view 0, keeps it and never modifies it.
 	StaticReplicas map[wire.ReplicaID]transport.Addr
 }
 
@@ -36,8 +36,10 @@ type PassiveHandler struct {
 	ep   transport.Endpoint
 	node *group.Node
 
+	views group.Fence // in front of install: views apply once and in order
+
 	mu      sync.Mutex
-	members []wire.ReplicaID
+	members []wire.ReplicaID // sorted: members[0] is the primary
 	addrOf  map[wire.ReplicaID]transport.Addr
 	waiters map[wire.SeqNo]chan wire.Response
 	nextSeq wire.SeqNo
@@ -62,22 +64,20 @@ func NewPassiveHandler(ep transport.Endpoint, cfg PassiveConfig) (*PassiveHandle
 		waiters: make(map[wire.SeqNo]chan wire.Response),
 		stop:    make(chan struct{}),
 	}
-	h.UpdateMembership(cfg.StaticReplicas)
-	if cfg.Group != nil {
+	switch {
+	case cfg.Group != nil:
 		gcfg := *cfg.Group
 		gcfg.Role = group.Observer
 		gcfg.Group = cfg.Service
-		gcfg.OnViewChange = func(v group.View) {
-			h.mu.Lock()
-			h.members = v.Members
-			h.mu.Unlock()
-		}
+		gcfg.OnViewChange = func(v group.View) { h.ApplyView(v) }
 		node, err := group.Join(ep, gcfg)
 		if err != nil {
 			return nil, fmt.Errorf("gateway: joining group: %w", err)
 		}
 		h.node = node
-	} else if len(cfg.StaticReplicas) == 0 {
+	case len(cfg.StaticReplicas) > 0:
+		h.install(group.NewView(0, cfg.StaticReplicas))
+	default:
 		return nil, fmt.Errorf("gateway: either Group or StaticReplicas is required")
 	}
 	h.wg.Add(1)
@@ -97,20 +97,17 @@ func (h *PassiveHandler) Close() {
 	})
 }
 
-// UpdateMembership replaces the static replica table and the failover
-// order, so the primary is always a live replica. Deployments without the
-// group layer (e.g. the Cluster facade) call this when replicas start or
-// crash-stop.
-func (h *PassiveHandler) UpdateMembership(replicas map[wire.ReplicaID]transport.Addr) {
-	members := make([]wire.ReplicaID, 0, len(replicas))
-	addrOf := make(map[wire.ReplicaID]transport.Addr, len(replicas))
-	for id, addr := range replicas {
-		addrOf[id] = addr
-		members = append(members, id)
-	}
-	slices.Sort(members)
+// ApplyView installs v unless a view numbered at or above it is already in
+// place, and reports whether it did: the handler's one membership entry
+// point, so the primary is always a live replica.
+func (h *PassiveHandler) ApplyView(v group.View) bool {
+	return h.views.Apply(v, h.install)
+}
+
+// install replaces the failover order and the address table with v's.
+func (h *PassiveHandler) install(v group.View) {
 	h.mu.Lock()
-	h.members, h.addrOf = members, addrOf
+	h.members, h.addrOf = v.Members, v.Addrs
 	h.mu.Unlock()
 }
 
@@ -204,11 +201,6 @@ func (h *PassiveHandler) Call(ctx context.Context, method string, payload []byte
 }
 
 func (h *PassiveHandler) resolve(id wire.ReplicaID) (transport.Addr, bool) {
-	if h.node != nil {
-		if a, ok := h.node.AddrOf(id); ok {
-			return a, true
-		}
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	a, ok := h.addrOf[id]

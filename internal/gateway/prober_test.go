@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aqua/internal/group"
 	"aqua/internal/metrics"
 	"aqua/internal/model"
 	"aqua/internal/repository"
@@ -156,12 +157,14 @@ func TestProberPrunesRemovedReplicas(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return outstandingTo("r1") },
 		"probe outstanding to the dead replica")
 
-	// Shrink the view to r0 only. Re-applying the update inside the poll
-	// makes the check immune to a sweep that snapshotted the old view
-	// concurrently with the first call.
-	view := map[wire.ReplicaID]transport.Addr{"r0": f.replicas["r0"].Addr()}
+	// Shrink the view to r0 only. Re-applying the view inside the poll makes
+	// the check immune to a sweep that snapshotted the old view concurrently
+	// with the first call; each retry is a new view number, or the handler
+	// would drop it as already applied.
+	var num uint64
 	waitFor(t, 2*time.Second, func() bool {
-		h.UpdateMembership(view)
+		num++
+		h.ApplyView(group.NewView(num, map[wire.ReplicaID]transport.Addr{"r0": f.replicas["r0"].Addr()}))
 		return !outstandingTo("r1")
 	}, "sentAt entry for the removed replica pruned")
 

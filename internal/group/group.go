@@ -12,19 +12,21 @@
 // The handler's third service, multicast "to a specified list of members in
 // a group rather than ... to all group members" (the paper's extension of
 // the AQuA connection group), is transport.Multicast over the member
-// addresses AddrOf resolves.
+// addresses a view carries.
 //
 // A participant joins either as a Member (a server replica: it emits
 // heartbeats and appears in views) or as an Observer (a client gateway: it
 // watches views without appearing in them). Views are maintained locally by
 // each participant from the heartbeat stream — adequate for the stateless
 // services the paper targets, which need failure *detection*, not agreement
-// on view order.
+// on views. They do need order: a node notifies from its receive and its
+// tick goroutine, so a listener puts a Fence in front of its install.
 package group
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,17 +45,24 @@ const (
 	Observer
 )
 
-// View is a numbered membership snapshot.
+// View is a numbered membership snapshot: the one membership value every
+// viewer applies. A view is not modified once built, so viewers may keep
+// and share its slice and map.
 type View struct {
 	Number  uint64
 	Members []wire.ReplicaID // sorted
+	Addrs   map[wire.ReplicaID]transport.Addr
 }
 
-// clone returns a deep copy so listeners can retain views safely.
-func (v View) clone() View {
-	m := make([]wire.ReplicaID, len(v.Members))
-	copy(m, v.Members)
-	return View{Number: v.Number, Members: m}
+// NewView builds view number from a member address table; the view takes
+// ownership of addrs.
+func NewView(number uint64, addrs map[wire.ReplicaID]transport.Addr) View {
+	members := make([]wire.ReplicaID, 0, len(addrs))
+	for id := range addrs {
+		members = append(members, id)
+	}
+	slices.Sort(members)
+	return View{Number: number, Members: members, Addrs: addrs}
 }
 
 // Contains reports whether id is in the view.
@@ -64,6 +73,27 @@ func (v View) Contains(id wire.ReplicaID) bool {
 		}
 	}
 	return false
+}
+
+// Fence applies numbered views in order, one at a time, so a viewer fed from
+// several goroutines never goes back to an older view. The zero Fence stands
+// at view 0, the static table a viewer starts from.
+type Fence struct {
+	mu   sync.Mutex
+	last uint64
+}
+
+// Apply runs install(v) under the fence's lock if v is newer than every view
+// applied before it, and reports whether it did.
+func (f *Fence) Apply(v View, install func(View)) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if v.Number <= f.last {
+		return false
+	}
+	f.last = v.Number
+	install(v)
+	return true
 }
 
 // Config configures a group participant.
@@ -85,8 +115,9 @@ type Config struct {
 	// suspected crashed and removed from the view. Zero means
 	// DefaultFailureTimeout.
 	FailureTimeout time.Duration
-	// OnViewChange, if set, is invoked (on the node's goroutine) for every
-	// installed view, including the initial empty one.
+	// OnViewChange, if set, is invoked for every installed view, outside the
+	// node's lock and from either the receive or the tick goroutine, so two
+	// views can arrive out of order: put a Fence in front of the install.
 	OnViewChange func(View)
 }
 
@@ -183,15 +214,7 @@ func (n *Node) OnViewChange(f func(View)) {
 func (n *Node) CurrentView() View {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.clone()
-}
-
-// AddrOf resolves a member's transport address, learned from heartbeats.
-func (n *Node) AddrOf(id wire.ReplicaID) (transport.Addr, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	a, ok := n.addrOf[id]
-	return a, ok
+	return n.view
 }
 
 // HandleHeartbeat ingests a heartbeat routed to this node by the endpoint
@@ -201,18 +224,20 @@ func (n *Node) HandleHeartbeat(hb wire.Heartbeat, from transport.Addr, now time.
 		return
 	}
 	n.mu.Lock()
-	_, known := n.lastSeen[hb.From]
+	// A view carries addresses, so a member heard at a new address (restarted
+	// under the same ID) is a view change too.
+	prev, known := n.addrOf[hb.From]
 	n.lastSeen[hb.From] = now
 	n.addrOf[hb.From] = from
-	var installed *View
-	if !known {
-		v := n.rebuildViewLocked()
-		installed = &v
+	changed := !known || prev != from
+	var installed View
+	if changed {
+		installed = n.rebuildViewLocked()
 	}
 	listeners := n.snapshotListenersLocked()
 	n.mu.Unlock()
-	if installed != nil {
-		notify(listeners, *installed)
+	if changed {
+		notify(listeners, installed)
 	}
 }
 
@@ -286,18 +311,16 @@ func (n *Node) sweep(now time.Time) {
 	}
 }
 
-// rebuildViewLocked installs a new view from lastSeen. Caller holds n.mu.
+// rebuildViewLocked installs the next view from the addresses heartbeats
+// have taught the node (lastSeen and addrOf share keys), plus the node
+// itself when it is a member. Caller holds n.mu.
 func (n *Node) rebuildViewLocked() View {
-	members := make([]wire.ReplicaID, 0, len(n.lastSeen))
-	for id := range n.lastSeen {
-		members = append(members, id)
-	}
+	addrs := maps.Clone(n.addrOf)
 	if n.cfg.Role == Member {
-		members = append(members, n.cfg.Self)
+		addrs[n.cfg.Self] = n.ep.Addr()
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	n.view = View{Number: n.view.Number + 1, Members: members}
-	return n.view.clone()
+	n.view = NewView(n.view.Number+1, addrs)
+	return n.view
 }
 
 func (n *Node) snapshotListenersLocked() []func(View) {
@@ -308,6 +331,6 @@ func (n *Node) snapshotListenersLocked() []func(View) {
 
 func notify(listeners []func(View), v View) {
 	for _, f := range listeners {
-		f(v.clone())
+		f(v)
 	}
 }

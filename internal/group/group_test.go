@@ -139,8 +139,8 @@ func TestObserverTracksMembersWithoutJoining(t *testing.T) {
 	if v.Contains("o") {
 		t.Error("observer appeared in the membership")
 	}
-	if addr, ok := o.AddrOf("m"); !ok || addr != "addr-m" {
-		t.Errorf("AddrOf(m) = %v, %v", addr, ok)
+	if addr, ok := v.Addrs["m"]; !ok || addr != "addr-m" {
+		t.Errorf("view address of m = %v, %v", addr, ok)
 	}
 
 	m.Leave()
@@ -189,8 +189,8 @@ func TestCrashDetectionInstallsSmallerView(t *testing.T) {
 	if len(last.Members) != 0 {
 		t.Errorf("last view change = %+v, want empty", last)
 	}
-	if _, ok := o.AddrOf("m"); ok {
-		t.Error("crashed member's address still resolvable")
+	if _, ok := o.CurrentView().Addrs["m"]; ok {
+		t.Error("crashed member's address still in the view")
 	}
 
 	o.Leave()
@@ -369,4 +369,117 @@ func TestFailureDetectorStableUnderMessageLoss(t *testing.T) {
 	_ = epM.Close()
 	_ = epO.Close()
 	wg.Wait()
+}
+
+// TestFenceAppliesInOrder: a view numbered at or below the last one applied
+// is dropped, and installs never overlap.
+func TestFenceAppliesInOrder(t *testing.T) {
+	var f Fence
+	var installed []uint64
+	record := func(v View) { installed = append(installed, v.Number) }
+	for _, n := range []uint64{1, 3, 2} {
+		f.Apply(View{Number: n}, record)
+	}
+	if fmt.Sprint(installed) != "[1 3]" {
+		t.Errorf("views 1, 3, 2 installed %v, want [1 3]", installed)
+	}
+
+	// Concurrent callers: install touches plain variables, so an overlap is a
+	// data race under -race, and the numbers it sees must only rise.
+	var g Fence
+	var inside int
+	var last uint64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := uint64(1); n <= 200; n++ {
+				g.Apply(View{Number: n*8 - uint64(w)}, func(v View) {
+					inside++
+					if inside != 1 || v.Number <= last {
+						t.Errorf("install of view %d overlapped or went back (inside %d, last %d)", v.Number, inside, last)
+					}
+					last = v.Number
+					inside--
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if last != 200*8 {
+		t.Errorf("last applied view %d, want %d", last, 200*8)
+	}
+}
+
+// TestFencedListenerEndsOnCurrentView: a node notifies outside n.mu from its
+// receive path (HandleHeartbeat) and its tick path (sweep), so two views can
+// reach a listener in either order. Behind a Fence the listener ends on the
+// node's current view.
+func TestFencedListenerEndsOnCurrentView(t *testing.T) {
+	net := transport.NewInMem()
+	defer func() { _ = net.Close() }()
+	ep, _ := net.Listen("addr-o")
+	cfg := fastCfg(Observer, "", nil)
+	cfg.HeartbeatInterval = time.Hour // the test drives sweep itself
+	cfg.FailureTimeout = time.Millisecond
+	o, err := Join(ep, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Leave()
+	var fence Fence
+	var applied View
+	o.OnViewChange(func(v View) {
+		// A listener's own work before its install widens the window in
+		// which a later view overtakes this one.
+		time.Sleep(time.Duration(v.Number%2) * 20 * time.Microsecond)
+		fence.Apply(v, func(v View) { applied = v })
+	})
+
+	for round := 0; round < 100; round++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // receive path: members keep (re)joining
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				id := wire.ReplicaID(fmt.Sprintf("m%d", i))
+				o.HandleHeartbeat(wire.Heartbeat{From: id, Service: "svc"}, transport.Addr("addr-"+id), time.Now())
+			}
+		}()
+		go func() { // tick path: every member has timed out
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				o.sweep(time.Now().Add(time.Second))
+			}
+		}()
+		wg.Wait()
+		cur := o.CurrentView()
+		if applied.Number != cur.Number || fmt.Sprint(applied.Members) != fmt.Sprint(cur.Members) {
+			t.Fatalf("round %d: listener ended on view %d %v, the node is on view %d %v", round, applied.Number, applied.Members, cur.Number, cur.Members)
+		}
+	}
+}
+
+// TestNewAddressIsViewChange: a member heard at a new address installs a
+// new view, since views carry the addresses handlers send to.
+func TestNewAddressIsViewChange(t *testing.T) {
+	net := transport.NewInMem()
+	defer func() { _ = net.Close() }()
+	ep, _ := net.Listen("addr-o")
+	o, err := Join(ep, fastCfg(Observer, "", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Leave()
+	hb := wire.Heartbeat{From: "m", Service: "svc"}
+	o.HandleHeartbeat(hb, "addr-1", time.Now())
+	o.HandleHeartbeat(hb, "addr-1", time.Now())
+	if v := o.CurrentView(); v.Number != 1 || v.Addrs["m"] != "addr-1" {
+		t.Fatalf("view %d %v after two heartbeats from one address, want 1 [m:addr-1]", v.Number, v.Addrs)
+	}
+	o.HandleHeartbeat(hb, "addr-2", time.Now())
+	if v := o.CurrentView(); v.Number != 2 || v.Addrs["m"] != "addr-2" {
+		t.Errorf("view %d %v after m moved, want 2 [m:addr-2]", v.Number, v.Addrs)
+	}
 }

@@ -136,10 +136,15 @@ func NewManager(p Policy) (*Manager, error) {
 }
 
 // ObserveView feeds the manager a membership view. Wire it to a group.Node
-// with OnViewChange(m.ObserveView).
+// with OnViewChange(m.ObserveView). A view numbered at or below the last one
+// observed is dropped: an older view missing a joined replica would
+// otherwise discard that replica's stop handle and count the pool one short.
 func (m *Manager) ObserveView(v group.View) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if v.Number <= m.view.Number {
+		return
+	}
 	m.view = v
 	for id, e := range m.started {
 		switch {

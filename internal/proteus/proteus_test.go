@@ -322,3 +322,37 @@ func TestObserveViewDropsJoinedThenLeft(t *testing.T) {
 		t.Errorf("StartedCount = %d, want 2 (crash replaced)", got)
 	}
 }
+
+// TestObserveViewIgnoresStaleView: a view older than the one already
+// observed must not undo it. Views 3 then 2, where only 3 lists the joined
+// svc-p1: applying 2 would drop svc-p1's stop handle and make reconcile start
+// a spare for a pool that is already at level.
+func TestObserveViewIgnoresStaleView(t *testing.T) {
+	stops := map[wire.ReplicaID]int{}
+	factory := func(id wire.ReplicaID) (wire.ReplicaID, func(), error) {
+		return id, func() { stops[id]++ }, nil
+	}
+	mgr, err := NewManager(Policy{
+		Service:          "svc",
+		ReplicationLevel: 2,
+		Factory:          factory,
+		CheckInterval:    5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Stop)
+
+	mgr.ObserveView(group.View{Number: 1, Members: []wire.ReplicaID{"a"}})
+	mgr.reconcile() // starts svc-p1
+	mgr.ObserveView(group.View{Number: 3, Members: []wire.ReplicaID{"a", "svc-p1"}})
+	mgr.ObserveView(group.View{Number: 2, Members: []wire.ReplicaID{"a"}}) // stale
+	mgr.reconcile()
+	if got := mgr.StartedCount(); got != 1 {
+		t.Errorf("StartedCount = %d after the stale view, want 1 (no spare for a pool at level)", got)
+	}
+	mgr.Stop()
+	if got := stops["svc-p1"]; got != 1 {
+		t.Errorf("svc-p1's stop handle ran %d times, want 1", got)
+	}
+}

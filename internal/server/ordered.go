@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aqua/internal/group"
 	"aqua/internal/transport"
 	"aqua/internal/wire"
 )
@@ -336,10 +337,16 @@ func (o *ordered) snapshotLocked() {
 	o.log = o.log[:0:0]
 }
 
-// UpdatePeers installs the replica peer table (pushed by the cluster on
-// every membership change). A recovering replica uses it to pick a transfer
-// source; learning that it has no peers at all means there is nothing to
-// recover from, so it boots fresh.
+// ApplyView installs v's addresses as the peer table (UpdatePeers) unless
+// a view numbered at or above it is in place: a stale table could leave a
+// recovering replica retrying only dead peers.
+func (r *Replica) ApplyView(v group.View) bool {
+	return r.views.Apply(v, func(v group.View) { r.UpdatePeers(v.Addrs) })
+}
+
+// UpdatePeers installs the replica peer table, the body of ApplyView. A
+// recovering replica uses it to pick a transfer source; learning that it has
+// no peers at all means there is nothing to recover from, so it boots fresh.
 func (r *Replica) UpdatePeers(peers map[wire.ReplicaID]transport.Addr) {
 	o := r.ord
 	if o == nil {

@@ -88,6 +88,8 @@ type Replica struct {
 	rng   *stats.Rand
 	ord   *ordered // nil for stateless replicas
 
+	views group.Fence // in front of UpdatePeers: peer tables apply in order
+
 	mu          sync.Mutex
 	subscribers map[wire.ClientID]transport.Addr
 
