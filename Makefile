@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views metrics-smoke fuzz clean
+.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views frames metrics-smoke fuzz clean
 
 all: build vet test
 
@@ -30,9 +30,11 @@ test:
 # lifecycle on: no more than with it off, the repository
 # view's copy after a steady reply: 0, selection on a ranked table: 0, a warm
 # one-replica Call: <= 2, a replica's uncancelled serves: one abort channel),
-# the TCP frame path's (encode: 1, decode through a warm interner: <= 2), and
-# the property test that pins the in-place path to the from-scratch oracle,
-# uncached so a stale pass cannot hide a change.
+# the TCP frame path's (the endpoint's encode into a warm pooled frame: 0,
+# encodeFrame: 1; through a connection's reader and a warm interner a 64 B
+# request: <= 2, a Cancel: 1, a 6 KiB request: 2), and the property test
+# that pins the in-place path to the from-scratch oracle, uncached so a stale
+# pass cannot hide a change.
 allocs:
 	$(GO) test ./internal/core -count=1 -run 'TestScheduleCachedPathZeroAllocs|TestScheduleFreshPathAllocs|TestLifecycleFilterFreshPathAllocs|TestLifecycleReplyPathAllocs|TestFreshPathMatchesOracleProperty'
 	$(GO) test ./internal/repository -count=1 -run TestSnapshotIntoAllocs
@@ -108,6 +110,13 @@ views:
 	$(GO) test -race -count=50 ./internal/group -run 'TestFenceAppliesInOrder|TestFencedListenerEndsOnCurrentView'
 	$(GO) test -race -count=50 ./internal/gateway -run 'TestGroupRejoinResubscribes|TestApplyViewDropsOlderView'
 	$(GO) test -race -count=50 ./internal/proteus -run 'TestObserveViewIgnoresStaleView'
+
+# The TCP frame path under the race detector, 10 times each: concurrent
+# senders' frames arrive intact, a multicast frame outlives the fast peer's
+# writer until the held peer's writer is done with it, a multicast encodes
+# once, the send queue stays bounded, and idle writers exit.
+frames:
+	$(GO) test -race -count=10 -run 'TestTCPConcurrentSendersFramesIntact|TestTCPSharedFrameOutlivesFastWriter|TestMulticastEncodesOnce|TestTCPSendQueueBounded|TestTCPIdleSendersExit' ./internal/transport
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

@@ -436,11 +436,13 @@ func (r *Replica) workerLoop() {
 		if err != nil {
 			resp.Err = err.Error()
 		}
+		// Counted before the reply goes out, so a client that has the reply
+		// also sees the count.
+		r.served.Add(1)
 		// Reply to the requesting gateway; a send failure means the client
 		// is gone, which the client-side deadline machinery absorbs.
 		_ = r.ep.Send(transport.Addr(item.From), resp)
 
-		r.served.Add(1)
 		subScratch = r.snapshotSubscribers(subScratch, item.Req.Client)
 		if len(subScratch) == 0 {
 			continue

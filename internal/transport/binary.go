@@ -32,15 +32,19 @@ package transport
 // bounds-checked against the remaining body before use. The version byte is
 // what a future layout change bumps.
 //
-// Payload []byte fields decode zero-copy: they alias the received frame
-// buffer, which the read loop allocates per frame and never reuses (a caller
-// may hold a reply's payload for as long as it likes). Strings are the
-// opposite: each is copied out of the body, or, on a TCP connection, taken
-// from that connection's interner — a table of the identifiers (addresses,
-// client, replica, service and method names) it has already decoded, so a
-// repeated name costs a map lookup instead of an allocation. The table is
-// bounded in entries and in the length of a string it accepts, so hostile
-// input costs at most one allocation per string, as without it.
+// Byte fields (Payload, Snapshot, a log entry's Payload) decode in one of
+// two ways, and a caller may hold either for as long as it likes. A frame
+// that fits a connection's read buffer is decoded in place from that buffer,
+// which the next frame overwrites, so each byte field is copied into an
+// allocation of its own size. A larger body is read into an allocation the
+// read loop makes per frame and never reuses, and byte fields alias it
+// (decodeBinaryBody). Strings are never aliased: each is copied out of the
+// body, or, on a TCP connection, taken from that connection's interner — a
+// table of the identifiers (addresses, client, replica, service and method
+// names) it has already decoded, so a repeated name costs a map lookup
+// instead of an allocation. The table is bounded in entries and in the
+// length of a string it accepts, so hostile input costs at most one
+// allocation per string, as without it.
 //
 // Times travel as UnixNano, so the monotonic reading and location are
 // dropped and representable times are limited to years 1678–2262 — far
@@ -267,11 +271,18 @@ func walkBody(w walker, typ byte, from *Addr, msg any) (walker, any) {
 	return binMessages[typ].walk(w, msg)
 }
 
-// decodeBinaryBody decodes one binary-codec body, taking strings from in
-// (nil: copy each). A body without the magic byte, and unknown versions and
-// message types, return errors that name what was seen, so a newer peer's
-// frames are rejected loudly, not mis-parsed.
+// decodeBinaryBody decodes one binary-codec body that the decoded byte
+// fields may alias, taking strings from in (nil: copy each).
 func decodeBinaryBody(body []byte, in interner) (envelope, error) {
+	return decodeBody(body, in, false)
+}
+
+// decodeBody decodes one binary-codec body, taking strings from in (nil: copy
+// each) and copying byte fields out of a borrowed body. A body without the
+// magic byte, and unknown versions and message types, return errors that
+// name what was seen, so a newer peer's frames are rejected loudly, not
+// mis-parsed.
+func decodeBody(body []byte, in interner, borrowed bool) (envelope, error) {
 	if len(body) < 3 {
 		return envelope{}, fmt.Errorf("transport: binary frame truncated at %d bytes", len(body))
 	}
@@ -286,7 +297,7 @@ func decodeBinaryBody(body []byte, in interner) (envelope, error) {
 		return envelope{}, fmt.Errorf("transport: unknown binary message type %d", typ)
 	}
 	var from Addr
-	w, payload := walkBody(walker{dir: reading, b: body, off: 3, in: in}, typ, &from, nil)
+	w, payload := walkBody(walker{dir: reading, b: body, off: 3, in: in, borrowed: borrowed}, typ, &from, nil)
 	if w.err != nil {
 		return envelope{}, fmt.Errorf("transport: decoding binary %s frame: %w", binMessages[typ].name, w.err)
 	}
@@ -310,12 +321,13 @@ const (
 // cursor with a sticky error: a malformed length poisons every later read,
 // and the caller checks err once at the end. No read can panic.
 type walker struct {
-	dir  walkDir
-	size int      // sizing: the body's length so far
-	b    []byte   // writing: the frame so far; reading: the body
-	off  int      // reading: the cursor into b
-	err  error    // reading: the first malformation met
-	in   interner // reading: where strings come from (nil: copy each)
+	dir      walkDir
+	size     int      // sizing: the body's length so far
+	b        []byte   // writing: the frame so far; reading: the body
+	off      int      // reading: the cursor into b
+	err      error    // reading: the first malformation met
+	in       interner // reading: where strings come from (nil: copy each)
+	borrowed bool     // reading: b is reused after the walk, so byte fields copy out of it
 }
 
 func (w *walker) uvarint(v *uint64) {
@@ -371,8 +383,9 @@ func (w *walker) str(s *string) {
 	}
 }
 
-// bytes walks a byte field; reading, it aliases the body (zero-copy), and a
-// zero length decodes as nil.
+// bytes walks a byte field; reading, it aliases the body, or copies out of a
+// borrowed one into an allocation of exactly its length, and a zero length
+// decodes as nil.
 func (w *walker) bytes(p *[]byte) {
 	n := uint64(len(*p))
 	w.uvarint(&n)
@@ -382,8 +395,12 @@ func (w *walker) bytes(p *[]byte) {
 	case writing:
 		w.b = append(w.b, *p...)
 	case reading:
-		if n > 0 {
-			*p = w.take(n)
+		if n == 0 {
+			return
+		}
+		*p = w.take(n)
+		if w.borrowed && *p != nil {
+			*p = append(make([]byte, 0, n), *p...)
 		}
 	}
 }

@@ -305,24 +305,47 @@ func frameLoop(frame []byte, in interner) func() (envelope, error) {
 	}
 }
 
-// TestFrameCodecAllocs is the TCP frame path's allocation fence: a Request
-// with a 64-byte payload encodes in one allocation (the frame, at its exact
-// size) and decodes through a warm interner and a buffered reader in two
-// (the body, which the decoded payload aliases, and the message's interface
-// box); a large frame grows once past its seed buffer.
+// TestFrameCodecAllocs is the TCP frame path's allocation fence. The
+// endpoint encodes a 64-byte Request into a warm pooled frame without
+// allocating, and encodeFrame into one buffer of the frame's exact size (a
+// 32 KiB frame grows once past its seed buffer instead). Through a
+// connection's reader and a warm interner, a frame that fits the reader's
+// buffer costs only what the receiver keeps: the 64-byte Request its payload
+// copy and its interface box, a Cancel only its box. A 6 KiB Request, read
+// into a body of its own that the payload aliases, costs the body and the
+// box.
 func TestFrameCodecAllocs(t *testing.T) {
 	const from = Addr("127.0.0.1:40001")
-	var payload any = wire.Request{Client: "client-7", Seq: 42, Service: "bench-svc", Method: "echo",
-		Payload: make([]byte, 64), SentAt: time.Unix(0, 1754700000123456789)}
-	encode := func() {
+	request := func(size int) any {
+		return wire.Request{Client: "client-7", Seq: 42, Service: "bench-svc", Method: "echo",
+			Payload: make([]byte, size), SentAt: time.Unix(0, 1754700000123456789)}
+	}
+	payload := request(64)
+
+	ep, err := NewTCPWithMetrics(metrics.NewRegistry()).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ep.Close() }()
+	pooled := func() {
+		f, err := ep.(*tcpEndpoint).encode(payload, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.release()
+	}
+	pooled() // warm the pool
+	if allocs := testing.AllocsPerRun(500, pooled); allocs > 0 {
+		t.Errorf("the endpoint encoding a 64 B request into a warm pooled frame: %.1f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
 		if _, err := encodeFrame(from, payload); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if allocs := testing.AllocsPerRun(500, encode); allocs > 1 {
+	}); allocs > 1 {
 		t.Errorf("encoding a 64 B request: %.1f allocations, want <= 1", allocs)
 	}
-	var bulk any = wire.Request{Client: "client-7", Seq: 42, Service: "bench-svc", Method: "echo", Payload: make([]byte, 32<<10)}
+	bulk := request(32 << 10)
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := encodeFrame(from, bulk); err != nil {
 			t.Fatal(err)
@@ -331,26 +354,38 @@ func TestFrameCodecAllocs(t *testing.T) {
 		t.Errorf("encoding a 32 KiB request: %.1f allocations, want <= 2 (a seed buffer and one growth)", allocs)
 	}
 
-	frame, err := encodeFrame(from, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := frameLoop(frame, newInterner())
-	decode := func() {
-		env, err := next()
-		if err != nil || env.From != from || !reflect.DeepEqual(env.Payload, payload) {
-			t.Fatalf("decoded %#v, %v; want %#v from %s", env.Payload, err, payload, from)
+	for _, c := range []struct {
+		name string
+		msg  any
+		want float64
+	}{
+		{"a 64 B request", payload, 2},
+		{"a cancel", wire.Cancel{Client: "client-7", Seq: 42, Service: "bench-svc"}, 1},
+		{"a 6 KiB request", request(6 << 10), 2},
+	} {
+		frame, err := encodeFrame(from, c.msg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if allocs := testing.AllocsPerRun(500, decode); allocs > 2 {
-		t.Errorf("decoding a 64 B request through a warm interner: %.1f allocations, want <= 2", allocs)
+		next := frameLoop(frame, newInterner())
+		decode := func() {
+			env, err := next()
+			if err != nil || env.From != from || !reflect.DeepEqual(env.Payload, c.msg) {
+				t.Fatalf("decoded %#v, %v; want %#v from %s", env.Payload, err, c.msg, from)
+			}
+		}
+		if allocs := testing.AllocsPerRun(500, decode); allocs > c.want {
+			t.Errorf("decoding %s through a warm interner: %.1f allocations, want <= %.0f", c.name, allocs, c.want)
+		}
 	}
 }
 
 // TestInternerBounded holds the per-connection interner to its bounds and to
 // copy semantics: a connection that sees ever-new identifiers keeps the table
 // at its cap, an over-long string never enters it, and no decoded string
-// shares memory with the frame body (only byte payloads alias it).
+// shares memory with the frame body. Byte payloads alias a body that
+// decodeBinaryBody decodes, and never the reader's buffer a small frame is
+// decoded from.
 func TestInternerBounded(t *testing.T) {
 	// 10 000 distinct client IDs streamed over one connection's reader.
 	const clients = 10_000
@@ -401,9 +436,9 @@ func TestInternerBounded(t *testing.T) {
 		}
 	}
 
-	// Overwriting the body after decode: on the plain path, on first sight
-	// (the string enters the table) and on a hit, every string keeps its
-	// value; the payload is the one field that aliases the body.
+	// Overwriting the body after decodeBinaryBody: on the plain path, on
+	// first sight (the string enters the table) and on a hit, every string
+	// keeps its value; the payload is the one field that aliases the body.
 	in = newInterner()
 	frame, err := encodeFrame("sender:1", wire.Response{Client: "client-1", Replica: "replica-1", Service: "svc", Payload: []byte("reply"), Err: "late"})
 	if err != nil {
@@ -424,6 +459,19 @@ func TestInternerBounded(t *testing.T) {
 		}
 		if !bytes.Equal(got.Payload, bytes.Repeat([]byte{0xFF}, len("reply"))) {
 			t.Errorf("pass %d: payload %q does not alias the body", pass, got.Payload)
+		}
+	}
+
+	// The same small frame decoded through a connection's reader, which then
+	// reads on over its buffer: the payload was copied out, so it keeps its
+	// value too.
+	for pass, table := range []interner{nil, in} {
+		env, err := decodeThenOverwrite(frame, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Payload.(wire.Response); string(got.Payload) != "reply" || got.Client != "client-1" || env.From != "sender:1" {
+			t.Errorf("pass %d: a reader-decoded frame changed with the reader's buffer: from %q, %+v", pass, env.From, got)
 		}
 	}
 }

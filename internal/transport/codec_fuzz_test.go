@@ -3,7 +3,9 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -14,7 +16,11 @@ import (
 // decodeBoth decodes data on the plain path and again through in, an
 // interner the caller shares across inputs, and fails t unless the two
 // agree exactly, error text included: interning changes where a string's
-// bytes live, never what is decoded.
+// bytes live, never what is decoded. When data holds a whole frame, its body
+// is also decoded with decodeBinaryBody, the path whose byte fields alias
+// the body, which must agree too; and the frame is decoded through a reader
+// that then reads a frame of 0xFF bytes over it, which must leave the first
+// envelope as it was: nothing decoded from a reader's buffer refers to it.
 func decodeBoth(t *testing.T, data []byte, in interner) (envelope, error) {
 	t.Helper()
 	env, err := decodeFrame(uninterned(data))
@@ -22,13 +28,39 @@ func decodeBoth(t *testing.T, data []byte, in interner) (envelope, error) {
 	if fmt.Sprint(err) != fmt.Sprint(ierr) || !reflect.DeepEqual(env, again) {
 		t.Fatalf("interned decode differs from plain:\n got %#v, %v\nwant %#v, %v", again, ierr, env, err)
 	}
+	if len(data) < 4 {
+		return env, err
+	}
+	size := int(binary.BigEndian.Uint32(data))
+	if size > maxFrameSize || 4+size > len(data) {
+		return env, err
+	}
+	aliased, aerr := decodeBinaryBody(append([]byte(nil), data[4:4+size]...), in)
+	if fmt.Sprint(err) != fmt.Sprint(aerr) || !reflect.DeepEqual(env, aliased) {
+		t.Fatalf("aliasing decode differs from the reader's:\n got %#v, %v\nwant %#v, %v", aliased, aerr, env, err)
+	}
+	kept, kerr := decodeThenOverwrite(data[:4+size], in)
+	if fmt.Sprint(err) != fmt.Sprint(kerr) || !reflect.DeepEqual(env, kept) {
+		t.Fatalf("decoded envelope changed when the reader read on:\n got %#v, %v\nwant %#v, %v", kept, kerr, env, err)
+	}
+	return env, err
+}
+
+// decodeThenOverwrite decodes the one frame in frame through a
+// connection-sized reader, then has the same reader read as many 0xFF bytes
+// over its buffer, and returns the first decode's result as it stands after.
+func decodeThenOverwrite(frame []byte, in interner) (envelope, error) {
+	r := bufio.NewReaderSize(io.MultiReader(bytes.NewReader(frame), bytes.NewReader(bytes.Repeat([]byte{0xFF}, len(frame)))), readBufferSize)
+	env, err := decodeFrame(r, in)
+	_, _ = decodeFrame(r, in) // a 0xFFFFFFFF length: refused, after the read
 	return env, err
 }
 
 // FuzzDecodeFrame throws arbitrary bytes at the frame decoder: it must
 // never panic or over-allocate, only return errors or valid envelopes, the
-// same with and without an interner; a valid envelope re-encodes, into a
-// buffer of exactly its size unless it is a large frame.
+// same with and without an interner and on every decode path (decodeBoth); a
+// valid envelope re-encodes, into a buffer of exactly its size unless it is
+// a large frame.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with a valid frame and a few structured mutations.
 	valid, err := encodeFrame("seed", wire.Request{Client: "c", Seq: 3, Payload: []byte("xyz")})
@@ -142,11 +174,12 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 // requests, StateRequest, StateChunk, and the Response that piggybacks the
 // ordered tail — through the codec: the binary layout must round-trip
 // byte-exactly, from a frame that fills its allocation exactly unless it is
-// a large one.
+// a large one, and decode alike on every path (decodeBoth).
 func FuzzStateTransferRoundTrip(f *testing.F) {
 	f.Add("r1", "svc", uint64(1), uint64(9), []byte("snap"), "client", uint64(4), "put", []byte("v"), true, false, "")
 	f.Add("", "", uint64(0), uint64(0), []byte{}, "", uint64(0), "", []byte{}, false, true, "pruned")
 	f.Add("r2", "s", ^uint64(0), ^uint64(0), []byte{0xAB, 0x02}, "c", ^uint64(0), "m", []byte{0xAB}, true, true, "not caught up")
+	shared := newInterner()
 	f.Fuzz(func(t *testing.T, replica, service string, stamp, index uint64, snap []byte,
 		client string, seq uint64, method string, payload []byte, done, pruned bool, errMsg string) {
 		msgs := []any{
@@ -174,7 +207,7 @@ func FuzzStateTransferRoundTrip(f *testing.F) {
 			if len(frame) <= largeFrame && len(frame) != cap(frame) {
 				t.Errorf("%T encoded into %d of %d allocated bytes", in, len(frame), cap(frame))
 			}
-			env, err := decodeFrame(uninterned(frame))
+			env, err := decodeBoth(t, frame, shared)
 			if err != nil {
 				t.Fatalf("decode %T: %v", in, err)
 			}
@@ -190,10 +223,11 @@ func FuzzStateTransferRoundTrip(f *testing.F) {
 }
 
 // FuzzEncodeDecodeRoundTrip checks that any request payload survives the
-// codec byte-for-byte.
+// codec byte-for-byte, on every decode path (decodeBoth).
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add("client-1", uint64(7), []byte("payload"))
 	f.Add("", uint64(0), []byte{})
+	shared := newInterner()
 	f.Fuzz(func(t *testing.T, client string, seq uint64, payload []byte) {
 		in := wire.Request{Client: wire.ClientID(client), Seq: wire.SeqNo(seq), Payload: payload}
 		frame, err := encodeFrame("addr", in)
@@ -203,7 +237,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("encode: %v", err)
 		}
-		env, err := decodeFrame(uninterned(frame))
+		env, err := decodeBoth(t, frame, shared)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

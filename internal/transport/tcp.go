@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aqua/internal/metrics"
@@ -28,12 +29,25 @@ const (
 	// a dial timeout per message.
 	redialBackoffMin = 50 * time.Millisecond
 	redialBackoffMax = 2 * time.Second
+	// senderIdle is how long a destination's writer waits without a frame
+	// before it closes its connection and goes away; the next frame to that
+	// address starts a new one. Replicas come and go on fresh ports, so
+	// without it an endpoint keeps a goroutine, a queue and a connection for
+	// every address it ever sent to. It is well above redialBackoffMax, so
+	// a link in backoff is not forgotten between two of its frames.
+	senderIdle = 30 * time.Second
 	// readBufferSize is each inbound connection's read buffer: one read
 	// syscall brings in a small frame's length and body together (and often
 	// the frames queued behind it). A body at least this large is read
 	// mostly straight into its own allocation, so a small buffer also keeps
 	// the second copy of a large frame small.
 	readBufferSize = 4 << 10
+	// pooledFrameCap is the largest buffer a released frame keeps for the
+	// next encode; a larger one, made for a rare big frame, is left to the
+	// collector. pooledFrameMin is the least a pooled buffer is made with,
+	// so the small frames of a request and its reply fit one buffer.
+	pooledFrameCap = 4 << 10
+	pooledFrameMin = 512
 )
 
 // ErrBackpressure reports a frame dropped because the destination's send
@@ -48,12 +62,14 @@ var ErrBackpressure = errors.New("transport: send queue full")
 // goroutine, so a slow, partitioned, or dead peer never blocks callers or
 // traffic to other destinations. Connections are cached per destination,
 // written with a deadline, and re-dialed on failure with capped exponential
-// backoff. A frame is encoded once (into one buffer of its exact size, up to
-// 32 KiB) and shared read-only by every destination of a multicast. Each inbound connection is
+// backoff; a writer idle for senderIdle closes its connection and exits. A
+// frame is encoded once, into a pooled buffer, and shared read-only by every
+// destination of a multicast; its reference count returns the buffer to the
+// pool when the last destination is done with it. Each inbound connection is
 // read by one goroutine through a small buffered reader and a bounded table
-// of the identifier strings it has seen, so a repeated client, replica,
-// service or method name decodes without allocating; every frame body is
-// still a fresh allocation, because decoded payloads alias it.
+// of the identifier strings it has seen; a frame that fits the reader's
+// buffer is decoded in place, so a small frame costs only what the receiver
+// keeps: its byte fields, copied out, and the decoded message.
 type TCP struct {
 	reg *metrics.Registry
 }
@@ -104,6 +120,7 @@ func (t TCP) Listen(addr Addr) (Endpoint, error) {
 	ep := &tcpEndpoint{
 		listener:   l,
 		addr:       Addr(l.Addr().String()),
+		idleAfter:  senderIdle,
 		recv:       make(chan Message, recvBuffer),
 		senders:    make(map[Addr]*tcpSender),
 		inbound:    make(map[net.Conn]bool),
@@ -130,11 +147,43 @@ type tcpEndpoint struct {
 	dialCancel context.CancelFunc
 	reg        *metrics.Registry
 	met        transportInstruments
+	idleAfter  time.Duration // senderIdle; tests shorten it before the first send
 
 	mu      sync.Mutex
 	senders map[Addr]*tcpSender // per-destination writer state
 	inbound map[net.Conn]bool   // accepted connections, closed on shutdown
 	closed  bool
+}
+
+// frame is one encoded frame on its way to the writers of every destination
+// it was sent to. Writers only pass b to net.Conn.Write, so they share it;
+// refs counts the destinations still holding it, and each releases it once,
+// whatever becomes of the frame: written, refused for backpressure, dropped
+// in backoff or after a failed retry, or refused by a closed endpoint. The
+// last release returns it to framePool; a frame never released (one still
+// queued when the endpoint closes) is left to the collector.
+type frame struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// framePool holds released frames, each with a buffer of at most
+// pooledFrameCap bytes (or none) for the next encode to write into.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// release ends one destination's hold on f; the last one pools it. A
+// release beyond the count is a bug that would hand a frame in use to
+// another encode, so it panics instead.
+func (f *frame) release() {
+	switch n := f.refs.Add(-1); {
+	case n < 0:
+		panic("transport: frame released more often than it was shared")
+	case n == 0:
+		if cap(f.b) > pooledFrameCap {
+			f.b = nil
+		}
+		framePool.Put(f)
+	}
 }
 
 // tcpSender owns the outbound path to one destination: a bounded frame
@@ -143,11 +192,22 @@ type tcpEndpoint struct {
 // unblock an in-flight write.
 type tcpSender struct {
 	to     Addr
-	frames chan []byte
+	frames chan *frame
 	depth  *metrics.Gauge // live queue occupancy, labelled by destination
+	// The writer goroutine's own state: when it last read the clock for a
+	// frame, and the link's backoff.
+	used      time.Time
+	backoff   time.Duration
+	downUntil time.Time // frames are dropped until then
 
 	mu   sync.Mutex
 	conn net.Conn
+}
+
+// now reads the clock for the frame at hand and marks the writer as in use.
+func (s *tcpSender) now() time.Time {
+	s.used = time.Now()
+	return s.used
 }
 
 func (s *tcpSender) haveConn() bool {
@@ -172,15 +232,15 @@ func (s *tcpSender) closeConn() {
 }
 
 // write sends one frame on the current connection under a write deadline.
-func (s *tcpSender) write(frame []byte) error {
+func (s *tcpSender) write(f *frame) error {
 	s.mu.Lock()
 	c := s.conn
 	s.mu.Unlock()
 	if c == nil {
 		return errors.New("transport: connection closed")
 	}
-	_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := c.Write(frame)
+	_ = c.SetWriteDeadline(s.now().Add(writeTimeout))
+	_, err := c.Write(f.b)
 	return err
 }
 
@@ -246,25 +306,24 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 // unreachable — is lost like a datagram; only queue overflow is reported
 // (ErrBackpressure), because it is the one failure the caller caused.
 func (e *tcpEndpoint) Send(to Addr, payload any) error {
-	frame, err := e.encode(payload)
+	f, err := e.encode(payload, 1)
 	if err != nil {
 		return err
 	}
-	return e.enqueue(to, frame)
+	return e.enqueue(to, f)
 }
 
 // SendMulticast implements MultiSender: the payload is serialized exactly
-// once and the same frame is enqueued to every destination. Sharing the
-// buffer is safe because nothing downstream mutates a frame — writer
-// goroutines only pass it to net.Conn.Write.
+// once and the same frame is enqueued to every destination, each holding
+// one of its references.
 func (e *tcpEndpoint) SendMulticast(to []Addr, payload any) error {
-	frame, err := e.encode(payload)
+	f, err := e.encode(payload, len(to))
 	if err != nil {
 		return err
 	}
 	var firstErr error
 	for _, t := range to {
-		if err := e.enqueue(t, frame); err != nil && firstErr == nil {
+		if err := e.enqueue(t, f); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("transport: multicast to %s: %w", t, err)
 		}
 	}
@@ -273,97 +332,156 @@ func (e *tcpEndpoint) SendMulticast(to []Addr, payload any) error {
 
 var _ MultiSender = (*tcpEndpoint)(nil)
 
-func (e *tcpEndpoint) encode(payload any) ([]byte, error) {
-	frame, err := encodeFrame(e.addr, payload)
+// encode serializes payload into a pooled frame held by dests destinations.
+// A frame of up to pooledFrameCap bytes is written into the pooled buffer
+// (allocating one only if the buffer is missing or too small); a larger one
+// gets a buffer of its own, the release drops it, and one over largeFrame
+// is appended into a small seed, as encodeFrame does.
+func (e *tcpEndpoint) encode(payload any, dests int) (*frame, error) {
+	typ, size, err := sizeFrame(e.addr, payload)
 	if err != nil {
 		return nil, err
 	}
+	f := framePool.Get().(*frame)
+	switch n := 4 + size; {
+	case n > largeFrame:
+		f.b = make([]byte, 0, 64)
+	case n > pooledFrameCap:
+		f.b = make([]byte, 0, n)
+	case n > cap(f.b):
+		f.b = make([]byte, 0, max(n, pooledFrameMin))
+	}
+	f.b = appendFrame(f.b[:0], typ, size, e.addr, payload)
+	f.refs.Store(int32(dests))
 	e.met.encodes.Inc()
-	return frame, nil
+	return f, nil
 }
 
-// enqueue hands one already-encoded frame to the destination's writer,
-// creating the writer on first use.
-func (e *tcpEndpoint) enqueue(to Addr, frame []byte) error {
+// enqueue hands one destination's hold on an encoded frame to that
+// destination's writer, creating the writer on first use; a frame it
+// refuses is released here. The push happens under e.mu, where an idle
+// writer retires, so a frame never lands in the queue of a writer that has
+// gone.
+func (e *tcpEndpoint) enqueue(to Addr, f *frame) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
+		f.release()
 		return ErrClosed
 	}
 	s, ok := e.senders[to]
 	if !ok {
 		s = &tcpSender{
-			to:     to,
-			frames: make(chan []byte, sendQueueLen),
-			depth:  e.reg.Gauge(metrics.Label(metrics.TransportQueueDepth, "dest", string(to))),
+			to:      to,
+			frames:  make(chan *frame, sendQueueLen),
+			depth:   e.reg.Gauge(metrics.Label(metrics.TransportQueueDepth, "dest", string(to))),
+			used:    time.Now(),
+			backoff: redialBackoffMin,
 		}
 		e.senders[to] = s
 		e.wg.Add(1)
 		go e.runSender(s)
 	}
-	e.mu.Unlock()
-
 	select {
-	case s.frames <- frame:
+	case s.frames <- f:
 		s.depth.Set(int64(len(s.frames)))
+		e.mu.Unlock()
 		return nil
 	default:
+		e.mu.Unlock()
+		f.release()
 		e.met.backpressureDrops.Inc()
 		return fmt.Errorf("transport: to %s: %w", to, ErrBackpressure)
 	}
 }
 
-// runSender drains one destination's queue. Dial failures start a capped
-// exponential backoff during which frames are dropped on arrival; a write
-// failure gets one immediate redial-and-retry (the cached connection was
-// likely killed by a peer restart) before the link is declared down. A
-// failed dial never leaves poisoned state behind: the next frame after the
-// backoff window re-dials from scratch.
+// retire removes s from the endpoint if its queue is still empty, under the
+// lock enqueue pushes under; it reports whether the writer may exit.
+func (e *tcpEndpoint) retire(s *tcpSender) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(s.frames) > 0 {
+		return false
+	}
+	delete(e.senders, s.to)
+	return true
+}
+
+// runSender drains one destination's queue, releasing each frame once it
+// is written or dropped, and exits on Close (frames still queued are left
+// to the collector) or once the queue has been idle for e.idleAfter. The
+// idle check costs one timer per idle period: the timer fires, compares the
+// clock with the last time a frame read it, and re-arms for the rest of the
+// period.
 func (e *tcpEndpoint) runSender(s *tcpSender) {
 	defer e.wg.Done()
 	defer s.closeConn()
-	backoff := redialBackoffMin
-	var downUntil time.Time
+	idle := time.NewTimer(e.idleAfter)
+	defer idle.Stop()
 	for {
 		select {
 		case <-e.done:
 			return
-		case frame := <-s.frames:
+		case <-idle.C:
+			if wait := e.idleAfter - time.Since(s.used); wait > 0 {
+				idle.Reset(wait)
+			} else if e.retire(s) {
+				return
+			} else {
+				idle.Reset(e.idleAfter)
+			}
+		case f := <-s.frames:
 			s.depth.Set(int64(len(s.frames)))
-			if !downUntil.IsZero() {
-				if time.Now().Before(downUntil) {
-					continue // link down: frame dropped
-				}
-				downUntil = time.Time{}
-			}
-			if !s.haveConn() {
-				if !e.dial(s) {
-					downUntil = time.Now().Add(backoff)
-					backoff = nextBackoff(backoff)
-					continue
-				}
-				backoff = redialBackoffMin
-			}
-			if err := s.write(frame); err == nil {
+			if e.deliver(s, f) {
 				e.met.framesSent.Inc()
-				continue
 			}
-			s.closeConn()
-			if !e.dial(s) {
-				downUntil = time.Now().Add(backoff)
-				backoff = nextBackoff(backoff)
-				continue
-			}
-			if err := s.write(frame); err != nil {
-				s.closeConn()
-				downUntil = time.Now().Add(backoff)
-				backoff = nextBackoff(backoff)
-				continue
-			}
-			e.met.framesSent.Inc()
-			backoff = redialBackoffMin
+			f.release()
 		}
 	}
+}
+
+// deliver writes one frame to s's destination and reports whether it went
+// out. Dial failures start a capped exponential backoff during which frames
+// are dropped on arrival; a write failure gets one immediate
+// redial-and-retry (the cached connection was likely killed by a peer
+// restart) before the link is declared down. A failed dial never leaves
+// poisoned state behind: the next frame after the backoff window re-dials
+// from scratch.
+func (e *tcpEndpoint) deliver(s *tcpSender, f *frame) bool {
+	if !s.downUntil.IsZero() {
+		if s.now().Before(s.downUntil) {
+			return false // link down: frame dropped
+		}
+		s.downUntil = time.Time{}
+	}
+	if !s.haveConn() {
+		if !e.dial(s) {
+			s.down()
+			return false
+		}
+		s.backoff = redialBackoffMin
+	}
+	if s.write(f) == nil {
+		return true
+	}
+	s.closeConn()
+	if !e.dial(s) {
+		s.down()
+		return false
+	}
+	if s.write(f) != nil {
+		s.closeConn()
+		s.down()
+		return false
+	}
+	s.backoff = redialBackoffMin
+	return true
+}
+
+// down opens a backoff window on the link and doubles the next one.
+func (s *tcpSender) down() {
+	s.downUntil = s.now().Add(s.backoff)
+	s.backoff = nextBackoff(s.backoff)
 }
 
 func nextBackoff(b time.Duration) time.Duration {

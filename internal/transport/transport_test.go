@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -767,5 +769,183 @@ func TestTCPConcurrentSendersFramesIntact(t *testing.T) {
 	}
 	if want < attempted.Load()/2 {
 		t.Errorf("only %d of %d frames got past backpressure: too few to check", want, attempted.Load())
+	}
+}
+
+// TestTCPSharedFrameOutlivesFastWriter fences the reference count on shared
+// frames: a frame multicast to a peer that reads and to one that does not
+// must stay intact, for the second peer, after the first peer's writer is
+// done with it and the pool has handed out buffers again. The held peer
+// accepts and does not read until the sender's socket to it is full and its
+// queue holds sendQueueLen frames; more sends to the fast peer then recycle
+// pooled frames, and once released the held peer must read every multicast
+// frame byte-exact and in order.
+func TestTCPSharedFrameOutlivesFastWriter(t *testing.T) {
+	netw := NewTCPWithMetrics(metrics.NewRegistry())
+	src, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	fast, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fast.Close() }()
+	fromFast := make(chan wire.ClientID, 4*sendQueueLen)
+	go func() {
+		for m := range fast.Recv() {
+			if r, ok := m.Payload.(wire.Request); ok && r.Client == "fast" {
+				fromFast <- r.Client
+			}
+		}
+	}()
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = held.Close() }()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := held.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+
+	// Each request fills a frame of just under pooledFrameCap with its own
+	// byte, so frames are pooled and a recycled buffer shows.
+	req := func(client wire.ClientID, i int) wire.Request {
+		return wire.Request{Client: client, Seq: wire.SeqNo(i), Service: "svc",
+			Payload: bytes.Repeat([]byte{byte(i)}, pooledFrameCap-64)}
+	}
+	heldQueue := func() int {
+		ep := src.(*tcpEndpoint)
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		if s := ep.senders[Addr(held.Addr().String())]; s != nil {
+			return len(s.frames)
+		}
+		return 0
+	}
+	to := []Addr{Addr(held.Addr().String()), fast.Addr()}
+	multicast := 0
+	send := func() {
+		err := src.(MultiSender).SendMulticast(to, req("mcast", multicast))
+		if err != nil && !errors.Is(err, ErrBackpressure) {
+			t.Fatal(err)
+		}
+		multicast++
+	}
+	// Once the writer is connected, it writes until the held peer's socket
+	// is full, and then the queue fills.
+	send()
+	var c net.Conn
+	select {
+	case c = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sender never connected to the held peer")
+	}
+	defer func() { _ = c.Close() }()
+	for heldQueue() < sendQueueLen {
+		if multicast == 100_000 {
+			t.Fatalf("the held peer's queue holds %d frames after %d multicasts; its socket never filled", heldQueue(), multicast)
+		}
+		send()
+	}
+	t.Logf("the held peer's socket and queue filled after %d multicasts", multicast)
+	// The held queue was never full before a push, so it refused nothing;
+	// the fast peer may have. Recycle: the fast peer reads every one of
+	// these, so each of their frames went back to the pool and out again.
+	for i := 0; i < 2*sendQueueLen; {
+		if err := src.Send(fast.Addr(), req("fast", i)); errors.Is(err, ErrBackpressure) {
+			time.Sleep(time.Millisecond)
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i := 0; i < 2*sendQueueLen; i++ {
+		select {
+		case <-fromFast:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the fast peer received %d of %d recycling frames", i, 2*sendQueueLen)
+		}
+	}
+
+	_ = c.SetReadDeadline(time.Now().Add(20 * time.Second))
+	r := bufio.NewReader(c)
+	for i := 0; i < multicast; i++ {
+		want, err := encodeFrame(src.Addr(), req("mcast", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(r, got); err != nil {
+			t.Fatalf("held peer, frame %d of %d: %v", i, multicast, err)
+		}
+		if !bytes.Equal(got, want) {
+			env, derr := decodeFrame(bufio.NewReader(bytes.NewReader(got)), nil)
+			r, _ := env.Payload.(wire.Request)
+			t.Fatalf("held peer, frame %d of %d arrived altered: decodes as client %q seq %d (%v)", i, multicast, r.Client, r.Seq, derr)
+		}
+	}
+}
+
+// TestTCPIdleSendersExit is the regression for a writer leak: an endpoint
+// kept a goroutine, a queue and a connection for every address it ever sent
+// to. Sends to 50 closed ports and one live peer must leave, once the
+// writers have been idle, no sender and no goroutine behind; a later send to
+// the live peer starts a new writer and is delivered.
+func TestTCPIdleSendersExit(t *testing.T) {
+	netw := NewTCPWithMetrics(metrics.NewRegistry())
+	live, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = live.Close() }()
+	src, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	ep := src.(*tcpEndpoint)
+	ep.idleAfter = 50 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+
+	var closed []Addr
+	for range 50 {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed = append(closed, Addr(l.Addr().String()))
+		_ = l.Close()
+	}
+	for _, to := range append(closed, live.Addr()) {
+		if err := src.Send(to, wire.Request{Client: "c", Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recvOne(t, live)
+
+	senders := func() int {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return len(ep.senders)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for senders() > 0 || runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d senders and %d goroutines left after the writers went idle, want 0 and %d", senders(), runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if err := src.Send(live.Addr(), wire.Request{Client: "c", Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := recvOne(t, live).Payload.(wire.Request); !ok || r.Seq != 2 {
+		t.Errorf("after the writers retired the live peer got %+v", r)
 	}
 }
