@@ -232,7 +232,7 @@ func (s *tcpSender) closeConn() {
 }
 
 // write sends one frame on the current connection under a write deadline.
-func (s *tcpSender) write(f *frame) error {
+func (s *tcpSender) write(b []byte) error {
 	s.mu.Lock()
 	c := s.conn
 	s.mu.Unlock()
@@ -240,7 +240,7 @@ func (s *tcpSender) write(f *frame) error {
 		return errors.New("transport: connection closed")
 	}
 	_ = c.SetWriteDeadline(s.now().Add(writeTimeout))
-	_, err := c.Write(f.b)
+	_, err := c.Write(b)
 	return err
 }
 
@@ -461,7 +461,7 @@ func (e *tcpEndpoint) deliver(s *tcpSender, f *frame) bool {
 		}
 		s.backoff = redialBackoffMin
 	}
-	if s.write(f) == nil {
+	if s.write(f.b) == nil {
 		return true
 	}
 	s.closeConn()
@@ -469,7 +469,7 @@ func (e *tcpEndpoint) deliver(s *tcpSender, f *frame) bool {
 		s.down()
 		return false
 	}
-	if s.write(f) != nil {
+	if s.write(f.b) != nil {
 		s.closeConn()
 		s.down()
 		return false
