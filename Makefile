@@ -25,12 +25,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# The decision path's allocation fences (cached: 0, fresh: <= 4, fresh with a
-# quarantined replica: no more than without the lifecycle, a reply with the
-# lifecycle on: no more than with it off, the repository
-# view's copy after a steady reply: 0, selection on a ranked table: 0, a warm
-# one-replica Call: <= 2, a replica's uncancelled serves: one abort channel),
-# the TCP frame path's (the endpoint's encode into a warm pooled frame: 0,
+# The decision path's allocation fences (cached: 0, fresh after replies that
+# moved every window: 0, fresh with a quarantined replica: no more than
+# without the lifecycle, a reply with the lifecycle on: no more than with it
+# off, the repository view's copy into a grown caller buffer after a steady
+# reply or one that moves bins: 0, selection on a ranked table: 0, a warm
+# one-replica Call: <= 2), the replica's (uncancelled serves: one abort
+# channel; a round trip with a load delay: no more than without), the TCP
+# frame path's (the endpoint's encode into a warm pooled frame: 0,
 # encodeFrame: 1; through a connection's reader and a warm interner a 64 B
 # request: <= 2, a Cancel: 1, a 6 KiB request: 2), and the property test
 # that pins the in-place path to the from-scratch oracle, uncached so a stale
@@ -40,7 +42,7 @@ allocs:
 	$(GO) test ./internal/repository -count=1 -run TestSnapshotIntoAllocs
 	$(GO) test ./internal/selection -count=1 -run TestSelectAllocs
 	$(GO) test ./internal/gateway -count=1 -run TestCallSteadyStateAllocs
-	$(GO) test ./internal/server -count=1 -run TestServeReusesAbortChannel
+	$(GO) test ./internal/server -count=1 -run 'TestServeReusesAbortChannel|TestLoadDelaySleepAllocs'
 	$(GO) test ./internal/transport -count=1 -run TestFrameCodecAllocs
 
 race:
@@ -114,9 +116,10 @@ views:
 # The TCP frame path under the race detector, 10 times each: concurrent
 # senders' frames arrive intact, a multicast frame outlives the fast peer's
 # writer until the held peer's writer is done with it, a multicast encodes
-# once, the send queue stays bounded, and idle writers exit.
+# once, the send queue stays bounded, idle writers exit, and a destination's
+# queue-depth series goes with its last writer.
 frames:
-	$(GO) test -race -count=10 -run 'TestTCPConcurrentSendersFramesIntact|TestTCPSharedFrameOutlivesFastWriter|TestMulticastEncodesOnce|TestTCPSendQueueBounded|TestTCPIdleSendersExit' ./internal/transport
+	$(GO) test -race -count=10 -run 'TestTCPConcurrentSendersFramesIntact|TestTCPSharedFrameOutlivesFastWriter|TestMulticastEncodesOnce|TestTCPSendQueueBounded|TestTCPIdleSendersExit|TestTCPQueueDepthSeriesFollowsWriters' ./internal/transport
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

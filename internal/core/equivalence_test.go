@@ -40,7 +40,8 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 		strategy := selection.NewDynamic()
 		now := time.Now()
 		var table []model.ReplicaProbability
-		var cold, snaps []repository.ReplicaSnapshot
+		var cold []repository.ReplicaSnapshot
+		var snaps repository.SnapshotBuf
 
 		perf := func() wire.PerfReport {
 			return wire.PerfReport{
@@ -108,8 +109,8 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", at, err)
 				}
-				snaps = repo.SnapshotInto(m, snaps) // selectableSnapshots compacts in place
-				table, cold, err = hot.ProbabilityTableInto(selectableSnapshots(snaps), q.Deadline, table[:0], cold[:0])
+				// selectableSnapshots compacts the copy in place
+				table, cold, err = hot.ProbabilityTableInto(selectableSnapshots(repo.SnapshotInto(m, &snaps)), q.Deadline, table[:0], cold[:0])
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}

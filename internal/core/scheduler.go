@@ -316,7 +316,7 @@ type pendShard struct {
 // through a small channel free list — unlike sync.Pool, a channel is not
 // emptied by GC cycles mid-benchmark, so the zero-alloc fence is meaningful.
 type schedScratch struct {
-	snaps []repository.ReplicaSnapshot
+	snaps repository.SnapshotBuf
 	table []model.ReplicaProbability
 	cold  []repository.ReplicaSnapshot
 }
@@ -574,14 +574,14 @@ func (s *Scheduler) Renegotiate(q wire.QoS) error {
 // and returns the decision. The caller multicasts the request to
 // Decision.Targets and then calls Dispatched with the transmission time t1.
 //
-// The decision path allocates only the histogram views of the replicas that
-// replied since the last decision, which the repository re-exports into its
-// view in place. The view is copied into pooled scratch, where the lifecycle
-// filter and the staleness re-probe rewrite it; each F_Ri table is rebuilt in
-// place; the probability table — ranked by the predictor as it is built — and
-// the selected set land in pooled scratch buffers. Concurrent callers only
-// serialize on the strategy invocation (which may be stateful) and their own
-// pending-table shard.
+// Once its pooled buffers have grown the decision path allocates nothing: the
+// repository re-exports the replicas that replied since the last decision
+// into its view in place, and the view is deep-copied into pooled scratch,
+// where the lifecycle filter and the staleness re-probe rewrite it; each F_Ri
+// table is rebuilt in place; the probability table — ranked by the predictor
+// as it is built — and the selected set land in pooled scratch buffers.
+// Concurrent callers only serialize on the strategy invocation (which may be
+// stateful) and their own pending-table shard.
 func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	start := time.Now() // δ is computational overhead: always wall clock
 
@@ -616,8 +616,7 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	}
 
 	sc := s.getScratch()
-	sc.snaps = s.repo.SnapshotInto(method, sc.snaps)
-	snaps := sc.snaps
+	snaps := s.repo.SnapshotInto(method, &sc.snaps)
 	if s.cfg.Lifecycle.Enabled {
 		// Quarantined and probation replicas are not candidates: not for the
 		// probability table, not for the select-all fallback, and not for the

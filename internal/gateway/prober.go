@@ -27,7 +27,7 @@ type prober struct {
 	metLost        *metrics.Counter
 	metOutstanding *metrics.Gauge
 
-	snaps []repository.ReplicaSnapshot // the sweep's snapshot buffer, touched only by sweep
+	snaps repository.SnapshotBuf // the sweep's snapshot buffer, touched only by sweep
 
 	mu      sync.Mutex
 	sentAt  map[wire.ReplicaID]time.Time // outstanding probe guard
@@ -124,8 +124,7 @@ func (p *prober) sweep(now time.Time) {
 	// The sweep only reads freshness and health, so it copies the
 	// repository's view into its own buffer instead of rebuilding every
 	// replica's history each tick — see BenchmarkProberSweep.
-	p.snaps = repo.SnapshotInto("", p.snaps)
-	for _, snap := range p.snaps {
+	for _, snap := range repo.SnapshotInto("", &p.snaps) {
 		// cadence is the per-health probe period: it gates both the staleness
 		// check and the in-flight age-out below, so a Suspected replica's
 		// lost probe backs off exactly like its staleness probes do.

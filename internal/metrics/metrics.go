@@ -225,6 +225,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
+	holders    map[string]int // AcquireGauge holds per gauge
 	histograms map[string]*Histogram
 }
 
@@ -233,6 +234,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
+		holders:    make(map[string]int),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -271,12 +273,41 @@ func (r *Registry) Counter(name string) *Counter {
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.gaugeLocked(name)
+}
+
+func (r *Registry) gaugeLocked(name string) *Gauge {
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// AcquireGauge returns the named gauge, creating it on first use, and counts
+// the caller as one of its holders until a matching ReleaseGauge. It is for a
+// series that describes something with a lifetime, such as one peer link:
+// the series stays while any holder does.
+func (r *Registry) AcquireGauge(name string) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.holders[name]++
+	return r.gaugeLocked(name)
+}
+
+// ReleaseGauge drops one AcquireGauge hold on the named gauge; the last
+// release deletes the series from the registry. A holder must not set the
+// gauge after releasing it.
+func (r *Registry) ReleaseGauge(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.holders[name] > 1 {
+		r.holders[name]--
+		return
+	}
+	delete(r.holders, name)
+	delete(r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it with the given bucket

@@ -41,6 +41,29 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestHeldGaugeLastReleaseDeletes: a gauge taken with AcquireGauge stays in
+// the registry, shared, while any holder does; the last ReleaseGauge deletes
+// it, and a later acquire starts a fresh series.
+func TestHeldGaugeLastReleaseDeletes(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.AcquireGauge("depth"), r.AcquireGauge("depth")
+	if a != b {
+		t.Fatal("two holders of one name got different gauges")
+	}
+	a.Set(3)
+	r.ReleaseGauge("depth")
+	if v, ok := r.Snapshot().Gauges["depth"]; !ok || v != 3 {
+		t.Fatalf("after one of two releases the series reads %d (present %v), want 3", v, ok)
+	}
+	r.ReleaseGauge("depth")
+	if _, ok := r.Snapshot().Gauges["depth"]; ok {
+		t.Fatal("the series outlived its last holder")
+	}
+	if g := r.AcquireGauge("depth"); g == a || g.Value() != 0 {
+		t.Fatalf("a new holder got the released gauge (value %d)", g.Value())
+	}
+}
+
 func TestHistogramBucketsAndSum(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", []float64{0.1, 0.2, 0.5})

@@ -121,13 +121,15 @@ type Repository struct {
 }
 
 // view is one method's snapshot rows in ID order, consistent with generation
-// gen, beside each row's live state. refreshLocked rewrites the rows in place,
-// so they never leave the repository: readers get copies (SnapshotInto,
-// SnapshotShared). The HistView slices the rows reference are published and
-// never written again.
+// gen, beside each row's live state. The view owns its rows and the histogram
+// contents they reference: refreshLocked rewrites a touched row's S, W and T
+// views into that row's own rooms in hists, in place, so nothing the view
+// holds leaves the repository. Readers get deep copies (SnapshotInto,
+// SnapshotShared).
 type view struct {
 	gen    uint64
 	rows   []ReplicaSnapshot
+	hists  histBlocks
 	states []*replicaState
 	// shared is the last copy SnapshotShared handed out, valid while
 	// sharedGen == gen.
@@ -449,10 +451,11 @@ func (r *Repository) TotalInFlight() int {
 	return total
 }
 
-// HistView is an immutable copy of a window's incremental histogram: distinct
-// bins in ascending order (quantized at dist.DefaultResolution), their
-// positive counts, and the window version the copy was taken at. The zero
-// value (empty Bins) means the window holds no sample.
+// HistView is a copy of a window's incremental histogram: distinct bins in
+// ascending order (quantized at dist.DefaultResolution), their positive
+// counts, and the window version the copy was taken at. The zero value (empty
+// Bins) means the window holds no sample. Who may write a copy depends on the
+// call that made it (SnapshotInto, SnapshotShared).
 type HistView struct {
 	Bins    []int64
 	Counts  []int
@@ -462,8 +465,8 @@ type HistView struct {
 // OK reports whether the view carries at least one sample.
 func (h HistView) OK() bool { return len(h.Bins) > 0 }
 
-// ReplicaSnapshot is an immutable copy of one replica's history handed to
-// the response-time predictor, so prediction runs without repository locks.
+// ReplicaSnapshot is a copy of one replica's history handed to the
+// response-time predictor, so prediction runs without repository locks.
 // Each measurement window is carried once, as its histogram.
 type ReplicaSnapshot struct {
 	ID          wire.ReplicaID
@@ -505,40 +508,110 @@ type ReplicaSnapshot struct {
 func (r *Repository) Snapshot(method string) []ReplicaSnapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var v view
-	r.rebuildLocked(&v, method)
-	return v.rows
+	ids := r.sortedIDsLocked()
+	rows := make([]ReplicaSnapshot, len(ids))
+	for i, id := range ids {
+		rows[i] = r.snapshotReplicaLocked(id, r.replicas[id], method)
+	}
+	detach(rows)
+	return rows
 }
 
-// SnapshotInto copies the same rows as Snapshot into dst, reusing its
-// capacity, and returns the result. The method's view is kept up to date
-// rather than rebuilt: a mutation re-exports only the replicas it touched,
-// and with the generation unchanged the call is a copy. The caller owns the
-// returned rows and may rewrite them; the HistView slices they reference are
-// shared and MUST NOT be written.
-func (r *Repository) SnapshotInto(method string, dst []ReplicaSnapshot) []ReplicaSnapshot {
+// SnapshotBuf is a caller's reusable destination for SnapshotInto: the rows
+// and the histogram contents they reference. The zero value is ready to use;
+// a SnapshotBuf is not safe for concurrent use.
+type SnapshotBuf struct {
+	rows  []ReplicaSnapshot
+	hists histBlocks
+	// tmpl is view from's rows at generation gen, pointed at hists: a copy
+	// from an unchanged view copies tmpl instead of pointing every row again.
+	tmpl []ReplicaSnapshot
+	from *view
+	gen  uint64
+}
+
+// SnapshotInto deep-copies the same rows as Snapshot into buf and returns
+// them. The method's view is kept up to date rather than rebuilt: a mutation
+// re-exports only the replicas it touched, and with the generation unchanged
+// the call is a copy of the rows and of the view's two histogram blocks, one
+// move each, so once buf has grown the call allocates nothing. The caller
+// owns the returned rows and everything they reference: it may compact or
+// rewrite them, histogram contents included. They stay valid until the
+// caller's next SnapshotInto on buf, which rewrites them all.
+func (r *Repository) SnapshotInto(method string, buf *SnapshotBuf) []ReplicaSnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	return append(dst[:0], r.refreshLocked(method).rows...)
+	v, b := r.refreshLocked(method), &buf.hists
+	b.bins, b.counts = append(b.bins[:0], v.hists.bins...), append(b.counts[:0], v.hists.counts...)
+	if buf.from != v || buf.gen != v.gen {
+		buf.tmpl = append(buf.tmpl[:0], v.rows...)
+		for i := range buf.tmpl {
+			b.place(i, &buf.tmpl[i], r.room(), false)
+		}
+		buf.from, buf.gen = v, v.gen
+	}
+	buf.rows = append(buf.rows[:0], buf.tmpl...)
+	return buf.rows
+}
+
+// room is how many bins each of a row's S, W and T views can hold: the
+// capacity of its window, which no window's distinct bins exceed.
+func (r *Repository) room() [3]int { return [3]int{r.windowSize, r.windowSize, r.gatewayHist} }
+
+// histBlocks holds the S, W and T histogram contents of a run of rows in one
+// bins block and one counts block, where each row position has a room of
+// fixed size and place for each of its three views.
+type histBlocks struct {
+	bins   []int64
+	counts []int
+}
+
+// place points row's S, W and T views at their rooms in b for row position
+// i, copying the contents in first when fill is set. Rooms belong to
+// positions, not to rows: every copy points each row at its own position's
+// rooms, so a caller that compacted its rows cannot make two of them share
+// one at the next copy.
+func (b *histBlocks) place(i int, row *ReplicaSnapshot, room [3]int, fill bool) {
+	at := i * (room[0] + room[1] + room[2])
+	b.put(&row.ServiceHist, at, room[0], fill)
+	b.put(&row.QueueHist, at+room[0], room[1], fill)
+	b.put(&row.GatewayHist, at+room[0]+room[1], room[2], fill)
+}
+
+// put points h at the room of room bins starting at at, copying h into it
+// first when fill is set. An empty view stays the zero view; one larger than
+// its room fails the slice bounds.
+func (b *histBlocks) put(h *HistView, at, room int, fill bool) {
+	if n := len(h.Bins); n > 0 {
+		bins, counts := b.bins[at:at+n:at+room], b.counts[at:at+n:at+room]
+		if fill {
+			copy(bins, h.Bins)
+			copy(counts, h.Counts)
+		}
+		h.Bins, h.Counts = bins, counts
+	}
 }
 
 // SnapshotShared returns a copy of the same view as SnapshotInto, made at most
-// once per generation: repeat calls without a mutation in between return the
-// identical slice with zero allocation. The slice and everything it
-// references are shared and MUST be treated as immutable.
+// once per generation into one bins block and one counts block: repeat calls
+// without a mutation in between return the identical slice with zero
+// allocation. The slice and everything it references are shared and MUST be
+// treated as immutable.
 func (r *Repository) SnapshotShared(method string) []ReplicaSnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 	v := r.refreshLocked(method)
 	if v.shared == nil || v.sharedGen != v.gen {
 		v.shared, v.sharedGen = slices.Clone(v.rows), v.gen
+		detach(v.shared)
 	}
 	return v.shared
 }
 
 // refreshLocked brings the method's view up to generation gen: a membership
 // change rebuilds every row, any other mutation re-exports the rows of the
-// replicas it touched, in place. Caller holds r.snapMu.
+// replicas it touched, in place, each into its own room in the view's
+// histogram blocks. Caller holds r.snapMu.
 func (r *Repository) refreshLocked(method string) *view {
 	v := r.views[method]
 	if v != nil && v.gen == r.gen.Load() {
@@ -550,12 +623,23 @@ func (r *Repository) refreshLocked(method string) *view {
 		v = &view{}
 		r.views[method] = v
 	}
+	room := r.room()
 	if v.gen < r.allGen {
-		r.rebuildLocked(v, method)
+		ids := r.sortedIDsLocked()
+		n := len(ids) * (room[0] + room[1] + room[2])
+		v.hists.bins, v.hists.counts = slices.Grow(v.hists.bins[:0], n)[:n], slices.Grow(v.hists.counts[:0], n)[:n]
+		v.rows, v.states = v.rows[:0], v.states[:0]
+		for i, id := range ids {
+			st := r.replicas[id]
+			v.states = append(v.states, st)
+			v.rows = append(v.rows, r.snapshotReplicaLocked(id, st, method))
+			v.hists.place(i, &v.rows[i], room, true)
+		}
 	} else {
 		for i, st := range v.states {
 			if st.gen > v.gen {
-				v.rows[i] = r.snapshotReplicaLocked(v.rows[i].ID, st, method, &v.rows[i])
+				v.rows[i] = r.snapshotReplicaLocked(v.rows[i].ID, st, method)
+				v.hists.place(i, &v.rows[i], room, true)
 			}
 		}
 	}
@@ -563,25 +647,13 @@ func (r *Repository) refreshLocked(method string) *view {
 	return v
 }
 
-// rebuildLocked re-exports every replica into v in ID order, reusing v's
-// buffers. Caller holds r.mu (read or write).
-func (r *Repository) rebuildLocked(v *view, method string) {
-	ids := r.sortedIDsLocked()
-	v.rows, v.states = slices.Grow(v.rows[:0], len(ids)), slices.Grow(v.states[:0], len(ids))
-	for _, id := range ids {
-		st := r.replicas[id]
-		v.states = append(v.states, st)
-		v.rows = append(v.rows, r.snapshotReplicaLocked(id, st, method, &ReplicaSnapshot{}))
-	}
-}
-
-// snapshotReplicaLocked builds one replica's prediction-ready copy. The T
-// fields come from the per-replica (per-link) window, independently of
-// whether the method has an entry yet: a probe- or cross-method-measured
-// gateway delay is visible to every method's prediction. prev is the copy last
-// published for the same (replica, method), or empty (publishHists). Caller
+// snapshotReplicaLocked builds one replica's prediction-ready row. The T view
+// comes from the per-replica (per-link) window, whether or not the method has
+// an entry yet: a probe- or cross-method-measured gateway delay is visible to
+// every method's prediction. The S, W and T views alias the windows, so they
+// are valid only under r.mu, until they are copied (place, detach). Caller
 // holds r.mu (read or write).
-func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, method string, prev *ReplicaSnapshot) ReplicaSnapshot {
+func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, method string) ReplicaSnapshot {
 	snap := ReplicaSnapshot{
 		ID:          id,
 		Method:      method,
@@ -590,6 +662,7 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		Health:      st.health,
 		CaughtUp:    st.caughtUp,
 		OrderedTail: st.orderedTail,
+		GatewayHist: histView(st.gateway),
 	}
 	if st.borrowedUpdate.After(snap.LastUpdate) {
 		// A peer vouched for this replica more recently than our own traffic:
@@ -597,47 +670,44 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		// across the fleet rather than duplicated per gateway.
 		snap.LastUpdate = st.borrowedUpdate
 	}
-	live := [3]HistView{2: histView(st.gateway)} // S, W, T as they stand in the windows
 	if e, ok := r.entries[methodKey{replica: id, method: method}]; ok {
-		live[0], live[1] = histView(e.service), histView(e.queue)
+		snap.ServiceHist, snap.QueueHist = histView(e.service), histView(e.queue)
 	}
-	hists := publishHists(live, [3]HistView{prev.ServiceHist, prev.QueueHist, prev.GatewayHist})
-	snap.ServiceHist, snap.QueueHist, snap.GatewayHist = hists[0], hists[1], hists[2]
 	snap.HasHistory = snap.ServiceHist.OK() && snap.QueueHist.OK()
 	return snap
 }
 
-// publishHists makes views that may alias live windows immutable. A view
-// whose contents equal the one last published for its window (was) takes over
-// that view's slices — a steady service time, a T window of 1 re-measuring the
-// same bin; the others share one bins and one counts allocation.
-func publishHists(live, was [3]HistView) [3]HistView {
-	var fresh [3]bool
+// hists returns pointers to s's S, W and T views.
+func (s *ReplicaSnapshot) hists() [3]*HistView {
+	return [3]*HistView{&s.ServiceHist, &s.QueueHist, &s.GatewayHist}
+}
+
+// detach copies the histogram contents rows reference into one bins block and
+// one counts block of exact size, so the rows alias nothing else.
+func detach(rows []ReplicaSnapshot) {
 	n := 0
-	for i, v := range live {
-		if slices.Equal(v.Bins, was[i].Bins) && slices.Equal(v.Counts, was[i].Counts) {
-			live[i].Bins, live[i].Counts = was[i].Bins, was[i].Counts
-		} else if v.OK() {
-			fresh[i] = true
-			n += len(v.Bins)
+	for i := range rows {
+		for _, h := range rows[i].hists() {
+			n += len(h.Bins)
 		}
 	}
 	if n == 0 {
-		return live
+		return
 	}
 	b, c := make([]int64, 0, n), make([]int, 0, n)
-	for i, v := range live {
-		if fresh[i] {
-			at := len(b)
-			b, c = append(b, v.Bins...), append(c, v.Counts...)
-			live[i].Bins, live[i].Counts = b[at:len(b):len(b)], c[at:len(c):len(c)]
+	for i := range rows {
+		for _, h := range rows[i].hists() {
+			if h.OK() {
+				at := len(b)
+				b, c = append(b, h.Bins...), append(c, h.Counts...)
+				h.Bins, h.Counts = b[at:len(b):len(b)], c[at:len(c):len(c)]
+			}
 		}
 	}
-	return live
 }
 
 // histView is one window's histogram under its version, the zero view for an
-// empty window. It aliases the window: valid under r.mu, until publishHists.
+// empty window. It aliases the window: valid under r.mu, until it is copied.
 func histView(w *window.Window) HistView {
 	bins, counts := w.Hist()
 	if len(bins) == 0 {
@@ -656,5 +726,7 @@ func (r *Repository) SnapshotOne(id wire.ReplicaID, method string) (ReplicaSnaps
 	if !ok {
 		return ReplicaSnapshot{}, fmt.Errorf("repository: unknown replica %q", id)
 	}
-	return r.snapshotReplicaLocked(id, st, method, &ReplicaSnapshot{}), nil
+	row := [1]ReplicaSnapshot{r.snapshotReplicaLocked(id, st, method)}
+	detach(row[:])
+	return row[0], nil
 }

@@ -2,8 +2,9 @@ package repository_test
 
 // Fences for the per-method view the repository refreshes in place: every copy
 // it hands out (SnapshotInto, SnapshotShared) must equal a from-scratch
-// Snapshot row for row, a caller's writes must never reach the view, and a
-// published slice must never change afterwards.
+// Snapshot row for row, a caller's writes to its copy — histogram contents
+// included — must never reach the view or another copy, and a SnapshotShared
+// slice must never change afterwards.
 
 import (
 	"fmt"
@@ -47,8 +48,22 @@ func sameRows(got, want []repository.ReplicaSnapshot) string {
 	return ""
 }
 
-// scribble rewrites every field a caller owns in its copy of the rows.
+// scribbleHists writes garbage into every histogram bin and count the rows
+// reference.
+func scribbleHists(rows []repository.ReplicaSnapshot) {
+	for i := range rows {
+		for _, h := range []repository.HistView{rows[i].ServiceHist, rows[i].QueueHist, rows[i].GatewayHist} {
+			for j := range h.Bins {
+				h.Bins[j], h.Counts[j] = -7, -7
+			}
+		}
+	}
+}
+
+// scribble rewrites everything a caller owns in its copy of the rows: the
+// histogram contents, then every field.
 func scribble(rows []repository.ReplicaSnapshot) {
+	scribbleHists(rows)
 	for i := range rows {
 		rows[i] = repository.ReplicaSnapshot{ID: "scribbled", QueueLength: -1, HasHistory: !rows[i].HasHistory}
 	}
@@ -82,7 +97,8 @@ func randomDigest(rng *rand.Rand, seq uint64, id wire.ReplicaID, method string) 
 // delays (negative ones too), membership changes, health transitions,
 // borrowed digests and in-flight accounting — and after each, for every
 // method, SnapshotInto and SnapshotShared must equal a fresh Snapshot, the
-// caller's rewrite of its copy must not reach the next copy, and every
+// caller's rewrite of its copy (histogram contents included) must reach
+// neither a copy into another buffer nor the next copy into its own, and every
 // SnapshotShared slice held since an earlier step must still read as it did.
 func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	universe := []wire.ReplicaID{"r0", "r1", "r2", "r3", "r4", "r5"}
@@ -97,7 +113,7 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 		repo.EnableLifecycle(repository.Lifecycle{WindowSize: 4, MinObservations: 2, ProbationSamples: 2})
 		repo.SetMembership(universe[:4])
 		now := time.Now()
-		bufs := make([][]repository.ReplicaSnapshot, len(methods))
+		bufs := make([]repository.SnapshotBuf, len(methods))
 		var kept []held
 		perf := func() wire.PerfReport {
 			return wire.PerfReport{
@@ -158,12 +174,12 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 			for i, m := range methods {
 				at := fmt.Sprintf("seed %d step %d (%s %s %q) method %q", seed, step, what, id, method, m)
 				want := repo.Snapshot(m)
-				bufs[i] = repo.SnapshotInto(m, bufs[i])
-				if diff := sameRows(bufs[i], want); diff != "" {
+				rows := repo.SnapshotInto(m, &bufs[i])
+				if diff := sameRows(rows, want); diff != "" {
 					t.Fatalf("%s: SnapshotInto: %s", at, diff)
 				}
-				scribble(bufs[i])
-				if diff := sameRows(repo.SnapshotInto(m, nil), want); diff != "" {
+				scribble(rows)
+				if diff := sameRows(repo.SnapshotInto(m, &repository.SnapshotBuf{}), want); diff != "" {
 					t.Fatalf("%s: SnapshotInto after the caller rewrote its copy: %s", at, diff)
 				}
 				shared := repo.SnapshotShared(m)
@@ -231,12 +247,11 @@ func TestSnapshotIntoUnderConcurrentSchedulers(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var kept [][2][]repository.ReplicaSnapshot
-	var buf []repository.ReplicaSnapshot
+	var buf repository.SnapshotBuf
 	go func() {
 		defer close(done)
 		for i := 0; i < perCaller; i++ {
-			buf = repo.SnapshotInto("", buf)
-			scribble(buf)
+			scribble(repo.SnapshotInto("", &buf))
 			if i%10 == 0 {
 				shared := repo.SnapshotShared("")
 				kept = append(kept, [2][]repository.ReplicaSnapshot{shared, deepCopy(shared)})
@@ -251,7 +266,7 @@ func TestSnapshotIntoUnderConcurrentSchedulers(t *testing.T) {
 		}
 	}
 	want := repo.Snapshot("")
-	if diff := sameRows(repo.SnapshotInto("", buf), want); diff != "" {
+	if diff := sameRows(repo.SnapshotInto("", &buf), want); diff != "" {
 		t.Fatalf("SnapshotInto after the writers stopped: %s", diff)
 	}
 	if diff := sameRows(repo.SnapshotShared(""), want); diff != "" {
@@ -259,9 +274,65 @@ func TestSnapshotIntoUnderConcurrentSchedulers(t *testing.T) {
 	}
 }
 
+// TestSnapshotIntoCallerOwnsHistograms: a caller that writes garbage into
+// every histogram it was handed and then compacts its rows, as
+// selectableSnapshots does, damages nothing but its own copy — the next
+// SnapshotInto on the same buffer equals Snapshot again, with no mutation in
+// between to force a re-copy, and a second buffer's rows and a held
+// SnapshotShared slice are unchanged.
+func TestSnapshotIntoCallerOwnsHistograms(t *testing.T) {
+	repo := repository.New(repository.WithGatewayHistory(3))
+	ids := []wire.ReplicaID{"a", "b", "c", "d", "e"}
+	now := time.Now()
+	for i, id := range ids {
+		repo.AddReplica(id)
+		for j := 0; j < repository.DefaultWindowSize; j++ {
+			perf := wire.PerfReport{ServiceTime: time.Duration(2+i+j) * ms, QueueDelay: time.Duration(j%3) * ms}
+			repo.RecordReply(id, "", perf, time.Duration(1+j%2)*ms, now)
+		}
+	}
+	repo.AddReplica("f") // empty windows
+
+	var mine, other repository.SnapshotBuf
+	otherRows := repo.SnapshotInto("", &other)
+	otherWas := deepCopy(otherRows)
+	shared := repo.SnapshotShared("")
+	sharedWas := deepCopy(shared)
+	want := repo.Snapshot("")
+
+	for round := 0; round < 3; round++ {
+		rows := repo.SnapshotInto("", &mine)
+		if diff := sameRows(rows, want); diff != "" {
+			t.Fatalf("round %d: SnapshotInto: %s", round, diff)
+		}
+		scribbleHists(rows)
+		kept := rows[:0]
+		for i := range rows {
+			if i%2 == 1 {
+				kept = append(kept, rows[i])
+			}
+		}
+		kept[0].HasHistory = !kept[0].HasHistory
+	}
+	if diff := sameRows(repo.SnapshotInto("", &mine), want); diff != "" {
+		t.Fatalf("SnapshotInto after the caller scribbled its histograms: %s", diff)
+	}
+	if diff := sameRows(otherRows, otherWas); diff != "" {
+		t.Fatalf("another buffer's rows changed: %s", diff)
+	}
+	if diff := sameRows(shared, sharedWas); diff != "" {
+		t.Fatalf("a held SnapshotShared slice changed: %s", diff)
+	}
+	if diff := sameRows(repo.Snapshot(""), want); diff != "" {
+		t.Fatalf("the caller's writes reached the repository: %s", diff)
+	}
+}
+
 // TestSnapshotIntoAllocs: once the caller's buffer has grown, copying the view
-// after a reply that moves no histogram bin allocates nothing — the touched
-// row is re-exported in place over its own published views.
+// after a reply allocates nothing — the touched row is re-exported into the
+// view's own buffers and copied into the caller's, both in place. That holds
+// for steady replies, which move no histogram bin, and for replies that move
+// bins, once every buffer has held its largest histogram.
 func TestSnapshotIntoAllocs(t *testing.T) {
 	repo := repository.New()
 	ids := []wire.ReplicaID{"a", "b", "c", "d"}
@@ -273,18 +344,39 @@ func TestSnapshotIntoAllocs(t *testing.T) {
 			repo.RecordReply(id, "", steady, ms, now)
 		}
 	}
-	buf := repo.SnapshotInto("", nil)
-	before := buf[0].ServiceHist.Version
+	var buf repository.SnapshotBuf
+	rows := repo.SnapshotInto("", &buf)
+	before := rows[0].ServiceHist.Version
 	turn := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		turn++
 		repo.RecordReply(ids[turn%len(ids)], "", steady, ms, now)
-		buf = repo.SnapshotInto("", buf)
+		rows = repo.SnapshotInto("", &buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("SnapshotInto after a steady reply allocates %.1f times, want 0", allocs)
 	}
-	if len(buf) != len(ids) || buf[0].ServiceHist.Version == before {
-		t.Fatalf("the view was not refreshed: %d rows, version %d (was %d)", len(buf), buf[0].ServiceHist.Version, before)
+	if len(rows) != len(ids) || rows[0].ServiceHist.Version == before {
+		t.Fatalf("the view was not refreshed: %d rows, version %d (was %d)", len(rows), rows[0].ServiceHist.Version, before)
+	}
+
+	moving := func() {
+		turn++
+		perf := wire.PerfReport{ServiceTime: time.Duration(1+turn%7) * ms, QueueDelay: time.Duration(turn%3) * ms}
+		repo.RecordReply(ids[turn%len(ids)], "", perf, time.Duration(turn%5)*ms, now)
+		rows = repo.SnapshotInto("", &buf)
+	}
+	for i := 0; i < 7*3*5*len(ids); i++ {
+		moving()
+	}
+	before = rows[0].ServiceHist.Version
+	if allocs := testing.AllocsPerRun(200, moving); allocs != 0 {
+		t.Fatalf("SnapshotInto after a reply that moves bins allocates %.1f times once the buffers have grown, want 0", allocs)
+	}
+	if rows[0].ServiceHist.Version == before {
+		t.Fatal("the view was not refreshed by the moving replies")
+	}
+	if diff := sameRows(rows, repo.Snapshot("")); diff != "" {
+		t.Fatalf("SnapshotInto after the moving replies: %s", diff)
 	}
 }

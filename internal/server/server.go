@@ -368,6 +368,11 @@ func (r *Replica) snapshotSubscribers(buf []subEntry, exclude wire.ClientID) []s
 func (r *Replica) workerLoop() {
 	defer r.wg.Done()
 	var subScratch []subEntry
+	var timer *time.Timer // the load delay's, re-armed by every serve that sleeps
+	if r.cfg.LoadDelay != nil {
+		timer = time.NewTimer(time.Hour)
+		timer.Stop()
+	}
 	for {
 		item, ok := r.queue.Dequeue()
 		if !ok {
@@ -379,7 +384,7 @@ func (r *Replica) workerLoop() {
 		abort := r.beginServe(item.Req)
 		if r.cfg.LoadDelay != nil {
 			delay := r.cfg.LoadDelay.Sample(r.rng)
-			stopped, cancelled := r.sleep(delay, abort)
+			stopped, cancelled := r.sleep(timer, delay, abort)
 			if stopped {
 				return
 			}
@@ -463,14 +468,17 @@ func (r *Replica) workerLoop() {
 	}
 }
 
-// sleep waits for d unless the replica stops or the in-service request is
-// cancelled first. stopped reports replica shutdown; cancelled reports a
-// mid-service abort.
-func (r *Replica) sleep(d time.Duration, abort <-chan struct{}) (stopped, cancelled bool) {
+// sleep waits for d on the worker's timer t unless the replica stops or the
+// in-service request is cancelled first. stopped reports replica shutdown;
+// cancelled reports a mid-service abort. Every serve re-arms the same timer
+// and stops it on the way out; under Go 1.23 timer semantics (go.mod) a
+// stopped or reset timer delivers no stale tick, so the next serve cannot
+// wake on this one's.
+func (r *Replica) sleep(t *time.Timer, d time.Duration, abort <-chan struct{}) (stopped, cancelled bool) {
 	if d <= 0 {
 		return false, false
 	}
-	t := time.NewTimer(d)
+	t.Reset(d)
 	defer t.Stop()
 	select {
 	case <-t.C:

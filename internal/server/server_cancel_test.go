@@ -236,6 +236,34 @@ func TestServeReusesAbortChannel(t *testing.T) {
 	}
 }
 
+// TestLoadDelaySleepAllocs: a serve that sleeps its load delay re-arms the
+// worker's one timer, so a round trip through a replica with a LoadDelay
+// allocates no more than one through a replica without.
+func TestLoadDelaySleepAllocs(t *testing.T) {
+	roundTrips := func(delay stats.DelayDist) float64 {
+		net := testNetwork(t)
+		r := startReplica(t, net, Config{ID: "r1", Service: "svc", Handler: echoHandler, LoadDelay: delay})
+		cli, _ := net.Listen("cli")
+		seq := wire.SeqNo(0)
+		roundTrip := func() {
+			seq++
+			if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: seq, Service: "svc"}); err != nil {
+				t.Fatal(err)
+			}
+			recvResponse(t, cli)
+		}
+		for range 20 {
+			roundTrip()
+		}
+		return testing.AllocsPerRun(200, roundTrip)
+	}
+	plain := roundTrips(nil)
+	delayed := roundTrips(stats.Constant{Delay: time.Microsecond})
+	if delayed > plain {
+		t.Fatalf("a round trip allocates %.1f times with a load delay, %.1f without", delayed, plain)
+	}
+}
+
 // TestNextServeAfterAbortSleepsAndReplies: the serve after an abort gets an
 // open channel, so it sleeps its full delay and replies instead of reading the
 // closed channel as its own abort.

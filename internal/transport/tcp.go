@@ -374,7 +374,7 @@ func (e *tcpEndpoint) enqueue(to Addr, f *frame) error {
 		s = &tcpSender{
 			to:      to,
 			frames:  make(chan *frame, sendQueueLen),
-			depth:   e.reg.Gauge(metrics.Label(metrics.TransportQueueDepth, "dest", string(to))),
+			depth:   e.reg.AcquireGauge(depthSeries(to)),
 			used:    time.Now(),
 			backoff: redialBackoffMin,
 		}
@@ -393,6 +393,14 @@ func (e *tcpEndpoint) enqueue(to Addr, f *frame) error {
 		e.met.backpressureDrops.Inc()
 		return fmt.Errorf("transport: to %s: %w", to, ErrBackpressure)
 	}
+}
+
+// depthSeries names the queue-depth gauge of the writer to one destination.
+// Every endpoint sending there shares the series: each writer holds it from
+// creation until it exits (idle retirement or Close), and the last to exit
+// deletes it.
+func depthSeries(to Addr) string {
+	return metrics.Label(metrics.TransportQueueDepth, "dest", string(to))
 }
 
 // retire removes s from the endpoint if its queue is still empty, under the
@@ -416,6 +424,7 @@ func (e *tcpEndpoint) retire(s *tcpSender) bool {
 func (e *tcpEndpoint) runSender(s *tcpSender) {
 	defer e.wg.Done()
 	defer s.closeConn()
+	defer e.reg.ReleaseGauge(depthSeries(s.to))
 	idle := time.NewTimer(e.idleAfter)
 	defer idle.Stop()
 	for {

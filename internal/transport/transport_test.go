@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -947,5 +948,85 @@ func TestTCPIdleSendersExit(t *testing.T) {
 	}
 	if r, ok := recvOne(t, live).Payload.(wire.Request); !ok || r.Seq != 2 {
 		t.Errorf("after the writers retired the live peer got %+v", r)
+	}
+}
+
+// TestTCPQueueDepthSeriesFollowsWriters is the regression for a leaked
+// series: a destination's aqua_transport_queue_depth gauge stayed in the
+// registry after its writer retired. Every writer holds its destination's
+// series from creation until it exits. After one endpoint's writers retire
+// idle, no series is left for the closed ports only it sent to, while the
+// live peer's series stays for as long as a second endpoint's writer to it
+// does, until that endpoint closes.
+func TestTCPQueueDepthSeriesFollowsWriters(t *testing.T) {
+	reg := metrics.NewRegistry()
+	netw := NewTCPWithMetrics(reg)
+	live, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = live.Close() }()
+	var eps [2]*tcpEndpoint
+	for i := range eps {
+		ep, err := netw.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = ep.Close() }()
+		eps[i] = ep.(*tcpEndpoint)
+	}
+	retiring, holding := eps[0], eps[1]
+	retiring.idleAfter = 50 * time.Millisecond
+
+	var closed []Addr
+	for range 5 {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed = append(closed, Addr(l.Addr().String()))
+		_ = l.Close()
+	}
+	for _, to := range append(closed, live.Addr()) {
+		if err := retiring.Send(to, wire.Request{Client: "c", Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := holding.Send(live.Addr(), wire.Request{Client: "c", Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, live)
+	recvOne(t, live)
+
+	series := func(to Addr) bool {
+		_, ok := reg.Snapshot().Gauges[depthSeries(to)]
+		return ok
+	}
+	for _, to := range append(closed, live.Addr()) {
+		if !series(to) {
+			t.Fatalf("no queue-depth series for %s while its writer runs", to)
+		}
+	}
+	retired := func() bool {
+		retiring.mu.Lock()
+		defer retiring.mu.Unlock()
+		return len(retiring.senders) == 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !retired() || slices.ContainsFunc(closed, series) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the idle period: writers retired %v, series left for a closed port %v, want true and false",
+				retired(), slices.ContainsFunc(closed, series))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !series(live.Addr()) {
+		t.Fatal("the live peer's series went while another endpoint's writer still sends there")
+	}
+	if err := holding.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if series(live.Addr()) {
+		t.Error("the live peer's series outlived both writers")
 	}
 }
