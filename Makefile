@@ -70,7 +70,8 @@ faults:
 #   a14  §5.4 chaos soak: slow/crash/link churn through suspicion →
 #        quarantine → rejuvenation → probation, held to recovery bounds
 #   a15  digest fabric: K=4 gossiping gateways must reach 95% of a single warm
-#        gateway's timely fraction on at most 1/K of the no-gossip probe traffic
+#        gateway's timely fraction on at most 1/K of the no-gossip probe traffic;
+#        a fourth, ungated phase runs the fleet on the §5.4 subscription alone
 #   a16  WAN deployment ranking: the windowed per-link T's best placement must
 #        match or beat the T window of 1's best (quick mode: 1 seed)
 #   a17  heavy-tail cancellation + adaptive budget vs static budgets under
@@ -131,7 +132,8 @@ metrics-smoke:
 # the encode → decode round trip, the ordered-mode state-transfer frames
 # (StateRequest/StateChunk) and the binary codec's byte-exact re-encode, then
 # the repository's absorption of arbitrary digest batches beside local
-# reports (window size, borrowed counts, local-only export, snapshot views).
+# reports (window size, borrowed counts, local-only export, snapshot views,
+# T windows left as they were).
 # FUZZTIME is each fuzzer's budget (CI runs `make fuzz FUZZTIME=10s`).
 FUZZTIME ?= 20s
 fuzz:

@@ -245,13 +245,14 @@ type ClientConfig struct {
 	// (BudgetedSelection); nil Strategy defaults to BudgetedSelection when
 	// this is set. Zero MaxK means the pool size at client creation.
 	AdaptiveBudget *AdaptiveBudgetConfig
-	// DigestGossip, when non-nil, joins this client to the shared-
+	// GossipInterval, when positive, joins this client to the shared-
 	// intelligence digest fabric: its repository's locally measured window
-	// digests are pushed to peer gateways on a jittered cadence and peers'
-	// digests seed this client's predictions for replicas it has no local
-	// history on (displaced sample-by-sample as local measurements arrive).
-	// Wire the peer set with ConnectGossip after minting the clients.
-	DigestGossip *DigestGossipConfig
+	// digests are pushed to peer gateways every GossipInterval (jittered in
+	// [0.5, 1.5)) and peers' digests seed this client's predictions for
+	// replicas it has no local history on (displaced sample-by-sample as
+	// local measurements arrive). Zero leaves the fabric off. Wire the peer
+	// set with ConnectGossip after minting the clients.
+	GossipInterval time.Duration
 	// Ordered runs this client in the ordered service mode: every request is
 	// stamped with a per-client logical timestamp, replicas built with
 	// WithStateMachine hold frames back and apply each client's operations in
@@ -265,22 +266,9 @@ type ClientConfig struct {
 	// DisablePerfSubscription opts this client out of the §5.4 per-request
 	// performance-report subscription: it learns only from its own replies
 	// and probes. This is the WAN/high-fan-out regime where per-request
-	// publication to every gateway is too expensive and DigestGossip is the
+	// publication to every gateway is too expensive and GossipInterval is the
 	// intended channel for shared intelligence.
 	DisablePerfSubscription bool
-}
-
-// DigestGossipConfig configures a client's participation in the digest
-// fabric (see ClientConfig.DigestGossip).
-type DigestGossipConfig struct {
-	// Interval is the base gossip cadence; each push fires after a uniform
-	// jitter in [0.5, 1.5) × Interval. Non-positive disables gossip.
-	Interval time.Duration
-	// Bootstrap requests a full digest snapshot from one peer as soon as
-	// peers are known (ConnectGossip), seeding the repository before the
-	// first jittered round — the peer-snapshot bootstrap for freshly placed
-	// gateways.
-	Bootstrap bool
 }
 
 // GossipStats counts one client's digest-fabric activity; see
@@ -289,9 +277,8 @@ type GossipStats = gateway.GossipStats
 
 // ConnectGossip full-meshes the digest fabric over the given clients: each
 // gossip-enabled client's peer set becomes every other client's transport
-// address. Clients minted without DigestGossip are valid mesh members (their
-// addresses are shared) but ignore the fabric themselves. Pending bootstraps
-// fire immediately against the new peer set.
+// address. Clients minted without GossipInterval are valid mesh members
+// (their addresses are shared) but ignore the fabric themselves.
 func ConnectGossip(clients ...*Client) {
 	for _, self := range clients {
 		peers := make([]transport.Addr, 0, len(clients)-1)
@@ -334,7 +321,7 @@ func (c *Client) ControllerStats() (s ControllerStats, ok bool) {
 }
 
 // DigestStats returns the digest-fabric counters; ok is false when
-// ClientConfig.DigestGossip was not set.
+// ClientConfig.GossipInterval was not set.
 func (c *Client) DigestStats() (s GossipStats, ok bool) {
 	return c.handler.GossipStats()
 }
@@ -892,18 +879,6 @@ func controllerFor(cfg ClientConfig, pool int) *core.AdaptiveBudget {
 	return core.NewAdaptiveBudget(ac)
 }
 
-// gossipFor translates the public gossip configuration for the handler.
-// ConnectGossip wires the peer mesh once the fleet exists.
-func gossipFor(cfg ClientConfig) *gateway.GossipConfig {
-	if cfg.DigestGossip == nil {
-		return nil
-	}
-	return &gateway.GossipConfig{
-		Interval:  cfg.DigestGossip.Interval,
-		Bootstrap: cfg.DigestGossip.Bootstrap,
-	}
-}
-
 // handlerConfig is the one translation of a public ClientConfig into the
 // timing fault handler's configuration, for a client of this cluster's
 // service that starts from the static membership view. NewClient and
@@ -926,7 +901,7 @@ func (c *Cluster) handlerConfig(cfg ClientConfig, static map[wire.ReplicaID]tran
 		Ordered:            cfg.Ordered,
 		CancelOnFirstReply: cfg.CancelOnFirstReply,
 		Controller:         controllerFor(cfg, len(static)),
-		Gossip:             gossipFor(cfg),
+		GossipInterval:     cfg.GossipInterval,
 		NoPerfSubscription: cfg.DisablePerfSubscription,
 		StaticReplicas:     static,
 		Metrics:            c.reg,

@@ -79,7 +79,6 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 				d := wire.WindowDigest{Replica: id, Method: method, QueueLength: rng.Intn(3), AgeNanos: int64(rng.Intn(5)) * int64(ms)}
 				d.ServiceBins, d.ServiceCounts = hist()
 				d.QueueBins, d.QueueCounts = hist()
-				d.GatewayBins, d.GatewayCounts = hist()
 				repo.AbsorbDigests(wire.DigestSync{ResolutionNanos: int64(ms), Digests: []wire.WindowDigest{d}}, now)
 			case op < 17:
 				// Leave or (re-)join under the same ID.

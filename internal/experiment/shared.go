@@ -1,27 +1,29 @@
 package experiment
 
 // a15 — shared-intelligence digest fabric: does a fleet of K gateways that
-// gossip window digests (and bootstrap newcomers from a peer snapshot) match
-// a single always-warm gateway's timeliness while spending a fraction of the
-// probe traffic the same fleet would need without the fabric?
+// gossip window digests match a single always-warm gateway's timeliness while
+// spending a fraction of the probe traffic the same fleet would need without
+// the fabric, and does the paper's own §5.4 subscription already do as well?
 //
-// Three phases run against identical clusters (same seed, same injected
-// slow-replica faults, same QoS contract). Every client opts out of the §5.4
-// per-request perf-report subscription (ClientConfig.DisablePerfSubscription)
-// — that channel shares intelligence fleet-wide by itself in-process, which
-// is exactly the LAN regime where gossip is redundant. The experiment models
-// the WAN/high-fan-out regime where digests are the only shared channel:
+// Four phases run against identical clusters (same seed, same injected
+// slow-replica faults, same QoS contract). In the first three every client
+// opts out of the §5.4 per-request perf-report subscription
+// (ClientConfig.DisablePerfSubscription), modelling the WAN/high-fan-out
+// regime where digests are the only shared channel; the fourth turns the
+// subscription on instead of gossip:
 //
-//	single          one gateway, warmed up, measured alone — the baseline
-//	                timely fraction an always-warm gateway achieves.
-//	fleet/no-gossip one warm gateway + K−1 cold newcomers, traffic round-
-//	                robined across all K. Each newcomer pays its own cold
-//	                start: select-all floods and a burst of staleness probes
-//	                per replica, K times over.
-//	fleet/gossip    same fleet on the digest fabric: newcomers bootstrap a
-//	                peer snapshot at birth, digests keep every member fresh,
-//	                and probe duty is rendezvous-sharded so the fleet sends
-//	                ~1/K of the probes the no-gossip fleet needs.
+//	single           one gateway, warmed up, measured alone — the baseline
+//	                 timely fraction an always-warm gateway achieves.
+//	fleet/no-gossip  one warm gateway + K−1 cold newcomers, traffic round-
+//	                 robined across all K. Each newcomer pays its own cold
+//	                 start: select-all floods and a burst of staleness probes
+//	                 per replica, K times over.
+//	fleet/gossip     same fleet on the digest fabric: the warm gateway's
+//	                 first push seeds the newcomers, digests keep every member
+//	                 fresh, and probe duty is rendezvous-sharded so the fleet
+//	                 sends ~1/K of the probes the no-gossip fleet needs.
+//	fleet/subscribed same fleet with the §5.4 subscription and no gossip:
+//	                 the fabric's keep-or-delete comparison, ungated.
 
 import (
 	"context"
@@ -67,8 +69,8 @@ type SharedConfig struct {
 	// GossipInterval is the digest push cadence in the gossip phase.
 	GossipInterval time.Duration
 	// Settle is the pause between placing the newcomers and measuring, the
-	// same in both fleet phases: the gossip fleet spends it absorbing the
-	// bootstrap snapshot, the no-gossip fleet probing from scratch.
+	// same in every fleet phase: the gossip fleet spends it absorbing the
+	// first pushes, the other fleets learning from replies and probes.
 	Settle time.Duration
 	// Seed drives the load draws and the injector.
 	Seed int64
@@ -107,21 +109,36 @@ type SharedPhase struct {
 	MeanK    float64       // mean replicas selected per measured call
 	Errors   int
 	Probes   uint64 // total probes sent by the phase's gateways, cold start included
+	// Frames is the change in the registry's aqua_transport_frames_sent_total
+	// from fleet formation to the end of measurement: every frame any
+	// gateway or replica sent, shared channel included.
+	Frames uint64
 
 	// Fabric accounting (gossip phase only; zero elsewhere).
 	PerGateway []aqua.GossipStats
 	Registry   aqua.MetricsSnapshot
 }
 
-// SharedResult is the completed three-phase experiment.
+// SharedResult is the completed four-phase experiment.
 type SharedResult struct {
-	Cfg    SharedConfig
-	Single *SharedPhase
-	Fleet  *SharedPhase // no gossip
-	Gossip *SharedPhase
+	Cfg        SharedConfig
+	Single     *SharedPhase
+	Fleet      *SharedPhase // no gossip
+	Gossip     *SharedPhase
+	Subscribed *SharedPhase // §5.4 subscription, no gossip
 }
 
-// RunShared executes the three phases on identical clusters.
+// sharing is the channel, if any, over which a phase's gateways share what
+// they learn.
+type sharing int
+
+const (
+	shareNone         sharing = iota // each gateway learns from its own replies and probes
+	shareGossip                      // the digest fabric
+	shareSubscription                // the §5.4 per-request perf-report subscription
+)
+
+// RunShared executes the four phases on identical clusters.
 func RunShared(cfg SharedConfig) (*SharedResult, error) {
 	if cfg.Replicas < 2 || cfg.Fleet < 2 {
 		return nil, fmt.Errorf("experiment: shared needs >= 2 replicas and a fleet of >= 2")
@@ -129,25 +146,31 @@ func RunShared(cfg SharedConfig) (*SharedResult, error) {
 	if cfg.Requests <= 0 || cfg.Deadline <= 0 || cfg.ProbeInterval <= 0 {
 		return nil, fmt.Errorf("experiment: shared needs requests, a deadline, and a probe interval")
 	}
-	single, err := runSharedPhase(cfg, "single", 1, false)
-	if err != nil {
-		return nil, err
+	res := &SharedResult{Cfg: cfg}
+	for _, p := range []struct {
+		dst   **SharedPhase
+		name  string
+		fleet int
+		share sharing
+	}{
+		{&res.Single, "single", 1, shareNone},
+		{&res.Fleet, "fleet/no-gossip", cfg.Fleet, shareNone},
+		{&res.Gossip, "fleet/gossip", cfg.Fleet, shareGossip},
+		{&res.Subscribed, "fleet/subscribed", cfg.Fleet, shareSubscription},
+	} {
+		phase, err := runSharedPhase(cfg, p.name, p.fleet, p.share)
+		if err != nil {
+			return nil, err
+		}
+		*p.dst = phase
 	}
-	fleet, err := runSharedPhase(cfg, "fleet/no-gossip", cfg.Fleet, false)
-	if err != nil {
-		return nil, err
-	}
-	gossip, err := runSharedPhase(cfg, "fleet/gossip", cfg.Fleet, true)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedResult{Cfg: cfg, Single: single, Fleet: fleet, Gossip: gossip}, nil
+	return res, nil
 }
 
 // runSharedPhase builds a fresh cluster, warms one gateway, places the
 // remaining fleet members cold, and round-robins the measured traffic over
 // all of them.
-func runSharedPhase(cfg SharedConfig, name string, fleet int, gossip bool) (*SharedPhase, error) {
+func runSharedPhase(cfg SharedConfig, name string, fleet int, share sharing) (*SharedPhase, error) {
 	inj := aqua.NewFaultInjector(cfg.Seed)
 	reg := aqua.NewMetricsRegistry()
 	cluster, err := aqua.NewCluster("shared", cfg.Replicas,
@@ -171,23 +194,20 @@ func runSharedPhase(cfg SharedConfig, name string, fleet int, gossip bool) (*Sha
 		inj.SetLink(addr, aqua.AnyAddr, aqua.FaultPolicy{Delay: stats.Constant{Delay: cfg.SlowDelay}})
 	}
 
-	clientCfg := func(i int, bootstrap bool) aqua.ClientConfig {
+	clientCfg := func(i int) aqua.ClientConfig {
 		c := aqua.ClientConfig{
 			Name:           fmt.Sprintf("shared-%s-gw%d", sanitize(name), i),
 			QoS:            aqua.QoS{Deadline: cfg.Deadline, MinProbability: cfg.Pc},
 			MaxWait:        5 * cfg.Deadline,
 			ProbeInterval:  cfg.ProbeInterval,
 			StalenessBound: cfg.StalenessBound,
-			// WAN regime: no §5.4 per-request subscription; each gateway
-			// learns from its own traffic, its probes, and (when enabled)
-			// the digest fabric.
-			DisablePerfSubscription: true,
+			// WAN regime unless the phase tests the subscription: each
+			// gateway learns from its own traffic, its probes, and (when
+			// enabled) the digest fabric.
+			DisablePerfSubscription: share != shareSubscription,
 		}
-		if gossip {
-			c.DigestGossip = &aqua.DigestGossipConfig{
-				Interval:  cfg.GossipInterval,
-				Bootstrap: bootstrap,
-			}
+		if share == shareGossip {
+			c.GossipInterval = cfg.GossipInterval
 		}
 		return c
 	}
@@ -199,7 +219,7 @@ func runSharedPhase(cfg SharedConfig, name string, fleet int, gossip bool) (*Sha
 		}
 	}()
 
-	first, err := cluster.NewClient(clientCfg(0, false))
+	first, err := cluster.NewClient(clientCfg(0))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: shared client: %w", err)
 	}
@@ -213,29 +233,29 @@ func runSharedPhase(cfg SharedConfig, name string, fleet int, gossip bool) (*Sha
 	}
 
 	// Place the newcomers cold, after the warm-up, like a scale-out event.
-	// In the gossip phase they bootstrap a peer snapshot the moment the mesh
-	// is wired.
+	// In the gossip phase the warm gateway's next push seeds them.
 	for i := 1; i < fleet; i++ {
-		c, err := cluster.NewClient(clientCfg(i, true))
+		c, err := cluster.NewClient(clientCfg(i))
 		if err != nil {
 			return nil, fmt.Errorf("experiment: shared client: %w", err)
 		}
 		clients = append(clients, c)
 	}
-	// Probe accounting starts here — at fleet formation. The first gateway's
-	// warm-up era is identical in every phase by construction, so counting
-	// it would only add a shared constant that drags every ratio toward 1;
-	// the newcomers' cold-start bursts, the cost under test, all land after
-	// this line.
+	// Probe and frame accounting start here — at fleet formation. The first
+	// gateway's warm-up era is identical in every phase by construction, so
+	// counting it would only add a shared constant that drags every ratio
+	// toward 1; the newcomers' cold-start bursts, the cost under test, all
+	// land after this line.
 	probeBase := make([]uint64, len(clients))
 	for i, c := range clients {
 		probeBase[i] = c.ProbesSent()
 	}
-	if gossip {
+	framesBase := cluster.Metrics().Counter(metrics.TransportFramesSent)
+	if share == shareGossip {
 		aqua.ConnectGossip(clients...)
 	}
-	// Same settle either way: the gossip fleet uses it to absorb the
-	// bootstrap, the no-gossip fleet's newcomers burn it probing.
+	// Same settle in every phase: the gossip fleet uses it to absorb the
+	// first pushes, the other fleets' newcomers burn it probing.
 	if fleet > 1 && cfg.Settle > 0 {
 		time.Sleep(cfg.Settle)
 	}
@@ -255,14 +275,15 @@ func runSharedPhase(cfg SharedConfig, name string, fleet int, gossip bool) (*Sha
 	})
 	phase := &SharedPhase{Name: name, Gateways: fleet, Requests: cfg.Requests,
 		Timely: row.Timely, MeanRT: row.MeanRT, MeanK: row.MeanSelected, Errors: row.Errors}
+	phase.Registry = cluster.Metrics()
+	phase.Frames = phase.Registry.Counter(metrics.TransportFramesSent) - framesBase
 	for i, c := range clients {
 		phase.Probes += c.ProbesSent() - probeBase[i]
-		if gossip {
+		if share == shareGossip {
 			gs, _ := c.DigestStats()
 			phase.PerGateway = append(phase.PerGateway, gs)
 		}
 	}
-	phase.Registry = cluster.Metrics()
 	return phase, nil
 }
 
@@ -289,6 +310,7 @@ func mergePhase(a, b *SharedPhase) {
 	a.Requests += b.Requests
 	a.Errors += b.Errors
 	a.Probes += b.Probes
+	a.Frames += b.Frames
 	a.PerGateway = append(a.PerGateway, b.PerGateway...)
 }
 
@@ -301,11 +323,11 @@ func mergePhase(a, b *SharedPhase) {
 //  2. probe traffic — the gossiping fleet's total probes are <= 1/K of the
 //     same fleet's probes without the fabric;
 //  3. accounting (per seed) — every fleet member both sent and received
-//     digests, every newcomer bootstrapped and absorbed, and the per-gateway
-//     aqua_digest_* counters on the cluster registry agree.
+//     digests, every newcomer absorbed, and the per-gateway aqua_digest_*
+//     counters on the cluster registry agree.
 //
-// A fence failure is an error (non-zero exit), so `make a15` is a CI gate,
-// not just a table.
+// The fleet/subscribed phase is reported, not fenced. A fence failure is an
+// error (non-zero exit), so `make a15` is a CI gate, not just a table.
 func RunA15(quick bool) (*Table, error) {
 	cfg := DefaultSharedConfig()
 	seeds := []int64{7, 101, 1009}
@@ -329,14 +351,14 @@ func RunA15(quick bool) (*Table, error) {
 			// Only the newcomers must absorb: the warm gateway's windows are
 			// already full of local evidence, which outranks every borrowed
 			// digest by design.
-			if i > 0 && (gs.EntriesAbsorbed == 0 || gs.Bootstraps == 0) {
-				return nil, fmt.Errorf("experiment: a15 fence: seed %d newcomer gateway %d fabric stats %+v; want a bootstrap and absorbed entries", seed, i, gs)
+			if i > 0 && gs.EntriesAbsorbed == 0 {
+				return nil, fmt.Errorf("experiment: a15 fence: seed %d newcomer gateway %d fabric stats %+v; want absorbed entries", seed, i, gs)
 			}
 		}
 		snap := res.Gossip.Registry
 		for _, name := range []string{
 			metrics.DigestSyncsSent, metrics.DigestSyncsReceived,
-			metrics.DigestAbsorbed, metrics.DigestBootstraps, metrics.DigestRequests,
+			metrics.DigestAbsorbed,
 		} {
 			if snap.Counter(name) == 0 {
 				return nil, fmt.Errorf("experiment: a15 fence: seed %d registry counter %s is zero in the gossip phase", seed, name)
@@ -348,6 +370,7 @@ func RunA15(quick bool) (*Table, error) {
 			mergePhase(agg.Single, res.Single)
 			mergePhase(agg.Fleet, res.Fleet)
 			mergePhase(agg.Gossip, res.Gossip)
+			mergePhase(agg.Subscribed, res.Subscribed)
 		}
 	}
 
@@ -364,14 +387,13 @@ func RunA15(quick bool) (*Table, error) {
 	return t, nil
 }
 
-// SharedTable formats the three phases against the fences.
+// SharedTable formats the four phases against the fences.
 func SharedTable(r *SharedResult) *Table {
 	row := func(p *SharedPhase) []string {
-		var syncs, absorbed, boots uint64
+		var syncs, absorbed uint64
 		for _, gs := range p.PerGateway {
 			syncs += gs.SyncsSent
 			absorbed += gs.EntriesAbsorbed
-			boots += gs.Bootstraps
 		}
 		return []string{
 			p.Name,
@@ -382,23 +404,23 @@ func SharedTable(r *SharedResult) *Table {
 			f2(p.MeanK),
 			fmt.Sprintf("%d", p.Probes),
 			fmt.Sprintf("%.1f", float64(p.Probes)/float64(p.Gateways)),
+			f2(float64(p.Frames) / float64(p.Requests)),
 			fmt.Sprintf("%d", syncs),
 			fmt.Sprintf("%d", absorbed),
-			fmt.Sprintf("%d", boots),
 			fmt.Sprintf("%d", p.Errors),
 		}
 	}
 	return &Table{
 		Title: "A15: shared-intelligence digest fabric vs cold per-gateway learning",
 		Columns: []string{"phase", "gateways", "requests", "timely", "mean_rt_ms", "mean_k",
-			"probes", "probes_per_gw", "syncs_sent", "absorbed", "bootstraps", "errors"},
-		Rows: [][]string{row(r.Single), row(r.Fleet), row(r.Gossip)},
+			"probes", "probes_per_gw", "frames_per_req", "syncs_sent", "absorbed", "errors"},
+		Rows: [][]string{row(r.Single), row(r.Fleet), row(r.Gossip), row(r.Subscribed)},
 		Notes: []string{
-			fmt.Sprintf("contract (t=%v, Pc=%.2f); %d replicas, %d slow by +%v/direction; all gateways opt out of the §5.4 subscription (WAN regime)",
+			fmt.Sprintf("contract (t=%v, Pc=%.2f); %d replicas, %d slow by +%v/direction; every gateway but fleet/subscribed's opts out of the §5.4 subscription (WAN regime)",
 				r.Cfg.Deadline, r.Cfg.Pc, r.Cfg.Replicas, r.Cfg.SlowReplicas, r.Cfg.SlowDelay),
-			fmt.Sprintf("fleet phases place %d cold newcomers after %d warm-up calls; probes counted from fleet formation (newcomer cold starts included, the shared warm-up era excluded in every phase alike)",
+			fmt.Sprintf("fleet phases place %d cold newcomers after %d warm-up calls; probes and frames counted from fleet formation (newcomer cold starts included, the shared warm-up era excluded in every phase alike)",
 				r.Cfg.Fleet-1, r.Cfg.Warmup),
-			fmt.Sprintf("fences: gossip timely >= 0.95 x single (%.3f vs %.3f); gossip probes <= 1/%d of no-gossip fleet (%d vs %d); every member synced+absorbed, newcomers bootstrapped",
+			fmt.Sprintf("fences: gossip timely >= 0.95 x single (%.3f vs %.3f); gossip probes <= 1/%d of no-gossip fleet (%d vs %d); every member synced, newcomers absorbed; fleet/subscribed is not fenced",
 				r.Gossip.Timely, r.Single.Timely, r.Cfg.Fleet, r.Gossip.Probes, r.Fleet.Probes),
 			"without the fabric each newcomer re-learns the pool alone: select-all floods (mean_k) and a per-replica staleness-probe burst, K times over",
 		},

@@ -115,13 +115,12 @@ type Config struct {
 	// selection.Budgeted's static load→|K| interpolation; it is wired into
 	// the scheduler and fed the cancel-savings signal.
 	Controller *core.AdaptiveBudget
-	// Gossip, when non-nil with a positive Interval, joins this handler to
-	// the shared-intelligence digest fabric (gossip.go): its repository's
-	// local window digests are pushed to the peers SetGossipPeers names on a
-	// jittered cadence, peers' digests are absorbed as borrowed samples, and
-	// with Gossip.Bootstrap the handler seeds itself from one peer's full
-	// digest set once its peers are set.
-	Gossip *GossipConfig
+	// GossipInterval, when positive, joins this handler to the shared-
+	// intelligence digest fabric (gossip.go): its repository's local window
+	// digests are pushed to the peers SetGossipPeers names every
+	// GossipInterval, jittered in [0.5, 1.5), and peers' digests are absorbed
+	// as borrowed samples. Zero leaves the fabric off.
+	GossipInterval time.Duration
 	// ProbeInterval, when positive, enables active probing (the paper's §8
 	// extension): replicas whose performance data is older than
 	// StalenessBound (or ProbeInterval if no bound is set) receive probe
@@ -132,8 +131,8 @@ type Config struct {
 	// subscription to replicas. The handler then learns only from its own
 	// replies and probes — the regime (WAN fleets, high fan-out) where
 	// per-request publication to every gateway is too expensive and the
-	// batched digest fabric (Gossip) is meant to carry shared intelligence
-	// instead.
+	// batched digest fabric (GossipInterval) is meant to carry shared
+	// intelligence instead.
 	NoPerfSubscription bool
 	// Metrics receives the handler's live counters (calls, errors) and is
 	// forwarded to the scheduler and prober; nil means the process-wide
@@ -254,8 +253,8 @@ func newTimingFaultHandlerOn(ep transport.Endpoint, cfg Config, ownRecvLoop bool
 		}
 		h.prober = newProber(h, cfg.ProbeInterval, bound)
 	}
-	if cfg.Gossip != nil && cfg.Gossip.Interval > 0 {
-		h.gossip = newGossiper(h, *cfg.Gossip)
+	if cfg.GossipInterval > 0 {
+		h.gossip = newGossiper(h, cfg.GossipInterval)
 	}
 	if ownRecvLoop {
 		h.wg.Add(1)
@@ -319,7 +318,7 @@ func (h *TimingFaultHandler) GossipStats() (s GossipStats, ok bool) {
 }
 
 // SetGossipPeers replaces the digest-fabric peer set at runtime (no-op when
-// gossip is not configured). A pending bootstrap retries against the new set.
+// gossip is not configured).
 func (h *TimingFaultHandler) SetGossipPeers(peers []transport.Addr) {
 	if h.gossip != nil {
 		h.gossip.SetPeers(peers)
@@ -639,10 +638,6 @@ func (h *TimingFaultHandler) handleMessage(msg transport.Message, now time.Time)
 	case wire.DigestSync:
 		if m.Service == h.cfg.Service && h.gossip != nil {
 			h.gossip.onSync(m, now)
-		}
-	case wire.DigestRequest:
-		if m.Service == h.cfg.Service && h.gossip != nil {
-			h.gossip.onRequest(m, msg.From)
 		}
 	case wire.StateRequest:
 		// A replica found a stamp gap in this client's stream and asks for

@@ -7,10 +7,9 @@ package gateway
 // gateway. On a jittered cadence each gateway exports its repository's
 // locally measured window digests (repository.ExportDigests) and pushes them
 // to its peers as one wire.DigestSync; peers absorb the batch into their
-// repositories' windows as borrowed samples. A newly spawned gateway
-// additionally bootstraps by asking one peer for its full digest set
-// (wire.DigestRequest) instead of paying a cold start — and a select-all
-// flood — per replica.
+// repositories' windows as borrowed samples. A newly placed gateway learns
+// from its peers' next push instead of paying a cold start — and a
+// select-all flood — per replica.
 
 import (
 	"math/rand"
@@ -22,32 +21,13 @@ import (
 	"aqua/internal/wire"
 )
 
-// GossipConfig configures digest gossip for one handler.
-type GossipConfig struct {
-	// Interval is the base gossip cadence; each round fires after a uniform
-	// jitter in [0.5, 1.5) × Interval so a fleet started together does not
-	// synchronize its pushes. Non-positive disables gossip.
-	Interval time.Duration
-	// Bootstrap requests a full digest snapshot from one peer once the
-	// handler's peers are set (TimingFaultHandler.SetGossipPeers), retried
-	// across peers until a sync arrives, seeding the repository before the
-	// first jittered round.
-	Bootstrap bool
-}
-
 // GossipStats counts one gossiper's fabric activity.
 type GossipStats struct {
 	SyncsSent       uint64 // DigestSync batches pushed to peers
 	SyncsReceived   uint64 // DigestSync batches accepted (after source/seq dedup)
 	EntriesAbsorbed uint64 // digest entries absorbed as borrowed samples
 	EntriesStale    uint64 // digest entries dropped as stale/unknown/no-room
-	Bootstraps      uint64 // bootstrap DigestRequests issued
-	RequestsServed  uint64 // peers' DigestRequests answered
 }
-
-// maxBootstrapAttempts bounds bootstrap retries: after this many unanswered
-// requests the gossiper relies on the periodic rounds instead.
-const maxBootstrapAttempts = 3
 
 // gossiper runs the digest fabric for one TimingFaultHandler.
 type gossiper struct {
@@ -59,41 +39,36 @@ type gossiper struct {
 	metSyncsReceived *metrics.Counter
 	metAbsorbed      *metrics.Counter
 	metStale         *metrics.Counter
-	metBootstraps    *metrics.Counter
-	metRequests      *metrics.Counter
 
 	mu    sync.Mutex
 	peers []transport.Addr
 	// nextSeq starts at the creation time in ns, so a gateway re-created
 	// under the same client ID outnumbers its predecessor's syncs at once
 	// instead of being dropped by its peers' replay guard (lastSeq).
-	nextSeq           uint64
-	lastSeq           map[wire.ClientID]uint64 // per-source replay guard
-	bootstrapAttempts int
-	bootstrapDone     bool
-	stats             GossipStats
+	nextSeq uint64
+	lastSeq map[wire.ClientID]uint64 // per-source replay guard
+	stats   GossipStats
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 }
 
-// newGossiper starts the gossip loop for h.
-func newGossiper(h *TimingFaultHandler, cfg GossipConfig) *gossiper {
+// newGossiper starts the gossip loop for h: one push per round, each round
+// a uniform [0.5, 1.5) × interval after the last, so a fleet started
+// together does not synchronize its pushes.
+func newGossiper(h *TimingFaultHandler, interval time.Duration) *gossiper {
 	reg := metrics.OrDefault(h.cfg.Metrics)
 	g := &gossiper{
 		h:                h,
-		interval:         cfg.Interval,
+		interval:         interval,
 		rng:              rand.New(rand.NewSource(time.Now().UnixNano())),
 		metSyncsSent:     reg.Counter(metrics.DigestSyncsSent),
 		metSyncsReceived: reg.Counter(metrics.DigestSyncsReceived),
 		metAbsorbed:      reg.Counter(metrics.DigestAbsorbed),
 		metStale:         reg.Counter(metrics.DigestStale),
-		metBootstraps:    reg.Counter(metrics.DigestBootstraps),
-		metRequests:      reg.Counter(metrics.DigestRequests),
 		nextSeq:          uint64(time.Now().UnixNano()),
 		lastSeq:          make(map[wire.ClientID]uint64),
-		bootstrapDone:    !cfg.Bootstrap,
 		stop:             make(chan struct{}),
 	}
 	g.wg.Add(1)
@@ -108,13 +83,11 @@ func (g *gossiper) Stop() {
 	})
 }
 
-// SetPeers replaces the peer set. A pending bootstrap that had no peers to
-// ask retries against the new set on the next round.
+// SetPeers replaces the peer set; the next round pushes to it.
 func (g *gossiper) SetPeers(peers []transport.Addr) {
 	g.mu.Lock()
 	g.peers = append([]transport.Addr(nil), peers...)
 	g.mu.Unlock()
-	g.maybeBootstrap()
 }
 
 // Stats snapshots the gossiper's counters.
@@ -133,7 +106,6 @@ func (g *gossiper) loop() {
 			timer.Stop()
 			return
 		case <-timer.C:
-			g.maybeBootstrap()
 			g.push()
 		}
 	}
@@ -184,27 +156,8 @@ func (g *gossiper) buildSync() (wire.DigestSync, bool) {
 		Service:         g.h.cfg.Service,
 		Seq:             seq,
 		ResolutionNanos: repo.ExportResolutionNanos(),
-		WindowSize:      repo.WindowSize(),
 		Digests:         digests,
 	}, true
-}
-
-// maybeBootstrap sends the peer-snapshot request while one is still owed:
-// not yet answered by any sync, attempts remaining, and a peer to ask.
-// Requests rotate through the peer set so one dead peer cannot starve the
-// bootstrap.
-func (g *gossiper) maybeBootstrap() {
-	g.mu.Lock()
-	if g.bootstrapDone || g.bootstrapAttempts >= maxBootstrapAttempts || len(g.peers) == 0 {
-		g.mu.Unlock()
-		return
-	}
-	peer := g.peers[g.bootstrapAttempts%len(g.peers)]
-	g.bootstrapAttempts++
-	g.stats.Bootstraps++
-	g.mu.Unlock()
-	g.metBootstraps.Inc()
-	_ = g.h.ep.Send(peer, wire.DigestRequest{Client: g.h.cfg.Client, Service: g.h.cfg.Service})
 }
 
 // onSync absorbs a peer's digest batch. Replayed or reordered batches from a
@@ -222,7 +175,6 @@ func (g *gossiper) onSync(m wire.DigestSync, now time.Time) {
 	}
 	g.lastSeq[m.Client] = m.Seq
 	g.stats.SyncsReceived++
-	g.bootstrapDone = true // any peer intelligence ends the bootstrap wait
 	g.mu.Unlock()
 	g.metSyncsReceived.Inc()
 	absorbed, stale := g.h.sched.Repository().AbsorbDigests(m, now)
@@ -292,21 +244,4 @@ func rendezvousScore(member transport.Addr, id wire.ReplicaID) uint64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
-}
-
-// onRequest answers a peer's bootstrap request with this gateway's full
-// local digest set, sent directly to the requester.
-func (g *gossiper) onRequest(m wire.DigestRequest, from transport.Addr) {
-	if m.Client == g.h.cfg.Client || from == "" {
-		return
-	}
-	g.mu.Lock()
-	g.stats.RequestsServed++
-	g.mu.Unlock()
-	g.metRequests.Inc()
-	msg, ok := g.buildSync()
-	if !ok {
-		return // nothing to share yet; the requester's retries will find a warmer peer
-	}
-	_ = g.h.ep.Send(from, msg)
 }

@@ -2,8 +2,8 @@ package gateway
 
 // Fences for the digest-gossip fabric and the demux drop accounting: peers
 // exchange locally measured digests on the gossip cadence, a cold gateway
-// bootstraps a full snapshot from a warm peer, and payload types the demux
-// has no route for are counted instead of vanishing.
+// learns from a warm peer's first push, and payload types the demux has no
+// route for are counted instead of vanishing.
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aqua/internal/metrics"
+	"aqua/internal/repository"
 	"aqua/internal/transport"
 	"aqua/internal/wire"
 )
@@ -22,7 +23,7 @@ import (
 func seedRepo(h *TimingFaultHandler, now time.Time) {
 	repo := h.Scheduler().Repository()
 	for _, id := range repo.Replicas() {
-		for j := 0; j < repo.WindowSize(); j++ {
+		for j := 0; j < repository.DefaultWindowSize; j++ {
 			repo.RecordPerf(id, "", wire.PerfReport{ServiceTime: 10 * ms, QueueDelay: ms}, now)
 		}
 	}
@@ -36,13 +37,13 @@ func TestGossipExchangeSharesDigests(t *testing.T) {
 	f := newFixture(t, 3, nil)
 	warm := f.handler(Config{
 		Client: "warm", Service: "svc",
-		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-		Gossip: &GossipConfig{Interval: 10 * ms},
+		QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		GossipInterval: 10 * ms,
 	})
 	idle := f.handler(Config{
 		Client: "idle", Service: "svc",
-		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-		Gossip: &GossipConfig{Interval: 10 * ms},
+		QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		GossipInterval: 10 * ms,
 	})
 	warm.SetGossipPeers([]transport.Addr{"client:idle"})
 	idle.SetGossipPeers([]transport.Addr{"client:warm"})
@@ -79,42 +80,45 @@ func TestGossipExchangeSharesDigests(t *testing.T) {
 	}
 }
 
-// TestGossipBootstrapSeedsColdGateway isolates the peer-snapshot path: both
-// gossip intervals are far beyond the test horizon, so the only way the cold
-// gateway's repository can fill is the startup DigestRequest and the warm
-// peer's direct reply.
-func TestGossipBootstrapSeedsColdGateway(t *testing.T) {
+// TestGossipFirstPushSeedsColdGateway: a cold gateway borrows every
+// replica's window from the warm peer's first periodic push. When it has, one
+// sync did it, and the cold gateway has sent no request and measured no link
+// delay: every T view is still empty.
+func TestGossipFirstPushSeedsColdGateway(t *testing.T) {
 	f := newFixture(t, 3, nil)
-	warm := f.handler(Config{
-		Client: "warm", Service: "svc",
-		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-		Gossip: &GossipConfig{Interval: time.Hour},
-	})
-	seedRepo(warm, time.Now())
-
 	cold := f.handler(Config{
 		Client: "cold", Service: "svc",
-		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-		Gossip: &GossipConfig{Interval: time.Hour, Bootstrap: true},
+		QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		GossipInterval: time.Hour, // receives only
 	})
-	cold.SetGossipPeers([]transport.Addr{"client:warm"})
+	warm := f.handler(Config{
+		Client: "warm", Service: "svc",
+		QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		GossipInterval: 200 * ms, // rounds 100-300 ms apart
+	})
+	seedRepo(warm, time.Now())
+	warm.SetGossipPeers([]transport.Addr{"client:cold"})
+
 	repo := cold.Scheduler().Repository()
 	waitFor(t, 2*time.Second, func() bool {
-		for _, id := range repo.Replicas() {
-			if repo.BorrowedLen(id, "") == 0 {
-				return false
-			}
-		}
-		return true
-	}, "bootstrap filled the cold repository from the warm peer")
-
-	cs, ok := cold.GossipStats()
-	if !ok || cs.Bootstraps == 0 || cs.SyncsReceived == 0 || cs.EntriesAbsorbed == 0 {
-		t.Errorf("cold gateway gossip stats = %+v, %v; want a bootstrap answered by a sync", cs, ok)
-	}
+		s, _ := cold.GossipStats()
+		return s.EntriesAbsorbed >= uint64(len(repo.Replicas()))
+	}, "cold gateway absorbed the warm peer's push")
+	cs, _ := cold.GossipStats()
 	ws, _ := warm.GossipStats()
-	if ws.RequestsServed == 0 {
-		t.Errorf("warm gateway gossip stats = %+v; want the bootstrap request served", ws)
+	if cs.SyncsReceived != 1 || ws.SyncsSent != 1 {
+		t.Errorf("cold received %d syncs, warm sent %d; want the first push alone", cs.SyncsReceived, ws.SyncsSent)
+	}
+	for _, snap := range repo.Snapshot("") {
+		if !snap.HasHistory || repo.BorrowedLen(snap.ID, "") == 0 {
+			t.Errorf("replica %s: history %v, %d borrowed; want a borrowed window", snap.ID, snap.HasHistory, repo.BorrowedLen(snap.ID, ""))
+		}
+		if snap.GatewayHist.OK() {
+			t.Errorf("replica %s: T view %+v before any local reply", snap.ID, snap.GatewayHist)
+		}
+	}
+	if st := cold.Stats(); st.Requests != 0 {
+		t.Errorf("cold gateway sent %d requests", st.Requests)
 	}
 }
 
@@ -128,8 +132,8 @@ func TestGossipRestartedPeerHeard(t *testing.T) {
 	gossiping := func(id wire.ClientID) *TimingFaultHandler {
 		h := f.handler(Config{
 			Client: id, Service: "svc",
-			QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-			Gossip: &GossipConfig{Interval: time.Hour}, // rounds only when pushed below
+			QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+			GossipInterval: time.Hour, // rounds only when pushed below
 		})
 		h.SetGossipPeers([]transport.Addr{"client:b"})
 		seedRepo(h, time.Now())
@@ -137,8 +141,8 @@ func TestGossipRestartedPeerHeard(t *testing.T) {
 	}
 	b := f.handler(Config{
 		Client: "b", Service: "svc",
-		QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-		Gossip: &GossipConfig{Interval: time.Hour},
+		QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+		GossipInterval: time.Hour,
 	})
 	received := func() uint64 { s, _ := b.GossipStats(); return s.SyncsReceived }
 	pushAndWait := func(h *TimingFaultHandler, n int, what string) {
@@ -212,8 +216,8 @@ func TestProbeOwnershipPartition(t *testing.T) {
 	for i, n := range names {
 		handlers[i] = f.handler(Config{
 			Client: wire.ClientID(n), Service: "svc",
-			QoS:    wire.QoS{Deadline: 300 * ms, MinProbability: 0},
-			Gossip: &GossipConfig{Interval: time.Hour},
+			QoS:            wire.QoS{Deadline: 300 * ms, MinProbability: 0},
+			GossipInterval: time.Hour,
 		})
 		addrs[i] = transport.Addr("client:" + n)
 	}

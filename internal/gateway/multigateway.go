@@ -183,8 +183,6 @@ func messageService(payload any) (wire.Service, bool) {
 		return wire.Service(m.Service), true
 	case wire.DigestSync:
 		return m.Service, true
-	case wire.DigestRequest:
-		return m.Service, true
 	case wire.StateRequest:
 		return m.Service, true
 	default:

@@ -66,8 +66,6 @@ const (
 	DigestSyncsReceived = "aqua_digest_syncs_received_total"   // DigestSync batches accepted (after dedup)
 	DigestAbsorbed      = "aqua_digest_entries_absorbed_total" // digest entries absorbed as borrowed samples
 	DigestStale         = "aqua_digest_entries_stale_total"    // digest entries dropped (stale, unknown, no room)
-	DigestBootstraps    = "aqua_digest_bootstraps_total"       // peer-snapshot bootstrap requests issued
-	DigestRequests      = "aqua_digest_requests_total"         // DigestRequest messages served for peers
 
 	// MultiGateway demultiplexer: payloads no loaded handler understands
 	// (mixed-version fleets, unknown gossip types).

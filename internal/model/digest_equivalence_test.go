@@ -3,8 +3,8 @@ package model
 // Equivalence fence for the borrowed-digest tier: absorbing a window digest
 // into an empty repository must be indistinguishable — to the response-time
 // model, within 1e-12 — from replaying the raw samples that produced the
-// digest. This extends the PR 1 equivalence harness (fastpath_test.go) across
-// the gossip boundary: digests carry quantized bin counts, absorption
+// digest. This extends the equivalence harness (fastpath_test.go) across
+// the gossip boundary: digests carry quantized S and W bin counts, absorption
 // reconstructs pseudo-samples as bin × resolution, and those re-quantize to
 // exactly the source bins.
 
@@ -90,11 +90,15 @@ func TestDigestAbsorptionEquivalence(t *testing.T) {
 			Service:         "svc",
 			Seq:             1,
 			ResolutionNanos: source.ExportResolutionNanos(),
-			WindowSize:      l,
 			Digests:         digests,
 		}, now)
 		if absorbed != replicas || stale != 0 {
 			t.Fatalf("trial %d: absorbed %d / stale %d, want %d / 0", trial, absorbed, stale, replicas)
+		}
+		// A digest carries no T: the absorbing gateway measures its own link,
+		// here the same one.
+		for _, h := range histories {
+			absorbRepo.RecordGatewayDelay(h.id, h.delay)
 		}
 
 		// Leg 2: raw-sample replay into another empty repository.

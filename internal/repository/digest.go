@@ -5,10 +5,10 @@ package repository
 //
 // Every gateway's repository learns a replica's windows only from its own
 // traffic, so K gateways pay K cold starts per replica. A repository
-// therefore exports its *locally measured* window histograms as mergeable
-// wire.WindowDigest values, and absorbs peers' digests into its own S, W and
-// T windows as their oldest samples, keeping only a count of how many are
-// borrowed:
+// therefore exports its *locally measured* S and W window histograms as
+// mergeable wire.WindowDigest values, and absorbs peers' digests into its own
+// S and W windows as their oldest samples, keeping only a count of how many
+// are borrowed:
 //
 //   - Borrowed samples seed predictions for (replica, method) entries with no
 //     or partial local history — HasHistory turns true, so the scheduler
@@ -18,13 +18,14 @@ package repository
 //     leave, a fresher digest replaces the borrowed samples and keeps every
 //     local one, and each locally recorded sample first evicts one borrowed
 //     sample (window.TrimOldest), so a window never exceeds l and is purely
-//     local after l reports. T is per-link, so a digest seeds only its median
-//     delay, and only while no local delay exists.
+//     local after l reports. T is per-link, so a digest carries none: a
+//     peer's link delay is not this gateway's, and the T window holds only
+//     local measurements.
 //   - Borrowed samples never advance probation accounting (notePerfLocked is
 //     only reachable from RecordPerf), so re-admission still requires real
 //     measurements.
-//   - Only local samples are exported — never a borrowed prefix or a T seed —
-//     so gossip cannot echo or amplify borrowed data through the fleet.
+//   - Only local samples are exported — never a borrowed prefix — so gossip
+//     cannot echo or amplify borrowed data through the fleet.
 
 import (
 	"slices"
@@ -35,18 +36,11 @@ import (
 	"aqua/internal/wire"
 )
 
-// DigestStats is the repository's census of borrowed samples.
-type DigestStats struct {
-	// Borrowed is the number of (replica, method) entries currently holding
-	// at least one borrowed sample.
-	Borrowed int
-}
-
 // ExportDigests summarizes every (replica, method) entry that holds locally
-// measured samples as a mergeable digest of those samples alone: borrowed
-// samples and the T seed are never exported. now anchors each digest's
-// AgeNanos (now − last local update), so absorbers can order digests by
-// absolute freshness without synchronized clocks. The bins are quantized at
+// measured S and W samples as a mergeable digest of those samples alone:
+// borrowed samples are never exported. now anchors each digest's AgeNanos
+// (now − last local update), so absorbers can order digests by absolute
+// freshness without synchronized clocks. The bins are quantized at
 // ExportResolutionNanos.
 func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 	r.mu.RLock()
@@ -67,9 +61,6 @@ func (r *Repository) ExportDigests(now time.Time) []wire.WindowDigest {
 		}
 		d.ServiceBins, d.ServiceCounts = exportHist(e.service, e.borrowedS)
 		d.QueueBins, d.QueueCounts = exportHist(e.queue, e.borrowedQ)
-		if !st.borrowedT {
-			d.GatewayBins, d.GatewayCounts = exportHist(st.gateway, 0)
-		}
 		if st.hasUpdate {
 			d.AgeNanos = now.Sub(st.lastUpdate).Nanoseconds()
 			if d.AgeNanos < 0 {
@@ -151,17 +142,6 @@ func (r *Repository) absorbDigestLocked(d wire.WindowDigest, res time.Duration, 
 	if !st.hasUpdate {
 		st.queueLength = d.QueueLength
 	}
-	// T is a property of the peer's link to the replica, not ours: seed only a
-	// point estimate (the median), and only while no local delay exists.
-	if st.borrowedT || st.gateway.Len() == 0 {
-		if gVals := reconstruct(d.GatewayBins, d.GatewayCounts, res); len(gVals) > 0 {
-			if st.borrowedT {
-				st.gateway.TrimOldest()
-			}
-			st.gateway.Add(gVals[len(gVals)/2])
-			st.borrowedT = true
-		}
-	}
 	r.noteBorrowedFreshnessLocked(st, fresh)
 	r.touchLocked(st)
 	return true
@@ -240,19 +220,6 @@ func (r *Repository) refill(w *window.Window, borrowed int, vals []time.Duration
 		out.Add(v)
 	}
 	return out, len(vals)
-}
-
-// DigestStats returns the current borrowed census.
-func (r *Repository) DigestStats() DigestStats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var s DigestStats
-	for _, e := range r.entries {
-		if e.borrowedS > 0 || e.borrowedQ > 0 {
-			s.Borrowed++
-		}
-	}
-	return s
 }
 
 // BorrowedLen returns how many borrowed service-time samples the

@@ -49,10 +49,11 @@ func (p *fuzzProgram) hist() (bins, counts []int64) {
 
 // FuzzAbsorbDigests feeds a repository arbitrary digest batches, the one
 // input a gateway takes from its peers, interleaved with local reports and
-// gateway delays, and checks the windows after every step.
+// gateway delays, and checks the windows after every step. An absorption
+// must leave every T window as it was.
 func FuzzAbsorbDigests(f *testing.F) {
-	f.Add(uint8(5), uint8(1), []byte{0, 0, 0, 10, 1, 1, 3, 10, 5, 0, 1, 2, 5, 0, 1, 3, 1, 0, 5, 0, 1, 1, 20, 4, 3, 0, 2, 250})
-	f.Add(uint8(2), uint8(3), []byte{1, 1, 0, 0, 7, 0, 2, 200, 1, 4, 255, 3, 2, 9, 9, 11, 1, 4, 130, 1, 8, 1, 7, 1, 1, 2, 6})
+	f.Add(uint8(5), uint8(1), []byte{0, 0, 0, 10, 1, 1, 3, 10, 5, 0, 1, 2, 5, 0, 1, 3, 1, 0, 20, 4, 3, 0, 2, 250})
+	f.Add(uint8(2), uint8(3), []byte{1, 1, 0, 0, 7, 0, 2, 200, 1, 4, 255, 3, 2, 9, 9, 11, 1, 4, 130, 1, 1, 2, 6})
 	f.Add(uint8(0), uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, l, hist uint8, prog []byte) {
 		repo := New(WithWindowSize(1+int(l%32)), WithGatewayHistory(1+int(hist%4)))
@@ -74,10 +75,13 @@ func FuzzAbsorbDigests(f *testing.F) {
 					d.AgeNanos = int64(int8(in.byte())) * int64(time.Millisecond)
 					d.ServiceBins, d.ServiceCounts = in.hist()
 					d.QueueBins, d.QueueCounts = in.hist()
-					d.GatewayBins, d.GatewayCounts = in.hist()
 					sync.Digests = append(sync.Digests, d)
 				}
+				before := gatewayWindows(repo)
 				repo.AbsorbDigests(sync, now)
+				if after := gatewayWindows(repo); !reflect.DeepEqual(before, after) {
+					t.Fatalf("AbsorbDigests rewrote T windows %v into %v", before, after)
+				}
 			case 1:
 				repo.RecordPerf(id, method, perf(in.dur(), in.dur(), 0), now)
 			default:
@@ -88,10 +92,19 @@ func FuzzAbsorbDigests(f *testing.F) {
 	})
 }
 
-// checkWindows asserts the invariants of borrowed samples living in the
-// windows: no window above its size, borrowed counts within the window,
-// exports of exactly the local samples, and snapshots that are the windows'
-// own histograms.
+// gatewayWindows returns every replica's T window contents.
+func gatewayWindows(r *Repository) map[wire.ReplicaID][]time.Duration {
+	out := make(map[wire.ReplicaID][]time.Duration, len(r.replicas))
+	for id, st := range r.replicas {
+		out[id] = st.gateway.Values()
+	}
+	return out
+}
+
+// checkWindows asserts the invariants of borrowed samples living in the S
+// and W windows: no window above its size, borrowed counts within the
+// window, exports of exactly the local samples, and snapshots that are the
+// windows' own histograms, T's included.
 func checkWindows(t *testing.T, r *Repository, now time.Time) {
 	t.Helper()
 	exported := make(map[methodKey]wire.WindowDigest)
@@ -122,23 +135,19 @@ func checkWindows(t *testing.T, r *Repository, now time.Time) {
 		}{
 			{"S", e.service, e.borrowedS, snap.ServiceHist, d.ServiceCounts},
 			{"W", e.queue, e.borrowedQ, snap.QueueHist, d.QueueCounts},
-			{"T", st.gateway, boolInt(st.borrowedT), snap.GatewayHist, d.GatewayCounts},
 		} {
-			size := r.windowSize
-			if a.name == "T" {
-				size = r.gatewayHist
-			}
-			if n := a.w.Len(); n > size || a.borrowed < 0 || a.borrowed > n {
-				t.Fatalf("%v %s: %d samples, %d borrowed, window size %d", k, a.name, n, a.borrowed, size)
+			if n := a.w.Len(); n > r.windowSize || a.borrowed < 0 || a.borrowed > n {
+				t.Fatalf("%v %s: %d samples, %d borrowed, window size %d", k, a.name, n, a.borrowed, r.windowSize)
 			}
 			if ok && sum(a.counts) != int64(a.w.Len()-a.borrowed) {
 				t.Fatalf("%v %s: exported %d samples, window holds %d local", k, a.name, sum(a.counts), a.w.Len()-a.borrowed)
 			}
 			checkView(t, a.name, a.view, a.w.Values())
 		}
-		if st.borrowedT && st.gateway.Len() != 1 {
-			t.Fatalf("%v: T seed beside %d other samples", k, st.gateway.Len()-1)
+		if n := st.gateway.Len(); n > r.gatewayHist {
+			t.Fatalf("%v T: %d samples, window size %d", k, n, r.gatewayHist)
 		}
+		checkView(t, "T", snap.GatewayHist, st.gateway.Values())
 	}
 	if withLocal != len(exported) {
 		t.Fatalf("exported %d digests for %d entries with local samples", len(exported), withLocal)
@@ -167,13 +176,6 @@ func checkView(t *testing.T, name string, view HistView, vals []time.Duration) {
 	if !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(wp, gp) {
 		t.Fatalf("%s: view pmf %v %v, want %v %v", name, gv, gp, wv, wp)
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func sum(xs []int64) (s int64) {

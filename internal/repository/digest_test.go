@@ -24,13 +24,12 @@ func digestSyncFor(seq uint64, digests ...wire.WindowDigest) wire.DigestSync {
 		Service:         "svc",
 		Seq:             seq,
 		ResolutionNanos: dist.DefaultResolution.Nanoseconds(),
-		WindowSize:      DefaultWindowSize,
 		Digests:         digests,
 	}
 }
 
 // fullDigest is a window-filling digest for one replica: five service samples
-// at 10ms, five queue samples at 2ms, one gateway bin at 3ms.
+// at 10ms and five queue samples at 2ms.
 func fullDigest(id wire.ReplicaID) wire.WindowDigest {
 	return wire.WindowDigest{
 		Replica:       id,
@@ -38,8 +37,6 @@ func fullDigest(id wire.ReplicaID) wire.WindowDigest {
 		ServiceCounts: []int64{5},
 		QueueBins:     []int64{2},
 		QueueCounts:   []int64{5},
-		GatewayBins:   []int64{3},
-		GatewayCounts: []int64{1},
 		QueueLength:   2,
 	}
 }
@@ -67,9 +64,6 @@ func TestBorrowedDisplacement(t *testing.T) {
 	}
 	if got := samples(snap.ServiceHist); len(got) != DefaultWindowSize || got[0] != 10*dms {
 		t.Fatalf("service window = %v", got)
-	}
-	if got := only(snap.GatewayHist); got != 3*dms {
-		t.Fatalf("T seed = %v, want 3ms", got)
 	}
 	if snap.QueueLength != 2 {
 		t.Fatalf("QueueLength = %d, want borrowed 2", snap.QueueLength)
@@ -101,8 +95,8 @@ func TestBorrowedDisplacement(t *testing.T) {
 			t.Fatalf("borrowed sample survived full displacement: %v", samples(snap.ServiceHist))
 		}
 	}
-	if ds := repo.DigestStats(); ds.Borrowed != 0 {
-		t.Fatalf("Borrowed census = %d after displacement, want 0", ds.Borrowed)
+	if got := repo.BorrowedLen("r1", ""); got != 0 {
+		t.Fatalf("BorrowedLen = %d after displacement, want 0", got)
 	}
 }
 
@@ -285,26 +279,44 @@ func TestBorrowedVouchSuppressedForNonActive(t *testing.T) {
 	}
 }
 
-// TestLocalGatewayDelayDropsBorrowedSeed: the first locally measured link
-// delay supersedes the borrowed T point seed entirely.
-func TestLocalGatewayDelayDropsBorrowedSeed(t *testing.T) {
-	repo := New()
+// TestAbsorbNeverWritesGatewayWindow: T is a property of this gateway's own
+// link to the replica, so AbsorbDigests never writes the T window. It stays
+// empty through every digest until the first local delay, and holds only
+// local delays after it.
+func TestAbsorbNeverWritesGatewayWindow(t *testing.T) {
+	repo := New(WithGatewayHistory(3))
 	repo.AddReplica("r1")
 	now := time.Now()
-	repo.AbsorbDigests(digestSyncFor(1, fullDigest("r1")), now)
-	repo.RecordGatewayDelay("r1", 8*dms)
-	snap, err := repo.SnapshotOne("r1", "")
-	if err != nil {
-		t.Fatal(err)
+	snapshot := func() ReplicaSnapshot {
+		t.Helper()
+		snap, err := repo.SnapshotOne("r1", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	if got := samples(snap.GatewayHist); len(got) != 1 || got[0] != 8*dms {
-		t.Fatalf("T after local measurement = %v, want pure local [8ms]", got)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if absorbed, _ := repo.AbsorbDigests(digestSyncFor(seq, fullDigest("r1")), now.Add(time.Duration(seq)*time.Second)); absorbed != 1 {
+			t.Fatalf("digest %d not absorbed", seq)
+		}
+		snap := snapshot()
+		if !snap.HasHistory {
+			t.Fatalf("digest %d did not establish S and W history", seq)
+		}
+		if snap.GatewayHist.OK() {
+			t.Fatalf("after digest %d: T view %+v, want empty before any local delay", seq, snap.GatewayHist)
+		}
+	}
+	repo.RecordGatewayDelay("r1", 8*dms)
+	repo.AbsorbDigests(digestSyncFor(4, fullDigest("r1")), now.Add(4*time.Second))
+	if got := samples(snapshot().GatewayHist); !reflect.DeepEqual(got, []time.Duration{8 * dms}) {
+		t.Fatalf("T after a local delay and a digest = %v, want the local [8ms]", got)
 	}
 }
 
 // TestFresherDigestKeepsLocalSamples: a fresher digest replaces the
 // borrowed samples wholesale and keeps every local one, fills only the room
-// they leave, replaces the T seed, and leaves the export purely local.
+// they leave, and leaves the export purely local.
 func TestFresherDigestKeepsLocalSamples(t *testing.T) {
 	repo := New()
 	repo.AddReplica("r1")
@@ -319,8 +331,6 @@ func TestFresherDigestKeepsLocalSamples(t *testing.T) {
 		ServiceCounts: []int64{3, 2},
 		QueueBins:     []int64{6},
 		QueueCounts:   []int64{5},
-		GatewayBins:   []int64{9},
-		GatewayCounts: []int64{1},
 	}
 	if absorbed, _ := repo.AbsorbDigests(digestSyncFor(2, fresher), now.Add(time.Second)); absorbed != 1 {
 		t.Fatal("fresher digest not absorbed")
@@ -340,8 +350,8 @@ func TestFresherDigestKeepsLocalSamples(t *testing.T) {
 	if got := repo.BorrowedLen("r1", ""); got != 3 {
 		t.Fatalf("BorrowedLen = %d, want 3", got)
 	}
-	if got := only(snap.GatewayHist); got != 9*dms {
-		t.Fatalf("T seed = %v, want the fresher digest's 9ms", got)
+	if snap.GatewayHist.OK() {
+		t.Fatalf("T view %+v after digests alone, want empty", snap.GatewayHist)
 	}
 	digests := repo.ExportDigests(now)
 	if len(digests) != 1 {
@@ -353,9 +363,6 @@ func TestFresherDigestKeepsLocalSamples(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d.QueueBins, []int64{4}) || !reflect.DeepEqual(d.QueueCounts, []int64{2}) {
 		t.Fatalf("exported queue %v×%v, want only the local [4]×[2]", d.QueueBins, d.QueueCounts)
-	}
-	if len(d.GatewayBins) != 0 || len(d.GatewayCounts) != 0 {
-		t.Fatalf("exported the borrowed T seed: %v×%v", d.GatewayBins, d.GatewayCounts)
 	}
 }
 
@@ -383,9 +390,7 @@ func TestMergedHistViewMatchesSamples(t *testing.T) {
 			d.QueueBins = append(d.QueueBins, b/2+int64(len(d.QueueBins)))
 			d.QueueCounts = append(d.QueueCounts, 1+int64(rng.Intn(4)))
 		}
-		sync := digestSyncFor(1, d)
-		sync.WindowSize = l
-		if absorbed, _ := repo.AbsorbDigests(sync, now); absorbed != 1 {
+		if absorbed, _ := repo.AbsorbDigests(digestSyncFor(1, d), now); absorbed != 1 {
 			t.Fatalf("trial %d: digest not absorbed", trial)
 		}
 		// Expected contents, per axis: borrowed, then local, oldest first.

@@ -59,10 +59,9 @@ type replicaState struct {
 	// is shared by every method's snapshot. Probe-measured delays (recorded
 	// without a method) therefore warm real methods' predictions. Window
 	// size 1 (the default) reproduces the paper's point mass at the most
-	// recent value. While borrowedT is set it holds only a peer digest's
-	// median delay (digest.go), which the first local delay replaces.
+	// recent value. Digests never write it (digest.go): every T sample is a
+	// local measurement.
 	gateway     *window.Window
-	borrowedT   bool
 	queueLength int // current outstanding requests (replica-reported)
 	// inFlight counts requests this gateway has dispatched and not yet
 	// settled. It is atomic so the dispatch/settle hot path only needs the
@@ -173,13 +172,6 @@ func New(opts ...Option) *Repository {
 		r.gatewayHist = 1
 	}
 	return r
-}
-
-// WindowSize returns the configured sliding-window size l.
-func (r *Repository) WindowSize() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.windowSize
 }
 
 // AddReplica registers a replica (e.g. on a membership view change). It is
@@ -348,12 +340,6 @@ func (r *Repository) recordDelayLocked(st *replicaState, td time.Duration) bool 
 			return false
 		}
 		td = 0
-	}
-	// A locally measured link delay supersedes any borrowed T seed: T is
-	// per-link state, and the peer's link is not ours.
-	if st.borrowedT {
-		st.gateway.TrimOldest()
-		st.borrowedT = false
 	}
 	st.gateway.Add(td)
 	return true

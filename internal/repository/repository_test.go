@@ -277,8 +277,8 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	r := New(WithWindowSize(0), WithGatewayHistory(-1))
-	if r.WindowSize() != DefaultWindowSize {
-		t.Errorf("WindowSize = %d, want default %d", r.WindowSize(), DefaultWindowSize)
+	if r.windowSize != DefaultWindowSize {
+		t.Errorf("window size = %d, want default %d", r.windowSize, DefaultWindowSize)
 	}
 }
 

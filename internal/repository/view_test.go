@@ -83,11 +83,9 @@ func randomDigest(rng *rand.Rand, seq uint64, id wire.ReplicaID, method string) 
 	d := wire.WindowDigest{Replica: id, Method: method, QueueLength: rng.Intn(4), AgeNanos: int64(rng.Intn(3000)) * int64(ms)}
 	d.ServiceBins, d.ServiceCounts = hist()
 	d.QueueBins, d.QueueCounts = hist()
-	d.GatewayBins, d.GatewayCounts = hist()
 	return wire.DigestSync{
 		Client: "peer", Service: "svc", Seq: seq,
 		ResolutionNanos: dist.DefaultResolution.Nanoseconds(),
-		WindowSize:      repository.DefaultWindowSize,
 		Digests:         []wire.WindowDigest{d},
 	}
 }

@@ -63,11 +63,11 @@ import (
 
 const (
 	binMagic = 0xAB // body[0]: marks a frame of this codec
-	// binVersion 0x02: Request grew Stamp, PerfReport grew OrderedTail and
-	// CaughtUp, and the ordered-mode StateRequest/StateChunk frames joined
-	// the codec. A frame of any other version is rejected with an error that
-	// names both versions.
-	binVersion = 0x02 // body[1]: bumped on any layout change
+	// binVersion 0x03: DigestSync lost its window size, WindowDigest lost its
+	// T bins and counts, and type code 9 (the retired peer-snapshot request)
+	// is no longer decoded. A frame of any other version is rejected with an error
+	// that names both versions.
+	binVersion = 0x03 // body[1]: bumped on any layout change
 )
 
 // Message type codes (body[2]).
@@ -80,7 +80,7 @@ const (
 	binHeartbeat
 	binCancel
 	binDigestSync
-	binDigestRequest
+	_ // 9: the retired peer-snapshot request; never reuse a code
 	binStateRequest
 	binStateChunk
 )
@@ -116,8 +116,6 @@ func binTypeOf(payload any) byte {
 		return binCancel
 	case wire.DigestSync:
 		return binDigestSync
-	case wire.DigestRequest:
-		return binDigestRequest
 	case wire.StateRequest:
 		return binStateRequest
 	case wire.StateChunk:
@@ -201,7 +199,6 @@ var binMessages = [...]struct {
 		w.str((*string)(&m.Service))
 		w.uvarint(&m.Seq)
 		w.varint(&m.ResolutionNanos)
-		w.int(&m.WindowSize)
 		ds := list(&m.Digests, w.count(len(m.Digests)))
 		for i := 0; i < len(ds) && w.err == nil; i++ {
 			d := &ds[i]
@@ -211,17 +208,9 @@ var binMessages = [...]struct {
 			w.int64s(&d.ServiceCounts)
 			w.int64s(&d.QueueBins)
 			w.int64s(&d.QueueCounts)
-			w.int64s(&d.GatewayBins)
-			w.int64s(&d.GatewayCounts)
 			w.int(&d.QueueLength)
 			w.varint(&d.AgeNanos)
 		}
-		return w, decoded(w.dir, &m)
-	}},
-	binDigestRequest: {"digest-request", func(w walker, msg any) (walker, any) {
-		m, _ := msg.(wire.DigestRequest)
-		w.str((*string)(&m.Client))
-		w.str((*string)(&m.Service))
 		return w, decoded(w.dir, &m)
 	}},
 	binStateRequest: {"state-request", func(w walker, msg any) (walker, any) {

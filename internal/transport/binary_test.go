@@ -47,18 +47,15 @@ func binaryCodecCases() []struct {
 		{"heartbeat-zero", wire.Heartbeat{}},
 		{"cancel", wire.Cancel{Client: "c7", Seq: 42, Service: "svc"}},
 		{"cancel-zero", wire.Cancel{}},
-		{"digest-sync", wire.DigestSync{Client: "g1", Service: "svc", Seq: 17, ResolutionNanos: 1_000_000, WindowSize: 5,
+		{"digest-sync", wire.DigestSync{Client: "g1", Service: "svc", Seq: 17, ResolutionNanos: 1_000_000,
 			Digests: []wire.WindowDigest{
 				{Replica: "r1", Method: "get",
 					ServiceBins: []int64{3, 5, 9}, ServiceCounts: []int64{2, 2, 1},
 					QueueBins: []int64{0, 1}, QueueCounts: []int64{4, 1},
-					GatewayBins: []int64{-2, 7}, GatewayCounts: []int64{1, 4},
 					QueueLength: 3, AgeNanos: 250_000_000},
 				{Replica: "r2", Method: "get", QueueLength: -1, AgeNanos: 0},
 			}}},
 		{"digest-sync-zero", wire.DigestSync{}},
-		{"digest-request", wire.DigestRequest{Client: "g2", Service: "svc"}},
-		{"digest-request-zero", wire.DigestRequest{}},
 		{"ordered-request", wire.Request{Client: "c1", Seq: 1 << 40, Service: "svc", Method: "put", Payload: make([]byte, 200), SentAt: at, Stamp: 1 << 63}},
 		{"ordered-response", wire.Response{Client: "c1", Seq: 7, Replica: "r2", Service: "svc",
 			Perf: wire.PerfReport{ServiceTime: -1 << 62, QueueDelay: 1, QueueLength: 1 << 20, OrderedTail: 300, CaughtUp: true}, SentAt: time.Unix(0, -1)}},
@@ -196,10 +193,18 @@ func TestDecodeRejectsNonMagicBody(t *testing.T) {
 }
 
 // TestBinaryRejectsUnknownType: an unknown message type code is an error.
+// Code 9 carried the retired peer-snapshot request; a frame with it, even
+// one whose body is that old layout (sender "a", client "g", service "svc"),
+// is refused as unknown.
 func TestBinaryRejectsUnknownType(t *testing.T) {
-	body := []byte{binMagic, binVersion, 0x7F, 0}
-	if _, err := decodeFrame(uninterned(reframe(body))); err == nil {
-		t.Error("unknown message type accepted")
+	for _, body := range [][]byte{
+		{binMagic, binVersion, 0x7F, 0},
+		{binMagic, binVersion, 9, 1, 'a', 1, 'g', 3, 's', 'v', 'c'},
+	} {
+		_, err := decodeFrame(uninterned(reframe(body)))
+		if want := fmt.Sprintf("unknown binary message type %d", body[2]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("type code %d: err = %v, want %q", body[2], err, want)
+		}
 	}
 }
 

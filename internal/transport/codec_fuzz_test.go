@@ -73,17 +73,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(cancel)
-	sync, err := encodeFrame("seed", wire.DigestSync{Client: "g", Service: "svc", Seq: 1, ResolutionNanos: 1_000_000, WindowSize: 5,
+	sync, err := encodeFrame("seed", wire.DigestSync{Client: "g", Service: "svc", Seq: 1, ResolutionNanos: 1_000_000,
 		Digests: []wire.WindowDigest{{Replica: "r", Method: "m", ServiceBins: []int64{2, 4}, ServiceCounts: []int64{3, 1}, QueueLength: 1, AgeNanos: 7}}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sync)
-	reqd, err := encodeFrame("seed", wire.DigestRequest{Client: "g", Service: "svc"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(reqd)
+	// The retired type code 9 over its old peer-snapshot request body: refused.
+	f.Add(reframe([]byte{binMagic, binVersion, 9, 4, 's', 'e', 'e', 'd', 1, 'g', 3, 's', 'v', 'c'}))
 	streq, err := encodeFrame("seed", wire.StateRequest{Replica: "r1", Service: "svc", WantSnapshot: true, SinceIndex: 7, Gap: "c", FromStamp: 3, ToStamp: 9})
 	if err != nil {
 		f.Fatal(err)

@@ -186,12 +186,6 @@ type WindowDigest struct {
 	ServiceCounts []int64
 	QueueBins     []int64
 	QueueCounts   []int64
-	// GatewayBins/GatewayCounts summarize the source's per-link T window.
-	// T is a property of the *source's* link to the replica, so absorbers
-	// use it only as a cold-start seed, displaced by the first local
-	// measurement.
-	GatewayBins   []int64
-	GatewayCounts []int64
 	// QueueLength is the replica-reported outstanding queue length as of the
 	// source's last performance report.
 	QueueLength int
@@ -204,10 +198,10 @@ type WindowDigest struct {
 
 // DigestSync is the gossip payload of the shared-intelligence fabric: a batch
 // of window digests from one gateway's repository, pushed to peer gateways on
-// a jittered cadence (and as the reply to a DigestRequest). Peers absorb the
-// digests into their own windows as borrowed samples that seed predictions
-// for replicas they have no local history on; local measurements displace
-// borrowed data sample by sample, so local evidence always wins.
+// a jittered cadence. Peers absorb the digests into their own S and W windows
+// as borrowed samples that seed predictions for replicas they have no local
+// history on; local measurements displace borrowed data sample by sample, so
+// local evidence always wins.
 type DigestSync struct {
 	// Client identifies the source gateway (version/source metadata: the
 	// absorber tracks the highest Seq per source and drops replays).
@@ -218,18 +212,7 @@ type DigestSync struct {
 	// ResolutionNanos is the quantization of every bin in Digests. A
 	// support point is bin × resolution.
 	ResolutionNanos int64
-	// WindowSize is the source repository's sliding-window size l.
-	WindowSize int
-	Digests    []WindowDigest
-}
-
-// DigestRequest asks a peer gateway for its full digest set (peer snapshot
-// bootstrap): a newly spawned gateway seeds its repository from one peer's
-// DigestSync reply instead of paying a cold start per replica — the paper's
-// §5.4 perf-report subscription seam extended gateway-to-gateway.
-type DigestRequest struct {
-	Client  ClientID
-	Service Service
+	Digests         []WindowDigest
 }
 
 // LogEntry is one applied ordered-mode request: enough to replay it through
