@@ -118,9 +118,13 @@ views:
 # senders' frames arrive intact, a multicast frame outlives the fast peer's
 # writer until the held peer's writer is done with it, a multicast encodes
 # once, the send queue stays bounded, idle writers exit, and a destination's
-# queue-depth series goes with its last writer.
+# queue-depth series goes with its last writer; on the shared connection, a
+# reply rides its request's connection, a link that carries frames either
+# way is not retired idle, the first frame to a restarted peer is delivered,
+# only a connection from the claimed host is adopted, and a write-through's
+# remainder goes out before the frame queued behind it.
 frames:
-	$(GO) test -race -count=10 -run 'TestTCPConcurrentSendersFramesIntact|TestTCPSharedFrameOutlivesFastWriter|TestMulticastEncodesOnce|TestTCPSendQueueBounded|TestTCPIdleSendersExit|TestTCPQueueDepthSeriesFollowsWriters' ./internal/transport
+	$(GO) test -race -count=10 -run 'TestTCPConcurrentSendersFramesIntact|TestTCPSharedFrameOutlivesFastWriter|TestMulticastEncodesOnce|TestTCPSendQueueBounded|TestTCPIdleSendersExit|TestTCPQueueDepthSeriesFollowsWriters|TestTCPReplyRidesRequestConnection|TestTCPIdleRetireKeepsReversePath|TestTCPFirstFrameAfterPeerRestartDelivered|TestTCPAdoptRequiresMatchingRemoteIP|TestTCPRemainderGoesFirst' ./internal/transport
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,18 +30,19 @@ const (
 	// a dial timeout per message.
 	redialBackoffMin = 50 * time.Millisecond
 	redialBackoffMax = 2 * time.Second
-	// senderIdle is how long a destination's writer waits without a frame
-	// before it closes its connection and goes away; the next frame to that
-	// address starts a new one. Replicas come and go on fresh ports, so
-	// without it an endpoint keeps a goroutine, a queue and a connection for
-	// every address it ever sent to. It is well above redialBackoffMax, so
-	// a link in backoff is not forgotten between two of its frames.
+	// senderIdle is how long a destination's link may carry no frame, in
+	// either direction, before its writer closes the connection and goes
+	// away; the next frame to that address starts a new one. Replicas come
+	// and go on fresh ports, so without it an endpoint keeps a goroutine, a
+	// queue and a connection for every address it ever sent to. It is well
+	// above redialBackoffMax, so a link in backoff is not forgotten between
+	// two of its frames.
 	senderIdle = 30 * time.Second
-	// readBufferSize is each inbound connection's read buffer: one read
-	// syscall brings in a small frame's length and body together (and often
-	// the frames queued behind it). A body at least this large is read
-	// mostly straight into its own allocation, so a small buffer also keeps
-	// the second copy of a large frame small.
+	// readBufferSize is each connection's read buffer: one read syscall
+	// brings in a small frame's length and body together (and often the
+	// frames queued behind it). A body at least this large is read mostly
+	// straight into its own allocation, so a small buffer also keeps the
+	// second copy of a large frame small.
 	readBufferSize = 4 << 10
 	// pooledFrameCap is the largest buffer a released frame keeps for the
 	// next encode; a larger one, made for a rare big frame, is left to the
@@ -57,19 +59,27 @@ var ErrBackpressure = errors.New("transport: send queue full")
 
 // TCP is a Network whose endpoints listen on real sockets and exchange
 // length-prefixed frames (the binary codec for the internal/wire messages —
-// see codec.go and binary.go — and an encode error for anything else). Sends
-// are asynchronous: each destination gets its own bounded queue and writer
-// goroutine, so a slow, partitioned, or dead peer never blocks callers or
-// traffic to other destinations. Connections are cached per destination,
-// written with a deadline, and re-dialed on failure with capped exponential
-// backoff; a writer idle for senderIdle closes its connection and exits. A
-// frame is encoded once, into a pooled buffer, and shared read-only by every
-// destination of a multicast; its reference count returns the buffer to the
-// pool when the last destination is done with it. Each inbound connection is
-// read by one goroutine through a small buffered reader and a bounded table
-// of the identifier strings it has seen; a frame that fits the reader's
-// buffer is decoded in place, so a small frame costs only what the receiver
-// keeps: its byte fields, copied out, and the decoded message.
+// see codec.go and binary.go — and an encode error for anything else). Two
+// endpoints share one connection, which carries both directions: the
+// endpoint that sends first dials, and the other adopts the accepted
+// connection as its way back to the sender of its first frame, so a reply
+// carries the TCP acknowledgement of its request instead of a packet of its
+// own. Sends never block on a peer: a frame to a link with nothing queued
+// or being written is written through on the caller's goroutine, by one
+// non-blocking write, and otherwise (or for whatever that write leaves)
+// goes to the destination's bounded queue and writer goroutine, so a slow,
+// partitioned, or dead peer never blocks callers or traffic to other
+// destinations. The writer dials, writes under a deadline, re-dials on
+// failure with capped exponential backoff, and closes the connection once
+// it has carried no frame in either direction for senderIdle, or as soon as
+// its reader finds it closed. A frame is encoded once, into a pooled buffer,
+// and shared read-only by every destination of a multicast; its reference
+// count returns the buffer to the pool when the last destination is done
+// with it. Each connection is read by one goroutine through a small
+// buffered reader and a bounded table of the identifier strings it has
+// seen; a frame that fits the reader's buffer is decoded in place, so a
+// small frame costs only what the receiver keeps: its byte fields, copied
+// out, and the decoded message.
 type TCP struct {
 	reg *metrics.Registry
 }
@@ -155,13 +165,14 @@ type tcpEndpoint struct {
 	closed  bool
 }
 
-// frame is one encoded frame on its way to the writers of every destination
-// it was sent to. Writers only pass b to net.Conn.Write, so they share it;
-// refs counts the destinations still holding it, and each releases it once,
-// whatever becomes of the frame: written, refused for backpressure, dropped
-// in backoff or after a failed retry, or refused by a closed endpoint. The
+// frame is one encoded frame on its way to every destination it was sent
+// to. Writers only pass b to a socket write, so they share it; refs counts
+// the destinations still holding it, and each releases it once, whatever
+// becomes of the frame: written, refused for backpressure, dropped in
+// backoff or after a failed retry, or refused by a closed endpoint. The
 // last release returns it to framePool; a frame never released (one still
-// queued when the endpoint closes) is left to the collector.
+// queued, or a write-through's remainder, when the endpoint closes) is left
+// to the collector.
 type frame struct {
 	b    []byte
 	refs atomic.Int32
@@ -186,62 +197,135 @@ func (f *frame) release() {
 	}
 }
 
-// tcpSender owns the outbound path to one destination: a bounded frame
-// queue drained by a dedicated goroutine that dials, writes, and re-dials.
-// The current connection is reachable under mu so Close can sever it and
-// unblock an in-flight write.
+// clockBase anchors the senders' activity stamps, which are monotonic
+// nanoseconds since it, so a stamp is one atomic word.
+var clockBase = time.Now()
+
+// tcpSender owns the outbound path to one destination: one connection,
+// dialed by the sender's writer goroutine or adopted from an accepted
+// connection whose first frame came from the destination, and read by a
+// goroutine of its own. A frame handed over while nothing is queued,
+// unfinished or being written goes out through the connection's
+// write-through on the caller's goroutine, under the claim; anything else
+// joins the bounded queue. The writer goroutine finishes what a
+// write-through leaves, before any queued frame, drains the queue, dials,
+// re-dials, and retires the sender.
 type tcpSender struct {
 	to     Addr
 	frames chan *frame
+	wake   chan struct{}  // one slot: a remainder waits, or the reader lost the connection
 	depth  *metrics.Gauge // live queue occupancy, labelled by destination
-	// The writer goroutine's own state: when it last read the clock for a
-	// frame, and the link's backoff.
-	used      time.Time
+	// active is when a frame last crossed the connection in either
+	// direction, in nanoseconds since clockBase: every write and the
+	// connection's reader stamp it, and the idle check reads it.
+	active atomic.Int64
+	// The writer goroutine's own state: the link's backoff.
 	backoff   time.Duration
-	downUntil time.Time // frames are dropped until then
+	downUntil time.Time // frames are dropped until then unless a connection comes up
 
-	mu   sync.Mutex
-	conn net.Conn
+	mu      sync.Mutex
+	unclaim sync.Cond  // on mu: a write-through dropped its claim
+	conn    net.Conn   // nil while there is none; Close severs it
+	raw     *rawWriter // conn's write-through; nil with conn, or where there is none
+	lost    bool       // the reader found conn closed, and none has replaced it
+	queued  int        // frames pushed into frames and not yet done by the writer
+	claimed bool       // a write-through is writing on conn
+	// rem is the frame a write-through left unfinished: remAt of its bytes
+	// went out on remOn. While it is set, and while frames are queued, every
+	// frame goes to the queue, so the link's frames keep their order.
+	rem   *frame
+	remAt int
+	remOn net.Conn
 }
 
-// now reads the clock for the frame at hand and marks the writer as in use.
+// stamp marks the link as in use now.
+func (s *tcpSender) stamp() { s.active.Store(int64(time.Since(clockBase))) }
+
+// idleFor is how long the link has carried no frame.
+func (s *tcpSender) idleFor() time.Duration {
+	return time.Since(clockBase) - time.Duration(s.active.Load())
+}
+
+// now reads the clock for the frame at hand and marks the link as in use.
 func (s *tcpSender) now() time.Time {
-	s.used = time.Now()
-	return s.used
+	t := time.Now()
+	s.active.Store(int64(t.Sub(clockBase)))
+	return t
 }
 
-func (s *tcpSender) haveConn() bool {
+func (s *tcpSender) current() net.Conn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.conn != nil
+	return s.conn
 }
 
-func (s *tcpSender) setConn(c net.Conn) {
+// setConnLocked makes c the sender's connection.
+func (s *tcpSender) setConnLocked(c net.Conn) {
+	s.conn, s.raw, s.lost = c, newRawWriter(c), false
+}
+
+// drop closes c and, if it is still the connection, forgets it.
+func (s *tcpSender) drop(c net.Conn) {
 	s.mu.Lock()
-	s.conn = c
+	if s.conn == c {
+		s.conn, s.raw = nil, nil
+	}
 	s.mu.Unlock()
+	_ = c.Close()
 }
 
 func (s *tcpSender) closeConn() {
 	s.mu.Lock()
 	if s.conn != nil {
 		_ = s.conn.Close()
-		s.conn = nil
+		s.conn, s.raw = nil, nil
 	}
 	s.mu.Unlock()
 }
 
-// write sends one frame on the current connection under a write deadline.
-func (s *tcpSender) write(b []byte) error {
+// lose is the reader's report that c is closed or broken. If c is still the
+// connection, the sender forgets it, so the next frame redials instead of
+// going into a dead socket, and wakes the writer, which retires the sender
+// if nothing waits to go out.
+func (s *tcpSender) lose(c net.Conn) {
 	s.mu.Lock()
-	c := s.conn
-	s.mu.Unlock()
-	if c == nil {
-		return errors.New("transport: connection closed")
+	lost := s.conn == c
+	if lost {
+		s.conn, s.raw, s.lost = nil, nil, true
 	}
+	s.mu.Unlock()
+	if lost {
+		s.signal()
+	}
+}
+
+// signal wakes the writer; a wake already pending covers this one.
+func (s *tcpSender) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// write sends b on c under a write deadline, which it then clears: a
+// write-through sets none, and the poller refuses any write on a
+// connection whose deadline has passed.
+func (s *tcpSender) write(c net.Conn, b []byte) error {
 	_ = c.SetWriteDeadline(s.now().Add(writeTimeout))
 	_, err := c.Write(b)
+	_ = c.SetWriteDeadline(time.Time{})
 	return err
+}
+
+// awaitUnclaimed waits out a write-through still running on the link, which
+// the frame the writer has just taken from the queue must follow. A
+// write-through is one non-blocking write, so the wait is short.
+func (s *tcpSender) awaitUnclaimed() {
+	s.mu.Lock()
+	for s.claimed {
+		s.unclaim.Wait()
+	}
+	s.mu.Unlock()
 }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
@@ -266,25 +350,43 @@ func (e *tcpEndpoint) acceptLoop() {
 		e.inbound[c] = true
 		e.mu.Unlock()
 		e.wg.Add(1)
-		go e.readLoop(c)
+		go e.readLoop(c, nil)
 	}
 }
 
-func (e *tcpEndpoint) readLoop(c net.Conn) {
+// readLoop reads one connection's frames into the receive channel until the
+// connection fails. s is the sender whose connection c is: the one that
+// dialed it, or, for an accepted connection, the sender adopt hands it to
+// at its first frame (none if adopt declines). While c belongs to a sender,
+// each frame stamps the sender's link as in use, and the loop's end tells
+// the sender that c is gone.
+func (e *tcpEndpoint) readLoop(c net.Conn, s *tcpSender) {
 	defer e.wg.Done()
+	accepted := s == nil
 	defer func() {
 		_ = c.Close()
-		e.mu.Lock()
-		delete(e.inbound, c)
-		e.mu.Unlock()
+		if accepted {
+			e.mu.Lock()
+			delete(e.inbound, c)
+			e.mu.Unlock()
+		}
+		if s != nil {
+			s.lose(c)
+		}
 	}()
 	// Both belong to this goroutine alone, so neither takes a lock.
 	r := bufio.NewReaderSize(c, readBufferSize)
 	in := newInterner()
-	for {
+	for first := accepted; ; first = false {
 		env, err := decodeFrame(r, in)
 		if err != nil {
 			return
+		}
+		if first {
+			s = e.adopt(c, env.From)
+		}
+		if s != nil {
+			s.stamp()
 		}
 		select {
 		case <-e.done:
@@ -300,11 +402,58 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 	}
 }
 
-// Send queues one frame for the destination and returns immediately. The
-// destination's writer goroutine dials (or re-dials) and writes it. A
-// frame that cannot be delivered — queue full, link in backoff, peer
-// unreachable — is lost like a datagram; only queue overflow is reported
-// (ErrBackpressure), because it is the one failure the caller caused.
+// adopt makes the accepted connection c the way back to from, the sender of
+// its first frame, when the endpoint has no connection to from and from's
+// host is plausible for c (plausiblePeer). It runs before that frame is
+// delivered, so a reply to it already finds the connection. It returns the
+// sender that now owns c, or nil.
+func (e *tcpEndpoint) adopt(c net.Conn, from Addr) *tcpSender {
+	if !plausiblePeer(c, from) {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil
+	}
+	s := e.senders[from]
+	if s == nil {
+		s = e.addSenderLocked(from)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.conn != nil {
+		return nil
+	}
+	s.setConnLocked(c)
+	return s
+}
+
+// plausiblePeer reports whether c may carry frames back to from: from's
+// host must be c's remote IP. A host that is not a literal IP, or is
+// unspecified, passes, because the read path resolves no names. This keeps
+// a peer on another host from capturing the frames meant for an address it
+// only claims; a process on the claimed host can still claim any port
+// there, as it can put any From in a frame.
+func plausiblePeer(c net.Conn, from Addr) bool {
+	host, _, err := net.SplitHostPort(string(from))
+	if err != nil {
+		return false
+	}
+	ip, err := netip.ParseAddr(host)
+	if err != nil || ip.IsUnspecified() {
+		return true
+	}
+	remote, ok := c.RemoteAddr().(*net.TCPAddr)
+	return ok && remote.AddrPort().Addr().Unmap() == ip.Unmap()
+}
+
+// Send hands one frame to the destination and returns without waiting on
+// the peer: the frame is written through if the link is idle, and queued
+// for the destination's writer goroutine otherwise. A frame that cannot be
+// delivered — queue full, link in backoff, peer unreachable — is lost like
+// a datagram; only queue overflow is reported (ErrBackpressure), because it
+// is the one failure the caller caused.
 func (e *tcpEndpoint) Send(to Addr, payload any) error {
 	f, err := e.encode(payload, 1)
 	if err != nil {
@@ -314,8 +463,8 @@ func (e *tcpEndpoint) Send(to Addr, payload any) error {
 }
 
 // SendMulticast implements MultiSender: the payload is serialized exactly
-// once and the same frame is enqueued to every destination, each holding
-// one of its references.
+// once and the same frame is handed to every destination, each holding one
+// of its references.
 func (e *tcpEndpoint) SendMulticast(to []Addr, payload any) error {
 	f, err := e.encode(payload, len(to))
 	if err != nil {
@@ -358,10 +507,11 @@ func (e *tcpEndpoint) encode(payload any, dests int) (*frame, error) {
 }
 
 // enqueue hands one destination's hold on an encoded frame to that
-// destination's writer, creating the writer on first use; a frame it
-// refuses is released here. The push happens under e.mu, where an idle
-// writer retires, so a frame never lands in the queue of a writer that has
-// gone.
+// destination, creating its sender on first use: it writes the frame
+// through when the link is up and idle, pushes it into the queue otherwise,
+// and releases a frame the full queue refuses. The sender is found, and the
+// claim taken or the frame pushed, under the lock a retiring sender leaves
+// under, so a frame never goes to a sender that has gone.
 func (e *tcpEndpoint) enqueue(to Addr, f *frame) error {
 	e.mu.Lock()
 	if e.closed {
@@ -369,58 +519,110 @@ func (e *tcpEndpoint) enqueue(to Addr, f *frame) error {
 		f.release()
 		return ErrClosed
 	}
-	s, ok := e.senders[to]
-	if !ok {
-		s = &tcpSender{
-			to:      to,
-			frames:  make(chan *frame, sendQueueLen),
-			depth:   e.reg.AcquireGauge(depthSeries(to)),
-			used:    time.Now(),
-			backoff: redialBackoffMin,
-		}
-		e.senders[to] = s
-		e.wg.Add(1)
-		go e.runSender(s)
+	s := e.senders[to]
+	if s == nil {
+		s = e.addSenderLocked(to)
+	}
+	s.mu.Lock()
+	e.mu.Unlock()
+	if s.raw != nil && s.queued == 0 && s.rem == nil && !s.claimed {
+		s.claimed = true
+		w, c := s.raw, s.conn
+		s.mu.Unlock()
+		e.writeThrough(s, w, c, f)
+		return nil
 	}
 	select {
 	case s.frames <- f:
+		s.queued++
 		s.depth.Set(int64(len(s.frames)))
-		e.mu.Unlock()
+		s.mu.Unlock()
 		return nil
 	default:
-		e.mu.Unlock()
+		s.mu.Unlock()
 		f.release()
 		e.met.backpressureDrops.Inc()
 		return fmt.Errorf("transport: to %s: %w", to, ErrBackpressure)
 	}
 }
 
+// writeThrough writes f to c on the caller's goroutine, under the claim
+// enqueue took, with one write that does not wait for the socket. What the
+// socket does not take then becomes the remainder, which the writer
+// goroutine writes before any frame queued behind it.
+func (e *tcpEndpoint) writeThrough(s *tcpSender, w *rawWriter, c net.Conn, f *frame) {
+	n := w.write(f.b)
+	s.stamp()
+	s.mu.Lock()
+	s.claimed = false
+	if n < len(f.b) {
+		s.rem, s.remAt, s.remOn = f, n, c
+	}
+	s.mu.Unlock()
+	s.unclaim.Signal()
+	if n < len(f.b) {
+		s.signal()
+		return
+	}
+	e.met.framesSent.Inc()
+	f.release()
+}
+
+// addSenderLocked creates the sender to one destination and starts its
+// writer; e.mu is held.
+func (e *tcpEndpoint) addSenderLocked(to Addr) *tcpSender {
+	s := &tcpSender{
+		to:      to,
+		frames:  make(chan *frame, sendQueueLen),
+		wake:    make(chan struct{}, 1),
+		depth:   e.reg.AcquireGauge(depthSeries(to)),
+		backoff: redialBackoffMin,
+	}
+	s.unclaim.L = &s.mu
+	s.stamp()
+	e.senders[to] = s
+	e.wg.Add(1)
+	go e.runSender(s)
+	return s
+}
+
 // depthSeries names the queue-depth gauge of the writer to one destination.
 // Every endpoint sending there shares the series: each writer holds it from
-// creation until it exits (idle retirement or Close), and the last to exit
-// deletes it.
+// creation until it exits (idle retirement, a lost connection or Close), and
+// the last to exit deletes it.
 func depthSeries(to Addr) string {
 	return metrics.Label(metrics.TransportQueueDepth, "dest", string(to))
 }
 
-// retire removes s from the endpoint if its queue is still empty, under the
-// lock enqueue pushes under; it reports whether the writer may exit.
-func (e *tcpEndpoint) retire(s *tcpSender) bool {
+// retire removes s from the endpoint, under the lock that enqueue and adopt
+// find senders under, and reports whether the writer may exit. It does so
+// only when nothing is queued, unfinished or being written, and either the
+// link has carried no frame in either direction for e.idleAfter or, when
+// lost is set, the reader lost the connection and none has replaced it.
+func (e *tcpEndpoint) retire(s *tcpSender, lost bool) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(s.frames) > 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.queued > 0 || s.rem != nil || s.claimed:
+		return false
+	case lost && (!s.lost || s.conn != nil):
+		return false
+	case !lost && s.idleFor() < e.idleAfter:
 		return false
 	}
 	delete(e.senders, s.to)
 	return true
 }
 
-// runSender drains one destination's queue, releasing each frame once it
-// is written or dropped, and exits on Close (frames still queued are left
-// to the collector) or once the queue has been idle for e.idleAfter. The
-// idle check costs one timer per idle period: the timer fires, compares the
-// clock with the last time a frame read it, and re-arms for the rest of the
-// period.
+// runSender is one destination's writer: it finishes a write-through's
+// remainder, drains the queue, releasing each frame once it is written or
+// dropped, and exits on Close (frames still queued are left to the
+// collector), once the link has been idle for e.idleAfter, or once the
+// reader has lost the connection with nothing left to send. The idle check
+// costs one timer per idle period: the timer fires, compares the clock with
+// the link's last frame, and re-arms for the rest of the period.
 func (e *tcpEndpoint) runSender(s *tcpSender) {
 	defer e.wg.Done()
 	defer s.closeConn()
@@ -432,54 +634,90 @@ func (e *tcpEndpoint) runSender(s *tcpSender) {
 		case <-e.done:
 			return
 		case <-idle.C:
-			if wait := e.idleAfter - time.Since(s.used); wait > 0 {
+			if wait := e.idleAfter - s.idleFor(); wait > 0 {
 				idle.Reset(wait)
-			} else if e.retire(s) {
+			} else if e.retire(s, false) {
 				return
 			} else {
 				idle.Reset(e.idleAfter)
 			}
+		case <-s.wake:
+			e.finishRemainder(s)
+			if e.retire(s, true) {
+				return
+			}
 		case f := <-s.frames:
 			s.depth.Set(int64(len(s.frames)))
-			if e.deliver(s, f) {
-				e.met.framesSent.Inc()
-			}
-			f.release()
+			s.awaitUnclaimed()
+			e.finishRemainder(s)
+			e.send(s, f, 0, nil)
+			s.mu.Lock()
+			s.queued--
+			s.mu.Unlock()
 		}
 	}
 }
 
+// finishRemainder writes what a write-through left of its frame, if
+// anything. The remainder stays set until then, so no write-through passes
+// it.
+func (e *tcpEndpoint) finishRemainder(s *tcpSender) {
+	s.mu.Lock()
+	f, at, on := s.rem, s.remAt, s.remOn
+	s.mu.Unlock()
+	if f == nil {
+		return
+	}
+	e.send(s, f, at, on)
+	s.mu.Lock()
+	s.rem, s.remOn = nil, nil
+	s.mu.Unlock()
+}
+
+// send delivers f, counts it if it went out, and ends this destination's
+// hold on it.
+func (e *tcpEndpoint) send(s *tcpSender, f *frame, at int, on net.Conn) {
+	if e.deliver(s, f, at, on) {
+		e.met.framesSent.Inc()
+	}
+	f.release()
+}
+
 // deliver writes one frame to s's destination and reports whether it went
-// out. Dial failures start a capped exponential backoff during which frames
-// are dropped on arrival; a write failure gets one immediate
-// redial-and-retry (the cached connection was likely killed by a peer
+// out; the first at bytes already went out on the connection on, so only
+// the rest goes there, and the whole frame goes on any other connection.
+// Without a connection, a failed dial starts a capped exponential backoff
+// during which frames are dropped on arrival; a write failure gets one
+// immediate redial-and-retry (the connection was likely killed by a peer
 // restart) before the link is declared down. A failed dial never leaves
 // poisoned state behind: the next frame after the backoff window re-dials
 // from scratch.
-func (e *tcpEndpoint) deliver(s *tcpSender, f *frame) bool {
-	if !s.downUntil.IsZero() {
-		if s.now().Before(s.downUntil) {
+func (e *tcpEndpoint) deliver(s *tcpSender, f *frame, at int, on net.Conn) bool {
+	c := s.current()
+	if c == nil {
+		if !s.downUntil.IsZero() && s.now().Before(s.downUntil) {
 			return false // link down: frame dropped
 		}
-		s.downUntil = time.Time{}
-	}
-	if !s.haveConn() {
-		if !e.dial(s) {
+		if c = e.dial(s); c == nil {
 			s.down()
 			return false
 		}
-		s.backoff = redialBackoffMin
+		s.downUntil, s.backoff = time.Time{}, redialBackoffMin
 	}
-	if s.write(f.b) == nil {
+	b := f.b
+	if c == on {
+		b = f.b[at:]
+	}
+	if s.write(c, b) == nil {
 		return true
 	}
-	s.closeConn()
-	if !e.dial(s) {
+	s.drop(c)
+	if c = e.dial(s); c == nil {
 		s.down()
 		return false
 	}
-	if s.write(f.b) != nil {
-		s.closeConn()
+	if s.write(c, f.b) != nil {
+		s.drop(c)
 		s.down()
 		return false
 	}
@@ -501,30 +739,41 @@ func nextBackoff(b time.Duration) time.Duration {
 	return b
 }
 
-// dial connects the sender to its destination. It returns false on failure
-// or shutdown; nothing is cached on failure, so the next attempt starts
-// clean.
-func (e *tcpEndpoint) dial(s *tcpSender) bool {
+// dial connects the sender to its destination and starts the connection's
+// reader. It returns the connection, or nil on failure or shutdown; nothing
+// is cached on failure, so the next attempt starts clean. If the endpoint
+// adopted a connection from the destination meanwhile, that one is kept and
+// the new one closed.
+func (e *tcpEndpoint) dial(s *tcpSender) net.Conn {
 	d := net.Dialer{Timeout: dialTimeout}
 	e.met.dials.Inc()
 	c, err := d.DialContext(e.dialCtx, "tcp", string(s.to))
 	if err != nil {
 		e.met.dialFailures.Inc()
-		return false
+		return nil
 	}
+	s.mu.Lock()
+	cur := s.conn
 	select {
 	case <-e.done:
-		_ = c.Close()
-		return false
+		cur = nil
 	default:
+		if cur == nil {
+			s.setConnLocked(c)
+			s.mu.Unlock()
+			e.wg.Add(1)
+			go e.readLoop(c, s)
+			return c
+		}
 	}
-	s.setConn(c)
-	return true
+	s.mu.Unlock()
+	_ = c.Close()
+	return cur
 }
 
 // Close shuts the endpoint down: no new sends are accepted, writer
 // goroutines stop (in-flight dials are canceled, in-flight writes severed),
-// inbound connections close, and — after every goroutine has drained — the
+// every connection closes, and — after every goroutine has drained — the
 // receive channel is closed. Frames already pushed into the receive buffer
 // remain readable until the consumer drains them.
 func (e *tcpEndpoint) Close() error {

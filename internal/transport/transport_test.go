@@ -1030,3 +1030,291 @@ func TestTCPQueueDepthSeriesFollowsWriters(t *testing.T) {
 		t.Error("the live peer's series outlived both writers")
 	}
 }
+
+// connTo returns the connection ep's sender to addr holds, nil if it has
+// no sender there or the sender has no connection.
+func connTo(ep Endpoint, to Addr) net.Conn {
+	e := ep.(*tcpEndpoint)
+	e.mu.Lock()
+	s := e.senders[to]
+	e.mu.Unlock()
+	if s == nil {
+		return nil
+	}
+	return s.current()
+}
+
+// TestTCPReplyRidesRequestConnection fences the shared connection: B
+// answers A's requests on the connection A dialed, so B dials nothing, A
+// accepts nothing, and each reply carries its request's acknowledgement.
+func TestTCPReplyRidesRequestConnection(t *testing.T) {
+	regA, regB := metrics.NewRegistry(), metrics.NewRegistry()
+	a, err := NewTCPWithMetrics(regA).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	b, err := NewTCPWithMetrics(regB).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+
+	for i := range 10 {
+		if err := a.Send(b.Addr(), wire.Request{Client: "c", Seq: wire.SeqNo(i)}); err != nil {
+			t.Fatal(err)
+		}
+		m := recvOne(t, b)
+		if err := b.Send(m.From, wire.Response{Client: "c", Seq: wire.SeqNo(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := recvOne(t, a).Payload.(wire.Response); !ok || r.Seq != wire.SeqNo(i) {
+			t.Fatalf("reply %d arrived as %+v", i, r)
+		}
+	}
+	if n := regB.Counter(metrics.TransportDials).Value(); n != 0 {
+		t.Errorf("B dialed %d times to reply, want 0", n)
+	}
+	if n := regA.Counter(metrics.TransportDials).Value(); n != 1 {
+		t.Errorf("A dialed %d times, want 1", n)
+	}
+	ea := a.(*tcpEndpoint)
+	ea.mu.Lock()
+	accepted := len(ea.inbound)
+	ea.mu.Unlock()
+	if accepted != 0 {
+		t.Errorf("A accepted %d connections, want 0", accepted)
+	}
+	if ca, cb := connTo(a, b.Addr()), connTo(b, a.Addr()); ca == nil || cb == nil || ca.LocalAddr().String() != cb.RemoteAddr().String() {
+		t.Errorf("A's and B's links are not one connection: %v and %v", ca, cb)
+	}
+}
+
+// TestTCPIdleRetireKeepsReversePath fences the two-way idle rule: A sends
+// once and then only receives, so its own writes go quiet, but B's frames
+// on the shared connection keep the link in use. A must not close it: every
+// one of B's frames arrives, and B never has to dial.
+func TestTCPIdleRetireKeepsReversePath(t *testing.T) {
+	regB := metrics.NewRegistry()
+	a, err := NewTCPWithMetrics(metrics.NewRegistry()).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	b, err := NewTCPWithMetrics(regB).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+	a.(*tcpEndpoint).idleAfter = 50 * time.Millisecond
+	b.(*tcpEndpoint).idleAfter = 50 * time.Millisecond
+
+	if err := a.Send(b.Addr(), wire.Request{Client: "c", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, b)
+	got := make(chan wire.SeqNo, 64)
+	go func() {
+		for m := range a.Recv() {
+			if r, ok := m.Payload.(wire.Response); ok {
+				got <- r.Seq
+			}
+		}
+	}()
+	sent := 0
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); <-tick.C {
+		if err := b.Send(a.Addr(), wire.Response{Client: "c", Seq: wire.SeqNo(sent)}); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+	}
+	for i := range sent {
+		select {
+		case seq := <-got:
+			if seq != wire.SeqNo(i) {
+				t.Fatalf("frame %d of B's %d arrived as %d", i, sent, seq)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("A received %d of B's %d frames", i, sent)
+		}
+	}
+	if n := regB.Counter(metrics.TransportDials).Value(); n != 0 {
+		t.Errorf("B dialed %d times: A closed the link B was sending on", n)
+	}
+}
+
+// TestTCPFirstFrameAfterPeerRestartDelivered fences the reader's report of
+// a closed connection: once the sender has dropped its connection to a peer
+// that went away, the first frame to the peer restarted on the same port
+// redials and is delivered, instead of going into the dead socket.
+func TestTCPFirstFrameAfterPeerRestartDelivered(t *testing.T) {
+	netw := NewTCPWithMetrics(metrics.NewRegistry())
+	a, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	b1, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b1.Addr()
+	if err := a.Send(addr, wire.Request{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, b1)
+	_ = b1.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for connTo(a, addr) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender kept its connection to the closed peer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	b2, err := netw.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b2.Close() }()
+	if err := a.Send(addr, wire.Request{Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := recvOne(t, b2).Payload.(wire.Request); !ok || r.Seq != 2 {
+		t.Errorf("the restarted peer got %+v", r)
+	}
+}
+
+// TestTCPAdoptRequiresMatchingRemoteIP fences adoption: a connection whose
+// first frame claims a From on another host than the connection comes from
+// is read and delivered, but never becomes the way to that address; one
+// that claims an address on its own host does.
+func TestTCPAdoptRequiresMatchingRemoteIP(t *testing.T) {
+	ep, err := NewTCPWithMetrics(metrics.NewRegistry()).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ep.Close() }()
+	claim := func(from Addr) net.Conn {
+		t.Helper()
+		raw, err := net.Dial("tcp", string(ep.Addr()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = raw.Close() })
+		b, err := encodeFrame(from, wire.Request{Client: "c", Seq: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if m := recvOne(t, ep); m.From != from {
+			t.Fatalf("frame claiming %s delivered from %s", from, m.From)
+		}
+		return raw
+	}
+
+	const offHost = Addr("10.0.0.9:7000")
+	claim(offHost)
+	e := ep.(*tcpEndpoint)
+	e.mu.Lock()
+	s := e.senders[offHost]
+	e.mu.Unlock()
+	if s != nil {
+		t.Fatalf("a connection from 127.0.0.1 became the way to %s", offHost)
+	}
+
+	// The control: a closed port on the connection's own host is adopted,
+	// so a send there arrives on the raw connection instead of failing to
+	// dial.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onHost := Addr(l.Addr().String())
+	_ = l.Close()
+	raw := claim(onHost)
+	if err := ep.Send(onHost, wire.Request{Client: "c", Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	env, err := decodeFrame(bufio.NewReader(raw), nil)
+	if err != nil {
+		t.Fatalf("the adopted connection carried no frame back: %v", err)
+	}
+	if r, ok := env.Payload.(wire.Request); !ok || r.Seq != 2 {
+		t.Errorf("the adopted connection carried %+v", env.Payload)
+	}
+}
+
+// TestTCPRemainderGoesFirst fences the order on a link: the part of a frame
+// a write-through left unwritten goes out before the frame queued behind
+// it, even when the writer goroutine takes the queued frame first. The test
+// stages each short write by hand: it writes a frame's first bytes itself
+// and, under the sender's lock, leaves the rest as the remainder and queues
+// the next frame.
+func TestTCPRemainderGoesFirst(t *testing.T) {
+	src, err := NewTCPWithMetrics(metrics.NewRegistry()).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = peer.Close() }()
+	to := Addr(peer.Addr().String())
+	if err := src.Send(to, wire.Request{Client: "c", Seq: 0}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := peer.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := bufio.NewReader(c)
+	next := wire.SeqNo(0)
+	expect := func() {
+		t.Helper()
+		env, err := decodeFrame(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, ok := env.Payload.(wire.Request); !ok || q.Seq != next {
+			t.Fatalf("frame %d arrived as %+v", next, env.Payload)
+		}
+		next++
+	}
+	expect()
+
+	e := src.(*tcpEndpoint)
+	e.mu.Lock()
+	s := e.senders[to]
+	e.mu.Unlock()
+	for i := 1; i < 40; i += 2 {
+		head, err := e.encode(wire.Request{Client: "c", Seq: wire.SeqNo(i)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued, err := e.encode(wire.Request{Client: "c", Seq: wire.SeqNo(i + 1)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		if _, err := s.conn.Write(head.b[:10]); err != nil {
+			t.Fatal(err)
+		}
+		s.rem, s.remAt, s.remOn = head, 10, s.conn
+		s.frames <- queued
+		s.queued++
+		s.mu.Unlock()
+		s.signal()
+		expect()
+		expect()
+	}
+}
