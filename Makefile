@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views frames metrics-smoke fuzz clean
+.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views frames oracle metrics-smoke fuzz clean
 
 all: build vet test
 
@@ -125,6 +125,16 @@ views:
 # remainder goes out before the frame queued behind it.
 frames:
 	$(GO) test -race -count=10 -run 'TestTCPConcurrentSendersFramesIntact|TestTCPSharedFrameOutlivesFastWriter|TestMulticastEncodesOnce|TestTCPSendQueueBounded|TestTCPIdleSendersExit|TestTCPQueueDepthSeriesFollowsWriters|TestTCPReplyRidesRequestConnection|TestTCPIdleRetireKeepsReversePath|TestTCPFirstFrameAfterPeerRestartDelivered|TestTCPAdoptRequiresMatchingRemoteIP|TestTCPRemainderGoesFirst' ./internal/transport
+
+# The minimum-size oracles, 20 times each with a fresh seed per run: every
+# subset of a table up to nine replicas is walked to check that Algorithm 1's
+# K is a smallest set that meets Pc(t) after f ∈ {1, 2, 3} crashes, that line
+# 15 fires only when no set does, and that the decision's guarantee label
+# says which; once on the selection strategy, once on the scheduler's fresh
+# and cached decisions. A failure prints the -oracle.seed that reproduces it.
+oracle:
+	$(GO) test -count=20 -run 'TestDynamicMinimumSizeOracle|TestDynamicExactBoundary' ./internal/selection
+	$(GO) test -count=20 -run 'TestScheduleMinimumSizeOracle' ./internal/core
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

@@ -994,6 +994,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := snap.Counter("aqua_sched_replies_total"); got != st.Replies {
 		t.Errorf("replies counter = %d, Stats() = %d", got, st.Replies)
 	}
+	// Every decision carries exactly one guarantee label.
+	var labelled uint64
+	for name, n := range snap.Counters {
+		if strings.HasPrefix(name, "aqua_sched_decisions_total{") {
+			labelled += n
+		}
+	}
+	if labelled != snap.Counter("aqua_sched_selections_total") {
+		t.Errorf("decisions over every guarantee label = %d, selections counter = %d", labelled, snap.Counter("aqua_sched_selections_total"))
+	}
 	targets, ok := snap.Histogram("aqua_sched_targets")
 	if !ok {
 		t.Fatal("no |K| histogram in snapshot")
@@ -1045,6 +1055,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		fmt.Sprintf("aqua_sched_selections_total %d", st.Requests),
 		fmt.Sprintf("aqua_sched_targets_count %d", st.Requests),
 		"aqua_sched_timing_failures_total",
+		`aqua_sched_decisions_total{guarantee="eq3"}`,
 		`aqua_replica_response_seconds_bucket{replica="svc-r1",le=`,
 	} {
 		if !strings.Contains(prom, want) {

@@ -244,8 +244,8 @@ func TestReferencePathMatchesCachedPath(t *testing.T) {
 		if got.Predicted != want.Predicted {
 			t.Fatalf("round %d: predicted diverged: fast=%v ref=%v", round, got.Predicted, want.Predicted)
 		}
-		if got.UsedAll != want.UsedAll || got.ColdStart != want.ColdStart {
-			t.Fatalf("round %d: flags diverged: fast=%+v ref=%+v", round, got, want)
+		if got.Guarantee != want.Guarantee || got.ColdStart != (len(cold) > 0) {
+			t.Fatalf("round %d: labels diverged: fast=%+v ref=%+v with %d cold", round, got, want, len(cold))
 		}
 		fast.Forget(got.Seq)
 		got.Release()

@@ -213,8 +213,8 @@ func TestDegradedModeCapsSelectAll(t *testing.T) {
 	if len(d.Targets) != DefaultBestEffortK {
 		t.Errorf("degraded fallback selected %d replicas, want best-effort %d", len(d.Targets), DefaultBestEffortK)
 	}
-	if !d.BudgetCapped || d.Mode != ModeBudgeted {
-		t.Errorf("Decision = {BudgetCapped:%v Mode:%v}, want capped in budgeted mode", d.BudgetCapped, d.Mode)
+	if d.Guarantee != selection.GuaranteeCapped || d.Mode != ModeBudgeted {
+		t.Errorf("Decision = {Guarantee:%v Mode:%v}, want capped in budgeted mode", d.Guarantee, d.Mode)
 	}
 	if st := s.Stats(); st.Backpressure != 1 || st.BudgetCapped == 0 {
 		t.Errorf("stats = %+v, want Backpressure=1 and BudgetCapped>0", st)
@@ -282,7 +282,49 @@ func TestDegradedModeBestEffortKeepsBestReplicas(t *testing.T) {
 	if fmt.Sprint(d.Targets) != "[c d]" || d.Predicted != 1 {
 		t.Errorf("degraded targets %v at P_K %v, want the two timely replicas [c d] at 1", d.Targets, d.Predicted)
 	}
-	if !d.BudgetCapped || d.Mode != ModeBudgeted {
-		t.Errorf("Decision = {BudgetCapped:%v Mode:%v}, want capped in budgeted mode", d.BudgetCapped, d.Mode)
+	if d.Guarantee != selection.GuaranteeCapped || d.Mode != ModeBudgeted {
+		t.Errorf("Decision = {Guarantee:%v Mode:%v}, want capped in budgeted mode", d.Guarantee, d.Mode)
+	}
+}
+
+// TestDegradedModeLeavesColdProbeSwap: the best-effort rung replaces only a
+// fallback. Here Algorithm 1 meets Pc(t) with K = {a, b, c}, and Budgeted,
+// held to three replicas, trades c for the cold replica d. That decision is
+// labelled probe, not capped, and keeps its three targets while degraded.
+func TestDegradedModeLeavesColdProbeSwap(t *testing.T) {
+	repo := repository.New()
+	base := time.Now()
+	// F_Ri(10 ms) is the share of each window under the deadline: 0.8, 0.6
+	// and 0.6.
+	for id, timely := range map[wire.ReplicaID]int{"a": 4, "b": 3, "c": 3} {
+		repo.AddReplica(id)
+		for j := 0; j < repository.DefaultWindowSize; j++ {
+			svc := 30 * ms
+			if j < timely {
+				svc = 2 * ms
+			}
+			repo.RecordPerf(id, "", wire.PerfReport{ServiceTime: svc}, base)
+		}
+	}
+	repo.AddReplica("d")
+	s, err := NewScheduler(Config{
+		Service:    "svc",
+		QoS:        wire.QoS{Deadline: 10 * ms, MinProbability: 0.8},
+		Strategy:   &selection.Budgeted{MaxK: 3},
+		Repository: repo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NoteBackpressure()
+	d, err := s.Schedule(base, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(d.Targets) != "[a b d]" || d.Guarantee != selection.GuaranteeProbe || d.Mode != ModeBudgeted {
+		t.Errorf("degraded decision %v (%v, %v), want [a b d] labelled probe in budgeted mode", d.Targets, d.Guarantee, d.Mode)
+	}
+	if st := s.Stats(); st.BudgetCapped != 1 || st.UsedAllCount != 0 {
+		t.Errorf("stats = %+v, want BudgetCapped=1 and UsedAllCount=0", st)
 	}
 }

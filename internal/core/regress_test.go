@@ -192,8 +192,8 @@ func TestOverheadClampKeepsSelectionDiscriminating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.UsedAll {
-		t.Errorf("δ ≥ deadline degenerated selection to all replicas: %v", d.Targets)
+	if d.Guarantee != selection.GuaranteeEq3 {
+		t.Errorf("δ ≥ deadline degenerated selection to all replicas: %v (%v)", d.Targets, d.Guarantee)
 	}
 	if len(d.Targets) != 2 {
 		t.Errorf("Targets = %v, want the 2-replica crash-reserve subset", d.Targets)

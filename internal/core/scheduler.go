@@ -115,15 +115,17 @@ type Decision struct {
 	Targets   []wire.ReplicaID
 	Predicted float64       // P_K(t) per Equation 1
 	Overhead  time.Duration // δ measured for this invocation
-	UsedAll   bool
+	// Guarantee is what Targets promises about Equation 3, after the
+	// degraded-mode best-effort cap.
+	Guarantee selection.Guarantee
+	// ColdStart reports that some candidate had no usable history, so the
+	// strategy was handed a non-empty cold list.
 	ColdStart bool
 	// Mode is the degradation-ladder position the decision was made under.
 	Mode Mode
 	// Budget is the load-conditioned redundancy cap that applied (zero when
-	// unbounded), and BudgetCapped reports that it — or the degraded-mode
-	// best-effort cap — truncated the set the algorithm wanted.
-	Budget       int
-	BudgetCapped bool
+	// unbounded).
+	Budget int
 
 	owner *Scheduler // set when Targets is a pooled buffer
 }
@@ -193,11 +195,11 @@ type Stats struct {
 	TimingFailures   uint64
 	DeadlineExpiries uint64 // failures charged before any reply arrived
 	SelectedTotal    uint64 // sum of |K| across requests, for mean redundancy
-	UsedAllCount     uint64
+	UsedAllCount     uint64 // decisions labelled GuaranteeLine15: K is all of M
 	ConsecutiveFails uint64
 	Shed             uint64 // requests refused by admission control
 	Degradations     uint64 // degradation-ladder transitions (any direction)
-	BudgetCapped     uint64 // selections truncated by a budget or best-effort cap
+	BudgetCapped     uint64 // decisions labelled GuaranteeCapped or GuaranteeProbe
 	Backpressure     uint64 // transport backpressure signals absorbed
 	Suspected        uint64 // lifecycle Active → Suspected transitions
 	Quarantined      uint64 // lifecycle → Quarantined transitions
@@ -338,7 +340,7 @@ type schedInstruments struct {
 	shed             *metrics.Counter
 	degradations     *metrics.Counter
 	mode             *metrics.Gauge
-	budgetCapped     *metrics.Counter
+	decisions        [selection.NumGuarantees]*metrics.Counter // by Decision.Guarantee
 	backpressure     *metrics.Counter
 	budget           *metrics.Histogram
 	suspected        *metrics.Counter
@@ -348,7 +350,12 @@ type schedInstruments struct {
 }
 
 func resolveSchedInstruments(r *metrics.Registry) schedInstruments {
+	var decisions [selection.NumGuarantees]*metrics.Counter
+	for g := range decisions {
+		decisions[g] = r.Counter(metrics.Label(metrics.SchedDecisions, "guarantee", selection.Guarantee(g).String()))
+	}
 	return schedInstruments{
+		decisions:        decisions,
 		selections:       r.Counter(metrics.SchedSelections),
 		errors:           r.Counter(metrics.SchedErrors),
 		replies:          r.Counter(metrics.SchedReplies),
@@ -363,7 +370,6 @@ func resolveSchedInstruments(r *metrics.Registry) schedInstruments {
 		shed:             r.Counter(metrics.SchedShed),
 		degradations:     r.Counter(metrics.SchedDegradations),
 		mode:             r.Gauge(metrics.SchedMode),
-		budgetCapped:     r.Counter(metrics.SchedBudgetCapped),
 		backpressure:     r.Counter(metrics.SchedBackpressure),
 		budget:           r.Histogram(metrics.SchedBudget, metrics.TargetBuckets),
 		suspected:        r.Counter(metrics.SchedSuspected),
@@ -686,8 +692,7 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	// the m0 reserve's shape (Eq. 3) with the best remaining replica — topped
 	// up from the cold list when fewer replicas are warm, whatever order the
 	// strategy listed its targets in.
-	capped := res.Capped
-	if Mode(s.modeA.Load()) != ModeNormal && res.UsedAll && len(res.Selected) > DefaultBestEffortK {
+	if Mode(s.modeA.Load()) != ModeNormal && res.Guarantee.Fallback() && len(res.Selected) > DefaultBestEffortK {
 		warm := table[:min(DefaultBestEffortK, len(table))]
 		res.Selected = res.Selected[:0]
 		for i := range warm {
@@ -697,12 +702,15 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 			res.Selected = append(res.Selected, cold[i].ID)
 		}
 		res.Predicted = model.SubsetProbability(warm)
-		capped = true
+		res.Guarantee = selection.GuaranteeCapped
 	}
-	if capped {
+	switch res.Guarantee {
+	case selection.GuaranteeLine15:
+		s.stats.usedAllCount.Add(1)
+	case selection.GuaranteeCapped, selection.GuaranteeProbe:
 		s.stats.budgetCapped.Add(1)
-		s.met.budgetCapped.Inc()
 	}
+	s.met.decisions[res.Guarantee].Inc()
 	if res.Budget > 0 {
 		s.met.budget.Observe(float64(res.Budget))
 	}
@@ -726,9 +734,6 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	if s.cfg.Controller != nil {
 		s.cfg.Controller.NoteSelected(len(res.Selected))
 	}
-	if res.UsedAll {
-		s.stats.usedAllCount.Add(1)
-	}
 	s.met.selections.Inc()
 	s.met.pending.Add(1)
 	s.met.targets.Observe(float64(len(res.Selected)))
@@ -737,16 +742,15 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 	s.evalMode()
 	s.putScratch(sc)
 	return Decision{
-		Seq:          seq,
-		Targets:      res.Selected,
-		Predicted:    res.Predicted,
-		Overhead:     ovh,
-		UsedAll:      res.UsedAll,
-		ColdStart:    res.ColdStart,
-		Mode:         Mode(s.modeA.Load()),
-		Budget:       res.Budget,
-		BudgetCapped: capped,
-		owner:        s,
+		Seq:       seq,
+		Targets:   res.Selected,
+		Predicted: res.Predicted,
+		Overhead:  ovh,
+		Guarantee: res.Guarantee,
+		ColdStart: len(cold) > 0,
+		Mode:      Mode(s.modeA.Load()),
+		Budget:    res.Budget,
+		owner:     s,
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aqua/internal/repository"
+	"aqua/internal/selection"
 	"aqua/internal/wire"
 )
 
@@ -370,8 +371,8 @@ func TestOverheadCompensationTightensDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.UsedAll {
-		t.Errorf("with compensation, want fallback to all; got %v", d.Targets)
+	if d.Guarantee != selection.GuaranteeLine15 {
+		t.Errorf("with compensation, want fallback to all; got %v (%v)", d.Targets, d.Guarantee)
 	}
 
 	// Without compensation the same setup is satisfiable with 2 replicas.
@@ -380,8 +381,8 @@ func TestOverheadCompensationTightensDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.UsedAll || len(d2.Targets) != 2 {
-		t.Errorf("without compensation, want 2 targets; got %v (usedAll=%v)", d2.Targets, d2.UsedAll)
+	if d2.Guarantee != selection.GuaranteeEq3 || len(d2.Targets) != 2 {
+		t.Errorf("without compensation, want 2 targets; got %v (%v)", d2.Targets, d2.Guarantee)
 	}
 }
 

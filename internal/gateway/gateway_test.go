@@ -683,8 +683,8 @@ func TestPerMethodHistoriesDriveSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Scheduler().Forget(dSlow.Seq)
-	if !dSlow.UsedAll {
-		t.Errorf("slow method selection = %v (usedAll=%v), want fallback to all", dSlow.Targets, dSlow.UsedAll)
+	if dSlow.Guarantee != selection.GuaranteeLine15 {
+		t.Errorf("slow method selection = %v (%v), want fallback to all", dSlow.Targets, dSlow.Guarantee)
 	}
 	if len(dFast.Targets) >= len(dSlow.Targets) {
 		t.Errorf("fast selected %d >= slow %d; per-method histories not driving selection",

@@ -22,12 +22,12 @@ const (
 
 	// Overload control (internal/core): admission shedding, the degraded-mode
 	// ladder, and the load-conditioned redundancy budget.
-	SchedShed         = "aqua_sched_shed_total"          // requests refused by admission control (ErrOverloaded)
-	SchedDegradations = "aqua_sched_degradations_total"  // degraded-mode transitions (any direction)
-	SchedMode         = "aqua_sched_mode"                // current mode gauge: 0 normal, 1 budgeted, 2 shedding
-	SchedBudgetCapped = "aqua_sched_budget_capped_total" // selections truncated by the budget or best-effort cap
-	SchedBackpressure = "aqua_sched_backpressure_total"  // transport backpressure signals absorbed
-	SchedBudget       = "aqua_sched_budget"              // redundancy budget per budgeted selection (histogram)
+	SchedShed         = "aqua_sched_shed_total"         // requests refused by admission control (ErrOverloaded)
+	SchedDegradations = "aqua_sched_degradations_total" // degraded-mode transitions (any direction)
+	SchedMode         = "aqua_sched_mode"               // current mode gauge: 0 normal, 1 budgeted, 2 shedding
+	SchedDecisions    = "aqua_sched_decisions_total"    // selections by guarantee label (eq3, line15, capped, probe, none)
+	SchedBackpressure = "aqua_sched_backpressure_total" // transport backpressure signals absorbed
+	SchedBudget       = "aqua_sched_budget"             // redundancy budget per budgeted selection (histogram)
 
 	// Replica lifecycle (internal/core + internal/repository): the §5.4
 	// detect→eject→restart→re-admit loop.

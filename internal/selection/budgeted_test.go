@@ -7,6 +7,7 @@ import (
 
 	"aqua/internal/model"
 	"aqua/internal/repository"
+	"aqua/internal/wire"
 )
 
 // loadedRow builds a warm table row carrying a replica-reported queue length.
@@ -87,8 +88,8 @@ func TestBudgetedIdleMatchesPaperAlgorithm(t *testing.T) {
 		t.Errorf("idle Budgeted = %v (P=%v), want paper-exact %v (P=%v)",
 			got.Selected, got.Predicted, want.Selected, want.Predicted)
 	}
-	if got.Capped {
-		t.Error("idle decision reported Capped")
+	if got.Guarantee != GuaranteeEq3 {
+		t.Errorf("idle decision is %v, want eq3", got.Guarantee)
 	}
 	if got.Budget != 5 {
 		t.Errorf("Budget = %d, want 5 (full pool)", got.Budget)
@@ -108,15 +109,15 @@ func TestBudgetedCapsSelectAllFallback(t *testing.T) {
 		LiveInFlight: 5 * 2,
 		QoS:          qos(100*time.Millisecond, 0.99),
 	}
-	if got := NewDynamic().Select(in); len(got.Selected) != 5 || !got.UsedAll {
-		t.Fatalf("paper algorithm selected %v (UsedAll=%v), want all 5", got.Selected, got.UsedAll)
+	if got := NewDynamic().Select(in); len(got.Selected) != 5 || got.Guarantee != GuaranteeLine15 {
+		t.Fatalf("paper algorithm selected %v (%v), want all 5 (line15)", got.Selected, got.Guarantee)
 	}
 	res := NewBudgeted().Select(in)
 	if len(res.Selected) != MinBudget {
 		t.Fatalf("|K| = %d under saturation, want budget floor %d", len(res.Selected), MinBudget)
 	}
-	if !res.Capped || res.Budget != MinBudget {
-		t.Errorf("Capped=%v Budget=%d, want true/%d", res.Capped, res.Budget, MinBudget)
+	if res.Guarantee != GuaranteeCapped || res.Budget != MinBudget {
+		t.Errorf("Guarantee=%v Budget=%d, want capped/%d", res.Guarantee, res.Budget, MinBudget)
 	}
 	// The m0 crash reserve is the best replica and must survive the trim.
 	if res.Selected[0] != "a" {
@@ -148,8 +149,30 @@ func TestBudgetedKeepsColdProbeSlot(t *testing.T) {
 	if !got["x"] {
 		t.Errorf("Selected = %v: no cold-probe slot (want %q)", res.Selected, "x")
 	}
-	if !res.ColdStart {
-		t.Error("ColdStart = false with a forced cold probe in K")
+	if res.Guarantee != GuaranteeCapped {
+		t.Errorf("Guarantee = %v, want capped: Pc is unreachable within the budget", res.Guarantee)
+	}
+}
+
+func TestBudgetedLabelsEachTrim(t *testing.T) {
+	// Algorithm 1 meets Pc with K = {a, b}; the two forced-cold probes
+	// overflow the budget.
+	in := Input{
+		Table: ranked(row("a", 0.9), row("b", 0.9), row("c", 0.1)),
+		Cold:  []repository.ReplicaSnapshot{coldSnap("x"), coldSnap("y")},
+		QoS:   qos(100*time.Millisecond, 0.8),
+	}
+	// Budget 3: only the cold tail is trimmed, so the warm members still
+	// meet Eq. 3.
+	if res := (&Budgeted{MaxK: 3}).Select(in); !reflect.DeepEqual(res.Selected, []wire.ReplicaID{"a", "b", "x"}) || res.Guarantee != GuaranteeEq3 {
+		t.Errorf("budget 3: %v (%v), want [a b x] (eq3)", res.Selected, res.Guarantee)
+	}
+	// Budget 2: b is traded for a cold probe, and a alone cannot promise
+	// Eq. 3. The decision is not a fallback, so the overload ladder's
+	// |K| = 2 rung leaves it alone.
+	res := (&Budgeted{MaxK: 2}).Select(in)
+	if !reflect.DeepEqual(res.Selected, []wire.ReplicaID{"a", "x"}) || res.Guarantee != GuaranteeProbe || res.Guarantee.Fallback() {
+		t.Errorf("budget 2: %v (%v), want [a x] (probe)", res.Selected, res.Guarantee)
 	}
 }
 

@@ -75,19 +75,50 @@ type Result struct {
 	// members contribute unknown probability and are excluded from the
 	// estimate).
 	Predicted float64
-	// UsedAll reports that the strategy fell back to the complete replica
-	// set M because no proper subset satisfied the QoS.
-	UsedAll bool
-	// ColdStart reports that the decision was dominated by missing history.
-	ColdStart bool
+	// Guarantee is what K promises about Equation 3.
+	Guarantee Guarantee
 	// Budget is the load-conditioned redundancy cap that bounded |K| for
 	// this decision, when the strategy applies one (selection.Budgeted);
 	// zero means unbounded.
 	Budget int
-	// Capped reports that the budget truncated a set the underlying
-	// algorithm would otherwise have grown larger.
-	Capped bool
 }
+
+// Guarantee labels a decision with the one promise its K keeps. The zero
+// value is GuaranteeNone.
+type Guarantee uint8
+
+const (
+	// GuaranteeNone: a strategy without a crash reserve chose K, so K
+	// promises nothing beyond its own P_K(t).
+	GuaranteeNone Guarantee = iota
+	// GuaranteeEq3: the warm members of K meet Pc(t) even if any f of them
+	// crash (Equation 3), and no smaller warm set does.
+	GuaranteeEq3
+	// GuaranteeLine15: K is all of M. No warm subset meets the strategy's
+	// target (Algorithm 1's line 15), no replica is warm yet, or the
+	// strategy (All) always sends to M.
+	GuaranteeLine15
+	// GuaranteeCapped: the target was unreachable within a cap on |K|
+	// (Dynamic.Cap, Budgeted's budget or the overload ladder's |K| = 2
+	// rung), so K is cut below all of M.
+	GuaranteeCapped
+	// GuaranteeProbe: Algorithm 1 met Pc(t), then Budgeted traded K's last
+	// warm member for a cold probe to stay within its budget, so the warm
+	// members of K may no longer meet Equation 3.
+	GuaranteeProbe
+
+	// NumGuarantees is the number of Guarantee values.
+	NumGuarantees = iota
+)
+
+var guaranteeNames = [NumGuarantees]string{"none", "eq3", "line15", "capped", "probe"}
+
+// String returns the label's name, as the decisions metric labels it.
+func (g Guarantee) String() string { return guaranteeNames[g] }
+
+// Fallback reports that K is a fallback set: the strategy's target was
+// unreachable, and K is all of M or a capped prefix of it.
+func (g Guarantee) Fallback() bool { return g == GuaranteeLine15 || g == GuaranteeCapped }
 
 // Strategy chooses a replica subset for one request.
 type Strategy interface {
@@ -133,16 +164,14 @@ func candidateIDs(in Input, buf []wire.ReplicaID) []wire.ReplicaID {
 
 // Dynamic is the paper's Algorithm 1 generalized to reserve the top
 // Failures replicas (Failures=1 reproduces the paper exactly; the paper
-// notes the multi-failure extension in §5.3.2). With Reserve=false the
+// notes the multi-failure extension in §5.3.2). With Failures=0 the
 // algorithm keeps no crash reserve and can return a single replica — the A4
 // ablation.
 type Dynamic struct {
 	// Failures is the number of simultaneous replica crashes the selected
-	// set must tolerate. The paper's algorithm uses 1.
+	// set must tolerate: the size of the crash reserve. The paper's
+	// algorithm uses 1; 0 keeps no reserve.
 	Failures int
-	// Reserve controls whether the crash reserve is kept at all. False
-	// disables fault tolerance (ablation); Failures is then ignored.
-	Reserve bool
 	// Cap, when positive, bounds |K|: when no subset satisfies Pc(t), the
 	// algorithm returns the best Cap replicas instead of all of M. The
 	// paper's line-15 fallback amplifies overload (ablation A12); the cap
@@ -153,23 +182,23 @@ type Dynamic struct {
 var _ Strategy = (*Dynamic)(nil)
 
 // NewDynamic returns the paper's Algorithm 1 (single-crash reserve).
-func NewDynamic() *Dynamic { return &Dynamic{Failures: 1, Reserve: true} }
+func NewDynamic() *Dynamic { return &Dynamic{Failures: 1} }
 
-// NewDynamicMulti returns the f-failure generalization.
-func NewDynamicMulti(f int) *Dynamic { return &Dynamic{Failures: f, Reserve: true} }
+// NewDynamicMulti returns the f-failure generalization; f below 1 means 1.
+func NewDynamicMulti(f int) *Dynamic { return &Dynamic{Failures: max(f, 1)} }
 
 // NewDynamicNoReserve returns the variant without the m0 crash reserve.
-func NewDynamicNoReserve() *Dynamic { return &Dynamic{Reserve: false} }
+func NewDynamicNoReserve() *Dynamic { return &Dynamic{} }
 
 // NewDynamicCapped returns Algorithm 1 with the fallback capped at maxK
 // replicas instead of all of M.
 func NewDynamicCapped(maxK int) *Dynamic {
-	return &Dynamic{Failures: 1, Reserve: true, Cap: maxK}
+	return &Dynamic{Failures: 1, Cap: maxK}
 }
 
 // Name implements Strategy.
 func (d *Dynamic) Name() string {
-	if !d.Reserve {
+	if d.Failures < 1 {
 		return "dynamic-noreserve"
 	}
 	name := "dynamic"
@@ -188,24 +217,20 @@ func (d *Dynamic) Name() string {
 func (d *Dynamic) Select(in Input) Result {
 	forced := coldIDs(in.Cold)
 	if len(in.Table) == 0 {
-		return Result{Selected: forced, Predicted: 0, UsedAll: true, ColdStart: true}
+		return Result{Selected: forced, Guarantee: GuaranteeLine15}
 	}
 	ranked := in.Table
-
-	reserve := 0
-	if d.Reserve {
-		reserve = d.Failures
-		if reserve < 1 {
-			reserve = 1
-		}
-		if reserve > len(ranked) {
-			reserve = len(ranked)
-		}
+	reserve, met := min(max(d.Failures, 0), len(ranked)), GuaranteeEq3
+	if d.Failures < 1 {
+		met = GuaranteeNone
 	}
 	// ranked[:reserve] is the m0 … m_{f-1} crash reserve. Grow X from the
 	// remaining replicas, in rank order, until Equation 1 meets Pc(t) without
 	// counting the reserve (Algorithm 1 lines 6-14); K = reserve ∪ X is then
-	// the prefix ranked[:reserve+|X|].
+	// the prefix ranked[:reserve+|X|]. P_X(t) ≥ Pc(t) is decided as
+	// ∏(1 − F) ≤ 1 − Pc(t): 1 − ∏ can round one ulp below an exact boundary,
+	// and a single F_i = Pc(t) must be enough on its own.
+	limit := 1 - in.QoS.MinProbability
 	prod := 1.0
 	for i, r := range ranked[reserve:] {
 		g := 1 - r.Probability
@@ -213,12 +238,12 @@ func (d *Dynamic) Select(in Input) Result {
 			g = 0
 		}
 		prod *= g
-		if 1-prod >= in.QoS.MinProbability {
+		if prod <= limit {
 			k := ranked[:reserve+i+1]
 			return Result{
 				Selected:  append(appendTableIDs(in.SelectedBuf[:0], k), forced...),
 				Predicted: model.SubsetProbability(k),
-				ColdStart: len(forced) > 0,
+				Guarantee: met,
 			}
 		}
 		if d.Cap > 0 && reserve+i+1 >= d.Cap {
@@ -227,15 +252,14 @@ func (d *Dynamic) Select(in Input) Result {
 	}
 	// No acceptable subset: return the complete replica set M (line 15), or
 	// the best Cap replicas when the overload-safe cap is configured.
-	fallback := ranked
+	fallback, g := ranked, GuaranteeLine15
 	if d.Cap > 0 && d.Cap < len(ranked) {
-		fallback = ranked[:d.Cap]
+		fallback, g = ranked[:d.Cap], GuaranteeCapped
 	}
 	return Result{
 		Selected:  append(appendTableIDs(in.SelectedBuf[:0], fallback), forced...),
 		Predicted: model.SubsetProbability(fallback),
-		UsedAll:   true,
-		ColdStart: len(forced) > 0,
+		Guarantee: g,
 	}
 }
 
@@ -292,13 +316,7 @@ func (b *Budgeted) BudgetFor(in Input) int {
 	if maxK <= 0 || maxK > n {
 		maxK = n
 	}
-	minK := b.MinK
-	if minK < MinBudget {
-		minK = MinBudget
-	}
-	if minK > maxK {
-		minK = maxK
-	}
+	minK := min(max(b.MinK, MinBudget), maxK)
 	if n == 0 {
 		return MinBudget
 	}
@@ -311,14 +329,7 @@ func (b *Budgeted) BudgetFor(in Input) int {
 	}
 	load := float64(outstanding) / float64(n)
 	if in.Controller != nil {
-		budget := in.Controller.BudgetFor(load, n)
-		if budget < minK {
-			budget = minK
-		}
-		if budget > maxK {
-			budget = maxK
-		}
-		return budget
+		return min(max(in.Controller.BudgetFor(load, n), minK), maxK)
 	}
 	switch {
 	case load <= budgetLowLoad:
@@ -327,11 +338,7 @@ func (b *Budgeted) BudgetFor(in Input) int {
 		return minK
 	default:
 		frac := (load - budgetLowLoad) / (budgetHighLoad - budgetLowLoad)
-		budget := maxK - int(frac*float64(maxK-minK))
-		if budget < minK {
-			budget = minK
-		}
-		return budget
+		return max(maxK-int(frac*float64(maxK-minK)), minK)
 	}
 }
 
@@ -339,19 +346,21 @@ func (b *Budgeted) BudgetFor(in Input) int {
 // bounded by the computed budget. Forced cold members count against the
 // budget too (and are dropped first), so |K| never exceeds it — under
 // overload a cold-probe flood would amplify load exactly like the select-all
-// fallback does. Within the budget, UsedAll means "Pc(t) unreachable within
-// the budget", not necessarily unreachable outright.
+// fallback does. A fallback cut below all of M is GuaranteeCapped: Pc(t) is
+// unreachable within the budget, not necessarily unreachable outright.
 func (b *Budgeted) Select(in Input) Result {
 	budget := b.BudgetFor(in)
-	capped := Dynamic{Failures: 1, Reserve: true, Cap: budget}
+	capped := Dynamic{Failures: 1, Cap: budget}
 	res := capped.Select(in)
 	if len(res.Selected) > capped.Cap {
 		// Only the forced-cold tail can exceed the inner cap; trimming it
 		// keeps the warm head (reserve first) intact, so Predicted — which
-		// counts only warm members — is unchanged.
+		// counts only warm members — and an Eq. 3 promise are unchanged.
 		warmSel := len(res.Selected) - len(in.Cold)
 		res.Selected = res.Selected[:capped.Cap]
-		res.Capped = true
+		if res.Guarantee == GuaranteeLine15 {
+			res.Guarantee = GuaranteeCapped
+		}
 		if warmSel >= capped.Cap && len(in.Cold) > 0 {
 			// The trim cut every forced-cold probe. Without a probe a
 			// replica that saturated once keeps its pessimistic window
@@ -363,11 +372,10 @@ func (b *Budgeted) Select(in Input) Result {
 			// unknown, which is exactly why it must be measured.
 			res.Selected[capped.Cap-1] = in.Cold[0].ID
 			res.Predicted = model.SubsetProbability(in.Table[:capped.Cap-1])
-			res.ColdStart = true
+			if res.Guarantee == GuaranteeEq3 {
+				res.Guarantee = GuaranteeProbe
+			}
 		}
-	}
-	if res.UsedAll && capped.Cap < len(in.Table)+len(in.Cold) {
-		res.Capped = true
 	}
 	res.Budget = budget
 	return res
@@ -387,8 +395,7 @@ func (SingleBest) Name() string { return "single-best" }
 // Select implements Strategy.
 func (SingleBest) Select(in Input) Result {
 	if len(in.Table) == 0 {
-		forced := coldIDs(in.Cold)
-		return Result{Selected: forced, UsedAll: true, ColdStart: true}
+		return Result{Selected: coldIDs(in.Cold), Guarantee: GuaranteeLine15}
 	}
 	best := &in.Table[0]
 	return Result{
@@ -411,16 +418,9 @@ func (f FixedK) Name() string { return fmt.Sprintf("fixed-%d", f.K) }
 // Select implements Strategy.
 func (f FixedK) Select(in Input) Result {
 	if len(in.Table) == 0 {
-		return Result{Selected: coldIDs(in.Cold), UsedAll: true, ColdStart: true}
+		return Result{Selected: coldIDs(in.Cold), Guarantee: GuaranteeLine15}
 	}
-	k := f.K
-	if k < 1 {
-		k = 1
-	}
-	if k > len(in.Table) {
-		k = len(in.Table)
-	}
-	top := in.Table[:k]
+	top := in.Table[:min(max(f.K, 1), len(in.Table))]
 	return Result{Selected: appendTableIDs(in.SelectedBuf[:0], top), Predicted: model.SubsetProbability(top)}
 }
 
@@ -436,7 +436,7 @@ func (All) Name() string { return "all" }
 // Select implements Strategy.
 func (All) Select(in Input) Result {
 	ids := candidateIDs(in, in.SelectedBuf[:0])
-	return Result{Selected: ids, Predicted: model.SubsetProbability(in.Table), UsedAll: true}
+	return Result{Selected: ids, Predicted: model.SubsetProbability(in.Table), Guarantee: GuaranteeLine15}
 }
 
 // Random picks K replicas uniformly at random, the classic load-spreading
@@ -462,13 +462,7 @@ func (r *Random) Select(in Input) Result {
 	if len(ids) == 0 {
 		return Result{}
 	}
-	k := r.K
-	if k < 1 {
-		k = 1
-	}
-	if k > len(ids) {
-		k = len(ids)
-	}
+	k := min(max(r.K, 1), len(ids))
 	perm := r.rng.Perm(len(ids))
 	chosen := make([]wire.ReplicaID, 0, k)
 	for _, idx := range perm[:k] {
@@ -511,13 +505,7 @@ func (r *RoundRobin) Select(in Input) Result {
 	if len(ids) == 0 {
 		return Result{}
 	}
-	k := r.K
-	if k < 1 {
-		k = 1
-	}
-	if k > len(ids) {
-		k = len(ids)
-	}
+	k := min(max(r.K, 1), len(ids))
 	chosen := make([]wire.ReplicaID, 0, k)
 	for i := 0; i < k; i++ {
 		chosen = append(chosen, ids[(r.next+i)%len(ids)])

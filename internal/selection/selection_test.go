@@ -70,8 +70,8 @@ func TestDynamicIncludesBestAndMeetsPc(t *testing.T) {
 	if len(res.Selected) != 2 || !got["b"] {
 		t.Errorf("Selected = %v, want {a,b}", res.Selected)
 	}
-	if res.UsedAll {
-		t.Error("UsedAll should be false")
+	if res.Guarantee != GuaranteeEq3 {
+		t.Errorf("Guarantee = %v, want eq3", res.Guarantee)
 	}
 	// Predicted covers whole K: 1 - 0.1*0.2 = 0.98.
 	if math.Abs(res.Predicted-0.98) > 1e-12 {
@@ -101,8 +101,8 @@ func TestDynamicFallsBackToAllWhenUnsatisfiable(t *testing.T) {
 		QoS:   qos(time.Millisecond, 0.99),
 	}
 	res := d.Select(in)
-	if !res.UsedAll {
-		t.Error("UsedAll = false, want fallback to M")
+	if res.Guarantee != GuaranteeLine15 {
+		t.Errorf("Guarantee = %v, want line15 fallback to M", res.Guarantee)
 	}
 	if len(res.Selected) != 3 {
 		t.Errorf("Selected = %v, want all three", res.Selected)
@@ -121,8 +121,8 @@ func TestDynamicSingleReplicaReturnsIt(t *testing.T) {
 	}
 	// The loop over the (empty) rest cannot satisfy the condition, so this
 	// is the line-15 fallback to M.
-	if !res.UsedAll {
-		t.Error("want UsedAll for single-replica fallback")
+	if res.Guarantee != GuaranteeLine15 {
+		t.Errorf("Guarantee = %v, want line15 for single-replica fallback", res.Guarantee)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestDynamicColdStartSelectsAll(t *testing.T) {
 		QoS:  qos(time.Millisecond, 0.9),
 	}
 	res := d.Select(in)
-	if !res.ColdStart || !res.UsedAll {
-		t.Errorf("ColdStart=%v UsedAll=%v, want both true", res.ColdStart, res.UsedAll)
+	if res.Guarantee != GuaranteeLine15 {
+		t.Errorf("Guarantee = %v, want line15 on the all-cold first access", res.Guarantee)
 	}
 	if len(res.Selected) != 2 {
 		t.Errorf("Selected = %v, want both cold replicas", res.Selected)
@@ -152,8 +152,8 @@ func TestDynamicForcesColdReplicasIntoSet(t *testing.T) {
 	if !idSet(res.Selected)["newbie"] {
 		t.Errorf("cold replica not probed: %v", res.Selected)
 	}
-	if !res.ColdStart {
-		t.Error("ColdStart flag not set")
+	if res.Guarantee != GuaranteeEq3 {
+		t.Errorf("Guarantee = %v, want eq3 over the warm members", res.Guarantee)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestDynamicSingleCrashGuarantee(t *testing.T) {
 		table := rawTable(rawProbs)
 		pc := float64(rawPc) / 255
 		res := d.Select(Input{Table: table, QoS: qos(time.Millisecond, pc)})
-		if res.UsedAll {
+		if res.Guarantee != GuaranteeEq3 {
 			return true // fallback: no guarantee claimed
 		}
 		rowOf := make(map[wire.ReplicaID]model.ReplicaProbability, len(table))
@@ -230,7 +230,7 @@ func TestDynamicMultiCrashGuarantee(t *testing.T) {
 		table := rawTable(rawProbs)
 		pc := float64(rawPc) / 255
 		res := d.Select(Input{Table: table, QoS: qos(time.Millisecond, pc)})
-		if res.UsedAll {
+		if res.Guarantee != GuaranteeEq3 {
 			return true
 		}
 		rowOf := make(map[wire.ReplicaID]model.ReplicaProbability, len(table))
@@ -268,6 +268,9 @@ func TestDynamicNoReserveCanReturnOne(t *testing.T) {
 	if len(res.Selected) != 1 || res.Selected[0] != "a" {
 		t.Errorf("Selected = %v, want just [a]", res.Selected)
 	}
+	if res.Guarantee != GuaranteeNone {
+		t.Errorf("Guarantee = %v, want none without a reserve", res.Guarantee)
+	}
 }
 
 func TestDynamicNames(t *testing.T) {
@@ -300,7 +303,7 @@ func TestSingleBest(t *testing.T) {
 func TestSingleBestColdStart(t *testing.T) {
 	s := SingleBest{}
 	res := s.Select(Input{Cold: []repository.ReplicaSnapshot{coldSnap("x")}})
-	if len(res.Selected) != 1 || !res.ColdStart {
+	if len(res.Selected) != 1 || res.Guarantee != GuaranteeLine15 {
 		t.Errorf("res = %+v", res)
 	}
 }
@@ -337,8 +340,8 @@ func TestAll(t *testing.T) {
 	if len(res.Selected) != 3 {
 		t.Errorf("Selected = %v, want 3", res.Selected)
 	}
-	if !res.UsedAll {
-		t.Error("UsedAll = false")
+	if res.Guarantee != GuaranteeLine15 {
+		t.Errorf("Guarantee = %v, want line15", res.Guarantee)
 	}
 }
 
@@ -436,8 +439,8 @@ func TestDynamicCappedFallback(t *testing.T) {
 	if len(res.Selected) != 3 {
 		t.Fatalf("capped fallback selected %d, want 3: %v", len(res.Selected), res.Selected)
 	}
-	if !res.UsedAll {
-		t.Error("capped fallback should still be flagged UsedAll")
+	if res.Guarantee != GuaranteeCapped {
+		t.Errorf("Guarantee = %v, want capped", res.Guarantee)
 	}
 	got := idSet(res.Selected)
 	if !got["a"] || !got["b"] || !got["c"] {
@@ -455,7 +458,7 @@ func TestDynamicCappedFallback(t *testing.T) {
 
 func TestDynamicCappedStillCrashSafeWhenSatisfiable(t *testing.T) {
 	// The cap only changes the fallback: whenever the capped algorithm
-	// returns without UsedAll, Equation 3 must still hold.
+	// returns eq3, Equation 3 must still hold.
 	d := NewDynamicCapped(4)
 	f := func(rawProbs []uint8, rawPc uint8) bool {
 		if len(rawProbs) < 2 || len(rawProbs) > 10 {
@@ -464,7 +467,7 @@ func TestDynamicCappedStillCrashSafeWhenSatisfiable(t *testing.T) {
 		table := rawTable(rawProbs)
 		pc := float64(rawPc) / 255
 		res := d.Select(Input{Table: table, QoS: qos(time.Millisecond, pc)})
-		if res.UsedAll {
+		if res.Guarantee != GuaranteeEq3 {
 			return len(res.Selected) <= 4 // the cap itself
 		}
 		rowOf := make(map[wire.ReplicaID]model.ReplicaProbability, len(table))

@@ -6,6 +6,7 @@ import (
 
 	"aqua/internal/core"
 	"aqua/internal/repository"
+	"aqua/internal/selection"
 	"aqua/internal/stats"
 	"aqua/internal/trace"
 	"aqua/internal/wire"
@@ -195,15 +196,14 @@ type RequestRecord struct {
 	IssuedAt     time.Duration
 	NumSelected  int
 	Predicted    float64
-	UsedAll      bool
+	Guarantee    selection.Guarantee
 	ColdStart    bool
 	ResponseTime time.Duration // 0 when no reply ever arrived
 	GotReply     bool
 	Failure      bool // tr > deadline, or no reply by deadline
 	Shed         bool // refused by admission control (core.ErrOverloaded)
 	Mode         core.Mode
-	Budget       int  // redundancy budget applied (0 = unbounded)
-	BudgetCapped bool // budget or best-effort cap truncated the selection
+	Budget       int // redundancy budget applied (0 = unbounded)
 }
 
 // Timely reports whether the request got a reply within its deadline.
@@ -348,15 +348,14 @@ func (c *Client) issueOne() {
 		return
 	}
 	rec := &RequestRecord{
-		Seq:          d.Seq,
-		IssuedAt:     t0v,
-		NumSelected:  len(d.Targets),
-		Predicted:    d.Predicted,
-		UsedAll:      d.UsedAll,
-		ColdStart:    d.ColdStart,
-		Mode:         d.Mode,
-		Budget:       d.Budget,
-		BudgetCapped: d.BudgetCapped,
+		Seq:         d.Seq,
+		IssuedAt:    t0v,
+		NumSelected: len(d.Targets),
+		Predicted:   d.Predicted,
+		Guarantee:   d.Guarantee,
+		ColdStart:   d.ColdStart,
+		Mode:        d.Mode,
+		Budget:      d.Budget,
 	}
 	c.pendRec[d.Seq] = rec
 	c.rec.Record(trace.Event{
