@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views frames oracle metrics-smoke fuzz clean
+.PHONY: all check fmt build vet test allocs race bench experiments quick-experiments faults fences loc a13 a14 a15 a16 a17 a18 race-lifecycle views frames oracle cancel metrics-smoke fuzz clean
 
 all: build vet test
 
@@ -30,19 +30,21 @@ test:
 # without the lifecycle, a reply with the lifecycle on: no more than with it
 # off, the repository view's copy into a grown caller buffer after a steady
 # reply or one that moves bins: 0, selection on a ranked table: 0, a warm
-# one-replica Call: <= 2), the replica's (uncancelled serves: one abort
-# channel; a round trip with a load delay: no more than without), the TCP
+# one-replica Call: <= 2, a steady cycle of cancelled requests recycled by the
+# sweep past their deadline: 0), the replica's (uncancelled serves: one abort
+# channel; a serve aborted mid-service: 0; a round trip with a load delay: no
+# more than without), the TCP
 # frame path's (the endpoint's encode into a warm pooled frame: 0,
 # encodeFrame: 1; through a connection's reader and a warm interner a 64 B
 # request: <= 2, a Cancel: 1, a 6 KiB request: 2), and the property test
 # that pins the in-place path to the from-scratch oracle, uncached so a stale
 # pass cannot hide a change.
 allocs:
-	$(GO) test ./internal/core -count=1 -run 'TestScheduleCachedPathZeroAllocs|TestScheduleFreshPathAllocs|TestLifecycleFilterFreshPathAllocs|TestLifecycleReplyPathAllocs|TestFreshPathMatchesOracleProperty'
+	$(GO) test ./internal/core -count=1 -run 'TestScheduleCachedPathZeroAllocs|TestScheduleFreshPathAllocs|TestLifecycleFilterFreshPathAllocs|TestLifecycleReplyPathAllocs|TestCancelledCycleAllocs|TestFreshPathMatchesOracleProperty'
 	$(GO) test ./internal/repository -count=1 -run TestSnapshotIntoAllocs
 	$(GO) test ./internal/selection -count=1 -run TestSelectAllocs
 	$(GO) test ./internal/gateway -count=1 -run TestCallSteadyStateAllocs
-	$(GO) test ./internal/server -count=1 -run 'TestServeReusesAbortChannel|TestLoadDelaySleepAllocs'
+	$(GO) test ./internal/server -count=1 -run 'TestServeReusesAbortChannel|TestAbortAllocs|TestLoadDelaySleepAllocs'
 	$(GO) test ./internal/transport -count=1 -run TestFrameCodecAllocs
 
 race:
@@ -135,6 +137,16 @@ frames:
 oracle:
 	$(GO) test -count=20 -run 'TestDynamicMinimumSizeOracle|TestDynamicExactBoundary' ./internal/selection
 	$(GO) test -count=20 -run 'TestScheduleMinimumSizeOracle' ./internal/core
+
+# The cancellation tests under the race detector, 20 times each: which losers
+# a first reply cancels (history, a service bin above the round-trip bin, at
+# most l in a row), the sweep that recycles a cancelled request, the
+# replica's one abort signal, and end to end: slow losers stopped, zero-service
+# and Ordered clients never cancelling, a slowed link still leaving K.
+cancel:
+	$(GO) test -race -count=20 -run 'TestCancel|TestSparedCopyKeepsAdmissionCount|TestSweepRecyclesCancelledAtDeadline' ./internal/core
+	$(GO) test -race -count=20 -run 'TestCancel|TestZeroServiceLosersNotCancelled|TestOrderedClientSendsNoCancel|TestSlowedLinkLeavesKUnderCancellation' ./internal/gateway
+	$(GO) test -race -count=20 -run 'Cancel|Abort' ./internal/server
 
 # Observability smoke: boots a real cluster, drives traffic, serves the
 # metrics endpoint, and validates the Prometheus and JSON scrape shapes

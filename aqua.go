@@ -230,13 +230,13 @@ type ClientConfig struct {
 	// transitions are forwarded to the dependability manager, which retires
 	// the sick replica and boots a replacement.
 	Lifecycle LifecycleConfig
-	// CancelOnFirstReply multicasts a Cancel to the losing replicas of a
-	// selection as soon as the first successful reply is delivered, so a
-	// queued duplicate is purged (or a mid-service one aborted) instead of
-	// burning a full service time. Cancel is advisory and idempotent;
-	// losing one merely restores the default serve-the-duplicate behavior,
-	// and replies already in flight are still harvested for performance
-	// data.
+	// CancelOnFirstReply is ignored. Every client that is not Ordered
+	// cancels, as soon as the first successful reply is delivered, each
+	// losing copy that a Cancel can still save work at: a replica with
+	// service and round-trip history whose median service exceeds its round
+	// trip, and that was not cancelled on each of its last l selections. The
+	// field remains so existing configurations keep compiling; its only
+	// effect is that setting it with Ordered is refused.
 	CancelOnFirstReply bool
 	// AdaptiveBudget, when non-nil, installs the online redundancy
 	// controller: it replaces the static load→|K| interpolation inside a
@@ -259,9 +259,9 @@ type ClientConfig struct {
 	// stamp order, and the gateway answers replica gap-refill requests from a
 	// bounded log of original frames. With Lifecycle enabled on a stateful
 	// cluster, probation re-admission additionally requires a completed state
-	// transfer (the replica's reports must claim CaughtUp). Incompatible with
-	// CancelOnFirstReply: purging a stamped request would hole the apply
-	// sequence.
+	// transfer (the replica's reports must claim CaughtUp). An Ordered client
+	// never cancels a copy, and setting CancelOnFirstReply with it is refused:
+	// purging a stamped request would hole the apply sequence.
 	Ordered bool
 	// DisablePerfSubscription opts this client out of the §5.4 per-request
 	// performance-report subscription: it learns only from its own replies

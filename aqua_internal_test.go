@@ -1,6 +1,7 @@
 package aqua
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"testing"
@@ -90,5 +91,52 @@ func TestConcurrentViewChangesConverge(t *testing.T) {
 		if got := client.handler.Scheduler().Repository().Replicas(); !slices.Equal(got, want) {
 			t.Fatalf("round %d: the client's view is %v, the cluster's is %v", round, got, want)
 		}
+	}
+}
+
+// TestAddReplicaJoinsService: a replica added to a running cluster receives
+// every request an All-selection client makes after the join. A copy that
+// lost its race may be cancelled once the newcomer has history, so what is
+// counted is what it received: served, purged or aborted.
+func TestAddReplicaJoinsService(t *testing.T) {
+	const ms = time.Millisecond
+	c, err := NewCluster("svc", 2, func(_ string, p []byte) ([]byte, error) { return p, nil },
+		WithSimulatedLoad(5*ms, ms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	client, err := c.NewClient(ClientConfig{
+		Name:     "t3",
+		QoS:      QoS{Deadline: 300 * ms, MinProbability: 0.9},
+		Strategy: AllSelection(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := context.Background()
+	if _, err := client.Call(ctx, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.AddReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := client.Call(ctx, "", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	received := func() uint64 {
+		purged, aborted, _ := r.srv.CancelStats()
+		return r.Served() + purged + aborted
+	}
+	deadline := time.Now().Add(time.Second)
+	for received() < 3 && time.Now().Before(deadline) {
+		time.Sleep(2 * ms)
+	}
+	if got := received(); got < 3 {
+		t.Errorf("new replica received %d copies, want >= 3", got)
 	}
 }

@@ -65,9 +65,10 @@ func TestClusterCallRoundTrip(t *testing.T) {
 }
 
 // TestCancelAndAdaptiveBudgetThroughPublicAPI exercises the facade wiring:
-// CancelOnFirstReply and AdaptiveBudget on ClientConfig must reach the
-// handler (controller stats become visible, calls still round-trip), and
-// AdaptiveBudget alone must default the strategy to BudgetedSelection.
+// AdaptiveBudget on ClientConfig must reach the handler (controller stats
+// become visible, calls still round-trip) beside the CancelOnFirstReply field
+// that is now ignored, and AdaptiveBudget alone must default the strategy to
+// BudgetedSelection.
 func TestCancelAndAdaptiveBudgetThroughPublicAPI(t *testing.T) {
 	c := newTestCluster(t, 3, aqua.WithSimulatedLoad(5*ms, 1*ms), aqua.WithSeed(7))
 	client, err := c.NewClient(aqua.ClientConfig{
@@ -146,40 +147,6 @@ func TestReplicaCrashToleratedAndPruned(t *testing.T) {
 	}
 	if got := len(c.Replicas()); got != 3 {
 		t.Errorf("Replicas() = %d, want 3", got)
-	}
-}
-
-func TestAddReplicaJoinsService(t *testing.T) {
-	c := newTestCluster(t, 2, aqua.WithSimulatedLoad(5*ms, ms))
-	client, err := c.NewClient(aqua.ClientConfig{
-		Name:     "t3",
-		QoS:      aqua.QoS{Deadline: 300 * ms, MinProbability: 0.9},
-		Strategy: aqua.AllSelection(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	ctx := context.Background()
-	if _, err := client.Call(ctx, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.AddReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := client.Call(ctx, "", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// With the All strategy the newcomer serves every post-join request.
-	deadline := time.Now().Add(time.Second)
-	for r.Served() < 3 && time.Now().Before(deadline) {
-		time.Sleep(2 * ms)
-	}
-	if r.Served() < 3 {
-		t.Errorf("new replica served %d, want >= 3", r.Served())
 	}
 }
 

@@ -217,7 +217,7 @@ func runFig5(s *session) error {
 func runE0(s *session) error {
 	cfg := experiment.DefaultE0Config()
 	if s.quick {
-		cfg.Requests = 50
+		cfg.Requests = 500
 	}
 	res, err := experiment.RunE0(cfg)
 	if err != nil {

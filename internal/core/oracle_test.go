@@ -29,7 +29,7 @@ const (
 
 // tolerance is the exhaustive walk of internal/selection's oracle_test.go:
 // prod[S] is ∏(1 − F_i) over subset S in table order, and ok[k][S] holds
-// when S keeps at least one member and meets Pc(t), as ∏(1 − F) ≤ 1 − Pc(t),
+// when S keeps at least one member and meets Pc(t), by selection.MeetsPc,
 // after any k of its members crash.
 type tolerance struct {
 	prod [1 << maxOracleN]float64
@@ -43,7 +43,7 @@ func (o *tolerance) walk(table []model.ReplicaProbability, f int, pc float64) {
 	for s := 1; s < 1<<n; s++ {
 		hi := bits.Len(uint(s)) - 1
 		o.prod[s] = o.prod[s&^(1<<hi)] * max(1-table[hi].Probability, 0)
-		o.ok[0][s] = o.prod[s] <= 1-pc
+		o.ok[0][s] = selection.MeetsPc(o.prod[s], pc)
 	}
 	for k := 1; k <= f; k++ {
 		for s := 0; s < 1<<n; s++ {

@@ -278,7 +278,8 @@ type pending struct {
 	replies        int
 	firstDelivered bool
 	failed         bool // timing failure already charged (deadline expiry)
-	discounted     bool // removed from the admission count by CancelTargets
+	cancelled      bool // some copy was cancelled by CancelTargets
+	discounted     bool // removed from the admission count (discountLocked)
 	method         string
 }
 
@@ -514,6 +515,7 @@ func (s *Scheduler) putPending(p *pending) {
 	p.replies = 0
 	p.firstDelivered = false
 	p.failed = false
+	p.cancelled = false
 	p.discounted = false
 	p.method = ""
 	select {
@@ -800,6 +802,7 @@ func (s *Scheduler) OnReply(seq wire.SeqNo, replica wire.ReplicaID, t4 time.Time
 		// in-flight load is over.
 		p.settled[ti] = true
 		s.repo.NoteSettled(replica)
+		s.discountLocked(p)
 	}
 	s.stats.replies.Add(1)
 	p.replies++
@@ -876,8 +879,8 @@ func (s *Scheduler) dropLocked(sh *pendShard, seq wire.SeqNo, p *pending) {
 	}
 	delete(sh.m, seq)
 	if !p.discounted {
-		// CancelTargets already removed a cancelled request from the
-		// admission count; discounting it twice would let the in-flight
+		// discountLocked may already have removed a cancelled request from
+		// the admission count; discounting it twice would let the in-flight
 		// ceiling drift.
 		s.nPend.Add(-1)
 		s.met.pending.Add(-1)
@@ -887,18 +890,35 @@ func (s *Scheduler) dropLocked(sh *pendShard, seq wire.SeqNo, p *pending) {
 }
 
 // CancelTargets settles every selected replica that has not yet replied for
-// seq and returns their IDs appended to buf — the fan-out list for a
-// first-response-wins wire.Cancel. It is a no-op (returning buf unchanged)
-// unless the first reply has already been delivered.
+// seq and that a Cancel can still save work at, and returns their IDs
+// appended to buf — the fan-out list for a first-response-wins wire.Cancel.
+// Which losers qualify is the repository's ClaimCancel: history for S and T,
+// a median service bin above the median round-trip bin, and fewer than l
+// Cancels since this gateway last measured a round trip to the replica. It is
+// a no-op (returning buf unchanged) unless the first reply has already been
+// delivered.
 //
 // For each cancelled target the repository in-flight contribution is
 // released now (the copy will never reply) and the suspicion outcome is
 // marked recorded, so obedient silence at the deadline is not charged as a
-// timing fault. The pending entry itself stays until Forget so straggler
-// replies already in flight are still harvested as duplicates, but it is
-// discounted from the admission count — a cancelled request holds no
-// capacity.
+// timing fault. A request with a cancelled copy leaves the admission count
+// once no copy of it still owes a reply — now, if every loser was cancelled,
+// or at the last spared copy's reply — and its pending entry stays until the
+// first sweep past its deadline, so straggler replies already in flight are
+// still harvested as duplicates. A request none of whose copies is cancelled
+// is left as it was.
 func (s *Scheduler) CancelTargets(seq wire.SeqNo, buf []wire.ReplicaID) []wire.ReplicaID {
+	return s.cancelTargets(seq, buf, true)
+}
+
+// CancelAllTargets is CancelTargets without the repository's filter: every
+// loser that has not yet replied is cancelled. The simulator's Cancellation
+// scenarios use it to model cancelling every losing copy.
+func (s *Scheduler) CancelAllTargets(seq wire.SeqNo, buf []wire.ReplicaID) []wire.ReplicaID {
+	return s.cancelTargets(seq, buf, false)
+}
+
+func (s *Scheduler) cancelTargets(seq wire.SeqNo, buf []wire.ReplicaID, filter bool) []wire.ReplicaID {
 	sh := s.shard(seq)
 	sh.mu.Lock()
 	p, ok := sh.m[seq]
@@ -908,7 +928,7 @@ func (s *Scheduler) CancelTargets(seq wire.SeqNo, buf []wire.ReplicaID) []wire.R
 	}
 	start := len(buf)
 	for i := range p.targets {
-		if p.settled[i] {
+		if p.settled[i] || filter && !s.repo.ClaimCancel(p.targets[i], p.method) {
 			continue
 		}
 		buf = append(buf, p.targets[i])
@@ -916,17 +936,29 @@ func (s *Scheduler) CancelTargets(seq wire.SeqNo, buf []wire.ReplicaID) []wire.R
 		s.repo.NoteSettled(p.targets[i])
 		p.charged[i] = true
 	}
-	if !p.discounted {
-		p.discounted = true
-		s.nPend.Add(-1)
-		s.met.pending.Add(-1)
-		s.evalMode()
+	if len(buf) > start {
+		p.cancelled = true
+		s.discountLocked(p)
 	}
 	sh.mu.Unlock()
 	if s.cfg.Controller != nil && len(buf) > start {
 		s.cfg.Controller.NoteCancelled(len(buf) - start)
 	}
 	return buf
+}
+
+// discountLocked removes a request with a cancelled copy from the admission
+// count once no copy of it still owes a reply: until then a spared copy is
+// still queued or serving at its replica. Caller holds the request's shard
+// mutex.
+func (s *Scheduler) discountLocked(p *pending) {
+	if !p.cancelled || p.discounted || !allSettled(p) {
+		return
+	}
+	p.discounted = true
+	s.nPend.Add(-1)
+	s.met.pending.Add(-1)
+	s.evalMode()
 }
 
 // OnDeadlineExpired charges a timing failure for a request whose deadline
@@ -1020,21 +1052,35 @@ func (s *Scheduler) Forget(seq wire.SeqNo) {
 }
 
 // SweepExpired drops the pending state of every request intercepted more
-// than the QoS deadline plus ForgetGrace before now; one with a crashed (or
-// cancelled) target is never dropped otherwise. The table holds only requests
-// still missing a reply, so one periodic tick replaces a timer per request.
+// than the QoS deadline plus ForgetGrace before now; one with a crashed
+// target is never dropped otherwise. A request whose every copy has replied
+// or been cancelled is waiting only for stragglers that raced their Cancel,
+// which arrive within a round trip, so it is dropped once its deadline has
+// passed instead. The table holds only requests still missing a reply, so one
+// periodic tick replaces a timer per request.
 func (s *Scheduler) SweepExpired(now time.Time) {
-	cutoff := now.Add(-s.qos.Load().Deadline - ForgetGrace)
+	deadline := s.qos.Load().Deadline
+	late, cutoff := now.Add(-deadline), now.Add(-deadline-ForgetGrace)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for seq, p := range sh.m {
-			if !p.t0.After(cutoff) {
+			if !p.t0.After(cutoff) || p.discounted && !p.t0.After(late) {
 				s.dropLocked(sh, seq, p)
 			}
 		}
 		sh.mu.Unlock()
 	}
+}
+
+// allSettled reports whether no copy of p still owes a reply.
+func allSettled(p *pending) bool {
+	for _, settled := range p.settled {
+		if !settled {
+			return false
+		}
+	}
+	return true
 }
 
 // Outstanding returns the number of in-flight requests being tracked.

@@ -140,8 +140,8 @@ func TestRunE0InMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Min <= 0 || res.Min > res.Mean || res.Mean > res.Max {
-		t.Errorf("ordering broken: min=%v mean=%v max=%v", res.Min, res.Mean, res.Max)
+	if res.Min <= 0 || res.Min > res.Mean || res.Mean > res.Max || res.Median < res.Min || res.Median > res.Max {
+		t.Errorf("ordering broken: min=%v median=%v mean=%v max=%v", res.Min, res.Median, res.Mean, res.Max)
 	}
 	if res.Min > 50*time.Millisecond {
 		t.Errorf("in-memory floor %v implausibly high", res.Min)

@@ -97,13 +97,13 @@ type Config struct {
 	// ProbeInterval so probation replicas have a warm-up path back into
 	// selection.
 	Lifecycle core.LifecycleConfig
-	// CancelOnFirstReply enables first-response-wins cancellation: when the
-	// earliest reply is delivered, a wire.Cancel is multicast to the
-	// remaining selected replicas so a queued duplicate is purged (or a
-	// mid-service one aborted) instead of burning a full service time.
-	// Replies already in flight are still harvested as duplicates.
-	// Incompatible with Ordered: purging a stamped request would hole the
-	// apply sequence every replica must execute.
+	// CancelOnFirstReply selects nothing: every handler that is not Ordered
+	// cancels, on the first reply, each losing copy that a Cancel can still
+	// save work at (fanCancel, core.Scheduler.CancelTargets). The field stays
+	// because existing configurations set it. Its only effect is that
+	// NewTimingFaultHandler refuses it together with Ordered, since purging a
+	// stamped request would hole the apply sequence every replica must
+	// execute; the field and the refusal go together.
 	CancelOnFirstReply bool
 	// Ordered enables the ordered service mode (ordered.go): every non-probe
 	// request is stamped with a per-client logical timestamp before the
@@ -624,7 +624,7 @@ func (h *TimingFaultHandler) handleMessage(msg transport.Message, now time.Time)
 			}
 			h.mu.Unlock()
 		}
-		if out.First && h.cfg.CancelOnFirstReply {
+		if out.First && h.ordered == nil {
 			h.fanCancel(m.Seq)
 		}
 	case wire.PerfUpdate:
@@ -658,12 +658,14 @@ func (h *TimingFaultHandler) handleMessage(msg transport.Message, now time.Time)
 	}
 }
 
-// fanCancel multicasts a first-response-wins Cancel to every selected
-// replica that has not yet replied for seq (the losers of the race). The
-// scheduler settles their in-flight contributions and suppresses their
-// suspicion charges; the multicast reuses the single-encode path, so the
-// Cancel costs one serialization regardless of fan-out. Best-effort: a lost
-// Cancel just means that replica serves a duplicate, as before.
+// fanCancel multicasts a first-response-wins Cancel to the selected replicas
+// that have not yet replied for seq (the losers of the race) and whose copy a
+// Cancel can still save work at: the scheduler's CancelTargets picks them,
+// settles their in-flight contributions and suppresses their suspicion
+// charges. A loser it passes over serves its copy, and its reply is
+// harvested as a duplicate. The multicast reuses the single-encode path, so
+// the Cancel costs one serialization regardless of fan-out. Best-effort: a
+// lost Cancel just means that replica serves a duplicate, as before.
 func (h *TimingFaultHandler) fanCancel(seq wire.SeqNo) {
 	h.cancelMu.Lock()
 	defer h.cancelMu.Unlock()

@@ -66,7 +66,12 @@ type replicaState struct {
 	// inFlight counts requests this gateway has dispatched and not yet
 	// settled. It is atomic so the dispatch/settle hot path only needs the
 	// repository's read lock (map lookup), never the write lock.
-	inFlight   atomic.Int64
+	inFlight atomic.Int64
+	// cancels counts the Cancels ClaimCancel granted for this replica's copies
+	// since this gateway last measured a round trip to it. Only that resets
+	// it: a report pushed by the replica after serving another client says
+	// nothing about this gateway's link.
+	cancels    atomic.Int64
 	lastUpdate time.Time // freshness marker for the staleness probe
 	hasUpdate  bool
 	// Lifecycle state (lifecycle.go). The zero value, Active, keeps the
@@ -333,8 +338,10 @@ func (r *Repository) recordPerfLocked(id wire.ReplicaID, st *replicaState, metho
 	r.notePerfLocked(st)
 }
 
-// recordDelayLocked adds td to st's T window and reports whether it did.
+// recordDelayLocked adds td to st's T window and reports whether it did. A
+// measured round trip also restarts the replica's run of granted Cancels.
 func (r *Repository) recordDelayLocked(st *replicaState, td time.Duration) bool {
+	st.cancels.Store(0)
 	if td < 0 {
 		if r.gatewayHist > 1 {
 			return false
@@ -398,6 +405,58 @@ func (r *Repository) NoteSettled(id wire.ReplicaID) {
 		}
 	}
 	r.mu.RUnlock()
+}
+
+// ClaimCancel reports whether a Cancel for a losing copy of method at replica
+// id can still save work, and if so counts it against the replica. All three
+// must hold:
+//   - the replica has S history for method and T history;
+//   - its median S bin exceeds its median T bin: the copy's service is longer
+//     than the round trip the Cancel must beat;
+//   - fewer than l Cancels were granted since this gateway last measured a
+//     round trip to the replica, so its windows still get a fresh sample of
+//     this gateway's own link at least once every l + 1 selections. Reports
+//     the replica pushes after serving other clients do not count.
+//
+// It takes only the read lock and allocates nothing.
+func (r *Repository) ClaimCancel(id wire.ReplicaID, method string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	st, ok := r.replicas[id]
+	if !ok {
+		return false
+	}
+	e, ok := r.entries[methodKey{replica: id, method: method}]
+	if !ok {
+		return false
+	}
+	s, sok := medianBin(e.service)
+	t, tok := medianBin(st.gateway)
+	if !sok || !tok || s <= t {
+		return false
+	}
+	for {
+		n := st.cancels.Load()
+		if n >= int64(r.windowSize) {
+			return false
+		}
+		if st.cancels.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// medianBin returns the bin of w's lower median sample; ok is false when w is
+// empty.
+func medianBin(w *window.Window) (bin int64, ok bool) {
+	bins, counts := w.Hist()
+	half, seen := (w.Len()+1)/2, 0
+	for i, c := range counts {
+		if seen += c; seen >= half {
+			return bins[i], true
+		}
+	}
+	return 0, false
 }
 
 // InFlight returns the number of unsettled copies dispatched to a replica.

@@ -38,7 +38,7 @@ type tolerance struct {
 }
 
 // walk fills prod and ok for the table, f crashes and Pc(t). Meeting Pc(t)
-// is Equation 1 under the boundary rule ∏(1 − F) ≤ 1 − Pc(t); the empty set
+// is Equation 1 under Algorithm 1's boundary rule, MeetsPc; the empty set
 // meets nothing. A set tolerates k crashes iff each set one crash leaves
 // tolerates k − 1.
 func (o *tolerance) walk(table []model.ReplicaProbability, f int, pc float64) {
@@ -50,7 +50,7 @@ func (o *tolerance) walk(table []model.ReplicaProbability, f int, pc float64) {
 		// A running product over the masks: S's is S-without-its-last's
 		// times the last member's factor.
 		o.prod[s] = o.prod[s&^(1<<hi)] * max(1-table[hi].Probability, 0)
-		o.ok[0][s] = o.prod[s] <= 1-pc
+		o.ok[0][s] = MeetsPc(o.prod[s], pc)
 	}
 	for k := 1; k <= f; k++ {
 		for s := 0; s < 1<<n; s++ {
@@ -206,5 +206,24 @@ func TestDynamicExactBoundary(t *testing.T) {
 	res := NewDynamic().Select(in)
 	if len(res.Selected) != 2 || res.Guarantee != GuaranteeEq3 {
 		t.Errorf("Selected = %v (%v), want [a b] (eq3)", res.Selected, res.Guarantee)
+	}
+}
+
+// TestDynamicExactMultiFactorBoundary pins the boundary for a product: at
+// Pc(t) = 0.9, X = {0.6, 0.5, 0.5} has ∏(1 − F) = 0.4 · 0.5 · 0.5 = 1 − Pc(t)
+// exactly, but computes fl(0.1), two ulps above 1 − fl(0.9). MeetsPc accepts
+// it, so K is the reserve plus those three and not a fifth replica.
+func TestDynamicExactMultiFactorBoundary(t *testing.T) {
+	f, pc := []float64{0.6, 0.5, 0.5}, 0.9 // variables: Go folds constant arithmetic exactly
+	if prod := (1 - f[0]) * (1 - f[1]) * (1 - f[2]); prod <= 1-pc {
+		t.Fatalf("∏ = %v is not above 1 − fl(0.9) = %v: the case no longer rounds", prod, 1-pc)
+	}
+	in := Input{
+		Table: ranked(row("a", 1), row("b", f[0]), row("c", f[1]), row("d", f[2]), row("e", 0.5)),
+		QoS:   qos(time.Millisecond, pc),
+	}
+	res := NewDynamic().Select(in)
+	if want := []wire.ReplicaID{"a", "b", "c", "d"}; !slices.Equal(res.Selected, want) || res.Guarantee != GuaranteeEq3 {
+		t.Errorf("Selected = %v (%v), want %v (eq3)", res.Selected, res.Guarantee, want)
 	}
 }

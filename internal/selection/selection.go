@@ -17,6 +17,7 @@ package selection
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"aqua/internal/model"
@@ -227,10 +228,7 @@ func (d *Dynamic) Select(in Input) Result {
 	// ranked[:reserve] is the m0 … m_{f-1} crash reserve. Grow X from the
 	// remaining replicas, in rank order, until Equation 1 meets Pc(t) without
 	// counting the reserve (Algorithm 1 lines 6-14); K = reserve ∪ X is then
-	// the prefix ranked[:reserve+|X|]. P_X(t) ≥ Pc(t) is decided as
-	// ∏(1 − F) ≤ 1 − Pc(t): 1 − ∏ can round one ulp below an exact boundary,
-	// and a single F_i = Pc(t) must be enough on its own.
-	limit := 1 - in.QoS.MinProbability
+	// the prefix ranked[:reserve+|X|]. P_X(t) ≥ Pc(t) is decided by MeetsPc.
 	prod := 1.0
 	for i, r := range ranked[reserve:] {
 		g := 1 - r.Probability
@@ -238,7 +236,7 @@ func (d *Dynamic) Select(in Input) Result {
 			g = 0
 		}
 		prod *= g
-		if prod <= limit {
+		if MeetsPc(prod, in.QoS.MinProbability) {
 			k := ranked[:reserve+i+1]
 			return Result{
 				Selected:  append(appendTableIDs(in.SelectedBuf[:0], k), forced...),
@@ -261,6 +259,25 @@ func (d *Dynamic) Select(in Input) Result {
 		Predicted: model.SubsetProbability(fallback),
 		Guarantee: g,
 	}
+}
+
+// boundaryULPs is MeetsPc's tolerance in units in the last place of 1 − Pc.
+// Every product of up to four factors on the 0.1 and 0.05 grids, and of two
+// on the 0.01 grid, that equals 1 − Pc in exact arithmetic computes within 4
+// ulps of it; 8 leaves room for longer products.
+const boundaryULPs = 8
+
+// MeetsPc reports whether a set whose members' factors 1 − F_i multiply to
+// prod meets Pc: P = 1 − prod ≥ Pc, decided as prod ≤ 1 − Pc within
+// boundaryULPs. Comparing the product rather than 1 − prod keeps a single
+// F_i = Pc exact, and the tolerance keeps a product that equals 1 − Pc in
+// exact arithmetic from being refused for its rounding: at Pc = 0.9 the set
+// {0.6, 0.5, 0.5} computes ∏ = fl(0.1), two ulps above 1 − fl(0.9).
+// Algorithm 1 and its minimum-size oracles share it, so they decide every
+// boundary alike.
+func MeetsPc(prod, pc float64) bool {
+	limit := 1 - pc
+	return prod <= limit+boundaryULPs*(math.Nextafter(limit, 2)-limit)
 }
 
 // The per-replica outstanding-work levels (the mean of replica-reported queue

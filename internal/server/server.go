@@ -96,10 +96,14 @@ type Replica struct {
 	// Serving state for mid-service aborts: at most one request is in
 	// service at a time, registered here by the worker and matched by
 	// abortServing. Guarded by serveMu (never held across user code).
-	serveMu      sync.Mutex
-	servingOn    bool
-	servingKey   queue.Key
-	servingAbort chan struct{} // reused across serves; nil once an abort closed it
+	serveMu    sync.Mutex
+	servingOn  bool
+	servingKey queue.Key
+	// servingAbort is the one abort signal for every serve: capacity 1, never
+	// closed. abortServing puts a token in it for the serve in progress, and
+	// beginServe drains a token left by an earlier serve before it registers
+	// the next.
+	servingAbort chan struct{}
 
 	served          atomic.Uint64
 	cancelAborted   atomic.Uint64
@@ -129,12 +133,13 @@ func Start(ep transport.Endpoint, cfg Config) (*Replica, error) {
 		return nil, fmt.Errorf("server: handler is required")
 	}
 	r := &Replica{
-		cfg:         cfg,
-		ep:          ep,
-		queue:       queue.New(),
-		rng:         stats.NewRand(cfg.Seed),
-		subscribers: make(map[wire.ClientID]transport.Addr),
-		stop:        make(chan struct{}),
+		cfg:          cfg,
+		ep:           ep,
+		queue:        queue.New(),
+		rng:          stats.NewRand(cfg.Seed),
+		subscribers:  make(map[wire.ClientID]transport.Addr),
+		servingAbort: make(chan struct{}, 1),
+		stop:         make(chan struct{}),
 	}
 	met := metrics.OrDefault(cfg.Metrics)
 	r.metPurged = met.Counter(metrics.ServerCancelPurged)
@@ -306,25 +311,30 @@ func (r *Replica) abortServing(client wire.ClientID, seq wire.SeqNo) bool {
 	match := r.servingOn && r.servingKey == key
 	if match {
 		r.servingOn = false
-		close(r.servingAbort)
-		r.servingAbort = nil // the next serve makes a fresh one
+		// beginServe drained the buffer and a serve is aborted at most
+		// once, so the token always fits; never block under serveMu.
+		select {
+		case r.servingAbort <- struct{}{}:
+		default:
+		}
 	}
 	r.serveMu.Unlock()
 	return match
 }
 
 // beginServe registers the request the worker is about to serve and returns
-// its abort channel. The channel is reused from serve to serve until an abort
-// closes it, so a serve is never handed a closed channel and serves that
-// nobody aborts share one.
-func (r *Replica) beginServe(req wire.Request) chan struct{} {
+// the abort signal. A token an abort left after its serve stopped waiting is
+// drained first, so a stale abort never wakes the next serve; nothing is
+// allocated per serve or per abort.
+func (r *Replica) beginServe(req wire.Request) <-chan struct{} {
 	r.serveMu.Lock()
 	defer r.serveMu.Unlock()
+	select {
+	case <-r.servingAbort:
+	default:
+	}
 	r.servingOn = true
 	r.servingKey = queue.Key{Client: req.Client, Seq: req.Seq}
-	if r.servingAbort == nil {
-		r.servingAbort = make(chan struct{})
-	}
 	return r.servingAbort
 }
 

@@ -177,8 +177,7 @@ func (d *delaySeq) Sample(*stats.Rand) time.Duration {
 func (d *delaySeq) Mean() time.Duration { return 0 }
 func (d *delaySeq) String() string      { return "sequence" }
 
-// abortChannel returns the worker's abort channel, nil before the first serve
-// and after an abort.
+// abortChannel returns the worker's abort signal.
 func (r *Replica) abortChannel() chan struct{} {
 	r.serveMu.Lock()
 	defer r.serveMu.Unlock()
@@ -192,11 +191,13 @@ func (r *Replica) inService(client wire.ClientID, seq wire.SeqNo) bool {
 	return r.servingOn && r.servingKey.Client == client && r.servingKey.Seq == seq
 }
 
-// abortFirstServe sends seq 1, which sleeps for the first of the replica's
-// delays, and aborts it mid-service with a Cancel.
-func abortFirstServe(t *testing.T, r *Replica, cli transport.Endpoint) {
+// abortFirstServe sends seq 1 for method and aborts it mid-service with a
+// Cancel. The abort reuses the worker's one signal: the channel after it is
+// the one from before.
+func abortFirstServe(t *testing.T, r *Replica, cli transport.Endpoint, method string) {
 	t.Helper()
-	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 1, Service: "svc", Method: "m"}); err != nil {
+	signal := r.abortChannel()
+	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 1, Service: "svc", Method: method}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "seq 1 to enter service", func() bool { return r.inService("c", 1) })
@@ -204,8 +205,8 @@ func abortFirstServe(t *testing.T, r *Replica, cli transport.Endpoint) {
 		t.Fatal(err)
 	}
 	waitFor(t, "abort to register", func() bool { _, ab, _ := r.CancelStats(); return ab == 1 })
-	if ch := r.abortChannel(); ch != nil {
-		t.Fatal("the aborted serve's closed channel is still registered for the next serve")
+	if r.abortChannel() != signal {
+		t.Fatal("the abort replaced the worker's abort signal")
 	}
 }
 
@@ -264,30 +265,51 @@ func TestLoadDelaySleepAllocs(t *testing.T) {
 	}
 }
 
-// TestNextServeAfterAbortSleepsAndReplies: the serve after an abort gets an
-// open channel, so it sleeps its full delay and replies instead of reading the
-// closed channel as its own abort.
+// TestNextServeAfterAbortSleepsAndReplies: the serve after an abort sleeps
+// its full delay and replies instead of reading the abort as its own. The
+// abort lands once in the aborted serve's sleep, which takes its token, and
+// once while its handler runs, which leaves the token behind for the next
+// serve to drain.
 func TestNextServeAfterAbortSleepsAndReplies(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	net := testNetwork(t)
-	r := startReplica(t, net, Config{
-		ID: "r1", Service: "svc", Handler: echoHandler,
-		LoadDelay: &delaySeq{time.Hour, delay},
-	})
-	cli, _ := net.Listen("cli")
-	abortFirstServe(t, r, cli)
-	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 2, Service: "svc", Method: "m"}); err != nil {
-		t.Fatal(err)
-	}
-	resp := recvResponse(t, cli)
-	if resp.Seq != 2 {
-		t.Fatalf("response for seq %d, want 2", resp.Seq)
-	}
-	if resp.Perf.ServiceTime < delay {
-		t.Errorf("seq 2 served in %v, want >= %v: it did not sleep on an open channel", resp.Perf.ServiceTime, delay)
-	}
-	if _, ab, _ := r.CancelStats(); ab != 1 {
-		t.Errorf("aborted %d serves, want 1", ab)
+	for _, tc := range []struct {
+		name   string
+		delays delaySeq
+		method string
+	}{
+		{"abort in sleep", delaySeq{time.Hour, delay}, "m"},
+		{"abort in handler", delaySeq{0, delay}, "block"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := testNetwork(t)
+			release := make(chan struct{})
+			handler := func(method string, payload []byte) ([]byte, error) {
+				if method == "block" {
+					<-release
+				}
+				return []byte(method), nil
+			}
+			r := startReplica(t, net, Config{
+				ID: "r1", Service: "svc", Handler: handler,
+				LoadDelay: &tc.delays,
+			})
+			cli, _ := net.Listen("cli")
+			abortFirstServe(t, r, cli, tc.method)
+			close(release)
+			if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 2, Service: "svc", Method: "m"}); err != nil {
+				t.Fatal(err)
+			}
+			resp := recvResponse(t, cli)
+			if resp.Seq != 2 {
+				t.Fatalf("response for seq %d, want 2", resp.Seq)
+			}
+			if resp.Perf.ServiceTime < delay {
+				t.Errorf("seq 2 served in %v, want >= %v: the earlier abort woke it", resp.Perf.ServiceTime, delay)
+			}
+			if _, ab, _ := r.CancelStats(); ab != 1 {
+				t.Errorf("aborted %d serves, want 1", ab)
+			}
+		})
 	}
 }
 
@@ -308,7 +330,7 @@ func TestLateDuplicateCancelSparesNextServe(t *testing.T) {
 		LoadDelay: &delaySeq{time.Hour, 0},
 	})
 	cli, _ := net.Listen("cli")
-	abortFirstServe(t, r, cli)
+	abortFirstServe(t, r, cli, "m")
 	if err := cli.Send(r.Addr(), wire.Request{Client: "c", Seq: 2, Service: "svc", Method: "block"}); err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +345,24 @@ func TestLateDuplicateCancelSparesNextServe(t *testing.T) {
 	}
 	if _, ab, _ := r.CancelStats(); ab != 1 {
 		t.Errorf("aborted %d serves, want 1", ab)
+	}
+}
+
+// TestAbortAllocs: a serve aborted mid-service allocates nothing — the abort
+// puts a token in the worker's one signal and the next serve drains it.
+func TestAbortAllocs(t *testing.T) {
+	r := &Replica{servingAbort: make(chan struct{}, 1)}
+	req := wire.Request{Client: "c", Seq: 1}
+	if allocs := testing.AllocsPerRun(200, func() {
+		r.beginServe(req)
+		if !r.abortServing(req.Client, req.Seq) {
+			t.Fatal("the abort did not match the serve")
+		}
+		if !r.endServe() {
+			t.Fatal("the serve did not see its abort")
+		}
+	}); allocs != 0 {
+		t.Errorf("serve + abort: %.1f allocs/op, want 0", allocs)
 	}
 }
 

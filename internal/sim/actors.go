@@ -244,9 +244,9 @@ type Client struct {
 	probeEvery          time.Duration
 	probationViolations int
 
-	// Cancellation (Scenario.Cancellation): fan a cancel to the losing
-	// replicas when the first reply arrives. cancelBuf is reused across
-	// requests (CancelTargets appends into it).
+	// Cancellation (Scenario.Cancellation): fan a cancel to every losing
+	// replica when the first reply arrives. cancelBuf is reused across
+	// requests (CancelAllTargets appends into it).
 	cancellation bool
 	cancelsSent  int
 	cancelBuf    []wire.ReplicaID
@@ -492,13 +492,14 @@ func (c *Client) onReply(seq wire.SeqNo, replica wire.ReplicaID, perf wire.PerfR
 	}
 }
 
-// fanCancel mirrors the gateway's first-response-wins fan-out inside the
-// kernel: the scheduler settles the losers' bookkeeping, then each loser
+// fanCancel models first-response-wins cancellation of every loser inside the
+// kernel (the gateway cancels only the losers the repository's ClaimCancel
+// grants): the scheduler settles the losers' bookkeeping, then each loser
 // receives a Cancel one network delay later (subject to the same link
 // faults as any other message — a lost Cancel just means that replica
 // serves its duplicate, as before).
 func (c *Client) fanCancel(seq wire.SeqNo) {
-	c.cancelBuf = c.sched.CancelTargets(seq, c.cancelBuf[:0])
+	c.cancelBuf = c.sched.CancelAllTargets(seq, c.cancelBuf[:0])
 	if len(c.cancelBuf) == 0 {
 		return
 	}
