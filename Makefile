@@ -133,10 +133,14 @@ frames:
 # K is a smallest set that meets Pc(t) after f ∈ {1, 2, 3} crashes, that line
 # 15 fires only when no set does, and that the decision's guarantee label
 # says which; once on the selection strategy, once on the scheduler's fresh
-# and cached decisions. A failure prints the -oracle.seed that reproduces it.
+# and cached decisions with random copies in flight. A failure prints the
+# -oracle.seed that reproduces it. With them, the rank order those decisions
+# are prefixes of: equal F_Ri(t) by outstanding work, then by ID, in the
+# predictor and in the scheduler (a zero-service pool keeps ID order).
 oracle:
 	$(GO) test -count=20 -run 'TestDynamicMinimumSizeOracle|TestDynamicExactBoundary' ./internal/selection
-	$(GO) test -count=20 -run 'TestScheduleMinimumSizeOracle' ./internal/core
+	$(GO) test -count=20 -run 'TestProbabilityTableTiesByWork|TestProbabilityTableRanked' ./internal/model
+	$(GO) test -count=20 -run 'TestScheduleMinimumSizeOracle|TestFreshPathMatchesOracleProperty|TestScheduleTiesByOutstandingWork|TestScheduleZeroServiceTiesByID' ./internal/core
 
 # The cancellation tests under the race detector, 20 times each: which losers
 # a first reply cancels (history, a service bin above the round-trip bin, at

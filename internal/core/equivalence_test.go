@@ -64,7 +64,7 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 			id := universe[rng.Intn(len(universe))]
 			method := methods[rng.Intn(len(methods))]
 			var what string
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(22); {
 			case op < 8:
 				what = "RecordReply"
 				repo.RecordReply(id, method, perf(), time.Duration(rng.Intn(4000)-200)*time.Microsecond, now)
@@ -97,6 +97,13 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 			case op < 18:
 				what = "Quarantine"
 				repo.Quarantine(id)
+			case op < 19:
+				// Copies in flight rank ties among equal F_Ri(t) by work.
+				what = "NoteDispatchedAll"
+				repo.NoteDispatchedAll([]wire.ReplicaID{id, universe[rng.Intn(len(universe))]})
+			case op < 21:
+				what = "NoteSettled"
+				repo.NoteSettled(id)
 			default:
 				what = "FlushCache"
 				hot.FlushCache()
@@ -104,12 +111,16 @@ func TestFreshPathMatchesOracleProperty(t *testing.T) {
 
 			for _, m := range methods {
 				at := fmt.Sprintf("seed %d step %d (%s %s %q) method %q", seed, step, what, id, method, m)
-				wantTable, wantCold, err := model.NewPredictor().ProbabilityTable(selectableSnapshots(repo.Snapshot(m)), q.Deadline)
+				wantSnaps := selectableSnapshots(repo.Snapshot(m))
+				repo.FillInFlight(wantSnaps)
+				wantTable, wantCold, err := model.NewPredictor().ProbabilityTable(wantSnaps, q.Deadline)
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", at, err)
 				}
 				// selectableSnapshots compacts the copy in place
-				table, cold, err = hot.ProbabilityTableInto(selectableSnapshots(repo.SnapshotInto(m, &snaps)), q.Deadline, table[:0], cold[:0])
+				hotSnaps := selectableSnapshots(repo.SnapshotInto(m, &snaps))
+				repo.FillInFlight(hotSnaps)
+				table, cold, err = hot.ProbabilityTableInto(hotSnaps, q.Deadline, table[:0], cold[:0])
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}

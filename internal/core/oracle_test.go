@@ -73,11 +73,13 @@ func (o *tolerance) minTolerant(n, f int) int {
 // fills with constant and mixed windows, so F_Ri(t) takes the values 0 and 1
 // and ties often. Every round moves one replica's window and decides twice
 // at a Pc(t) on the 1/255 grid: once on the predictor's fresh path and once
-// on its cached path. Each decision must be the warm prefix of the table it
-// was made from — recomputed here by a separate predictor — of the smallest
-// size that tolerates f crashes, all of M when no subset does, labelled eq3
-// or line15 accordingly, with Predicted as Equation 1 over it and the cold
-// replicas after it.
+// on its cached path. Every round also dispatches and settles a few copies at
+// random, so ties among equal F_Ri(t) are ranked by outstanding work. Each
+// decision must be the warm prefix of the table it was made from —
+// recomputed here by a separate predictor over the same in-flight counts —
+// of the smallest size that tolerates f crashes, all of M when no subset
+// does, labelled eq3 or line15 accordingly, with Predicted as Equation 1 over
+// it and the cold replicas after it.
 func TestScheduleMinimumSizeOracle(t *testing.T) {
 	seed := *oracleSeed
 	if seed == 0 {
@@ -118,16 +120,27 @@ func checkPoolAgainstOracle(t *testing.T, rng *rand.Rand, o *tolerance) string {
 	}
 	oracle := model.NewPredictor()
 	now := time.Now()
+	var copies []wire.ReplicaID
 	for round := 0; round < 300; round++ {
 		// Service times of 2, 6, 11 or 20 ms against a 12 ms deadline.
 		svc := []time.Duration{2, 6, 11, 20}[rng.IntN(4)] * ms
 		repo.RecordPerf(ids[rng.IntN(len(ids))], "", wire.PerfReport{ServiceTime: svc}, now)
+		copies = copies[:0]
+		for n := rng.IntN(4); n > 0; n-- {
+			copies = append(copies, ids[rng.IntN(len(ids))])
+		}
+		repo.NoteDispatchedAll(copies)
+		for n := rng.IntN(4); n > 0; n-- {
+			repo.NoteSettled(ids[rng.IntN(len(ids))])
+		}
 		f := 1 + rng.IntN(maxOracleF)
 		q := wire.QoS{Deadline: deadline, MinProbability: float64(rng.IntN(256)) / 255}
 		if err := scheds[f].Renegotiate(q); err != nil {
 			t.Fatal(err)
 		}
-		table, cold, err := oracle.ProbabilityTable(repo.Snapshot(""), deadline)
+		snaps := repo.Snapshot("")
+		repo.FillInFlight(snaps)
+		table, cold, err := oracle.ProbabilityTable(snaps, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}

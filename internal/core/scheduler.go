@@ -640,6 +640,10 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		}
 	}
 
+	// The live in-flight counts rank equal F_Ri(t) by this gateway's
+	// outstanding work; their sum is the strategies' load input.
+	inFlight := s.repo.FillInFlight(snaps)
+
 	var table []model.ReplicaProbability
 	var cold []repository.ReplicaSnapshot
 	var err error
@@ -667,7 +671,7 @@ func (s *Scheduler) Schedule(t0 time.Time, method string) (Decision, error) {
 		Cold:         cold,
 		QoS:          qos,
 		SelectedBuf:  s.getIDBuf(),
-		LiveInFlight: s.repo.InFlightSum(snaps),
+		LiveInFlight: inFlight,
 	}
 	if s.cfg.Controller != nil {
 		in.Controller = s.cfg.Controller

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -561,5 +562,56 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 	}
 	if st.Completed > st.Requests {
 		t.Errorf("Completed %d > Requests %d", st.Completed, st.Requests)
+	}
+}
+
+// TestScheduleTiesByOutstandingWork: replicas whose F_Ri(t) ties rank by this
+// gateway's outstanding work there, so a replica holding an unsettled copy
+// (5 ms median service) yields m0 to an idle one. The tie order moves only
+// which replicas K names: |K|, P_K(t) and the guarantee are unchanged.
+func TestScheduleTiesByOutstandingWork(t *testing.T) {
+	repo := warmRepo(t, 3, 5*ms, 0, ms)
+	s := newSched(t, repo, wire.QoS{Deadline: 100 * ms, MinProbability: 0.9})
+	decide := func() Decision {
+		t.Helper()
+		d, err := s.Schedule(time.Now(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Forget(d.Seq) // settles its copies
+		return d
+	}
+	idle := decide()
+	if !slices.Equal(idle.Targets, []wire.ReplicaID{"a", "b"}) || idle.Guarantee != selection.GuaranteeEq3 {
+		t.Fatalf("idle pool: K = %v (%v), want [a b] (eq3): equal F and no work rank by ID", idle.Targets, idle.Guarantee)
+	}
+	repo.NoteDispatched("a")
+	busy := decide()
+	if !slices.Equal(busy.Targets, []wire.ReplicaID{"b", "c"}) {
+		t.Fatalf("a holds a copy: K = %v, want [b c]", busy.Targets)
+	}
+	if len(busy.Targets) != len(idle.Targets) || busy.Guarantee != idle.Guarantee || busy.Predicted != idle.Predicted {
+		t.Fatalf("tie order moved |K|, P_K or the label: %d %v %v, idle %d %v %v",
+			len(busy.Targets), busy.Predicted, busy.Guarantee, len(idle.Targets), idle.Predicted, idle.Guarantee)
+	}
+	repo.NoteSettled("a")
+	if d := decide(); !slices.Equal(d.Targets, idle.Targets) {
+		t.Fatalf("after a's copy settled: K = %v, want %v", d.Targets, idle.Targets)
+	}
+}
+
+// TestScheduleZeroServiceTiesByID: a zero-service pool's median service bin
+// is 0, so copies in flight add no work and ties stay in ID order, as they
+// did before ties were ranked by work.
+func TestScheduleZeroServiceTiesByID(t *testing.T) {
+	repo := warmRepo(t, 3, 0, 0, 0)
+	s := newSched(t, repo, wire.QoS{Deadline: 100 * ms, MinProbability: 0.9})
+	repo.NoteDispatchedAll([]wire.ReplicaID{"a", "a", "a", "b"})
+	d, err := s.Schedule(time.Now(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(d.Targets, []wire.ReplicaID{"a", "b"}) || d.Guarantee != selection.GuaranteeEq3 {
+		t.Fatalf("K = %v (%v), want [a b] (eq3)", d.Targets, d.Guarantee)
 	}
 }

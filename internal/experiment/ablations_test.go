@@ -217,9 +217,11 @@ func TestA9SaturationCrossover(t *testing.T) {
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// Below saturation (5 rps) dynamic must beat single-best; above
-	// (30+ rps) everything degrades and failure probabilities must be high
-	// for both (the sweep documents the crossover, not a winner).
+	// Below saturation (5 rps) dynamic must keep the paper's promise,
+	// failure ≤ 1 − Pc(t); above (30+ rps) everything degrades and failure
+	// probabilities must be high for both (the sweep documents the
+	// crossover, not a winner). Single-best carries no promise, so below
+	// saturation it is not compared.
 	get := func(rate, strat string) float64 {
 		for i, r := range tab.Rows {
 			if r[0] == rate && r[1] == strat {
@@ -229,9 +231,9 @@ func TestA9SaturationCrossover(t *testing.T) {
 		t.Fatalf("row (%s,%s) missing", rate, strat)
 		return 0
 	}
-	if get("5", "dynamic") >= get("5", "single-best") {
-		t.Errorf("below saturation dynamic (%.3f) should beat single-best (%.3f)",
-			get("5", "dynamic"), get("5", "single-best"))
+	const pc = 0.9 // the sweep's Pc(t)
+	if got := get("5", "dynamic"); got > 1-pc {
+		t.Errorf("below saturation dynamic failed %.3f > 1 - Pc = %.3f", got, 1-pc)
 	}
 	if get("60", "dynamic") < 0.5 || get("60", "single-best") < 0.5 {
 		t.Errorf("at 60 rps both should be degraded: dyn=%.3f single=%.3f",

@@ -273,29 +273,40 @@ func (p *Predictor) probability(snap *repository.ReplicaSnapshot, t time.Duratio
 
 // ReplicaProbability pairs a replica with its predicted F_Ri(t). It is the
 // input row of the selection algorithm (the paper's V = <i, F_Ri(t)>), plus
-// the replica-reported queue length that load-conditioned selection reads.
+// the replica-reported queue length that load-conditioned selection reads and
+// the outstanding work that breaks ties between equal F_Ri(t).
 type ReplicaProbability struct {
 	ID          wire.ReplicaID
 	QueueLength int
 	Probability float64
+	// Work is this gateway's outstanding work at the replica: its unsettled
+	// copies (ReplicaSnapshot.InFlight) times its median service-time bin
+	// for the method. It is 0 when nothing is in flight or the median
+	// service time quantizes to 0.
+	Work time.Duration
 }
 
 // ranksBefore is the rank order of a probability table: decreasing F_Ri(t),
-// ties broken by ascending replica ID. IDs are unique, so it is a total order
-// and equal scores never reshuffle between requests.
+// ties broken by ascending Work, then by ascending replica ID. IDs are
+// unique, so it is a total order. Equation 1 depends only on the multiset of
+// F_Ri(t) in a prefix, so the tie order changes which replicas K names, never
+// its size or P_K(t).
 func ranksBefore(a, b *ReplicaProbability) bool {
 	if a.Probability != b.Probability {
 		return a.Probability > b.Probability
+	}
+	if a.Work != b.Work {
+		return a.Work < b.Work
 	}
 	return a.ID < b.ID
 }
 
 // ProbabilityTable computes F_Ri(t) for every snapshot that has history and
-// returns the rows in rank order (decreasing F_Ri(t), ties by ascending ID):
-// the sorted list Algorithm 1 starts from. Snapshots without history are
-// returned separately, in input order, so the scheduler can apply the
-// cold-start rule. t should already include the overhead compensation if
-// enabled.
+// returns the rows in rank order (decreasing F_Ri(t), ties by ascending Work,
+// then ID): the sorted list Algorithm 1 starts from. Snapshots without
+// history are returned separately, in input order, so the scheduler can
+// apply the cold-start rule. t should already include the overhead
+// compensation if enabled.
 func (p *Predictor) ProbabilityTable(snaps []repository.ReplicaSnapshot, t time.Duration) (table []ReplicaProbability, cold []repository.ReplicaSnapshot, err error) {
 	return p.ProbabilityTableInto(snaps, t, make([]ReplicaProbability, 0, len(snaps)), nil)
 }
@@ -319,6 +330,10 @@ func (p *Predictor) ProbabilityTableInto(snaps []repository.ReplicaSnapshot, t t
 			return nil, nil, perr
 		}
 		row := ReplicaProbability{ID: s.ID, QueueLength: s.QueueLength, Probability: prob}
+		if s.InFlight > 0 {
+			bin, _ := s.ServiceHist.MedianBin()
+			row.Work = time.Duration(int64(s.InFlight)*bin) * dist.DefaultResolution
+		}
 		j := len(table)
 		table = append(table, row)
 		for ; j > base && ranksBefore(&row, &table[j-1]); j-- {

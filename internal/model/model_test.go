@@ -219,11 +219,47 @@ func rowsOf(probs []float64) []ReplicaProbability {
 	return rows
 }
 
+// TestProbabilityTableTiesByWork pins the tie order: rows of equal F_Ri(t)
+// rank by this gateway's outstanding work at the replica, in-flight copies
+// times the median service-time bin, least first, and only then by ID; a
+// higher F_Ri(t) outranks any work.
+func TestProbabilityTableTiesByWork(t *testing.T) {
+	svc := func(d ...time.Duration) []time.Duration { return d }
+	rows := []repository.ReplicaSnapshot{
+		snap("a", svc(2*ms, 3*ms, 9*ms), svc(0), ms, 0), // median 3 ms
+		snap("b", svc(3*ms), svc(0), ms, 0),
+		snap("c", svc(1*ms, 3*ms), svc(0), ms, 0), // lower median 1 ms
+		snap("d", svc(0, 0, 4*ms), svc(0), ms, 0), // median bin 0: no work
+		snap("e", svc(200*ms), svc(0), ms, 0),     // F = 0 at the deadline
+	}
+	for i, n := range []int{2, 0, 3, 5, 0} {
+		rows[i].InFlight = n
+	}
+	table, _, err := NewPredictor().ProbabilityTable(rows, 100*ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		id   wire.ReplicaID
+		work time.Duration
+	}{{"replica-b", 0}, {"replica-d", 0}, {"replica-c", 3 * ms}, {"replica-a", 6 * ms}, {"replica-e", 0}}
+	for i, w := range want {
+		if table[i].ID != w.id || table[i].Work != w.work {
+			t.Fatalf("row %d = %s with work %v, want %s with %v\ntable %+v", i, table[i].ID, table[i].Work, w.id, w.work, table)
+		}
+	}
+	if table[3].Probability != table[0].Probability || table[4].Probability >= table[3].Probability {
+		t.Fatalf("F_Ri(t) of the rows = %+v, want the first four equal and the last below them", table)
+	}
+}
+
 // TestProbabilityTableRanked pins the one ranking of the decision path:
-// whatever order the snapshots arrive in, the warm rows come back exactly as a
-// stable sort by (F_Ri(t) descending, ID ascending) would order them, cold
-// snapshots come back separately in input order, and appending into a grown
-// buffer allocates nothing.
+// whatever order the snapshots arrive in, with whatever copies in flight, the
+// warm rows come back exactly as a stable sort by (F_Ri(t) descending, work
+// ascending, ID ascending) would order them, where work is the in-flight
+// count times the lower-median service sample's bin; cold snapshots come
+// back separately in input order, and appending into a grown buffer
+// allocates nothing.
 func TestProbabilityTableRanked(t *testing.T) {
 	rng := stats.NewRand(29)
 	// Few distinct sample values against a deadline inside their range: many
@@ -237,6 +273,8 @@ func TestProbabilityTableRanked(t *testing.T) {
 		return w
 	}
 	const deadline = 7 * ms
+	// work is what the predictor must rank ties by, from the samples.
+	work := map[wire.ReplicaID]time.Duration{}
 	for trial := 0; trial < 200; trial++ {
 		snaps := make([]repository.ReplicaSnapshot, 2+rng.Intn(10))
 		for i := range snaps {
@@ -245,7 +283,11 @@ func TestProbabilityTableRanked(t *testing.T) {
 				snaps[i] = snap(id, nil, nil, 0, 0)
 				continue
 			}
-			snaps[i] = snap(id, window(), window(), sample(), rng.Intn(5))
+			service := window()
+			snaps[i] = snap(id, service, window(), sample(), rng.Intn(5))
+			snaps[i].InFlight = rng.Intn(4)
+			sort.Slice(service, func(a, b int) bool { return service[a] < service[b] })
+			work[snaps[i].ID] = time.Duration(snaps[i].InFlight) * service[(len(service)-1)/2]
 		}
 		perm := rng.Perm(len(snaps))
 		shuffled := make([]repository.ReplicaSnapshot, len(snaps))
@@ -265,11 +307,14 @@ func TestProbabilityTableRanked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, ReplicaProbability{ID: s.ID, QueueLength: s.QueueLength, Probability: f})
+			want = append(want, ReplicaProbability{ID: s.ID, QueueLength: s.QueueLength, Probability: f, Work: work[s.ID]})
 		}
 		sort.SliceStable(want, func(i, j int) bool {
 			if want[i].Probability != want[j].Probability {
 				return want[i].Probability > want[j].Probability
+			}
+			if want[i].Work != want[j].Work {
+				return want[i].Work < want[j].Work
 			}
 			return want[i].ID < want[j].ID
 		})

@@ -366,7 +366,7 @@ func addLocal(w *window.Window, borrowed *int, v time.Duration) {
 // has not yet settled: this gateway's own, instantly current contribution to
 // the replica's load, beside the replica-reported queue length (which lags by
 // one reply). Dispatch/settle accounting is read live (InFlight,
-// InFlightSum), never through a snapshot, so it does not bump the snapshot
+// FillInFlight), never through the view, so it does not bump the snapshot
 // generation: it fires on every request and would defeat the snapshot view.
 func (r *Repository) NoteDispatched(id wire.ReplicaID) {
 	r.mu.RLock()
@@ -430,8 +430,8 @@ func (r *Repository) ClaimCancel(id wire.ReplicaID, method string) bool {
 	if !ok {
 		return false
 	}
-	s, sok := medianBin(e.service)
-	t, tok := medianBin(st.gateway)
+	s, sok := histView(e.service).MedianBin()
+	t, tok := histView(st.gateway).MedianBin()
 	if !sok || !tok || s <= t {
 		return false
 	}
@@ -446,19 +446,6 @@ func (r *Repository) ClaimCancel(id wire.ReplicaID, method string) bool {
 	}
 }
 
-// medianBin returns the bin of w's lower median sample; ok is false when w is
-// empty.
-func medianBin(w *window.Window) (bin int64, ok bool) {
-	bins, counts := w.Hist()
-	half, seen := (w.Len()+1)/2, 0
-	for i, c := range counts {
-		if seen += c; seen >= half {
-			return bins[i], true
-		}
-	}
-	return 0, false
-}
-
 // InFlight returns the number of unsettled copies dispatched to a replica.
 func (r *Repository) InFlight(id wire.ReplicaID) int {
 	r.mu.RLock()
@@ -469,18 +456,21 @@ func (r *Repository) InFlight(id wire.ReplicaID) int {
 	return 0
 }
 
-// InFlightSum returns the total live in-flight dispatch count across the
-// listed snapshots' replicas, under one read lock: the load input the
-// scheduler hands load-conditioned strategies (selection.Input.LiveInFlight).
-// Unknown IDs contribute zero.
-func (r *Repository) InFlightSum(snaps []ReplicaSnapshot) int {
+// FillInFlight sets each snapshot's InFlight from the live counters, under
+// one read lock, and returns their sum: the per-replica load the predictor
+// breaks F_Ri(t) ties by, and the total the scheduler hands load-conditioned
+// strategies (selection.Input.LiveInFlight). Unknown IDs read zero.
+func (r *Repository) FillInFlight(snaps []ReplicaSnapshot) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	total := 0
 	for i := range snaps {
+		n := 0
 		if st, ok := r.replicas[snaps[i].ID]; ok {
-			total += int(st.inFlight.Load())
+			n = int(st.inFlight.Load())
 		}
+		snaps[i].InFlight = n
+		total += n
 	}
 	return total
 }
@@ -510,6 +500,22 @@ type HistView struct {
 // OK reports whether the view carries at least one sample.
 func (h HistView) OK() bool { return len(h.Bins) > 0 }
 
+// MedianBin returns the bin of the view's lower median sample; ok is false
+// when the view holds no sample.
+func (h HistView) MedianBin() (bin int64, ok bool) {
+	n := 0
+	for _, c := range h.Counts {
+		n += c
+	}
+	half, seen := (n+1)/2, 0
+	for i, c := range h.Counts {
+		if seen += c; seen >= half {
+			return h.Bins[i], true
+		}
+	}
+	return 0, false
+}
+
 // ReplicaSnapshot is a copy of one replica's history handed to the
 // response-time predictor, so prediction runs without repository locks.
 // Each measurement window is carried once, as its histogram.
@@ -517,7 +523,12 @@ type ReplicaSnapshot struct {
 	ID          wire.ReplicaID
 	Method      string
 	QueueLength int
-	LastUpdate  time.Time
+	// InFlight is the number of copies this gateway has dispatched to the
+	// replica and not yet settled. It is a live counter, not part of the
+	// snapshot's generation: every snapshot reads 0 until FillInFlight sets
+	// it.
+	InFlight   int
+	LastUpdate time.Time
 	// Health is the replica's lifecycle state (lifecycle.go). Replicas whose
 	// state is not Selectable() must be excluded from the probability table
 	// and from the select-all fallback; the prober keys its cadence off it.

@@ -389,7 +389,7 @@ func TestInFlightTracking(t *testing.T) {
 	r := New()
 	r.AddReplica("a")
 	r.AddReplica("b")
-	shared := r.SnapshotShared("") // taken before any dispatch
+	rows := r.Snapshot("") // taken before any dispatch
 
 	r.NoteDispatched("a")
 	r.NoteDispatched("a")
@@ -401,17 +401,25 @@ func TestInFlightTracking(t *testing.T) {
 		t.Errorf("TotalInFlight() = %d, want 3", got)
 	}
 
-	// InFlightSum reads the live counters for the listed replicas, so the
-	// budgeted strategy sees load before the first perf report comes back,
-	// through a shared snapshot taken before the dispatches.
-	if got := r.InFlightSum(shared); got != 3 {
-		t.Errorf("InFlightSum(shared) = %d, want 3", got)
+	// FillInFlight reads the live counters for the listed replicas, so the
+	// budgeted strategy and the predictor's tie order see load before the
+	// first perf report comes back, through a snapshot taken before the
+	// dispatches.
+	if rows[0].InFlight != 0 || rows[1].InFlight != 0 {
+		t.Errorf("snapshot carries InFlight %d, %d before FillInFlight, want 0, 0", rows[0].InFlight, rows[1].InFlight)
 	}
-	if got := r.InFlightSum(shared[:1]); got != 2 {
-		t.Errorf("InFlightSum(%s) = %d, want 2", shared[0].ID, got)
+	if got := r.FillInFlight(rows); got != 3 || rows[0].InFlight != 2 || rows[1].InFlight != 1 {
+		t.Errorf("FillInFlight(rows) = %d with %s %d, %s %d; want 3 with 2, 1", got, rows[0].ID, rows[0].InFlight, rows[1].ID, rows[1].InFlight)
 	}
-	if got := r.InFlightSum([]ReplicaSnapshot{{ID: "ghost"}}); got != 0 {
-		t.Errorf("InFlightSum(ghost) = %d, want 0", got)
+	if got := r.FillInFlight(rows[:1]); got != 2 {
+		t.Errorf("FillInFlight(%s) = %d, want 2", rows[0].ID, got)
+	}
+	ghost := []ReplicaSnapshot{{ID: "ghost", InFlight: 7}}
+	if got := r.FillInFlight(ghost); got != 0 || ghost[0].InFlight != 0 {
+		t.Errorf("FillInFlight(ghost) = %d with InFlight %d, want 0, 0", got, ghost[0].InFlight)
+	}
+	if shared := r.SnapshotShared(""); shared[0].InFlight != 0 {
+		t.Errorf("shared snapshot carries InFlight %d, want 0: the live count is not part of the view", shared[0].InFlight)
 	}
 
 	r.NoteSettled("a")

@@ -31,9 +31,10 @@ import (
 // (cold), and the client's QoS specification.
 type Input struct {
 	// Table holds F_Ri(t) per warm replica in the predictor's rank order:
-	// decreasing probability, ties by ascending replica ID. Strategies rely on
-	// that order; a hand-built table must be ranked the same way. t already
-	// includes overhead compensation when enabled.
+	// decreasing probability, ties by ascending outstanding work
+	// (model.ReplicaProbability.Work), then by ascending replica ID.
+	// Strategies rely on that order; a hand-built table must be ranked the
+	// same way. t already includes overhead compensation when enabled.
 	Table []model.ReplicaProbability
 	// Cold lists replicas with no usable history. The dynamic strategy
 	// always includes them so they get probed and start publishing
@@ -49,7 +50,7 @@ type Input struct {
 	SelectedBuf []wire.ReplicaID
 	// LiveInFlight is the number of copies this gateway has dispatched to the
 	// listed replicas that have not settled yet, read from the live counters
-	// at decision time (repository.Repository.InFlightSum). Budgeted adds it
+	// at decision time (repository.Repository.FillInFlight). Budgeted adds it
 	// to the replica-reported queue lengths.
 	LiveInFlight int
 	// Controller, when non-nil, replaces Budgeted's static load→budget

@@ -17,11 +17,15 @@ func row(id string, p float64) model.ReplicaProbability {
 }
 
 // ranked puts hand-built rows in the predictor's rank order (decreasing
-// probability, ties by ascending ID): strategies read Input.Table as ranked.
+// probability, ties by ascending work, then by ascending ID): strategies read
+// Input.Table as ranked.
 func ranked(rows ...model.ReplicaProbability) []model.ReplicaProbability {
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Probability != rows[j].Probability {
 			return rows[i].Probability > rows[j].Probability
+		}
+		if rows[i].Work != rows[j].Work {
+			return rows[i].Work < rows[j].Work
 		}
 		return rows[i].ID < rows[j].ID
 	})
